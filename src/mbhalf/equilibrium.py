@@ -542,11 +542,15 @@ def variational_residual(sol, V):
     interior = support & (s >= 0.05 * sol.q) & (s <= 0.95 * sol.q)
     equality_dev = float(np.max(np.abs((u_pot - v - sol.ell)[interior])))
 
+    # a probe may land exactly on an empty cell: sum over w > 0 only, so
+    # that 0 * log 0 never turns the potential into nan
+    pos = w > 0
+    s_pos, w_pos, sq_pos = s[pos], w[pos], sq[pos]
     ok = True
     for fac in np.linspace(1.1, 2.0, 10):
         x = fac * sol.q
-        u_x = float(np.sum(w * (2.0 * np.log(np.abs(x - s))
-                                - np.log(np.sqrt(x) + sq))))
+        u_x = float(np.sum(w_pos * (2.0 * np.log(np.abs(x - s_pos))
+                                    - np.log(np.sqrt(x) + sq_pos))))
         if not u_x - float(V(x)) - sol.ell < 0:
             ok = False
     return equality_dev, ok

@@ -43,7 +43,7 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
 
 from __future__ import annotations
 
-import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
@@ -54,6 +54,7 @@ from .specfun import hyper0f2_theta, ResonantParameterError
 
 #: legs of the loop contour run at Im s = +- LOOP_ETA
 LOOP_ETA = 1
+#: panel width; the product recurrence in _LoopProducts assumes 2
 _PANEL_WIDTH = 2
 _MAX_PANELS = 160
 _GL_ORDER = 64
@@ -148,71 +149,98 @@ def g303_series(b, point, dps=None, with_theta=False):
 # Mellin-Barnes loop route
 # ----------------------------------------------------------------------
 
-_contour_cache = {}
-_gprod_cache = {}
+#: loop product tables kept per exact (b, m, dps); least recently used
+#: tables are dropped beyond this many
+_LOOP_CACHE_SIZE = 16
+_loop_cache = OrderedDict()
 
 
-def _contour(c_key, dps):
-    """Quadrature nodes of the loop, grouped per panel.
+def _integrand_products(nodes, weights, b, m, dps):
+    """w * P(s) at each node, P(s) = prod_{j<m} Gamma(b_j+s)
+    prod_{j>=m} 1/Gamma(1-b_j-s), by direct gamma calls."""
+    out = []
+    for s, w in zip(nodes, weights):
+        for j in range(3):
+            if j < m:
+                w *= gamma(b[j] + s, dps=dps)
+            else:
+                w *= rgamma(1 - b[j] - s, dps=dps)
+        out.append(w)
+    return out
 
-    Returns (vertical, panels) where vertical is a list of (s, w) for the
-    segment Re s = c, Im s in [-eta, eta] (weight includes the i from ds),
-    and panels[p] lists (s, w) for both horizontal legs over
-    t in [c - 2(p+1), c - 2p] (bottom leg weight +w, top leg -w, i.e.
-    counterclockwise).
+
+def _moment_weights(nodes, g):
+    """(g, -s g, s^2 g): dotted with z^(-s) they give the theta^0..2 moments."""
+    gs = [-s * x for s, x in zip(nodes, g)]
+    return g, gs, [-s * x for s, x in zip(nodes, gs)]
+
+
+class _LoopProducts:
+    """Moment weights of the loop integrand for one (b, m, dps).
+
+    Holds the weighted products w * P(s) at the nodes as the three lists of
+    :func:`_moment_weights`.  The vertical segment Re s = c,
+    Im s in [-eta, eta] (weights include the i from ds) and panel 0, the
+    horizontal legs over t in [c - 2, c] (bottom leg weight +w, top leg -w,
+    i.e. counterclockwise), come from direct gamma calls.  Panel p covers
+    t in [c - 2(p+1), c - 2p]; its node k is node k of panel p-1 shifted by
+    -2 and, the half-width being 1 on every panel, carries the same weight.
+    With s' = s - 2 both Gamma(b+s') = Gamma(b+s) / ((b+s')(b+s'+1))
+    and 1/Gamma(1-b-s') = (1/Gamma(1-b-s)) / ((b+s')(b+s'+1)), so each
+    later panel follows from the one before by one division per node.
+    Panels are added on demand.
     """
-    key = (c_key, dps)
-    got = _contour_cache.get(key)
-    if got is not None:
-        return got
-    xs, ws = legendre_nodes(_GL_ORDER, dps=dps)
-    with mp.workdps(dps + 10):
-        c = mpf(c_key)
-        eta = mpf(LOOP_ETA)
-        vertical = []
-        for x, w in zip(xs, ws):
-            s = mpc(c, eta * x)
-            vertical.append((s, mpc(0, 1) * eta * w))
-        panels = []
-        for p in range(_MAX_PANELS):
-            hi = c - _PANEL_WIDTH * p
-            lo = hi - _PANEL_WIDTH
-            mid = (hi + lo) / 2
-            half = (hi - lo) / 2
-            nodes = []
+
+    def __init__(self, b, m, c, dps):
+        self.b = b
+        self.dps = dps
+        xs, ws = legendre_nodes(_GL_ORDER, dps=dps)
+        with mp.workdps(dps + 10):
+            eta = mpf(LOOP_ETA)
+            self.vertical_s = [mpc(c, eta * x) for x in xs]
+            vw = [mpc(0, 1) * eta * w for w in ws]
+            self.vertical = _moment_weights(
+                self.vertical_s,
+                _integrand_products(self.vertical_s, vw, b, m, dps))
+            self.panel0_s = []
+            pw = []
             for x, w in zip(xs, ws):
-                t = mid + half * x
-                nodes.append((mpc(t, -eta), half * w))   # bottom leg ->
-                nodes.append((mpc(t, eta), -half * w))   # top leg <-
-            panels.append(nodes)
-    result = (vertical, panels)
-    _contour_cache[key] = result
-    return result
+                t = c - 1 + x                                  # half-width 1
+                self.panel0_s += [mpc(t, -eta), mpc(t, eta)]   # bottom ->, top <-
+                pw += [w, -w]
+            self._s = self.panel0_s
+            self._g = _integrand_products(self._s, pw, b, m, dps)
+            self.panels = [_moment_weights(self._s, self._g)]
+
+    def panel(self, pidx):
+        with mp.workdps(self.dps + 10):
+            while len(self.panels) <= pidx:
+                s_next, g_next = [], []
+                for s, g in zip(self._s, self._g):
+                    s = s - _PANEL_WIDTH
+                    div = 1
+                    for bj in self.b:
+                        bs = bj + s
+                        div *= bs * (bs + 1)
+                    s_next.append(s)
+                    g_next.append(g / div)
+                self._s, self._g = s_next, g_next
+                self.panels.append(_moment_weights(s_next, g_next))
+        return self.panels[pidx]
 
 
-def _gamma_products(b, m, c_key, dps):
-    """prod Gamma(b_j+s) / prod Gamma(1-b_j-s) at every contour node, cached."""
-    bkey = tuple(mp.nstr(mpf(x), 25) for x in b)
-    key = (bkey, m, c_key, dps)
-    got = _gprod_cache.get(key)
+def _loop_products(b, m, c, dps):
+    """The cached :class:`_LoopProducts`, keyed by the exact b, m and dps."""
+    key = (tuple(b), m, dps)
+    got = _loop_cache.get(key)
     if got is None:
-        got = {}
-        _gprod_cache[key] = got
+        got = _LoopProducts(b, m, c, dps)
+        _loop_cache[key] = got
+        if len(_loop_cache) > _LOOP_CACHE_SIZE:
+            _loop_cache.popitem(last=False)
+    else:
+        _loop_cache.move_to_end(key)
     return got
-
-
-def _integrand_products(nodes, b, m, dps):
-    with mp.workdps(dps + 10):
-        out = []
-        for s, w in nodes:
-            p = mpc(1)
-            for j in range(3):
-                if j < m:
-                    p *= gamma(mpf(b[j]) + s, dps=dps)
-                else:
-                    p *= rgamma(1 - mpf(b[j]) - s, dps=dps)
-            out.append((s, w, p))
-        return out
 
 
 def mb_loop(b, point, m=3, dps=None, with_theta=False):
@@ -226,39 +254,36 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     Gauss-Legendre 64 per leg piece) until two consecutive panels
     contribute below tolerance; the omitted closing piece at Re s = -X is
     then negligible because 1/Gamma(X)^m crushes |z|^X superexponentially.
+
+    Gamma is called only on the vertical segment and the first panel.
+    Every panel has the same half-width (1), so a node of panel p is the
+    matching node of panel p-1 shifted by -2 with the same weight; the
+    weighted gamma products follow by a two-step recurrence (see
+    :class:`_LoopProducts`, cached per exact (b, m, dps)) and z^(-s) by one
+    multiplication with z^2 = exp(2 zeta) per panel.
     """
     d = _resolve_dps(dps)
     wp = d + 15
     with mp.workdps(wp + 10):
         bb = [mpf(x) for x in b]
         c = max(-bb[j] for j in range(m)) + 1
-        c_key = mp.nstr(c, 25)
         zeta = point.clog(dps=wp)
         tol = mpf(10) ** (-(d + 5))
-        vertical, panels = _contour(c_key, wp)
-        prods = _gamma_products(b, m, c_key, wp)
+        prods = _loop_products(bb, m, c, wp)
 
-        def eval_nodes(nodes_with_p):
-            t0 = mpc(0)
-            t1 = mpc(0)
-            t2 = mpc(0)
-            for s, w, p in nodes_with_p:
-                e = w * p * mp.exp(-s * zeta)
-                t0 += e
-                t1 += -s * e
-                t2 += s * s * e
-            return t0, t1, t2
-
-        if "vertical" not in prods:
-            prods["vertical"] = _integrand_products(vertical, bb, m, wp)
-        acc = list(eval_nodes(prods["vertical"]))
+        zv = [mp.exp(-s * zeta) for s in prods.vertical_s]
+        acc = [mp.fdot(g, zv) for g in prods.vertical]
         # panels must at least clear the pole region before tail checks count
         p_min = int(max(4.0, (max(float(-x) for x in bb) + 6.0) / _PANEL_WIDTH))
+        # z^(-s) on panel p is z^(-s) on panel 0 times (z^2)^p
+        z0 = [mp.exp(-s * zeta) for s in prods.panel0_s]
+        z2 = mp.exp(_PANEL_WIDTH * zeta)
+        zp = mpc(1)
         quiet = 0
         for pidx in range(_MAX_PANELS):
-            if pidx not in prods:
-                prods[pidx] = _integrand_products(panels[pidx], bb, m, wp)
-            t0, t1, t2 = eval_nodes(prods[pidx])
+            if pidx:
+                zp *= z2
+            t0, t1, t2 = (zp * mp.fdot(g, z0) for g in prods.panel(pidx))
             acc[0] += t0
             acc[1] += t1
             acc[2] += t2

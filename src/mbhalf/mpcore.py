@@ -3,8 +3,9 @@
 Everything downstream (special functions, contour integration, the 3x3
 matrix frames, moment tables) is built on the primitives in this module:
 
-* ``gamma`` -- complex gamma via argument shifting + Stirling series with
-  Bernoulli correction terms, reflection for the left half-plane;
+* ``gamma`` / ``rgamma`` -- ``mp.gamma`` / ``mp.rgamma`` behind a pole
+  contract (:class:`GammaPoleError` near a nonpositive integer, an exact 0
+  from ``rgamma`` there, ``mpf`` out for real input);
 * ``quad_gl`` -- Gauss-Legendre quadrature with nodes computed by Newton
   iteration on the Legendre recurrence (cached per order/precision);
 * ``quad_ts`` -- tanh-sinh (double-exponential) quadrature with level
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from mpmath import mp, mpf, mpc, bernoulli
+from mpmath import mp, mpf, mpc
 
 DEFAULT_DPS = 50
 
@@ -64,71 +65,37 @@ def _resolve_dps(dps):
 # gamma
 # ----------------------------------------------------------------------
 
-_stirling_cache = {}
-
-
-def _stirling_coeffs(prec_dps):
-    """Bernoulli correction coefficients B_{2k} / (2k (2k-1)) as mpf.
-
-    The shift target and term count both scale with the working precision;
-    a fixed 20-term rule stops being accurate past ~38 digits.
-    """
-    key = prec_dps
-    got = _stirling_cache.get(key)
-    if got is not None:
-        return got
-    shift = int(0.5 * prec_dps) + 10
-    nterms = int(0.75 * prec_dps) + 15
-    with mp.workdps(prec_dps + 10):
-        coeffs = [bernoulli(2 * k) / (2 * k * (2 * k - 1))
-                  for k in range(1, nterms + 1)]
-    _stirling_cache[key] = (shift, coeffs)
-    return shift, coeffs
+def _near_pole(z, d):
+    """True when ``z`` is within 10^(-d/2) of a nonpositive integer."""
+    if z.real >= 0.5:
+        return False
+    eps = mpf(10) ** (-(d // 2))
+    return abs(z.imag) < eps and abs(z.real - mp.nint(z.real)) < eps
 
 
 def gamma(z, dps=None):
-    """Complex gamma function.
+    """Complex gamma function: ``mp.gamma`` behind the pole contract.
 
-    Reflection for Re z < 1/2, otherwise shift until Re z exceeds a
-    precision-dependent threshold and apply the Stirling series with
-    Bernoulli corrections.  Raises :class:`GammaPoleError` when ``z`` is a
-    nonpositive integer to within 10^(-dps/2).
+    Raises :class:`GammaPoleError` when ``z`` is a nonpositive integer to
+    within 10^(-dps/2); real input (zero imaginary part) gives an ``mpf``.
+    The value is rounded to dps + 10 digits.
     """
     d = _resolve_dps(dps)
     with mp.workdps(d + 10):
         z = mpc(z)
-        if abs(z.imag) < mpf(10) ** (-(d // 2)):
-            n = mp.nint(z.real)
-            if n <= 0 and abs(z.real - n) < mpf(10) ** (-(d // 2)):
-                raise GammaPoleError(f"gamma pole at z = {n}")
-        if z.real < mpf("0.5"):
-            # reflection; sinpi does its own argument reduction near integers
-            val = mp.pi / (mp.sinpi(z) * gamma(1 - z, dps=d))
-        else:
-            shift, coeffs = _stirling_coeffs(d)
-            prod = mpc(1)
-            w = z
-            while w.real < shift:
-                prod *= w
-                w += 1
-            lng = (w - mpf("0.5")) * mp.log(w) - w + mpf("0.5") * mp.log(2 * mp.pi)
-            w2 = w * w
-            wp = w
-            for c in coeffs:
-                lng += c / wp
-                wp *= w2
-            val = mp.exp(lng) / prod
-        if z.imag == 0:
-            val = val.real
-        return +val
+        if _near_pole(z, d):
+            raise GammaPoleError(f"gamma pole at z = {mp.nint(z.real)}")
+        return mp.gamma(z.real if z.imag == 0 else z)
 
 
 def rgamma(z, dps=None):
-    """1/gamma, returning exactly 0 at the poles."""
-    try:
-        return 1 / gamma(z, dps=dps)
-    except GammaPoleError:
-        return mpf(0)
+    """1/gamma, returning exactly 0 at the poles (same threshold as gamma)."""
+    d = _resolve_dps(dps)
+    with mp.workdps(d + 10):
+        z = mpc(z)
+        if _near_pole(z, d):
+            return mpf(0)
+        return mp.rgamma(z.real if z.imag == 0 else z)
 
 
 # ----------------------------------------------------------------------
@@ -402,11 +369,6 @@ def unit_upper_inverse(U):
 # ----------------------------------------------------------------------
 # dense 3x3 helpers
 # ----------------------------------------------------------------------
-
-def mat3(rows):
-    """Normalize a 3x3 nested sequence to list-of-lists of mpc."""
-    return [[mpc(rows[i][j]) for j in range(3)] for i in range(3)]
-
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])

@@ -128,6 +128,19 @@ def test_minimizer_quadratic_field():
     assert ineq_ok
 
 
+def test_variational_residual_probe_on_empty_cell():
+    # for this field at m = 200 the probe 1.8 q is exactly an empty cell's
+    # midpoint; its 0 * log 0 must not turn the strict inequality into nan
+    V = lambda x: x + 0.1 * x * x
+    sol = equilibrium_minimize(V, 6.0, 200)
+    probe = 1.8 * sol.q
+    hit = np.isclose(sol.mu.nodes, probe, rtol=0, atol=1e-12)
+    assert hit.any() and np.all(sol.mu.weights[hit] == 0)
+    dev, ineq_ok = variational_residual(sol, V)
+    assert dev < 1e-3
+    assert ineq_ok
+
+
 def test_minimizer_single_cell_converges():
     # a one-cell simplex is a single point: the solver must detect the
     # trivial constrained minimum instead of raising StagnationError

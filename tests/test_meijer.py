@@ -5,7 +5,9 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from mbhalf.meijer import (
+    _GL_ORDER,
     SectorPoint,
+    _LoopProducts,
     _pairwise_resonant,
     g303_series,
     mb_loop,
@@ -14,6 +16,7 @@ from mbhalf.meijer import (
     psi_frobenius_constants,
     psi_scalars,
 )
+from mbhalf.mpcore import legendre_nodes
 from mbhalf.specfun import ResonantParameterError
 
 B_STD = (mpf(0), mpf("-0.3"), mpf("-0.8"))
@@ -164,3 +167,38 @@ def test_psi_frobenius_constants_are_real():
         assert len(consts) == 3
         for c in consts:
             assert abs(c) > mpf("1e-6")  # nondegenerate combination
+
+
+def test_loop_cache_keyed_by_exact_parameters():
+    # b2 differs from b1 below 25 significant digits; a cache keyed by a
+    # rounded b returned b1's products for b2 (an error of 5e-30 at |G| = 0.13)
+    with mp.workdps(45):
+        b1 = (mpf("0.03"), mpf("-0.35"), mpf("-0.7"))
+        b2 = (b1[0] + mpf("1e-28"), b1[1], b1[2])
+    pt = SectorPoint(mpf("1.25"), mpf("0.5"))
+    mb_loop(b1, pt, m=3, dps=45)
+    got = mb_loop(b2, pt, m=3, dps=45)
+    ref = g303_series(b2, pt, dps=45)
+    with mp.workdps(55):
+        assert abs(got - ref) / abs(ref) < mpf("1e-43")
+
+
+def test_loop_product_recurrence_far_panel():
+    # panels past the first come from the two-step gamma recurrence; check
+    # them at panel 31 against direct products times the node weight
+    d = 40
+    wp = d + 15
+    pidx = 31
+    xs, ws = legendre_nodes(_GL_ORDER, dps=wp)
+    with mp.workdps(wp + 10):
+        bb = [mpf(x) for x in B_STD]
+        for m in (1, 2, 3):
+            c = max(-bb[j] for j in range(m)) + 1
+            g = _LoopProducts(bb, m, c, wp).panel(pidx)[0]
+            for k in (0, 1, 17, 64, 126, 127):
+                w = ws[k // 2] if k % 2 == 0 else -ws[k // 2]
+                s = mpc(c - 1 + xs[k // 2] - 2 * pidx, -1 if k % 2 == 0 else 1)
+                want = w
+                for j in range(3):
+                    want *= mp.gamma(bb[j] + s) if j < m else mp.rgamma(1 - bb[j] - s)
+                assert abs(g[k] - want) / abs(want) < mpf(10) ** (-(d + 5)), (m, k)

@@ -1,4 +1,4 @@
-"""Core numerics: gamma, quadrature, cubic solver, LDU, 3x3 helpers."""
+"""Core numerics: gamma contract, quadrature, cubic solver, LDU, 3x3 helpers."""
 
 import numpy as np
 import pytest
@@ -30,35 +30,52 @@ from mbhalf.mpcore import (
 
 GAMMA_TOL = mpf("1e-48")
 
+# gamma and rgamma are mp.gamma / mp.rgamma behind a contract: a pole
+# threshold of 10^(-dps/2), an exact 0 from rgamma inside it, mpf out for
+# real input, and values rounded to dps + 10 digits.  The tests check the
+# contract, not mpmath's gamma itself.
 
-def test_gamma_matches_mpmath():
-    # mpmath's gamma is an independent implementation (different algorithm)
-    pts = [mpf("0.5"), mpf(1), mpf(7), mpf("3.75"), mpf("-0.5"), mpf("-2.3"),
-           mpc(2, 3), mpc("-1.5", "0.25"), mpc(0, 1)]
+
+def test_gamma_real_in_mpf_out():
+    for z in (mpf("0.5"), 7, mpf("-2.3"), mpc("3.75", 0), 2.5):
+        assert isinstance(gamma(z, dps=50), type(mpf(1))), z
+        assert isinstance(rgamma(z, dps=50), type(mpf(1))), z
+    for z in (mpc(2, 3), mpc("-1.5", "0.25"), mpc(0, 1)):
+        assert isinstance(gamma(z, dps=50), type(mpc(1))), z
+        assert isinstance(rgamma(z, dps=50), type(mpc(1))), z
+    # values carry dps + 10 digits: Gamma(1/2) = sqrt(pi) to well below 1e-50
+    with mp.workdps(80):
+        assert abs(gamma(mpf("0.5"), dps=50) - mp.sqrt(mp.pi)) < mpf("1e-58")
+        assert abs(rgamma(mpf("2.5"), dps=50) * 3 * mp.sqrt(mp.pi) - 4) < mpf("1e-58")
+
+
+def test_gamma_pole_threshold():
+    # the threshold is 10^(-dps/2) = 1e-20 at dps 40, in both directions
+    with mp.workdps(50):
+        for n in (0, -3, -40):
+            for off in (mpf("1e-21"), mpc(0, "1e-21"), mpc("-1e-21", "1e-21")):
+                with pytest.raises(GammaPoleError):
+                    gamma(n + off, dps=40)
+            for off in (mpf("1e-19"), mpc(0, "1e-19")):
+                v = gamma(n + off, dps=40)
+                # Gamma(n + e) ~ (-1)^n / (|n|! e) next to the pole
+                want = (-1) ** (-n) / (mp.factorial(-n) * off)
+                assert abs(v - want) / abs(want) < mpf("1e-15"), (n, off)
+        # positive integers are no poles, however close
+        assert gamma(1 + mpf("1e-30"), dps=40) != 0
+
+
+def test_gamma_complex_reflection_inputs():
+    # left half-plane complex inputs, some a hair outside the pole threshold:
+    # Gamma(z) Gamma(1 - z) = pi / sin(pi z)
+    pts = [mpc("-2.5", "0.3"), mpc("-7.2", "-1e-3"), mpc(-4, "1e-15"),
+           mpc("-0.5", -6), mpc(-30, "0.5")]
     with mp.workdps(60):
         for z in pts:
-            ours = gamma(z, dps=50)
-            ref = mp.gamma(z)
-            assert abs(ours - ref) / abs(ref) < GAMMA_TOL, z
-
-
-def test_gamma_half_integer_closed_form():
-    with mp.workdps(60):
-        assert abs(gamma(mpf("0.5"), dps=50) - mp.sqrt(mp.pi)) < GAMMA_TOL
-        assert abs(gamma(mpf("2.5"), dps=50) - mpf(3) / 4 * mp.sqrt(mp.pi)) < GAMMA_TOL
-
-
-def test_gamma_recurrence_property():
-    rng = np.random.default_rng(7)
-    with mp.workdps(60):
-        for _ in range(12):
-            z = mpc(*rng.uniform(-4, 4, size=2))
-            try:
-                lhs = gamma(z + 1, dps=50)
-                rhs = z * gamma(z, dps=50)
-            except GammaPoleError:
-                continue
-            assert abs(lhs - rhs) / abs(lhs) < GAMMA_TOL, z
+            lhs = gamma(z, dps=50) * gamma(1 - z, dps=50)
+            rhs = mp.pi / mp.sinpi(z)
+            assert abs(lhs - rhs) / abs(rhs) < GAMMA_TOL, z
+            assert abs(rgamma(z, dps=50) * gamma(z, dps=50) - 1) < GAMMA_TOL, z
 
 
 def test_gamma_pole_raises():
@@ -71,6 +88,11 @@ def test_rgamma_zero_at_poles():
     assert rgamma(0, dps=40) == 0
     assert rgamma(-3, dps=40) == 0
     with mp.workdps(50):
+        # exactly 0 (an mpf) anywhere inside the threshold, nonzero outside
+        for z in (-3 + mpf("1e-21"), mpc(-3, "1e-21")):
+            v = rgamma(z, dps=40)
+            assert v == 0 and isinstance(v, type(mpf(0))), z
+        assert rgamma(-3 + mpf("1e-19"), dps=40) != 0
         assert abs(rgamma(mpf("0.5"), dps=40) - 1 / mp.sqrt(mp.pi)) < mpf("1e-38")
 
 
