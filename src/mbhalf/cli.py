@@ -352,7 +352,9 @@ def build_parser():
                         "(default 0,1 = linear)")
     e.add_argument("--box", type=float, default=6.0)
     e.add_argument("--m", type=int, default=500, help="grid cells")
-    e.add_argument("--max-iter", type=int, default=6000)
+    e.add_argument("--max-iter", type=int, default=6000,
+                   help="cap on the pivot iterations of the exact KKT solve; "
+                        "exceeding it is a numerical failure (exit 3)")
 
     c = sub.add_parser("converge", parents=[common],
                        help="scaled finite-n kernel vs. the limit")

@@ -17,8 +17,9 @@ This module provides
 * the closed-form density (`density_vx_explicit`) and an independent route
   through the spectral cubic s^2 z^3 - s^2 z^2 + s z - 1/4 = 0
   (`density_vx_cardano`),
-* a float64 projected-gradient minimizer for general fields on a uniform
-  cell grid (`equilibrium_minimize`),
+* a float64 minimizer for general fields on a uniform cell grid
+  (`equilibrium_minimize`): the discrete energy is a strictly convex
+  quadratic on the simplex, solved exactly by pivoting on its KKT system,
 * Euler-Lagrange certification (`variational_residual`),
 * the g-functions / phi-functions / conformal map f built on top of a
   solution (`g_functions`), and
@@ -76,12 +77,13 @@ class BranchSelectionError(ArithmeticError):
 
 
 class StagnationError(RuntimeError):
-    """Projected-gradient loop failed to decrease the objective.
+    """The minimizer's KKT solve did not reach a KKT point: the pivot
+    iterations hit their cap, or the bordered KKT system was singular.
 
     Attributes
     ----------
     objective : float
-        Last accepted objective value.
+        Lowest objective value recorded before the failure.
     """
 
     def __init__(self, message, objective):
@@ -266,6 +268,8 @@ class EquilibriumSolution:
     box: float
     density: Optional[Callable] = None
     objective_trace: Optional[list] = field(default=None, repr=False)
+    # log-potential 2 Lambda w - S w at the nodes of `mu`, if already known
+    potential: Optional[np.ndarray] = field(default=None, repr=False)
     # the external field V itself; must come last, its name shadows
     # dataclasses.field inside this class body
     field: Optional[Callable] = None
@@ -318,100 +322,103 @@ def _sqrt_log_kernel(h, m, npts=8):
     The substitution x = u^2 removes the sqrt-derivative blow-up at the
     origin, after which fixed-order Gauss-Legendre per cell is accurate;
     midpoint sampling instead leaves an O(sqrt(h)) error in the first cells
-    that visibly biases the minimizer near the hard edge.
+    that visibly biases the minimizer near the hard edge.  The kernel is
+    symmetric: only the upper triangle is computed, then mirrored.
     """
     x, wq = np.polynomial.legendre.leggauss(npts)
     edges = np.sqrt(np.arange(m + 1) * h)
     mid = 0.5 * (edges[1:] + edges[:-1])
     rad = 0.5 * (edges[1:] - edges[:-1])
     u_nodes = mid[:, None] + rad[:, None] * x[None, :]
-    u_wts = (rad[:, None] * wq[None, :]) * 2.0 * u_nodes
+    u_wts = (rad[:, None] * wq[None, :]) * 2.0 * u_nodes / h
     smat = np.empty((m, m))
+    buf = np.empty((npts, m, npts))
     for i in range(m):
-        lg = np.log(u_nodes[i][:, None, None] + u_nodes[None, :, :])
-        smat[i] = (u_wts[i][:, None, None] * (u_wts[None, :, :] * lg)).sum(
-            axis=(0, 2)) / h / h
+        lg = buf[:, :m - i, :]
+        np.add(u_nodes[i][:, None, None], u_nodes[None, i:, :], out=lg)
+        np.log(lg, out=lg)
+        inner = (u_wts[i] @ lg.reshape(npts, -1)).reshape(m - i, npts)
+        smat[i, i:] = np.einsum("jb,jb->j", inner, u_wts[i:])
+        smat[i:, i] = smat[i, i:]
     return smat
 
 
-def _energy_matrices(s, h):
-    """(Lambda, S): exact cell-pair averages of log|x-y| and of
-    log(sqrt x + sqrt y).  The discretized energy is
-    E(w) = w.(-Lambda + S/2).w + v.w."""
-    m = len(s)
-    tab = _cell_log_table(m) + np.log(h)
-    idx = np.arange(m)
-    lam = tab[np.abs(np.subtract.outer(idx, idx))]
-    smat = _sqrt_log_kernel(h, m)
-    return lam, smat
+def _energy_operator(h, m):
+    """A = S/2 - Lambda, with Lambda and S the exact cell-pair averages of
+    log|x-y| and of log(sqrt x + sqrt y); the discretized energy is
+    E(w) = w.A.w + v.w.
 
-
-def _project_simplex(v):
-    """Euclidean projection of v onto {w >= 0, sum w = 1} (sorted threshold)."""
-    u = np.sort(v)[::-1]
-    cs = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    pos = u - cs / idx > 0
-    rho = idx[pos][-1]
-    tau = cs[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
-def _pgd(A, v, w0, max_iter, stall_limit=50, tiny_limit=30, step_floor=1e-18):
-    """Projected gradient descent on the simplex with backtracking halving.
-
-    The step starts at 1.0, is halved until the objective strictly
-    decreases, and is carried over (doubled, capped at 1.0) between
-    iterations.  Raises StagnationError after `stall_limit` consecutive
-    iterations without any decrease, unless the projected-gradient residual
-    says we are already at the constrained minimum.
+    Built in place: Lambda is Toeplitz, so each row is subtracted straight
+    from its table and no other m x m array is formed.
     """
-    w = w0
-    trace = []
-    step = 1.0
-    stalled = 0
-    tiny = 0
-    aw = A @ w
-    e0 = float(w @ aw + v @ w)
-    trace.append(e0)
+    A = _sqrt_log_kernel(h, m)
+    A *= 0.5
+    tab = _cell_log_table(m) + np.log(h)
+    for i in range(m):
+        A[i, i:] -= tab[:m - i]
+        A[i, :i] -= tab[i:0:-1]
+    return A
+
+
+def _kkt_active_set(A, v, w0, max_iter):
+    """Exact minimizer of w.A.w + v.w over the simplex by block principal
+    pivoting on the KKT conditions (Kim & Park, SIAM J. Sci. Comput. 2011).
+
+    For a trial support S, the bordered system
+    [[A_SS, -1], [1^T, 0]] [w_S, ell/2] = [-v_S/2, 1] gives weights and the
+    multiplier ell with 2(Aw) + v = ell on S.  A is positive definite only
+    on sum-zero vectors, so A_SS alone may be indefinite; the bordered
+    system is nonsingular all the same.  Cells of S with w < 0 leave and
+    cells off S with 2(Aw) + v - ell < 0 enter, until neither set has a
+    member.  When three exchanges in a row fail to lower the count of such
+    cells, only the largest-index one is exchanged (Judice & Pires 1994),
+    which guarantees termination.
+
+    Returns (w, ell, Aw, trace); trace holds the objective at w0 and at
+    every feasible iterate that lowers it.  Raises StagnationError when the
+    KKT system is singular or `max_iter` pivot iterations do not suffice.
+    """
+    m = len(v)
+    trace = [float(w0 @ (A @ w0) + v @ w0)]
+    support = np.ones(m, dtype=bool)
+    best, budget = m + 1, 3
     for _ in range(max_iter):
-        g = 2.0 * aw + v
-        step = min(1.0, 2.0 * step)
-        accepted = False
-        while step >= step_floor:
-            cand = _project_simplex(w - step * g)
-            aw_c = A @ cand
-            e_c = float(cand @ aw_c + v @ cand)
-            if e_c < e0:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # flat to rounding: either converged or genuinely stuck.  At the
-            # constrained minimum the objective is quadratic in the
-            # displacement, so the reachable prox residual is ~sqrt(ulp),
-            # not ulp; 1e-7 separates that from true stagnation.
-            resid = float(np.max(np.abs(_project_simplex(w - 1e-3 * g) - w)))
-            if resid <= 1e-7:
-                break
-            stalled += 1
-            step = 1.0
-            if stalled >= stall_limit:
-                raise StagnationError(
-                    "no objective decrease in %d iterations" % stall_limit, e0
-                )
-            continue
-        stalled = 0
-        drop = (e0 - e_c) / max(1.0, abs(e0))
-        w, aw, e0 = cand, aw_c, e_c
-        trace.append(e0)
-        if drop < 1e-14:
-            tiny += 1
-            if tiny >= tiny_limit:
-                break
+        idx = np.flatnonzero(support)
+        k = idx.size
+        kkt = np.empty((k + 1, k + 1))
+        kkt[:k, :k] = A[np.ix_(idx, idx)]
+        kkt[:k, k] = -1.0
+        kkt[k, :k] = 1.0
+        kkt[k, k] = 0.0
+        rhs = np.append(-0.5 * v[idx], 1.0)
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StagnationError("singular KKT system on a support of %d "
+                                  "cells" % k, trace[-1]) from exc
+        del kkt  # so the next support's system is not built beside it
+        w = np.zeros(m)
+        w[idx] = sol[:k]
+        ell = 2.0 * float(sol[k])
+        aw = A @ w
+        leave = support & (w < 0)
+        enter = ~support & (2.0 * aw + v - ell < 0)
+        if not leave.any():
+            e = float(w @ aw + v @ w)
+            if e < trace[-1]:
+                trace.append(e)
+        bad = np.flatnonzero(leave | enter)
+        if bad.size == 0:
+            return w, ell, aw, trace
+        if bad.size < best:
+            best, budget = bad.size, 3
+        elif budget > 0:
+            budget -= 1
         else:
-            tiny = 0
-    return w, trace
+            bad = bad[-1:]
+        support[bad] = ~support[bad]
+    raise StagnationError("no KKT point within %d pivot iterations" % max_iter,
+                          trace[-1])
 
 
 def _fit_c0_cells(w, h, q_est):
@@ -467,10 +474,12 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     V : callable, the external field, evaluated at the m cell midpoints.
     Q : box size; the support of the minimizer must end well inside.
     m : number of uniform cells.
+    max_iter : cap on the pivot iterations of the exact KKT solve.
 
     Returns an EquilibriumSolution with q (support endpoint estimate), the
-    Lagrange constant ell (trimmed mean of the Euler-Lagrange equality
-    defect), and edge-constant fits c0, c1, cV.
+    Lagrange constant ell (the KKT multiplier of the mass constraint), the
+    log-potential at the cell midpoints, and edge-constant fits c0, c1, cV.
+    Raises StagnationError when the solve does not reach a KKT point.
     """
     h = Q / m
     s = (np.arange(m) + 0.5) * h
@@ -492,24 +501,12 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
         warnings.warn("x V'(x) is not increasing; the one-cut assumption may fail",
                       RuntimeWarning, stacklevel=2)
 
-    lam, smat = _energy_matrices(s, h)
-    A = -lam + 0.5 * smat
-    w0 = _project_simplex(s ** (-2.0 / 3.0) / np.sum(s ** (-2.0 / 3.0)))
-    w, trace = _pgd(A, v, w0, max_iter)
+    A = _energy_operator(h, m)
+    w0 = s ** (-2.0 / 3.0) / np.sum(s ** (-2.0 / 3.0))
+    w, ell, aw, trace = _kkt_active_set(A, v, w0, max_iter)
 
     support = w > SUPPORT_CUT * float(np.max(w))
     q_est = float(s[support][-1])
-
-    # Euler-Lagrange equality defect needs the two potentials separately
-    u_pot = 2.0 * (lam @ w) - smat @ w
-
-    interior = support & (s >= 0.05 * q_est) & (s <= 0.95 * q_est)
-    defect = (u_pot - v)[interior]
-    if defect.size == 0:  # grids too coarse for the trimmed window
-        defect = (u_pot - v)[support]
-    k = max(1, int(0.1 * defect.size))
-    ell = float(np.mean(np.sort(defect)[k:-k])) if defect.size > 2 * k else float(
-        np.mean(defect))
 
     c0 = float(_fit_c0_cells(w, h, q_est))
     j_edge = int(np.nonzero(support)[0][-1])
@@ -517,9 +514,11 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     cv = float(2 * np.pi / np.sqrt(3.0) * c0)
 
     mu = GridMeasure(nodes=s, weights=w, mass=float(np.sum(w)))
-    return EquilibriumSolution(mu=mu, q=q_est, ell=ell, c0=c0, c1=c1, cV=cv,
+    # the log-potential 2 Lambda w - S w is -2 Aw, and the Euler-Lagrange
+    # constant is the KKT multiplier with its sign turned
+    return EquilibriumSolution(mu=mu, q=q_est, ell=-ell, c0=c0, c1=c1, cV=cv,
                                box=Q, field=V, density=None,
-                               objective_trace=trace)
+                               objective_trace=trace, potential=-2.0 * aw)
 
 
 def variational_residual(sol, V):
@@ -533,8 +532,9 @@ def variational_residual(sol, V):
     gm = sol.mu
     h = gm.cell_width()
     s, w = gm.nodes, gm.weights
-    lam, smat = _energy_matrices(s, h)
-    u_pot = 2.0 * (lam @ w) - smat @ w
+    u_pot = sol.potential
+    if u_pot is None:
+        u_pot = -2.0 * (_energy_operator(h, len(s)) @ w)
     sq = np.sqrt(s)
     v = np.array([float(V(x)) for x in s])
 

@@ -9,7 +9,8 @@ matrix frames, moment tables) is built on the primitives in this module:
 * ``quad_gl`` -- Gauss-Legendre quadrature with nodes computed by Newton
   iteration on the Legendre recurrence (cached per order/precision);
 * ``quad_ts`` -- tanh-sinh (double-exponential) quadrature with level
-  doubling, for endpoint-singular integrands;
+  doubling, for endpoint-singular integrands (nodes cached per level and
+  precision in a bounded LRU);
 * ``solve_cubic`` -- Cardano with a Newton polish;
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
@@ -24,6 +25,7 @@ package default working precision is 50 digits (``DEFAULT_DPS``).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from mpmath import mp, mpf, mpc
@@ -176,27 +178,36 @@ def quad_gl(f, a, b, order=64, dps=None):
 # tanh-sinh quadrature
 # ----------------------------------------------------------------------
 
-def _ts_nodes(level, t_max, dps):
+@functools.lru_cache(maxsize=64)
+def _ts_nodes(level, dps):
     """Abscissas for level ``level`` (odd multiples of h except level 0).
 
-    Each node is returned as (near-endpoint distance g in (0,1], weight),
-    with g = 1 - |tanh((pi/2) sinh t)| computed cancellation-free.
+    Each node is returned as (t, near-endpoint distance g in (0,1], weight),
+    with g = 1 - |tanh((pi/2) sinh t)| computed cancellation-free, at the
+    working precision dps + 10 of :func:`quad_ts`.  The pair (level, dps)
+    fixes the precision and the cutoff t_max, so it is the exact cache key;
+    the result is an immutable tuple, shared by every caller.
     """
-    h = mpf(1) / (1 << level)
-    out = []
-    k = 1 if level > 0 else 0
-    step = 2 if level > 0 else 1
-    while True:
-        t = k * h
-        if t > t_max:
-            break
-        u = mp.pi / 2 * mp.sinh(t)
-        # 1 - tanh(u) = 2 / (e^{2u} + 1), exact in this form
-        g = 2 / (mp.exp(2 * u) + 1)
-        w = mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
-        out.append((t, g, w))
-        k += step
-    return h, out
+    with mp.workdps(dps + 10):
+        # cutoff where the double-exponential weight underflows the
+        # tolerance; the factor 4 keeps the tail negligible even against
+        # endpoint blow-ups as strong as (x - a)^(-3/4)
+        t_max = mp.asinh(4 * (mpf(dps + 15) * _LN10) / mp.pi) + mpf("0.5")
+        h = mpf(1) / (1 << level)
+        out = []
+        k = 1 if level > 0 else 0
+        step = 2 if level > 0 else 1
+        while True:
+            t = k * h
+            if t > t_max:
+                break
+            u = mp.pi / 2 * mp.sinh(t)
+            # 1 - tanh(u) = 2 / (e^{2u} + 1), exact in this form
+            g = 2 / (mp.exp(2 * u) + 1)
+            w = mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
+            out.append((t, g, w))
+            k += step
+    return h, tuple(out)
 
 
 def quad_ts(f, a, b, tol=None, dps=None, max_level=12, abs_scale=0):
@@ -215,15 +226,11 @@ def quad_ts(f, a, b, tol=None, dps=None, max_level=12, abs_scale=0):
         a = mpf(a)
         b = mpf(b)
         half = (b - a) / 2
-        # cutoff where the double-exponential weight underflows the tolerance;
-        # the factor 4 keeps the tail negligible even against endpoint
-        # blow-ups as strong as (x - a)^(-3/4)
-        t_max = mp.asinh(4 * (mpf(d + 15) * _LN10) / mp.pi) + mpf("0.5")
         total = 0
         prev = None
         last_h = mpf(1)
         for level in range(0, max_level + 1):
-            h, nodes = _ts_nodes(level, t_max, d)
+            h, nodes = _ts_nodes(level, d)
             contrib = 0
             for t, g, w in nodes:
                 xr = b - half * g

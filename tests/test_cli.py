@@ -65,6 +65,10 @@ def test_numerical_failure_exit_code(capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "meijer" in err
+    # too few pivot iterations for the minimizer's KKT solve
+    rc = main(["eqsolve", "--m", "60", "--max-iter", "1"])
+    assert rc == 3
+    assert "eqsolve" in capsys.readouterr().err
 
 
 def test_meijer_auto_route_reported(capsys):

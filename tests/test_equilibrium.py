@@ -1,6 +1,8 @@
 """Equilibrium measure for the square-root interaction: density, minimizer,
 log-potentials, scaling constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -22,6 +24,7 @@ from mbhalf.equilibrium import (
     vx_reference_solution,
     weights_from_density,
 )
+from mbhalf.equilibrium import _cell_log_table, _energy_operator, _kkt_active_set
 from mbhalf.mpcore import quad_ts
 
 
@@ -114,6 +117,7 @@ def test_minimizer_linear_field():
     # objective strictly decreases along the accepted steps
     tr = sol.objective_trace
     assert all(b < a for a, b in zip(tr, tr[1:]))
+    assert len(tr) >= 2  # the start point and at least the KKT point
     dev, ineq_ok = variational_residual(sol, lambda x: x)
     assert dev < 1e-3
     assert ineq_ok
@@ -139,6 +143,67 @@ def test_variational_residual_probe_on_empty_cell():
     dev, ineq_ok = variational_residual(sol, V)
     assert dev < 1e-3
     assert ineq_ok
+
+
+def test_energy_operator_matches_two_matrix_form():
+    # reference: both cell-pair matrices built in full, row by row, without
+    # the symmetric fill, the in-place Toeplitz subtraction or the matrix
+    # products; the operator must agree entry-wise to a few ulps
+    m, box, npts = 40, 6.0, 8
+    h = box / m
+    x, wq = np.polynomial.legendre.leggauss(npts)
+    edges = np.sqrt(np.arange(m + 1) * h)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rad = 0.5 * (edges[1:] - edges[:-1])
+    u_nodes = mid[:, None] + rad[:, None] * x[None, :]
+    u_wts = (rad[:, None] * wq[None, :]) * 2.0 * u_nodes
+    smat = np.empty((m, m))
+    for i in range(m):
+        lg = np.log(u_nodes[i][:, None, None] + u_nodes[None, :, :])
+        smat[i] = (u_wts[i][:, None, None] * (u_wts[None, :, :] * lg)).sum(
+            axis=(0, 2)) / h / h
+    tab = _cell_log_table(m) + np.log(h)
+    idx = np.arange(m)
+    lam = tab[np.abs(np.subtract.outer(idx, idx))]
+    A = _energy_operator(h, m)
+    assert np.array_equal(A, A.T)
+    assert np.max(np.abs(A - (0.5 * smat - lam))) < 1e-14
+
+
+@pytest.mark.parametrize("V, box, m", [
+    (lambda x: x, 6.0, 300),
+    (lambda x: x + 0.1 * x * x, 6.0, 200),
+    (lambda x: x + 0.1 * x * x, 6.0, 800),
+    (lambda x: 0.5 * x * x, 4.0, 150),
+])
+def test_minimizer_kkt_certificate(V, box, m):
+    # the discrete problem min w.A.w + v.w on the simplex is solved exactly:
+    # 2Aw + v = l on the support, >= l off it, with l = -ell
+    sol = equilibrium_minimize(V, box, m)
+    w = sol.mu.weights
+    h = sol.mu.cell_width()
+    v = np.array([V(x) for x in sol.mu.nodes])
+    slack = 2.0 * (_energy_operator(h, m) @ w) + v + sol.ell
+    on = w > 0
+    assert np.max(np.abs(slack[on])) <= 1e-10
+    assert np.min(slack[~on]) >= -1e-10
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-12
+    # the carried potential and the one recomputed from the weights give
+    # the same certificate
+    dev, strict = variational_residual(sol, V)
+    dev_re, strict_re = variational_residual(
+        dataclasses.replace(sol, potential=None), V)
+    assert abs(dev - dev_re) <= 1e-12
+    assert strict == strict_re
+
+
+def test_minimizer_pivot_cap_and_singular_system():
+    with pytest.raises(StagnationError):
+        equilibrium_minimize(lambda x: x, 6.0, 150, max_iter=1)
+    # a zero operator makes the bordered KKT system singular
+    with pytest.raises(StagnationError) as err:
+        _kkt_active_set(np.zeros((3, 3)), np.zeros(3), np.full(3, 1 / 3), 10)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_minimizer_single_cell_converges():

@@ -27,6 +27,7 @@ from mbhalf.mpcore import (
     unit_lower_inverse,
     unit_upper_inverse,
 )
+from mbhalf.mpcore import _ts_nodes
 
 GAMMA_TOL = mpf("1e-48")
 
@@ -123,6 +124,28 @@ def test_quad_ts_endpoint_singularities():
         # interior smooth case agrees with closed form
         v = quad_ts(lambda t: t * mp.exp(-t), 0, 5, dps=40)
         assert abs(v - (1 - 6 * mp.exp(-5))) < mpf("1e-38")
+
+
+def test_quad_ts_node_cache_exact():
+    # (level, dps) fixes both the working precision and the cutoff, so
+    # cached nodes and integrals are bitwise those of a fresh build,
+    # whatever the ambient precision of the caller
+    def bits(built):
+        h, nodes = built
+        return h._mpf_, [tuple(x._mpf_ for x in node) for node in nodes]
+
+    f = lambda t: mp.log(t) * mp.exp(-t)
+    _ts_nodes.cache_clear()
+    with mp.workdps(15):
+        cold = quad_ts(f, 0, 2, dps=30)
+    with mp.workdps(60):
+        warm = quad_ts(f, 0, 2, dps=30)
+    assert _ts_nodes.cache_info().hits > 0
+    assert cold._mpf_ == warm._mpf_
+    for level in range(6):
+        with mp.workdps(80):
+            cached = bits(_ts_nodes(level, 30))
+        assert cached == bits(_ts_nodes.__wrapped__(level, 30))
 
 
 def test_quad_ts_nonintegrable_raises():
