@@ -231,6 +231,8 @@ class GridMeasure:
     def cell_width(self):
         """Width of the uniform cells; error if the grid is not uniform."""
         dh = np.diff(self.nodes)
+        if not len(dh):
+            raise ValueError("cell width needs at least two nodes")
         h = float(dh[0])
         if not np.allclose(dh, h, rtol=1e-9, atol=0):
             raise ValueError("grid is not uniform")

@@ -5,10 +5,18 @@ The integral route works for every theta > 0:
     B^(a,th)(x,y) = th y^a int_0^1 J_{(a+1)/th, 1/th}(u x)
                                    J_{a+1, th}((u y)^th) u^a du,
 
-with J_{a,b} the Wright-Bessel function.  It is regular on the diagonal,
-handles a in (-1,0) through the integrable u^a factor (tanh-sinh
-quadrature), and at th=1 collapses to the classical Bessel hard-edge
-kernel (a Lommel-integral identity used as an independent test oracle).
+with J_{a,b} the Wright-Bessel function.  Expanding both series and
+integrating term by term, int_0^1 u^(j + th k + a) du = 1/(j + th k + a + 1),
+gives the double series that is summed here:
+
+    B^(a,th)(x,y) = th y^a sum_{j,k} A_j C_k / (j + th k + a + 1),
+    A_j = (-x)^j / (j! Gamma((a+1+j)/th)),
+    C_k = (-y^th)^k / (k! Gamma(a+1+th k)).
+
+Every denominator is at least a + 1 > 0, so the sum is regular on the
+diagonal and for a in (-1,0).  At th=1 it collapses to the classical
+Bessel hard-edge kernel (a Lommel-integral identity used as an
+independent test oracle).
 
 Two normalizations of the limit kernel are in circulation, differing by
 the choice of microscopic scale: the 'plain' one is B above (scale n^3
@@ -38,8 +46,8 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, mpc
 
-from .mpcore import _resolve_dps, quad_ts
-from .specfun import wright_bessel
+from .mpcore import _resolve_dps
+from .specfun import _wright_guard, _wright_terms
 from .meijer import SectorPoint
 from .rhframe import phi_matrix, phi_inverse
 
@@ -48,7 +56,8 @@ DIAG_GUARD = 1e-6
 
 
 def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
-    """Hard-edge kernel via the Wright-Bessel integral (any theta > 0).
+    """Hard-edge kernel via the Wright-Bessel integral (any theta > 0),
+    summed as the double series of the module docstring.
 
     ``normalization``: 'theorem' rescales by the (c_V n)-convention factor
     (theta = 1/2 only), 'plain' evaluates the bare integral; None picks
@@ -73,15 +82,14 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
             front = mpf(1)
         else:
             raise ValueError(f"unknown normalization {normalization!r}")
-        a1, b1 = (a + 1) / th, 1 / th
-        a2, b2 = a + 1, th
-
-        def integrand(u):
-            return (wright_bessel(a1, b1, u * xx, dps=d)
-                    * wright_bessel(a2, b2, (u * yy) ** th, dps=d)
-                    * u ** a)
-
-        val = quad_ts(integrand, 0, 1, dps=d)
+        yth = yy ** th
+    with mp.workdps(d + _wright_guard(1 / th, xx) + _wright_guard(th, yth)):
+        # int_0^1 u^(j + th k + a) du = 1 / (j + th k + a + 1) <= 1 / (a + 1)
+        xterms = _wright_terms((a + 1) / th, 1 / th, xx, d)
+        yterms = _wright_terms(a + 1, th, yth, d)
+        shifts = [th * k + a + 1 for k in range(len(yterms))]
+        val = mp.fsum(xj * mp.fdot(yterms, [1 / (j + s) for s in shifts])
+                      for j, xj in enumerate(xterms))
         return front * th * yy ** a * val
 
 
@@ -117,5 +125,6 @@ def kernel_imag_residual(alpha, x, y, dps=None):
 
 
 def kernel_diag_limit(alpha, x, dps=None):
-    """K^(a,1/2)(x,x): the integral route is regular on the diagonal."""
+    """K^(a,1/2)(x,x), evaluated directly by the integral route's double
+    series, whose denominators j + k/2 + a + 1 do not vanish at x = y."""
     return kernel_integral(alpha, x, x, theta=mpf("0.5"), dps=dps)

@@ -19,8 +19,7 @@ matrix frames, moment tables) is built on the primitives in this module:
 
 Precision model: every value is an ``mpmath`` ``mpf``/``mpc``.  Functions
 take an optional ``dps`` (decimal digits); ``None`` means "use the ambient
-``mp.dps``".  Internally computations run a few guard digits higher.  The
-package default working precision is 50 digits (``DEFAULT_DPS``).
+``mp.dps``".  Internally computations run a few guard digits higher.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import functools
 import math
 
 from mpmath import mp, mpf, mpc
-
-DEFAULT_DPS = 50
 
 _LN10 = math.log(10.0)
 

@@ -17,11 +17,9 @@ negligible terms.
 
 from __future__ import annotations
 
-import math
-
 from mpmath import mp, mpf, mpc
 
-from .mpcore import _resolve_dps, gamma, rgamma
+from .mpcore import _resolve_dps, rgamma
 
 RESONANCE_TOL = 1e-6
 
@@ -126,78 +124,56 @@ def hyper0f2(b1, b2, z, dps=None):
     return hyper0f2_theta(b1, b2, z, dps=dps)[0]
 
 
+def _wright_guard(b, x):
+    """Cancellation guard digits for J_{a,b}(x): the terms peak like
+    exp(c |x|^{1/(1+b)})."""
+    return _series_guard(abs(x), 1.0 / (1.0 + max(float(b), 0.1)))
+
+
+def _wright_terms(a, b, x, d):
+    """Terms (-x)^j / (j! Gamma(a+bj)) of J_{a,b}(x) at the ambient precision;
+    the last STOP_RUN terms are each below 10^-(d+5) of the running sum.
+
+    For a > 0 with 2b a positive integer (the cases 1/theta = 2, theta = 1/2
+    and the classical b = 1) the reciprocal gamma of term j+2 follows from
+    that of term j by dividing by (a+bj)(a+bj+1)...(a+bj+2b-1).  Otherwise
+    each term pays one reciprocal gamma, with poles contributing 0.
+    """
+    stop_eps = mpf(10) ** (-(d + 5))
+    p = int(round(2 * float(b)))
+    fast = float(a) > 0 and p >= 1 and abs(2 * float(b) - p) < 1e-12
+    if fast:
+        rg, rg_next = rgamma(a), rgamma(a + b)
+    power, total, terms, run = mpf(1), 0 * x, [], 0
+    for j in range(_MAX_TERMS):
+        if fast:
+            term = power * rg
+            rg, rg_next = rg_next, rg / mp.fprod(a + b * j + i for i in range(p))
+        else:
+            term = power * rgamma(a + b * j)
+        terms.append(term)
+        total += term
+        if abs(term) <= stop_eps * (abs(total) or 1):
+            run += 1
+            if run >= STOP_RUN:
+                break
+        else:
+            run = 0
+        power *= -x / (j + 1)
+    return terms
+
+
 def wright_bessel(a, b, x, dps=None):
     """Wright's generalized Bessel J_{a,b}(x) = sum_j (-x)^j / (j! Gamma(a+bj)).
 
-    For a > 0 with 2b a positive integer (the cases 1/theta = 2, theta = 1/2
-    and the classical b = 1) the reciprocal-gamma factors are advanced by
-    integer-step product recurrences, two interleaved streams for
-    half-integer b.  Otherwise each term pays one reciprocal gamma, with
-    poles contributing 0.
+    The sum of :func:`_wright_terms` (whose terms the kernel's integral
+    route pairs one by one) at d + :func:`_wright_guard` digits; ``x`` may
+    be complex.
     """
     d = _resolve_dps(dps)
-    bf = float(b)
-    guard = _series_guard(abs(x), 1.0 / (1.0 + max(bf, 0.1)))
-    wp = d + guard
-    with mp.workdps(wp):
+    with mp.workdps(d + _wright_guard(b, x)):
         xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
-        aa, bb = mpf(a), mpf(b)
-        stop_eps = mpf(10) ** (-(d + 5))
-        twob = 2.0 * bf
-        fast = (float(a) > 0 and abs(twob - round(twob)) < 1e-12
-                and round(twob) >= 1)
-        total = mpc(0) if isinstance(xx, mpc) else mpf(0)
-        maxmag = mpf(0)
-        if fast:
-            p = int(round(twob))  # gamma argument advances by p per 2 terms
-            # streams over even/odd j; each stream's gamma argument steps by p
-            for start, arg0 in ((0, aa), (1, aa + bb)):
-                rg = rgamma(arg0, dps=wp)
-                # term_j = (-x)^j / j! * rg, j = start, start+2, ...
-                j = start
-                numer = (-xx) ** start
-                factorial = mpf(math.factorial(start))
-                run = 0
-                while j < _MAX_TERMS:
-                    term = numer / factorial * rg
-                    total += term
-                    t = abs(term)
-                    if t > maxmag:
-                        maxmag = t
-                    if t <= stop_eps * (abs(total) or mpf(1)):
-                        run += 1
-                        if run >= STOP_RUN:
-                            break
-                    else:
-                        run = 0
-                    # advance j by 2 within the stream
-                    numer *= xx * xx
-                    factorial *= (j + 1) * (j + 2)
-                    base = arg0 + bb * (j - start)
-                    prod = mpf(1)
-                    for i in range(p):
-                        prod *= base + i
-                    rg = rg / prod
-                    j += 2
-        else:
-            run = 0
-            numer = mpf(1) if not isinstance(xx, mpc) else mpc(1)
-            factorial = mpf(1)
-            for j in range(_MAX_TERMS):
-                term = numer / factorial * rgamma(aa + bb * j, dps=wp)
-                total += term
-                t = abs(term)
-                if t > maxmag:
-                    maxmag = t
-                if t <= stop_eps * (abs(total) or mpf(1)):
-                    run += 1
-                    if run >= STOP_RUN:
-                        break
-                else:
-                    run = 0
-                numer *= -xx
-                factorial *= j + 1
-        return +total
+        return mp.fsum(_wright_terms(mpf(a), mpf(b), xx, d))
 
 
 def _triple_with_prefactor(z, c, inner, dps):

@@ -213,6 +213,14 @@ def test_minimizer_single_cell_converges():
     assert abs(sol.mu.mass - 1.0) < 1e-15
 
 
+def test_cell_width_needs_two_nodes():
+    # one cell has no width to read off the nodes: a typed error, not an
+    # IndexError from an empty diff
+    V = lambda x: x
+    with pytest.raises(ValueError, match="at least two nodes"):
+        variational_residual(equilibrium_minimize(V, 6.0, 1), V)
+
+
 def test_reference_solution_constants(reference):
     with mp.workdps(40):
         assert abs(reference.q - float(VX_SUPPORT)) == 0

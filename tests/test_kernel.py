@@ -27,7 +27,9 @@ def test_routes_agree_spotcheck():
     with mp.workdps(45):
         for a, x, y in ((mpf(0), mpf(1), mpf(2)),
                         (mpf("0.7"), mpf("0.3"), mpf("2.5")),
-                        (mpf("-0.4"), mpf(3), mpf("0.2"))):
+                        (mpf("-0.4"), mpf(3), mpf("0.2")),
+                        (mpf(0), mpf(200), mpf(150)),
+                        (mpf("-0.9"), mpf("0.5"), mpf(2))):
             vi = kernel_integral(a, x, y, dps=35)
             vm = kernel_meijer(a, x, y, dps=35)
             assert abs(vm - vi) / abs(vi) < ROUTE_TOL, (a, x, y)
@@ -54,6 +56,30 @@ def test_theta_one_reduces_to_conjugated_bessel_kernel():
                           * mp.besselj(a, 2 * mp.sqrt(y * t)), [0, 1])
             ref = (y / x) ** (a / 2) * sym
             assert abs(ours - ref) / abs(ref) < mpf("1e-25"), (a, x, y)
+
+
+def _wright_series_oracle(a, b, x, terms=80):
+    # direct definition with mpmath's own rgamma
+    return mp.fsum((-x) ** j / mp.factorial(j) * mp.rgamma(a + b * j)
+                   for j in range(terms))
+
+
+def test_general_theta_matches_defining_integral():
+    # theta = 0.37 takes the per-term rgamma path of both Wright series;
+    # the oracle integrates their product in u with mpmath's own quadrature
+    with mp.workdps(40):
+        a, th = mpf("0.3"), mpf("0.37")
+        for x, y in ((mpf("0.8"), mpf("1.7")), (mpf(2), mpf("0.5"))):
+            ours = kernel_integral(a, x, y, theta=th, dps=30,
+                                   normalization="plain")
+
+            def integrand(u):
+                return (_wright_series_oracle((a + 1) / th, 1 / th, u * x)
+                        * _wright_series_oracle(a + 1, th, (u * y) ** th)
+                        * u ** a)
+
+            ref = th * y ** a * mp.quad(integrand, [0, 1])
+            assert abs(ours - ref) / abs(ref) < mpf("1e-25"), (x, y)
 
 
 def test_matrix_route_imag_part_vanishes():
