@@ -85,9 +85,11 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     """Moment table for w(x) = x^alpha exp(-n V(x)), s = 0, 1/2, ..., smax.
 
     V is the tag "laguerre" (V(x) = x, closed form Gamma(s+alpha+1) /
-    n^(s+alpha+1)) or a callable, in which case each moment is integrated
-    with tanh-sinh on [0, 1] (absorbs the x^alpha endpoint) plus composite
-    Gauss-Legendre panels out to a tail-checked box.
+    n^(s+alpha+1)) or a callable, in which case all moments are integrated
+    together with tanh-sinh on [0, 1] (absorbs the x^alpha endpoint) plus
+    composite Gauss-Legendre panels out to a tail-checked box.  Each node
+    evaluates w(t) and t^(1/2) once and gives every moment's integrand as
+    w(t) t^(k/2), so V is called once per node.
     """
     d = dps if dps is not None else mp.dps
     alpha = mpf(alpha)
@@ -105,19 +107,22 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
             # panel width tied to the exp(-nV) decay scale
             width = min(mpf(8) / n, X - 1)
             panels = int(mp.ceil((X - 1) / width))
-            for k2 in range(k2max + 1):
-                s = mpf(k2) / 2
 
-                def f(t, s=s):
-                    return t ** (s + alpha) * mp.exp(-n * V(t))
+            def f(t):
+                w, r = t ** alpha * mp.exp(-n * V(t)), mp.sqrt(t)
+                out = [w]
+                for _ in range(k2max):
+                    out.append(out[-1] * r)
+                return out
 
-                total = quad_ts(f, 0, 1, dps=d)
-                a = mpf(1)
-                for _ in range(panels):
-                    b = min(a + width, X)
-                    total += quad_gl(f, a, b, order=64, dps=d)
-                    a = b
-                vals[k2] = total
+            totals = quad_ts(f, 0, 1, dps=d)
+            a = mpf(1)
+            for _ in range(panels):
+                b = min(a + width, X)
+                totals = [u + v for u, v in
+                          zip(totals, quad_gl(f, a, b, order=64, dps=d))]
+                a = b
+            vals = dict(enumerate(totals))
         for k2, v in vals.items():
             if not (mp.isfinite(v) and v > 0):
                 raise ValueError("moment 2s=%d came out nonpositive: %s"
@@ -331,45 +336,62 @@ def _cauchy_box(bs, n, polys, dps):
     raise DomainExtensionError("Cauchy-transform tail does not decay")
 
 
-def _cauchy(fun, fx, xr, z, T, dps):
-    """(1/2pi i) integral_0^T fun(t)/(t-z) dt, with the value fun(xr)
-    subtracted so the integrand stays bounded near t = Re z = xr; the
-    subtracted part integrates to a two-log closed form."""
-    def g(t):
-        return (fun(t) - fx) / (t - z)
+def _cauchy(funs, fxs, xr, zs, T, dps):
+    """(1/2pi i) integral_0^T f_m(t)/(t-z_k) dt for every function f_m and
+    point z_k, as rows [m][k].
 
-    val = quad_ts(g, 0, xr, dps=dps) + quad_ts(g, xr, T, dps=dps)
-    val += fx * (mp.log(T - z) - mp.log(-z))
-    return val / (2j * mp.pi)
+    ``funs(t)`` returns the list of values f_m(t); all m*k integrands ride
+    on one vector quadrature over [0, xr] and one over [xr, T], so each
+    node evaluates ``funs`` and each 1/(t - z_k) once.  The value
+    fxs[m] = f_m(xr) is subtracted so the integrand stays bounded near
+    t = Re z = xr; the subtracted part integrates to a two-log closed form.
+    """
+    def g(t):
+        inv = [1 / (t - z) for z in zs]
+        return [(f - fx) * i for f, fx in zip(funs(t), fxs) for i in inv]
+
+    vals = [u + v for u, v in zip(quad_ts(g, 0, xr, dps=dps),
+                                  quad_ts(g, xr, T, dps=dps))]
+    logs = [mp.log(T - z) - mp.log(-z) for z in zs]
+    K = len(zs)
+    return [[(vals[K * m + k] + fx * lg) / (2j * mp.pi)
+             for k, lg in enumerate(logs)] for m, fx in enumerate(fxs)]
 
 
 def _y_plus(bs_big, n, x, T, delta, dps):
     """Boundary value Y_+(x) of the 3x3 matrix at x > 0.
 
-    Columns 2 and 3 are Cauchy transforms; the boundary value is the
+    Columns 2 and 3 are Cauchy transforms of p(t) w(t) and p(t) t^(1/2)
+    w(t) for the three row polynomials p; the boundary value is the
     average over +-i delta plus half the jump density, per the upper-side
     convention.  The average approaches the principal value with a bias
     linear in delta (-pi delta f'(x) on the raw integral), so a second
-    average at delta/2 and one Richardson step remove it.
+    average at delta/2 and one Richardson step remove it.  All six
+    transforms at the four points x +- i delta, x +- i delta/2 come from
+    one :func:`_cauchy` call, whose integrand computes the weight, t^(1/2)
+    and each row polynomial once per node.
     """
     rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
-    wx = _weight(bs_big.table, x)
+
+    def funs(t):
+        w, rt = _weight(bs_big.table, t), mp.sqrt(t)
+        out = []
+        for row in rows1:
+            pw = _poly_eval(row, t) * w
+            out += [pw, pw * rt]
+        return out
+
+    zs = [mpc(x, delta), mpc(x, -delta), mpc(x, delta / 2), mpc(x, -delta / 2)]
+    fxs = funs(x)
+    cs = _cauchy(funs, fxs, x, zs, T, dps)
     Y = [[mpc(0)] * 3 for _ in range(3)]
     for j in range(3):
-        pj = _poly_eval(rows1[j], x)
-        Y[j][0] = pj
-        for col, extra in ((1, lambda t: 1), (2, mp.sqrt)):
-            def fun(t, row=rows1[j], e=extra):
-                return _poly_eval(row, t) * e(t) * _weight(bs_big.table, t)
-
-            fx = pj * extra(x) * wx
-
-            def avg(d):
-                return (_cauchy(fun, fx, x, mpc(x, d), T, dps)
-                        + _cauchy(fun, fx, x, mpc(x, -d), T, dps)) / 2
-
-            a1, a2 = avg(delta), avg(delta / 2)
-            Y[j][col] = 2 * a2 - a1 + fx / 2
+        Y[j][0] = _poly_eval(rows1[j], x)
+        for col in (1, 2):
+            m = 2 * j + col - 1
+            c = cs[m]
+            a1, a2 = (c[0] + c[1]) / 2, (c[2] + c[3]) / 2
+            Y[j][col] = 2 * a2 - a1 + fxs[m] / 2
     return Y
 
 

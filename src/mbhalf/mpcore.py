@@ -11,6 +11,8 @@ matrix frames, moment tables) is built on the primitives in this module:
 * ``quad_ts`` -- tanh-sinh (double-exponential) quadrature with level
   doubling, for endpoint-singular integrands (nodes cached per level and
   precision in a bounded LRU);
+* both quadratures take an integrand that returns a sequence and then
+  return one integral per component from one evaluation per node;
 * ``solve_cubic`` -- Cardano with a Newton polish;
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
@@ -156,19 +158,52 @@ def legendre_nodes(order, dps=None):
     return result
 
 
+def _components(f):
+    """``f`` as an integrand that always returns a list of values.
+
+    A sequence-valued ``f`` passes through as a list; a scalar ``f`` becomes
+    the length-1 case.  ``unwrap`` turns the list of integrals back into
+    what ``f`` returned: a list, or the one scalar.
+    """
+    shape = []
+
+    def g(x):
+        v = f(x)
+        if not shape:
+            shape.append(isinstance(v, (list, tuple)))
+        return list(v) if shape[0] else [v]
+
+    def unwrap(vals):
+        return vals if shape[0] else vals[0]
+
+    return g, unwrap
+
+
+def _add_scaled(acc, w, vals):
+    """acc + w * vals componentwise; ``acc`` None stands for zero."""
+    if acc is None:
+        return [w * v for v in vals]
+    return [a + w * v for a, v in zip(acc, vals)]
+
+
 def quad_gl(f, a, b, order=64, dps=None):
-    """Gauss-Legendre integral of ``f`` over [a, b] at fixed order."""
+    """Gauss-Legendre integral of ``f`` over [a, b] at fixed order.
+
+    ``f`` may return a sequence; the result is then a list with one
+    integral per component, all from one evaluation of ``f`` per node.
+    """
     d = _resolve_dps(dps)
     xs, ws = legendre_nodes(order, dps=d)
+    g, unwrap = _components(f)
     with mp.workdps(d + 10):
         a = mpf(a) if not isinstance(a, (mpf, mpc)) else a
         b = mpf(b) if not isinstance(b, (mpf, mpc)) else b
         mid = (a + b) / 2
         half = (b - a) / 2
-        total = 0
+        total = None
         for x, w in zip(xs, ws):
-            total += w * f(mid + half * x)
-        return half * total
+            total = _add_scaled(total, w, g(mid + half * x))
+        return unwrap([half * t for t in total])
 
 
 # ----------------------------------------------------------------------
@@ -207,59 +242,78 @@ def _ts_nodes(level, dps):
     return h, tuple(out)
 
 
+def _worst_component(total, prev, tol, abs_scale):
+    """Index of the component furthest from convergence, or None.
+
+    Component i has converged when |total_i - prev_i| <= tol * scale_i with
+    scale_i = max(|total_i|, abs_scale); a zero scale needs a zero change.
+    Unconverged components are ranked by change / scale.
+    """
+    worst, worst_ratio = None, None
+    for i, (t, p) in enumerate(zip(total, prev)):
+        err = abs(t - p)
+        scale = max(abs(t), abs_scale)
+        if err <= tol * scale:
+            continue
+        ratio = err / scale if scale else mp.inf
+        if worst is None or ratio > worst_ratio:
+            worst, worst_ratio = i, ratio
+    return worst
+
+
 def quad_ts(f, a, b, tol=None, dps=None, max_level=12, abs_scale=0):
     """Tanh-sinh integral of ``f`` over [a, b] with level doubling.
 
     Handles integrable endpoint singularities (algebraic or logarithmic).
     ``tol`` defaults to 10^(-dps+10).  Convergence means two successive
     level estimates agree to ``tol`` relative to max(|I|, abs_scale).
-    Raises :class:`QuadratureConvergenceError` with the last two estimates
-    otherwise.
+    ``f`` may return a sequence; the result is then a list with one
+    integral per component, all from one evaluation of ``f`` per node, and
+    the levels go on until every component has converged by that rule on
+    its own.  Raises :class:`QuadratureConvergenceError` otherwise, with
+    the last two estimates of the component furthest from convergence.
     """
     d = _resolve_dps(dps)
     if tol is None:
         tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
+    g, unwrap = _components(f)
     with mp.workdps(d + 10):
         a = mpf(a)
         b = mpf(b)
+        abs_scale = mpf(abs_scale)
         half = (b - a) / 2
-        total = 0
-        prev = None
-        last_h = mpf(1)
+        total = prev = None
         for level in range(0, max_level + 1):
             h, nodes = _ts_nodes(level, d)
-            contrib = 0
-            for t, g, w in nodes:
-                xr = b - half * g
-                xl = a + half * g
+            contrib = None
+            for t, gap, w in nodes:
                 if t == 0:
-                    contrib += w * f(a + half)
-                    continue
-                # deep in the tail the offset half*g underflows the working
-                # precision and the abscissa rounds onto the endpoint; skip
-                # such nodes so that endpoint-singular integrands are never
-                # evaluated at the endpoint itself (their true contribution
-                # is below tolerance for any integrable singularity weaker
-                # than (x-a)^(-3/4))
-                if xl != a:
-                    contrib += w * f(xl)
-                if xr != b:
-                    contrib += w * f(xr)
+                    xs = (a + half,)
+                else:
+                    # deep in the tail the offset half*gap underflows the
+                    # working precision and the abscissa rounds onto the
+                    # endpoint; skip such nodes so that endpoint-singular
+                    # integrands are never evaluated at the endpoint itself
+                    # (their true contribution is below tolerance for any
+                    # integrable singularity weaker than (x-a)^(-3/4))
+                    xs = [x for x, end in ((a + half * gap, a),
+                                           (b - half * gap, b)) if x != end]
+                for x in xs:
+                    contrib = _add_scaled(contrib, w, g(x))
             # level 0 sum includes t=0 once; rescale previous accumulation
-            total = total / 2 + h * half * contrib if level > 0 else h * half * contrib
-            last_h = h
-            if prev is not None:
-                err = abs(total - prev)
-                scale = max(abs(total), mpf(abs_scale))
-                if scale == 0:
-                    if err == 0:
-                        return +total
-                elif err <= tol * scale:
-                    return +total
-            prev = total
+            hh = h * half
+            if level > 0:
+                prev, total = total, [tl / 2 + hh * c
+                                      for tl, c in zip(total, contrib)]
+            else:
+                total = [hh * c for c in contrib]
+            if prev is not None and _worst_component(
+                    total, prev, tol, abs_scale) is None:
+                return unwrap([+v for v in total])
+        i = 0 if prev is None else _worst_component(total, prev, tol, abs_scale)
         raise QuadratureConvergenceError(
-            f"tanh-sinh did not converge by level {max_level} (h={last_h})",
-            estimates=(prev, total),
+            f"tanh-sinh did not converge by level {max_level} (h={h})",
+            estimates=(prev[i] if prev is not None else None, total[i]),
         )
 
 

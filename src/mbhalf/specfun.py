@@ -134,15 +134,16 @@ def _wright_terms(a, b, x, d):
     """Terms (-x)^j / (j! Gamma(a+bj)) of J_{a,b}(x) at the ambient precision;
     the last STOP_RUN terms are each below 10^-(d+5) of the running sum.
 
-    For a > 0 with 2b a positive integer (the cases 1/theta = 2, theta = 1/2
-    and the classical b = 1) the reciprocal gamma of term j+2 follows from
-    that of term j by dividing by (a+bj)(a+bj+1)...(a+bj+2b-1).  Otherwise
-    each term pays one reciprocal gamma, with poles contributing 0.
+    For a > 0 with 2b exactly a positive integer (the cases 1/theta = 2,
+    theta = 1/2 and the classical b = 1) the reciprocal gamma of term j+2
+    follows from that of term j by dividing by (a+bj)(a+bj+1)...(a+bj+2b-1).
+    Any other b, however close to a half-integer, pays one reciprocal
+    gamma per term, with poles contributing 0.
     """
     stop_eps = mpf(10) ** (-(d + 5))
-    p = int(round(2 * float(b)))
-    fast = float(a) > 0 and p >= 1 and abs(2 * float(b) - p) < 1e-12
+    fast = a > 0 and 2 * b >= 1 and mp.isint(2 * b)
     if fast:
+        p = int(2 * b)
         rg, rg_next = rgamma(a), rgamma(a + b)
     power, total, terms, run = mpf(1), 0 * x, [], 0
     for j in range(_MAX_TERMS):

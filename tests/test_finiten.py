@@ -31,14 +31,30 @@ def test_laguerre_moments_closed_form():
 
 
 def test_custom_field_route_matches_closed_form():
-    # V passed as a callable x -> x must integrate to the same table
-    mt_cf = moments(mpf("0.3"), 2, "laguerre", smax=3, dps=40)
-    mt_q = moments(mpf("0.3"), 2, lambda x: x, smax=3, dps=40)
-    with mp.workdps(50):
-        for k2 in range(7):
-            a = mt_cf.values[k2]
-            b = mt_q.values[k2]
-            assert abs(a - b) / a < mpf("1e-35"), k2
+    # V passed as a callable x -> x must integrate to the same table;
+    # alpha = -1/2 puts a t^(-1/2) singularity under every moment
+    for alpha, smax in (("0.3", 3), ("-0.5", 6)):
+        mt_cf = moments(mpf(alpha), 2, "laguerre", smax=smax, dps=40)
+        mt_q = moments(mpf(alpha), 2, lambda x: x, smax=smax, dps=40)
+        with mp.workdps(50):
+            for k2 in range(2 * smax + 1):
+                a = mt_cf.values[k2]
+                b = mt_q.values[k2]
+                assert abs(a - b) / a < mpf("1e-35"), (alpha, k2)
+
+
+def test_callable_moments_share_one_pass_per_node():
+    # all 2*smax+1 moments ride on one vector quadrature: V is evaluated
+    # once per node (the tail-box probes are distinct points too)
+    seen = []
+
+    def V(x):
+        seen.append(x)
+        return x
+
+    moments(mpf("0.3"), 2, V, smax=3, dps=40)
+    assert len(seen) > 1000
+    assert len(seen) == len(set(seen))
 
 
 def test_moment_table_validation():

@@ -153,6 +153,57 @@ def test_quad_ts_nonintegrable_raises():
         quad_ts(lambda t: 1 / t, 0, 1, dps=30, max_level=8)
 
 
+def test_quad_vector_components_match_scalar_calls():
+    # a sequence integrand gives a list with one integral per component;
+    # each agrees with its own scalar call (which stays an mpf) to the
+    # default tolerance 10^-(dps-10), and with its closed form
+    fs = [mp.log, lambda t: 1 / mp.sqrt(t), lambda t: t * mp.exp(-t),
+          lambda t: mp.expj(t)]
+    with mp.workdps(45):
+        exact = [mpf(-1), mpf(2), 1 - 2 / mp.e, -1j * (mp.expj(1) - 1)]
+        vec = quad_ts(lambda t: [f(t) for f in fs], 0, 1, dps=40)
+        assert isinstance(vec, list) and len(vec) == len(fs)
+        for f, v, e in zip(fs, vec, exact):
+            s = quad_ts(f, 0, 1, dps=40)
+            assert isinstance(s, (mpf, mpc)) and not isinstance(v, list)
+            assert abs(v - s) <= mpf("1e-30") * abs(s)
+            assert abs(v - e) < mpf("1e-38")
+        # Gauss-Legendre does the same sums per component: bitwise equal
+        gs = (mp.exp, lambda t: t ** 5, mp.cos)
+        vec = quad_gl(lambda t: tuple(g(t) for g in gs), 0, 1, order=48, dps=40)
+        assert isinstance(vec, list)
+        assert vec == [quad_gl(g, 0, 1, order=48, dps=40) for g in gs]
+        assert isinstance(quad_gl(mp.exp, 0, 1, order=48, dps=40), mpf)
+
+
+def test_quad_ts_vector_each_component_own_tolerance():
+    # components 10^60 apart in size: the small one, a peak of width 0.05,
+    # needs 9 levels on its own and the big smooth one 5; the small one must
+    # get its 9, and a component that is zero everywhere comes out exactly 0
+    with mp.workdps(45):
+        big, small, eps = mpf(10) ** 30, mpf(10) ** -30, mpf("0.05")
+        vec = quad_ts(lambda t: [big * mp.exp(-t),
+                                 small / ((t - mpf("0.5")) ** 2 + eps ** 2),
+                                 mpf(0)], 0, 1, dps=40)
+        assert abs(vec[0] / big - (1 - 1 / mp.e)) / (1 - 1 / mp.e) < mpf("1e-30")
+        peak = 2 / eps * mp.atan(1 / (2 * eps))
+        assert abs(vec[1] / small - peak) / peak < mpf("1e-30")
+        assert vec[2] == 0
+
+
+def test_quad_vector_zero_component_and_failure():
+    with mp.workdps(45):
+        vec = quad_gl(lambda t: [mpf(0), t], 0, 2, order=8, dps=40)
+        assert vec[0] == 0 and abs(vec[1] - 2) < mpf("1e-38")
+    # one non-integrable component sinks the whole call; the error carries
+    # its last two (distinct, growing) level estimates, not the converged
+    # component's
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        quad_ts(lambda t: [mp.exp(t), 1 / t], 0, 1, dps=30, max_level=8)
+    prev, last = exc.value.estimates
+    assert 100 < prev < last
+
+
 def _sorted_roots(roots):
     return sorted(roots, key=lambda r: (mp.re(r), mp.im(r)))
 
