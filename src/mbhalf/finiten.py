@@ -366,32 +366,39 @@ def _y_plus(bs_big, n, x, T, delta, dps):
     average over +-i delta plus half the jump density, per the upper-side
     convention.  The average approaches the principal value with a bias
     linear in delta (-pi delta f'(x) on the raw integral), so a second
-    average at delta/2 and one Richardson step remove it.  All six
-    transforms at the four points x +- i delta, x +- i delta/2 come from
-    one :func:`_cauchy` call, whose integrand computes the weight, t^(1/2)
-    and each row polynomial once per node.
+    average at delta/2 and one Richardson step remove it.  For a real f,
+    C(x - i delta) = -conj(C(x + i delta)), so the average is
+    i Im C(x + i delta); each row is therefore split into real polynomials
+    times 1 or i (p_n is real, the edge rows are i times real), and the
+    transforms are needed only at the two upper points x + i delta and
+    x + i delta/2.  They come from one :func:`_cauchy` call, whose
+    integrand computes the weight, t^(1/2) and each polynomial once per
+    node.
     """
     rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
+    parts = []                                  # (row, unit, real coefficients)
+    for j, row in enumerate(rows1):
+        for unit, part in ((1, [mp.re(c) for c in row]),
+                           (1j, [mp.im(c) for c in row])):
+            if any(part):
+                parts.append((j, unit, part))
 
     def funs(t):
         w, rt = _weight(bs_big.table, t), mp.sqrt(t)
         out = []
-        for row in rows1:
-            pw = _poly_eval(row, t) * w
+        for _, _, part in parts:
+            pw = _poly_eval(part, t) * w
             out += [pw, pw * rt]
         return out
 
-    zs = [mpc(x, delta), mpc(x, -delta), mpc(x, delta / 2), mpc(x, -delta / 2)]
     fxs = funs(x)
-    cs = _cauchy(funs, fxs, x, zs, T, dps)
-    Y = [[mpc(0)] * 3 for _ in range(3)]
-    for j in range(3):
-        Y[j][0] = _poly_eval(rows1[j], x)
+    cs = _cauchy(funs, fxs, x, [mpc(x, delta), mpc(x, delta / 2)], T, dps)
+    Y = [[_poly_eval(row, x), mpc(0), mpc(0)] for row in rows1]
+    for i, (j, unit, _) in enumerate(parts):
         for col in (1, 2):
-            m = 2 * j + col - 1
-            c = cs[m]
-            a1, a2 = (c[0] + c[1]) / 2, (c[2] + c[3]) / 2
-            Y[j][col] = 2 * a2 - a1 + fxs[m] / 2
+            m = 2 * i + col - 1
+            a1, a2 = (mpc(0, c.imag) for c in cs[m])
+            Y[j][col] += unit * (2 * a2 - a1 + fxs[m] / 2)
     return Y
 
 

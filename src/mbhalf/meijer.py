@@ -17,6 +17,12 @@ Two independent evaluation routes:
 * :func:`mb_loop` -- direct quadrature of the loop (two horizontal legs at
   Im s = +-1 plus a short vertical segment), valid for every parameter
   choice including resonant ones; Gamma decay beats z^{-s} on the legs.
+  Each panel sum is an exact fixed-point dot product of cached integer
+  weights with z^{-s}, rounded once, its error bounded against the
+  panel's largest single term (:func:`_fixed_dot`).  The largest terms
+  also measure the digits the loop loses to cancellation; past 10 digits
+  (|z| of a few hundred near arg 0, where G is recessive) it reruns once
+  with that many more digits and more Gauss-Legendre nodes.
 * :func:`g303_series` -- residue series: three Frobenius families
 
       G = sum_k z^{b_k} prod_{j!=k} Gamma(b_j - b_k)
@@ -43,10 +49,13 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import add, mul
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .mpcore import (_resolve_dps, gamma, rgamma, legendre_nodes,
                      QuadratureConvergenceError)
@@ -149,10 +158,105 @@ def g303_series(b, point, dps=None, with_theta=False):
 # Mellin-Barnes loop route
 # ----------------------------------------------------------------------
 
-#: loop product tables kept per exact (b, m, dps); least recently used
-#: tables are dropped beyond this many
+#: loop product tables kept per exact (b, m, dps, order); least recently
+#: used tables are dropped beyond this many
 _LOOP_CACHE_SIZE = 16
 _loop_cache = OrderedDict()
+#: working digits of the loop beyond the requested ones
+_LOOP_GUARD = 15
+#: guard bits of the fixed-point panel sums (see :func:`_fixed_dot`)
+_FIXED_GUARD = 24
+#: a fixed-point vector made finer is made this many bits finer than asked,
+#: so that later requests for a slightly finer scale reuse it
+_FIXED_SLACK = 32
+_NO_TOP = float("-inf")
+_LOG10_2 = math.log10(2)
+
+
+def _top(x):
+    """e with |x| < 2^e for an mpf tuple x; -inf for zero."""
+    return x[2] + x[3] if x[1] else _NO_TOP
+
+
+def _to_fixed(x, e):
+    """floor(x / 2^e) for an mpf tuple x."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    sh = exp - e
+    return man << sh if sh >= 0 else man >> -sh
+
+
+class _Fixed:
+    """Complex values v_k as integers at a common scale,
+    v_k ~ (re[k] + i im[k]) 2^exp.
+
+    ``tops[k]`` is the exponent of node k (|v_k| < 2^(tops[k] + 1/2) and
+    |v_k| >= 2^(tops[k] - 1)), ``top`` the largest.  The integers are made
+    when a dot product first asks for them and made finer only when a later
+    one asks for a finer scale; a coarser request reuses them as they are.
+    """
+
+    def __init__(self, values):
+        self._parts = [v._mpc_ for v in values]
+        self.tops = [max(_top(re), _top(im)) for re, im in self._parts]
+        self.top = max(self.tops, default=_NO_TOP)
+        self.exp = None
+
+    def at(self, e):
+        """(exp, re, im) with exp <= e."""
+        if self.exp is None or self.exp > e:
+            if self.exp is not None:
+                e -= _FIXED_SLACK
+            self.re = [_to_fixed(re, e) for re, _ in self._parts]
+            self.im = [_to_fixed(im, e) for _, im in self._parts]
+            self.exp = e
+        return self.exp, self.re, self.im
+
+
+def _fixed_dot(x, y):
+    """sum_k x_k y_k of two :class:`_Fixed` vectors, and the exponent ``top``
+    of its largest term, 2^(top-2) <= max_k |x_k y_k| < 2^(top+1).
+
+    The scales are set against that largest term, not against
+    max|x| * max|y| (which can be many binary orders larger): with
+    w = prec + _FIXED_GUARD, x is truncated at a scale of at most
+    2^(top - y.top - w) and y at most 2^(top - x.top - w), the integer sums
+    are exact, and the result is
+    rounded once to the working precision, so for N terms
+
+        |result - sum| <= 2^-prec |sum| + 17 N 2^-w max_k |x_k y_k|
+
+    (truncation leaves |dx_k| < 2^(1/2) 2^(top - y.top - w), which against
+    |y_k| < 2^(1/2) 2^y.top costs under 2^(top+1-w) per term and side, and
+    2^top <= 4 max_k |x_k y_k|).
+
+    The sum of a zero vector is 0 with top = -inf.
+    """
+    top = max(map(add, x.tops, y.tops), default=_NO_TOP)
+    if top == _NO_TOP:
+        return mpc(0), top
+    prec = mp.prec
+    w = prec + _FIXED_GUARD
+    ex, xr, xi = x.at(top - y.top - w)
+    ey, yr, yi = y.at(top - x.top - w)
+    e = ex + ey
+    re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+    im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
+    return mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
+                        from_man_exp(im, e, prec, round_nearest))), top
+
+
+def _exp_symmetric(xs, u):
+    """[exp(x u) for x in xs] for nodes symmetric about 0
+    (xs[-1-k] = -xs[k]): one exp per pair, its partner by a reciprocal."""
+    n = len(xs)
+    out = [None] * n
+    for k in range((n + 1) // 2):
+        e = mp.exp(xs[k] * u)
+        out[k] = e
+        out[n - 1 - k] = 1 / e
+    return out
 
 
 def _integrand_products(nodes, weights, b, m, dps):
@@ -176,10 +280,12 @@ def _moment_weights(nodes, g):
 
 
 class _LoopProducts:
-    """Moment weights of the loop integrand for one (b, m, dps).
+    """Moment weights of the loop integrand for one (b, m, dps, order).
 
     Holds the weighted products w * P(s) at the nodes as the three lists of
-    :func:`_moment_weights`.  The vertical segment Re s = c,
+    :func:`_moment_weights`, as mpc lists (:meth:`panel`) and as
+    :class:`_Fixed` vectors (:attr:`vertical`, :meth:`panel_fixed`) for the
+    fixed-point sums of :func:`mb_loop`.  The vertical segment Re s = c,
     Im s in [-eta, eta] (weights include the i from ds) and panel 0, the
     horizontal legs over t in [c - 2, c] (bottom leg weight +w, top leg -w,
     i.e. counterclockwise), come from direct gamma calls.  Panel p covers
@@ -191,26 +297,24 @@ class _LoopProducts:
     Panels are added on demand.
     """
 
-    def __init__(self, b, m, c, dps):
+    def __init__(self, b, m, c, dps, order=_GL_ORDER):
         self.b = b
         self.dps = dps
-        xs, ws = legendre_nodes(_GL_ORDER, dps=dps)
+        self.xs, ws = legendre_nodes(order, dps=dps)
         with mp.workdps(dps + 10):
             eta = mpf(LOOP_ETA)
-            self.vertical_s = [mpc(c, eta * x) for x in xs]
+            vs = [mpc(c, eta * x) for x in self.xs]
             vw = [mpc(0, 1) * eta * w for w in ws]
-            self.vertical = _moment_weights(
-                self.vertical_s,
-                _integrand_products(self.vertical_s, vw, b, m, dps))
-            self.panel0_s = []
-            pw = []
-            for x, w in zip(xs, ws):
+            self.vertical = [_Fixed(g) for g in _moment_weights(
+                vs, _integrand_products(vs, vw, b, m, dps))]
+            self._s, pw = [], []
+            for x, w in zip(self.xs, ws):
                 t = c - 1 + x                                  # half-width 1
-                self.panel0_s += [mpc(t, -eta), mpc(t, eta)]   # bottom ->, top <-
+                self._s += [mpc(t, -eta), mpc(t, eta)]         # bottom ->, top <-
                 pw += [w, -w]
-            self._s = self.panel0_s
             self._g = _integrand_products(self._s, pw, b, m, dps)
             self.panels = [_moment_weights(self._s, self._g)]
+            self._fixed = []
 
     def panel(self, pidx):
         with mp.workdps(self.dps + 10):
@@ -228,19 +332,101 @@ class _LoopProducts:
                 self.panels.append(_moment_weights(s_next, g_next))
         return self.panels[pidx]
 
+    def panel_fixed(self, pidx):
+        """Panel pidx's moment weights as :class:`_Fixed` vectors."""
+        while len(self._fixed) <= pidx:
+            self._fixed.append([_Fixed(g) for g in self.panel(len(self._fixed))])
+        return self._fixed[pidx]
 
-def _loop_products(b, m, c, dps):
-    """The cached :class:`_LoopProducts`, keyed by the exact b, m and dps."""
-    key = (tuple(b), m, dps)
+
+def _loop_products(b, m, c, dps, order):
+    """The cached :class:`_LoopProducts`, keyed by the exact b, m, dps and
+    order."""
+    key = (tuple(b), m, dps, order)
     got = _loop_cache.get(key)
     if got is None:
-        got = _LoopProducts(b, m, c, dps)
+        got = _LoopProducts(b, m, c, dps, order)
         _loop_cache[key] = got
         if len(_loop_cache) > _LOOP_CACHE_SIZE:
             _loop_cache.popitem(last=False)
     else:
         _loop_cache.move_to_end(key)
     return got
+
+
+def _loop_moments(b, m, c, point, d, wp, order):
+    """The three loop moments (before the 1/(2 pi i)) and the decimal digits
+    lost to cancellation in the worst of them.
+
+    Runs at the caller's precision.  The loss of moment j is
+    log10(max |term| / |moment j|), the terms being the products
+    g_k z_k^(-s) of all panel sums, each bounded through
+    :func:`_fixed_dot`'s ``top``.
+    """
+    zeta = point.clog(dps=wp)
+    tol = mpf(10) ** (-(d + 5))
+    prods = _loop_products(b, m, c, wp, order)
+    eta = mpf(LOOP_ETA)
+    # vertical segment s = c + i eta x: z^(-s) = exp(-c zeta) exp(-i eta x zeta)
+    zc = mp.exp(-c * zeta)
+    zv = _Fixed([zc * e for e in _exp_symmetric(prods.xs, mpc(0, -eta) * zeta)])
+    # panel 0, s = c - 1 + x -+ i eta: z^(-s) = exp((1-c) zeta) exp(-x zeta)
+    # exp(+-i eta zeta), nodes ordered (lower leg, upper leg) per x
+    z1 = mp.exp((1 - c) * zeta)
+    rot = mp.exp(mpc(0, eta) * zeta)
+    lower, upper = z1 * rot, z1 / rot
+    z0 = _Fixed([v for e in _exp_symmetric(prods.xs, -zeta)
+                 for v in (lower * e, upper * e)])
+    acc, big = [], []
+    for g in prods.vertical:
+        t, tp = _fixed_dot(g, zv)
+        acc.append(t)
+        big.append(tp)
+    # panels must at least clear the pole region before tail checks count
+    p_min = int(max(4.0, (max(float(-x) for x in b) + 6.0) / _PANEL_WIDTH))
+    # z^(-s) on panel p is z^(-s) on panel 0 times (z^2)^p; |z^2| = r^2
+    z2 = mp.exp(_PANEL_WIDTH * zeta)
+    log2_z2 = _PANEL_WIDTH * float(mp.log(mpf(point.modulus), 2))
+    zp = mpc(1)
+    quiet = 0
+    for pidx in range(_MAX_PANELS):
+        if pidx:
+            zp *= z2
+        ts = []
+        for j, g in enumerate(prods.panel_fixed(pidx)):
+            t, tp = _fixed_dot(g, z0)
+            ts.append(zp * t)
+            big[j] = max(big[j], tp + pidx * log2_z2)
+        prev = acc[0]
+        acc = [a + t for a, t in zip(acc, ts)]
+        scale = max(abs(a) for a in acc)
+        psize = max(abs(t) for t in ts)
+        if pidx >= p_min and psize <= tol * (scale or mpf(1)):
+            quiet += 1
+            if quiet >= 2:
+                break
+        else:
+            quiet = 0
+    else:
+        raise QuadratureConvergenceError(
+            "loop contour tail did not decay within the panel budget",
+            estimates=(prev, acc[0]))
+    loss = max((float(tp - mp.log(abs(a), 2)) * _LOG10_2
+                for a, tp in zip(acc, big) if a), default=0.0)
+    return acc, loss
+
+
+def _rerun_order(loss):
+    """Gauss-Legendre order that wins back ``loss`` digits of panel
+    discretization error, in steps of 16 nodes.
+
+    The loop's integrand has poles on the real axis, a distance 1 from
+    legs of half-width 1, so an n-point panel converges like
+    (1 + sqrt 2)^(-2n), 0.77 digits per node; at order 64 the error is
+    about 10^-44.5 of the largest term.
+    """
+    nodes = loss / (2 * math.log10(1 + math.sqrt(2)))
+    return _GL_ORDER + 16 * math.ceil(nodes / 16)
 
 
 def mb_loop(b, point, m=3, dps=None, with_theta=False):
@@ -259,46 +445,39 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     Every panel has the same half-width (1), so a node of panel p is the
     matching node of panel p-1 shifted by -2 with the same weight; the
     weighted gamma products follow by a two-step recurrence (see
-    :class:`_LoopProducts`, cached per exact (b, m, dps)) and z^(-s) by one
-    multiplication with z^2 = exp(2 zeta) per panel.
+    :class:`_LoopProducts`, cached per exact (b, m, dps, order)) and z^(-s)
+    by one multiplication with z^2 = exp(2 zeta) per panel.  On panel 0 and
+    the vertical segment z^(-s) factors into a constant times exp(x u) at
+    the Gauss-Legendre nodes x, which are symmetric about 0, so one exp
+    serves each node pair.
+
+    Each panel sum is a fixed-point dot product (:func:`_fixed_dot`): the
+    weights and the z^(-s) values become integers at scales set by the
+    panel's largest single term |g_k z_k^(-s)|, the integer sums are exact
+    and are rounded once, so a panel sum is off by at most one rounding
+    plus 17 * 128 * 2^-(prec + 24) times that largest term, prec being the
+    bits of the arithmetic (d + 25 digits; the loop's working digits are
+    d + 15).
+
+    The largest terms also measure cancellation: where G is recessive the
+    moments are many orders below the terms that sum to them (20 digits
+    at |z| = 10^3, arg 0).  The 64-node panels are accurate to about
+    10^-44.5 of the largest term whatever the precision, so more digits
+    alone do not help.  If a moment loses more than _LOOP_GUARD - 5 = 10
+    digits, the loop runs once more with that many more working digits
+    and the Gauss-Legendre order of :func:`_rerun_order`.
     """
     d = _resolve_dps(dps)
-    wp = d + 15
+    wp = d + _LOOP_GUARD
     with mp.workdps(wp + 10):
         bb = [mpf(x) for x in b]
         c = max(-bb[j] for j in range(m)) + 1
-        zeta = point.clog(dps=wp)
-        tol = mpf(10) ** (-(d + 5))
-        prods = _loop_products(bb, m, c, wp)
-
-        zv = [mp.exp(-s * zeta) for s in prods.vertical_s]
-        acc = [mp.fdot(g, zv) for g in prods.vertical]
-        # panels must at least clear the pole region before tail checks count
-        p_min = int(max(4.0, (max(float(-x) for x in bb) + 6.0) / _PANEL_WIDTH))
-        # z^(-s) on panel p is z^(-s) on panel 0 times (z^2)^p
-        z0 = [mp.exp(-s * zeta) for s in prods.panel0_s]
-        z2 = mp.exp(_PANEL_WIDTH * zeta)
-        zp = mpc(1)
-        quiet = 0
-        for pidx in range(_MAX_PANELS):
-            if pidx:
-                zp *= z2
-            t0, t1, t2 = (zp * mp.fdot(g, z0) for g in prods.panel(pidx))
-            acc[0] += t0
-            acc[1] += t1
-            acc[2] += t2
-            scale = max(abs(acc[0]), abs(acc[1]), abs(acc[2]))
-            psize = max(abs(t0), abs(t1), abs(t2))
-            if pidx >= p_min and psize <= tol * (scale or mpf(1)):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise QuadratureConvergenceError(
-                "loop contour tail did not decay within the panel budget",
-                estimates=(acc[0], acc[0]))
+        acc, loss = _loop_moments(bb, m, c, point, d, wp, _GL_ORDER)
+        if loss > _LOOP_GUARD - 5:
+            extra = math.ceil(loss)
+            with mp.workdps(wp + extra + 10):
+                acc, _ = _loop_moments(bb, m, c, point, d, wp + extra,
+                                       _rerun_order(loss))
         front = 1 / (2 * mp.pi * mpc(0, 1))
         out = tuple(+(front * a) for a in acc)
     if with_theta:

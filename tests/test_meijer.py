@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
+from mbhalf import meijer
 from mbhalf.meijer import (
     _GL_ORDER,
     SectorPoint,
+    _Fixed,
+    _fixed_dot,
     _LoopProducts,
     _pairwise_resonant,
     g303_series,
@@ -16,7 +19,7 @@ from mbhalf.meijer import (
     psi_frobenius_constants,
     psi_scalars,
 )
-from mbhalf.mpcore import legendre_nodes
+from mbhalf.mpcore import QuadratureConvergenceError, legendre_nodes
 from mbhalf.specfun import ResonantParameterError
 
 B_STD = (mpf(0), mpf("-0.3"), mpf("-0.8"))
@@ -41,7 +44,7 @@ def test_pairwise_resonance_predicate():
     assert not _pairwise_resonant(B_STD)
     assert _pairwise_resonant((0, 0, 0.5))       # equal pair
     assert _pairwise_resonant((0, -1.0, -1.7))   # integer difference
-    assert _pairwise_resonant((0.2, -0.3, 0.7))  # half pair differs by 1/2? no: 0.2-0.7
+    assert _pairwise_resonant((0.2, -0.3, 0.7))  # -0.3 - 0.7 = -1
     assert not _pairwise_resonant((0, -0.3, -0.55))
 
 
@@ -62,6 +65,79 @@ def test_loop_matches_mpmath_meijerg():
         ours = mb_loop(B_STD, pt, m=3, dps=40)
         ref = mp.meijerg([[], []], [list(B_STD), []], z)
         assert abs(ours - ref) / abs(ref) < mpf("1e-35")
+
+
+def test_resonant_loop_matches_mpmath_meijerg():
+    # at 2 alpha in Z the series route is unavailable; mpmath's meijerg
+    # resolves the resonance on its own (principal sheet only)
+    with mp.workdps(50):
+        for alpha in ("-0.5", "0", "0.5", "1"):
+            a = mpf(alpha)
+            b = (mpf(0), -a, -a - mpf("0.5"))
+            for r in ("0.5", "2.5", "10"):
+                for ang in ("0", "0.4", "2.5"):
+                    pt = SectorPoint(mpf(r), mpf(ang))
+                    ours = mb_loop(b, pt, m=3, dps=40)
+                    ref = mp.meijerg([[], []], [list(b), []], pt.to_mpc(dps=45))
+                    assert abs(ours - ref) / abs(ref) < mpf("1e-35"), (alpha, r, ang)
+
+
+def test_loop_accuracy_at_large_modulus():
+    # near arg 0 at |z| = 10^3 G is recessive and the loop's terms cancel
+    # by about 20 digits, more than its guard digits; the cancellation
+    # rerun must still deliver the requested 30 digits
+    d = 30
+    b_res = (mpf(0), mpf(0), mpf("-0.5"))
+    for ang in ("0", "0.5"):
+        pt = SectorPoint(mpf(1000), mpf(ang))
+        ref_std = g303_series(B_STD, pt, dps=80)
+        with mp.workdps(70):
+            ref_res = mp.meijerg([[], []], [list(b_res), []], pt.to_mpc(dps=70))
+        for b, ref in ((B_STD, ref_std), (b_res, ref_res)):
+            got = mb_loop(b, pt, m=3, dps=d)
+            with mp.workdps(80):
+                assert abs(got - ref) / abs(ref) <= mpf(10) ** (-d + 2), (b, ang)
+
+
+def test_loop_panel_budget_reports_last_two_estimates(monkeypatch):
+    monkeypatch.setattr(meijer, "_MAX_PANELS", 2)
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        mb_loop(B_STD, SectorPoint(mpf("1.3"), mpf("0.2")), m=3, dps=30)
+    prev, last = exc.value.estimates
+    assert prev != last
+
+
+def test_fixed_dot_matches_fdot():
+    # entries span 10^40 and are large where their partner is small, so
+    # every product is about 1 while max|a| max|b| is 10^40: a scale set by
+    # max|a| max|b| would lose 133 bits here
+    rng = np.random.default_rng(5)
+    n = 40
+    with mp.workdps(30):
+        prec = mp.prec
+
+        def unit():
+            return mp.expjpi(mpf(float(rng.uniform(-1, 1))))
+
+        a = [mpf(10) ** (40 * k / (n - 1) - 20) * unit() for k in range(n)]
+        b = [mpf(10) ** (20 - 40 * k / (n - 1)) * unit() for k in range(n)]
+        c = [mpf(10) ** (-40 * k / (n - 1)) * unit() for k in range(n)]
+        a[7] = mpc(0)
+        fa = _Fixed(a)
+        # fa serves two partners; the second asks for a finer scale
+        for y in (b, c, [mpc(0)] * n):
+            got, top = _fixed_dot(fa, _Fixed(y))
+            if not any(y):
+                assert got == 0 and top == float("-inf")
+                continue
+            with mp.workdps(50):
+                ref = mp.fdot(a, y)
+                big = max(abs(u * v) for u, v in zip(a, y))
+                assert mpf(2) ** (top - 2) <= big < mpf(2) ** (top + 1)
+                bound = (abs(ref) * mpf(2) ** -prec
+                         + 17 * n * mpf(2) ** -(prec + meijer._FIXED_GUARD) * big)
+                assert abs(got - ref) <= bound
+                assert abs(got - ref) / abs(ref) < mpf(10) ** -29
 
 
 def test_loop_lower_m_matches_mpmath():
