@@ -18,7 +18,7 @@ from . import equilibrium as eq
 from . import rhframe
 from .finiten import DomainExtensionError, hard_edge_convergence
 from .kernel import DIAG_GUARD, kernel_diag_limit, kernel_integral, kernel_meijer
-from .meijer import SectorPoint, _pairwise_resonant, g303_series, mb_loop
+from .meijer import SectorPoint, g303_series, mb_loop, pick_route
 from .mpcore import (
     GammaPoleError,
     QuadratureConvergenceError,
@@ -231,7 +231,7 @@ def cmd_meijer(args, precision):
     if route == "series" and args.m != 3:
         raise UsageError("the residue-series route only evaluates the m=3 function")
     if route == "auto":
-        route = "loop" if (args.m != 3 or _pairwise_resonant(b)) else "series"
+        route = pick_route(b, args.m)
     rows = []
     for z in zs:
         pt = SectorPoint.from_complex(z, sheet=args.sheet, dps=precision)

@@ -31,10 +31,9 @@ and safe to call concurrently; the minimizer mutates only its own arrays.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from mpmath import mp, mpf, mpc
@@ -138,12 +137,12 @@ def density_vx_explicit(s, dps=None):
     return +out
 
 
-def density_vx_cardano(s, dps=None, im_floor=mpf("1e-20")):
+def density_vx_cardano(s, dps=None):
     """Same density through the spectral cubic and Stieltjes inversion.
 
     Solves s^2 z^3 - s^2 z^2 + s z - 1/4 = 0, picks the unique root with
-    positive imaginary part and returns Im(root)/pi.  Shares no code with
-    :func:`density_vx_explicit` beyond the cubic solver.
+    positive imaginary part (above 1e-20) and returns Im(root)/pi.  Shares
+    no code with :func:`density_vx_explicit` beyond the cubic solver.
     """
     d = dps or mp.dps
     with mp.workdps(d + 10):
@@ -151,7 +150,7 @@ def density_vx_cardano(s, dps=None, im_floor=mpf("1e-20")):
         if s <= 0:
             raise DomainError(f"need s > 0; got s = {s}")
         roots = solve_cubic(s * s, -s * s, s, mpf(-1) / 4, dps=d + 10)
-        up = [r for r in roots if mp.im(r) > im_floor]
+        up = [r for r in roots if mp.im(r) > 1e-20]
         if not up:
             raise BranchSelectionError(
                 "all roots real to tolerance; s = %s lies outside (0, 27/8)" % s
@@ -162,20 +161,31 @@ def density_vx_cardano(s, dps=None, im_floor=mpf("1e-20")):
     return +out
 
 
-def endpoint_fit(density, q, end, cells=5, h=None, dps=None):
+def _neville_at_zero(ts, vals):
+    """Value at t = 0 of the polynomial through the points (ts[i], vals[i]),
+    by Neville's tableau."""
+    p = list(vals)
+    n = len(ts)
+    for lvl in range(1, n):
+        for i in range(n - lvl):
+            p[i] = (ts[i + lvl] * p[i] - ts[i] * p[i + 1]) / (ts[i + lvl] - ts[i])
+    return p[0]
+
+
+def endpoint_fit(density, q, end, dps=None):
     """Edge constant of a density by Richardson extrapolation in cell index.
 
     end="origin" fits s^(2/3) * rho(s) -> c0 with expansion variable s^(1/3);
     end="edge" fits rho(q-u)/sqrt(u) -> c1 with expansion variable sqrt(u).
-    Uses the `cells` midpoints nearest the endpoint and Neville extrapolation
-    to expansion variable 0.
+    Uses the midpoints of the 5 cells of width 5e-4 nearest the endpoint and
+    Neville extrapolation to expansion variable 0.
     """
     d = dps or mp.dps
     with mp.workdps(d + 10):
         q = mpf(q)
-        h = mpf(h) if h is not None else mpf("5e-4")
+        h = mpf("5e-4")
         ts, vals = [], []
-        for i in range(cells):
+        for i in range(5):
             u = (i + mpf(1) / 2) * h
             if end == "origin":
                 ts.append(u ** mpf("1/3"))
@@ -185,12 +195,7 @@ def endpoint_fit(density, q, end, cells=5, h=None, dps=None):
                 vals.append(density(q - u) / mp.sqrt(u))
             else:
                 raise ValueError("end must be 'origin' or 'edge'")
-        # Neville tableau evaluated at 0
-        p = list(vals)
-        for lvl in range(1, cells):
-            for i in range(cells - lvl):
-                p[i] = (ts[i + lvl] * p[i] - ts[i] * p[i + 1]) / (ts[i + lvl] - ts[i])
-        out = p[0]
+        out = _neville_at_zero(ts, vals)
     return +out
 
 
@@ -238,19 +243,6 @@ class GridMeasure:
             raise ValueError("grid is not uniform")
         return h
 
-    def write_csv(self, fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["node", "weight"])
-        for x, wt in zip(self.nodes, self.weights):
-            w.writerow([repr(float(x)), repr(float(wt))])
-
-    def to_json(self):
-        return {
-            "nodes": [float(x) for x in self.nodes],
-            "weights": [float(w) for w in self.weights],
-            "mass": float(self.mass),
-        }
-
 
 @dataclass
 class EquilibriumSolution:
@@ -267,7 +259,6 @@ class EquilibriumSolution:
     c0: float
     c1: float
     cV: float
-    box: float
     density: Optional[Callable] = None
     objective_trace: Optional[list] = field(default=None, repr=False)
     # log-potential 2 Lambda w - S w at the nodes of `mu`, if already known
@@ -519,7 +510,7 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     # the log-potential 2 Lambda w - S w is -2 Aw, and the Euler-Lagrange
     # constant is the KKT multiplier with its sign turned
     return EquilibriumSolution(mu=mu, q=q_est, ell=-ell, c0=c0, c1=c1, cV=cv,
-                               box=Q, field=V, density=None,
+                               field=V, density=None,
                                objective_trace=trace, potential=-2.0 * aw)
 
 
@@ -602,7 +593,6 @@ def vx_reference_solution(m=400, dps=30):
     cv = 2 * mp.pi / mp.sqrt(3) * c0
     return EquilibriumSolution(mu=gm, q=float(VX_SUPPORT), ell=float(ell),
                                c0=float(c0), c1=float(c1), cV=float(cv),
-                               box=float(VX_SUPPORT),
                                field=lambda z: z,
                                density=lambda t, dps=dps: density_vx_explicit(t, dps=dps))
 
@@ -693,35 +683,41 @@ def g_functions(sol, dps=30):
         rt = mp.sqrt(z)
         return mu_int(lambda t: mp.log(rt + mp.sqrt(t)))
 
+    def _phis(z):
+        """(phi, phi1, phi2) at z from one evaluation of g1 and one of g2."""
+        z = mpc(z)
+        a, b = _g1(z), g2(z)
+        p = -a + b / 2 + (fieldV(z) + ell) / 2
+        p1 = p + (mp.pi * 1j if _upper(z) else -mp.pi * 1j)
+        p2 = -b + a / 2 + (-mp.pi * 1j / 2 if _upper(z) else mp.pi * 1j / 2)
+        return p, p1, p2
+
     def phi(z):
-        return -_g1(z) + g2(z) / 2 + (fieldV(mpc(z)) + ell) / 2
+        return _phis(z)[0]
 
     def phi1(z):
-        z = mpc(z)
-        return phi(z) + (mp.pi * 1j if _upper(z) else -mp.pi * 1j)
+        return _phis(z)[1]
 
     def phi2(z):
-        z = mpc(z)
-        val = -g2(z) + _g1(z) / 2
-        return val + (-mp.pi * 1j / 2 if _upper(z) else mp.pi * 1j / 2)
+        return _phis(z)[2]
 
     omega = mp.exp(2j * mp.pi / 3)
 
     def f1(z):
         z = mpc(z)
-        p1, p2 = phi1(z), phi2(z)
+        _, p1, p2 = _phis(z)
         comb = -omega ** 2 * p1 + p2 if _upper(z) else -omega * p1 + p2
         return -mp.power(z, -mpf(1) / 3) * comb
 
     def f2(z):
         z = mpc(z)
-        p1, p2 = phi1(z), phi2(z)
+        _, p1, p2 = _phis(z)
         comb = -omega * p1 + p2 if _upper(z) else -omega ** 2 * p1 + p2
         return -mp.power(z, -mpf(2) / 3) * comb
 
     def f(z):
         z = mpc(z)
-        p1, p2 = phi1(z), phi2(z)
+        _, p1, p2 = _phis(z)
         comb = omega ** 2 * p1 - p2 if _upper(z) else omega * p1 - p2
         return mpf(8) / 729 * comb ** 3
 
@@ -746,12 +742,7 @@ def scaling_constants(gf, sol, dps=30):
         ray = mp.exp(1j * mp.pi / 4)
         rs = [mpf(2) / 1000, mpf(1) / 1000, mpf(1) / 2000]
         zs = [r * ray for r in rs]
-        vals = [gf.f1(z) for z in zs]
-        for lvl in range(1, len(zs)):
-            for i in range(len(zs) - lvl):
-                vals[i] = (zs[i + lvl] * vals[i] - zs[i] * vals[i + 1]) / (
-                    zs[i + lvl] - zs[i])
-        f1_at_0 = mp.re(vals[0])
+        f1_at_0 = mp.re(_neville_at_zero(zs, [gf.f1(z) for z in zs]))
         hstep = mpf(1) / 1000
         fp = (gf.f(hstep) - gf.f(-hstep)) / (2 * hstep)
         fprime_at_0 = mp.re(fp)

@@ -68,12 +68,28 @@ class MomentTable:
 
 
 def _tail_box(alpha, n, V, smax, d):
-    """Right endpoint X with integrand below 10^-(d+10) at X, by doubling."""
+    """Right endpoint X with integrand below 10^-(d+10) at X.
+
+    X doubles from 4 until the test holds; eight halvings of the bracket
+    [X/2, X] on the same test then bring X to within 2^-9 X of the
+    crossing, where doubling alone overshoots it by up to 2x.
+    """
     bound = mpf(10) ** (-(d + 10))
+
+    def small(x):
+        return x ** (mpf(smax) + alpha) * mp.exp(-n * V(x)) < bound
+
     X = mpf(4)
-    for _ in range(60):
-        size = X ** (mpf(smax) + alpha) * mp.exp(-n * V(X))
-        if size < bound:
+    for i in range(60):
+        if small(X):
+            if i:
+                lo = X / 2
+                for _ in range(8):
+                    mid = (lo + X) / 2
+                    if small(mid):
+                        X = mid
+                    else:
+                        lo = mid
             return X
         X *= 2
     raise DomainExtensionError(

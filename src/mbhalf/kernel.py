@@ -93,8 +93,9 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
         return front * th * yy ** a * val
 
 
-def kernel_meijer(alpha, x, y, dps=None, route="auto", return_complex=False):
-    """Hard-edge kernel (theta = 1/2) via the boundary frame on R+."""
+def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
+    """Hard-edge kernel (theta = 1/2) via the boundary frame on R+; the
+    frame's G-functions come by the route of :func:`meijer.pick_route`."""
     d = _resolve_dps(dps)
     with mp.workdps(d + 10):
         xx, yy = mpf(x), mpf(y)
@@ -106,8 +107,8 @@ def kernel_meijer(alpha, x, y, dps=None, route="auto", return_complex=False):
                 "use kernel_diag_limit")
         px = SectorPoint(xx, mpf(0))
         py = SectorPoint(yy, mpf(0))
-        xmat = phi_matrix(alpha, px, dps=d, side="+", route=route)
-        yinv = phi_inverse(alpha, py, dps=d, side="+", route=route)
+        xmat = phi_matrix(alpha, px, dps=d, side="+")
+        yinv = phi_inverse(alpha, py, dps=d, side="+")
         # (-1, 1, 0) yinv xmat (1, 1, 0)^T without forming the product
         left = [yinv[1][k] - yinv[0][k] for k in range(3)]
         right = [xmat[k][0] + xmat[k][1] for k in range(3)]

@@ -22,7 +22,7 @@ Two independent evaluation routes:
   panel's largest single term (:func:`_fixed_dot`).  The largest terms
   also measure the digits the loop loses to cancellation; past 10 digits
   (|z| of a few hundred near arg 0, where G is recessive) it reruns once
-  with that many more digits and more Gauss-Legendre nodes.
+  with more Gauss-Legendre nodes and the working digits they win back.
 * :func:`g303_series` -- residue series: three Frobenius families
 
       G = sum_k z^{b_k} prod_{j!=k} Gamma(b_j - b_k)
@@ -34,8 +34,12 @@ theta-derivative triples (f, theta f, theta^2 f) come for free on both
 routes: term weights (b_k + n)^m in the series, moments (-s)^m under the
 integral.
 
+:func:`pick_route` names the route for given (b, m): the series unless
+m != 3 or the parameters are pairwise resonant, the loop there.
+
 The scalar assemblies phi_scalars / psi_scalars build the model-problem
-entries: with B = (0, -a, -a-1/2) and G = G^{3,0}_{0,3}(. | B),
+entries on that route: with B = (0, -a, -a-1/2) and
+G = G^{3,0}_{0,3}(. | B),
 
     phi3(z) = G(z),   phi1(z) = i e^{2 pi i a} G(z e^{2 pi i}),
     phi2(z) = -i e^{-2 pi i a} G(z e^{-2 pi i}),   phi4 = phi1 + phi2,
@@ -57,9 +61,9 @@ from operator import add, mul
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .mpcore import (_resolve_dps, gamma, rgamma, legendre_nodes,
+from .mpcore import (_resolve_dps, gamma, rgamma, legendre_nodes, solve3,
                      QuadratureConvergenceError)
-from .specfun import hyper0f2_theta, ResonantParameterError
+from .specfun import frobenius_adjoint, hyper0f2_theta, ResonantParameterError
 
 #: legs of the loop contour run at Im s = +- LOOP_ETA
 LOOP_ETA = 1
@@ -418,15 +422,20 @@ def _loop_moments(b, m, c, point, d, wp, order):
 
 def _rerun_order(loss):
     """Gauss-Legendre order that wins back ``loss`` digits of panel
-    discretization error, in steps of 16 nodes.
+    discretization error, in steps of 16 nodes, and the extra working
+    digits that go with it.
 
     The loop's integrand has poles on the real axis, a distance 1 from
     legs of half-width 1, so an n-point panel converges like
     (1 + sqrt 2)^(-2n), 0.77 digits per node; at order 64 the error is
-    about 10^-44.5 of the largest term.
+    about 10^-44.5 of the largest term.  The extra digits are those the
+    added nodes win back, never fewer than ``loss``; since they depend on
+    the order alone, each order has one product table (25 digits at
+    order 96).
     """
-    nodes = loss / (2 * math.log10(1 + math.sqrt(2)))
-    return _GL_ORDER + 16 * math.ceil(nodes / 16)
+    per_node = 2 * math.log10(1 + math.sqrt(2))
+    order = _GL_ORDER + 16 * math.ceil(loss / per_node / 16)
+    return order, math.ceil((order - _GL_ORDER) * per_node)
 
 
 def mb_loop(b, point, m=3, dps=None, with_theta=False):
@@ -464,8 +473,8 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     at |z| = 10^3, arg 0).  The 64-node panels are accurate to about
     10^-44.5 of the largest term whatever the precision, so more digits
     alone do not help.  If a moment loses more than _LOOP_GUARD - 5 = 10
-    digits, the loop runs once more with that many more working digits
-    and the Gauss-Legendre order of :func:`_rerun_order`.
+    digits, the loop runs once more at the Gauss-Legendre order of
+    :func:`_rerun_order` and with the working digits that order wins back.
     """
     d = _resolve_dps(dps)
     wp = d + _LOOP_GUARD
@@ -474,10 +483,9 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
         c = max(-bb[j] for j in range(m)) + 1
         acc, loss = _loop_moments(bb, m, c, point, d, wp, _GL_ORDER)
         if loss > _LOOP_GUARD - 5:
-            extra = math.ceil(loss)
+            order, extra = _rerun_order(loss)
             with mp.workdps(wp + extra + 10):
-                acc, _ = _loop_moments(bb, m, c, point, d, wp + extra,
-                                       _rerun_order(loss))
+                acc, _ = _loop_moments(bb, m, c, point, d, wp + extra, order)
         front = 1 / (2 * mp.pi * mpc(0, 1))
         out = tuple(+(front * a) for a in acc)
     if with_theta:
@@ -496,21 +504,19 @@ class ScalarTriples:
     f2: tuple
     f3: tuple
     f4: tuple
-    route: str
 
 
-def _g3_triple(b, point, dps, route):
-    if route == "series":
+def pick_route(b, m):
+    """The route that evaluates G^{m,0}_{0,3}(.|b): ``"series"``
+    (:func:`g303_series`) unless m != 3 or the parameters are pairwise
+    resonant, and ``"loop"`` (:func:`mb_loop`) there."""
+    return "loop" if m != 3 or _pairwise_resonant(b) else "series"
+
+
+def _g3_triple(b, point, dps):
+    if pick_route(b, 3) == "series":
         return g303_series(b, point, dps=dps, with_theta=True)
-    if route == "loop":
-        return mb_loop(b, point, m=3, dps=dps, with_theta=True)
-    raise ValueError(f"unknown route {route!r}")
-
-
-def _pick_route(b, route):
-    if route == "auto":
-        return "loop" if _pairwise_resonant(b) else "series"
-    return route
+    return mb_loop(b, point, m=3, dps=dps, with_theta=True)
 
 
 def _txc(triple, const):
@@ -521,7 +527,7 @@ def _tadd(t1, t2):
     return tuple(x + y for x, y in zip(t1, t2))
 
 
-def phi_scalars(alpha, point, dps=None, route="auto"):
+def phi_scalars(alpha, point, dps=None):
     """Triples for phi1..phi4 at a sector point (any argument).
 
     phi4 is assembled as phi1 + phi2; downstream the identity
@@ -531,52 +537,49 @@ def phi_scalars(alpha, point, dps=None, route="auto"):
     d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), -a, -a - mpf("0.5"))
-    r = _pick_route(b, route)
     with mp.workdps(d + 15):
         twopi = 2 * mp.pi
         e_plus = mp.exp(mpc(0, 1) * twopi * a)   # e^{2 pi i a}
-        g0 = _g3_triple(b, point, d, r)
-        gp = _g3_triple(b, point.rotated(+twopi), d, r)
-        gm = _g3_triple(b, point.rotated(-twopi), d, r)
+        g0 = _g3_triple(b, point, d)
+        gp = _g3_triple(b, point.rotated(+twopi), d)
+        gm = _g3_triple(b, point.rotated(-twopi), d)
         phi1 = _txc(gp, mpc(0, 1) * e_plus)
         phi2 = _txc(gm, mpc(0, -1) / e_plus)
         phi3 = tuple(+x for x in g0)
         phi4 = _tadd(phi1, phi2)
-        return ScalarTriples(phi1, phi2, phi3, phi4, r)
+        return ScalarTriples(phi1, phi2, phi3, phi4)
 
 
-def psi_scalars(alpha, point, dps=None, route="auto"):
+def psi_scalars(alpha, point, dps=None):
     """Triples for psi1..psi4 at a sector point."""
     d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), a, a + mpf("0.5"))
-    r = _pick_route(b, route)
     with mp.workdps(d + 15):
         pi_ = mp.pi
         e_plus = mp.exp(mpc(0, 1) * 2 * pi_ * a)
-        g_m1 = _g3_triple(b, point.rotated(-pi_), d, r)
-        g_p1 = _g3_triple(b, point.rotated(+pi_), d, r)
-        g_m3 = _g3_triple(b, point.rotated(-3 * pi_), d, r)
+        g_m1 = _g3_triple(b, point.rotated(-pi_), d)
+        g_p1 = _g3_triple(b, point.rotated(+pi_), d)
+        g_m3 = _g3_triple(b, point.rotated(-3 * pi_), d)
         psi1 = tuple(+x for x in g_m1)
         psi2 = tuple(+x for x in g_p1)
         psi3 = _txc(_tadd(g_m3, _txc(g_m1, mpc(-1))), mpc(0, 1) * e_plus)
         psi4 = _tadd(psi2, _txc(psi1, mpc(-1)))
-        return ScalarTriples(psi1, psi2, psi3, psi4, r)
+        return ScalarTriples(psi1, psi2, psi3, psi4)
 
 
-def psi3_alternate(alpha, point, dps=None, route="auto"):
+def psi3_alternate(alpha, point, dps=None):
     """psi3 via the other analytic-continuation identity (consistency check):
     psi3 = i e^{-2 pi i a} (G(z e^{pi i}) - G(z e^{3 pi i})).
     """
     d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), a, a + mpf("0.5"))
-    r = _pick_route(b, route)
     with mp.workdps(d + 15):
         pi_ = mp.pi
         e_minus = mp.exp(mpc(0, -1) * 2 * pi_ * a)
-        g_p1 = _g3_triple(b, point.rotated(+pi_), d, r)
-        g_p3 = _g3_triple(b, point.rotated(+3 * pi_), d, r)
+        g_p1 = _g3_triple(b, point.rotated(+pi_), d)
+        g_p3 = _g3_triple(b, point.rotated(+3 * pi_), d)
         return _txc(_tadd(g_p1, _txc(g_p3, mpc(-1))), mpc(0, 1) * e_minus)
 
 
@@ -589,9 +592,6 @@ def psi_frobenius_constants(alpha, dps=None):
     The constants are real for real alpha; the imaginary residue is
     returned for inspection.
     """
-    from .mpcore import solve3
-    from .specfun import frobenius_adjoint
-
     d = _resolve_dps(dps)
     a = mpf(alpha)
     with mp.workdps(d + 10):
@@ -599,7 +599,7 @@ def psi_frobenius_constants(alpha, dps=None):
         rows = []
         rhs = []
         for zv in (mpf("0.3"), mpf("0.7"), mpf("1.1")):
-            g1, g2, g3 = frobenius_adjoint(alpha, zv, dps=d)
+            g1, g2, g3 = (t[0] for t in frobenius_adjoint(alpha, zv, dps=d))
             rows.append([g1, epia * g2, -mpc(0, 1) * epia * g3])
             pt = SectorPoint(zv, mpf(0))
             rhs.append(g303_series((mpf(0), a, a + mpf("0.5")),

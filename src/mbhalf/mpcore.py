@@ -242,17 +242,16 @@ def _ts_nodes(level, dps):
     return h, tuple(out)
 
 
-def _worst_component(total, prev, tol, abs_scale):
+def _worst_component(total, prev, tol):
     """Index of the component furthest from convergence, or None.
 
-    Component i has converged when |total_i - prev_i| <= tol * scale_i with
-    scale_i = max(|total_i|, abs_scale); a zero scale needs a zero change.
-    Unconverged components are ranked by change / scale.
+    Component i has converged when |total_i - prev_i| <= tol * |total_i|;
+    a zero total needs a zero change.  Unconverged components are ranked by
+    change / |total_i|.
     """
     worst, worst_ratio = None, None
     for i, (t, p) in enumerate(zip(total, prev)):
-        err = abs(t - p)
-        scale = max(abs(t), abs_scale)
+        err, scale = abs(t - p), abs(t)
         if err <= tol * scale:
             continue
         ratio = err / scale if scale else mp.inf
@@ -261,12 +260,12 @@ def _worst_component(total, prev, tol, abs_scale):
     return worst
 
 
-def quad_ts(f, a, b, tol=None, dps=None, max_level=12, abs_scale=0):
+def quad_ts(f, a, b, dps=None, max_level=12):
     """Tanh-sinh integral of ``f`` over [a, b] with level doubling.
 
     Handles integrable endpoint singularities (algebraic or logarithmic).
-    ``tol`` defaults to 10^(-dps+10).  Convergence means two successive
-    level estimates agree to ``tol`` relative to max(|I|, abs_scale).
+    Convergence means two successive level estimates agree to
+    tol = 10^(-dps+10) relative to |I| (10^-dps for dps <= 20).
     ``f`` may return a sequence; the result is then a list with one
     integral per component, all from one evaluation of ``f`` per node, and
     the levels go on until every component has converged by that rule on
@@ -274,13 +273,11 @@ def quad_ts(f, a, b, tol=None, dps=None, max_level=12, abs_scale=0):
     the last two estimates of the component furthest from convergence.
     """
     d = _resolve_dps(dps)
-    if tol is None:
-        tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
+    tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
     g, unwrap = _components(f)
     with mp.workdps(d + 10):
         a = mpf(a)
         b = mpf(b)
-        abs_scale = mpf(abs_scale)
         half = (b - a) / 2
         total = prev = None
         for level in range(0, max_level + 1):
@@ -307,10 +304,9 @@ def quad_ts(f, a, b, tol=None, dps=None, max_level=12, abs_scale=0):
                                       for tl, c in zip(total, contrib)]
             else:
                 total = [hh * c for c in contrib]
-            if prev is not None and _worst_component(
-                    total, prev, tol, abs_scale) is None:
+            if prev is not None and _worst_component(total, prev, tol) is None:
                 return unwrap([+v for v in total])
-        i = 0 if prev is None else _worst_component(total, prev, tol, abs_scale)
+        i = 0 if prev is None else _worst_component(total, prev, tol)
         raise QuadratureConvergenceError(
             f"tanh-sinh did not converge by level {max_level} (h={h})",
             estimates=(prev[i] if prev is not None else None, total[i]),

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, mpc
 
-from .mpcore import (_resolve_dps, gamma, mat_mul, mat_transpose, det3, inv3,
-                     norm_max, identity3)
+from .mpcore import _resolve_dps, mat_mul, mat_transpose, inv3, norm_max
 from .meijer import SectorPoint, phi_scalars, psi_scalars
 
 RAYS = ("pos", "ipos", "ineg", "neg")
@@ -109,19 +108,19 @@ def _assemble(scalars, layout, row_order):
     return [[cols[j][i] for j in range(3)] for i in row_order]
 
 
-def phi_matrix(alpha, point, dps=None, side=None, route="auto"):
+def phi_matrix(alpha, point, dps=None, side=None):
     """Phi_alpha at a sector point; rows (f, theta f, theta^2 f)."""
     d = _resolve_dps(dps)
     quad, ev = _classify(point, side)
-    sc = phi_scalars(alpha, ev, dps=d, route=route)
+    sc = phi_scalars(alpha, ev, dps=d)
     return _assemble(sc, _PHI_LAYOUT[quad], (0, 1, 2))
 
 
-def psi_matrix(alpha, point, dps=None, side=None, route="auto"):
+def psi_matrix(alpha, point, dps=None, side=None):
     """Psi_alpha at a sector point; rows (theta^2 g, theta g, g)."""
     d = _resolve_dps(dps)
     quad, ev = _classify(point, side)
-    sc = psi_scalars(alpha, ev, dps=d, route=route)
+    sc = psi_scalars(alpha, ev, dps=d)
     return _assemble(sc, _PSI_LAYOUT[quad], (2, 1, 0))
 
 
@@ -160,7 +159,7 @@ def psi_jump(ray, alpha, dps=None):
 _RAY_ANGLE = {"pos": 0.0, "ipos": 0.5, "ineg": -0.5, "neg": 1.0}
 
 
-def jump_residual(alpha, ray, modulus, dps=None, frame="phi", route="auto"):
+def jump_residual(alpha, ray, modulus, dps=None, frame="phi"):
     """Relative residual of F_+ = F_- J on the given ray at |z| = modulus."""
     d = _resolve_dps(dps)
     build = phi_matrix if frame == "phi" else psi_matrix
@@ -168,8 +167,8 @@ def jump_residual(alpha, ray, modulus, dps=None, frame="phi", route="auto"):
     with mp.workdps(d + 10):
         th = mpf(_RAY_ANGLE[ray]) * mp.pi
         pt = SectorPoint(mpf(modulus), th)
-        fp = build(alpha, pt, dps=d, side="+", route=route)
-        fm = build(alpha, pt, dps=d, side="-", route=route)
+        fp = build(alpha, pt, dps=d, side="+")
+        fm = build(alpha, pt, dps=d, side="-")
         J = jump(ray, alpha, dps=d)
         resid = norm_max([[fp[i][j] - x for j, x in enumerate(row)]
                           for i, row in enumerate(mat_mul(fm, J))])
@@ -207,22 +206,22 @@ def c_matrix(alpha, dps=None):
                 [a * (a + mpf("0.5")), 2 * a + mpf("0.5"), mpf(1)]]
 
 
-def phi_inverse(alpha, point, dps=None, side=None, route="auto"):
+def phi_inverse(alpha, point, dps=None, side=None):
     """Phi^{-1} from the adjoint frame: -(1/4 pi^2) Psi^T C."""
     d = _resolve_dps(dps)
     with mp.workdps(d + 10):
-        psi = psi_matrix(alpha, point, dps=d, side=side, route=route)
+        psi = psi_matrix(alpha, point, dps=d, side=side)
         prod = mat_mul(mat_transpose(psi), c_matrix(alpha, dps=d))
         s = -1 / (4 * mp.pi ** 2)
         return [[s * x for x in row] for row in prod]
 
 
-def phi_psi_product(alpha, point, dps=None, side=None, route="auto"):
+def phi_psi_product(alpha, point, dps=None, side=None):
     """Phi Psi^T; z-independent, equal to -4 pi^2 C^{-1}."""
     d = _resolve_dps(dps)
     with mp.workdps(d + 10):
-        phi = phi_matrix(alpha, point, dps=d, side=side, route=route)
-        psi = psi_matrix(alpha, point, dps=d, side=side, route=route)
+        phi = phi_matrix(alpha, point, dps=d, side=side)
+        psi = psi_matrix(alpha, point, dps=d, side=side)
         return mat_mul(phi, mat_transpose(psi))
 
 
@@ -312,7 +311,7 @@ def exp_diag(point, dps=None, frame="phi"):
         return [mp.exp(sgn * t * zr3) for t in trio]
 
 
-def expansion_residual(alpha, x, dps=None, frame="phi", route="auto"):
+def expansion_residual(alpha, x, dps=None, frame="phi"):
     """sup-norm distance of the normalized frame from I at real x > 0.
 
     For frame='phi' this is
@@ -327,11 +326,11 @@ def expansion_residual(alpha, x, dps=None, frame="phi", route="auto"):
         pt = SectorPoint(mpf(x), mpf(0))
         beta = mpf(alpha) + mpf("0.25")
         if frame == "phi":
-            M = phi_matrix(alpha, pt, dps=d, side="+", route=route)
+            M = phi_matrix(alpha, pt, dps=d, side="+")
             T = t_matrix(alpha, dps=wp)
             scale = (2 * mp.pi / mp.sqrt(3)) * pt.power(-2 * beta / 3, dps=wp)
         else:
-            M = psi_matrix(alpha, pt, dps=d, side="+", route=route)
+            M = psi_matrix(alpha, pt, dps=d, side="+")
             T = t_tilde_matrix(alpha, dps=wp)
             scale = -(2 * mp.pi / mp.sqrt(3)) * pt.power(2 * beta / 3, dps=wp)
         L = l_matrix(alpha, pt, dps=wp, frame=frame)

@@ -177,14 +177,20 @@ def wright_bessel(a, b, x, dps=None):
         return mp.fsum(_wright_terms(mpf(a), mpf(b), xx, d))
 
 
-def _triple_with_prefactor(z, c, inner, dps):
-    """z^c * (S0, S1, S2) with the power on the principal branch."""
-    with mp.workdps(dps):
-        pref = mp.exp(mpf(c) * mp.log(mpc(z)))
-        return tuple(+(pref * s) for s in inner)
+def _frobenius(z, x, table, dps):
+    """z^c * (S0, S1, S2) of 0F2(-; b1, b2; x) for each (b1, b2, c) of
+    ``table``, the power on the principal branch."""
+    d = _resolve_dps(dps)
+    out = []
+    for b1, b2, c in table:
+        inner = hyper0f2_theta(b1, b2, x, c=c, dps=d)
+        with mp.workdps(d + 10):
+            pref = mp.exp(mpf(c) * mp.log(mpc(z)))
+            out.append(tuple(+(pref * s) for s in inner))
+    return out
 
 
-def frobenius_forward(alpha, z, dps=None, with_theta=False):
+def frobenius_forward(alpha, z, dps=None):
     """Frobenius basis of theta(theta+a)(theta+a+1/2) phi = -z phi.
 
     Indices at 0 are 0, -a, -a-1/2:
@@ -193,27 +199,18 @@ def frobenius_forward(alpha, z, dps=None, with_theta=False):
         z^{-a}     0F2(-; 1-a, 3/2; -z)
         z^{-a-1/2} 0F2(-; 1/2-a, 1/2; -z)
 
-    Principal branches.  With ``with_theta`` each entry is the triple
-    (f, theta f, theta^2 f).
+    Principal branches.  Each entry is the triple (f, theta f, theta^2 f).
     """
     check_nonresonant(alpha)
-    d = _resolve_dps(dps)
     a = mpf(alpha)
-    wp = d + 10
-    sols = []
-    for (b1, b2, c) in (
+    return _frobenius(z, -mpc(z), (
         (1 + a, mpf("1.5") + a, mpf(0)),
         (1 - a, mpf("1.5"), -a),
         (mpf("0.5") - a, mpf("0.5"), -a - mpf("0.5")),
-    ):
-        inner = hyper0f2_theta(b1, b2, -mpc(z), c=c, dps=d)
-        sols.append(_triple_with_prefactor(z, c, inner, wp))
-    if with_theta:
-        return sols
-    return [s[0] for s in sols]
+    ), dps)
 
 
-def frobenius_adjoint(alpha, z, dps=None, with_theta=False):
+def frobenius_adjoint(alpha, z, dps=None):
     """Frobenius basis of theta(theta-a)(theta-a-1/2) psi = z psi.
 
     Indices at 0 are 0, a, a+1/2.  The indicial recursion
@@ -223,20 +220,13 @@ def frobenius_adjoint(alpha, z, dps=None, with_theta=False):
         z^a       0F2(-; 1+a, 1/2; z)
         z^{a+1/2} 0F2(-; 3/2+a, 3/2; z)
 
-    (equivalently: the forward basis under a -> -a-1/2, z -> -z).
+    (equivalently: the forward basis under a -> -a-1/2, z -> -z).  Each
+    entry is the triple (g, theta g, theta^2 g).
     """
     check_nonresonant(alpha)
-    d = _resolve_dps(dps)
     a = mpf(alpha)
-    wp = d + 10
-    sols = []
-    for (b1, b2, c) in (
+    return _frobenius(z, mpc(z), (
         (1 - a, mpf("0.5") - a, mpf(0)),
         (1 + a, mpf("0.5"), a),
         (mpf("1.5") + a, mpf("1.5"), a + mpf("0.5")),
-    ):
-        inner = hyper0f2_theta(b1, b2, mpc(z), c=c, dps=d)
-        sols.append(_triple_with_prefactor(z, c, inner, wp))
-    if with_theta:
-        return sols
-    return [s[0] for s in sols]
+    ), dps)

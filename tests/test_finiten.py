@@ -19,6 +19,7 @@ from mbhalf.finiten import (
     multiple_orthogonality_check,
     y_growth_residual,
 )
+from mbhalf.finiten import _tail_box
 
 
 def test_laguerre_moments_closed_form():
@@ -70,6 +71,16 @@ def test_moment_table_validation():
 def test_tail_box_failure_for_shrinking_field():
     with pytest.raises(DomainExtensionError):
         moments(mpf(0), 2, lambda x: -x, smax=2, dps=30)
+
+
+def test_tail_box_bisects_the_doubling_bracket():
+    # the bound (3 + alpha) log X - 2 X = -50 log 10 crosses at X = 64.01;
+    # doubling from 4 alone stops at 128, twice the needed box
+    alpha, n, smax, d = mpf("0.1"), 2, mpf(3), 40
+    with mp.workdps(d + 10):
+        X = _tail_box(alpha, n, lambda x: x, smax, d)
+        assert X <= 66
+        assert X ** (smax + alpha) * mp.exp(-n * X) < mpf(10) ** (-(d + 10))
 
 
 @pytest.fixture(scope="module")

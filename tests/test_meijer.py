@@ -85,10 +85,12 @@ def test_resonant_loop_matches_mpmath_meijerg():
 def test_loop_accuracy_at_large_modulus():
     # near arg 0 at |z| = 10^3 G is recessive and the loop's terms cancel
     # by about 20 digits, more than its guard digits; the cancellation
-    # rerun must still deliver the requested 30 digits
+    # rerun must still deliver the requested 30 digits.  The losses differ
+    # (20.5 digits at arg 0, 17.2 at arg 2.5) but call for the same
+    # Gauss-Legendre order, so the reruns must share one product table
     d = 30
     b_res = (mpf(0), mpf(0), mpf("-0.5"))
-    for ang in ("0", "0.5"):
+    for ang in ("0", "0.5", "2.5"):
         pt = SectorPoint(mpf(1000), mpf(ang))
         ref_std = g303_series(B_STD, pt, dps=80)
         with mp.workdps(70):
@@ -97,6 +99,9 @@ def test_loop_accuracy_at_large_modulus():
             got = mb_loop(b, pt, m=3, dps=d)
             with mp.workdps(80):
                 assert abs(got - ref) / abs(ref) <= mpf(10) ** (-d + 2), (b, ang)
+    for b in (B_STD, b_res):
+        tables = [k for k in meijer._loop_cache if k[0] == b and k[3] == 96]
+        assert len(tables) == 1, tables
 
 
 def test_loop_panel_budget_reports_last_two_estimates(monkeypatch):

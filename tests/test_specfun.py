@@ -151,7 +151,7 @@ def test_frobenius_forward_satisfies_ode():
     with mp.workdps(60):
         resids = _theta3_residual(
             mpf("0.3"), mpf("0.8"),
-            lambda a, zz: frobenius_forward(a, zz, dps=50, with_theta=True),
+            lambda a, zz: frobenius_forward(a, zz, dps=50),
             sign=+1)
         for r in resids:
             assert r < mpf("1e-19"), resids
@@ -161,7 +161,7 @@ def test_frobenius_adjoint_satisfies_ode():
     with mp.workdps(60):
         resids = _theta3_residual(
             mpf("-0.4"), mpf("1.3"),
-            lambda a, zz: frobenius_adjoint(a, zz, dps=50, with_theta=True),
+            lambda a, zz: frobenius_adjoint(a, zz, dps=50),
             sign=-1)
         for r in resids:
             assert r < mpf("1e-19"), resids
@@ -173,11 +173,11 @@ def test_frobenius_indices_at_origin():
     z = mpf("1e-10")
     with mp.workdps(60):
         fwd = frobenius_forward(a, z, dps=40)
-        for val, idx in zip(fwd, (mpf(0), -a, -a - mpf("0.5"))):
+        for (val, _, _), idx in zip(fwd, (mpf(0), -a, -a - mpf("0.5"))):
             lead = val * mp.power(z, -idx)
             assert abs(lead - 1) < mpf("1e-9"), idx
         adj = frobenius_adjoint(a, z, dps=40)
-        for val, idx in zip(adj, (mpf(0), a, a + mpf("0.5"))):
+        for (val, _, _), idx in zip(adj, (mpf(0), a, a + mpf("0.5"))):
             lead = val * mp.power(z, -idx)
             assert abs(lead - 1) < mpf("1e-9"), idx
 
@@ -192,7 +192,7 @@ def test_frobenius_bases_wronskian_structure():
             if resonance_distance(a) < 0.05:
                 continue
             z = mpf(float(rng.uniform(0.2, 2.0)))
-            tr = frobenius_forward(a, z, dps=40, with_theta=True)
+            tr = frobenius_forward(a, z, dps=40)
             det = (
                 tr[0][0] * (tr[1][1] * tr[2][2] - tr[1][2] * tr[2][1])
                 - tr[1][0] * (tr[0][1] * tr[2][2] - tr[0][2] * tr[2][1])
