@@ -28,7 +28,7 @@ from .mpcore import (
     mat_transpose,
     norm_max,
 )
-from .specfun import ResonantParameterError
+from .specfun import ResonantParameterError, SeriesConvergenceError
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
@@ -46,6 +46,7 @@ _NUMERICAL_ERRORS = (
     SingularMatrixError,
     GammaPoleError,
     ResonantParameterError,
+    SeriesConvergenceError,
     DomainExtensionError,
     eq.BranchSelectionError,
     eq.DomainError,

@@ -68,33 +68,39 @@ class MomentTable:
 
 
 def _tail_box(alpha, n, V, smax, d):
-    """Right endpoint X with integrand below 10^-(d+10) at X.
+    """Right endpoint X with integrand below 10^-(d+10) at X and at every
+    doubling point 4 * 2^i beyond it up to the cap 4 * 2^59.
 
-    X doubles from 4 until the test holds; eight halvings of the bracket
-    [X/2, X] on the same test then bring X to within 2^-9 X of the
-    crossing, where doubling alone overshoots it by up to 2x.
+    The last doubling point where the test fails brackets the last
+    crossing in [X/2, X]; eight halvings of that bracket on the same test
+    bring X to within 2^-9 X of the crossing, where doubling alone
+    overshoots it by up to 2x.  X = 4 when every point passes; a failing
+    test at the cap raises :class:`DomainExtensionError`.
     """
-    bound = mpf(10) ** (-(d + 10))
+    # the test x^(smax+alpha) exp(-n V(x)) < 10^-(d+10), taken in logs
+    log_bound = -(d + 10) * mp.ln10
+    power = mpf(smax) + alpha
 
     def small(x):
-        return x ** (mpf(smax) + alpha) * mp.exp(-n * V(x)) < bound
+        return power * mp.log(x) - n * V(x) < log_bound
 
-    X = mpf(4)
-    for i in range(60):
-        if small(X):
-            if i:
-                lo = X / 2
-                for _ in range(8):
-                    mid = (lo + X) / 2
-                    if small(mid):
-                        X = mid
-                    else:
-                        lo = mid
-            return X
-        X *= 2
-    raise DomainExtensionError(
-        "moment integrand not below 10^-%d by X=%s; V grows too slowly"
-        % (d + 10, mp.nstr(X, 5)))
+    points = [mpf(4) * 2 ** i for i in range(60)]
+    large = [x for x in points if not small(x)]
+    if not large:
+        return points[0]
+    lo = large[-1]
+    if lo == points[-1]:
+        raise DomainExtensionError(
+            "moment integrand not below 10^-%d by X=%s; V grows too slowly"
+            % (d + 10, mp.nstr(lo, 5)))
+    X = 2 * lo
+    for _ in range(8):
+        mid = (lo + X) / 2
+        if small(mid):
+            X = mid
+        else:
+            lo = mid
+    return X
 
 
 def moments(alpha, n, V="laguerre", smax=8, dps=None):

@@ -18,6 +18,13 @@ diagonal and for a in (-1,0).  At th=1 it collapses to the classical
 Bessel hard-edge kernel (a Lommel-integral identity used as an
 independent test oracle).
 
+The double series is summed in integers: A_j, C_k and the shifts
+th k + a + 1 become fixed-point integers once, each inner sum
+sum_k C_k / (j + th k + a + 1) is a run of integer floor divisions, and
+the double sum is rounded to an mpf once (:func:`_double_sum`, which
+states the error bound).  The Wright-Bessel terms themselves still stop
+after STOP_RUN consecutive negligible terms.
+
 Two normalizations of the limit kernel are in circulation, differing by
 the choice of microscopic scale: the 'plain' one is B above (scale n^3
 at th=1/2), while the scaling theorem for V(x)=x uses the scale
@@ -44,15 +51,46 @@ consistency diagnostic.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, mpc
+from operator import floordiv
 
-from .mpcore import _resolve_dps
+from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, round_nearest
+
+from .mpcore import _resolve_dps, _to_fixed
 from .specfun import _wright_guard, _wright_terms
 from .meijer import SectorPoint
 from .rhframe import phi_matrix, phi_inverse
 
 #: relative diagonal gap below which the matrix route refuses to divide
 DIAG_GUARD = 1e-6
+#: bits of the double sum's fixed-point scales beyond the working precision
+_SUM_GUARD = 24
+
+
+def _double_sum(xterms, yterms, shifts):
+    """sum_j A_j sum_k C_k / (j + s_k) for real A = ``xterms``,
+    C = ``yterms``, s = ``shifts`` (all s_k > 0), rounded once to the
+    working precision.
+
+    With w = prec + _SUM_GUARD, A_j is an integer at the scale
+    2^(top A - w), C_k at 2^(top C - w) and s_k at 2^-w (top: |entry| <=
+    2^top for every entry).  Each C_k / (j + s_k) is one floor division,
+    off by under one unit, and the integer sums are exact; with the
+    truncations of A_j and s_k, J x K terms are off by at most
+    3 J K 2^(top A + top C - w) / min(1, s_0)^2 before the last rounding.
+    """
+    prec = mp.prec
+    w = prec + _SUM_GUARD
+    ea = max(mp.mag(t) for t in xterms) - w
+    ec = max(mp.mag(t) for t in yterms) - w
+    a = [_to_fixed(t._mpf_, ea) for t in xterms]
+    c = [_to_fixed(t._mpf_, ec) << w for t in yterms]
+    s = [_to_fixed(t._mpf_, -w) for t in shifts]
+    total = 0
+    for j, aj in enumerate(a):
+        jw = j << w
+        total += aj * sum(map(floordiv, c, [jw + sk for sk in s]))
+    return mp.make_mpf(from_man_exp(total, ea + ec, prec, round_nearest))
 
 
 def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
@@ -88,9 +126,7 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
         xterms = _wright_terms((a + 1) / th, 1 / th, xx, d)
         yterms = _wright_terms(a + 1, th, yth, d)
         shifts = [th * k + a + 1 for k in range(len(yterms))]
-        val = mp.fsum(xj * mp.fdot(yterms, [1 / (j + s) for s in shifts])
-                      for j, xj in enumerate(xterms))
-        return front * th * yy ** a * val
+        return front * th * yy ** a * _double_sum(xterms, yterms, shifts)
 
 
 def kernel_meijer(alpha, x, y, dps=None, return_complex=False):

@@ -61,8 +61,8 @@ from operator import add, mul
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .mpcore import (_resolve_dps, gamma, rgamma, legendre_nodes, solve3,
-                     QuadratureConvergenceError)
+from .mpcore import (_resolve_dps, _to_fixed, gamma, rgamma, legendre_nodes,
+                     solve3, QuadratureConvergenceError)
 from .specfun import frobenius_adjoint, hyper0f2_theta, ResonantParameterError
 
 #: legs of the loop contour run at Im s = +- LOOP_ETA
@@ -121,9 +121,28 @@ def _pairwise_resonant(b):
     return False
 
 
+def _lru_get(cache, size, key, make):
+    """cache[key], made by ``make()`` on a miss; the least recently used
+    entry is dropped beyond ``size`` entries."""
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = make()
+        if len(cache) > size:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return got
+
+
 # ----------------------------------------------------------------------
 # residue series route
 # ----------------------------------------------------------------------
+
+#: series coefficients Gamma(b_j - b_k) Gamma(b_l - b_k) kept per exact
+#: (b, k, wp); least recently used ones are dropped beyond this many
+_COEF_CACHE_SIZE = 64
+_coef_cache = OrderedDict()
+
 
 def g303_series(b, point, dps=None, with_theta=False):
     """G^{3,0}_{0,3}(z|b) by the three-family residue series.
@@ -131,7 +150,9 @@ def g303_series(b, point, dps=None, with_theta=False):
     Requires pairwise differences of the parameters to stay a safe
     distance (1e-6) from the integers; otherwise two families collide
     (log case) and :class:`ResonantParameterError` is raised -- callers
-    should fall back to :func:`mb_loop`.
+    should fall back to :func:`mb_loop`.  The gamma products in front of
+    the families depend on b and the working digits alone and are cached
+    by their exact values.
     """
     if _pairwise_resonant(b):
         raise ResonantParameterError(
@@ -142,11 +163,14 @@ def g303_series(b, point, dps=None, with_theta=False):
     wp = d + int(2.4 * max(r, 1.0) ** (1.0 / 3.0)) + 15
     with mp.workdps(wp):
         bb = [mpf(x) for x in b]
+        bkey = tuple(x._mpf_ for x in bb)
         zc = point.to_mpc(dps=wp)
         acc = [mpc(0), mpc(0), mpc(0)]
         for k in range(3):
             others = [bb[j] for j in range(3) if j != k]
-            coef = gamma(others[0] - bb[k], dps=wp) * gamma(others[1] - bb[k], dps=wp)
+            coef = _lru_get(_coef_cache, _COEF_CACHE_SIZE, (bkey, k, wp),
+                            lambda: gamma(others[0] - bb[k], dps=wp)
+                            * gamma(others[1] - bb[k], dps=wp))
             pref = point.power(bb[k], dps=wp)
             inner = hyper0f2_theta(1 + bb[k] - others[0], 1 + bb[k] - others[1],
                                    -zc, c=bb[k], dps=wp)
@@ -180,15 +204,6 @@ _LOG10_2 = math.log10(2)
 def _top(x):
     """e with |x| < 2^e for an mpf tuple x; -inf for zero."""
     return x[2] + x[3] if x[1] else _NO_TOP
-
-
-def _to_fixed(x, e):
-    """floor(x / 2^e) for an mpf tuple x."""
-    sign, man, exp, _ = x
-    if sign:
-        man = -man
-    sh = exp - e
-    return man << sh if sh >= 0 else man >> -sh
 
 
 class _Fixed:
@@ -346,16 +361,8 @@ class _LoopProducts:
 def _loop_products(b, m, c, dps, order):
     """The cached :class:`_LoopProducts`, keyed by the exact b, m, dps and
     order."""
-    key = (tuple(b), m, dps, order)
-    got = _loop_cache.get(key)
-    if got is None:
-        got = _LoopProducts(b, m, c, dps, order)
-        _loop_cache[key] = got
-        if len(_loop_cache) > _LOOP_CACHE_SIZE:
-            _loop_cache.popitem(last=False)
-    else:
-        _loop_cache.move_to_end(key)
-    return got
+    return _lru_get(_loop_cache, _LOOP_CACHE_SIZE, (tuple(b), m, dps, order),
+                    lambda: _LoopProducts(b, m, c, dps, order))
 
 
 def _loop_moments(b, m, c, point, d, wp, order):

@@ -62,6 +62,17 @@ def _resolve_dps(dps):
     return mp.dps if dps is None else int(dps)
 
 
+def _to_fixed(x, e):
+    """floor(x / 2^e) for an mpf tuple x: the one mpf-to-integer step of the
+    fixed-point sums (the loop's panel sums, the 0F2 term loop and the
+    kernel's double series)."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    sh = exp - e
+    return man << sh if sh >= 0 else man >> -sh
+
+
 # ----------------------------------------------------------------------
 # gamma
 # ----------------------------------------------------------------------

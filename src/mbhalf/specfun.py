@@ -11,22 +11,53 @@ that govern the hard-edge model problem at theta-parameter 1/2.
 
 All series are entire, but their terms oscillate in sign and can grow by
 exp(O(|z|^{1/3})) before decaying, so evaluation runs at a cancellation-
-guarded working precision and the stopping rule requires 30 consecutive
-negligible terms.
+guarded working precision.
+
+The 0F2 term loop runs in integer fixed point: the term, z and the sums
+are Python integers at one scale 2^-(prec+20), each step makes four
+integer products and divides both parts by the fixed-point
+(b1+k)(b2+k)(k+1), and each sum is rounded to an mpf once.  Its stop rests on an a priori
+geometric tail bound (Johansson, "Computing hypergeometric functions
+rigorously", ACM TOMS 2019): once k > max(-b1, -b2) the term ratio
+|z| / |(b1+k)(b2+k)(k+1)| decreases, so when it, times the growth of the
+weights, is below 1/2, the rest of every theta-sum is below twice the next
+weighted term (see :func:`hyper0f2_theta`).  The Wright-Bessel terms still
+stop after STOP_RUN consecutive negligible terms.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, mpc
+import math
 
-from .mpcore import _resolve_dps, rgamma
+from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, round_nearest
+
+from .mpcore import _resolve_dps, _to_fixed, rgamma
 
 RESONANCE_TOL = 1e-6
 
-#: consecutive sub-threshold terms required before a series is declared done
+#: consecutive sub-threshold Wright-Bessel terms required before the
+#: series is declared done
 STOP_RUN = 30
 
+#: term budget of every series; running out raises SeriesConvergenceError
 _MAX_TERMS = 20000
+#: bits of the 0F2 fixed-point scale beyond the working precision
+_THETA_GUARD_BITS = 20
+_LOG10_2 = math.log10(2)
+
+
+class SeriesConvergenceError(RuntimeError):
+    """A series used up its _MAX_TERMS terms before its stopping rule held.
+
+    ``partial_sums`` holds the sums where it stopped: (S0, S1, S2) for
+    :func:`hyper0f2_theta`, the last two partial sums for the Wright-Bessel
+    terms.
+    """
+
+    def __init__(self, message, partial_sums):
+        super().__init__(message)
+        self.partial_sums = partial_sums
 
 
 class ResonantParameterError(ValueError):
@@ -65,6 +96,77 @@ def _check_lower_param(b):
         raise ValueError(f"lower 0F2 parameter {bf} is a nonpositive integer")
 
 
+def _theta_combine(t0, t1, t2, c, f, prec):
+    """(S0, S1, S2) as mpc from T_m = sum_k k^m t_k, given as (re, im)
+    integer pairs at the scale 2^-f: S1 = c T0 + T1, S2 = c^2 T0 + 2c T1
+    + T2, each rounded once."""
+    cf = _to_fixed(c._mpf_, -f)
+    c2 = (cf * cf) >> f
+    parts = (t0, [((cf * u) >> f) + v for u, v in zip(t0, t1)],
+             [((c2 * u + 2 * cf * v) >> f) + w for u, v, w in zip(t0, t1, t2)])
+    return tuple(mp.make_mpc(tuple(from_man_exp(x, -f, prec, round_nearest)
+                                   for x in p)) for p in parts)
+
+
+def _theta_sums(b1, b2, z, c):
+    """(S0, S1, S2) of :func:`hyper0f2_theta` at the working precision, and
+    the decimal digits lost to cancellation in S0.
+
+    Integers at the scale 2^-f, f = prec + _THETA_GUARD_BITS, carry the
+    term t_k, z, b1 + b2, b1 b2 and the sums T_m = sum_k k^m t_k, which
+    :func:`_theta_combine` turns into (S0, S1, S2).
+    Floor division leaves a term under one unit low, so a small negative
+    term can sit at -1 unit for ever; the stop therefore never waits for
+    the term to vanish.  It needs k > max(-b1, -b2), where the ratio
+    r_k = |z| / |(b1+k)(b2+k)(k+1)| of t_(k+1) to t_k decreases in k, and
+    q = r_k ((|c|+k+1) / (|c|+k))^2 < 1/2, which bounds the growth of the
+    weights (c+j)^m, m <= 2, as well.  The rest of each sum is then below
+    2 r_k (|c|+k+1)^2 |t_k| < (|c|+k+2)^2 |t_k|, and the loop stops when
+    that, with |t_k| counted two units high, is below 2^-prec (2^20 units).
+    """
+    prec = mp.prec
+    f = prec + _THETA_GUARD_BITS
+    one = 1 << f
+    zr, zi = _to_fixed(z.real._mpf_, -f), _to_fixed(z.imag._mpf_, -f)
+    p1, p2 = _to_fixed(b1._mpf_, -f), _to_fixed(b2._mpf_, -f)
+    bsum, bprod = p1 + p2, (p1 * p2) >> f
+    zabs, b1f, b2f, cabs = float(abs(z)), float(b1), float(b2), abs(float(c))
+    kmin = max(-b1f, -b2f)
+    tiny = 1 << _THETA_GUARD_BITS
+    tr, ti = one, 0
+    t0r, t0i, t1r, t1i, t2r, t2i = one, 0, 0, 0, 0, 0
+    big = one
+    k = 0
+    while True:
+        if k >= _MAX_TERMS:
+            raise SeriesConvergenceError(
+                "0F2 series did not meet its tail bound within %d terms"
+                % _MAX_TERMS, partial_sums=_theta_combine(
+                    (t0r, t0i), (t1r, t1i), (t2r, t2i), c, f, prec))
+        den = ((k * k << f) + k * bsum + bprod) * (k + 1)
+        tr, ti = (tr * zr - ti * zi) // den, (tr * zi + ti * zr) // den
+        k += 1
+        t0r += tr
+        t0i += ti
+        kr, ki = k * tr, k * ti
+        t1r += kr
+        t1i += ki
+        t2r += k * kr
+        t2i += k * ki
+        mag = abs(tr) + abs(ti)
+        if mag > big:
+            big = mag
+        if k > kmin:
+            w = cabs + k
+            q = zabs / abs((b1f + k) * (b2f + k) * (k + 1)) * ((w + 1) / w) ** 2
+            wi = int(cabs) + k + 3
+            if q < 0.5 and (mag + 2) * wi * wi < tiny:
+                break
+    # an S0 below the scale counts as every digit lost
+    lost = (big.bit_length() - (abs(t0r) + abs(t0i)).bit_length()) * _LOG10_2
+    return _theta_combine((t0r, t0i), (t1r, t1i), (t2r, t2i), c, f, prec), lost
+
+
 def hyper0f2_theta(b1, b2, z, c=0, dps=None):
     """(S0, S1, S2) with S_m = sum_k (c+k)^m z^k / ((b1)_k (b2)_k k!).
 
@@ -73,49 +175,23 @@ def hyper0f2_theta(b1, b2, z, c=0, dps=None):
     z^c * S_m.  Raising ``c`` costs nothing extra: the weights multiply
     term by term.
 
-    Retries once at raised precision if the observed term growth exceeded
-    the cancellation guard.
+    The terms are summed in integer fixed point and the series stops on
+    the geometric tail bound of :func:`_theta_sums`, which keeps the tail
+    of every S_m below 2^-prec.  Retries once at raised precision if the
+    largest term exceeded |S0| by more digits than the cancellation guard
+    holds; raises :class:`SeriesConvergenceError` past _MAX_TERMS terms.
     """
     d = _resolve_dps(dps)
     guard = _series_guard(abs(z), 1.0 / 3.0)
     _check_lower_param(b1)
     _check_lower_param(b2)
     for attempt in range(2):
-        wp = d + guard
-        with mp.workdps(wp):
-            zz = mpc(z)
-            bb1, bb2, cc = mpf(b1), mpf(b2), mpf(c)
-            term = mpc(1)
-            s0 = mpc(1)
-            s1 = cc * 1
-            s2 = cc * cc
-            maxmag = mpf(1)
-            stop_eps = mpf(10) ** (-(d + 5))
-            run = 0
-            k = 0
-            while k < _MAX_TERMS:
-                term = term * zz / ((bb1 + k) * (bb2 + k) * (k + 1))
-                k += 1
-                w = cc + k
-                s0 += term
-                s1 += w * term
-                s2 += w * w * term
-                t = abs(term)
-                if t > maxmag:
-                    maxmag = t
-                if t <= stop_eps * (abs(s0) or mpf(1)):
-                    run += 1
-                    if run >= STOP_RUN:
-                        break
-                else:
-                    run = 0
-            lost = 0.0
-            if abs(s0) > 0:
-                lost = float(mp.log10(maxmag / abs(s0)))
-            if lost > guard - 8 and attempt == 0:
-                guard = int(lost) + 15
-                continue
-            return +s0, +s1, +s2
+        with mp.workdps(d + guard):
+            sums, lost = _theta_sums(mpf(b1), mpf(b2), mpc(z), mpf(c))
+        if lost > guard - 8 and attempt == 0:
+            guard = int(lost) + 15
+            continue
+        return sums
     raise RuntimeError("unreachable")
 
 
@@ -133,6 +209,7 @@ def _wright_guard(b, x):
 def _wright_terms(a, b, x, d):
     """Terms (-x)^j / (j! Gamma(a+bj)) of J_{a,b}(x) at the ambient precision;
     the last STOP_RUN terms are each below 10^-(d+5) of the running sum.
+    Raises :class:`SeriesConvergenceError` past _MAX_TERMS terms.
 
     For a > 0 with 2b exactly a positive integer (the cases 1/theta = 2,
     theta = 1/2 and the classical b = 1) the reciprocal gamma of term j+2
@@ -157,11 +234,13 @@ def _wright_terms(a, b, x, d):
         if abs(term) <= stop_eps * (abs(total) or 1):
             run += 1
             if run >= STOP_RUN:
-                break
+                return terms
         else:
             run = 0
         power *= -x / (j + 1)
-    return terms
+    raise SeriesConvergenceError(
+        "Wright-Bessel series did not settle within %d terms" % _MAX_TERMS,
+        partial_sums=(total - terms[-1], total))
 
 
 def wright_bessel(a, b, x, dps=None):

@@ -5,6 +5,7 @@ import json
 import pytest
 from mpmath import mpf
 
+from mbhalf import specfun
 from mbhalf.cli import UsageError, main, parse_grid
 
 
@@ -69,6 +70,15 @@ def test_numerical_failure_exit_code(capsys):
     rc = main(["eqsolve", "--m", "60", "--max-iter", "1"])
     assert rc == 3
     assert "eqsolve" in capsys.readouterr().err
+
+
+def test_series_budget_exit_code(capsys, monkeypatch):
+    # a series that runs out of terms is a numerical failure, not a value
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    rc = main(["kernel", "--alpha", "0.3", "--x-grid", "1", "--y-grid", "2",
+               "--route", "integral"])
+    assert rc == 3
+    assert "kernel" in capsys.readouterr().err
 
 
 def test_meijer_auto_route_reported(capsys):

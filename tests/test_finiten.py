@@ -83,6 +83,15 @@ def test_tail_box_bisects_the_doubling_bracket():
         assert X ** (smax + alpha) * mp.exp(-n * X) < mpf(10) ** (-(d + 10))
 
 
+def test_tail_box_finds_mass_beyond_the_first_small_point():
+    # exp(-4 (x - 10)^2) is already below the bound at x = 4; the box must
+    # still reach past the bump at 10
+    with mp.workdps(40):
+        got = moments(mpf(0), 4, lambda x: (x - 10) ** 2, smax=1, dps=30)
+        ref = mp.quad(lambda x: mp.exp(-4 * (x - 10) ** 2), [0, 10, mp.inf])
+        assert abs(got.value(mpf(0)) - ref) < mpf("1e-25")
+
+
 @pytest.fixture(scope="module")
 def system6():
     mt = moments(mpf("0.5"), 6, "laguerre", smax=mpf(15), dps=80)

@@ -32,6 +32,66 @@ def _unused_imports(tree):
                   if name not in used)
 
 
+def _private_definitions(tree):
+    """Private names (one leading underscore) that a module binds at top
+    level by def, class or assignment, with their lines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        found.append((node.lineno, leaf.id))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(tree):
+    """Names a module reads: loaded names, attribute names and names it
+    imports from elsewhere."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private(trees):
+    """(module, line, name) of every private top-level name of ``trees``
+    (a name -> tree mapping) that no tree reads."""
+    read = set().union(*map(_reads, trees.values()))
+    return sorted((mod, line, name) for mod, tree in trees.items()
+                  for line, name in _private_definitions(tree)
+                  if name not in read)
+
+
+def test_no_unread_private_names():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC}
+    unread = _unread_private(trees)
+    assert not unread, ", ".join("%s:%d %s" % item for item in unread)
+
+
+def test_unread_private_detector():
+    trees = {"a.py": ast.parse("_K = 3\n"
+                               "_dead, PUBLIC = 1, 2\n"
+                               "def _helper():\n"
+                               "    return _K\n"
+                               "class _Gone:\n"
+                               "    pass\n"
+                               "def __getattr__(name):\n"
+                               "    _local = 1\n"),
+             "b.py": ast.parse("from a import _helper\n")}
+    assert _unread_private(trees) == [("a.py", 2, "_dead"), ("a.py", 5, "_Gone")]
+
+
 def test_sources_found():
     assert len(SRC) >= 8
 

@@ -35,6 +35,17 @@ def test_routes_agree_spotcheck():
             assert abs(vm - vi) / abs(vi) < ROUTE_TOL, (a, x, y)
 
 
+def test_integral_route_accuracy_at_requested_digits():
+    # the integer double sum at d digits against itself at d + 40
+    for a, x, y, d in ((mpf("-0.9"), mpf("0.5"), mpf(2), 40),
+                       (mpf("0.3"), mpf("4.1"), mpf("0.7"), 50),
+                       (mpf(0), mpf(30), mpf(25), 60)):
+        got = kernel_integral(a, x, y, dps=d)
+        ref = kernel_integral(a, x, y, dps=d + 40)
+        with mp.workdps(d + 50):
+            assert abs(got - ref) <= mpf(10) ** (-(d + 5)) * abs(ref), (a, x, y)
+
+
 def test_kernel_is_not_symmetric():
     # the two polynomial families differ, so K(x,y) != K(y,x)
     with mp.workdps(40):

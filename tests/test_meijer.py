@@ -252,12 +252,14 @@ def test_psi_frobenius_constants_are_real():
 
 def test_loop_cache_keyed_by_exact_parameters():
     # b2 differs from b1 below 25 significant digits; a cache keyed by a
-    # rounded b returned b1's products for b2 (an error of 5e-30 at |G| = 0.13)
+    # rounded b returned b1's products for b2 (an error of 5e-30 at |G| = 0.13).
+    # The series' cached gamma coefficients must not mix them up either.
     with mp.workdps(45):
         b1 = (mpf("0.03"), mpf("-0.35"), mpf("-0.7"))
         b2 = (b1[0] + mpf("1e-28"), b1[1], b1[2])
     pt = SectorPoint(mpf("1.25"), mpf("0.5"))
     mb_loop(b1, pt, m=3, dps=45)
+    g303_series(b1, pt, dps=45)
     got = mb_loop(b2, pt, m=3, dps=45)
     ref = g303_series(b2, pt, dps=45)
     with mp.workdps(55):

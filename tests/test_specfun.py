@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
+from mbhalf import specfun
 from mbhalf.specfun import (
     ResonantParameterError,
+    SeriesConvergenceError,
     check_nonresonant,
     frobenius_adjoint,
     frobenius_forward,
@@ -66,6 +69,66 @@ def test_theta_weights_match_log_derivative():
                    + func(-2, m)) / (12 * h)
             sym = func(0, m + 1)
             assert abs(num - sym) / abs(sym) < mpf("1e-20"), m
+
+
+def _away_from_poles(b):
+    # at least 0.05 from every nonpositive integer
+    return b > 0.05 or abs(b - round(b)) >= 0.05
+
+
+_lower = st.floats(-0.9, 3.0, exclude_min=True, exclude_max=True).filter(
+    _away_from_poles)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(b1=_lower, b2=_lower,
+       c=st.floats(-1.5, 0.5, exclude_min=True, exclude_max=True),
+       log_r=st.floats(-2.0, 3.0), arg=st.floats(-5 * np.pi, 5 * np.pi),
+       d=st.sampled_from([30, 45, 60]))
+def test_hyper0f2_theta_accuracy_property(b1, b2, c, log_r, arg, d):
+    # S0, S1, S2 at d digits against the same function at d + 40, and S0
+    # against mpmath's own 0F2
+    with mp.workdps(d + 50):
+        bb1, bb2, cc = mpf(b1), mpf(b2), mpf(c)
+        z = mpf(10) ** log_r * mp.expjpi(mpf(arg) / mp.pi)
+        got = hyper0f2_theta(bb1, bb2, z, c=cc, dps=d)
+        ref = hyper0f2_theta(bb1, bb2, z, c=cc, dps=d + 40)
+        tol = mpf(10) ** (-(d + 5))
+        for m in range(3):
+            assert abs(got[m] - ref[m]) <= tol * abs(ref[m]), m
+        oracle = mp.hyper([], [bb1, bb2], z)
+        assert abs(got[0] - oracle) <= tol * abs(oracle)
+
+
+def test_hyper0f2_theta_stops_on_the_tail_bound(monkeypatch):
+    # floor division leaves a small negative term at -1 unit for ever; a
+    # stop that waits for the term to vanish ran all _MAX_TERMS here
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 200)
+    b1, b2, z = mpf("1.3"), mpf("1.8"), mpf("1.3") * mp.expjpi(mpf("-0.25"))
+    got = hyper0f2_theta(b1, b2, z, dps=67)
+    with mp.workdps(80):
+        ref = mp.hyper([], [b1, b2], z)
+        assert abs(got[0] - ref) < mpf("1e-70") * abs(ref)
+
+
+def test_series_out_of_terms_raise_with_partial_sums(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    b1, b2, c = mpf("1.3"), mpf("1.8"), mpf("0.5")
+    with pytest.raises(SeriesConvergenceError) as info:
+        hyper0f2_theta(b1, b2, mpf(40), c=c, dps=30)
+    with mp.workdps(40):
+        terms = [mpf(40) ** k / (mp.rf(b1, k) * mp.rf(b2, k) * mp.factorial(k))
+                 for k in range(6)]
+        for m, s in enumerate(info.value.partial_sums):
+            ref = sum((c + k) ** m * t for k, t in enumerate(terms))
+            assert abs(s - ref) < mpf("1e-28") * ref, m
+    with pytest.raises(SeriesConvergenceError) as info:
+        wright_bessel(1, 1, mpf(9), dps=30)
+    prev, last = info.value.partial_sums
+    with mp.workdps(40):
+        ref = sum((-9) ** j / mp.factorial(j) ** 2 for j in range(5))
+        assert abs(last - ref) < mpf("1e-28") * abs(ref)
+        assert abs(last - prev - mpf(9) ** 4 / 576) < mpf("1e-28")
 
 
 def _wright_series_oracle(a, b, x, terms=200):
