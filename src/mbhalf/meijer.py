@@ -23,19 +23,31 @@ Two independent evaluation routes:
   also measure the digits the loop loses to cancellation; past 10 digits
   (|z| of a few hundred near arg 0, where G is recessive) it reruns once
   with more Gauss-Legendre nodes and the working digits they win back.
-* :func:`g303_series` -- residue series: three Frobenius families
+  Above 39 requested digits the first pass already takes more nodes.
+* :func:`g303_series` -- residue series.  With pairwise non-integer
+  parameter differences, three Frobenius families
 
       G = sum_k z^{b_k} prod_{j!=k} Gamma(b_j - b_k)
-                 0F2(-; 1 + b_k - b_{j1}, 1 + b_k - b_{j2}; -z),
+                 0F2(-; 1 + b_k - b_{j1}, 1 + b_k - b_{j2}; -z).
 
-  the fast path, requiring pairwise non-integer parameter differences.
+  At exact resonance, b_p - b_q = N a nonnegative integer for exactly one
+  pair (2a in Z for the model problem, a = 0 its default case), families
+  p and q meet in double poles, whose residues carry log z: family q's
+  first N poles stay simple and the rest is a logarithmic series in the
+  terms of 0F2(-; 1 - c, N + 1; -z), c = b_r - b_p, and their sums of
+  reciprocals (Luke, *The Special Functions and Their Approximations*,
+  1969; Johansson, "Computing hypergeometric functions rigorously", ACM
+  TOMS 2019).
 
 theta-derivative triples (f, theta f, theta^2 f) come for free on both
-routes: term weights (b_k + n)^m in the series, moments (-s)^m under the
-integral.
+routes: term weights (b_k + n)^m in the series (and their derivatives in
+the logarithmic family), moments (-s)^m under the integral.
 
-:func:`pick_route` names the route for given (b, m): the series unless
-m != 3 or the parameters are pairwise resonant, the loop there.
+:func:`pick_route` names the route for given (b, m): the series for m = 3,
+the logarithmic one at exact resonance; the loop for m != 3, and where b
+sits in the series' 1e-6 resonance window without being exactly resonant
+in one pair (near resonance, triple resonance).  The loop stays callable
+on its own at every b as the independent check of the series.
 
 The scalar assemblies phi_scalars / psi_scalars build the model-problem
 entries on that route: with B = (0, -a, -a-1/2) and
@@ -59,11 +71,12 @@ from dataclasses import dataclass
 from operator import add, mul
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_sub, round_nearest
 
 from .mpcore import (_resolve_dps, _to_fixed, gamma, rgamma, legendre_nodes,
                      solve3, QuadratureConvergenceError)
-from .specfun import frobenius_adjoint, hyper0f2_theta, ResonantParameterError
+from .specfun import (frobenius_adjoint, hyper0f2_log_theta, hyper0f2_theta,
+                      ResonantParameterError)
 
 #: legs of the loop contour run at Im s = +- LOOP_ETA
 LOOP_ETA = 1
@@ -111,14 +124,41 @@ class SectorPoint:
             return r * mpc(mp.cos(t), mp.sin(t))
 
 
-def _pairwise_resonant(b):
+def _near_integer_pairs(b):
+    """The pairs (i, j), i < j, whose difference b_i - b_j is within 1e-6
+    of an integer (a float test)."""
     bs = [float(x) for x in b]
+    pairs = []
     for i in range(3):
         for j in range(i + 1, 3):
             diff = bs[i] - bs[j]
             if abs(diff - round(diff)) < 1e-6:
-                return True
-    return False
+                pairs.append((i, j))
+    return pairs
+
+
+def _pairwise_resonant(b):
+    """True when some pair of b is in the series' 1e-6 resonance window."""
+    return bool(_near_integer_pairs(b))
+
+
+def _log_pair(b):
+    """(p, q, N) when b_p - b_q = N >= 0 is exactly an integer and no other
+    pair of b lies within 1e-6 of one; None otherwise.
+
+    The difference is taken exactly (no rounding) from the mpf values, so
+    a b that is resonant to many digits but not exactly, or triply
+    resonant, gets None.
+    """
+    near = _near_integer_pairs(b)
+    if len(near) != 1:
+        return None
+    i, j = near[0]
+    diff = mp.make_mpf(mpf_sub(mpf(b[i])._mpf_, mpf(b[j])._mpf_))
+    if not mp.isint(diff):
+        return None
+    n = int(diff)
+    return (i, j, n) if n >= 0 else (j, i, -n)
 
 
 def _lru_get(cache, size, key, make):
@@ -138,26 +178,99 @@ def _lru_get(cache, size, key, make):
 # residue series route
 # ----------------------------------------------------------------------
 
-#: series coefficients Gamma(b_j - b_k) Gamma(b_l - b_k) kept per exact
-#: (b, k, wp); least recently used ones are dropped beyond this many
+#: series coefficients (the gamma products in front of the families, and
+#: the gamma and digamma constants of the logarithmic family) kept per exact
+#: (b, family, wp); least recently used ones are dropped beyond this many
 _COEF_CACHE_SIZE = 64
 _coef_cache = OrderedDict()
 
 
-def g303_series(b, point, dps=None, with_theta=False):
-    """G^{3,0}_{0,3}(z|b) by the three-family residue series.
+def _plain_family(bb, bkey, k, point, zc, wp):
+    """Family k of the residue sum (simple poles s = -b_k - n) as the triple
+    z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) (S0, S1, S2) of
+    0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices."""
+    others = [bb[j] for j in range(3) if j != k]
+    coef = _lru_get(_coef_cache, _COEF_CACHE_SIZE, (bkey, k, wp),
+                    lambda: gamma(others[0] - bb[k], dps=wp)
+                    * gamma(others[1] - bb[k], dps=wp))
+    pref = coef * point.power(bb[k], dps=wp)
+    inner = hyper0f2_theta(1 + bb[k] - others[0], 1 + bb[k] - others[1],
+                           -zc, c=bb[k], dps=wp)
+    return [pref * x for x in inner]
 
-    Requires pairwise differences of the parameters to stay a safe
-    distance (1e-6) from the integers; otherwise two families collide
-    (log case) and :class:`ResonantParameterError` is raised -- callers
-    should fall back to :func:`mb_loop`.  The gamma products in front of
-    the families depend on b and the working digits alone and are cached
-    by their exact values.
+
+def _log_coefs(bp, bq, br, n, wp):
+    """Gamma(c) (-1)^N / N!, H_0 = psi(1) + psi(N+1) + psi(c) with
+    c = b_r - b_p, and the N residue coefficients
+    (-1)^k Gamma(N-k) Gamma(b_r - b_q - k) / k! of family q's simple
+    poles."""
+    c = br - bp
+    front = (-1) ** n * gamma(c, dps=wp) / mp.factorial(n)
+    h0 = mp.digamma(1) + mp.digamma(n + 1) + mp.digamma(c)
+    simple = [(-1) ** k * mp.factorial(n - k - 1) * gamma(br - bq - k, dps=wp)
+              / mp.factorial(k) for k in range(n)]
+    return front, h0, simple
+
+
+def _log_families(bb, bkey, p, q, n, point, zc, wp):
+    """Families p and q of the residue sum when b_p - b_q = N is an integer
+    >= 0, as one theta triple.
+
+    Family q's poles s = -b_q - k, k < N, are simple.  From s = -b_p on the
+    poles of Gamma(b_p + s) and Gamma(b_q + s) coincide; with c = b_r - b_p,
+    u = b_p + k and zeta = log z on the point's sheet, the double pole at
+    s = -b_p - k has residue
+
+        z^u Gamma(c) (-1)^N / N! t_k (H_0 + h_k - zeta),
+
+    t_k the terms of 0F2(-; 1-c, N+1; -z) and h_k their sums of
+    reciprocals (:func:`hyper0f2_log_theta`), H_0 = psi(1) + psi(N+1)
+    + psi(c) (:func:`_log_coefs`).  theta^m of z^u (A - zeta) is
+    z^u ((A - zeta) u^m - m u^(m-1)), so the triple is z^(b_p) front
+    (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.
     """
+    r = 3 - p - q
+    bp, bq, br = bb[p], bb[q], bb[r]
+    front, h0, simple = _lru_get(_coef_cache, _COEF_CACHE_SIZE,
+                                 (bkey, "log", wp),
+                                 lambda: _log_coefs(bp, bq, br, n, wp))
+    sums = hyper0f2_log_theta(1 - (br - bp), n + 1, -zc, c=bp, dps=wp)
+    s, rs = sums[:3], sums[3:]
+    a = h0 - point.clog(dps=wp)
+    pref = front * point.power(bp, dps=wp)
+    out = [pref * (a * s[0] + rs[0]),
+           pref * (a * s[1] + rs[1] - s[0]),
+           pref * (a * s[2] + rs[2] - 2 * s[1])]
+    for k in range(n):
+        u = bq + k
+        term = simple[k] * point.power(u, dps=wp)
+        out = [out[0] + term, out[1] + u * term, out[2] + u * u * term]
+    return out
+
+
+def g303_series(b, point, dps=None, with_theta=False):
+    """G^{3,0}_{0,3}(z|b) by the residue series.
+
+    With pairwise differences of the parameters a safe distance (1e-6)
+    from the integers, the sum of the three Frobenius families (module
+    docstring).  When exactly one pair differs by an integer,
+    b_p - b_q = N >= 0 exactly (the exact mpf difference, :func:`_log_pair`),
+    families p and q collide and are summed as the logarithmic residue
+    series of :func:`_log_families`, the third family as before.  Any
+    other b within the 1e-6 window -- resonant to many digits but not
+    exactly, or triply resonant -- raises :class:`ResonantParameterError`;
+    callers should fall back to :func:`mb_loop`.  The gamma and digamma
+    constants in front of the families depend on b and the working digits
+    alone and are cached by their exact values.
+    """
+    pair = None
     if _pairwise_resonant(b):
-        raise ResonantParameterError(
-            f"parameter differences of {tuple(float(x) for x in b)} are "
-            "within 1e-6 of integers; series families collide")
+        pair = _log_pair(b)
+        if pair is None:
+            raise ResonantParameterError(
+                f"parameter differences of {tuple(float(x) for x in b)} are "
+                "within 1e-6 of integers without exactly one integer pair; "
+                "series families collide")
     d = _resolve_dps(dps)
     r = float(point.modulus)
     wp = d + int(2.4 * max(r, 1.0) ** (1.0 / 3.0)) + 15
@@ -165,18 +278,13 @@ def g303_series(b, point, dps=None, with_theta=False):
         bb = [mpf(x) for x in b]
         bkey = tuple(x._mpf_ for x in bb)
         zc = point.to_mpc(dps=wp)
-        acc = [mpc(0), mpc(0), mpc(0)]
-        for k in range(3):
-            others = [bb[j] for j in range(3) if j != k]
-            coef = _lru_get(_coef_cache, _COEF_CACHE_SIZE, (bkey, k, wp),
-                            lambda: gamma(others[0] - bb[k], dps=wp)
-                            * gamma(others[1] - bb[k], dps=wp))
-            pref = point.power(bb[k], dps=wp)
-            inner = hyper0f2_theta(1 + bb[k] - others[0], 1 + bb[k] - others[1],
-                                   -zc, c=bb[k], dps=wp)
-            for m in range(3):
-                acc[m] += coef * pref * inner[m]
-        acc = [+a for a in acc]
+        if pair is None:
+            parts = [_plain_family(bb, bkey, k, point, zc, wp) for k in range(3)]
+        else:
+            p, q, n = pair
+            parts = [_log_families(bb, bkey, p, q, n, point, zc, wp),
+                     _plain_family(bb, bkey, 3 - p - q, point, zc, wp)]
+        acc = [+sum(part[m] for part in parts) for m in range(3)]
     if with_theta:
         return tuple(acc)
     return acc[0]
@@ -427,22 +535,41 @@ def _loop_moments(b, m, c, point, d, wp, order):
     return acc, loss
 
 
-def _rerun_order(loss):
-    """Gauss-Legendre order that wins back ``loss`` digits of panel
-    discretization error, in steps of 16 nodes, and the extra working
-    digits that go with it.
+#: decimal digits a Gauss-Legendre panel wins per node, 2 log10(1 + sqrt 2)
+_DIGITS_PER_NODE = 2 * math.log10(1 + math.sqrt(2))
+#: the error of a _GL_ORDER-node panel is about 10^-_GL_DIGITS of the
+#: panel's largest term
+_GL_DIGITS = 44.5
+
+
+def _more_nodes(order, digits):
+    """``order`` plus the nodes, in steps of 16, that win ``digits`` more
+    digits (none if digits <= 0).
 
     The loop's integrand has poles on the real axis, a distance 1 from
     legs of half-width 1, so an n-point panel converges like
-    (1 + sqrt 2)^(-2n), 0.77 digits per node; at order 64 the error is
-    about 10^-44.5 of the largest term.  The extra digits are those the
-    added nodes win back, never fewer than ``loss``; since they depend on
-    the order alone, each order has one product table (25 digits at
-    order 96).
+    (1 + sqrt 2)^(-2n), _DIGITS_PER_NODE = 0.77 digits per node; at order
+    64 the error is about 10^-44.5 of the largest term.
     """
-    per_node = 2 * math.log10(1 + math.sqrt(2))
-    order = _GL_ORDER + 16 * math.ceil(loss / per_node / 16)
-    return order, math.ceil((order - _GL_ORDER) * per_node)
+    return order + 16 * math.ceil(max(digits, 0) / _DIGITS_PER_NODE / 16)
+
+
+def _first_order(d):
+    """Gauss-Legendre order of the loop's first pass at d requested digits:
+    64 up to d = 39, and above that the order whose panels reach d + 5
+    digits of the largest term (80 at d = 40 to 51, 96 at d = 52 to 63)."""
+    return _more_nodes(_GL_ORDER, d + 5 - _GL_DIGITS)
+
+
+def _rerun_order(loss, order):
+    """Gauss-Legendre order that wins back ``loss`` digits of panel
+    discretization error on top of a first pass at ``order``, and the extra
+    working digits that go with it: those the added nodes win back, never
+    fewer than ``loss``.  Since they depend on the orders alone, each order
+    has one product table at given d (25 digits at order 96 after 64).
+    """
+    rerun = _more_nodes(order, loss)
+    return rerun, math.ceil((rerun - order) * _DIGITS_PER_NODE)
 
 
 def mb_loop(b, point, m=3, dps=None, with_theta=False):
@@ -453,9 +580,10 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     the closing vertical segment at Re s = c, with
     c = max_j(-Re b_j over numerator factors) + 1 so all integrand poles
     sit inside with margin 1.  X grows panel by panel (width 2,
-    Gauss-Legendre 64 per leg piece) until two consecutive panels
-    contribute below tolerance; the omitted closing piece at Re s = -X is
-    then negligible because 1/Gamma(X)^m crushes |z|^X superexponentially.
+    Gauss-Legendre 64 per leg piece up to d = 39) until two consecutive
+    panels contribute below tolerance; the omitted closing piece at
+    Re s = -X is then negligible because 1/Gamma(X)^m crushes |z|^X
+    superexponentially.
 
     Gamma is called only on the vertical segment and the first panel.
     Every panel has the same half-width (1), so a node of panel p is the
@@ -475,22 +603,25 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     bits of the arithmetic (d + 25 digits; the loop's working digits are
     d + 15).
 
-    The largest terms also measure cancellation: where G is recessive the
-    moments are many orders below the terms that sum to them (20 digits
-    at |z| = 10^3, arg 0).  The 64-node panels are accurate to about
-    10^-44.5 of the largest term whatever the precision, so more digits
-    alone do not help.  If a moment loses more than _LOOP_GUARD - 5 = 10
-    digits, the loop runs once more at the Gauss-Legendre order of
-    :func:`_rerun_order` and with the working digits that order wins back.
+    The 64-node panels are accurate to about 10^-44.5 of the largest term
+    whatever the precision, so more digits alone do not help: above
+    d = 39 the first pass takes the order of :func:`_first_order`, which
+    reaches d + 5 digits of the largest term.  The largest terms also
+    measure cancellation: where G is recessive the moments are many orders
+    below the terms that sum to them (20 digits at |z| = 10^3, arg 0).  If
+    a moment loses more than _LOOP_GUARD - 5 = 10 digits, the loop runs
+    once more at the Gauss-Legendre order of :func:`_rerun_order` and with
+    the working digits that order wins back.
     """
     d = _resolve_dps(dps)
     wp = d + _LOOP_GUARD
     with mp.workdps(wp + 10):
         bb = [mpf(x) for x in b]
         c = max(-bb[j] for j in range(m)) + 1
-        acc, loss = _loop_moments(bb, m, c, point, d, wp, _GL_ORDER)
+        order = _first_order(d)
+        acc, loss = _loop_moments(bb, m, c, point, d, wp, order)
         if loss > _LOOP_GUARD - 5:
-            order, extra = _rerun_order(loss)
+            order, extra = _rerun_order(loss, order)
             with mp.workdps(wp + extra + 10):
                 acc, _ = _loop_moments(bb, m, c, point, d, wp + extra, order)
         front = 1 / (2 * mp.pi * mpc(0, 1))
@@ -515,9 +646,14 @@ class ScalarTriples:
 
 def pick_route(b, m):
     """The route that evaluates G^{m,0}_{0,3}(.|b): ``"series"``
-    (:func:`g303_series`) unless m != 3 or the parameters are pairwise
-    resonant, and ``"loop"`` (:func:`mb_loop`) there."""
-    return "loop" if m != 3 or _pairwise_resonant(b) else "series"
+    (:func:`g303_series`) for m = 3, its logarithmic form included where
+    exactly one pair of b differs by an exact integer; ``"loop"``
+    (:func:`mb_loop`) for m != 3 and for b within the series' 1e-6
+    resonance window otherwise (near but not exact resonance, triple
+    resonance)."""
+    if m != 3 or (_pairwise_resonant(b) and _log_pair(b) is None):
+        return "loop"
+    return "series"
 
 
 def _g3_triple(b, point, dps):

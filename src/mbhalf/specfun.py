@@ -108,13 +108,26 @@ def _theta_combine(t0, t1, t2, c, f, prec):
                                    for x in p)) for p in parts)
 
 
-def _theta_sums(b1, b2, z, c):
+def _theta_out(t, h, c, f, prec):
+    """:func:`_theta_combine` of the integer sums t = (T0, T1, T2) as six
+    integers (re, im pairs), followed by that of h when it is given."""
+    sums = _theta_combine(t[0:2], t[2:4], t[4:6], c, f, prec)
+    if h is not None:
+        sums += _theta_combine(h[0:2], h[2:4], h[4:6], c, f, prec)
+    return sums
+
+
+def _theta_sums(b1, b2, z, c, log=False):
     """(S0, S1, S2) of :func:`hyper0f2_theta` at the working precision, and
-    the decimal digits lost to cancellation in S0.
+    the decimal digits lost to cancellation in S0; with ``log``, also
+    (R0, R1, R2) of :func:`hyper0f2_log_theta` after them, the loss being
+    the larger of those in S0 and R0.
 
     Integers at the scale 2^-f, f = prec + _THETA_GUARD_BITS, carry the
     term t_k, z, b1 + b2, b1 b2 and the sums T_m = sum_k k^m t_k, which
-    :func:`_theta_combine` turns into (S0, S1, S2).
+    :func:`_theta_combine` turns into (S0, S1, S2); with ``log`` also
+    h_k, which grows by the reciprocals 1/(b1+k), 1/(b2+k), 1/(k+1) of the
+    three denominator factors of each step, and the sums of k^m h_k t_k.
     Floor division leaves a term under one unit low, so a small negative
     term can sit at -1 unit for ever; the stop therefore never waits for
     the term to vanish.  It needs k > max(-b1, -b2), where the ratio
@@ -123,6 +136,10 @@ def _theta_sums(b1, b2, z, c):
     weights (c+j)^m, m <= 2, as well.  The rest of each sum is then below
     2 r_k (|c|+k+1)^2 |t_k| < (|c|+k+2)^2 |t_k|, and the loop stops when
     that, with |t_k| counted two units high, is below 2^-prec (2^20 units).
+    With ``log`` every later step adds at most
+    D = 1/(k+1) + 1/(b1+k) + 1/(b2+k) to |h|, so |h_j| <= G_j =
+    |h_k| + 1 + (j-k) D, which grows by at most 1 + D a step: the stop then
+    asks q (1 + D) < 1/2 and counts the rest G_(k+1) times larger.
     """
     prec = mp.prec
     f = prec + _THETA_GUARD_BITS
@@ -136,13 +153,19 @@ def _theta_sums(b1, b2, z, c):
     tr, ti = one, 0
     t0r, t0i, t1r, t1i, t2r, t2i = one, 0, 0, 0, 0, 0
     big = one
+    if log:
+        one2 = one << f
+        h = 0
+        h0r, h0i, h1r, h1i, h2r, h2i = 0, 0, 0, 0, 0, 0
+        hbig = 0
     k = 0
     while True:
         if k >= _MAX_TERMS:
             raise SeriesConvergenceError(
                 "0F2 series did not meet its tail bound within %d terms"
-                % _MAX_TERMS, partial_sums=_theta_combine(
-                    (t0r, t0i), (t1r, t1i), (t2r, t2i), c, f, prec))
+                % _MAX_TERMS, partial_sums=_theta_out(
+                    (t0r, t0i, t1r, t1i, t2r, t2i),
+                    (h0r, h0i, h1r, h1i, h2r, h2i) if log else None, c, f, prec))
         den = ((k * k << f) + k * bsum + bprod) * (k + 1)
         tr, ti = (tr * zr - ti * zi) // den, (tr * zi + ti * zr) // den
         k += 1
@@ -156,15 +179,57 @@ def _theta_sums(b1, b2, z, c):
         mag = abs(tr) + abs(ti)
         if mag > big:
             big = mag
+        if log:
+            # the step's denominator factors were b1 + k - 1, b2 + k - 1, k
+            kf = (k - 1) << f
+            h += one2 // (kf + p1) + one2 // (kf + p2) + one // k
+            ur, ui = (tr * h) >> f, (ti * h) >> f
+            h0r += ur
+            h0i += ui
+            kr, ki = k * ur, k * ui
+            h1r += kr
+            h1i += ki
+            h2r += k * kr
+            h2i += k * ki
+            hmag = abs(ur) + abs(ui)
+            if hmag > hbig:
+                hbig = hmag
         if k > kmin:
             w = cabs + k
             q = zabs / abs((b1f + k) * (b2f + k) * (k + 1)) * ((w + 1) / w) ** 2
             wi = int(cabs) + k + 3
-            if q < 0.5 and (mag + 2) * wi * wi < tiny:
+            wi *= wi
+            if log:
+                grow = 1 / (b1f + k) + 1 / (b2f + k) + 1 / (k + 1)
+                q *= 1 + grow
+                wi *= int(abs(h) / one + grow) + 2
+            if q < 0.5 and (mag + 2) * wi < tiny:
                 break
     # an S0 below the scale counts as every digit lost
     lost = (big.bit_length() - (abs(t0r) + abs(t0i)).bit_length()) * _LOG10_2
-    return _theta_combine((t0r, t0i), (t1r, t1i), (t2r, t2i), c, f, prec), lost
+    if log:
+        lost = max(lost, (hbig.bit_length()
+                          - (abs(h0r) + abs(h0i)).bit_length()) * _LOG10_2)
+    return _theta_out((t0r, t0i, t1r, t1i, t2r, t2i),
+                      (h0r, h0i, h1r, h1i, h2r, h2i) if log else None,
+                      c, f, prec), lost
+
+
+def _guarded_theta_sums(b1, b2, z, c, d, log):
+    """:func:`_theta_sums` at d digits plus the cancellation guard, retried
+    once at raised precision if the largest term exceeded the sum by more
+    digits than the guard holds."""
+    guard = _series_guard(abs(z), 1.0 / 3.0)
+    _check_lower_param(b1)
+    _check_lower_param(b2)
+    for attempt in range(2):
+        with mp.workdps(d + guard):
+            sums, lost = _theta_sums(mpf(b1), mpf(b2), mpc(z), mpf(c), log)
+        if lost > guard - 8 and attempt == 0:
+            guard = int(lost) + 15
+            continue
+        return sums
+    raise RuntimeError("unreachable")
 
 
 def hyper0f2_theta(b1, b2, z, c=0, dps=None):
@@ -181,18 +246,22 @@ def hyper0f2_theta(b1, b2, z, c=0, dps=None):
     largest term exceeded |S0| by more digits than the cancellation guard
     holds; raises :class:`SeriesConvergenceError` past _MAX_TERMS terms.
     """
-    d = _resolve_dps(dps)
-    guard = _series_guard(abs(z), 1.0 / 3.0)
-    _check_lower_param(b1)
-    _check_lower_param(b2)
-    for attempt in range(2):
-        with mp.workdps(d + guard):
-            sums, lost = _theta_sums(mpf(b1), mpf(b2), mpc(z), mpf(c))
-        if lost > guard - 8 and attempt == 0:
-            guard = int(lost) + 15
-            continue
-        return sums
-    raise RuntimeError("unreachable")
+    return _guarded_theta_sums(b1, b2, z, c, _resolve_dps(dps), False)
+
+
+def hyper0f2_log_theta(b1, b2, z, c=0, dps=None):
+    """(S0, S1, S2, R0, R1, R2): the sums of :func:`hyper0f2_theta` and
+
+        R_m = sum_k (c+k)^m h_k z^k / ((b1)_k (b2)_k k!),
+        h_k = sum_{j=1..k} [1/j + 1/(b1+j-1) + 1/(b2+j-1)],
+
+    so that -R_m is the derivative of S_m when b1, b2 and the 1 of k! move
+    together.  These are the sums of the logarithmic (double-pole) family
+    of a resonant Meijer G (:func:`mbhalf.meijer.g303_series`).  Summed,
+    stopped and retried as :func:`hyper0f2_theta`, with the tail bound
+    widened by the growth of h_k.
+    """
+    return _guarded_theta_sums(b1, b2, z, c, _resolve_dps(dps), True)
 
 
 def hyper0f2(b1, b2, z, dps=None):

@@ -59,13 +59,21 @@ def test_usage_errors(capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    # resonant parameters break the series route; the loop is not tried
-    # when the route is forced
-    rc = main(["meijer", "--b", "0,0,0.5", "--z-grid", "1",
+    # parameters resonant to 8 digits but not exactly break the series
+    # route; the loop is not tried when the route is forced
+    rc = main(["meijer", "--b", "0,1e-8,0.5", "--z-grid", "1",
                "--route", "series"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "meijer" in err
+    # at exact resonance the series takes its logarithmic form
+    values = {}
+    for route in ("series", "loop"):
+        rc = main(["meijer", "--b", "0,0,0.5", "--z-grid", "1",
+                   "--route", route])
+        assert rc == 0
+        values[route] = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    assert values["series"] == pytest.approx(values["loop"], rel=1e-15)
     # too few pivot iterations for the minimizer's KKT solve
     rc = main(["eqsolve", "--m", "60", "--max-iter", "1"])
     assert rc == 3
@@ -81,12 +89,21 @@ def test_series_budget_exit_code(capsys, monkeypatch):
     assert "kernel" in capsys.readouterr().err
 
 
+def test_log_series_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    rc = main(["meijer", "--b", "0,0,0.5", "--z-grid", "1",
+               "--route", "series"])
+    assert rc == 3
+    assert "meijer" in capsys.readouterr().err
+
+
 def test_meijer_auto_route_reported(capsys):
-    rc = main(["meijer", "--b", "0,0,0.5", "--z-grid", "1", "--route", "auto",
-               "--format", "json"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["meta"]["route"] == "loop"
+    for b, route in (("0,1e-8,0.5", "loop"), ("0,0,0.5", "series")):
+        rc = main(["meijer", "--b", b, "--z-grid", "1", "--route", "auto",
+                   "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["meta"]["route"] == route, b
     rc = main(["meijer", "--b", "0,-0.3,-0.8", "--z-grid", "1",
                "--route", "auto", "--format", "json"])
     assert rc == 0

@@ -92,6 +92,44 @@ def test_unread_private_detector():
     assert _unread_private(trees) == [("a.py", 2, "_dead"), ("a.py", 5, "_Gone")]
 
 
+def _meijerg_references(tree):
+    """Lines that name ``meijerg``: a name, an attribute, an import or a
+    string constant equal to it (as in getattr(mp, "meijerg"))."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if "meijerg" in names:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_meijerg_in_library(path):
+    # mpmath's meijerg is the tests' outside oracle; a library route that
+    # called it would no longer be checked by it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _meijerg_references(tree)
+    assert not found, "%s references meijerg on lines %s" % (path.name, found)
+
+
+def test_meijerg_detector():
+    tree = ast.parse("from mpmath import mp, meijerg\n"
+                     "x = mp.meijerg([[], []], [[0], []], 1)\n"
+                     "y = getattr(mp, 'meijerg')\n"
+                     "'Checked against meijerg in the tests.'\n"
+                     "z = mp.hyper([], [1], 1)\n")
+    assert _meijerg_references(tree) == [1, 2, 3]
+
+
 def test_sources_found():
     assert len(SRC) >= 8
 

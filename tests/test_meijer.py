@@ -1,5 +1,7 @@
 """Mellin-Barnes G: residue series vs. loop contour vs. external oracles."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
@@ -68,8 +70,9 @@ def test_loop_matches_mpmath_meijerg():
 
 
 def test_resonant_loop_matches_mpmath_meijerg():
-    # at 2 alpha in Z the series route is unavailable; mpmath's meijerg
-    # resolves the resonance on its own (principal sheet only)
+    # at 2 alpha in Z the series route takes its logarithmic form; mpmath's
+    # meijerg resolves the resonance on its own (principal sheet only) and
+    # checks both routes
     with mp.workdps(50):
         for alpha in ("-0.5", "0", "0.5", "1"):
             a = mpf(alpha)
@@ -77,9 +80,128 @@ def test_resonant_loop_matches_mpmath_meijerg():
             for r in ("0.5", "2.5", "10"):
                 for ang in ("0", "0.4", "2.5"):
                     pt = SectorPoint(mpf(r), mpf(ang))
-                    ours = mb_loop(b, pt, m=3, dps=40)
                     ref = mp.meijerg([[], []], [list(b), []], pt.to_mpc(dps=45))
-                    assert abs(ours - ref) / abs(ref) < mpf("1e-35"), (alpha, r, ang)
+                    for ours in (mb_loop(b, pt, m=3, dps=40),
+                                 g303_series(b, pt, dps=40)):
+                        assert abs(ours - ref) / abs(ref) < mpf("1e-35"), (alpha, r, ang)
+
+
+def _resonant_b(alpha, adjoint):
+    """The forward (0, -a, -a-1/2) or adjoint (0, a, a+1/2) parameters."""
+    a = mpf(alpha)
+    return (mpf(0), a, a + mpf("0.5")) if adjoint else (mpf(0), -a, -a - mpf("0.5"))
+
+
+def test_log_series_matches_loop_on_every_sheet():
+    # the resonant G gate: both parameter triples of the model problem at
+    # each resonant alpha, sheets -2..2, with the theta triples; at
+    # |z| = 10^3, where the loop reruns for cancellation (2-3 s a table),
+    # against the loop at alpha = 0 (forward) and against mpmath at every
+    # alpha
+    worst = mpf(0)
+    for alpha in ("-0.5", "0", "0.5", "1"):
+        for adjoint in (False, True):
+            b = _resonant_b(alpha, adjoint)
+            assert meijer.pick_route(b, 3) == "series"
+            pts = [SectorPoint(mpf(r), mpf("0.4") + 2 * mp.pi * sheet)
+                   for r in ("0.5", "2.5", "10") for sheet in range(-2, 3)]
+            far = SectorPoint(mpf(1000), mpf("0.4"))
+            if alpha == "0" and not adjoint:
+                pts.append(far)
+            with mp.workdps(50):
+                ref = mp.meijerg([[], []], [list(b), []], far.to_mpc(dps=50))
+                got = g303_series(b, far, dps=40)
+                worst = max(worst, abs(got - ref) / abs(ref))
+            for pt in pts:
+                vs = g303_series(b, pt, dps=40, with_theta=True)
+                vl = mb_loop(b, pt, m=3, dps=40, with_theta=True)
+                with mp.workdps(50):
+                    worst = max([worst] + [abs(x - y) / abs(y)
+                                           for x, y in zip(vs, vl)])
+    assert worst <= mpf("1e-35"), worst
+
+
+def test_log_series_general_collisions_match_mpmath():
+    # collisions beyond the model problem's: N = 3 and 5 simple poles
+    # before the double ones, the colliding pair in every index position,
+    # a colliding pair of equal parameters, |c| = |b_r - b_p| up to 4.5
+    cases = ((mpf("0.25"), mpf("-2.75"), mpf("0.45")),
+             (mpf("1.5"), mpf("-0.5"), mpf("0.1")),
+             (mpf("-0.375"), mpf("0.15"), mpf("4.625")),
+             (mpf(2), mpf("0.3"), mpf(-3)),
+             (mpf("0.25"), mpf("0.25"), mpf("-1.1")))
+    for b in cases:
+        assert meijer.pick_route(b, 3) == "series", b
+        for r, ang in (("0.3", "0.2"), ("4", "-1"), ("40", "2.9")):
+            pt = SectorPoint(mpf(r), mpf(ang))
+            got = g303_series(b, pt, dps=40)
+            with mp.workdps(60):
+                ref = mp.meijerg([[], []], [list(b), []], pt.to_mpc(dps=60))
+                assert abs(got - ref) / abs(ref) < mpf("1e-38"), (b, r, ang)
+
+
+def test_log_series_accuracy_at_requested_digits():
+    # the logarithmic branch at d digits against itself at d + 40, on both
+    # sides of the collision (N = 0 and N = 1), off the principal sheet and
+    # at |z| = 10^3 where the families cancel
+    for d in (30, 45):
+        for alpha in ("0", "0.5", "1"):
+            for adjoint in (False, True):
+                b = _resonant_b(alpha, adjoint)
+                for r, ang in (("0.5", "0.3"), ("5", "0"), ("30", "-9"),
+                               ("1000", "0")):
+                    pt = SectorPoint(mpf(r), mpf(ang))
+                    ref = g303_series(b, pt, dps=d + 40, with_theta=True)
+                    got = g303_series(b, pt, dps=d, with_theta=True)
+                    with mp.workdps(d + 40):
+                        for x, y in zip(got, ref):
+                            assert abs(x - y) <= mpf(10) ** (-d + 2) * abs(y), \
+                                (d, alpha, adjoint, r, ang)
+
+
+def test_log_series_continuous_in_alpha():
+    # G is analytic in alpha: the mean of the ordinary series at
+    # alpha0 +- eps is even in eps, and one Richardson step on eps = 1e-4,
+    # 2e-4 leaves an O(eps^4) error against the logarithmic branch at
+    # alpha0.  Inside the 1e-6 window the loop takes over from the series;
+    # just outside it (2e-6) the two must still agree.
+    with mp.workdps(50):
+        eps = mpf("1e-4")
+        for a0 in (mpf(0), mpf("0.5")):
+            for adjoint in (False, True):
+                pt = SectorPoint(mpf("0.7"), mpf("0.4") + 2 * mp.pi * adjoint)
+
+                def mean(e):
+                    return (g303_series(_resonant_b(a0 + e, adjoint), pt, dps=40)
+                            + g303_series(_resonant_b(a0 - e, adjoint), pt, dps=40)) / 2
+
+                logv = g303_series(_resonant_b(a0, adjoint), pt, dps=40)
+                rich = (4 * mean(eps) - mean(2 * eps)) / 3
+                assert abs(rich - logv) / abs(logv) < mpf("1e-12"), (a0, adjoint)
+                for side in (1, -1):
+                    near = _resonant_b(a0 + side * mpf("2e-6"), adjoint)
+                    assert meijer.pick_route(near, 3) == "series"
+                    vs = g303_series(near, pt, dps=40)
+                    vl = mb_loop(near, pt, m=3, dps=40)
+                    assert abs(vs - vl) / abs(vl) < mpf("1e-28"), (a0, adjoint, side)
+                inside = _resonant_b(a0 + mpf("1e-8"), adjoint)
+                assert meijer.pick_route(inside, 3) == "loop"
+
+
+def test_loop_accuracy_at_requested_digits(monkeypatch):
+    # above 39 digits the loop's first pass takes more Gauss-Legendre
+    # nodes; a fixed 64-node pass stopped at about 44.5 - loss digits
+    # (1.3e-42 at d = 45, |z| = 30).  Its 96-node tables go to an empty
+    # cache of their own: test_loop_accuracy_at_large_modulus counts the
+    # 96-node tables per b.
+    monkeypatch.setattr(meijer, "_loop_cache", OrderedDict())
+    for d in (45, 60):
+        for r, ang in (("0.5", "0.3"), ("5", "0"), ("30", "0")):
+            pt = SectorPoint(mpf(r), mpf(ang))
+            ref = g303_series(B_STD, pt, dps=d + 40)
+            got = mb_loop(B_STD, pt, m=3, dps=d)
+            with mp.workdps(d + 40):
+                assert abs(got - ref) <= mpf(10) ** (-d + 2) * abs(ref), (d, r, ang)
 
 
 def test_loop_accuracy_at_large_modulus():
@@ -177,9 +299,19 @@ def test_series_continuous_across_negative_axis():
 
 
 def test_series_resonant_raises():
-    with pytest.raises(ResonantParameterError):
-        g303_series((mpf(0), mpf(0), mpf("-0.5")), SectorPoint(mpf(1), mpf(0)),
-                    dps=40)
+    # resonant to 8 digits but not exactly, and triply resonant: the series
+    # has no form there.  At exact resonance in one pair it takes its
+    # logarithmic form.
+    pt = SectorPoint(mpf(1), mpf(0))
+    for b in ((mpf(0), mpf("1e-8"), mpf("-0.5")), (mpf(0), mpf(-1), mpf(-2))):
+        with pytest.raises(ResonantParameterError):
+            g303_series(b, pt, dps=40)
+        assert meijer.pick_route(b, 3) == "loop"
+    b = (mpf(0), mpf(0), mpf("-0.5"))
+    got = g303_series(b, pt, dps=40)
+    with mp.workdps(50):
+        ref = mp.meijerg([[], []], [list(b), []], 1)
+        assert abs(got - ref) / abs(ref) < mpf("1e-38")
 
 
 def test_theta_triples_match_log_derivative():
@@ -199,13 +331,19 @@ def test_theta_triples_match_log_derivative():
 
 
 def test_route_agreement_random_sweep():
+    # six drawn alpha, then the resonant ones at drawn points
     rng = np.random.default_rng(17)
-    with mp.workdps(50):
+
+    def alphas():
         for _ in range(6):
-            alpha = float(rng.uniform(-0.45, 1.3))
-            if _pairwise_resonant((0.0, -alpha, -alpha - 0.5)):
-                continue
+            yield float(rng.uniform(-0.45, 1.3))
+        yield from ("-0.5", "0", "0.5", "1")
+
+    with mp.workdps(50):
+        for alpha in alphas():
             b = (mpf(0), -mpf(alpha), -mpf(alpha) - mpf("0.5"))
+            if meijer.pick_route(b, 3) != "series":
+                continue
             r = mpf(float(rng.uniform(0.3, 4.0)))
             ang = mpf(float(rng.uniform(-2.5, 2.5)))
             pt = SectorPoint(r, ang)

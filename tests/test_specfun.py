@@ -13,6 +13,7 @@ from mbhalf.specfun import (
     frobenius_adjoint,
     frobenius_forward,
     hyper0f2,
+    hyper0f2_log_theta,
     hyper0f2_theta,
     resonance_distance,
     wright_bessel,
@@ -143,6 +144,29 @@ def _wright_series_oracle(a, b, x, terms=200):
         xp *= x
         fact *= j + 1
     return total
+
+
+def test_hyper0f2_log_theta_matches_direct_sums():
+    # the h_k-weighted sums against plain mpf term sums at 40 more digits;
+    # b1 < 0 makes h_k change sign, |z| = 10^3 makes the terms cancel by
+    # about 13 digits
+    d = 30
+    for b1, b2, z, c in ((mpf("1.5"), mpf(1), mpc("-2.5", 1), mpf(0)),
+                         (mpf("-0.7"), mpf("1.3"), mpc(3, 1), mpf("-0.5")),
+                         (mpf("0.5"), mpf(2), mpf(-1000), mpf(1))):
+        got = hyper0f2_log_theta(b1, b2, z, c=c, dps=d)
+        with mp.workdps(d + 40):
+            t, h = mpf(1), mpf(0)
+            ref = [mpf(0)] * 6
+            for k in range(400):
+                if k:
+                    t *= z / ((b1 + k - 1) * (b2 + k - 1) * k)
+                    h += 1 / mpf(k) + 1 / (b1 + k - 1) + 1 / (b2 + k - 1)
+                for m in range(3):
+                    ref[m] += (c + k) ** m * t
+                    ref[3 + m] += (c + k) ** m * t * h
+            for m in range(6):
+                assert abs(got[m] - ref[m]) <= mpf(10) ** -(d + 5) * abs(ref[m]), (b1, m)
 
 
 def test_wright_bessel_matches_series_oracle():
