@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 from mpmath import mp, mpf, mpc
 
-from .mpcore import quad_gl, quad_ts, solve_cubic
+from .mpcore import GUARD_DIGITS, _resolve_dps, quad_gl, quad_ts, solve_cubic
 
 __all__ = [
     "DomainError",
@@ -95,12 +95,12 @@ VX_SUPPORT = mpf(27) / 8
 
 
 def VX_C0(dps=None):
-    with mp.workdps(dps or mp.dps):
+    with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
         return mp.sqrt(3) / (2 ** mpf("5/3") * mp.pi)
 
 
 def VX_C1(dps=None):
-    with mp.workdps(dps or mp.dps):
+    with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
         return 16 * mp.sqrt(2) / (81 * mp.pi)
 
 
@@ -123,8 +123,8 @@ def density_vx_explicit(s, dps=None):
     change sign inside (0, 27/8); both cube roots must therefore be taken as
     *real* cube roots, not principal complex ones.
     """
-    d = dps or mp.dps
-    with mp.workdps(d + 10):
+    d = _resolve_dps(dps)
+    with mp.workdps(d + GUARD_DIGITS):
         s = mpf(s)
         # closed right endpoint: the bracket vanishes there, and endpoint-
         # singular quadrature rules may round a node onto it
@@ -144,12 +144,12 @@ def density_vx_cardano(s, dps=None):
     positive imaginary part (above 1e-20) and returns Im(root)/pi.  Shares
     no code with :func:`density_vx_explicit` beyond the cubic solver.
     """
-    d = dps or mp.dps
-    with mp.workdps(d + 10):
+    d = _resolve_dps(dps)
+    with mp.workdps(d + GUARD_DIGITS):
         s = mpf(s)
         if s <= 0:
             raise DomainError(f"need s > 0; got s = {s}")
-        roots = solve_cubic(s * s, -s * s, s, mpf(-1) / 4, dps=d + 10)
+        roots = solve_cubic(s * s, -s * s, s, mpf(-1) / 4, dps=d)
         up = [r for r in roots if mp.im(r) > 1e-20]
         if not up:
             raise BranchSelectionError(
@@ -180,8 +180,8 @@ def endpoint_fit(density, q, end, dps=None):
     Uses the midpoints of the 5 cells of width 5e-4 nearest the endpoint and
     Neville extrapolation to expansion variable 0.
     """
-    d = dps or mp.dps
-    with mp.workdps(d + 10):
+    d = _resolve_dps(dps)
+    with mp.workdps(d + GUARD_DIGITS):
         q = mpf(q)
         h = mpf("5e-4")
         ts, vals = [], []
@@ -276,7 +276,7 @@ def weights_from_density(density, q, m, dps=20):
     """Cell weights w_i = integral of `density` over the i-th of m uniform
     cells of [0, q].  Interior cells use Gauss-Legendre; the first and last
     cells use tanh-sinh to absorb the edge singularities."""
-    with mp.workdps(dps):
+    with mp.workdps(dps + GUARD_DIGITS):
         q = mpf(q)
         h = q / m
         w = np.empty(m)
@@ -556,9 +556,9 @@ def variational_residual(sol, V):
 def _vx_ell(dps):
     """Lagrange constant for V(x)=x from the Euler-Lagrange equality,
     averaged over three interior points (the spread is a quadrature check)."""
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + GUARD_DIGITS):
         q = VX_SUPPORT
-        rho = lambda t: density_vx_explicit(t, dps=dps + 10)
+        rho = lambda t: density_vx_explicit(t, dps=dps)
         vals = []
         for x in (mpf(7) / 10, mpf(17) / 10, mpf(29) / 10):
             def f_log(t):
@@ -567,9 +567,9 @@ def _vx_ell(dps):
             def f_sum(t):
                 return mp.log(mp.sqrt(x) + mp.sqrt(t)) * rho(t)
 
-            pot = 2 * (quad_ts(f_log, 0, x, dps=dps + 5)
-                       + quad_ts(f_log, x, q, dps=dps + 5))
-            pot -= quad_ts(f_sum, 0, q, dps=dps + 5)
+            pot = 2 * (quad_ts(f_log, 0, x, dps=dps)
+                       + quad_ts(f_log, x, q, dps=dps))
+            pot -= quad_ts(f_sum, 0, q, dps=dps)
             vals.append(pot - x)
         spread = max(vals) - min(vals)
         if spread > mpf(10) ** (-(dps - 8)):
@@ -581,14 +581,14 @@ def _vx_ell(dps):
 
 def vx_reference_solution(m=400, dps=30):
     """EquilibriumSolution built from the closed-form V(x)=x density."""
-    gm = weights_from_density(lambda t: density_vx_explicit(t, dps=22), VX_SUPPORT,
-                              m, dps=20)
+    # the cell weights are floats: 20 digits are plenty
+    gm = weights_from_density(lambda t: density_vx_explicit(t, dps=20),
+                              VX_SUPPORT, m, dps=20)
     # re-declare as a probability measure (cell integrals sum to 1 anyway)
     gm = GridMeasure(nodes=gm.nodes, weights=gm.weights / gm.mass, mass=1.0)
-    c0 = endpoint_fit(lambda t: density_vx_explicit(t, dps=dps + 10), VX_SUPPORT,
-                      "origin", dps=dps)
-    c1 = endpoint_fit(lambda t: density_vx_explicit(t, dps=dps + 10), VX_SUPPORT,
-                      "edge", dps=dps)
+    rho = lambda t: density_vx_explicit(t, dps=dps)
+    c0 = endpoint_fit(rho, VX_SUPPORT, "origin", dps=dps)
+    c1 = endpoint_fit(rho, VX_SUPPORT, "edge", dps=dps)
     ell = _vx_ell(dps)
     cv = 2 * mp.pi / mp.sqrt(3) * c0
     return EquilibriumSolution(mu=gm, q=float(VX_SUPPORT), ell=float(ell),
@@ -639,6 +639,9 @@ def g_functions(sol, dps=30):
     g1 integrates log(z - s) with the cut on (-oo, q]; g2 uses the
     compact-support form  g2(z) = I log(sqrt(z) + sqrt(t)) dmu(t),  which
     avoids discretizing an unbounded negative-axis measure entirely.
+
+    The evaluators work at the caller's precision; the quadratures against
+    the density ask for ``dps`` digits.
     """
     q = mpf(sol.q)
     ell = mpf(sol.ell)
@@ -648,18 +651,16 @@ def g_functions(sol, dps=30):
         rho = sol.density
 
         def mu_int(fun, split=None):
-            with mp.workdps(dps + 5):
-                if split is not None and 0 < split < q:
-                    return (quad_ts(lambda t: fun(t) * rho(t), 0, split, dps=dps)
-                            + quad_ts(lambda t: fun(t) * rho(t), split, q, dps=dps))
-                return quad_ts(lambda t: fun(t) * rho(t), 0, q, dps=dps)
+            if split is not None and 0 < split < q:
+                return (quad_ts(lambda t: fun(t) * rho(t), 0, split, dps=dps)
+                        + quad_ts(lambda t: fun(t) * rho(t), split, q, dps=dps))
+            return quad_ts(lambda t: fun(t) * rho(t), 0, q, dps=dps)
     else:
         nodes = [mpf(x) for x in sol.mu.nodes]
         wts = [mpf(x) for x in sol.mu.weights]
 
         def mu_int(fun, split=None):
-            with mp.workdps(dps + 5):
-                return mp.fsum(w * fun(x) for x, w in zip(nodes, wts))
+            return mp.fsum(w * fun(x) for x, w in zip(nodes, wts))
 
     def _g1(z):
         # unguarded form: principal-branch log turns a real z on the cut
@@ -721,7 +722,7 @@ def g_functions(sol, dps=30):
         comb = omega ** 2 * p1 - p2 if _upper(z) else omega * p1 - p2
         return mpf(8) / 729 * comb ** 3
 
-    with mp.workdps(dps + 5):
+    with mp.workdps(dps + GUARD_DIGITS):
         m1 = +mu_int(lambda s: s)
         m_half = +mu_int(lambda s: mp.sqrt(s))
 
@@ -737,7 +738,7 @@ def scaling_constants(gf, sol, dps=30):
     difference of the conformal map at +-1e-3.  For V(x)=x the chain closes
     at cV = 2^(-2/3) and f'(0) = cV^3 = 1/4.
     """
-    with mp.workdps(dps + 5):
+    with mp.workdps(dps + GUARD_DIGITS):
         cv = 2 * mp.pi / mp.sqrt(3) * mpf(sol.c0)
         ray = mp.exp(1j * mp.pi / 4)
         rs = [mpf(2) / 1000, mpf(1) / 1000, mpf(1) / 2000]

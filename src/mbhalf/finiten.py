@@ -18,7 +18,9 @@ from typing import Callable, Dict, List, Union
 from mpmath import mp, mpf, mpc
 
 from .mpcore import (
+    GUARD_DIGITS,
     SingularMatrixError,
+    _resolve_dps,
     gamma,
     inv3,
     ldu_decompose,
@@ -68,7 +70,8 @@ class MomentTable:
 
 
 def _tail_box(alpha, n, V, smax, d):
-    """Right endpoint X with integrand below 10^-(d+10) at X and at every
+    """Right endpoint X with integrand below 10^-(d + GUARD_DIGITS), the
+    working precision of :func:`moments`, at X and at every
     doubling point 4 * 2^i beyond it up to the cap 4 * 2^59.
 
     The last doubling point where the test fails brackets the last
@@ -77,8 +80,8 @@ def _tail_box(alpha, n, V, smax, d):
     overshoots it by up to 2x.  X = 4 when every point passes; a failing
     test at the cap raises :class:`DomainExtensionError`.
     """
-    # the test x^(smax+alpha) exp(-n V(x)) < 10^-(d+10), taken in logs
-    log_bound = -(d + 10) * mp.ln10
+    # the test x^(smax+alpha) exp(-n V(x)) < 10^-(d+GUARD_DIGITS), in logs
+    log_bound = -(d + GUARD_DIGITS) * mp.ln10
     power = mpf(smax) + alpha
 
     def small(x):
@@ -92,7 +95,7 @@ def _tail_box(alpha, n, V, smax, d):
     if lo == points[-1]:
         raise DomainExtensionError(
             "moment integrand not below 10^-%d by X=%s; V grows too slowly"
-            % (d + 10, mp.nstr(lo, 5)))
+            % (d + GUARD_DIGITS, mp.nstr(lo, 5)))
     X = 2 * lo
     for _ in range(8):
         mid = (lo + X) / 2
@@ -113,17 +116,18 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     evaluates w(t) and t^(1/2) once and gives every moment's integrand as
     w(t) t^(k/2), so V is called once per node.
     """
-    d = dps if dps is not None else mp.dps
+    d = _resolve_dps(dps)
     alpha = mpf(alpha)
     if alpha <= -1:
         raise ValueError("alpha must exceed -1 for integrable moments")
     k2max = _twice(smax)
     vals = {}
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         if V == "laguerre":
             for k2 in range(k2max + 1):
                 s = mpf(k2) / 2
-                vals[k2] = gamma(s + alpha + 1) / mpf(n) ** (s + alpha + 1)
+                vals[k2] = (gamma(s + alpha + 1, dps=d)
+                            / mpf(n) ** (s + alpha + 1))
         else:
             X = _tail_box(alpha, n, V, mpf(k2max) / 2, d)
             # panel width tied to the exp(-nV) decay scale
@@ -180,16 +184,21 @@ class BiorthoSystem:
                 raise ValueError("q_%d has coefficients above its degree" % j)
 
 
+def _ldu_digits(nmax):
+    """Digits of a biorthogonal system of size ``nmax``: max(64, 10 nmax).
+    The moment matrix is Hankel-like and exponentially ill-conditioned, and
+    the schedule keeps the failure mode a detectable pivot error rather than
+    silent noise."""
+    return max(64, 10 * nmax)
+
+
 def biortho_build(mt: MomentTable, nmax: int) -> BiorthoSystem:
     """Build p_0..p_{nmax-1}, q_0..q_{nmax-1} by LDU of the moment matrix.
 
-    Works at max(64, 10*nmax) digits: the moment matrix is Hankel-like and
-    exponentially ill-conditioned, and the schedule keeps the failure mode a
-    detectable pivot error rather than silent noise.  p-coefficients come
-    from inverting the L factor (monic rows), q-coefficients from inverting
-    D*U.
+    Works at :func:`_ldu_digits` digits.  p-coefficients come from
+    inverting the L factor (monic rows), q-coefficients from inverting D*U.
     """
-    prec = max(64, 10 * nmax)
+    prec = _ldu_digits(nmax)
     need = 3 * (nmax - 1)
     if mt.smax2 < need:
         raise ValueError("moment table covers 2s <= %d but the build needs "
@@ -304,9 +313,9 @@ def hard_edge_convergence(alpha, x, y, ns, ref_dps=30):
     rows = []
     for n in ns:
         mt = moments(alpha, n, "laguerre", smax=mpf(3 * max(n - 1, 1)) / 2,
-                     dps=max(64, 10 * n))
+                     dps=_ldu_digits(n))
         bs = biortho_build(mt, n)
-        with mp.workdps(max(64, 10 * n)):
+        with mp.workdps(bs.precision_digits):
             scale = mpf(n) ** 3 / 4
             kn = finite_kernel(bs, mpf(x) / scale, mpf(y) / scale) / scale
         err = abs(kn - ref) / abs(ref)
@@ -445,7 +454,7 @@ def cd_formula_check(bs: BiorthoSystem, x, y, delta=1e-6, dps=30):
     if x <= 0 or y <= 0 or x == y:
         raise ValueError("need x, y > 0 and x != y")
     bs_big = biortho_build(bs.table, n + 1)
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + GUARD_DIGITS):
         rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
         T = _cauchy_box(bs, n, rows1, dps)
         Yx = _y_plus(bs_big, n, x, T, mpf(delta), dps)
@@ -476,7 +485,7 @@ def y_growth_residual(bs: BiorthoSystem, z, dps=30):
     if mp.im(z) == 0 and mp.re(z) >= 0:
         raise ValueError("z must avoid [0, oo)")
     bs_big = biortho_build(bs.table, n + 1)
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + GUARD_DIGITS):
         row2 = _edge_rows(bs_big, n)[0]
         T = _cauchy_box(bs, n, [row2], dps)
 

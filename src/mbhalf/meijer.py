@@ -73,9 +73,10 @@ from operator import add, mul
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, mpf_sub, round_nearest
 
-from .mpcore import (_resolve_dps, _to_fixed, gamma, rgamma, legendre_nodes,
-                     solve3, QuadratureConvergenceError)
-from .specfun import (frobenius_adjoint, hyper0f2_log_theta, hyper0f2_theta,
+from .mpcore import (GUARD_DIGITS, _resolve_dps, _to_fixed, gamma, rgamma,
+                     legendre_nodes, solve3, QuadratureConvergenceError)
+from .specfun import (_cancellation_digits, frobenius_adjoint,
+                      hyper0f2_log_theta, hyper0f2_theta,
                       ResonantParameterError)
 
 #: legs of the loop contour run at Im s = +- LOOP_ETA
@@ -99,27 +100,27 @@ class SectorPoint:
     @classmethod
     def from_complex(cls, z, sheet=0, dps=None):
         d = _resolve_dps(dps)
-        with mp.workdps(d + 10):
+        with mp.workdps(d + GUARD_DIGITS):
             zz = mpc(z)
             return cls(abs(zz), mp.arg(zz) + 2 * mp.pi * sheet)
 
     def rotated(self, dtheta):
         return SectorPoint(self.modulus, mpf(self.argument) + dtheta)
 
+    def _log(self):
+        return mpc(mp.log(mpf(self.modulus)), mpf(self.argument))
+
     def clog(self, dps=None):
         """log z = log r + i theta with the total angle."""
-        d = _resolve_dps(dps)
-        with mp.workdps(d + 5):
-            return mpc(mp.log(mpf(self.modulus)), mpf(self.argument))
+        with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+            return self._log()
 
     def power(self, c, dps=None):
-        d = _resolve_dps(dps)
-        with mp.workdps(d + 5):
-            return mp.exp(mpc(c) * self.clog(dps=d))
+        with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+            return mp.exp(mpc(c) * self._log())
 
     def to_mpc(self, dps=None):
-        d = _resolve_dps(dps)
-        with mp.workdps(d + 5):
+        with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
             r, t = mpf(self.modulus), mpf(self.argument)
             return r * mpc(mp.cos(t), mp.sin(t))
 
@@ -142,22 +143,32 @@ def _pairwise_resonant(b):
     return bool(_near_integer_pairs(b))
 
 
-def _log_pair(b):
-    """(p, q, N) when b_p - b_q = N >= 0 is exactly an integer and no other
-    pair of b lies within 1e-6 of one; None otherwise.
+#: a difference b_i - b_j within this many units in the last place of the
+#: larger |b| of an integer is taken as that integer (:func:`_log_pair`)
+_RESONANCE_ULPS = 8
 
-    The difference is taken exactly (no rounding) from the mpf values, so
-    a b that is resonant to many digits but not exactly, or triply
-    resonant, gets None.
+
+def _log_pair(b):
+    """(p, q, N) when b_p - b_q = N >= 0 is an integer and no other pair of
+    b lies within 1e-6 of one; None otherwise.
+
+    The difference is taken exactly (no rounding) from the mpf values.
+    It counts as the nearest integer N when it is off N by at most
+    _RESONANCE_ULPS units in the last place of max(|b_p|, |b_q|) at the
+    ambient precision, the one b was given in: a decimal collision such as
+    0.2 - (-2.8) = 3 is not exact in binary.  A b that is resonant to many
+    digits but not to its last few bits, or triply resonant, gets None.
     """
     near = _near_integer_pairs(b)
     if len(near) != 1:
         return None
     i, j = near[0]
-    diff = mp.make_mpf(mpf_sub(mpf(b[i])._mpf_, mpf(b[j])._mpf_))
-    if not mp.isint(diff):
+    bi, bj = mpf(b[i]), mpf(b[j])
+    diff = mp.make_mpf(mpf_sub(bi._mpf_, bj._mpf_))
+    n = int(mp.nint(diff))
+    ulp = mp.ldexp(max(abs(bi), abs(bj)), -mp.prec)
+    if abs(diff - n) > _RESONANCE_ULPS * ulp:
         return None
-    n = int(diff)
     return (i, j, n) if n >= 0 else (j, i, -n)
 
 
@@ -180,39 +191,40 @@ def _lru_get(cache, size, key, make):
 
 #: series coefficients (the gamma products in front of the families, and
 #: the gamma and digamma constants of the logarithmic family) kept per exact
-#: (b, family, wp); least recently used ones are dropped beyond this many
+#: (b, family, digits); least recently used ones are dropped beyond this many
 _COEF_CACHE_SIZE = 64
 _coef_cache = OrderedDict()
 
 
-def _plain_family(bb, bkey, k, point, zc, wp):
+def _plain_family(bb, bkey, k, point, zc, dps):
     """Family k of the residue sum (simple poles s = -b_k - n) as the triple
     z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) (S0, S1, S2) of
-    0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices."""
+    0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices;
+    its gamma, power and 0F2 factors carry ``dps`` digits."""
     others = [bb[j] for j in range(3) if j != k]
-    coef = _lru_get(_coef_cache, _COEF_CACHE_SIZE, (bkey, k, wp),
-                    lambda: gamma(others[0] - bb[k], dps=wp)
-                    * gamma(others[1] - bb[k], dps=wp))
-    pref = coef * point.power(bb[k], dps=wp)
+    coef = _lru_get(_coef_cache, _COEF_CACHE_SIZE, (bkey, k, dps),
+                    lambda: gamma(others[0] - bb[k], dps=dps)
+                    * gamma(others[1] - bb[k], dps=dps))
+    pref = coef * point.power(bb[k], dps=dps)
     inner = hyper0f2_theta(1 + bb[k] - others[0], 1 + bb[k] - others[1],
-                           -zc, c=bb[k], dps=wp)
+                           -zc, c=bb[k], dps=dps)
     return [pref * x for x in inner]
 
 
-def _log_coefs(bp, bq, br, n, wp):
+def _log_coefs(bp, bq, br, n, dps):
     """Gamma(c) (-1)^N / N!, H_0 = psi(1) + psi(N+1) + psi(c) with
     c = b_r - b_p, and the N residue coefficients
     (-1)^k Gamma(N-k) Gamma(b_r - b_q - k) / k! of family q's simple
-    poles."""
+    poles; the gamma values carry ``dps`` digits."""
     c = br - bp
-    front = (-1) ** n * gamma(c, dps=wp) / mp.factorial(n)
+    front = (-1) ** n * gamma(c, dps=dps) / mp.factorial(n)
     h0 = mp.digamma(1) + mp.digamma(n + 1) + mp.digamma(c)
-    simple = [(-1) ** k * mp.factorial(n - k - 1) * gamma(br - bq - k, dps=wp)
+    simple = [(-1) ** k * mp.factorial(n - k - 1) * gamma(br - bq - k, dps=dps)
               / mp.factorial(k) for k in range(n)]
     return front, h0, simple
 
 
-def _log_families(bb, bkey, p, q, n, point, zc, wp):
+def _log_families(bb, bkey, p, q, n, point, zc, dps):
     """Families p and q of the residue sum when b_p - b_q = N is an integer
     >= 0, as one theta triple.
 
@@ -232,18 +244,18 @@ def _log_families(bb, bkey, p, q, n, point, zc, wp):
     r = 3 - p - q
     bp, bq, br = bb[p], bb[q], bb[r]
     front, h0, simple = _lru_get(_coef_cache, _COEF_CACHE_SIZE,
-                                 (bkey, "log", wp),
-                                 lambda: _log_coefs(bp, bq, br, n, wp))
-    sums = hyper0f2_log_theta(1 - (br - bp), n + 1, -zc, c=bp, dps=wp)
+                                 (bkey, "log", dps),
+                                 lambda: _log_coefs(bp, bq, br, n, dps))
+    sums = hyper0f2_log_theta(1 - (br - bp), n + 1, -zc, c=bp, dps=dps)
     s, rs = sums[:3], sums[3:]
-    a = h0 - point.clog(dps=wp)
-    pref = front * point.power(bp, dps=wp)
+    a = h0 - point.clog(dps=dps)
+    pref = front * point.power(bp, dps=dps)
     out = [pref * (a * s[0] + rs[0]),
            pref * (a * s[1] + rs[1] - s[0]),
            pref * (a * s[2] + rs[2] - 2 * s[1])]
     for k in range(n):
         u = bq + k
-        term = simple[k] * point.power(u, dps=wp)
+        term = simple[k] * point.power(u, dps=dps)
         out = [out[0] + term, out[1] + u * term, out[2] + u * u * term]
     return out
 
@@ -260,8 +272,13 @@ def g303_series(b, point, dps=None, with_theta=False):
     other b within the 1e-6 window -- resonant to many digits but not
     exactly, or triply resonant -- raises :class:`ResonantParameterError`;
     callers should fall back to :func:`mb_loop`.  The gamma and digamma
-    constants in front of the families depend on b and the working digits
-    alone and are cached by their exact values.
+    constants in front of the families depend on b and the digits alone and
+    are cached by their exact values.
+
+    The families cancel where G is recessive, by the digits an entire 0F2
+    series of |z| = r loses (specfun's :func:`_cancellation_digits`, about
+    2.4 r^(1/3)), so the sum runs at d + that loss + GUARD_DIGITS, and the
+    gamma, power and 0F2 factors are asked for d + that loss digits.
     """
     pair = None
     if _pairwise_resonant(b):
@@ -271,19 +288,18 @@ def g303_series(b, point, dps=None, with_theta=False):
                 f"parameter differences of {tuple(float(x) for x in b)} are "
                 "within 1e-6 of integers without exactly one integer pair; "
                 "series families collide")
-    d = _resolve_dps(dps)
-    r = float(point.modulus)
-    wp = d + int(2.4 * max(r, 1.0) ** (1.0 / 3.0)) + 15
-    with mp.workdps(wp):
+    dc = _resolve_dps(dps) + _cancellation_digits(point.modulus, 1.0 / 3.0)
+    with mp.workdps(dc + GUARD_DIGITS):
         bb = [mpf(x) for x in b]
         bkey = tuple(x._mpf_ for x in bb)
-        zc = point.to_mpc(dps=wp)
+        zc = point.to_mpc(dps=dc)
         if pair is None:
-            parts = [_plain_family(bb, bkey, k, point, zc, wp) for k in range(3)]
+            parts = [_plain_family(bb, bkey, k, point, zc, dc)
+                     for k in range(3)]
         else:
             p, q, n = pair
-            parts = [_log_families(bb, bkey, p, q, n, point, zc, wp),
-                     _plain_family(bb, bkey, 3 - p - q, point, zc, wp)]
+            parts = [_log_families(bb, bkey, p, q, n, point, zc, dc),
+                     _plain_family(bb, bkey, 3 - p - q, point, zc, dc)]
         acc = [+sum(part[m] for part in parts) for m in range(3)]
     if with_theta:
         return tuple(acc)
@@ -421,42 +437,41 @@ class _LoopProducts:
     With s' = s - 2 both Gamma(b+s') = Gamma(b+s) / ((b+s')(b+s'+1))
     and 1/Gamma(1-b-s') = (1/Gamma(1-b-s)) / ((b+s')(b+s'+1)), so each
     later panel follows from the one before by one division per node.
-    Panels are added on demand.
+    Panels are added on demand.  Everything runs at the precision of the
+    :func:`mb_loop` call that builds or extends the table, whose ``dps``
+    is part of the table's key.
     """
 
     def __init__(self, b, m, c, dps, order=_GL_ORDER):
         self.b = b
-        self.dps = dps
         self.xs, ws = legendre_nodes(order, dps=dps)
-        with mp.workdps(dps + 10):
-            eta = mpf(LOOP_ETA)
-            vs = [mpc(c, eta * x) for x in self.xs]
-            vw = [mpc(0, 1) * eta * w for w in ws]
-            self.vertical = [_Fixed(g) for g in _moment_weights(
-                vs, _integrand_products(vs, vw, b, m, dps))]
-            self._s, pw = [], []
-            for x, w in zip(self.xs, ws):
-                t = c - 1 + x                                  # half-width 1
-                self._s += [mpc(t, -eta), mpc(t, eta)]         # bottom ->, top <-
-                pw += [w, -w]
-            self._g = _integrand_products(self._s, pw, b, m, dps)
-            self.panels = [_moment_weights(self._s, self._g)]
-            self._fixed = []
+        eta = mpf(LOOP_ETA)
+        vs = [mpc(c, eta * x) for x in self.xs]
+        vw = [mpc(0, 1) * eta * w for w in ws]
+        self.vertical = [_Fixed(g) for g in _moment_weights(
+            vs, _integrand_products(vs, vw, b, m, dps))]
+        self._s, pw = [], []
+        for x, w in zip(self.xs, ws):
+            t = c - 1 + x                                  # half-width 1
+            self._s += [mpc(t, -eta), mpc(t, eta)]         # bottom ->, top <-
+            pw += [w, -w]
+        self._g = _integrand_products(self._s, pw, b, m, dps)
+        self.panels = [_moment_weights(self._s, self._g)]
+        self._fixed = []
 
     def panel(self, pidx):
-        with mp.workdps(self.dps + 10):
-            while len(self.panels) <= pidx:
-                s_next, g_next = [], []
-                for s, g in zip(self._s, self._g):
-                    s = s - _PANEL_WIDTH
-                    div = 1
-                    for bj in self.b:
-                        bs = bj + s
-                        div *= bs * (bs + 1)
-                    s_next.append(s)
-                    g_next.append(g / div)
-                self._s, self._g = s_next, g_next
-                self.panels.append(_moment_weights(s_next, g_next))
+        while len(self.panels) <= pidx:
+            s_next, g_next = [], []
+            for s, g in zip(self._s, self._g):
+                s = s - _PANEL_WIDTH
+                div = 1
+                for bj in self.b:
+                    bs = bj + s
+                    div *= bs * (bs + 1)
+                s_next.append(s)
+                g_next.append(g / div)
+            self._s, self._g = s_next, g_next
+            self.panels.append(_moment_weights(s_next, g_next))
         return self.panels[pidx]
 
     def panel_fixed(self, pidx):
@@ -482,7 +497,7 @@ def _loop_moments(b, m, c, point, d, wp, order):
     g_k z_k^(-s) of all panel sums, each bounded through
     :func:`_fixed_dot`'s ``top``.
     """
-    zeta = point.clog(dps=wp)
+    zeta = point._log()
     tol = mpf(10) ** (-(d + 5))
     prods = _loop_products(b, m, c, wp, order)
     eta = mpf(LOOP_ETA)
@@ -615,14 +630,14 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     """
     d = _resolve_dps(dps)
     wp = d + _LOOP_GUARD
-    with mp.workdps(wp + 10):
+    with mp.workdps(wp + GUARD_DIGITS):
         bb = [mpf(x) for x in b]
         c = max(-bb[j] for j in range(m)) + 1
         order = _first_order(d)
         acc, loss = _loop_moments(bb, m, c, point, d, wp, order)
         if loss > _LOOP_GUARD - 5:
             order, extra = _rerun_order(loss, order)
-            with mp.workdps(wp + extra + 10):
+            with mp.workdps(wp + extra + GUARD_DIGITS):
                 acc, _ = _loop_moments(bb, m, c, point, d, wp + extra, order)
         front = 1 / (2 * mp.pi * mpc(0, 1))
         out = tuple(+(front * a) for a in acc)
@@ -680,7 +695,7 @@ def phi_scalars(alpha, point, dps=None):
     d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), -a, -a - mpf("0.5"))
-    with mp.workdps(d + 15):
+    with mp.workdps(d + GUARD_DIGITS):
         twopi = 2 * mp.pi
         e_plus = mp.exp(mpc(0, 1) * twopi * a)   # e^{2 pi i a}
         g0 = _g3_triple(b, point, d)
@@ -698,7 +713,7 @@ def psi_scalars(alpha, point, dps=None):
     d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), a, a + mpf("0.5"))
-    with mp.workdps(d + 15):
+    with mp.workdps(d + GUARD_DIGITS):
         pi_ = mp.pi
         e_plus = mp.exp(mpc(0, 1) * 2 * pi_ * a)
         g_m1 = _g3_triple(b, point.rotated(-pi_), d)
@@ -718,7 +733,7 @@ def psi3_alternate(alpha, point, dps=None):
     d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), a, a + mpf("0.5"))
-    with mp.workdps(d + 15):
+    with mp.workdps(d + GUARD_DIGITS):
         pi_ = mp.pi
         e_minus = mp.exp(mpc(0, -1) * 2 * pi_ * a)
         g_p1 = _g3_triple(b, point.rotated(+pi_), d)
@@ -737,7 +752,7 @@ def psi_frobenius_constants(alpha, dps=None):
     """
     d = _resolve_dps(dps)
     a = mpf(alpha)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         epia = mp.exp(mpc(0, -1) * mp.pi * a)
         rows = []
         rhs = []

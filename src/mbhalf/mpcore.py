@@ -19,9 +19,24 @@ matrix frames, moment tables) is built on the primitives in this module:
   triangular biorthogonality structure);
 * small dense 3x3 helpers (det/inverse/solve) and unit-triangular inverses.
 
-Precision model: every value is an ``mpmath`` ``mpf``/``mpc``.  Functions
-take an optional ``dps`` (decimal digits); ``None`` means "use the ambient
-``mp.dps``".  Internally computations run a few guard digits higher.
+Precision model: every value is an ``mpmath`` ``mpf``/``mpc``, and one
+rule sets the digits every function of the package works at.
+
+* A function takes ``dps``, the decimal digits its *result* must carry
+  (``None`` means the ambient ``mp.dps``, :func:`_resolve_dps`).
+* It raises the working precision once, at its entry, to
+  dps + :data:`GUARD_DIGITS`, plus the digits its own arithmetic loses to
+  cancellation where it has an estimate or a measure of them
+  (:func:`mbhalf.specfun._cancellation_digits` for sums of entire
+  series; the term loop of one series adds
+  :func:`mbhalf.specfun._series_guard`, that loss and 12 digits for the
+  terms' roundoff).  No other headroom is added anywhere.
+* It hands its callees the digits their results need: dps, or dps plus
+  the cancellation those results feed, never its own working digits, so
+  guard digits do not stack from layer to layer.
+* A private helper that runs only under its caller's raise does not raise
+  again, unless it is cached by its digits (:func:`_ts_nodes`): then its
+  own raise makes the cache key fix the precision.
 """
 
 from __future__ import annotations
@@ -32,6 +47,9 @@ import math
 from mpmath import mp, mpf, mpc
 
 _LN10 = math.log(10.0)
+
+#: decimal digits every function works with beyond those its result needs
+GUARD_DIGITS = 10
 
 
 class GammaPoleError(ValueError):
@@ -90,10 +108,10 @@ def gamma(z, dps=None):
 
     Raises :class:`GammaPoleError` when ``z`` is a nonpositive integer to
     within 10^(-dps/2); real input (zero imaginary part) gives an ``mpf``.
-    The value is rounded to dps + 10 digits.
+    The value is rounded to dps + GUARD_DIGITS digits.
     """
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         z = mpc(z)
         if _near_pole(z, d):
             raise GammaPoleError(f"gamma pole at z = {mp.nint(z.real)}")
@@ -103,7 +121,7 @@ def gamma(z, dps=None):
 def rgamma(z, dps=None):
     """1/gamma, returning exactly 0 at the poles (same threshold as gamma)."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         z = mpc(z)
         if _near_pole(z, d):
             return mpf(0)
@@ -128,8 +146,7 @@ def legendre_nodes(order, dps=None):
     got = _gl_cache.get(key)
     if got is not None:
         return got
-    wp = d + 12
-    with mp.workdps(wp):
+    with mp.workdps(d + GUARD_DIGITS):
         nodes = []
         weights = []
         tol = mpf(10) ** (-(d + 6))
@@ -206,7 +223,7 @@ def quad_gl(f, a, b, order=64, dps=None):
     d = _resolve_dps(dps)
     xs, ws = legendre_nodes(order, dps=d)
     g, unwrap = _components(f)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         a = mpf(a) if not isinstance(a, (mpf, mpc)) else a
         b = mpf(b) if not isinstance(b, (mpf, mpc)) else b
         mid = (a + b) / 2
@@ -227,11 +244,12 @@ def _ts_nodes(level, dps):
 
     Each node is returned as (t, near-endpoint distance g in (0,1], weight),
     with g = 1 - |tanh((pi/2) sinh t)| computed cancellation-free, at the
-    working precision dps + 10 of :func:`quad_ts`.  The pair (level, dps)
-    fixes the precision and the cutoff t_max, so it is the exact cache key;
-    the result is an immutable tuple, shared by every caller.
+    working precision dps + GUARD_DIGITS of :func:`quad_ts`.  The pair
+    (level, dps) fixes the precision and the cutoff t_max, so it is the
+    exact cache key; the result is an immutable tuple, shared by every
+    caller.
     """
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + GUARD_DIGITS):
         # cutoff where the double-exponential weight underflows the
         # tolerance; the factor 4 keeps the tail negligible even against
         # endpoint blow-ups as strong as (x - a)^(-3/4)
@@ -286,7 +304,7 @@ def quad_ts(f, a, b, dps=None, max_level=12):
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
     g, unwrap = _components(f)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         a = mpf(a)
         b = mpf(b)
         half = (b - a) / 2
@@ -335,7 +353,7 @@ def solve_cubic(c3, c2, c1, c0, dps=None):
     one Newton step on the original polynomial.
     """
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         c3, c2, c1, c0 = mpc(c3), mpc(c2), mpc(c1), mpc(c0)
         if c3 == 0:
             raise ValueError("leading coefficient vanishes; not a cubic")
@@ -386,7 +404,7 @@ def ldu_decompose(g, dps=None):
     """
     d = _resolve_dps(dps)
     n = len(g)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         a = [[mpf(x) if not isinstance(x, (mpf, mpc)) else x for x in row] for row in g]
         L = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
         U = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]

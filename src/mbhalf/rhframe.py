@@ -34,8 +34,10 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, mpc
 
-from .mpcore import _resolve_dps, mat_mul, mat_transpose, inv3, norm_max
+from .mpcore import (GUARD_DIGITS, _resolve_dps, mat_mul, mat_transpose, inv3,
+                     norm_max)
 from .meijer import SectorPoint, phi_scalars, psi_scalars
+from .specfun import _cancellation_digits
 
 RAYS = ("pos", "ipos", "ineg", "neg")
 
@@ -111,17 +113,19 @@ def _assemble(scalars, layout, row_order):
 def phi_matrix(alpha, point, dps=None, side=None):
     """Phi_alpha at a sector point; rows (f, theta f, theta^2 f)."""
     d = _resolve_dps(dps)
-    quad, ev = _classify(point, side)
-    sc = phi_scalars(alpha, ev, dps=d)
-    return _assemble(sc, _PHI_LAYOUT[quad], (0, 1, 2))
+    with mp.workdps(d + GUARD_DIGITS):
+        quad, ev = _classify(point, side)
+        sc = phi_scalars(alpha, ev, dps=d)
+        return _assemble(sc, _PHI_LAYOUT[quad], (0, 1, 2))
 
 
 def psi_matrix(alpha, point, dps=None, side=None):
     """Psi_alpha at a sector point; rows (theta^2 g, theta g, g)."""
     d = _resolve_dps(dps)
-    quad, ev = _classify(point, side)
-    sc = psi_scalars(alpha, ev, dps=d)
-    return _assemble(sc, _PSI_LAYOUT[quad], (2, 1, 0))
+    with mp.workdps(d + GUARD_DIGITS):
+        quad, ev = _classify(point, side)
+        sc = psi_scalars(alpha, ev, dps=d)
+        return _assemble(sc, _PSI_LAYOUT[quad], (2, 1, 0))
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +134,7 @@ def psi_matrix(alpha, point, dps=None, side=None):
 
 def phi_jump(ray, alpha, dps=None):
     d = _resolve_dps(dps)
-    with mp.workdps(d + 5):
+    with mp.workdps(d + GUARD_DIGITS):
         one, zero = mpc(1), mpc(0)
         if ray == "pos":
             return [[zero, one, zero], [-one, zero, zero], [zero, zero, one]]
@@ -144,7 +148,7 @@ def phi_jump(ray, alpha, dps=None):
 
 def psi_jump(ray, alpha, dps=None):
     d = _resolve_dps(dps)
-    with mp.workdps(d + 5):
+    with mp.workdps(d + GUARD_DIGITS):
         one, zero = mpc(1), mpc(0)
         if ray == "pos":
             return [[zero, one, zero], [-one, zero, zero], [zero, zero, one]]
@@ -164,7 +168,7 @@ def jump_residual(alpha, ray, modulus, dps=None, frame="phi"):
     d = _resolve_dps(dps)
     build = phi_matrix if frame == "phi" else psi_matrix
     jump = phi_jump if frame == "phi" else psi_jump
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         th = mpf(_RAY_ANGLE[ray]) * mp.pi
         pt = SectorPoint(mpf(modulus), th)
         fp = build(alpha, pt, dps=d, side="+")
@@ -192,14 +196,14 @@ def det_phi_predicted(alpha, point, dps=None):
     branch jump of z^{-2 beta} there.)
     """
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         beta = mpf(alpha) + mpf("0.25")
         return 8 * mp.pi ** 3 * mpc(0, 1) * point.power(-2 * beta, dps=d)
 
 
 def c_matrix(alpha, dps=None):
     d = _resolve_dps(dps)
-    with mp.workdps(d + 5):
+    with mp.workdps(d + GUARD_DIGITS):
         a = mpf(alpha)
         return [[mpf(1), mpf(0), mpf(0)],
                 [-2 * a - mpf("0.5"), mpf(-1), mpf(0)],
@@ -209,7 +213,7 @@ def c_matrix(alpha, dps=None):
 def phi_inverse(alpha, point, dps=None, side=None):
     """Phi^{-1} from the adjoint frame: -(1/4 pi^2) Psi^T C."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         psi = psi_matrix(alpha, point, dps=d, side=side)
         prod = mat_mul(mat_transpose(psi), c_matrix(alpha, dps=d))
         s = -1 / (4 * mp.pi ** 2)
@@ -219,7 +223,7 @@ def phi_inverse(alpha, point, dps=None, side=None):
 def phi_psi_product(alpha, point, dps=None, side=None):
     """Phi Psi^T; z-independent, equal to -4 pi^2 C^{-1}."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         phi = phi_matrix(alpha, point, dps=d, side=side)
         psi = psi_matrix(alpha, point, dps=d, side=side)
         return mat_mul(phi, mat_transpose(psi))
@@ -229,25 +233,24 @@ def phi_psi_product(alpha, point, dps=None, side=None):
 # large-z data: T factors, spectral L frames, exponential diagonals
 # ----------------------------------------------------------------------
 
-def _gamma_exponents(alpha, dps):
-    with mp.workdps(dps + 5):
-        a = mpf(alpha)
-        g = 2 * a / 3 + mpf(1) / 2
-        m1 = a ** 2 / 3 + a / 6 - mpf(1) / 36
-        m2 = (a ** 4 / 18 + a ** 3 / 54 - 17 * a ** 2 / 216 - a / 54
-              + mpf(25) / 2592)
-        gt = -2 * a / 3 + mpf(1) / 6
-        mt1 = a ** 2 / 3 + a / 6 - mpf(1) / 36
-        mt2 = (a ** 4 / 18 + 5 * a ** 3 / 54 - 5 * a ** 2 / 216 - 5 * a / 108
-               + mpf(1) / 2592)
-        return g, m1, m2, gt, mt1, mt2
+def _gamma_exponents(alpha):
+    a = mpf(alpha)
+    g = 2 * a / 3 + mpf(1) / 2
+    m1 = a ** 2 / 3 + a / 6 - mpf(1) / 36
+    m2 = (a ** 4 / 18 + a ** 3 / 54 - 17 * a ** 2 / 216 - a / 54
+          + mpf(25) / 2592)
+    gt = -2 * a / 3 + mpf(1) / 6
+    mt1 = a ** 2 / 3 + a / 6 - mpf(1) / 36
+    mt2 = (a ** 4 / 18 + 5 * a ** 3 / 54 - 5 * a ** 2 / 216 - 5 * a / 108
+           + mpf(1) / 2592)
+    return g, m1, m2, gt, mt1, mt2
 
 
 def t_matrix(alpha, dps=None):
     """Constant left factor normalizing Phi at infinity."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 5):
-        g, m1, m2, _, _, _ = _gamma_exponents(alpha, d)
+    with mp.workdps(d + GUARD_DIGITS):
+        g, m1, m2, _, _, _ = _gamma_exponents(alpha)
         t1 = -g - m1
         t2 = g * (g - mpf(1) / 3) + m1 * (m1 + g - mpf(2) / 3) - m2
         t3 = 2 * g - mpf(1) / 3 + m1
@@ -259,8 +262,8 @@ def t_matrix(alpha, dps=None):
 def t_tilde_matrix(alpha, dps=None):
     """Constant left factor normalizing Psi at infinity."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 5):
-        _, _, _, gt, mt1, mt2 = _gamma_exponents(alpha, d)
+    with mp.workdps(d + GUARD_DIGITS):
+        _, _, _, gt, mt1, mt2 = _gamma_exponents(alpha)
         tt1 = gt + mt1
         tt2 = gt * (gt - mpf(1) / 3) + mt1 * (mt1 + gt - mpf(2) / 3) - mt2
         tt3 = 2 * gt - mpf(1) / 3 + mt1
@@ -272,7 +275,7 @@ def t_tilde_matrix(alpha, dps=None):
 def l_matrix(alpha, point, dps=None, frame="phi"):
     """Spectral frame L (or the adjoint Lt) at a sector point off R-."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         beta = mpf(alpha) + mpf("0.25")
         w = mp.exp(mpc(0, 2) * mp.pi / 3)
         w2 = w * w
@@ -301,7 +304,7 @@ def l_matrix(alpha, point, dps=None, frame="phi"):
 def exp_diag(point, dps=None, frame="phi"):
     """Diagonal exponential factor of the large-z model."""
     d = _resolve_dps(dps)
-    with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
         w = mp.exp(mpc(0, 2) * mp.pi / 3)
         w2 = w * w
         zr3 = point.power(mpf(1) / 3, dps=d)
@@ -318,23 +321,27 @@ def expansion_residual(alpha, x, dps=None, frame="phi"):
         || T Phi(x) D^{-1} L^{-1} (sqrt3 / 2 pi) x^{2 beta/3} - I ||,
     evaluated on the + side of the positive axis; expected O(1/x).
     The adjoint frame uses Tt Psi, scale -(sqrt3/2 pi) x^{-2 beta/3}.
+
+    The columns of Phi grow and decay like the exponentials of D, so the
+    normalization cancels the digits an entire series of |z| = x loses
+    (specfun's :func:`_cancellation_digits`): it runs at d + that loss +
+    GUARD_DIGITS and asks T, L, D and the scale for d + that loss digits.
     """
     d = _resolve_dps(dps)
-    extra = int(2.4 * float(x) ** (1.0 / 3.0)) + 20
-    wp = d + extra
-    with mp.workdps(wp):
+    dc = d + _cancellation_digits(x, 1.0 / 3.0)
+    with mp.workdps(dc + GUARD_DIGITS):
         pt = SectorPoint(mpf(x), mpf(0))
         beta = mpf(alpha) + mpf("0.25")
         if frame == "phi":
             M = phi_matrix(alpha, pt, dps=d, side="+")
-            T = t_matrix(alpha, dps=wp)
-            scale = (2 * mp.pi / mp.sqrt(3)) * pt.power(-2 * beta / 3, dps=wp)
+            T = t_matrix(alpha, dps=dc)
+            scale = (2 * mp.pi / mp.sqrt(3)) * pt.power(-2 * beta / 3, dps=dc)
         else:
             M = psi_matrix(alpha, pt, dps=d, side="+")
-            T = t_tilde_matrix(alpha, dps=wp)
-            scale = -(2 * mp.pi / mp.sqrt(3)) * pt.power(2 * beta / 3, dps=wp)
-        L = l_matrix(alpha, pt, dps=wp, frame=frame)
-        D = exp_diag(pt, dps=wp, frame=frame)
+            T = t_tilde_matrix(alpha, dps=dc)
+            scale = -(2 * mp.pi / mp.sqrt(3)) * pt.power(2 * beta / 3, dps=dc)
+        L = l_matrix(alpha, pt, dps=dc, frame=frame)
+        D = exp_diag(pt, dps=dc, frame=frame)
         tm = mat_mul(T, M)
         tm = [[tm[i][j] / D[j] for j in range(3)] for i in range(3)]
         R = mat_mul(tm, inv3(L))

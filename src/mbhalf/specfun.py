@@ -32,7 +32,7 @@ import math
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .mpcore import _resolve_dps, _to_fixed, rgamma
+from .mpcore import GUARD_DIGITS, _resolve_dps, _to_fixed, rgamma
 
 RESONANCE_TOL = 1e-6
 
@@ -77,17 +77,24 @@ def check_nonresonant(alpha):
             "integer; use the contour-integral route instead")
 
 
-def _series_guard(radius, growth_power):
-    """Extra digits to absorb cancellation in an entire series.
+def _cancellation_digits(radius, growth_power):
+    """Decimal digits an entire series loses to cancellation at |z| = radius.
 
     ``growth_power`` is the exponent p such that the largest term scales
     like exp(c * radius^p); for 0F2, p = 1/3 and c <= 3, and the value can
     be as small as exp(-3 radius^{1/3}), so ~2.2 r^{1/3} digits vanish.
+    None for radius <= 1.  A sum of series that share that growth (the
+    families of a residue series, a double sum of Wright-Bessel terms)
+    loses the same digits.
     """
     r = float(radius)
-    if r <= 1:
-        return 12
-    return int(2.4 * r ** growth_power) + 12
+    return int(2.4 * r ** growth_power) if r > 1 else 0
+
+
+def _series_guard(radius, growth_power):
+    """Extra digits an entire series is summed with: its
+    :func:`_cancellation_digits` and 12 for the terms' own roundoff."""
+    return _cancellation_digits(radius, growth_power) + 12
 
 
 def _check_lower_param(b):
@@ -217,8 +224,8 @@ def _theta_sums(b1, b2, z, c, log=False):
 
 def _guarded_theta_sums(b1, b2, z, c, d, log):
     """:func:`_theta_sums` at d digits plus the cancellation guard, retried
-    once at raised precision if the largest term exceeded the sum by more
-    digits than the guard holds."""
+    once if the largest term exceeded the sum by more digits than the guard
+    holds, then with the digits it lost and GUARD_DIGITS more."""
     guard = _series_guard(abs(z), 1.0 / 3.0)
     _check_lower_param(b1)
     _check_lower_param(b2)
@@ -226,7 +233,7 @@ def _guarded_theta_sums(b1, b2, z, c, d, log):
         with mp.workdps(d + guard):
             sums, lost = _theta_sums(mpf(b1), mpf(b2), mpc(z), mpf(c), log)
         if lost > guard - 8 and attempt == 0:
-            guard = int(lost) + 15
+            guard = int(lost) + GUARD_DIGITS
             continue
         return sums
     raise RuntimeError("unreachable")
@@ -269,10 +276,10 @@ def hyper0f2(b1, b2, z, dps=None):
     return hyper0f2_theta(b1, b2, z, dps=dps)[0]
 
 
-def _wright_guard(b, x):
-    """Cancellation guard digits for J_{a,b}(x): the terms peak like
+def _wright_growth(b):
+    """The growth power of J_{a,b}(x): its terms peak like
     exp(c |x|^{1/(1+b)})."""
-    return _series_guard(abs(x), 1.0 / (1.0 + max(float(b), 0.1)))
+    return 1.0 / (1.0 + max(float(b), 0.1))
 
 
 def _wright_terms(a, b, x, d):
@@ -316,11 +323,11 @@ def wright_bessel(a, b, x, dps=None):
     """Wright's generalized Bessel J_{a,b}(x) = sum_j (-x)^j / (j! Gamma(a+bj)).
 
     The sum of :func:`_wright_terms` (whose terms the kernel's integral
-    route pairs one by one) at d + :func:`_wright_guard` digits; ``x`` may
+    route pairs one by one) at d + :func:`_series_guard` digits; ``x`` may
     be complex.
     """
     d = _resolve_dps(dps)
-    with mp.workdps(d + _wright_guard(b, x)):
+    with mp.workdps(d + _series_guard(abs(x), _wright_growth(b))):
         xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
         return mp.fsum(_wright_terms(mpf(a), mpf(b), xx, d))
 
@@ -330,11 +337,11 @@ def _frobenius(z, x, table, dps):
     ``table``, the power on the principal branch."""
     d = _resolve_dps(dps)
     out = []
-    for b1, b2, c in table:
-        inner = hyper0f2_theta(b1, b2, x, c=c, dps=d)
-        with mp.workdps(d + 10):
+    with mp.workdps(d + GUARD_DIGITS):
+        for b1, b2, c in table:
+            inner = hyper0f2_theta(b1, b2, x, c=c, dps=d)
             pref = mp.exp(mpf(c) * mp.log(mpc(z)))
-            out.append(tuple(+(pref * s) for s in inner))
+            out.append(tuple(pref * s for s in inner))
     return out
 
 

@@ -112,6 +112,38 @@ def test_meijer_auto_route_reported(capsys):
     assert float(doc["rows"][0]["im"]) == pytest.approx(0.0, abs=1e-30)
 
 
+def test_meijer_roundoff_imaginary_part_is_zero(capsys):
+    # G is real on sheet 0 at real z; the loop's imaginary roundoff (about
+    # 1e-79 here) is printed as 0.  One sheet up G is complex, and its
+    # imaginary part stays.
+    rows = {}
+    for sheet in ("0", "1"):
+        rc = main(["meijer", "--b", "0,-0.3,-0.8", "--z-grid", "1",
+                   "--route", "loop", "--m", "2", "--precision", "50",
+                   "--sheet", sheet])
+        assert rc == 0
+        rows[sheet] = capsys.readouterr().out.splitlines()[1].split(",")
+    assert rows["0"][3] == "0.0"
+    assert abs(float(rows["1"][3])) > 1e-3
+
+
+def test_meijer_decimal_resonance_takes_the_series(capsys):
+    # 0.2 - (-2.8) = 3 only in decimal; the series still takes its
+    # logarithmic form, and agrees with the loop to gate 01's 1e-20
+    values = {}
+    for route in ("series", "loop", "auto"):
+        rc = main(["meijer", "--b", "0.2,-2.8,0.45", "--z-grid", "0.5:3:3",
+                   "--route", route, "--format", "json"])
+        assert rc == 0, route
+        doc = json.loads(capsys.readouterr().out)
+        values[route] = [mpf(r["re"]) for r in doc["rows"]]
+        if route == "auto":
+            assert doc["meta"]["route"] == "series"
+    assert values["auto"] == values["series"]
+    for vs, vl in zip(values["series"], values["loop"]):
+        assert abs(vs - vl) <= mpf("1e-20") * abs(vl)
+
+
 def test_density_both_routes(capsys):
     rc = main(["density", "--route", "both", "--grid", "20"])
     assert rc == 0

@@ -152,3 +152,42 @@ def test_unused_import_detector():
                      "    from math import gamma\n"
                      "    return np.zeros(1)\n")
     assert _unused_imports(tree) == [(2, "os"), (4, "Sequence"), (7, "gamma")]
+
+
+def _workdps_literals(tree):
+    """Lines where an integer literal appears inside the arguments of a
+    ``workdps(...)`` call: guard digits written out by hand instead of
+    mpcore.GUARD_DIGITS or a cancellation estimate."""
+    lines = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "workdps"):
+            for arg in node.args + [k.value for k in node.keywords]:
+                for leaf in ast.walk(arg):
+                    if (isinstance(leaf, ast.Constant)
+                            and type(leaf.value) is int):
+                        lines.add(leaf.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_literal_guard_digits(path):
+    # one precision policy: every raise is d + GUARD_DIGITS, plus a
+    # cancellation that a function computes
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _workdps_literals(tree)
+    assert not found, "%s: integer literal in workdps on lines %s" % (
+        path.name, found)
+
+
+def test_workdps_literal_detector():
+    tree = ast.parse("with mp.workdps(d + 10):\n"
+                     "    pass\n"
+                     "with mp.workdps(d + GUARD_DIGITS):\n"
+                     "    pass\n"
+                     "with mp.workdps(max(64, n * k)):\n"
+                     "    pass\n"
+                     "with mp.workdps(dps=d + guard(r, 1.0 / 3.0)):\n"
+                     "    pass\n"
+                     "x = mp.mpf(10) ** (d + 5)\n")
+    assert _workdps_literals(tree) == [1, 5]

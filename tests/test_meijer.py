@@ -204,12 +204,15 @@ def test_loop_accuracy_at_requested_digits(monkeypatch):
                 assert abs(got - ref) <= mpf(10) ** (-d + 2) * abs(ref), (d, r, ang)
 
 
-def test_loop_accuracy_at_large_modulus():
+def test_loop_accuracy_at_large_modulus(monkeypatch):
     # near arg 0 at |z| = 10^3 G is recessive and the loop's terms cancel
     # by about 20 digits, more than its guard digits; the cancellation
     # rerun must still deliver the requested 30 digits.  The losses differ
     # (20.5 digits at arg 0, 17.2 at arg 2.5) but call for the same
-    # Gauss-Legendre order, so the reruns must share one product table
+    # Gauss-Legendre order, so the reruns must share one product table.
+    # The tables are counted in an empty cache of this test's own, so that
+    # 96-node tables other tests built at other digits do not count.
+    monkeypatch.setattr(meijer, "_loop_cache", OrderedDict())
     d = 30
     b_res = (mpf(0), mpf(0), mpf("-0.5"))
     for ang in ("0", "0.5", "2.5"):
@@ -312,6 +315,27 @@ def test_series_resonant_raises():
     with mp.workdps(50):
         ref = mp.meijerg([[], []], [list(b), []], 1)
         assert abs(got - ref) / abs(ref) < mpf("1e-38")
+
+
+def test_decimal_resonance_is_resonant():
+    # 0.2 - (-2.8) = 3 in decimal but not in binary: the difference is
+    # within a few units in the last place of an integer at the precision
+    # b was given in, so the series takes its logarithmic form with N = 3.
+    # Off by 1e-40, far more than those units, the pair is near-resonant.
+    pt = SectorPoint(mpf("1.7"), mpf("0.4"))
+    with mp.workdps(50):
+        b = (mpf("0.2"), mpf("-2.8"), mpf("0.45"))
+        with mp.workdps(100):
+            assert b[0] - b[1] != 3
+        assert meijer._log_pair(b) == (0, 1, 3)
+        assert meijer.pick_route(b, 3) == "series"
+        vs = g303_series(b, pt, dps=40)
+        vl = mb_loop(b, pt, m=3, dps=40)
+        assert abs(vs - vl) / abs(vl) < mpf("1e-35")
+        near = (b[0], b[1] + mpf("1e-40"), b[2])
+        assert meijer.pick_route(near, 3) == "loop"
+        with pytest.raises(ResonantParameterError):
+            g303_series(near, pt, dps=40)
 
 
 def test_theta_triples_match_log_derivative():
