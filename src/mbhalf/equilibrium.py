@@ -19,7 +19,9 @@ This module provides
   (`density_vx_cardano`),
 * a float64 minimizer for general fields on a uniform cell grid
   (`equilibrium_minimize`): the discrete energy is a strictly convex
-  quadratic on the simplex, solved exactly by pivoting on its KKT system,
+  quadratic on the simplex, solved exactly by pivoting on its KKT system;
+  the pivoting starts from the support of the same field solved on a grid
+  8 times coarser,
 * Euler-Lagrange certification (`variational_residual`),
 * the g-functions / phi-functions / conformal map f built on top of a
   solution (`g_functions`), and
@@ -353,11 +355,14 @@ def _energy_operator(h, m):
     return A
 
 
-def _kkt_active_set(A, v, w0, max_iter):
+def _kkt_active_set(A, v, w0, max_iter, start=None):
     """Exact minimizer of w.A.w + v.w over the simplex by block principal
     pivoting on the KKT conditions (Kim & Park, SIAM J. Sci. Comput. 2011).
 
-    For a trial support S, the bordered system
+    The first trial support is `start` (a boolean mask over the cells) or,
+    when it is None, every cell.  The KKT point is unique, so the start
+    changes only how many pivots reach it.  For a trial support S, the
+    bordered system
     [[A_SS, -1], [1^T, 0]] [w_S, ell/2] = [-v_S/2, 1] gives weights and the
     multiplier ell with 2(Aw) + v = ell on S.  A is positive definite only
     on sum-zero vectors, so A_SS alone may be indefinite; the bordered
@@ -373,7 +378,7 @@ def _kkt_active_set(A, v, w0, max_iter):
     """
     m = len(v)
     trace = [float(w0 @ (A @ w0) + v @ w0)]
-    support = np.ones(m, dtype=bool)
+    support = np.ones(m, dtype=bool) if start is None else start.copy()
     best, budget = m + 1, 3
     for _ in range(max_iter):
         idx = np.flatnonzero(support)
@@ -460,6 +465,30 @@ def _fit_c1_cells(w, h, j_edge, first=3, last=30):
 
 SUPPORT_CUT = 1e-8
 
+# The fine pivoting starts from the support found on a grid COARSE_FACTOR
+# times coarser; below COARSE_MIN_CELLS fine cells it starts from all cells.
+COARSE_FACTOR = 8
+COARSE_MIN_CELLS = 256
+
+
+def _coarse_start(V, Q, m, max_iter):
+    """Start support for the pivoting on m cells of [0, Q]: fine cell j
+    starts in it iff the cell of the m // COARSE_FACTOR grid that contains
+    its midpoint carries weight at that grid's KKT point.  None (start from
+    all cells) when m < COARSE_MIN_CELLS or the coarse solve stagnates."""
+    if m < COARSE_MIN_CELLS:
+        return None
+    mc = m // COARSE_FACTOR
+    s = (np.arange(mc) + 0.5) * (Q / mc)
+    v = np.array([float(V(x)) for x in s])
+    try:
+        wc = _kkt_active_set(_energy_operator(Q / mc, mc), v,
+                             np.full(mc, 1.0 / mc), max_iter)[0]
+    except StagnationError:
+        return None
+    # midpoint (j + 1/2) Q/m lies in coarse cell floor((2j + 1) mc / (2m))
+    return wc[(2 * np.arange(m) + 1) * mc // (2 * m)] > 0
+
 
 def equilibrium_minimize(V, Q, m, max_iter=6000):
     """Minimize the discretized energy over probability measures on [0, Q].
@@ -467,12 +496,20 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     V : callable, the external field, evaluated at the m cell midpoints.
     Q : box size; the support of the minimizer must end well inside.
     m : number of uniform cells.
-    max_iter : cap on the pivot iterations of the exact KKT solve.
+    max_iter : cap on the pivot iterations of each exact KKT solve.
+
+    From m = COARSE_MIN_CELLS cells on, the same field is first solved on
+    m // COARSE_FACTOR cells, and the pivoting on m cells starts from that
+    support instead of from all cells; if the coarse solve stagnates, it
+    starts from all cells.  The KKT point is unique, so the result is the
+    same either way, bit for bit: only the number of pivots changes.
 
     Returns an EquilibriumSolution with q (support endpoint estimate), the
     Lagrange constant ell (the KKT multiplier of the mass constraint), the
     log-potential at the cell midpoints, and edge-constant fits c0, c1, cV.
-    Raises StagnationError when the solve does not reach a KKT point.
+    Its objective_trace holds the objective at the fine start point and at
+    each fine feasible iterate that lowers it.  Raises StagnationError when
+    the fine solve does not reach a KKT point.
     """
     h = Q / m
     s = (np.arange(m) + 0.5) * h
@@ -494,9 +531,10 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
         warnings.warn("x V'(x) is not increasing; the one-cut assumption may fail",
                       RuntimeWarning, stacklevel=2)
 
+    start = _coarse_start(V, Q, m, max_iter)
     A = _energy_operator(h, m)
     w0 = s ** (-2.0 / 3.0) / np.sum(s ** (-2.0 / 3.0))
-    w, ell, aw, trace = _kkt_active_set(A, v, w0, max_iter)
+    w, ell, aw, trace = _kkt_active_set(A, v, w0, max_iter, start)
 
     support = w > SUPPORT_CUT * float(np.max(w))
     q_est = float(s[support][-1])

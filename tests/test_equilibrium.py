@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from mbhalf import equilibrium
 from mbhalf.equilibrium import (
     VX_C0,
     VX_C1,
@@ -24,7 +25,13 @@ from mbhalf.equilibrium import (
     vx_reference_solution,
     weights_from_density,
 )
-from mbhalf.equilibrium import _cell_log_table, _energy_operator, _kkt_active_set
+from mbhalf.equilibrium import (
+    COARSE_FACTOR,
+    COARSE_MIN_CELLS,
+    _cell_log_table,
+    _energy_operator,
+    _kkt_active_set,
+)
 from mbhalf.mpcore import quad_ts
 
 
@@ -204,6 +211,96 @@ def test_minimizer_pivot_cap_and_singular_system():
     with pytest.raises(StagnationError) as err:
         _kkt_active_set(np.zeros((3, 3)), np.zeros(3), np.full(3, 1 / 3), 10)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+def _all_cells_problem(V, box, m):
+    """Operator, field values and start point of equilibrium_minimize's
+    fine grid, for pivoting started from all cells."""
+    h = box / m
+    s = (np.arange(m) + 0.5) * h
+    w0 = s ** (-2.0 / 3.0) / np.sum(s ** (-2.0 / 3.0))
+    return _energy_operator(h, m), np.array([float(V(x)) for x in s]), w0
+
+
+def _same_bits(sol, w, ell, aw):
+    return (np.array_equal(sol.mu.weights, w) and sol.ell == -ell
+            and np.array_equal(sol.potential, -2.0 * aw))
+
+
+# the quartic and (x - 3)^2 fields are not one-cut by the x V'(x) test
+@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
+@pytest.mark.parametrize("V, box, m", [
+    (lambda x: x, 6.0, 1001),
+    (lambda x: x + 0.1 * x * x, 6.0, 800),
+    (lambda x: x + 0.1 * x * x, 6.0, 803),
+    (lambda x: 0.5 * x * x, 4.0, 400),
+    (lambda x: x ** 4 / 4 - 1.5 * x * x + 0.3 * x, 4.0, 800),
+    (lambda x: (x - 3) ** 2, 6.0, 800),
+    # support on cells 204-583, away from the origin
+    (lambda x: (x - 3) ** 2, 6.0, 997),
+])
+def test_coarse_start_reaches_the_same_kkt_point(V, box, m, monkeypatch):
+    # the KKT point is unique, so the fine pivoting started from the coarse
+    # grid's support ends on the same bordered system as when started from
+    # all cells: the same weights, multiplier and potential, to the bit
+    A, v, w0 = _all_cells_problem(V, box, m)
+    w, ell, aw, trace = _kkt_active_set(A, v, w0, 6000)
+    del A
+    solves = []  # (cells of the grid, sizes of its bordered systems)
+    solve, pivot = np.linalg.solve, equilibrium._kkt_active_set
+
+    def counted_solve(a, b):
+        solves[-1][1].append(a.shape[0])
+        return solve(a, b)
+
+    def tagged_pivot(A, v, *args):
+        solves.append((len(v), []))
+        return pivot(A, v, *args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(equilibrium, "_kkt_active_set", tagged_pivot)
+    sol = equilibrium_minimize(V, box, m)
+    assert _same_bits(sol, w, ell, aw)
+    (coarse_m, _), (fine_m, fine) = solves
+    assert (coarse_m, fine_m) == (m // COARSE_FACTOR, m)
+    assert len(fine) <= 6 and max(fine) < m + 1
+    tr = sol.objective_trace
+    assert tr[0] == trace[0] and tr[-1] == trace[-1]
+    assert all(b < a for a, b in zip(tr, tr[1:]))
+
+
+def test_pivot_cap_holds_above_the_coarse_threshold():
+    # max_iter caps the fine pivoting too, and the objective it reports is
+    # the fine grid's, as when the pivoting starts from all cells
+    V, box, m = (lambda x: x), 6.0, 800
+    assert m >= COARSE_MIN_CELLS
+    A, v, w0 = _all_cells_problem(V, box, m)
+    with pytest.raises(StagnationError) as ref:
+        _kkt_active_set(A, v, w0, 1)
+    del A
+    with pytest.raises(StagnationError) as err:
+        equilibrium_minimize(V, box, m, max_iter=1)
+    assert err.value.objective == ref.value.objective
+
+
+def test_coarse_stagnation_starts_from_all_cells(monkeypatch):
+    V, box, m = (lambda x: x + 0.1 * x * x), 6.0, 800
+    A, v, w0 = _all_cells_problem(V, box, m)
+    w, ell, aw, _ = _kkt_active_set(A, v, w0, 6000)
+    del A
+    starts = []
+    pivot = equilibrium._kkt_active_set
+
+    def stagnating_coarse(A, v, w0, max_iter, start=None):
+        if len(v) < m:
+            raise StagnationError("forced on the coarse grid", 0.0)
+        starts.append(start)
+        return pivot(A, v, w0, max_iter, start)
+
+    monkeypatch.setattr(equilibrium, "_kkt_active_set", stagnating_coarse)
+    sol = equilibrium_minimize(V, box, m)
+    assert starts == [None]
+    assert _same_bits(sol, w, ell, aw)
 
 
 def test_minimizer_single_cell_converges():
