@@ -360,8 +360,10 @@ def build_parser():
     e.add_argument("--box", type=float, default=6.0)
     e.add_argument("--m", type=int, default=500, help="grid cells")
     e.add_argument("--max-iter", type=int, default=6000,
-                   help="cap on the pivot iterations of the exact KKT solve; "
-                        "exceeding it is a numerical failure (exit 3)")
+                   help="cap on the pivot iterations of each KKT solve (coarse "
+                        "start and fine); exceeding it on the fine solve is a "
+                        "numerical failure (exit 3), on the coarse one the "
+                        "fine solve starts from all cells")
 
     c = sub.add_parser("converge", parents=[common],
                        help="scaled finite-n kernel vs. the limit")

@@ -360,9 +360,10 @@ def _kkt_active_set(A, v, w0, max_iter, start=None):
     pivoting on the KKT conditions (Kim & Park, SIAM J. Sci. Comput. 2011).
 
     The first trial support is `start` (a boolean mask over the cells) or,
-    when it is None, every cell.  The KKT point is unique, so the start
-    changes only how many pivots reach it.  For a trial support S, the
-    bordered system
+    when it is None, every cell.  The KKT point is unique, so in exact
+    arithmetic the start changes only how many pivots reach it; in floating
+    point, two starts that stop on the same last trial support return the
+    same bits.  For a trial support S, the bordered system
     [[A_SS, -1], [1^T, 0]] [w_S, ell/2] = [-v_S/2, 1] gives weights and the
     multiplier ell with 2(Aw) + v = ell on S.  A is positive definite only
     on sum-zero vectors, so A_SS alone may be indefinite; the bordered
@@ -466,19 +467,17 @@ def _fit_c1_cells(w, h, j_edge, first=3, last=30):
 SUPPORT_CUT = 1e-8
 
 # The fine pivoting starts from the support found on a grid COARSE_FACTOR
-# times coarser; below COARSE_MIN_CELLS fine cells it starts from all cells.
+# times coarser.
 COARSE_FACTOR = 8
-COARSE_MIN_CELLS = 256
 
 
 def _coarse_start(V, Q, m, max_iter):
     """Start support for the pivoting on m cells of [0, Q]: fine cell j
-    starts in it iff the cell of the m // COARSE_FACTOR grid that contains
-    its midpoint carries weight at that grid's KKT point.  None (start from
-    all cells) when m < COARSE_MIN_CELLS or the coarse solve stagnates."""
-    if m < COARSE_MIN_CELLS:
-        return None
-    mc = m // COARSE_FACTOR
+    starts in it iff the cell of the max(1, m // COARSE_FACTOR) grid that
+    contains its midpoint carries weight at that grid's KKT point.  A
+    one-cell coarse grid gives all cells.  None (start from all cells) when
+    the coarse solve stagnates."""
+    mc = max(1, m // COARSE_FACTOR)
     s = (np.arange(mc) + 0.5) * (Q / mc)
     v = np.array([float(V(x)) for x in s])
     try:
@@ -496,13 +495,18 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     V : callable, the external field, evaluated at the m cell midpoints.
     Q : box size; the support of the minimizer must end well inside.
     m : number of uniform cells.
-    max_iter : cap on the pivot iterations of each exact KKT solve.
+    max_iter : cap on the pivot iterations of each exact KKT solve, the
+        coarse start and the fine one.
 
-    From m = COARSE_MIN_CELLS cells on, the same field is first solved on
-    m // COARSE_FACTOR cells, and the pivoting on m cells starts from that
-    support instead of from all cells; if the coarse solve stagnates, it
-    starts from all cells.  The KKT point is unique, so the result is the
-    same either way, bit for bit: only the number of pivots changes.
+    The same field is first solved on max(1, m // COARSE_FACTOR) cells, and
+    the pivoting on m cells starts from that support instead of from all
+    cells; if the coarse solve stagnates, it starts from all cells.  The
+    KKT point is unique, so both starts end on the same support in exact
+    arithmetic.  In floating point the support comes from sign tests, and a
+    cell on its border could stop two pivot paths on different supports
+    whose results differ by roundoff; whenever the last trial support is
+    the same, the result is the same bit for bit, which holds on every
+    field the tests and the benchmark use.
 
     Returns an EquilibriumSolution with q (support endpoint estimate), the
     Lagrange constant ell (the KKT multiplier of the mass constraint), the

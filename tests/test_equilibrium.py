@@ -27,7 +27,6 @@ from mbhalf.equilibrium import (
 )
 from mbhalf.equilibrium import (
     COARSE_FACTOR,
-    COARSE_MIN_CELLS,
     _cell_log_table,
     _energy_operator,
     _kkt_active_set,
@@ -204,15 +203,6 @@ def test_minimizer_kkt_certificate(V, box, m):
     assert strict == strict_re
 
 
-def test_minimizer_pivot_cap_and_singular_system():
-    with pytest.raises(StagnationError):
-        equilibrium_minimize(lambda x: x, 6.0, 150, max_iter=1)
-    # a zero operator makes the bordered KKT system singular
-    with pytest.raises(StagnationError) as err:
-        _kkt_active_set(np.zeros((3, 3)), np.zeros(3), np.full(3, 1 / 3), 10)
-    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
-
-
 def _all_cells_problem(V, box, m):
     """Operator, field values and start point of equilibrium_minimize's
     fine grid, for pivoting started from all cells."""
@@ -225,6 +215,23 @@ def _all_cells_problem(V, box, m):
 def _same_bits(sol, w, ell, aw):
     return (np.array_equal(sol.mu.weights, w) and sol.ell == -ell
             and np.array_equal(sol.potential, -2.0 * aw))
+
+
+def test_minimizer_pivot_cap_and_singular_system():
+    # with max_iter=1 the coarse stage stagnates, so the fine loop starts
+    # from all cells and raises with the objective of the fine grid
+    for m in (150, 800):
+        A, v, w0 = _all_cells_problem(lambda x: x, 6.0, m)
+        with pytest.raises(StagnationError) as ref:
+            _kkt_active_set(A, v, w0, 1)
+        del A
+        with pytest.raises(StagnationError) as err:
+            equilibrium_minimize(lambda x: x, 6.0, m, max_iter=1)
+        assert err.value.objective == ref.value.objective
+    # a zero operator makes the bordered KKT system singular
+    with pytest.raises(StagnationError) as err:
+        _kkt_active_set(np.zeros((3, 3)), np.zeros(3), np.full(3, 1 / 3), 10)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 # the quartic and (x - 3)^2 fields are not one-cut by the x V'(x) test
@@ -267,20 +274,6 @@ def test_coarse_start_reaches_the_same_kkt_point(V, box, m, monkeypatch):
     tr = sol.objective_trace
     assert tr[0] == trace[0] and tr[-1] == trace[-1]
     assert all(b < a for a, b in zip(tr, tr[1:]))
-
-
-def test_pivot_cap_holds_above_the_coarse_threshold():
-    # max_iter caps the fine pivoting too, and the objective it reports is
-    # the fine grid's, as when the pivoting starts from all cells
-    V, box, m = (lambda x: x), 6.0, 800
-    assert m >= COARSE_MIN_CELLS
-    A, v, w0 = _all_cells_problem(V, box, m)
-    with pytest.raises(StagnationError) as ref:
-        _kkt_active_set(A, v, w0, 1)
-    del A
-    with pytest.raises(StagnationError) as err:
-        equilibrium_minimize(V, box, m, max_iter=1)
-    assert err.value.objective == ref.value.objective
 
 
 def test_coarse_stagnation_starts_from_all_cells(monkeypatch):
