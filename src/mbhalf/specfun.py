@@ -324,12 +324,27 @@ def wright_bessel(a, b, x, dps=None):
 
     The sum of :func:`_wright_terms` (whose terms the kernel's integral
     route pairs one by one) at d + :func:`_series_guard` digits; ``x`` may
-    be complex.
+    be complex.  As :func:`_guarded_theta_sums` does, it retries once if the
+    largest term exceeded the sum by more digits than that guard holds,
+    then with the digits it lost and GUARD_DIGITS more.
     """
     d = _resolve_dps(dps)
-    with mp.workdps(d + _series_guard(abs(x), _wright_growth(b))):
-        xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
-        return mp.fsum(_wright_terms(mpf(a), mpf(b), xx, d))
+    guard = _series_guard(abs(x), _wright_growth(b))
+    for attempt in range(2):
+        with mp.workdps(d + guard):
+            xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
+            terms = _wright_terms(mpf(a), mpf(b), xx, d)
+            total = mp.fsum(terms)
+            big = max(abs(t) for t in terms)
+            if not big:
+                lost = 0
+            elif not total:  # every digit lost
+                lost = d + guard
+            else:
+                lost = (mp.mag(big) - mp.mag(total)) * _LOG10_2
+        if attempt or lost <= guard - 8:
+            return total
+        guard = int(lost) + GUARD_DIGITS
 
 
 def _frobenius(z, x, table, dps):

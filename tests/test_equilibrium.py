@@ -30,6 +30,8 @@ from mbhalf.equilibrium import (
     _cell_log_table,
     _energy_operator,
     _kkt_active_set,
+    _sqrt_log_kernel,
+    _sqrt_log_orders,
 )
 from mbhalf.mpcore import quad_ts
 
@@ -151,12 +153,10 @@ def test_variational_residual_probe_on_empty_cell():
     assert ineq_ok
 
 
-def test_energy_operator_matches_two_matrix_form():
-    # reference: both cell-pair matrices built in full, row by row, without
-    # the symmetric fill, the in-place Toeplitz subtraction or the matrix
-    # products; the operator must agree entry-wise to a few ulps
-    m, box, npts = 40, 6.0, 8
-    h = box / m
+def _gl_cell_averages(h, m, npts):
+    """Cell-pair averages of log(sqrt x + sqrt y) by the npts x npts
+    Gauss-Legendre rule in u = sqrt x on every pair, built in full, row by
+    row, by broadcasting: no symmetric fill and no matrix products."""
     x, wq = np.polynomial.legendre.leggauss(npts)
     edges = np.sqrt(np.arange(m + 1) * h)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -168,12 +168,67 @@ def test_energy_operator_matches_two_matrix_form():
         lg = np.log(u_nodes[i][:, None, None] + u_nodes[None, :, :])
         smat[i] = (u_wts[i][:, None, None] * (u_wts[None, :, :] * lg)).sum(
             axis=(0, 2)) / h / h
+    return smat
+
+
+def _uniform_order_kernel(h, m, npts=8):
+    """The same cell averages with the npts x npts rule on every pair, in
+    the arithmetic `_sqrt_log_kernel` had before its rows took their own
+    orders (row 0, whose order is 8, still has it): the reference for the
+    row orders."""
+    x, wq = np.polynomial.legendre.leggauss(npts)
+    edges = np.sqrt(np.arange(m + 1) * h)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rad = 0.5 * (edges[1:] - edges[:-1])
+    u_nodes = mid[:, None] + rad[:, None] * x[None, :]
+    u_wts = (rad[:, None] * wq[None, :]) * 2.0 * u_nodes / h
+    smat = np.empty((m, m))
+    buf = np.empty((npts, m, npts))
+    for i in range(m):
+        lg = buf[:, :m - i, :]
+        np.add(u_nodes[i][:, None, None], u_nodes[None, i:, :], out=lg)
+        np.log(lg, out=lg)
+        inner = (u_wts[i] @ lg.reshape(npts, -1)).reshape(m - i, npts)
+        smat[i, i:] = np.einsum("jb,jb->j", inner, u_wts[i:])
+        smat[i:, i] = smat[i, i:]
+    return smat
+
+
+def test_energy_operator_matches_two_matrix_form():
+    # reference: both cell-pair matrices built in full, row by row, without
+    # the symmetric fill, the in-place Toeplitz subtraction or the matrix
+    # products; the operator must agree entry-wise to a few ulps
+    m, box = 40, 6.0
+    h = box / m
+    smat = _gl_cell_averages(h, m, 8)
     tab = _cell_log_table(m) + np.log(h)
     idx = np.arange(m)
     lam = tab[np.abs(np.subtract.outer(idx, idx))]
     A = _energy_operator(h, m)
     assert np.array_equal(A, A.T)
     assert np.max(np.abs(A - (0.5 * smat - lam))) < 1e-14
+
+
+@pytest.mark.parametrize("m", [40, 250, 2000])
+def test_sqrt_log_kernel_row_orders(m):
+    # each row's order comes from an error bound: the entries stay within
+    # roundoff of 8 points on every pair, and off the singular first cell
+    # within roundoff of 20 points, which checks the bound and not only the
+    # agreement with the old rule; row 0 keeps 8 nodes and its bits
+    h = 6.0 / m
+    S = _sqrt_log_kernel(h, m)
+    orders = _sqrt_log_orders(m)
+    assert orders[0] == 8 and orders.max() <= 8
+    assert np.array_equal(S, S.T)
+    S8 = _uniform_order_kernel(h, m)
+    assert np.array_equal(S[0], S8[0]) and np.array_equal(S[:, 0], S8[:, 0])
+    assert np.max(np.abs(S - S8)) <= 2e-15
+    if m == 40:
+        # the reference against the independent broadcast build
+        assert np.max(np.abs(S8 - _gl_cell_averages(h, m, 8))) < 1e-14
+    del S8
+    S20 = _uniform_order_kernel(h, m, 20)
+    assert np.max(np.abs(S - S20)[1:, 1:]) <= 2e-15
 
 
 @pytest.mark.parametrize("V, box, m", [
@@ -234,9 +289,8 @@ def test_minimizer_pivot_cap_and_singular_system():
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
-# the quartic and (x - 3)^2 fields are not one-cut by the x V'(x) test
-@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
-@pytest.mark.parametrize("V, box, m", [
+# the fields of the pivoting tests
+_PIVOT_FIELDS = [
     (lambda x: x, 6.0, 1001),
     (lambda x: x + 0.1 * x * x, 6.0, 800),
     (lambda x: x + 0.1 * x * x, 6.0, 803),
@@ -245,7 +299,12 @@ def test_minimizer_pivot_cap_and_singular_system():
     (lambda x: (x - 3) ** 2, 6.0, 800),
     # support on cells 204-583, away from the origin
     (lambda x: (x - 3) ** 2, 6.0, 997),
-])
+]
+
+
+# the quartic and (x - 3)^2 fields are not one-cut by the x V'(x) test
+@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
+@pytest.mark.parametrize("V, box, m", _PIVOT_FIELDS)
 def test_coarse_start_reaches_the_same_kkt_point(V, box, m, monkeypatch):
     # the KKT point is unique, so the fine pivoting started from the coarse
     # grid's support ends on the same bordered system as when started from
@@ -274,6 +333,21 @@ def test_coarse_start_reaches_the_same_kkt_point(V, box, m, monkeypatch):
     tr = sol.objective_trace
     assert tr[0] == trace[0] and tr[-1] == trace[-1]
     assert all(b < a for a, b in zip(tr, tr[1:]))
+
+
+@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
+@pytest.mark.parametrize("V, box, m", _PIVOT_FIELDS)
+def test_row_orders_move_the_weights_by_roundoff(V, box, m, monkeypatch):
+    # the row orders move the operator's entries by roundoff; the KKT point
+    # of the operator with 8 points on every pair has the same support, and
+    # its weights and multiplier differ by roundoff too
+    sol = equilibrium_minimize(V, box, m)
+    monkeypatch.setattr(equilibrium, "_sqrt_log_kernel", _uniform_order_kernel)
+    A, v, w0 = _all_cells_problem(V, box, m)
+    w, ell, _, _ = _kkt_active_set(A, v, w0, 6000, sol.mu.weights > 0)
+    assert np.array_equal(w > 0, sol.mu.weights > 0)
+    assert np.max(np.abs(w - sol.mu.weights)) <= 1e-14
+    assert abs(ell + sol.ell) <= 1e-14
 
 
 def test_coarse_stagnation_starts_from_all_cells(monkeypatch):

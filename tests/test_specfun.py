@@ -200,6 +200,30 @@ def test_wright_bessel_fast_and_generic_paths_agree():
             assert abs(v - ref) / abs(ref) < mpf("1e-22"), b
 
 
+def test_wright_bessel_cancellation_retry(monkeypatch):
+    # J_{1,1}(400) = J_0(40) loses about 18 digits to cancellation; with no
+    # guard the first pass keeps about 12 of 30, and the retry at the digits
+    # it lost and GUARD_DIGITS more restores them
+    d, x = 30, mpf(400)
+    ref = wright_bessel(1, 1, x, dps=d + 40)
+    precs = []
+    terms = specfun._wright_terms
+
+    def counted(*args):
+        precs.append(mp.prec)
+        return terms(*args)
+
+    monkeypatch.setattr(specfun, "_wright_terms", counted)
+    wright_bessel(1, 1, x, dps=d)
+    assert len(precs) == 1  # the default guard holds the loss
+    monkeypatch.setattr(specfun, "_series_guard", lambda radius, power: 0)
+    precs.clear()
+    got = wright_bessel(1, 1, x, dps=d)
+    assert len(precs) == 2 and precs[1] > precs[0]
+    with mp.workdps(d + 40):
+        assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref)
+
+
 def test_resonance_distance_and_guard():
     assert resonance_distance(0.3) == pytest.approx(0.4)
     assert resonance_distance(-0.4) == pytest.approx(0.2)
