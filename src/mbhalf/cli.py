@@ -20,7 +20,6 @@ from .finiten import DomainExtensionError, hard_edge_convergence
 from .kernel import DIAG_GUARD, kernel_diag_limit, kernel_integral, kernel_meijer
 from .meijer import SectorPoint, g303_series, mb_loop, pick_route
 from .mpcore import (
-    GUARD_DIGITS,
     GammaPoleError,
     QuadratureConvergenceError,
     SingularMatrixError,
@@ -28,6 +27,7 @@ from .mpcore import (
     mat_mul,
     mat_transpose,
     norm_max,
+    working,
 )
 from .specfun import ResonantParameterError, SeriesConvergenceError
 
@@ -256,7 +256,7 @@ def cmd_rhcheck(args, precision):
 
     for name, ang in (("Q1", "0.25"), ("Q2", "0.75"), ("Q3", "-0.75"),
                       ("Q4", "-0.25")):
-        with mp.workdps(precision + GUARD_DIGITS):
+        with working(precision):
             pt = SectorPoint(mpf("1.3"), mpf(ang) * mp.pi)
             m = rhframe.phi_matrix(alpha, pt, dps=precision)
             pred = rhframe.det_phi_predicted(alpha, pt, dps=precision)
@@ -270,7 +270,7 @@ def cmd_rhcheck(args, precision):
             rows.append(["jump_" + frame, ray, resid, args.tol_jump])
 
     for tag, r, ang in (("r=0.7", "0.7", "0.3"), ("r=2.0", "2.0", "-0.6")):
-        with mp.workdps(precision + GUARD_DIGITS):
+        with working(precision):
             pt = SectorPoint(mpf(r), mpf(ang) * mp.pi)
             prod = rhframe.phi_psi_product(alpha, pt, dps=precision)
             t = rhframe.t_matrix(alpha, dps=precision)
@@ -281,7 +281,7 @@ def cmd_rhcheck(args, precision):
                                for j in range(3)] for i in range(3)]) / four_pi2
         rows.append(["inverse", tag, +resid, args.tol_inverse])
 
-    with mp.workdps(precision + GUARD_DIGITS):
+    with working(precision):
         pt = SectorPoint(mpf("1.1"), mpf("0.35") * mp.pi)
         L = rhframe.l_matrix(alpha, pt, dps=precision, frame="phi")
         Lt = rhframe.l_matrix(alpha, pt, dps=precision, frame="psi")

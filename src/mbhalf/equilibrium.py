@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 from mpmath import mp, mpf, mpc
 
-from .mpcore import GUARD_DIGITS, _resolve_dps, quad_gl, quad_ts, solve_cubic
+from .mpcore import quad_gl, quad_ts, solve_cubic, working
 
 __all__ = [
     "DomainError",
@@ -97,12 +97,12 @@ VX_SUPPORT = mpf(27) / 8
 
 
 def VX_C0(dps=None):
-    with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+    with working(dps):
         return mp.sqrt(3) / (2 ** mpf("5/3") * mp.pi)
 
 
 def VX_C1(dps=None):
-    with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+    with working(dps):
         return 16 * mp.sqrt(2) / (81 * mp.pi)
 
 
@@ -125,8 +125,7 @@ def density_vx_explicit(s, dps=None):
     change sign inside (0, 27/8); both cube roots must therefore be taken as
     *real* cube roots, not principal complex ones.
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         s = mpf(s)
         # closed right endpoint: the bracket vanishes there, and endpoint-
         # singular quadrature rules may round a node onto it
@@ -146,8 +145,7 @@ def density_vx_cardano(s, dps=None):
     positive imaginary part (above 1e-20) and returns Im(root)/pi.  Shares
     no code with :func:`density_vx_explicit` beyond the cubic solver.
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         s = mpf(s)
         if s <= 0:
             raise DomainError(f"need s > 0; got s = {s}")
@@ -182,8 +180,7 @@ def endpoint_fit(density, q, end, dps=None):
     Uses the midpoints of the 5 cells of width 5e-4 nearest the endpoint and
     Neville extrapolation to expansion variable 0.
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         q = mpf(q)
         h = mpf("5e-4")
         ts, vals = [], []
@@ -278,7 +275,7 @@ def weights_from_density(density, q, m, dps=20):
     """Cell weights w_i = integral of `density` over the i-th of m uniform
     cells of [0, q].  Interior cells use Gauss-Legendre; the first and last
     cells use tanh-sinh to absorb the edge singularities."""
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         q = mpf(q)
         h = q / m
         w = np.empty(m)
@@ -637,7 +634,7 @@ def variational_residual(sol, V):
 def _vx_ell(dps):
     """Lagrange constant for V(x)=x from the Euler-Lagrange equality,
     averaged over three interior points (the spread is a quadrature check)."""
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         q = VX_SUPPORT
         rho = lambda t: density_vx_explicit(t, dps=dps)
         vals = []
@@ -803,7 +800,7 @@ def g_functions(sol, dps=30):
         comb = omega ** 2 * p1 - p2 if _upper(z) else omega * p1 - p2
         return mpf(8) / 729 * comb ** 3
 
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         m1 = +mu_int(lambda s: s)
         m_half = +mu_int(lambda s: mp.sqrt(s))
 
@@ -819,7 +816,7 @@ def scaling_constants(gf, sol, dps=30):
     difference of the conformal map at +-1e-3.  For V(x)=x the chain closes
     at cV = 2^(-2/3) and f'(0) = cV^3 = 1/4.
     """
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         cv = 2 * mp.pi / mp.sqrt(3) * mpf(sol.c0)
         ray = mp.exp(1j * mp.pi / 4)
         rs = [mpf(2) / 1000, mpf(1) / 1000, mpf(1) / 2000]

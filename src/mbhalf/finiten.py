@@ -18,9 +18,7 @@ from typing import Callable, Dict, List, Union
 from mpmath import mp, mpf, mpc
 
 from .mpcore import (
-    GUARD_DIGITS,
     SingularMatrixError,
-    _resolve_dps,
     gamma,
     inv3,
     ldu_decompose,
@@ -28,6 +26,7 @@ from .mpcore import (
     quad_ts,
     unit_lower_inverse,
     unit_upper_inverse,
+    working,
 )
 from .kernel import kernel_meijer
 
@@ -69,9 +68,9 @@ class MomentTable:
         return max(self.values) if self.values else -1
 
 
-def _tail_box(alpha, n, V, smax, d):
-    """Right endpoint X with integrand below 10^-(d + GUARD_DIGITS), the
-    working precision of :func:`moments`, at X and at every
+def _tail_box(alpha, n, V, smax):
+    """Right endpoint X with integrand below 10^-mp.dps, the working
+    precision of :func:`moments` that it runs under, at X and at every
     doubling point 4 * 2^i beyond it up to the cap 4 * 2^59.
 
     The last doubling point where the test fails brackets the last
@@ -80,8 +79,8 @@ def _tail_box(alpha, n, V, smax, d):
     overshoots it by up to 2x.  X = 4 when every point passes; a failing
     test at the cap raises :class:`DomainExtensionError`.
     """
-    # the test x^(smax+alpha) exp(-n V(x)) < 10^-(d+GUARD_DIGITS), in logs
-    log_bound = -(d + GUARD_DIGITS) * mp.ln10
+    # the test x^(smax+alpha) exp(-n V(x)) < 10^-mp.dps, in logs
+    log_bound = -mp.dps * mp.ln10
     power = mpf(smax) + alpha
 
     def small(x):
@@ -95,7 +94,7 @@ def _tail_box(alpha, n, V, smax, d):
     if lo == points[-1]:
         raise DomainExtensionError(
             "moment integrand not below 10^-%d by X=%s; V grows too slowly"
-            % (d + GUARD_DIGITS, mp.nstr(lo, 5)))
+            % (mp.dps, mp.nstr(lo, 5)))
     X = 2 * lo
     for _ in range(8):
         mid = (lo + X) / 2
@@ -116,20 +115,19 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     evaluates w(t) and t^(1/2) once and gives every moment's integrand as
     w(t) t^(k/2), so V is called once per node.
     """
-    d = _resolve_dps(dps)
     alpha = mpf(alpha)
     if alpha <= -1:
         raise ValueError("alpha must exceed -1 for integrable moments")
     k2max = _twice(smax)
     vals = {}
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         if V == "laguerre":
             for k2 in range(k2max + 1):
                 s = mpf(k2) / 2
                 vals[k2] = (gamma(s + alpha + 1, dps=d)
                             / mpf(n) ** (s + alpha + 1))
         else:
-            X = _tail_box(alpha, n, V, mpf(k2max) / 2, d)
+            X = _tail_box(alpha, n, V, mpf(k2max) / 2)
             # panel width tied to the exp(-nV) decay scale
             width = min(mpf(8) / n, X - 1)
             panels = int(mp.ceil((X - 1) / width))
@@ -454,7 +452,7 @@ def cd_formula_check(bs: BiorthoSystem, x, y, delta=1e-6, dps=30):
     if x <= 0 or y <= 0 or x == y:
         raise ValueError("need x, y > 0 and x != y")
     bs_big = biortho_build(bs.table, n + 1)
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
         T = _cauchy_box(bs, n, rows1, dps)
         Yx = _y_plus(bs_big, n, x, T, mpf(delta), dps)
@@ -485,7 +483,7 @@ def y_growth_residual(bs: BiorthoSystem, z, dps=30):
     if mp.im(z) == 0 and mp.re(z) >= 0:
         raise ValueError("z must avoid [0, oo)")
     bs_big = biortho_build(bs.table, n + 1)
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         row2 = _edge_rows(bs_big, n)[0]
         T = _cauchy_box(bs, n, [row2], dps)
 

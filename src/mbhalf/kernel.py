@@ -56,7 +56,7 @@ from operator import floordiv
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .mpcore import GUARD_DIGITS, _resolve_dps, _to_fixed
+from .mpcore import _to_fixed, working
 from .specfun import _cancellation_digits, _wright_growth, _wright_terms
 from .meijer import SectorPoint
 from .rhframe import phi_matrix, phi_inverse
@@ -101,11 +101,10 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
     (theta = 1/2 only), 'plain' evaluates the bare integral; None picks
     'theorem' at theta = 1/2 and 'plain' otherwise.
 
-    The double sum runs at d + GUARD_DIGITS plus the cancellation digits of
-    both Wright-Bessel series, whose terms it pairs.
+    The double sum is raised by the cancellation digits of both
+    Wright-Bessel series, whose terms it pairs.
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         a = mpf(alpha)
         th = mpf("0.5") if theta is None else mpf(theta)
         xx, yy = mpf(x), mpf(y)
@@ -126,7 +125,7 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
         yth = yy ** th
     lost = (_cancellation_digits(xx, _wright_growth(1 / th))
             + _cancellation_digits(yth, _wright_growth(th)))
-    with mp.workdps(d + GUARD_DIGITS + lost):
+    with working(d, lost):
         # int_0^1 u^(j + th k + a) du = 1 / (j + th k + a + 1) <= 1 / (a + 1)
         xterms = _wright_terms((a + 1) / th, 1 / th, xx, d)
         yterms = _wright_terms(a + 1, th, yth, d)
@@ -137,8 +136,7 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
 def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
     """Hard-edge kernel (theta = 1/2) via the boundary frame on R+; the
     frame's G-functions come by the route of :func:`meijer.pick_route`."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         xx, yy = mpf(x), mpf(y)
         if xx <= 0 or yy <= 0:
             raise ValueError("matrix route needs x, y > 0")

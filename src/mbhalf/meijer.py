@@ -45,9 +45,10 @@ the logarithmic family), moments (-s)^m under the integral.
 
 :func:`pick_route` names the route for given (b, m): the series for m = 3,
 the logarithmic one at exact resonance; the loop for m != 3, and where b
-sits in the series' 1e-6 resonance window without being exactly resonant
-in one pair (near resonance, triple resonance).  The loop stays callable
-on its own at every b as the independent check of the series.
+sits in the series' resonance window (specfun's RESONANCE_TOL) without
+being exactly resonant in one pair (near resonance, triple resonance).
+The loop stays callable on its own at every b as the independent check of
+the series.
 
 The scalar assemblies phi_scalars / psi_scalars build the model-problem
 entries on that route: with B = (0, -a, -a-1/2) and
@@ -73,9 +74,9 @@ from operator import add, mul
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, mpf_sub, round_nearest
 
-from .mpcore import (GUARD_DIGITS, _resolve_dps, _to_fixed, gamma, rgamma,
-                     legendre_nodes, solve3, QuadratureConvergenceError)
-from .specfun import (_cancellation_digits, frobenius_adjoint,
+from .mpcore import (_to_fixed, gamma, rgamma, legendre_nodes, solve3,
+                     working, QuadratureConvergenceError)
+from .specfun import (RESONANCE_TOL, _cancellation_digits, frobenius_adjoint,
                       hyper0f2_log_theta, hyper0f2_theta,
                       ResonantParameterError)
 
@@ -99,8 +100,7 @@ class SectorPoint:
 
     @classmethod
     def from_complex(cls, z, sheet=0, dps=None):
-        d = _resolve_dps(dps)
-        with mp.workdps(d + GUARD_DIGITS):
+        with working(dps):
             zz = mpc(z)
             return cls(abs(zz), mp.arg(zz) + 2 * mp.pi * sheet)
 
@@ -112,34 +112,34 @@ class SectorPoint:
 
     def clog(self, dps=None):
         """log z = log r + i theta with the total angle."""
-        with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+        with working(dps):
             return self._log()
 
     def power(self, c, dps=None):
-        with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+        with working(dps):
             return mp.exp(mpc(c) * self._log())
 
     def to_mpc(self, dps=None):
-        with mp.workdps(_resolve_dps(dps) + GUARD_DIGITS):
+        with working(dps):
             r, t = mpf(self.modulus), mpf(self.argument)
             return r * mpc(mp.cos(t), mp.sin(t))
 
 
 def _near_integer_pairs(b):
-    """The pairs (i, j), i < j, whose difference b_i - b_j is within 1e-6
-    of an integer (a float test)."""
+    """The pairs (i, j), i < j, whose difference b_i - b_j is within
+    RESONANCE_TOL of an integer (a float test)."""
     bs = [float(x) for x in b]
     pairs = []
     for i in range(3):
         for j in range(i + 1, 3):
             diff = bs[i] - bs[j]
-            if abs(diff - round(diff)) < 1e-6:
+            if abs(diff - round(diff)) < RESONANCE_TOL:
                 pairs.append((i, j))
     return pairs
 
 
 def _pairwise_resonant(b):
-    """True when some pair of b is in the series' 1e-6 resonance window."""
+    """True when some pair of b is in the series' RESONANCE_TOL window."""
     return bool(_near_integer_pairs(b))
 
 
@@ -150,7 +150,7 @@ _RESONANCE_ULPS = 8
 
 def _log_pair(b):
     """(p, q, N) when b_p - b_q = N >= 0 is an integer and no other pair of
-    b lies within 1e-6 of one; None otherwise.
+    b lies within RESONANCE_TOL of one; None otherwise.
 
     The difference is taken exactly (no rounding) from the mpf values.
     It counts as the nearest integer N when it is off N by at most
@@ -263,22 +263,22 @@ def _log_families(bb, bkey, p, q, n, point, zc, dps):
 def g303_series(b, point, dps=None, with_theta=False):
     """G^{3,0}_{0,3}(z|b) by the residue series.
 
-    With pairwise differences of the parameters a safe distance (1e-6)
-    from the integers, the sum of the three Frobenius families (module
-    docstring).  When exactly one pair differs by an integer,
-    b_p - b_q = N >= 0 exactly (the exact mpf difference, :func:`_log_pair`),
-    families p and q collide and are summed as the logarithmic residue
-    series of :func:`_log_families`, the third family as before.  Any
-    other b within the 1e-6 window -- resonant to many digits but not
-    exactly, or triply resonant -- raises :class:`ResonantParameterError`;
+    With pairwise differences of the parameters a safe distance
+    (RESONANCE_TOL) from the integers, the sum of the three Frobenius
+    families (module docstring).  When exactly one pair differs by an
+    integer, b_p - b_q = N >= 0 exactly (the exact mpf difference,
+    :func:`_log_pair`), families p and q collide and are summed as the
+    logarithmic residue series of :func:`_log_families`, the third family
+    as before.  Any other b within the RESONANCE_TOL window -- resonant to
+    many digits but not exactly, or triply resonant -- raises :class:`ResonantParameterError`;
     callers should fall back to :func:`mb_loop`.  The gamma and digamma
     constants in front of the families depend on b and the digits alone and
     are cached by their exact values.
 
     The families cancel where G is recessive, by the digits an entire 0F2
     series of |z| = r loses (specfun's :func:`_cancellation_digits`, about
-    2.4 r^(1/3)), so the sum runs at d + that loss + GUARD_DIGITS, and the
-    gamma, power and 0F2 factors are asked for d + that loss digits.
+    2.4 r^(1/3)), so the sum is raised by that loss, and the gamma, power
+    and 0F2 factors are asked for d + that loss digits.
     """
     pair = None
     if _pairwise_resonant(b):
@@ -286,10 +286,11 @@ def g303_series(b, point, dps=None, with_theta=False):
         if pair is None:
             raise ResonantParameterError(
                 f"parameter differences of {tuple(float(x) for x in b)} are "
-                "within 1e-6 of integers without exactly one integer pair; "
-                "series families collide")
-    dc = _resolve_dps(dps) + _cancellation_digits(point.modulus, 1.0 / 3.0)
-    with mp.workdps(dc + GUARD_DIGITS):
+                f"within {RESONANCE_TOL} of integers without exactly one "
+                "integer pair; series families collide")
+    lost = _cancellation_digits(point.modulus, 1.0 / 3.0)
+    with working(dps, lost) as d:
+        dc = d + lost
         bb = [mpf(x) for x in b]
         bkey = tuple(x._mpf_ for x in bb)
         zc = point.to_mpc(dps=dc)
@@ -426,20 +427,20 @@ class _LoopProducts:
     """Moment weights of the loop integrand for one (b, m, dps, order).
 
     Holds the weighted products w * P(s) at the nodes as the three lists of
-    :func:`_moment_weights`, as mpc lists (:meth:`panel`) and as
-    :class:`_Fixed` vectors (:attr:`vertical`, :meth:`panel_fixed`) for the
-    fixed-point sums of :func:`mb_loop`.  The vertical segment Re s = c,
-    Im s in [-eta, eta] (weights include the i from ds) and panel 0, the
-    horizontal legs over t in [c - 2, c] (bottom leg weight +w, top leg -w,
-    i.e. counterclockwise), come from direct gamma calls.  Panel p covers
-    t in [c - 2(p+1), c - 2p]; its node k is node k of panel p-1 shifted by
-    -2 and, the half-width being 1 on every panel, carries the same weight.
-    With s' = s - 2 both Gamma(b+s') = Gamma(b+s) / ((b+s')(b+s'+1))
-    and 1/Gamma(1-b-s') = (1/Gamma(1-b-s)) / ((b+s')(b+s'+1)), so each
-    later panel follows from the one before by one division per node.
-    Panels are added on demand.  Everything runs at the precision of the
-    :func:`mb_loop` call that builds or extends the table, whose ``dps``
-    is part of the table's key.
+    :func:`_moment_weights`, as :class:`_Fixed` vectors (:attr:`vertical`,
+    :meth:`panel_fixed`) for the fixed-point sums of :func:`mb_loop`.  The
+    vertical segment Re s = c, Im s in [-eta, eta] (weights include the i
+    from ds) and panel 0, the horizontal legs over t in [c - 2, c] (bottom
+    leg weight +w, top leg -w, i.e. counterclockwise), come from direct
+    gamma calls.  Panel p covers t in [c - 2(p+1), c - 2p]; its node k is
+    node k of panel p-1 shifted by -2 and, the half-width being 1 on every
+    panel, carries the same weight.  With s' = s - 2 both
+    Gamma(b+s') = Gamma(b+s) / ((b+s')(b+s'+1)) and
+    1/Gamma(1-b-s') = (1/Gamma(1-b-s)) / ((b+s')(b+s'+1)), so each later
+    panel follows from the last one built (nodes ``_s``, products ``_g``)
+    by one division per node.  Panels are added on demand.  Everything runs
+    at the precision of the :func:`mb_loop` call that builds or extends the
+    table, whose ``dps`` is part of the table's key.
     """
 
     def __init__(self, b, m, c, dps, order=_GL_ORDER):
@@ -456,28 +457,24 @@ class _LoopProducts:
             self._s += [mpc(t, -eta), mpc(t, eta)]         # bottom ->, top <-
             pw += [w, -w]
         self._g = _integrand_products(self._s, pw, b, m, dps)
-        self.panels = [_moment_weights(self._s, self._g)]
         self._fixed = []
-
-    def panel(self, pidx):
-        while len(self.panels) <= pidx:
-            s_next, g_next = [], []
-            for s, g in zip(self._s, self._g):
-                s = s - _PANEL_WIDTH
-                div = 1
-                for bj in self.b:
-                    bs = bj + s
-                    div *= bs * (bs + 1)
-                s_next.append(s)
-                g_next.append(g / div)
-            self._s, self._g = s_next, g_next
-            self.panels.append(_moment_weights(s_next, g_next))
-        return self.panels[pidx]
 
     def panel_fixed(self, pidx):
         """Panel pidx's moment weights as :class:`_Fixed` vectors."""
         while len(self._fixed) <= pidx:
-            self._fixed.append([_Fixed(g) for g in self.panel(len(self._fixed))])
+            if self._fixed:
+                s_next, g_next = [], []
+                for s, g in zip(self._s, self._g):
+                    s = s - _PANEL_WIDTH
+                    div = 1
+                    for bj in self.b:
+                        bs = bj + s
+                        div *= bs * (bs + 1)
+                    s_next.append(s)
+                    g_next.append(g / div)
+                self._s, self._g = s_next, g_next
+            self._fixed.append([_Fixed(g) for g in
+                                _moment_weights(self._s, self._g)])
         return self._fixed[pidx]
 
 
@@ -628,16 +625,15 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     once more at the Gauss-Legendre order of :func:`_rerun_order` and with
     the working digits that order wins back.
     """
-    d = _resolve_dps(dps)
-    wp = d + _LOOP_GUARD
-    with mp.workdps(wp + GUARD_DIGITS):
+    with working(dps, _LOOP_GUARD) as d:
+        wp = d + _LOOP_GUARD
         bb = [mpf(x) for x in b]
         c = max(-bb[j] for j in range(m)) + 1
         order = _first_order(d)
         acc, loss = _loop_moments(bb, m, c, point, d, wp, order)
         if loss > _LOOP_GUARD - 5:
             order, extra = _rerun_order(loss, order)
-            with mp.workdps(wp + extra + GUARD_DIGITS):
+            with working(d, _LOOP_GUARD + extra):
                 acc, _ = _loop_moments(bb, m, c, point, d, wp + extra, order)
         front = 1 / (2 * mp.pi * mpc(0, 1))
         out = tuple(+(front * a) for a in acc)
@@ -663,8 +659,8 @@ def pick_route(b, m):
     """The route that evaluates G^{m,0}_{0,3}(.|b): ``"series"``
     (:func:`g303_series`) for m = 3, its logarithmic form included where
     exactly one pair of b differs by an exact integer; ``"loop"``
-    (:func:`mb_loop`) for m != 3 and for b within the series' 1e-6
-    resonance window otherwise (near but not exact resonance, triple
+    (:func:`mb_loop`) for m != 3 and for b within the series'
+    RESONANCE_TOL window otherwise (near but not exact resonance, triple
     resonance)."""
     if m != 3 or (_pairwise_resonant(b) and _log_pair(b) is None):
         return "loop"
@@ -692,10 +688,9 @@ def phi_scalars(alpha, point, dps=None):
     phi4 = -4 pi^2 phi0 / (Gamma(1+a) Gamma(3/2+a)) ties it to the 0F2
     route.
     """
-    d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), -a, -a - mpf("0.5"))
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         twopi = 2 * mp.pi
         e_plus = mp.exp(mpc(0, 1) * twopi * a)   # e^{2 pi i a}
         g0 = _g3_triple(b, point, d)
@@ -710,10 +705,9 @@ def phi_scalars(alpha, point, dps=None):
 
 def psi_scalars(alpha, point, dps=None):
     """Triples for psi1..psi4 at a sector point."""
-    d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), a, a + mpf("0.5"))
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         pi_ = mp.pi
         e_plus = mp.exp(mpc(0, 1) * 2 * pi_ * a)
         g_m1 = _g3_triple(b, point.rotated(-pi_), d)
@@ -730,10 +724,9 @@ def psi3_alternate(alpha, point, dps=None):
     """psi3 via the other analytic-continuation identity (consistency check):
     psi3 = i e^{-2 pi i a} (G(z e^{pi i}) - G(z e^{3 pi i})).
     """
-    d = _resolve_dps(dps)
     a = mpf(alpha)
     b = (mpf(0), a, a + mpf("0.5"))
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         pi_ = mp.pi
         e_minus = mp.exp(mpc(0, -1) * 2 * pi_ * a)
         g_p1 = _g3_triple(b, point.rotated(+pi_), d)
@@ -750,9 +743,8 @@ def psi_frobenius_constants(alpha, dps=None):
     The constants are real for real alpha; the imaginary residue is
     returned for inspection.
     """
-    d = _resolve_dps(dps)
     a = mpf(alpha)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         epia = mp.exp(mpc(0, -1) * mp.pi * a)
         rows = []
         rhs = []

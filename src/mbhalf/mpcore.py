@@ -19,24 +19,26 @@ matrix frames, moment tables) is built on the primitives in this module:
   triangular biorthogonality structure);
 * small dense 3x3 helpers (det/inverse/solve) and unit-triangular inverses.
 
-Precision model: every value is an ``mpmath`` ``mpf``/``mpc``, and one
-rule sets the digits every function of the package works at.
+Precision model: every value is an ``mpmath`` ``mpf``/``mpc``.  One rule
+sets the digits every function works at, and :class:`working` is its one
+raise; no other module names :data:`GUARD_DIGITS`.
 
-* A function takes ``dps``, the decimal digits its *result* must carry
-  (``None`` means the ambient ``mp.dps``, :func:`_resolve_dps`).
-* It raises the working precision once, at its entry, to
-  dps + :data:`GUARD_DIGITS`, plus the digits its own arithmetic loses to
-  cancellation where it has an estimate or a measure of them
-  (:func:`mbhalf.specfun._cancellation_digits` for sums of entire
-  series; the term loop of one series adds
-  :func:`mbhalf.specfun._series_guard`, that loss and 12 digits for the
-  terms' roundoff).  No other headroom is added anywhere.
-* It hands its callees the digits their results need: dps, or dps plus
-  the cancellation those results feed, never its own working digits, so
+* A function takes ``dps``, the digits its *result* must carry (``None``
+  means the ambient ``mp.dps``), and raises the working precision once, at
+  its entry, by ``with working(dps, extra) as d:`` to d + ``extra`` +
+  GUARD_DIGITS.  ``extra`` is what its own arithmetic loses to
+  cancellation, estimated or measured: an entire series' a priori loss
+  (:func:`mbhalf.specfun._cancellation_digits`, and
+  :func:`mbhalf.specfun._series_guard` in its term loop), the loop route's
+  guard and rerun digits, or the loss a first pass measured.
+* It hands its callees the digits their results need: d, or d plus the
+  cancellation those results feed, never its own working digits, so
   guard digits do not stack from layer to layer.
 * A private helper that runs only under its caller's raise does not raise
   again, unless it is cached by its digits (:func:`_ts_nodes`): then its
   own raise makes the cache key fix the precision.
+* Absolute digits bypass the rule: the LDU schedule of the finite-n
+  systems and the ambient precision of the command line.
 """
 
 from __future__ import annotations
@@ -80,6 +82,23 @@ def _resolve_dps(dps):
     return mp.dps if dps is None else int(dps)
 
 
+class working:
+    """``with working(dps, extra=0) as d:`` raises the working precision to
+    d + ``extra`` + :data:`GUARD_DIGITS` for the block and yields d, the
+    resolved ``dps`` (module docstring)."""
+
+    def __init__(self, dps, extra=0):
+        self._digits = _resolve_dps(dps)
+        self._raise = mp.workdps(self._digits + extra + GUARD_DIGITS)
+
+    def __enter__(self):
+        self._raise.__enter__()
+        return self._digits
+
+    def __exit__(self, *exc):
+        return self._raise.__exit__(*exc)
+
+
 def _to_fixed(x, e):
     """floor(x / 2^e) for an mpf tuple x: the one mpf-to-integer step of the
     fixed-point sums (the loop's panel sums, the 0F2 term loop and the
@@ -110,8 +129,7 @@ def gamma(z, dps=None):
     within 10^(-dps/2); real input (zero imaginary part) gives an ``mpf``.
     The value is rounded to dps + GUARD_DIGITS digits.
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         z = mpc(z)
         if _near_pole(z, d):
             raise GammaPoleError(f"gamma pole at z = {mp.nint(z.real)}")
@@ -120,8 +138,7 @@ def gamma(z, dps=None):
 
 def rgamma(z, dps=None):
     """1/gamma, returning exactly 0 at the poles (same threshold as gamma)."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         z = mpc(z)
         if _near_pole(z, d):
             return mpf(0)
@@ -146,7 +163,7 @@ def legendre_nodes(order, dps=None):
     got = _gl_cache.get(key)
     if got is not None:
         return got
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(d):
         nodes = []
         weights = []
         tol = mpf(10) ** (-(d + 6))
@@ -220,10 +237,9 @@ def quad_gl(f, a, b, order=64, dps=None):
     ``f`` may return a sequence; the result is then a list with one
     integral per component, all from one evaluation of ``f`` per node.
     """
-    d = _resolve_dps(dps)
-    xs, ws = legendre_nodes(order, dps=d)
+    xs, ws = legendre_nodes(order, dps=dps)
     g, unwrap = _components(f)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         a = mpf(a) if not isinstance(a, (mpf, mpc)) else a
         b = mpf(b) if not isinstance(b, (mpf, mpc)) else b
         mid = (a + b) / 2
@@ -249,7 +265,7 @@ def _ts_nodes(level, dps):
     exact cache key; the result is an immutable tuple, shared by every
     caller.
     """
-    with mp.workdps(dps + GUARD_DIGITS):
+    with working(dps):
         # cutoff where the double-exponential weight underflows the
         # tolerance; the factor 4 keeps the tail negligible even against
         # endpoint blow-ups as strong as (x - a)^(-3/4)
@@ -304,7 +320,7 @@ def quad_ts(f, a, b, dps=None, max_level=12):
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
     g, unwrap = _components(f)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(d):
         a = mpf(a)
         b = mpf(b)
         half = (b - a) / 2
@@ -352,8 +368,7 @@ def solve_cubic(c3, c2, c1, c0, dps=None):
     Returns a list of three mpc roots (with multiplicity), each polished by
     one Newton step on the original polynomial.
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         c3, c2, c1, c0 = mpc(c3), mpc(c2), mpc(c1), mpc(c0)
         if c3 == 0:
             raise ValueError("leading coefficient vanishes; not a cubic")
@@ -402,9 +417,8 @@ def ldu_decompose(g, dps=None):
     10^(-dps/2) * (row max) raises :class:`SingularMatrixError` naming the
     failing leading minor.
     """
-    d = _resolve_dps(dps)
     n = len(g)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         a = [[mpf(x) if not isinstance(x, (mpf, mpc)) else x for x in row] for row in g]
         L = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
         U = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]

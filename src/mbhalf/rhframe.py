@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, mpc
 
-from .mpcore import (GUARD_DIGITS, _resolve_dps, mat_mul, mat_transpose, inv3,
-                     norm_max)
+from .mpcore import inv3, mat_mul, mat_transpose, norm_max, working
 from .meijer import SectorPoint, phi_scalars, psi_scalars
 from .specfun import _cancellation_digits
 
@@ -112,8 +111,7 @@ def _assemble(scalars, layout, row_order):
 
 def phi_matrix(alpha, point, dps=None, side=None):
     """Phi_alpha at a sector point; rows (f, theta f, theta^2 f)."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         quad, ev = _classify(point, side)
         sc = phi_scalars(alpha, ev, dps=d)
         return _assemble(sc, _PHI_LAYOUT[quad], (0, 1, 2))
@@ -121,8 +119,7 @@ def phi_matrix(alpha, point, dps=None, side=None):
 
 def psi_matrix(alpha, point, dps=None, side=None):
     """Psi_alpha at a sector point; rows (theta^2 g, theta g, g)."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         quad, ev = _classify(point, side)
         sc = psi_scalars(alpha, ev, dps=d)
         return _assemble(sc, _PSI_LAYOUT[quad], (2, 1, 0))
@@ -133,8 +130,7 @@ def psi_matrix(alpha, point, dps=None, side=None):
 # ----------------------------------------------------------------------
 
 def phi_jump(ray, alpha, dps=None):
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         one, zero = mpc(1), mpc(0)
         if ray == "pos":
             return [[zero, one, zero], [-one, zero, zero], [zero, zero, one]]
@@ -147,8 +143,7 @@ def phi_jump(ray, alpha, dps=None):
 
 
 def psi_jump(ray, alpha, dps=None):
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         one, zero = mpc(1), mpc(0)
         if ray == "pos":
             return [[zero, one, zero], [-one, zero, zero], [zero, zero, one]]
@@ -165,10 +160,9 @@ _RAY_ANGLE = {"pos": 0.0, "ipos": 0.5, "ineg": -0.5, "neg": 1.0}
 
 def jump_residual(alpha, ray, modulus, dps=None, frame="phi"):
     """Relative residual of F_+ = F_- J on the given ray at |z| = modulus."""
-    d = _resolve_dps(dps)
     build = phi_matrix if frame == "phi" else psi_matrix
     jump = phi_jump if frame == "phi" else psi_jump
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         th = mpf(_RAY_ANGLE[ray]) * mp.pi
         pt = SectorPoint(mpf(modulus), th)
         fp = build(alpha, pt, dps=d, side="+")
@@ -195,15 +189,13 @@ def det_phi_predicted(alpha, point, dps=None):
     determinant, -e^{4 pi i alpha} on the negative axis, matches the
     branch jump of z^{-2 beta} there.)
     """
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         beta = mpf(alpha) + mpf("0.25")
         return 8 * mp.pi ** 3 * mpc(0, 1) * point.power(-2 * beta, dps=d)
 
 
 def c_matrix(alpha, dps=None):
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         a = mpf(alpha)
         return [[mpf(1), mpf(0), mpf(0)],
                 [-2 * a - mpf("0.5"), mpf(-1), mpf(0)],
@@ -212,8 +204,7 @@ def c_matrix(alpha, dps=None):
 
 def phi_inverse(alpha, point, dps=None, side=None):
     """Phi^{-1} from the adjoint frame: -(1/4 pi^2) Psi^T C."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         psi = psi_matrix(alpha, point, dps=d, side=side)
         prod = mat_mul(mat_transpose(psi), c_matrix(alpha, dps=d))
         s = -1 / (4 * mp.pi ** 2)
@@ -222,8 +213,7 @@ def phi_inverse(alpha, point, dps=None, side=None):
 
 def phi_psi_product(alpha, point, dps=None, side=None):
     """Phi Psi^T; z-independent, equal to -4 pi^2 C^{-1}."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         phi = phi_matrix(alpha, point, dps=d, side=side)
         psi = psi_matrix(alpha, point, dps=d, side=side)
         return mat_mul(phi, mat_transpose(psi))
@@ -248,8 +238,7 @@ def _gamma_exponents(alpha):
 
 def t_matrix(alpha, dps=None):
     """Constant left factor normalizing Phi at infinity."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         g, m1, m2, _, _, _ = _gamma_exponents(alpha)
         t1 = -g - m1
         t2 = g * (g - mpf(1) / 3) + m1 * (m1 + g - mpf(2) / 3) - m2
@@ -261,8 +250,7 @@ def t_matrix(alpha, dps=None):
 
 def t_tilde_matrix(alpha, dps=None):
     """Constant left factor normalizing Psi at infinity."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps):
         _, _, _, gt, mt1, mt2 = _gamma_exponents(alpha)
         tt1 = gt + mt1
         tt2 = gt * (gt - mpf(1) / 3) + mt1 * (mt1 + gt - mpf(2) / 3) - mt2
@@ -274,8 +262,7 @@ def t_tilde_matrix(alpha, dps=None):
 
 def l_matrix(alpha, point, dps=None, frame="phi"):
     """Spectral frame L (or the adjoint Lt) at a sector point off R-."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         beta = mpf(alpha) + mpf("0.25")
         w = mp.exp(mpc(0, 2) * mp.pi / 3)
         w2 = w * w
@@ -303,8 +290,7 @@ def l_matrix(alpha, point, dps=None, frame="phi"):
 
 def exp_diag(point, dps=None, frame="phi"):
     """Diagonal exponential factor of the large-z model."""
-    d = _resolve_dps(dps)
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         w = mp.exp(mpc(0, 2) * mp.pi / 3)
         w2 = w * w
         zr3 = point.power(mpf(1) / 3, dps=d)
@@ -324,12 +310,12 @@ def expansion_residual(alpha, x, dps=None, frame="phi"):
 
     The columns of Phi grow and decay like the exponentials of D, so the
     normalization cancels the digits an entire series of |z| = x loses
-    (specfun's :func:`_cancellation_digits`): it runs at d + that loss +
-    GUARD_DIGITS and asks T, L, D and the scale for d + that loss digits.
+    (specfun's :func:`_cancellation_digits`): it is raised by that loss and
+    asks T, L, D and the scale for d + that loss digits.
     """
-    d = _resolve_dps(dps)
-    dc = d + _cancellation_digits(x, 1.0 / 3.0)
-    with mp.workdps(dc + GUARD_DIGITS):
+    lost = _cancellation_digits(x, 1.0 / 3.0)
+    with working(dps, lost) as d:
+        dc = d + lost
         pt = SectorPoint(mpf(x), mpf(0))
         beta = mpf(alpha) + mpf("0.25")
         if frame == "phi":

@@ -32,7 +32,7 @@ import math
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .mpcore import GUARD_DIGITS, _resolve_dps, _to_fixed, rgamma
+from .mpcore import _to_fixed, rgamma, working
 
 RESONANCE_TOL = 1e-6
 
@@ -42,17 +42,22 @@ STOP_RUN = 30
 
 #: term budget of every series; running out raises SeriesConvergenceError
 _MAX_TERMS = 20000
+#: passes a series with a measured cancellation makes before it gives up
+_MAX_PASSES = 3
+#: digits beyond the requested ones that must survive a pass's measured loss
+_KEEP_DIGITS = 8
 #: bits of the 0F2 fixed-point scale beyond the working precision
 _THETA_GUARD_BITS = 20
 _LOG10_2 = math.log10(2)
 
 
 class SeriesConvergenceError(RuntimeError):
-    """A series used up its _MAX_TERMS terms before its stopping rule held.
+    """A series used up its _MAX_TERMS terms before its stopping rule held,
+    or still lost too many digits to cancellation after _MAX_PASSES passes.
 
     ``partial_sums`` holds the sums where it stopped: (S0, S1, S2) for
     :func:`hyper0f2_theta`, the last two partial sums for the Wright-Bessel
-    terms.
+    terms; after the passes, the values of the last two.
     """
 
     def __init__(self, message, partial_sums):
@@ -92,9 +97,30 @@ def _cancellation_digits(radius, growth_power):
 
 
 def _series_guard(radius, growth_power):
-    """Extra digits an entire series is summed with: its
-    :func:`_cancellation_digits` and 12 for the terms' own roundoff."""
-    return _cancellation_digits(radius, growth_power) + 12
+    """The ``extra`` digits of the :class:`~mbhalf.mpcore.working` raise an
+    entire series is summed at: its :func:`_cancellation_digits` and 2 more,
+    which with the guard digits make 12 for the terms' own roundoff."""
+    return _cancellation_digits(radius, growth_power) + 2
+
+
+def _measured_passes(dps, extra, run):
+    """``run(d)``, which returns a value and the digits it measured lost to
+    cancellation, under ``working(dps, extra) as d``.  A pass is kept when
+    d + _KEEP_DIGITS of its digits survive the loss, else rerun with that
+    loss as ``extra``.  A pass that loses every digit measures at most its
+    own, so a rerun can fall short again: after _MAX_PASSES passes this
+    raises :class:`SeriesConvergenceError` with the last two values."""
+    values = []
+    for _ in range(_MAX_PASSES):
+        with working(dps, extra) as d:
+            value, lost = run(d)
+            if lost <= mp.dps - d - _KEEP_DIGITS:
+                return value
+        values.append(value)
+        dps, extra = d, int(lost)
+    raise SeriesConvergenceError(
+        "series still lost %.1f digits to cancellation after %d passes"
+        % (lost, _MAX_PASSES), partial_sums=tuple(values[-2:]))
 
 
 def _check_lower_param(b):
@@ -222,21 +248,14 @@ def _theta_sums(b1, b2, z, c, log=False):
                       c, f, prec), lost
 
 
-def _guarded_theta_sums(b1, b2, z, c, d, log):
-    """:func:`_theta_sums` at d digits plus the cancellation guard, retried
-    once if the largest term exceeded the sum by more digits than the guard
-    holds, then with the digits it lost and GUARD_DIGITS more."""
+def _guarded_theta_sums(b1, b2, z, c, dps, log):
+    """:func:`_theta_sums` at dps digits plus the cancellation guard,
+    rerun by the rule of :func:`_measured_passes`."""
     guard = _series_guard(abs(z), 1.0 / 3.0)
     _check_lower_param(b1)
     _check_lower_param(b2)
-    for attempt in range(2):
-        with mp.workdps(d + guard):
-            sums, lost = _theta_sums(mpf(b1), mpf(b2), mpc(z), mpf(c), log)
-        if lost > guard - 8 and attempt == 0:
-            guard = int(lost) + GUARD_DIGITS
-            continue
-        return sums
-    raise RuntimeError("unreachable")
+    return _measured_passes(dps, guard, lambda d: _theta_sums(
+        mpf(b1), mpf(b2), mpc(z), mpf(c), log))
 
 
 def hyper0f2_theta(b1, b2, z, c=0, dps=None):
@@ -249,11 +268,12 @@ def hyper0f2_theta(b1, b2, z, c=0, dps=None):
 
     The terms are summed in integer fixed point and the series stops on
     the geometric tail bound of :func:`_theta_sums`, which keeps the tail
-    of every S_m below 2^-prec.  Retries once at raised precision if the
-    largest term exceeded |S0| by more digits than the cancellation guard
-    holds; raises :class:`SeriesConvergenceError` past _MAX_TERMS terms.
+    of every S_m below 2^-prec.  Reruns at raised precision while the
+    largest term exceeds |S0| by more digits than the pass can lose
+    (:func:`_measured_passes`); raises :class:`SeriesConvergenceError` past
+    _MAX_TERMS terms or _MAX_PASSES passes.
     """
-    return _guarded_theta_sums(b1, b2, z, c, _resolve_dps(dps), False)
+    return _guarded_theta_sums(b1, b2, z, c, dps, False)
 
 
 def hyper0f2_log_theta(b1, b2, z, c=0, dps=None):
@@ -268,7 +288,7 @@ def hyper0f2_log_theta(b1, b2, z, c=0, dps=None):
     stopped and retried as :func:`hyper0f2_theta`, with the tail bound
     widened by the growth of h_k.
     """
-    return _guarded_theta_sums(b1, b2, z, c, _resolve_dps(dps), True)
+    return _guarded_theta_sums(b1, b2, z, c, dps, True)
 
 
 def hyper0f2(b1, b2, z, dps=None):
@@ -323,36 +343,28 @@ def wright_bessel(a, b, x, dps=None):
     """Wright's generalized Bessel J_{a,b}(x) = sum_j (-x)^j / (j! Gamma(a+bj)).
 
     The sum of :func:`_wright_terms` (whose terms the kernel's integral
-    route pairs one by one) at d + :func:`_series_guard` digits; ``x`` may
-    be complex.  As :func:`_guarded_theta_sums` does, it retries once if the
-    largest term exceeded the sum by more digits than that guard holds,
-    then with the digits it lost and GUARD_DIGITS more.
+    route pairs one by one) with :func:`_series_guard` digits; ``x`` may
+    be complex.  Its loss is max |term| / |sum|, and it reruns by the rule
+    of :func:`_measured_passes`, as :func:`_guarded_theta_sums` does.
     """
-    d = _resolve_dps(dps)
+    def run(d):
+        xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
+        terms = _wright_terms(mpf(a), mpf(b), xx, d)
+        total = mp.fsum(terms)
+        big = max(abs(t) for t in terms)
+        if not total:  # every digit lost, unless every term is zero
+            return total, mp.dps if big else 0
+        return total, (mp.mag(big) - mp.mag(total)) * _LOG10_2
+
     guard = _series_guard(abs(x), _wright_growth(b))
-    for attempt in range(2):
-        with mp.workdps(d + guard):
-            xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
-            terms = _wright_terms(mpf(a), mpf(b), xx, d)
-            total = mp.fsum(terms)
-            big = max(abs(t) for t in terms)
-            if not big:
-                lost = 0
-            elif not total:  # every digit lost
-                lost = d + guard
-            else:
-                lost = (mp.mag(big) - mp.mag(total)) * _LOG10_2
-        if attempt or lost <= guard - 8:
-            return total
-        guard = int(lost) + GUARD_DIGITS
+    return _measured_passes(dps, guard, run)
 
 
 def _frobenius(z, x, table, dps):
     """z^c * (S0, S1, S2) of 0F2(-; b1, b2; x) for each (b1, b2, c) of
     ``table``, the power on the principal branch."""
-    d = _resolve_dps(dps)
     out = []
-    with mp.workdps(d + GUARD_DIGITS):
+    with working(dps) as d:
         for b1, b2, c in table:
             inner = hyper0f2_theta(b1, b2, x, c=c, dps=d)
             pref = mp.exp(mpf(c) * mp.log(mpc(z)))

@@ -78,7 +78,7 @@ def test_tail_box_bisects_the_doubling_bracket():
     # doubling from 4 alone stops at 128, twice the needed box
     alpha, n, smax, d = mpf("0.1"), 2, mpf(3), 40
     with mp.workdps(d + 10):
-        X = _tail_box(alpha, n, lambda x: x, smax, d)
+        X = _tail_box(alpha, n, lambda x: x, smax)
         assert X <= 66
         assert X ** (smax + alpha) * mp.exp(-n * X) < mpf(10) ** (-(d + 10))
 

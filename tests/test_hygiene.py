@@ -154,20 +154,28 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(2, "os"), (4, "Sequence"), (7, "gamma")]
 
 
+def _raise_arguments(tree, names=("workdps", "working")):
+    """Every argument, keywords included, of the calls in ``tree`` of
+    ``mp.workdps(...)`` or ``working(...)`` (of those in ``names``)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None))
+        if name in names:
+            for arg in node.args + [k.value for k in node.keywords]:
+                yield arg
+
+
 def _workdps_literals(tree):
     """Lines where an integer literal appears inside the arguments of a
-    ``workdps(...)`` call: guard digits written out by hand instead of
-    mpcore.GUARD_DIGITS or a cancellation estimate."""
-    lines = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "workdps"):
-            for arg in node.args + [k.value for k in node.keywords]:
-                for leaf in ast.walk(arg):
-                    if (isinstance(leaf, ast.Constant)
-                            and type(leaf.value) is int):
-                        lines.add(leaf.lineno)
-    return sorted(lines)
+    ``workdps(...)`` or ``working(...)`` call: guard digits written out by
+    hand instead of the guard of mpcore.working or a cancellation
+    estimate."""
+    return sorted({leaf.lineno for arg in _raise_arguments(tree)
+                   for leaf in ast.walk(arg)
+                   if isinstance(leaf, ast.Constant) and type(leaf.value) is int})
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -189,5 +197,56 @@ def test_workdps_literal_detector():
                      "    pass\n"
                      "with mp.workdps(dps=d + guard(r, 1.0 / 3.0)):\n"
                      "    pass\n"
-                     "x = mp.mpf(10) ** (d + 5)\n")
-    assert _workdps_literals(tree) == [1, 5]
+                     "x = mp.mpf(10) ** (d + 5)\n"
+                     "with working(d, lost + 5) as d:\n"
+                     "    pass\n"
+                     "with working(dps, extra=lost):\n"
+                     "    pass\n")
+    assert _workdps_literals(tree) == [1, 5, 10]
+
+
+#: the names of the precision rule that only mpcore may use
+_POLICY_NAMES = {"GUARD_DIGITS", "_resolve_dps"}
+
+
+def _policy_breaches(tree):
+    """Lines that import GUARD_DIGITS or _resolve_dps, or that pass
+    ``mp.workdps`` an argument naming GUARD_DIGITS: a working-digit raise
+    made by hand instead of through mpcore.working."""
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and _POLICY_NAMES & {alias.name for alias in node.names}}
+    lines.update(leaf.lineno
+                 for arg in _raise_arguments(tree, names=("workdps",))
+                 for leaf in ast.walk(arg)
+                 if (isinstance(leaf, ast.Name) and leaf.id == "GUARD_DIGITS")
+                 or (isinstance(leaf, ast.Attribute)
+                     and leaf.attr == "GUARD_DIGITS"))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "mpcore.py"],
+                         ids=lambda p: p.name)
+def test_precision_rule_stays_in_mpcore(path):
+    # one precision policy: outside mpcore every raise of the working
+    # digits goes through mpcore.working; the only other workdps calls set
+    # absolute digits
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _policy_breaches(tree)
+    assert not found, "%s: raise made outside mpcore.working on lines %s" % (
+        path.name, found)
+
+
+def test_policy_breach_detector():
+    tree = ast.parse("from .mpcore import GUARD_DIGITS, gamma\n"
+                     "from .mpcore import (_resolve_dps,\n"
+                     "                     working)\n"
+                     "from .mpcore import working\n"
+                     "with mp.workdps(d + mpcore.GUARD_DIGITS):\n"
+                     "    pass\n"
+                     "with mp.workdps(precision):\n"
+                     "    pass\n"
+                     "with working(d, GUARD_DIGITS):\n"
+                     "    pass\n"
+                     "x = GUARD_DIGITS\n")
+    assert _policy_breaches(tree) == [1, 2, 5]

@@ -439,7 +439,8 @@ def test_loop_product_recurrence_far_panel():
         bb = [mpf(x) for x in B_STD]
         for m in (1, 2, 3):
             c = max(-bb[j] for j in range(m)) + 1
-            g = _LoopProducts(bb, m, c, wp).panel(pidx)[0]
+            g = [mp.make_mpc(v) for v in
+                 _LoopProducts(bb, m, c, wp).panel_fixed(pidx)[0]._parts]
             for k in (0, 1, 17, 64, 126, 127):
                 w = ws[k // 2] if k % 2 == 0 else -ws[k // 2]
                 s = mpc(c - 1 + xs[k // 2] - 2 * pidx, -1 if k % 2 == 0 else 1)

@@ -6,9 +6,9 @@ from collections import OrderedDict
 import pytest
 from mpmath import mp, mpf
 
-from mbhalf import meijer, specfun
-from mbhalf.kernel import kernel_meijer
-from mbhalf.meijer import SectorPoint, g303_series
+from mbhalf import kernel, meijer, specfun
+from mbhalf.kernel import kernel_integral, kernel_meijer
+from mbhalf.meijer import SectorPoint, g303_series, mb_loop
 from mbhalf.rhframe import phi_matrix, psi_matrix
 
 
@@ -37,6 +37,24 @@ def test_working_digits_do_not_stack(monkeypatch):
     assert seen["theta"] and seen["gamma"]
     assert max(seen["theta"]) <= 50, seen["theta"]
     assert max(seen["gamma"]) <= 45, seen["gamma"]
+
+
+def test_working_digits_of_the_term_loops(monkeypatch):
+    # pinned at 30 digits: the Wright-Bessel term loops of kernel_integral
+    # at alpha = 0.3, (x, y) = (1, 2) run at d + GUARD_DIGITS + the 7 digits
+    # their two series lose (47), and a first pass of the loop route at
+    # d + _LOOP_GUARD + GUARD_DIGITS (55)
+    seen = []
+    for mod, name in ((kernel, "_wright_terms"), (meijer, "_loop_moments")):
+        def record(*args, _run=getattr(mod, name), _name=name):
+            seen.append((_name, mp.dps))
+            return _run(*args)
+
+        monkeypatch.setattr(mod, name, record)
+    kernel_integral(mpf("0.3"), 1, 2, dps=30)
+    mb_loop((0, mpf("-0.3"), mpf("-0.8")), SectorPoint(mpf(2), mpf("0.3")),
+            dps=30)
+    assert seen == [("_wright_terms", 47)] * 2 + [("_loop_moments", 55)]
 
 
 @pytest.mark.parametrize("d", [30, 45, 60])

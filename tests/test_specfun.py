@@ -202,8 +202,8 @@ def test_wright_bessel_fast_and_generic_paths_agree():
 
 def test_wright_bessel_cancellation_retry(monkeypatch):
     # J_{1,1}(400) = J_0(40) loses about 18 digits to cancellation; with no
-    # guard the first pass keeps about 12 of 30, and the retry at the digits
-    # it lost and GUARD_DIGITS more restores them
+    # cancellation guard the first pass keeps about 22 of its 40 digits, and
+    # the retry at the digits it lost and GUARD_DIGITS more restores them
     d, x = 30, mpf(400)
     ref = wright_bessel(1, 1, x, dps=d + 40)
     precs = []
@@ -222,6 +222,36 @@ def test_wright_bessel_cancellation_retry(monkeypatch):
     assert len(precs) == 2 and precs[1] > precs[0]
     with mp.workdps(d + 40):
         assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref)
+
+
+def test_wright_bessel_reruns_while_the_loss_exceeds_the_guard(monkeypatch):
+    # J_{1.3,1/2}(x) loses 41, 65 and 87 digits to cancellation at x = 200,
+    # 400 and 600.  With no cancellation guard the first pass (40 digits)
+    # loses all of them, and a pass that loses every digit measures a loss
+    # capped at its own digits, so a single rerun can fall short.  Passes go
+    # on while the loss exceeds what the pass can lose, three at x = 400;
+    # after three the series raises.
+    d, a, b = 30, mpf("1.3"), mpf("0.5")
+    refs = {x: wright_bessel(a, b, x, dps=d + 80) for x in (200, 400)}
+    precs = []
+    terms = specfun._wright_terms
+
+    def counted(*args):
+        precs.append(mp.dps)
+        return terms(*args)
+
+    monkeypatch.setattr(specfun, "_wright_terms", counted)
+    monkeypatch.setattr(specfun, "_series_guard", lambda radius, power: 0)
+    for x, passes in ((200, 2), (400, 3)):
+        precs.clear()
+        got = wright_bessel(a, b, x, dps=d)
+        assert len(precs) == passes, (x, precs)
+        with mp.workdps(d + 80):
+            assert abs(got - refs[x]) <= mpf(10) ** -(d + 5) * abs(refs[x]), x
+    precs.clear()
+    with pytest.raises(SeriesConvergenceError) as info:
+        wright_bessel(a, b, 600, dps=d)
+    assert len(precs) == 3 and len(info.value.partial_sums) == 2
 
 
 def test_resonance_distance_and_guard():
