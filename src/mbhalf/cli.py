@@ -17,7 +17,8 @@ from . import __version__
 from . import equilibrium as eq
 from . import rhframe
 from .finiten import DomainExtensionError, hard_edge_convergence
-from .kernel import DIAG_GUARD, kernel_diag_limit, kernel_integral, kernel_meijer
+from .kernel import (_meijer_or_diag, _near_diagonal, kernel_integral,
+                     kernel_meijer)
 from .meijer import SectorPoint, g303_series, mb_loop, pick_route
 from .mpcore import (
     GammaPoleError,
@@ -69,14 +70,22 @@ def _fmt(v):
     return mp.nstr(v, 17)
 
 
+def _parse_real(text, what):
+    """``text`` as an mpf, or a usage error naming ``what``."""
+    try:
+        return mpf(text)
+    except ValueError:
+        raise UsageError("%s %r is not a real number" % (what, text))
+
+
 def parse_grid(text):
     """a:b:k (k >= 2 points, endpoints inclusive) or a single value."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [mpf(parts[0])]
+        return [_parse_real(parts[0], "grid value")]
     if len(parts) != 3:
         raise UsageError("grid must be a single value or a:b:k, got %r" % text)
-    a, b = mpf(parts[0]), mpf(parts[1])
+    a, b = (_parse_real(part, "grid endpoint") for part in parts[:2])
     try:
         k = int(parts[2])
     except ValueError:
@@ -88,7 +97,7 @@ def parse_grid(text):
 
 
 def _parse_alpha(text):
-    a = mpf(text)
+    a = _parse_real(text, "--alpha")
     if not a > -1:
         raise UsageError("--alpha must exceed -1 (weight integrability)")
     return a
@@ -122,23 +131,14 @@ def cmd_kernel(args, precision):
     if any(v <= 0 for v in xs + ys):
         raise UsageError("kernel arguments must be positive")
 
-    def near_diag(x, y):
-        # mirror the guard inside the matrix route, which has a 1/(x-y) factor
-        return abs(x - y) < DIAG_GUARD * max(x, y)
-
-    def meijer_value(x, y):
-        if near_diag(x, y):
-            return kernel_diag_limit(alpha, (x + y) / 2, dps=precision)
-        return kernel_meijer(alpha, x, y, dps=precision)
-
     rows = []
     for x in xs:
         for y in ys:
             if args.route == "integral":
                 rows.append([x, y, kernel_integral(alpha, x, y, dps=precision)])
             elif args.route == "meijer":
-                rows.append([x, y, meijer_value(x, y)])
-            elif near_diag(x, y):
+                rows.append([x, y, _meijer_or_diag(alpha, x, y, precision)])
+            elif _near_diagonal(x, y):
                 # the diagonal limit reuses the integral route, so there is
                 # no independent value to difference against
                 vi = kernel_integral(alpha, x, y, dps=precision)
@@ -212,7 +212,7 @@ def cmd_converge(args, precision):
         raise UsageError("--ns expects comma-separated integers, got %r" % args.ns)
     if ns != sorted(ns) or len(set(ns)) != len(ns) or ns[0] < 1:
         raise UsageError("--ns must be strictly ascending positive integers")
-    x, y = mpf(args.x), mpf(args.y)
+    x, y = _parse_real(args.x, "--x"), _parse_real(args.y, "--y")
     if x <= 0 or y <= 0:
         raise UsageError("--x and --y must be positive")
     table = hard_edge_convergence(alpha, x, y, ns, ref_dps=precision)
@@ -220,10 +220,7 @@ def cmd_converge(args, precision):
 
 
 def cmd_meijer(args, precision):
-    try:
-        b = [mpf(s) for s in args.b.split(",")]
-    except ValueError:
-        raise UsageError("--b expects comma-separated reals, got %r" % args.b)
+    b = [_parse_real(s, "--b value") for s in args.b.split(",")]
     if len(b) != 3:
         raise UsageError("--b needs exactly three parameters")
     zs = parse_grid(args.z_grid)

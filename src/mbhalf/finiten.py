@@ -28,7 +28,7 @@ from .mpcore import (
     unit_upper_inverse,
     working,
 )
-from .kernel import kernel_meijer
+from .kernel import _meijer_or_diag
 
 
 class DomainExtensionError(ValueError):
@@ -302,9 +302,10 @@ def hard_edge_convergence(alpha, x, y, ns, ref_dps=30):
     For each n in ns the kernel K_n is built from the Laguerre closed-form
     moments and compared, after the substitution u -> u/(cV n)^3 with
     cV = 2^(-2/3) (so (cV n)^3 = n^3/4 exactly), against the limiting
-    kernel at (x, y).  Returns a list of (n, relative error) pairs.
+    kernel at (x, y) (its diagonal limit next to the diagonal).  Returns a
+    list of (n, relative error) pairs.
     """
-    ref = kernel_meijer(alpha, x, y, dps=ref_dps)
+    ref = _meijer_or_diag(alpha, x, y, ref_dps)
     if ref == 0:
         raise ValueError("limiting kernel vanishes at (%s, %s); relative "
                          "error undefined" % (x, y))

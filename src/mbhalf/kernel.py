@@ -67,6 +67,12 @@ DIAG_GUARD = 1e-6
 _SUM_GUARD = 24
 
 
+def _near_diagonal(x, y):
+    """True in the DIAG_GUARD band about the diagonal, where
+    :func:`kernel_meijer` refuses its 1/(x-y)."""
+    return abs(x - y) < DIAG_GUARD * max(x, y)
+
+
 def _double_sum(xterms, yterms, shifts):
     """sum_j A_j sum_k C_k / (j + s_k) for real A = ``xterms``,
     C = ``yterms``, s = ``shifts`` (all s_k > 0), rounded once to the
@@ -140,7 +146,7 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
         xx, yy = mpf(x), mpf(y)
         if xx <= 0 or yy <= 0:
             raise ValueError("matrix route needs x, y > 0")
-        if abs(xx - yy) < DIAG_GUARD * max(xx, yy):
+        if _near_diagonal(xx, yy):
             raise ValueError(
                 "x and y too close for the 1/(x-y) route; "
                 "use kernel_diag_limit")
@@ -168,3 +174,11 @@ def kernel_diag_limit(alpha, x, dps=None):
     """K^(a,1/2)(x,x), evaluated directly by the integral route's double
     series, whose denominators j + k/2 + a + 1 do not vanish at x = y."""
     return kernel_integral(alpha, x, x, theta=mpf("0.5"), dps=dps)
+
+
+def _meijer_or_diag(alpha, x, y, dps):
+    """The kernel by the matrix route, or by :func:`kernel_diag_limit` at
+    (x + y)/2 in the band of :func:`_near_diagonal`."""
+    if _near_diagonal(x, y):
+        return kernel_diag_limit(alpha, (x + y) / 2, dps=dps)
+    return kernel_meijer(alpha, x, y, dps=dps)

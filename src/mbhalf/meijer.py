@@ -66,8 +66,8 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import add, mul
 
@@ -125,32 +125,17 @@ class SectorPoint:
             return r * mpc(mp.cos(t), mp.sin(t))
 
 
-def _near_integer_pairs(b):
-    """The pairs (i, j), i < j, whose difference b_i - b_j is within
-    RESONANCE_TOL of an integer (a float test)."""
-    bs = [float(x) for x in b]
-    pairs = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            diff = bs[i] - bs[j]
-            if abs(diff - round(diff)) < RESONANCE_TOL:
-                pairs.append((i, j))
-    return pairs
-
-
-def _pairwise_resonant(b):
-    """True when some pair of b is in the series' RESONANCE_TOL window."""
-    return bool(_near_integer_pairs(b))
-
-
 #: a difference b_i - b_j within this many units in the last place of the
-#: larger |b| of an integer is taken as that integer (:func:`_log_pair`)
+#: larger |b| of an integer is taken as that integer (:func:`_series_form`)
 _RESONANCE_ULPS = 8
 
 
-def _log_pair(b):
-    """(p, q, N) when b_p - b_q = N >= 0 is an integer and no other pair of
-    b lies within RESONANCE_TOL of one; None otherwise.
+def _series_form(b):
+    """How the residue series sums G^{3,0}_{0,3}(.|b): ``"plain"`` when no
+    pair of b differs by an integer to within RESONANCE_TOL (a float test);
+    ``(p, q, N)`` when b_p - b_q = N >= 0 is an integer and no other pair is
+    in that window (the logarithmic families); None when there is no series
+    (the loop's case).
 
     The difference is taken exactly (no rounding) from the mpf values.
     It counts as the nearest integer N when it is off N by at most
@@ -159,7 +144,11 @@ def _log_pair(b):
     0.2 - (-2.8) = 3 is not exact in binary.  A b that is resonant to many
     digits but not to its last few bits, or triply resonant, gets None.
     """
-    near = _near_integer_pairs(b)
+    bs = [float(x) for x in b]
+    near = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+            if abs(bs[i] - bs[j] - round(bs[i] - bs[j])) < RESONANCE_TOL]
+    if not near:
+        return "plain"
     if len(near) != 1:
         return None
     i, j = near[0]
@@ -172,28 +161,24 @@ def _log_pair(b):
     return (i, j, n) if n >= 0 else (j, i, -n)
 
 
-def _lru_get(cache, size, key, make):
-    """cache[key], made by ``make()`` on a miss; the least recently used
-    entry is dropped beyond ``size`` entries."""
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = make()
-        if len(cache) > size:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return got
-
-
 # ----------------------------------------------------------------------
 # residue series route
 # ----------------------------------------------------------------------
 
-#: series coefficients (the gamma products in front of the families, and
-#: the gamma and digamma constants of the logarithmic family) kept per exact
-#: (b, family, digits); least recently used ones are dropped beyond this many
+#: the series' gamma and digamma constants are cached per exact b (its mpf
+#: tuples), family and digits; least recently used ones are dropped beyond
+#: this many, in each of the two caches
 _COEF_CACHE_SIZE = 64
-_coef_cache = OrderedDict()
+
+
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
+def _plain_coef(bkey, k, dps):
+    """Gamma(b_i - b_k) Gamma(b_j - b_k), {i, j} the indices other than k,
+    for b given by its mpf tuples ``bkey``; the gamma values carry ``dps``
+    digits."""
+    bb = [mp.make_mpf(x) for x in bkey]
+    others = [bb[j] for j in range(3) if j != k]
+    return gamma(others[0] - bb[k], dps=dps) * gamma(others[1] - bb[k], dps=dps)
 
 
 def _plain_family(bb, bkey, k, point, zc, dps):
@@ -202,20 +187,22 @@ def _plain_family(bb, bkey, k, point, zc, dps):
     0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices;
     its gamma, power and 0F2 factors carry ``dps`` digits."""
     others = [bb[j] for j in range(3) if j != k]
-    coef = _lru_get(_coef_cache, _COEF_CACHE_SIZE, (bkey, k, dps),
-                    lambda: gamma(others[0] - bb[k], dps=dps)
-                    * gamma(others[1] - bb[k], dps=dps))
-    pref = coef * point.power(bb[k], dps=dps)
+    pref = _plain_coef(bkey, k, dps) * point.power(bb[k], dps=dps)
     inner = hyper0f2_theta(1 + bb[k] - others[0], 1 + bb[k] - others[1],
                            -zc, c=bb[k], dps=dps)
     return [pref * x for x in inner]
 
 
-def _log_coefs(bp, bq, br, n, dps):
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
+def _log_coefs(bkey, pair, dps):
     """Gamma(c) (-1)^N / N!, H_0 = psi(1) + psi(N+1) + psi(c) with
     c = b_r - b_p, and the N residue coefficients
     (-1)^k Gamma(N-k) Gamma(b_r - b_q - k) / k! of family q's simple
-    poles; the gamma values carry ``dps`` digits."""
+    poles, for b given by its mpf tuples ``bkey`` and
+    ``pair`` = (p, q, N) of :func:`_series_form`; the gamma values carry
+    ``dps`` digits."""
+    p, q, n = pair
+    bp, bq, br = (mp.make_mpf(bkey[i]) for i in (p, q, 3 - p - q))
     c = br - bp
     front = (-1) ** n * gamma(c, dps=dps) / mp.factorial(n)
     h0 = mp.digamma(1) + mp.digamma(n + 1) + mp.digamma(c)
@@ -224,7 +211,7 @@ def _log_coefs(bp, bq, br, n, dps):
     return front, h0, simple
 
 
-def _log_families(bb, bkey, p, q, n, point, zc, dps):
+def _log_families(bb, bkey, pair, point, zc, dps):
     """Families p and q of the residue sum when b_p - b_q = N is an integer
     >= 0, as one theta triple.
 
@@ -241,11 +228,9 @@ def _log_families(bb, bkey, p, q, n, point, zc, dps):
     z^u ((A - zeta) u^m - m u^(m-1)), so the triple is z^(b_p) front
     (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.
     """
-    r = 3 - p - q
-    bp, bq, br = bb[p], bb[q], bb[r]
-    front, h0, simple = _lru_get(_coef_cache, _COEF_CACHE_SIZE,
-                                 (bkey, "log", dps),
-                                 lambda: _log_coefs(bp, bq, br, n, dps))
+    p, q, n = pair
+    bp, bq, br = bb[p], bb[q], bb[3 - p - q]
+    front, h0, simple = _log_coefs(bkey, pair, dps)
     sums = hyper0f2_log_theta(1 - (br - bp), n + 1, -zc, c=bp, dps=dps)
     s, rs = sums[:3], sums[3:]
     a = h0 - point.clog(dps=dps)
@@ -267,7 +252,7 @@ def g303_series(b, point, dps=None, with_theta=False):
     (RESONANCE_TOL) from the integers, the sum of the three Frobenius
     families (module docstring).  When exactly one pair differs by an
     integer, b_p - b_q = N >= 0 exactly (the exact mpf difference,
-    :func:`_log_pair`), families p and q collide and are summed as the
+    :func:`_series_form`), families p and q collide and are summed as the
     logarithmic residue series of :func:`_log_families`, the third family
     as before.  Any other b within the RESONANCE_TOL window -- resonant to
     many digits but not exactly, or triply resonant -- raises :class:`ResonantParameterError`;
@@ -280,26 +265,24 @@ def g303_series(b, point, dps=None, with_theta=False):
     2.4 r^(1/3)), so the sum is raised by that loss, and the gamma, power
     and 0F2 factors are asked for d + that loss digits.
     """
-    pair = None
-    if _pairwise_resonant(b):
-        pair = _log_pair(b)
-        if pair is None:
-            raise ResonantParameterError(
-                f"parameter differences of {tuple(float(x) for x in b)} are "
-                f"within {RESONANCE_TOL} of integers without exactly one "
-                "integer pair; series families collide")
+    form = _series_form(b)
+    if form is None:
+        raise ResonantParameterError(
+            f"parameter differences of {tuple(float(x) for x in b)} are "
+            f"within {RESONANCE_TOL} of integers without exactly one "
+            "integer pair; series families collide")
     lost = _cancellation_digits(point.modulus, 1.0 / 3.0)
     with working(dps, lost) as d:
         dc = d + lost
         bb = [mpf(x) for x in b]
         bkey = tuple(x._mpf_ for x in bb)
         zc = point.to_mpc(dps=dc)
-        if pair is None:
+        if form == "plain":
             parts = [_plain_family(bb, bkey, k, point, zc, dc)
                      for k in range(3)]
         else:
-            p, q, n = pair
-            parts = [_log_families(bb, bkey, p, q, n, point, zc, dc),
+            p, q, _ = form
+            parts = [_log_families(bb, bkey, form, point, zc, dc),
                      _plain_family(bb, bkey, 3 - p - q, point, zc, dc)]
         acc = [+sum(part[m] for part in parts) for m in range(3)]
     if with_theta:
@@ -311,10 +294,9 @@ def g303_series(b, point, dps=None, with_theta=False):
 # Mellin-Barnes loop route
 # ----------------------------------------------------------------------
 
-#: loop product tables kept per exact (b, m, dps, order); least recently
-#: used tables are dropped beyond this many
+#: loop product tables kept per exact b (its mpf tuples), m, dps and order;
+#: least recently used tables are dropped beyond this many
 _LOOP_CACHE_SIZE = 16
-_loop_cache = OrderedDict()
 #: working digits of the loop beyond the requested ones
 _LOOP_GUARD = 15
 #: guard bits of the fixed-point panel sums (see :func:`_fixed_dot`)
@@ -424,7 +406,9 @@ def _moment_weights(nodes, g):
 
 
 class _LoopProducts:
-    """Moment weights of the loop integrand for one (b, m, dps, order).
+    """Moment weights of the loop integrand for one (b, m, dps, order), and
+    the abscissa c = max_j(-b_j over numerator factors) + 1 of the vertical
+    segment.
 
     Holds the weighted products w * P(s) at the nodes as the three lists of
     :func:`_moment_weights`, as :class:`_Fixed` vectors (:attr:`vertical`,
@@ -443,8 +427,9 @@ class _LoopProducts:
     table, whose ``dps`` is part of the table's key.
     """
 
-    def __init__(self, b, m, c, dps, order=_GL_ORDER):
+    def __init__(self, b, m, dps, order=_GL_ORDER):
         self.b = b
+        self.c = c = max(-b[j] for j in range(m)) + 1
         self.xs, ws = legendre_nodes(order, dps=dps)
         eta = mpf(LOOP_ETA)
         vs = [mpc(c, eta * x) for x in self.xs]
@@ -478,14 +463,14 @@ class _LoopProducts:
         return self._fixed[pidx]
 
 
-def _loop_products(b, m, c, dps, order):
-    """The cached :class:`_LoopProducts`, keyed by the exact b, m, dps and
-    order."""
-    return _lru_get(_loop_cache, _LOOP_CACHE_SIZE, (tuple(b), m, dps, order),
-                    lambda: _LoopProducts(b, m, c, dps, order))
+@functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
+def _loop_products(bkey, m, dps, order):
+    """The cached :class:`_LoopProducts` of b given by its mpf tuples
+    ``bkey``, keyed by the exact b, m, dps and order."""
+    return _LoopProducts([mp.make_mpf(x) for x in bkey], m, dps, order)
 
 
-def _loop_moments(b, m, c, point, d, wp, order):
+def _loop_moments(bkey, m, point, d, wp, order):
     """The three loop moments (before the 1/(2 pi i)) and the decimal digits
     lost to cancellation in the worst of them.
 
@@ -496,7 +481,8 @@ def _loop_moments(b, m, c, point, d, wp, order):
     """
     zeta = point._log()
     tol = mpf(10) ** (-(d + 5))
-    prods = _loop_products(b, m, c, wp, order)
+    prods = _loop_products(bkey, m, wp, order)
+    c = prods.c
     eta = mpf(LOOP_ETA)
     # vertical segment s = c + i eta x: z^(-s) = exp(-c zeta) exp(-i eta x zeta)
     zc = mp.exp(-c * zeta)
@@ -514,7 +500,7 @@ def _loop_moments(b, m, c, point, d, wp, order):
         acc.append(t)
         big.append(tp)
     # panels must at least clear the pole region before tail checks count
-    p_min = int(max(4.0, (max(float(-x) for x in b) + 6.0) / _PANEL_WIDTH))
+    p_min = int(max(4.0, (max(float(-x) for x in prods.b) + 6.0) / _PANEL_WIDTH))
     # z^(-s) on panel p is z^(-s) on panel 0 times (z^2)^p; |z^2| = r^2
     z2 = mp.exp(_PANEL_WIDTH * zeta)
     log2_z2 = _PANEL_WIDTH * float(mp.log(mpf(point.modulus), 2))
@@ -627,14 +613,13 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     """
     with working(dps, _LOOP_GUARD) as d:
         wp = d + _LOOP_GUARD
-        bb = [mpf(x) for x in b]
-        c = max(-bb[j] for j in range(m)) + 1
+        bkey = tuple(mpf(x)._mpf_ for x in b)
         order = _first_order(d)
-        acc, loss = _loop_moments(bb, m, c, point, d, wp, order)
+        acc, loss = _loop_moments(bkey, m, point, d, wp, order)
         if loss > _LOOP_GUARD - 5:
             order, extra = _rerun_order(loss, order)
             with working(d, _LOOP_GUARD + extra):
-                acc, _ = _loop_moments(bb, m, c, point, d, wp + extra, order)
+                acc, _ = _loop_moments(bkey, m, point, d, wp + extra, order)
         front = 1 / (2 * mp.pi * mpc(0, 1))
         out = tuple(+(front * a) for a in acc)
     if with_theta:
@@ -662,7 +647,7 @@ def pick_route(b, m):
     (:func:`mb_loop`) for m != 3 and for b within the series'
     RESONANCE_TOL window otherwise (near but not exact resonance, triple
     resonance)."""
-    if m != 3 or (_pairwise_resonant(b) and _log_pair(b) is None):
+    if m != 3 or _series_form(b) is None:
         return "loop"
     return "series"
 

@@ -19,6 +19,9 @@ matrix frames, moment tables) is built on the primitives in this module:
   triangular biorthogonality structure);
 * small dense 3x3 helpers (det/inverse/solve) and unit-triangular inverses.
 
+Every cache in the package is a ``functools.lru_cache`` on a function whose
+arguments are the exact key (an mpf enters it as its ``_mpf_`` tuple).
+
 Precision model: every value is an ``mpmath`` ``mpf``/``mpc``.  One rule
 sets the digits every function works at, and :class:`working` is its one
 raise; no other module names :data:`GUARD_DIGITS`.
@@ -35,8 +38,9 @@ raise; no other module names :data:`GUARD_DIGITS`.
   cancellation those results feed, never its own working digits, so
   guard digits do not stack from layer to layer.
 * A private helper that runs only under its caller's raise does not raise
-  again, unless it is cached by its digits (:func:`_ts_nodes`): then its
-  own raise makes the cache key fix the precision.
+  again, unless it is cached by its digits (:func:`_legendre_nodes`,
+  :func:`_ts_nodes`): then its own raise makes the cache key fix the
+  precision.
 * Absolute digits bypass the rule: the LDU schedule of the finite-n
   systems and the ambient precision of the command line.
 """
@@ -85,18 +89,21 @@ def _resolve_dps(dps):
 class working:
     """``with working(dps, extra=0) as d:`` raises the working precision to
     d + ``extra`` + :data:`GUARD_DIGITS` for the block and yields d, the
-    resolved ``dps`` (module docstring)."""
+    resolved ``dps`` (module docstring).  It sets and restores ``mp.prec``
+    as ``mp.workdps`` does, without building mpmath's precision manager."""
 
     def __init__(self, dps, extra=0):
         self._digits = _resolve_dps(dps)
-        self._raise = mp.workdps(self._digits + extra + GUARD_DIGITS)
+        self._working = self._digits + extra + GUARD_DIGITS
 
     def __enter__(self):
-        self._raise.__enter__()
+        self._prec = mp.prec
+        mp.dps = self._working
         return self._digits
 
     def __exit__(self, *exc):
-        return self._raise.__exit__(*exc)
+        mp.prec = self._prec
+        return False
 
 
 def _to_fixed(x, e):
@@ -149,25 +156,25 @@ def rgamma(z, dps=None):
 # Gauss-Legendre quadrature
 # ----------------------------------------------------------------------
 
-_gl_cache = {}
-
-
 def legendre_nodes(order, dps=None):
     """Nodes and weights of ``order``-point Gauss-Legendre on [-1, 1].
 
     Newton iteration on the three-term Legendre recurrence, seeded with the
     Chebyshev-angle approximation.  Results are cached per (order, dps).
     """
-    d = _resolve_dps(dps)
-    key = (order, d)
-    got = _gl_cache.get(key)
-    if got is not None:
-        return got
+    return _legendre_nodes(order, _resolve_dps(dps))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(order, d):
+    """:func:`legendre_nodes` at the resolved digits d, the exact cache key;
+    the result is an immutable tuple pair, shared by every caller."""
+    half = order // 2
     with working(d):
         nodes = []
         weights = []
         tol = mpf(10) ** (-(d + 6))
-        for i in range(1, order // 2 + order % 2 + 1):
+        for i in range(1, order - half + 1):
             x = mpf(math.cos(math.pi * (i - 0.25) / (order + 0.5)))
             for _ in range(120):
                 p0, p1 = mpf(1), x
@@ -185,22 +192,11 @@ def legendre_nodes(order, dps=None):
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append(x)
             weights.append(w)
-        xs, ws = [], []
-        for x, w in zip(nodes, weights):
-            xs.append(-x)
-            ws.append(w)
         if order % 2 == 1:
-            # middle node is x=0; drop the duplicate from the mirrored half
-            xs = xs[:-1]
-            ws = ws[:-1]
-            xs.append(mpf(0))
-            ws.append(weights[-1])
-        for x, w in zip(reversed(nodes[: order // 2]), reversed(weights[: order // 2])):
-            xs.append(x)
-            ws.append(w)
-        result = (tuple(xs), tuple(ws))
-    _gl_cache[key] = result
-    return result
+            nodes[-1] = mpf(0)             # the middle node is exactly 0
+        # the nodes found are the positive half in descending order
+        return (tuple([-x for x in nodes] + nodes[:half][::-1]),
+                tuple(weights + weights[:half][::-1]))
 
 
 def _components(f):

@@ -55,7 +55,13 @@ def test_usage_errors(capsys):
                  "--y-grid", "2"]) == 2
     assert main(["converge", "--alpha", "0", "--x", "1", "--y", "2",
                  "--ns", "4,2"]) == 2
-    capsys.readouterr()
+    # values that are not real numbers are usage errors too, not tracebacks
+    for argv in (["kernel", "--alpha", "x", "--x-grid", "1", "--y-grid", "2"],
+                 ["kernel", "--alpha", "0", "--x-grid", "abc", "--y-grid", "2"],
+                 ["meijer", "--z-grid", "1:abc:3"],
+                 ["converge", "--alpha", "0", "--x", "abc", "--y", "1"]):
+        assert main(argv) == 2, argv
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(capsys):
@@ -175,6 +181,17 @@ def test_converge_table(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,rel_err"
     assert len(lines) == 3
+
+
+def test_converge_on_the_diagonal(capsys):
+    # at x = y the matrix route refuses its 1/(x-y); the reference comes
+    # from the diagonal limit instead
+    rc = main(["converge", "--alpha", "0", "--x", "1", "--y", "1",
+               "--ns", "1,2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "n,rel_err"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 def test_csv_determinism(tmp_path):

@@ -250,3 +250,72 @@ def test_policy_breach_detector():
                      "    pass\n"
                      "x = GUARD_DIGITS\n")
     assert _policy_breaches(tree) == [1, 2, 5]
+
+
+#: calls that make a dict
+_DICT_MAKERS = {"dict", "OrderedDict", "defaultdict"}
+#: dict methods that write to it
+_DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "move_to_end"}
+
+
+def _hand_rolled_caches(tree):
+    """Lines that import or name ``OrderedDict``, and the lines binding a
+    module-level dict that a function writes to: a memo kept by hand
+    instead of ``functools.lru_cache``."""
+    lines = {node.lineno for node in ast.walk(tree)
+             if (isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(alias.name.split(".")[-1] == "OrderedDict"
+                         for alias in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr == "OrderedDict")}
+    dicts = {}
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        maker = getattr(value, "func", None)
+        if not (isinstance(node, (ast.Assign, ast.AnnAssign))
+                and (isinstance(value, (ast.Dict, ast.DictComp))
+                     or getattr(maker, "id", getattr(maker, "attr", None))
+                     in _DICT_MAKERS)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        dicts.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                owner = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _DICT_WRITES):
+                owner = node.func.value
+            else:
+                continue
+            if isinstance(owner, ast.Name) and owner.id in dicts:
+                lines.add(dicts[owner.id])
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_hand_rolled_caches(path):
+    # one memo mechanism: every cache is a functools.lru_cache, whose key
+    # is the function's arguments and whose cache_info() reports its hits
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _hand_rolled_caches(tree)
+    assert not found, "%s: hand-rolled cache on lines %s" % (path.name, found)
+
+
+def test_hand_rolled_cache_detector():
+    tree = ast.parse("from collections import OrderedDict, namedtuple\n"
+                     "import collections\n"
+                     "_cache = {}\n"
+                     "_memo = dict()\n"
+                     "_lru = collections.OrderedDict()\n"
+                     "_TABLE = {'a': 1}\n"
+                     "_unused = {}\n"
+                     "def get(key):\n"
+                     "    local = {}\n"
+                     "    local[key] = _TABLE[key]\n"
+                     "    _cache[key] = 1\n"
+                     "    _lru.move_to_end(key)\n"
+                     "    return _memo.setdefault(key, local)\n")
+    assert _hand_rolled_caches(tree) == [1, 3, 4, 5]

@@ -1,7 +1,5 @@
 """Mellin-Barnes G: residue series vs. loop contour vs. external oracles."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
@@ -13,7 +11,7 @@ from mbhalf.meijer import (
     _Fixed,
     _fixed_dot,
     _LoopProducts,
-    _pairwise_resonant,
+    _series_form,
     g303_series,
     mb_loop,
     phi_scalars,
@@ -43,11 +41,13 @@ def test_sector_point_bookkeeping():
 
 
 def test_pairwise_resonance_predicate():
-    assert not _pairwise_resonant(B_STD)
-    assert _pairwise_resonant((0, 0, 0.5))       # equal pair
-    assert _pairwise_resonant((0, -1.0, -1.7))   # integer difference
-    assert _pairwise_resonant((0.2, -0.3, 0.7))  # -0.3 - 0.7 = -1
-    assert not _pairwise_resonant((0, -0.3, -0.55))
+    assert _series_form(B_STD) == "plain"
+    assert _series_form((0, 0, 0.5)) == (0, 1, 0)        # equal pair
+    assert _series_form((0, -1.0, -1.7)) == (0, 1, 1)    # integer difference
+    assert _series_form((0.2, -0.3, 0.7)) == (2, 1, 1)   # -0.3 - 0.7 = -1
+    assert _series_form((0, -0.3, -0.55)) == "plain"
+    assert _series_form((0, 1e-8, 0.5)) is None          # near, not exact
+    assert _series_form((0, 1, 2)) is None               # triple resonance
 
 
 def test_series_matches_mpmath_meijerg():
@@ -188,13 +188,10 @@ def test_log_series_continuous_in_alpha():
                 assert meijer.pick_route(inside, 3) == "loop"
 
 
-def test_loop_accuracy_at_requested_digits(monkeypatch):
+def test_loop_accuracy_at_requested_digits():
     # above 39 digits the loop's first pass takes more Gauss-Legendre
     # nodes; a fixed 64-node pass stopped at about 44.5 - loss digits
-    # (1.3e-42 at d = 45, |z| = 30).  Its 96-node tables go to an empty
-    # cache of their own: test_loop_accuracy_at_large_modulus counts the
-    # 96-node tables per b.
-    monkeypatch.setattr(meijer, "_loop_cache", OrderedDict())
+    # (1.3e-42 at d = 45, |z| = 30).
     for d in (45, 60):
         for r, ang in (("0.5", "0.3"), ("5", "0"), ("30", "0")):
             pt = SectorPoint(mpf(r), mpf(ang))
@@ -209,10 +206,16 @@ def test_loop_accuracy_at_large_modulus(monkeypatch):
     # by about 20 digits, more than its guard digits; the cancellation
     # rerun must still deliver the requested 30 digits.  The losses differ
     # (20.5 digits at arg 0, 17.2 at arg 2.5) but call for the same
-    # Gauss-Legendre order, so the reruns must share one product table.
-    # The tables are counted in an empty cache of this test's own, so that
-    # 96-node tables other tests built at other digits do not count.
-    monkeypatch.setattr(meijer, "_loop_cache", OrderedDict())
+    # Gauss-Legendre order, so the reruns must share one product table:
+    # one 96-node table is built per b, counted from an empty cache.
+    built = []
+
+    def record(b, m, dps, order, _make=meijer._LoopProducts):
+        built.append((tuple(b), order))
+        return _make(b, m, dps, order)
+
+    monkeypatch.setattr(meijer, "_LoopProducts", record)
+    meijer._loop_products.cache_clear()
     d = 30
     b_res = (mpf(0), mpf(0), mpf("-0.5"))
     for ang in ("0", "0.5", "2.5"):
@@ -225,8 +228,7 @@ def test_loop_accuracy_at_large_modulus(monkeypatch):
             with mp.workdps(80):
                 assert abs(got - ref) / abs(ref) <= mpf(10) ** (-d + 2), (b, ang)
     for b in (B_STD, b_res):
-        tables = [k for k in meijer._loop_cache if k[0] == b and k[3] == 96]
-        assert len(tables) == 1, tables
+        assert built.count((b, 96)) == 1, built
 
 
 def test_loop_panel_budget_reports_last_two_estimates(monkeypatch):
@@ -327,7 +329,7 @@ def test_decimal_resonance_is_resonant():
         b = (mpf("0.2"), mpf("-2.8"), mpf("0.45"))
         with mp.workdps(100):
             assert b[0] - b[1] != 3
-        assert meijer._log_pair(b) == (0, 1, 3)
+        assert _series_form(b) == (0, 1, 3)
         assert meijer.pick_route(b, 3) == "series"
         vs = g303_series(b, pt, dps=40)
         vl = mb_loop(b, pt, m=3, dps=40)
@@ -438,9 +440,9 @@ def test_loop_product_recurrence_far_panel():
     with mp.workdps(wp + 10):
         bb = [mpf(x) for x in B_STD]
         for m in (1, 2, 3):
-            c = max(-bb[j] for j in range(m)) + 1
-            g = [mp.make_mpc(v) for v in
-                 _LoopProducts(bb, m, c, wp).panel_fixed(pidx)[0]._parts]
+            prods = _LoopProducts(bb, m, wp)
+            c = prods.c
+            g = [mp.make_mpc(v) for v in prods.panel_fixed(pidx)[0]._parts]
             for k in (0, 1, 17, 64, 126, 127):
                 w = ws[k // 2] if k % 2 == 0 else -ws[k // 2]
                 s = mpc(c - 1 + xs[k // 2] - 2 * pidx, -1 if k % 2 == 0 else 1)

@@ -1,8 +1,6 @@
 """The precision policy: working digits that do not stack from layer to
 layer, and the requested digits still delivered."""
 
-from collections import OrderedDict
-
 import pytest
 from mpmath import mp, mpf
 
@@ -32,7 +30,7 @@ def test_working_digits_do_not_stack(monkeypatch):
 
     monkeypatch.setattr(specfun, "_theta_sums", record_theta)
     monkeypatch.setattr(mp, "gamma", record_gamma)
-    monkeypatch.setattr(meijer, "_coef_cache", OrderedDict())
+    meijer._plain_coef.cache_clear()
     kernel_meijer(mpf("0.3"), 1, 2, dps=30)
     assert seen["theta"] and seen["gamma"]
     assert max(seen["theta"]) <= 50, seen["theta"]
