@@ -109,11 +109,12 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     """Moment table for w(x) = x^alpha exp(-n V(x)), s = 0, 1/2, ..., smax.
 
     V is the tag "laguerre" (V(x) = x, closed form Gamma(s+alpha+1) /
-    n^(s+alpha+1)) or a callable, in which case all moments are integrated
-    together with tanh-sinh on [0, 1] (absorbs the x^alpha endpoint) plus
-    composite Gauss-Legendre panels out to a tail-checked box.  Each node
-    evaluates w(t) and t^(1/2) once and gives every moment's integrand as
-    w(t) t^(k/2), so V is called once per node.
+    n^(s+alpha+1), stepped by m(s+1) = m(s) (s+alpha+1) / n from the two
+    gamma values at s = 0 and 1/2) or a callable, in which case all
+    moments are integrated together with tanh-sinh on [0, 1] (absorbs the
+    x^alpha endpoint) plus composite Gauss-Legendre panels out to a
+    tail-checked box.  Each node evaluates w(t) and t^(1/2) once and gives
+    every moment's integrand as w(t) t^(k/2), so V is called once per node.
     """
     alpha = mpf(alpha)
     if alpha <= -1:
@@ -122,10 +123,12 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     vals = {}
     with working(dps) as d:
         if V == "laguerre":
-            for k2 in range(k2max + 1):
-                s = mpf(k2) / 2
-                vals[k2] = (gamma(s + alpha + 1, dps=d)
-                            / mpf(n) ** (s + alpha + 1))
+            for start in range(min(2, k2max + 1)):
+                e = mpf(start) / 2 + alpha + 1
+                m = gamma(e, dps=d) / mpf(n) ** e
+                for k2 in range(start, k2max + 1, 2):
+                    vals[k2] = m
+                    m = m * (mpf(k2) / 2 + alpha + 1) / n
         else:
             X = _tail_box(alpha, n, V, mpf(k2max) / 2)
             # panel width tied to the exp(-nV) decay scale
@@ -202,8 +205,7 @@ def biortho_build(mt: MomentTable, nmax: int) -> BiorthoSystem:
         raise ValueError("moment table covers 2s <= %d but the build needs "
                          "2s <= %d" % (mt.smax2, need))
     with mp.workdps(prec):
-        G = [[mt.value(mpf(2 * j + k) / 2) for k in range(nmax)]
-             for j in range(nmax)]
+        G = [[mt.values[2 * j + k] for k in range(nmax)] for j in range(nmax)]
         try:
             L, D, U = ldu_decompose(G, dps=prec)
         except SingularMatrixError as exc:
@@ -224,23 +226,25 @@ def biortho_build(mt: MomentTable, nmax: int) -> BiorthoSystem:
 
 
 def biortho_residual(bs: BiorthoSystem):
-    """max_jk |integral p_j q_k w - delta_jk|, by moment recombination."""
+    """max_jk |integral p_j q_k w - delta_jk|, by moment recombination;
+    each of the two dot products is one exact-product ``mp.fdot``."""
     n = bs.nmax
     with mp.workdps(bs.precision_digits):
         worst = mpf(0)
+        gram_cols = list(zip(*bs.gram))
         for j in range(n):
             # row of p_j against the moment matrix: integral p_j x^(k/2) w
-            row = [mp.fsum(bs.p_coeffs[j][i] * bs.gram[i][k]
-                           for i in range(j + 1)) for k in range(n)]
+            p = bs.p_coeffs[j][:j + 1]
+            row = [mp.fdot(p, col[:j + 1]) for col in gram_cols]
             for k in range(n):
-                val = mp.fsum(row[l] * bs.q_coeffs[k][l] for l in range(k + 1))
+                val = mp.fdot(row[:k + 1], bs.q_coeffs[k][:k + 1])
                 worst = max(worst, abs(val - (1 if j == k else 0)))
         return +worst
 
 
 def _half_moment(bs, coeffs, k):
     """integral P(x) x^(k/2) w(x) dx for a coefficient list P."""
-    return mp.fsum(c * bs.table.value(mpf(2 * i + k) / 2)
+    return mp.fdot((c, bs.table.value(mpf(2 * i + k) / 2))
                    for i, c in enumerate(coeffs) if c != 0)
 
 
@@ -462,9 +466,8 @@ def cd_formula_check(bs: BiorthoSystem, x, y, delta=1e-6, dps=30):
         left = [mpc(0), wy, mp.sqrt(y) * wy]
         Yy_inv = inv3(Yy)
         right = [Yx[i][0] for i in range(3)]
-        mid = [mp.fsum(Yy_inv[i][j] * right[j] for j in range(3))
-               for i in range(3)]
-        val = mp.fsum(left[i] * mid[i] for i in range(3))
+        mid = [mp.fdot(row, right) for row in Yy_inv]
+        val = mp.fdot(left, mid)
         val /= 2j * mp.pi * (x - y)
         ref = finite_kernel(bs, x, y)
         return +(abs(val - ref) / abs(ref))

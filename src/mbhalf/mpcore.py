@@ -17,7 +17,9 @@ matrix frames, moment tables) is built on the primitives in this module:
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
   triangular biorthogonality structure);
-* small dense 3x3 helpers (det/inverse/solve) and unit-triangular inverses.
+* unit-triangular inverses; they and the LDU form each entry as one
+  exact-product ``mp.fdot``, rounded once;
+* small dense 3x3 helpers (det/inverse/solve).
 
 Every cache in the package is a ``functools.lru_cache`` on a function whose
 arguments are the exact key (an mpf enters it as its ``_mpf_`` tuple).
@@ -409,46 +411,52 @@ def ldu_decompose(g, dps=None):
     """Doolittle LDU of a square matrix given as list-of-lists.
 
     Returns (L, D, U) with L unit lower triangular, D a list of pivots,
-    U unit upper triangular.  No pivoting; a pivot below
+    U unit upper triangular.  Each pivot D_k, each scaled row entry
+    D_k U_kj = a_kj - sum_m L_km D_m U_mj and its mirror D_k L_ik is one
+    exact-product ``mp.fdot``, rounded once (Crout's order); U_kj and L_ik
+    then divide by D_k.  No pivoting; a pivot below
     10^(-dps/2) * (row max) raises :class:`SingularMatrixError` naming the
     failing leading minor.
     """
     n = len(g)
     with working(dps) as d:
-        a = [[mpf(x) if not isinstance(x, (mpf, mpc)) else x for x in row] for row in g]
-        L = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
-        U = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
+        one = mpf(1)
+        L = [[one if i == j else mpf(0) for j in range(n)] for i in range(n)]
+        U = [[one if i == j else mpf(0) for j in range(n)] for i in range(n)]
         D = [mpf(0)] * n
+        # cols[j] = [1, -D_0 U_0j, ..., -D_{k-1} U_{k-1,j}] at step k, so that
+        # a_kj - sum_m L_km D_m U_mj = fdot([a_kj, L_k0, ...], cols[j]); each
+        # a_kj is read once, and fdot converts a plain number itself
+        cols = [[one] for _ in range(n)]
         for k in range(n):
-            piv = a[k][k]
-            rowscale = max(abs(x) for x in g[k]) or mpf(1)
+            lk = [g[k][k]] + L[k][:k]
+            piv = mp.fdot(lk, cols[k])
+            rowscale = max(abs(x) for x in g[k]) or one
             if abs(piv) <= mpf(10) ** (-(d // 2)) * rowscale:
                 raise SingularMatrixError(
                     f"vanishing pivot in leading minor {k + 1}", minor=k + 1)
             D[k] = piv
             for j in range(k + 1, n):
-                U[k][j] = a[k][j] / piv
+                lk[0] = g[k][j]
+                r = mp.fdot(lk, cols[j])
+                U[k][j] = r / piv
+                cols[j].append(-r)
             for i in range(k + 1, n):
-                L[i][k] = a[i][k] / piv
-            for i in range(k + 1, n):
-                lik = a[i][k]
-                if lik == 0:
-                    continue
-                for j in range(k + 1, n):
-                    a[i][j] -= lik * a[k][j] / piv
+                L[i][k] = mp.fdot([g[i][k]] + L[i][:k], cols[k]) / piv
         return L, D, U
 
 
 def unit_lower_inverse(L):
-    """Inverse of a unit lower-triangular list-of-lists matrix."""
+    """Inverse of a unit lower-triangular list-of-lists matrix, each entry
+    -sum_{j<=m<i} L_im inv_mj one exact-product ``mp.fdot``."""
     n = len(L)
     inv = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            s = L[i][j]
-            for k in range(j + 1, i):
-                s += L[i][k] * inv[k][j]
-            inv[i][j] = -s
+    for j in range(n):
+        col = [inv[j][j]]                   # inv[j..i-1][j]
+        for i in range(j + 1, n):
+            v = -mp.fdot(L[i][j:i], col)
+            inv[i][j] = v
+            col.append(v)
     return inv
 
 

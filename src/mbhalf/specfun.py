@@ -108,16 +108,22 @@ def _measured_passes(dps, extra, run):
     cancellation, under ``working(dps, extra) as d``.  A pass is kept when
     d + _KEEP_DIGITS of its digits survive the loss, else rerun with that
     loss as ``extra``.  A pass that loses every digit measures at most its
-    own, so a rerun can fall short again: after _MAX_PASSES passes this
-    raises :class:`SeriesConvergenceError` with the last two values."""
+    own: when the loss reaches its working digits less _KEEP_DIGITS, the
+    rerun works at no fewer than twice those digits.  After _MAX_PASSES
+    passes this raises :class:`SeriesConvergenceError` with the last two
+    values."""
     values = []
     for _ in range(_MAX_PASSES):
         with working(dps, extra) as d:
             value, lost = run(d)
-            if lost <= mp.dps - d - _KEEP_DIGITS:
+            wp = mp.dps
+            if lost <= wp - d - _KEEP_DIGITS:
                 return value
         values.append(value)
-        dps, extra = d, int(lost)
+        # working(d, extra) works at d + extra + GUARD_DIGITS = wp digits,
+        # so extra + wp more makes the next pass work at 2 wp
+        dps, extra = d, (max(int(lost), extra + wp)
+                         if lost >= wp - _KEEP_DIGITS else int(lost))
     raise SeriesConvergenceError(
         "series still lost %.1f digits to cancellation after %d passes"
         % (lost, _MAX_PASSES), partial_sums=tuple(values[-2:]))

@@ -194,6 +194,19 @@ def test_converge_on_the_diagonal(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
+def test_converge_bytes_pinned(capsys):
+    # the n = 32 system is built at 320 digits; no change to the rounding of
+    # its factorization, inverses or moments may move the printed errors
+    rc = main(["converge", "--alpha", "0.23", "--x", "1", "--y", "2",
+               "--ns", "4,8,16,32", "--precision", "30"])
+    assert rc == 0
+    assert capsys.readouterr().out == ("n,rel_err\n"
+                                       "4,0.0076864254002872418\n"
+                                       "8,0.059099479667238228\n"
+                                       "16,0.048374256499645382\n"
+                                       "32,0.029048717607717241\n")
+
+
 def test_csv_determinism(tmp_path):
     args = ["kernel", "--alpha", "0.7", "--x-grid", "0.2:3:3",
             "--y-grid", "1", "--route", "both"]

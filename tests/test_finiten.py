@@ -31,6 +31,21 @@ def test_laguerre_moments_closed_form():
         assert mt.smax2 == 8
 
 
+@pytest.mark.parametrize("alpha", ["-0.9", "-0.5", "0", "0.23"])
+def test_laguerre_moments_recurrence_matches_gamma(alpha):
+    # the closed-form table steps m(s+1) = m(s) (s+alpha+1)/n from two gamma
+    # values; every moment the n = 32 build reads (2s <= 93, 320 digits)
+    # must match a direct gamma call to 10^-(d+5)
+    n, d, alpha = 32, 320, mpf(alpha)
+    mt = moments(alpha, n, "laguerre", smax=mpf(93) / 2, dps=d)
+    assert sorted(mt.values) == list(range(94))
+    with mp.workdps(d + 20):
+        for k2, v in mt.values.items():
+            e = mpf(k2) / 2 + alpha + 1
+            ref = mp.gamma(e) / mpf(n) ** e
+            assert abs(v - ref) <= mpf(10) ** -(d + 5) * ref, k2
+
+
 def test_custom_field_route_matches_closed_form():
     # V passed as a callable x -> x must integrate to the same table;
     # alpha = -1/2 puts a t^(-1/2) singularity under every moment
@@ -111,6 +126,15 @@ def test_biortho_structure(system6):
 
 def test_biortho_residual_small(system6):
     assert biortho_residual(system6) < mpf("1e-50")
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.23"])
+def test_biortho_residual_at_n32(alpha):
+    # each LDU, inverse and certificate entry is one exact-product dot sum
+    # rounded once; sums of separately rounded products left 5.3e-283
+    # (alpha = 0) and 8.1e-283 (alpha = 0.23) here
+    mt = moments(mpf(alpha), 32, "laguerre", smax=mpf(93) / 2, dps=320)
+    assert biortho_residual(biortho_build(mt, 32)) <= mpf("1e-284")
 
 
 def test_multiple_orthogonality(system6):

@@ -319,3 +319,50 @@ def test_hand_rolled_cache_detector():
                      "    _lru.move_to_end(key)\n"
                      "    return _memo.setdefault(key, local)\n")
     assert _hand_rolled_caches(tree) == [1, 3, 4, 5]
+
+
+#: modules whose certificate and factorization sums must stay on mp.fdot
+_DOT_MODULES = ("finiten.py", "mpcore.py")
+
+
+def _rounded_product_sums(tree):
+    """Lines of an ``fsum(...)`` call whose argument is a generator or list
+    of products of two indexed operands (``x[i] * y[i] for ...``): a dot
+    product that rounds every product before summing, where ``mp.fdot``
+    sums the exact products and rounds once."""
+    lines = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and (getattr(node.func, "attr", None) == "fsum"
+                     or getattr(node.func, "id", None) == "fsum")):
+            continue
+        arg = node.args[0]
+        if (isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                and isinstance(arg.elt, ast.BinOp)
+                and isinstance(arg.elt.op, ast.Mult)
+                and isinstance(arg.elt.left, ast.Subscript)
+                and isinstance(arg.elt.right, ast.Subscript)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name in _DOT_MODULES],
+                         ids=lambda p: p.name)
+def test_dot_products_round_once(path):
+    # the LDU, its inverses and the biorthogonality certificate round each
+    # dot product once, through mp.fdot
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _rounded_product_sums(tree)
+    assert not found, "%s: fsum of rounded products on lines %s" % (
+        path.name, found)
+
+
+def test_rounded_product_sum_detector():
+    tree = ast.parse("a = mp.fsum(x[i] * y[i] for i in range(3))\n"
+                     "b = fsum([row[k] * q.c[k][j] for k in ks])\n"
+                     "c = mp.fsum(abs(c) * T ** i for i, c in enumerate(p))\n"
+                     "d = mp.fsum(x[i] + y[i] for i in range(3))\n"
+                     "e = mp.fdot(x[i] * y[i] for i in range(3))\n"
+                     "f = mp.fsum(c * v[i] for i, c in enumerate(p))\n"
+                     "g = mp.fsum(x[i] * y[i] * z[i] for i in range(3))\n")
+    assert _rounded_product_sums(tree) == [1, 2]

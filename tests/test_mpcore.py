@@ -262,6 +262,18 @@ def test_ldu_reconstructs():
             for j in range(n):
                 ldu = mp.fsum(L[i][k] * D[k] * U[k][j] for k in range(n))
                 assert abs(ldu - g[i][j]) < mpf("1e-36")
+    # complex entries take mp.fdot's complex branch
+    g = [[mpc(2, 1), mpc("0.5", -1), mpc(0, "0.3")],
+         [mpc(-1, "0.25"), mpc(3, -2), mpc(1, 1)],
+         [mpc("0.7", 0), mpc(-2, "0.5"), mpc(4, 3)]]
+    L, D, U = ldu_decompose(g, dps=40)
+    with mp.workdps(40):
+        assert all(isinstance(p, mpc) for p in D)
+        for i in range(3):
+            assert L[i][i] == 1 and U[i][i] == 1
+            for j in range(3):
+                ldu = mp.fsum(L[i][k] * D[k] * U[k][j] for k in range(3))
+                assert abs(ldu - g[i][j]) < mpf("1e-36")
 
 
 def test_ldu_singular_minor_reported():

@@ -228,11 +228,14 @@ def test_wright_bessel_reruns_while_the_loss_exceeds_the_guard(monkeypatch):
     # J_{1.3,1/2}(x) loses 41, 65 and 87 digits to cancellation at x = 200,
     # 400 and 600.  With no cancellation guard the first pass (40 digits)
     # loses all of them, and a pass that loses every digit measures a loss
-    # capped at its own digits, so a single rerun can fall short.  Passes go
-    # on while the loss exceeds what the pass can lose, three at x = 400;
-    # after three the series raises.
+    # capped at its own digits, so its rerun works at no fewer than twice
+    # its digits.  Passes go on while the loss exceeds what the pass can
+    # lose: 40 and 80 digits at x = 200; 40, 80 and 105 at x = 400; 40, 80
+    # and 160 at x = 600, where growing by the measured loss alone (40, 79,
+    # 118) fell short after three passes.  With two passes allowed, x = 600
+    # raises.
     d, a, b = 30, mpf("1.3"), mpf("0.5")
-    refs = {x: wright_bessel(a, b, x, dps=d + 80) for x in (200, 400)}
+    refs = {x: wright_bessel(a, b, x, dps=d + 80) for x in (200, 400, 600)}
     precs = []
     terms = specfun._wright_terms
 
@@ -242,16 +245,18 @@ def test_wright_bessel_reruns_while_the_loss_exceeds_the_guard(monkeypatch):
 
     monkeypatch.setattr(specfun, "_wright_terms", counted)
     monkeypatch.setattr(specfun, "_series_guard", lambda radius, power: 0)
-    for x, passes in ((200, 2), (400, 3)):
+    for x, passes in ((200, [40, 80]), (400, [40, 80, 105]),
+                      (600, [40, 80, 160])):
         precs.clear()
         got = wright_bessel(a, b, x, dps=d)
-        assert len(precs) == passes, (x, precs)
+        assert precs == passes, (x, precs)
         with mp.workdps(d + 80):
             assert abs(got - refs[x]) <= mpf(10) ** -(d + 5) * abs(refs[x]), x
+    monkeypatch.setattr(specfun, "_MAX_PASSES", 2)
     precs.clear()
     with pytest.raises(SeriesConvergenceError) as info:
         wright_bessel(a, b, 600, dps=d)
-    assert len(precs) == 3 and len(info.value.partial_sums) == 2
+    assert precs == [40, 80] and len(info.value.partial_sums) == 2
 
 
 def test_resonance_distance_and_guard():
