@@ -19,7 +19,8 @@ from . import rhframe
 from .finiten import DomainExtensionError, hard_edge_convergence
 from .kernel import (_meijer_or_diag, _near_diagonal, kernel_integral,
                      kernel_meijer)
-from .meijer import SectorPoint, g303_series, mb_loop, pick_route
+from .meijer import (ResonantParameterError, SectorPoint, g303_series,
+                     mb_loop, pick_route)
 from .mpcore import (
     GammaPoleError,
     QuadratureConvergenceError,
@@ -30,7 +31,7 @@ from .mpcore import (
     norm_max,
     working,
 )
-from .specfun import ResonantParameterError, SeriesConvergenceError
+from .specfun import SeriesConvergenceError
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30

@@ -529,7 +529,8 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     """Minimize the discretized energy over probability measures on [0, Q].
 
     V : callable, the external field, evaluated at the m cell midpoints.
-    Q : box size; the support of the minimizer must end well inside.
+    Q : box size; the support of the minimizer must end well inside.  A
+        RuntimeWarning says so when the last cell carries weight.
     m : number of uniform cells.
     max_iter : cap on the pivot iterations of each exact KKT solve, the
         coarse start and the fine one.
@@ -577,6 +578,10 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     w, ell, aw, trace = _kkt_active_set(A, v, w0, max_iter, start)
 
     support = w > SUPPORT_CUT * float(np.max(w))
+    if support[-1]:
+        warnings.warn("the support reaches the last cell of [0, %g]; the "
+                      "measure is clipped by the box" % Q,
+                      RuntimeWarning, stacklevel=2)
     q_est = float(s[support][-1])
 
     c0 = float(_fit_c0_cells(w, h, q_est))

@@ -45,7 +45,7 @@ the logarithmic family), moments (-s)^m under the integral.
 
 :func:`pick_route` names the route for given (b, m): the series for m = 3,
 the logarithmic one at exact resonance; the loop for m != 3, and where b
-sits in the series' resonance window (specfun's RESONANCE_TOL) without
+sits in the series' resonance window (RESONANCE_TOL) without
 being exactly resonant in one pair (near resonance, triple resonance).
 The loop stays callable on its own at every b as the independent check of
 the series.
@@ -74,11 +74,10 @@ from operator import add, mul
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, mpf_sub, round_nearest
 
-from .mpcore import (_to_fixed, gamma, rgamma, legendre_nodes, solve3,
-                     working, QuadratureConvergenceError)
-from .specfun import (RESONANCE_TOL, _cancellation_digits, frobenius_adjoint,
-                      hyper0f2_log_theta, hyper0f2_theta,
-                      ResonantParameterError)
+from .mpcore import (_to_fixed, gamma, rgamma, legendre_nodes, working,
+                     QuadratureConvergenceError)
+from .specfun import (_MAX_TERMS, _cancellation_digits, hyper0f2_log_theta,
+                      hyper0f2_theta, SeriesConvergenceError)
 
 #: legs of the loop contour run at Im s = +- LOOP_ETA
 LOOP_ETA = 1
@@ -125,6 +124,9 @@ class SectorPoint:
             return r * mpc(mp.cos(t), mp.sin(t))
 
 
+#: a parameter difference b_i - b_j within this (float) distance of an
+#: integer puts b in the series' resonance window (:func:`_series_form`)
+RESONANCE_TOL = 1e-6
 #: a difference b_i - b_j within this many units in the last place of the
 #: larger |b| of an integer is taken as that integer (:func:`_series_form`)
 _RESONANCE_ULPS = 8
@@ -159,6 +161,12 @@ def _series_form(b):
     if abs(diff - n) > _RESONANCE_ULPS * ulp:
         return None
     return (i, j, n) if n >= 0 else (j, i, -n)
+
+
+class ResonantParameterError(ValueError):
+    """A parameter difference of G is within RESONANCE_TOL of an integer,
+    but b is not exactly resonant in one pair alone: the residue series
+    has no form there, and only the loop route evaluates G."""
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +264,11 @@ def g303_series(b, point, dps=None, with_theta=False):
     logarithmic residue series of :func:`_log_families`, the third family
     as before.  Any other b within the RESONANCE_TOL window -- resonant to
     many digits but not exactly, or triply resonant -- raises :class:`ResonantParameterError`;
-    callers should fall back to :func:`mb_loop`.  The gamma and digamma
-    constants in front of the families depend on b and the digits alone and
-    are cached by their exact values.
+    callers should fall back to :func:`mb_loop`.  A logarithmic pair with
+    N beyond specfun's _MAX_TERMS would need N simple-pole coefficients
+    before its first term and raises :class:`SeriesConvergenceError`
+    instead.  The gamma and digamma constants in front of the families
+    depend on b and the digits alone and are cached by their exact values.
 
     The families cancel where G is recessive, by the digits an entire 0F2
     series of |z| = r loses (specfun's :func:`_cancellation_digits`, about
@@ -271,6 +281,10 @@ def g303_series(b, point, dps=None, with_theta=False):
             f"parameter differences of {tuple(float(x) for x in b)} are "
             f"within {RESONANCE_TOL} of integers without exactly one "
             "integer pair; series families collide")
+    if form != "plain" and form[2] > _MAX_TERMS:
+        raise SeriesConvergenceError(
+            f"integer parameter gap {form[2]} exceeds the series' budget of "
+            f"{_MAX_TERMS} terms", partial_sums=())
     lost = _cancellation_digits(point.modulus, 1.0 / 3.0)
     with working(dps, lost) as d:
         dc = d + lost
@@ -717,28 +731,3 @@ def psi3_alternate(alpha, point, dps=None):
         g_p1 = _g3_triple(b, point.rotated(+pi_), d)
         g_p3 = _g3_triple(b, point.rotated(+3 * pi_), d)
         return _txc(_tadd(g_p1, _txc(g_p3, mpc(-1))), mpc(0, 1) * e_minus)
-
-
-def psi_frobenius_constants(alpha, dps=None):
-    """Recover (c1, c2, c3) with
-
-        psi1(z) = c1 g1(z) + c2 e^{-pi i a} g2(z) - c3 i e^{-pi i a} g3(z),
-
-    g_j the adjoint Frobenius basis, by a 3x3 solve at three sample points.
-    The constants are real for real alpha; the imaginary residue is
-    returned for inspection.
-    """
-    a = mpf(alpha)
-    with working(dps) as d:
-        epia = mp.exp(mpc(0, -1) * mp.pi * a)
-        rows = []
-        rhs = []
-        for zv in (mpf("0.3"), mpf("0.7"), mpf("1.1")):
-            g1, g2, g3 = (t[0] for t in frobenius_adjoint(alpha, zv, dps=d))
-            rows.append([g1, epia * g2, -mpc(0, 1) * epia * g3])
-            pt = SectorPoint(zv, mpf(0))
-            rhs.append(g303_series((mpf(0), a, a + mpf("0.5")),
-                                   pt.rotated(-mp.pi), dps=d))
-        c = solve3(rows, rhs)
-        imag_resid = max(abs(x.imag) for x in c)
-        return tuple(x.real for x in c), imag_resid

@@ -19,7 +19,7 @@ matrix frames, moment tables) is built on the primitives in this module:
   triangular biorthogonality structure);
 * unit-triangular inverses; they and the LDU form each entry as one
   exact-product ``mp.fdot``, rounded once;
-* small dense 3x3 helpers (det/inverse/solve).
+* small dense 3x3 helpers (det/inverse).
 
 Every cache in the package is a ``functools.lru_cache`` on a function whose
 arguments are the exact key (an mpf enters it as its ``_mpf_`` tuple).
@@ -477,10 +477,6 @@ def mat_mul(A, B):
             for i in range(n)]
 
 
-def mat_vec(A, v):
-    return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
-
-
 def mat_sub(A, B):
     return [[A[i][j] - B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
 
@@ -511,10 +507,6 @@ def inv3(A):
          A[0][0] * A[1][1] - A[0][1] * A[1][0]],
     ]
     return [[cof[i][j] / det for j in range(3)] for i in range(3)]
-
-
-def solve3(A, b):
-    return mat_vec(inv3(A), b)
 
 
 def norm_max(A):

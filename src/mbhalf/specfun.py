@@ -1,13 +1,9 @@
 """Entire hypergeometric building blocks.
 
 Provides the generalized hypergeometric series 0F2 (plus term-wise
-theta-derivatives, theta = z d/dz), Wright's generalized Bessel function,
-and the Frobenius solution triples of the two third-order model equations
-
-    theta (theta + a)(theta + a + 1/2) phi + z phi = 0     (forward)
-    theta (theta - a)(theta - a - 1/2) psi - z psi = 0     (adjoint)
-
-that govern the hard-edge model problem at theta-parameter 1/2.
+theta-derivatives, theta = z d/dz), the same sums weighted by the terms'
+sums of reciprocals for the logarithmic Meijer G series, and Wright's
+generalized Bessel function.
 
 All series are entire, but their terms oscillate in sign and can grow by
 exp(O(|z|^{1/3})) before decaying, so evaluation runs at a cancellation-
@@ -34,8 +30,6 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .mpcore import _to_fixed, rgamma, working
 
-RESONANCE_TOL = 1e-6
-
 #: consecutive sub-threshold Wright-Bessel terms required before the
 #: series is declared done
 STOP_RUN = 30
@@ -57,29 +51,13 @@ class SeriesConvergenceError(RuntimeError):
 
     ``partial_sums`` holds the sums where it stopped: (S0, S1, S2) for
     :func:`hyper0f2_theta`, the last two partial sums for the Wright-Bessel
-    terms; after the passes, the values of the last two.
+    terms; after the passes, the values of the last two; none when the
+    series was refused before its first term.
     """
 
     def __init__(self, message, partial_sums):
         super().__init__(message)
         self.partial_sums = partial_sums
-
-
-class ResonantParameterError(ValueError):
-    """2*alpha is (numerically) an integer; the Frobenius bases degenerate."""
-
-
-def resonance_distance(alpha):
-    """Distance of 2*alpha from the integers (as a float)."""
-    two = 2.0 * float(alpha)
-    return abs(two - round(two))
-
-
-def check_nonresonant(alpha):
-    if resonance_distance(alpha) < RESONANCE_TOL:
-        raise ResonantParameterError(
-            f"2*alpha = {2 * float(alpha)} is within {RESONANCE_TOL} of an "
-            "integer; use the contour-integral route instead")
 
 
 def _cancellation_digits(radius, growth_power):
@@ -364,57 +342,3 @@ def wright_bessel(a, b, x, dps=None):
 
     guard = _series_guard(abs(x), _wright_growth(b))
     return _measured_passes(dps, guard, run)
-
-
-def _frobenius(z, x, table, dps):
-    """z^c * (S0, S1, S2) of 0F2(-; b1, b2; x) for each (b1, b2, c) of
-    ``table``, the power on the principal branch."""
-    out = []
-    with working(dps) as d:
-        for b1, b2, c in table:
-            inner = hyper0f2_theta(b1, b2, x, c=c, dps=d)
-            pref = mp.exp(mpf(c) * mp.log(mpc(z)))
-            out.append(tuple(pref * s for s in inner))
-    return out
-
-
-def frobenius_forward(alpha, z, dps=None):
-    """Frobenius basis of theta(theta+a)(theta+a+1/2) phi = -z phi.
-
-    Indices at 0 are 0, -a, -a-1/2:
-
-        0F2(-; 1+a, 3/2+a; -z)
-        z^{-a}     0F2(-; 1-a, 3/2; -z)
-        z^{-a-1/2} 0F2(-; 1/2-a, 1/2; -z)
-
-    Principal branches.  Each entry is the triple (f, theta f, theta^2 f).
-    """
-    check_nonresonant(alpha)
-    a = mpf(alpha)
-    return _frobenius(z, -mpc(z), (
-        (1 + a, mpf("1.5") + a, mpf(0)),
-        (1 - a, mpf("1.5"), -a),
-        (mpf("0.5") - a, mpf("0.5"), -a - mpf("0.5")),
-    ), dps)
-
-
-def frobenius_adjoint(alpha, z, dps=None):
-    """Frobenius basis of theta(theta-a)(theta-a-1/2) psi = z psi.
-
-    Indices at 0 are 0, a, a+1/2.  The indicial recursion
-    c_m (c+m)(c+m-a)(c+m-a-1/2) = c_{m-1} forces
-
-        0F2(-; 1-a, 1/2-a; z)
-        z^a       0F2(-; 1+a, 1/2; z)
-        z^{a+1/2} 0F2(-; 3/2+a, 3/2; z)
-
-    (equivalently: the forward basis under a -> -a-1/2, z -> -z).  Each
-    entry is the triple (g, theta g, theta^2 g).
-    """
-    check_nonresonant(alpha)
-    a = mpf(alpha)
-    return _frobenius(z, mpc(z), (
-        (1 - a, mpf("0.5") - a, mpf(0)),
-        (1 + a, mpf("0.5"), a),
-        (mpf("1.5") + a, mpf("1.5"), a + mpf("0.5")),
-    ), dps)

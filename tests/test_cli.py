@@ -103,6 +103,16 @@ def test_log_series_budget_exit_code(capsys, monkeypatch):
     assert "meijer" in capsys.readouterr().err
 
 
+def test_log_series_large_gap_exit_code(capsys):
+    # an integer gap of 10^9 would need 10^9 simple-pole coefficients before
+    # the first term; the series refuses it instead of building them
+    for b in ("1e9,0,0.5", "-1e9,0,0.5"):
+        rc = main(["meijer", "--b=" + b, "--z-grid", "1"])
+        assert rc == 3, b
+        err = capsys.readouterr().err
+        assert "meijer" in err and "1000000000" in err, b
+
+
 def test_meijer_auto_route_reported(capsys):
     for b, route in (("0,1e-8,0.5", "loop"), ("0,0,0.5", "series")):
         rc = main(["meijer", "--b", b, "--z-grid", "1", "--route", "auto",

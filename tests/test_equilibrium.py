@@ -2,6 +2,7 @@
 log-potentials, scaling constants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_minimizer_linear_field():
     dev, ineq_ok = variational_residual(sol, lambda x: x)
     assert dev < 1e-3
     assert ineq_ok
+
+
+def test_minimizer_warns_when_the_support_reaches_the_box_edge():
+    # at Q = 2 the V = x measure (support [0, 27/8]) is clipped: the last
+    # cell carries about three times the weight of the one before it
+    with pytest.warns(RuntimeWarning, match="last cell"):
+        sol = equilibrium_minimize(lambda x: x, 2.0, 200)
+    assert sol.mu.weights[-1] > sol.mu.weights[-2] > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = equilibrium_minimize(lambda x: x, 6.0, 200)
+    assert sol.mu.weights[-1] == 0
 
 
 def test_minimizer_quadratic_field():
@@ -373,7 +386,8 @@ def test_coarse_stagnation_starts_from_all_cells(monkeypatch):
 def test_minimizer_single_cell_converges():
     # a one-cell simplex is a single point: the solver must detect the
     # trivial constrained minimum instead of raising StagnationError
-    sol = equilibrium_minimize(lambda x: x, 2.0, 1)
+    with pytest.warns(RuntimeWarning, match="last cell"):
+        sol = equilibrium_minimize(lambda x: x, 2.0, 1)
     assert abs(sol.mu.mass - 1.0) < 1e-15
 
 
@@ -381,8 +395,10 @@ def test_cell_width_needs_two_nodes():
     # one cell has no width to read off the nodes: a typed error, not an
     # IndexError from an empty diff
     V = lambda x: x
+    with pytest.warns(RuntimeWarning, match="last cell"):
+        sol = equilibrium_minimize(V, 6.0, 1)
     with pytest.raises(ValueError, match="at least two nodes"):
-        variational_residual(equilibrium_minimize(V, 6.0, 1), V)
+        variational_residual(sol, V)
 
 
 def test_reference_solution_constants(reference):

@@ -32,9 +32,10 @@ def _unused_imports(tree):
                   if name not in used)
 
 
-def _private_definitions(tree):
-    """Private names (one leading underscore) that a module binds at top
-    level by def, class or assignment, with their lines."""
+def _definitions(tree):
+    """Names a module binds at top level by def, class or assignment, with
+    their lines; names with two leading underscores (``__all__``,
+    ``__getattr__``) excepted."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -45,8 +46,7 @@ def _private_definitions(tree):
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
                         found.append((node.lineno, leaf.id))
-    return [(line, name) for line, name in found
-            if name.startswith("_") and not name.startswith("__")]
+    return [(line, name) for line, name in found if not name.startswith("__")]
 
 
 def _reads(tree):
@@ -63,19 +63,23 @@ def _reads(tree):
     return read
 
 
-def _unread_private(trees):
-    """(module, line, name) of every private top-level name of ``trees``
-    (a name -> tree mapping) that no tree reads."""
-    read = set().union(*map(_reads, trees.values()))
+def _unread(trees, private, readers=()):
+    """(module, line, name) of every private (or, with ``private`` false,
+    public) top-level name of ``trees`` (a name -> tree mapping) that no
+    tree of ``trees`` or ``readers`` reads."""
+    read = set().union(*map(_reads, [*trees.values(), *readers]))
     return sorted((mod, line, name) for mod, tree in trees.items()
-                  for line, name in _private_definitions(tree)
-                  if name not in read)
+                  for line, name in _definitions(tree)
+                  if name.startswith("_") == private and name not in read)
+
+
+def _parse_all(paths):
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in paths}
 
 
 def test_no_unread_private_names():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in SRC}
-    unread = _unread_private(trees)
+    unread = _unread(_parse_all(SRC), private=True)
     assert not unread, ", ".join("%s:%d %s" % item for item in unread)
 
 
@@ -89,7 +93,42 @@ def test_unread_private_detector():
                                "def __getattr__(name):\n"
                                "    _local = 1\n"),
              "b.py": ast.parse("from a import _helper\n")}
-    assert _unread_private(trees) == [("a.py", 2, "_dead"), ("a.py", 5, "_Gone")]
+    assert _unread(trees, private=True) == [("a.py", 2, "_dead"),
+                                            ("a.py", 5, "_Gone")]
+
+
+#: the files whose reads keep a public name of the package alive
+READERS = sorted(path for part in ("src", "tests", "perfbench")
+                 for path in (SRC[0].parents[2] / part).rglob("*.py"))
+
+
+def test_no_unread_public_names():
+    # a public def, class or constant that no module, test or benchmark
+    # reads is dead code
+    readers = [ast.parse(path.read_text(), filename=str(path))
+               for path in READERS]
+    unread = _unread(_parse_all(SRC), private=False, readers=readers)
+    assert not unread, ", ".join("%s:%d %s" % item for item in unread)
+
+
+def test_unread_public_detector():
+    trees = {"a.py": ast.parse("LIMIT = 3\n"
+                               "_k, UNUSED = 1, 2\n"
+                               "def helper():\n"
+                               "    return LIMIT + _k\n"
+                               "class Gone:\n"
+                               "    pass\n"
+                               "def checked():\n"
+                               "    pass\n"
+                               "__all__ = ['Gone']\n")}
+    readers = [ast.parse("from a import helper\n"),
+               ast.parse("import a\n"
+                         "a.checked()\n")]
+    assert _unread(trees, private=False, readers=readers) == [
+        ("a.py", 2, "UNUSED"), ("a.py", 5, "Gone")]
+    assert _unread(trees, private=False) == [
+        ("a.py", 2, "UNUSED"), ("a.py", 3, "helper"), ("a.py", 5, "Gone"),
+        ("a.py", 7, "checked")]
 
 
 def _meijerg_references(tree):

@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 from mbhalf import meijer
 from mbhalf.meijer import (
     _GL_ORDER,
+    ResonantParameterError,
     SectorPoint,
     _Fixed,
     _fixed_dot,
@@ -16,11 +17,9 @@ from mbhalf.meijer import (
     mb_loop,
     phi_scalars,
     psi3_alternate,
-    psi_frobenius_constants,
     psi_scalars,
 )
 from mbhalf.mpcore import QuadratureConvergenceError, legendre_nodes
-from mbhalf.specfun import ResonantParameterError
 
 B_STD = (mpf(0), mpf("-0.3"), mpf("-0.8"))
 
@@ -405,13 +404,54 @@ def test_psi3_alternate_route_agrees():
             assert abs(x - y) < mpf("1e-35")
 
 
-def test_psi_frobenius_constants_are_real():
-    with mp.workdps(45):
-        consts, imag_resid = psi_frobenius_constants(mpf("0.3"), dps=35)
-        assert imag_resid < mpf("1e-30")
-        assert len(consts) == 3
-        for c in consts:
-            assert abs(c) > mpf("1e-6")  # nondegenerate combination
+def _ode_residuals(scalars, alpha, point, sign):
+    """Per scalar f1..f4 of ``scalars(alpha, point)``: the residual of
+    theta(theta +- a)(theta +- a +- 1/2) f = -+ z f (sign +1 forward, -1
+    adjoint), theta^3 f from a 5-point stencil in log z over the returned
+    theta^2 f; and the larger misfit of the stencil derivatives of f and
+    theta f against the returned theta f and theta^2 f."""
+    a = mpf(alpha)
+    h = mpf("1e-6")
+
+    def triples(k):
+        s = scalars(a, SectorPoint(point.modulus * mp.exp(k * h),
+                                   point.argument), dps=50)
+        return (s.f1, s.f2, s.f3, s.f4)
+
+    mid, near = triples(0), {k: triples(k) for k in (-2, -1, 1, 2)}
+    z = point.to_mpc()
+    ode, deriv = [], []
+    for i, (f, tf, t2f) in enumerate(mid):
+        def theta(m):
+            return (-near[2][i][m] + 8 * near[1][i][m] - 8 * near[-1][i][m]
+                    + near[-2][i][m]) / (12 * h)
+
+        lhs = (theta(2) + sign * (2 * a + mpf("0.5")) * t2f
+               + a * (a + mpf("0.5")) * tf)
+        rhs = -sign * z * f
+        ode.append(abs(lhs - rhs) / max(abs(rhs), 1))
+        deriv.append(max(abs(theta(m) - mid[i][m + 1]) / max(abs(mid[i][m + 1]), 1)
+                         for m in (0, 1)))
+    return ode, deriv
+
+
+# resonant (2 alpha in Z: the logarithmic series) and not, on sheets -2..2;
+# at alpha = 0 the ODE's theta f coefficient a(a + 1/2) vanishes, so only the
+# derivative check sees theta f there
+_ODE_ALPHAS = ("-0.4", "0", "0.3", "0.5")
+
+
+@pytest.mark.parametrize("scalars, sign, modulus", [
+    (phi_scalars, +1, "0.8"), (psi_scalars, -1, "1.3")],
+    ids=("phi_forward", "psi_adjoint"))
+def test_scalars_satisfy_model_ode(scalars, sign, modulus):
+    with mp.workdps(60):
+        for alpha in _ODE_ALPHAS:
+            for sheet in range(-2, 3):
+                pt = SectorPoint(mpf(modulus), mpf("0.3") + 2 * mp.pi * sheet)
+                ode, deriv = _ode_residuals(scalars, alpha, pt, sign)
+                assert max(ode) < mpf("1e-19"), (alpha, sheet, ode)
+                assert max(deriv) < mpf("1e-19"), (alpha, sheet, deriv)
 
 
 def test_loop_cache_keyed_by_exact_parameters():

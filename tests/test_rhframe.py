@@ -18,6 +18,7 @@ from mbhalf.mpcore import (
 )
 from mbhalf.rhframe import (
     RAYS,
+    _gamma_exponents,
     c_matrix,
     det_phi_predicted,
     exp_diag,
@@ -192,6 +193,21 @@ def test_expansion_residual_decays_like_one_over_x():
             r4 = expansion_residual(ALPHA, mpf("1e4"), dps=30, frame=frame)
             slope = (math.log(float(r4)) - math.log(float(r3))) / math.log(10.0)
             assert -1.15 < slope < -0.85, (frame, slope)
+
+
+def test_expansion_residual_constant_is_m1():
+    # x * residual(x) = |m1| + c/x + d/x^2 + ..., m1 = a^2/3 + a/6 - 1/36
+    # the constant of T (the adjoint frame's mt1 is the same): two
+    # Richardson steps in 1/x over x = 250, 500, 1000 remove c and d
+    with mp.workdps(40):
+        for alpha in (mpf("-0.4"), mpf(0), mpf("0.3"), mpf("0.7")):
+            m1 = abs(_gamma_exponents(alpha)[1])
+            for frame in ("phi", "psi"):
+                r = [x * expansion_residual(alpha, x, dps=30, frame=frame)
+                     for x in (mpf(250), mpf(500), mpf(1000))]
+                r1 = [2 * r[1] - r[0], 2 * r[2] - r[1]]
+                limit = (4 * r1[1] - r1[0]) / 3
+                assert abs(limit - m1) <= mpf("1e-8") * m1, (alpha, frame, limit)
 
 
 def test_jump_residual_seeded_moduli():

@@ -1,4 +1,4 @@
-"""Series engines: 0F2 with theta weights, Wright Bessel, Frobenius bases."""
+"""Series engines: 0F2 with theta weights, its logarithmic sums, Wright Bessel."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,10 @@ from mpmath import mp, mpc, mpf
 
 from mbhalf import specfun
 from mbhalf.specfun import (
-    ResonantParameterError,
     SeriesConvergenceError,
-    check_nonresonant,
-    frobenius_adjoint,
-    frobenius_forward,
     hyper0f2,
     hyper0f2_log_theta,
     hyper0f2_theta,
-    resonance_distance,
     wright_bessel,
 )
 
@@ -257,90 +252,3 @@ def test_wright_bessel_reruns_while_the_loss_exceeds_the_guard(monkeypatch):
     with pytest.raises(SeriesConvergenceError) as info:
         wright_bessel(a, b, 600, dps=d)
     assert precs == [40, 80] and len(info.value.partial_sums) == 2
-
-
-def test_resonance_distance_and_guard():
-    assert resonance_distance(0.3) == pytest.approx(0.4)
-    assert resonance_distance(-0.4) == pytest.approx(0.2)
-    for bad in (0, 0.5, 1, -0.5, 2.0000000001):
-        with pytest.raises(ResonantParameterError):
-            check_nonresonant(bad)
-    check_nonresonant(0.3)  # no raise
-    with pytest.raises(ResonantParameterError):
-        frobenius_forward(1.0, 0.5, dps=30)
-    with pytest.raises(ResonantParameterError):
-        frobenius_adjoint(-0.5, 0.5, dps=30)
-
-
-def _theta3_residual(alpha, z, sols_fn, sign):
-    """Residual of theta(theta -+ a)(theta -+ a - 1/2) f = +-z f per basis
-    element, with theta^3 f from a 5-point stencil over theta^2 f."""
-    a = mpf(alpha)
-    h = mpf("1e-6")
-
-    def triples(k):
-        return sols_fn(alpha, z * mp.exp(k * h))
-
-    t0 = triples(0)
-    tp1, tp2, tm1, tm2 = triples(1), triples(2), triples(-1), triples(-2)
-    resids = []
-    for i in range(3):
-        f, tf, t2f = t0[i]
-        t3f = (-tp2[i][2] + 8 * tp1[i][2] - 8 * tm1[i][2] + tm2[i][2]) / (12 * h)
-        lhs = t3f + sign * (2 * a + mpf("0.5")) * t2f + a * (a + mpf("0.5")) * tf
-        rhs = -sign * z * f
-        resids.append(abs(lhs - rhs) / max(abs(rhs), mpf(1)))
-    return resids
-
-
-def test_frobenius_forward_satisfies_ode():
-    with mp.workdps(60):
-        resids = _theta3_residual(
-            mpf("0.3"), mpf("0.8"),
-            lambda a, zz: frobenius_forward(a, zz, dps=50),
-            sign=+1)
-        for r in resids:
-            assert r < mpf("1e-19"), resids
-
-
-def test_frobenius_adjoint_satisfies_ode():
-    with mp.workdps(60):
-        resids = _theta3_residual(
-            mpf("-0.4"), mpf("1.3"),
-            lambda a, zz: frobenius_adjoint(a, zz, dps=50),
-            sign=-1)
-        for r in resids:
-            assert r < mpf("1e-19"), resids
-
-
-def test_frobenius_indices_at_origin():
-    # solution j behaves like z^{index_j} (1 + O(z)) as z -> 0
-    a = mpf("0.3")
-    z = mpf("1e-10")
-    with mp.workdps(60):
-        fwd = frobenius_forward(a, z, dps=40)
-        for (val, _, _), idx in zip(fwd, (mpf(0), -a, -a - mpf("0.5"))):
-            lead = val * mp.power(z, -idx)
-            assert abs(lead - 1) < mpf("1e-9"), idx
-        adj = frobenius_adjoint(a, z, dps=40)
-        for (val, _, _), idx in zip(adj, (mpf(0), a, a + mpf("0.5"))):
-            lead = val * mp.power(z, -idx)
-            assert abs(lead - 1) < mpf("1e-9"), idx
-
-
-def test_frobenius_bases_wronskian_structure():
-    # the three forward solutions are independent: the matrix of
-    # (f, theta f, theta^2 f) columns has determinant bounded away from 0
-    rng = np.random.default_rng(31)
-    with mp.workdps(50):
-        for _ in range(4):
-            a = mpf(float(rng.uniform(-0.45, 1.2)))
-            if resonance_distance(a) < 0.05:
-                continue
-            z = mpf(float(rng.uniform(0.2, 2.0)))
-            tr = frobenius_forward(a, z, dps=40)
-            det = (
-                tr[0][0] * (tr[1][1] * tr[2][2] - tr[1][2] * tr[2][1])
-                - tr[1][0] * (tr[0][1] * tr[2][2] - tr[0][2] * tr[2][1])
-                + tr[2][0] * (tr[0][1] * tr[1][2] - tr[0][2] * tr[1][1]))
-            assert abs(det) > mpf("1e-8"), (a, z)
