@@ -35,6 +35,8 @@ from .specfun import SeriesConvergenceError
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
+#: largest kernel size ``converge`` accepts; its closed-form sums cost O(n^2)
+MAX_CONVERGE_N = 256
 
 class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
@@ -213,6 +215,9 @@ def cmd_converge(args, precision):
         raise UsageError("--ns expects comma-separated integers, got %r" % args.ns)
     if ns != sorted(ns) or len(set(ns)) != len(ns) or ns[0] < 1:
         raise UsageError("--ns must be strictly ascending positive integers")
+    if ns[-1] > MAX_CONVERGE_N:
+        raise UsageError("--ns supports kernel sizes up to %d, got %d"
+                         % (MAX_CONVERGE_N, ns[-1]))
     x, y = _parse_real(args.x, "--x"), _parse_real(args.y, "--y")
     if x <= 0 or y <= 0:
         raise UsageError("--x and --y must be positive")
@@ -369,7 +374,8 @@ def build_parser():
     c.add_argument("--x", required=True)
     c.add_argument("--y", required=True)
     c.add_argument("--ns", default="4,8,16,32",
-                   help="comma-separated ascending kernel sizes")
+                   help="comma-separated ascending kernel sizes, "
+                        "1 to %d" % MAX_CONVERGE_N)
 
     g = sub.add_parser("meijer", parents=[common],
                        help="Mellin-Barnes G-function values on a modulus grid")

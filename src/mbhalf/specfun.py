@@ -134,13 +134,13 @@ def _theta_out(t, h, c, f, prec):
     return sums
 
 
-def _theta_sums(b1, b2, z, c, log=False):
+def _theta_sums(b1, b2, z, c, log=False, guard=_THETA_GUARD_BITS):
     """(S0, S1, S2) of :func:`hyper0f2_theta` at the working precision, and
     the decimal digits lost to cancellation in S0; with ``log``, also
     (R0, R1, R2) of :func:`hyper0f2_log_theta` after them, the loss being
     the larger of those in S0 and R0.
 
-    Integers at the scale 2^-f, f = prec + _THETA_GUARD_BITS, carry the
+    Integers at the scale 2^-f, f = prec + ``guard``, carry the
     term t_k, z, b1 + b2, b1 b2 and the sums T_m = sum_k k^m t_k, which
     :func:`_theta_combine` turns into (S0, S1, S2); with ``log`` also
     h_k, which grows by the reciprocals 1/(b1+k), 1/(b2+k), 1/(k+1) of the
@@ -152,21 +152,25 @@ def _theta_sums(b1, b2, z, c, log=False):
     q = r_k ((|c|+k+1) / (|c|+k))^2 < 1/2, which bounds the growth of the
     weights (c+j)^m, m <= 2, as well.  The rest of each sum is then below
     2 r_k (|c|+k+1)^2 |t_k| < (|c|+k+2)^2 |t_k|, and the loop stops when
-    that, with |t_k| counted two units high, is below 2^-prec (2^20 units).
-    With ``log`` every later step adds at most
+    that, with |t_k| counted two units high, is below 2^-prec (2^guard
+    units).  Since (|c|+k+3)^2 only grows, once twice it reaches 2^guard no
+    later step can stop (from k + |c| = 722 on with the default 20 bits);
+    the sums then restart with the weight's bits added to ``guard``, so
+    every series that stops at the default guard keeps its stop and its
+    bytes.  With ``log`` every later step adds at most
     D = 1/(k+1) + 1/(b1+k) + 1/(b2+k) to |h|, so |h_j| <= G_j =
     |h_k| + 1 + (j-k) D, which grows by at most 1 + D a step: the stop then
     asks q (1 + D) < 1/2 and counts the rest G_(k+1) times larger.
     """
     prec = mp.prec
-    f = prec + _THETA_GUARD_BITS
+    f = prec + guard
     one = 1 << f
     zr, zi = _to_fixed(z.real._mpf_, -f), _to_fixed(z.imag._mpf_, -f)
     p1, p2 = _to_fixed(b1._mpf_, -f), _to_fixed(b2._mpf_, -f)
     bsum, bprod = p1 + p2, (p1 * p2) >> f
     zabs, b1f, b2f, cabs = float(abs(z)), float(b1), float(b2), abs(float(c))
     kmin = max(-b1f, -b2f)
-    tiny = 1 << _THETA_GUARD_BITS
+    tiny = 1 << guard
     tr, ti = one, 0
     t0r, t0i, t1r, t1i, t2r, t2i = one, 0, 0, 0, 0, 0
     big = one
@@ -214,14 +218,15 @@ def _theta_sums(b1, b2, z, c, log=False):
         if k > kmin:
             w = cabs + k
             q = zabs / abs((b1f + k) * (b2f + k) * (k + 1)) * ((w + 1) / w) ** 2
-            wi = int(cabs) + k + 3
-            wi *= wi
+            wi = w2 = (int(cabs) + k + 3) ** 2
             if log:
                 grow = 1 / (b1f + k) + 1 / (b2f + k) + 1 / (k + 1)
                 q *= 1 + grow
                 wi *= int(abs(h) / one + grow) + 2
             if q < 0.5 and (mag + 2) * wi < tiny:
                 break
+            if 2 * w2 >= tiny:
+                return _theta_sums(b1, b2, z, c, log, guard + wi.bit_length())
     # an S0 below the scale counts as every digit lost
     lost = (big.bit_length() - (abs(t0r) + abs(t0i)).bit_length()) * _LOG10_2
     if log:

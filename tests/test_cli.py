@@ -113,6 +113,20 @@ def test_log_series_large_gap_exit_code(capsys):
         assert "meijer" in err and "1000000000" in err, b
 
 
+def test_meijer_large_lower_parameter_takes_the_series(capsys):
+    # b = 800.3 gives the 0F2 sums a lower parameter near -800, where the
+    # tail bound's weights once outgrew the fixed-point guard and the series
+    # ran out of terms (exit 3); the loop is the independent check
+    values = {}
+    for route in ("series", "loop"):
+        rc = main(["meijer", "--b", "800.3,0,0.5", "--z-grid", "1",
+                   "--route", route])
+        assert rc == 0, route
+        row = capsys.readouterr().out.splitlines()[1]
+        values[route] = mpf(row.split(",")[2])
+    assert abs(values["series"] / values["loop"] - 1) < mpf("1e-15")
+
+
 def test_meijer_auto_route_reported(capsys):
     for b, route in (("0,1e-8,0.5", "loop"), ("0,0,0.5", "series")):
         rc = main(["meijer", "--b", b, "--z-grid", "1", "--route", "auto",
@@ -205,8 +219,9 @@ def test_converge_on_the_diagonal(capsys):
 
 
 def test_converge_bytes_pinned(capsys):
-    # the n = 32 system is built at 320 digits; no change to the rounding of
-    # its factorization, inverses or moments may move the printed errors
+    # the errors come from the closed-form sums at 30 digits and matched
+    # the n = 32 LDU system built at 320 digits to all 17 printed digits;
+    # no change to the rounding of the sums may move them
     rc = main(["converge", "--alpha", "0.23", "--x", "1", "--y", "2",
                "--ns", "4,8,16,32", "--precision", "30"])
     assert rc == 0
@@ -215,6 +230,22 @@ def test_converge_bytes_pinned(capsys):
                                        "8,0.059099479667238228\n"
                                        "16,0.048374256499645382\n"
                                        "32,0.029048717607717241\n")
+
+
+def test_converge_envelope(capsys):
+    # kernel sizes run up to 256; beyond that --ns is a usage error, named
+    # in the help text, not a request for an n-digit computation
+    for ns in ("4,257", "1000"):
+        assert main(["converge", "--alpha", "0", "--x", "1", "--y", "2",
+                     "--ns", ns]) == 2, ns
+        assert "up to 256" in capsys.readouterr().err
+    rc = main(["converge", "--alpha", "0", "--x", "1", "--y", "2",
+               "--ns", "256", "--precision", "30"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("n,rel_err\n256,0.00314716")
+    with pytest.raises(SystemExit):
+        main(["converge", "--help"])
+    assert "1 to 256" in capsys.readouterr().out
 
 
 def test_csv_determinism(tmp_path):

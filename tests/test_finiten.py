@@ -15,11 +15,15 @@ from mbhalf.finiten import (
     cd_formula_check,
     finite_kernel,
     hard_edge_convergence,
+    laguerre_kernel,
     moments,
     multiple_orthogonality_check,
     y_growth_residual,
 )
+from mbhalf import finiten
+from mbhalf.cli import main
 from mbhalf.finiten import _tail_box
+from mbhalf.kernel import _meijer_or_diag
 
 
 def test_laguerre_moments_closed_form():
@@ -236,3 +240,59 @@ def test_hard_edge_convergence_regression():
     errs = [float(e) for _, e in rows]
     assert errs[0] == pytest.approx(0.0494513, abs=2e-6)
     assert errs[1] == pytest.approx(0.0626362, abs=2e-6)
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.23", "-0.5"])
+def test_laguerre_kernel_matches_the_ldu_route(alpha):
+    # the closed-form sums at 30 digits against the LDU system at 10n
+    # digits: at hard-edge points x, y ~ 4/n^3 they hardly cancel; at the
+    # bulk point (0.5, 1.5) they lose 5 digits at n = 8 and 10 at n = 16,
+    # so only the measured-loss rerun keeps 35 of the 40 working digits
+    alpha = mpf(alpha)
+    for n in (1, 2, 4, 8, 16, 32):
+        mt = moments(alpha, n, "laguerre", smax=mpf(3 * max(n - 1, 1)) / 2,
+                     dps=max(64, 10 * n))
+        bs = biortho_build(mt, n)
+        s = mpf(n) ** 3 / 4
+        points = [(1 / s, 2 / s), (mpf("0.7") / s, mpf("1.9") / s)]
+        if n <= 16:
+            points.append((mpf("0.5"), mpf("1.5")))
+        for x, y in points:
+            got = laguerre_kernel(alpha, n, x, y, dps=30)
+            ref = finite_kernel(bs, x, y)
+            with mp.workdps(bs.precision_digits):
+                assert abs(got - ref) <= mpf("1e-35") * abs(ref), (n, x, y)
+
+
+def test_hard_edge_convergence_builds_no_ldu(monkeypatch, capsys):
+    # every n of the table, and of `converge`, comes from the closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("LDU route called")
+
+    monkeypatch.setattr(finiten, "biortho_build", refuse)
+    monkeypatch.setattr(finiten, "moments", refuse)
+    rows = hard_edge_convergence(0, 1, 2, (4, 8, 16, 32))
+    assert [n for n, _ in rows] == [4, 8, 16, 32]
+    assert main(["converge", "--alpha", "0", "--x", "1", "--y", "2",
+                 "--ns", "1,2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("alpha, x, y, tol", [("0", "1", "2", "1e-5"),
+                                              ("0.3", "0.7", "1.9", "5e-5")])
+def test_richardson_in_one_over_n_meets_the_limit(alpha, x, y, tol):
+    # the scaled kernel is K(x, y) + a/n + b/n^2 + ...: err(n) is 0.0227,
+    # 0.0121 and 0.00621 at n = 32, 64, 128 for (0, 1, 2), and two
+    # Richardson steps over those n meet the limiting kernel to 4.9e-6;
+    # (0.3, 0.7, 1.9) to 2.4e-5
+    alpha, x, y = mpf(alpha), mpf(x), mpf(y)
+    with mp.workdps(40):
+        k = []
+        for n in (32, 64, 128):
+            s = mpf(n) ** 3 / 4
+            k.append(laguerre_kernel(alpha, n, x / s, y / s, dps=30) / s)
+        once = [2 * k[1] - k[0], 2 * k[2] - k[1]]
+        twice = (4 * once[1] - once[0]) / 3
+        ref = _meijer_or_diag(alpha, x, y, 30)
+        assert abs(k[2] - ref) > 0.005 * abs(ref)
+        assert abs(twice - ref) <= mpf(tol) * abs(ref)

@@ -107,6 +107,30 @@ def test_hyper0f2_theta_stops_on_the_tail_bound(monkeypatch):
         assert abs(got[0] - ref) < mpf("1e-70") * abs(ref)
 
 
+def test_theta_sums_stop_past_the_default_guard(monkeypatch):
+    # from k + |c| = 722 on, twice the tail weight (|c|+k+3)^2 alone
+    # exceeds the 2^20 guard units, so the stop could never pass and
+    # b1 = -800.5 (S0 = 0.99975017490174118422648...) ran out of terms; the
+    # sums restart once with the weight's bits added to the guard, while
+    # b1 = -600.5 keeps its one pass.  mp.hyper at 30 digits is off near
+    # 1e-20 at b1 = -600.5, so the oracle runs at 80
+    calls = []
+    theta_sums = specfun._theta_sums
+
+    def counted(*args):
+        calls.append(args)
+        return theta_sums(*args)
+
+    monkeypatch.setattr(specfun, "_theta_sums", counted)
+    for b1, passes in ((-600.5, 1), (-800.5, 2)):
+        calls.clear()
+        got = hyper0f2_theta(b1, 1.5, 0.3, dps=30)
+        assert len(calls) == passes, b1
+        with mp.workdps(80):
+            ref = mp.hyper([], [b1, 1.5], 0.3)
+            assert abs(got[0] - ref) < mpf("1e-28"), b1
+
+
 def test_series_out_of_terms_raise_with_partial_sums(monkeypatch):
     monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
     b1, b2, c = mpf("1.3"), mpf("1.8"), mpf("0.5")
