@@ -8,6 +8,7 @@ numerical failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -74,11 +75,14 @@ def _fmt(v):
 
 
 def _parse_real(text, what):
-    """``text`` as an mpf, or a usage error naming ``what``."""
+    """``text`` as a finite mpf, or a usage error naming ``what``."""
     try:
-        return mpf(text)
+        value = mpf(text)
     except ValueError:
         raise UsageError("%s %r is not a real number" % (what, text))
+    if not mp.isfinite(value):
+        raise UsageError("%s %r is not a finite number" % (what, text))
+    return value
 
 
 def parse_grid(text):
@@ -182,6 +186,8 @@ def _parse_poly(text):
         coeffs = [float(c) for c in text.split(",")]
     except ValueError:
         raise UsageError("--v expects comma-separated coefficients, got %r" % text)
+    if not all(map(math.isfinite, coeffs)):
+        raise UsageError("--v coefficients must be finite, got %r" % text)
     if not coeffs or all(c == 0 for c in coeffs[1:]):
         raise UsageError("external field must grow; give a nonconstant polynomial")
 
@@ -196,8 +202,8 @@ def _parse_poly(text):
 
 def cmd_eqsolve(args, precision):
     V = _parse_poly(args.v)
-    if args.box <= 0 or args.m < 10:
-        raise UsageError("--box must be positive and --m at least 10")
+    if not 0 < args.box < math.inf or args.m < 10:
+        raise UsageError("--box must be positive and finite and --m at least 10")
     sol = eq.equilibrium_minimize(V, args.box, args.m, max_iter=args.max_iter)
     rows = [[float(x), float(w)] for x, w in zip(sol.mu.nodes, sol.mu.weights)]
     extra = {"q": repr(sol.q), "ell": repr(sol.ell), "c0": repr(sol.c0),
@@ -255,6 +261,8 @@ def cmd_meijer(args, precision):
 
 def cmd_rhcheck(args, precision):
     alpha = _parse_alpha(args.alpha)
+    for flag in ("tol_det", "tol_jump", "tol_inverse", "tol_frame"):
+        _parse_real(getattr(args, flag), "--" + flag.replace("_", "-"))
     rows = []
 
     for name, ang in (("Q1", "0.25"), ("Q2", "0.75"), ("Q3", "-0.75"),

@@ -346,12 +346,12 @@ def _sqrt_log_kernel(h, m):
     triangle is mirrored.  Row 0 takes 8 nodes; at m = 2000 the rows take
     13.8 M logs in all, where 8 nodes on every pair would take 128 M.
 
-    Known defect, left as it is: the integrand is singular at the corner
-    u = v = 0, so the (0, 0) self-average of the 8-point rule is 1.55e-7
-    off an 80-point value, at every h.  The 20-point value is 1.25e-10 off,
-    and the (0, 1) entry is 2.5e-14 off.  The exact (0, 0) entry is
-    1/4 + log(h)/2, since the integral of 4st log(s + t) over the unit
-    square is 1/4.
+    The integrand is singular at the corner u = v = 0, where the 8-point
+    rule leaves the (0, 0) self-average 1.55e-7 low at every h; that entry
+    takes its closed form 1/4 + log(h)/2 instead (with x = h s^2,
+    y = h t^2 it is log(h)/2 plus the integral of 4st log(s + t) over the
+    unit square, 1/4).  The (0, 1) entry is within 2.5e-14 of an 80-point
+    value.
     """
     orders = _sqrt_log_orders(m)
     edges = np.sqrt(np.arange(m + 1) * h)
@@ -371,6 +371,7 @@ def _sqrt_log_kernel(h, m):
         inner = (u_wts[i] @ lg.reshape(n, -1)).reshape(m - i, n)
         smat[i, i:] = np.einsum("jb,jb->j", inner, u_wts[i:])
         smat[i:, i] = smat[i, i:]
+    smat[0, 0] = 0.25 + 0.5 * np.log(h)
     return smat
 
 

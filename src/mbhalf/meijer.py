@@ -14,16 +14,17 @@ with the *total* angle.
 
 Two independent evaluation routes:
 
-* :func:`mb_loop` -- direct quadrature of the loop (two horizontal legs at
-  Im s = +-1 plus a short vertical segment), valid for every parameter
-  choice including resonant ones; Gamma decay beats z^{-s} on the legs.
-  Each panel sum is an exact fixed-point dot product of cached integer
-  weights with z^{-s}, rounded once, its error bounded against the
-  panel's largest single term (:func:`_fixed_dot`).  The largest terms
-  also measure the digits the loop loses to cancellation; past 10 digits
-  (|z| of a few hundred near arg 0, where G is recessive) it reruns once
-  with more Gauss-Legendre nodes and the working digits they win back.
-  Above 39 requested digits the first pass already takes more nodes.
+* :func:`mb_loop` -- the trapezoidal rule on one z-independent parabola
+  s(u) = a + (1 + iu)^2 / 2, a just right of the numerator poles, valid for
+  every parameter choice including resonant ones.  Every pole of the
+  integrand lies on the line Im u = 1, so the rule with step 1/K is off by
+  at most 2M / (e^(2 pi K) - 1), M bounding the integrand along the strip
+  |Im u| < 1 (Trefethen & Weideman, SIAM Review 2014); K follows the
+  working digits, and a faster chirp of z^(-s) on a high sheet raises it.
+  The z-free weights are cached per exact b; z^(-s) costs three exps a
+  call.  Each moment is one exact-product dot sum, rounded once, whose
+  largest term measures the digits lost to cancellation; a pass that keeps
+  too few reruns with more (specfun's measured passes).
 * :func:`g303_series` -- residue series.  With pairwise non-integer
   parameter differences, three Frobenius families
 
@@ -69,22 +70,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add, mul
 
-from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, mpf_sub, round_nearest
+from mpmath import fp, mp, mpf, mpc
+from mpmath.libmp import mpf_sub
 
-from .mpcore import (_to_fixed, gamma, rgamma, legendre_nodes, working,
-                     QuadratureConvergenceError)
-from .specfun import (_MAX_TERMS, _cancellation_digits, hyper0f2_log_theta,
-                      hyper0f2_theta, SeriesConvergenceError)
-
-#: legs of the loop contour run at Im s = +- LOOP_ETA
-LOOP_ETA = 1
-#: panel width; the product recurrence in _LoopProducts assumes 2
-_PANEL_WIDTH = 2
-_MAX_PANELS = 160
-_GL_ORDER = 64
+from .mpcore import gamma, rgamma, working, QuadratureConvergenceError
+from .specfun import (_MAX_TERMS, _cancellation_digits, _measured_passes,
+                      hyper0f2_log_theta, hyper0f2_theta,
+                      SeriesConvergenceError)
 
 
 @dataclass(frozen=True)
@@ -308,334 +301,258 @@ def g303_series(b, point, dps=None, with_theta=False):
 # Mellin-Barnes loop route
 # ----------------------------------------------------------------------
 
-#: loop product tables kept per exact b (its mpf tuples), m, dps and order;
+#: the loop contour s(u) = a + _MU (1 + iu)^2 crosses the real axis at
+#: a + _MU; a lies _OFFSET right of the rightmost pole of the numerator
+_MU = mpf(0.5)
+_OFFSET = mpf(0.3)
+#: loop weight tables kept per exact b (its mpf tuples), m, K and digits;
 #: least recently used tables are dropped beyond this many
 _LOOP_CACHE_SIZE = 16
-#: working digits of the loop beyond the requested ones
-_LOOP_GUARD = 15
-#: guard bits of the fixed-point panel sums (see :func:`_fixed_dot`)
-_FIXED_GUARD = 24
-#: a fixed-point vector made finer is made this many bits finer than asked,
-#: so that later requests for a slightly finer scale reuse it
-_FIXED_SLACK = 32
-_NO_TOP = float("-inf")
-_LOG10_2 = math.log10(2)
+#: digits beyond the requested ones of a first loop pass
+_LOOP_EXTRA = 6
+#: above this modulus the first pass also takes the a priori cancellation
+#: of an entire series of |z| (specfun's _cancellation_digits)
+_LOOP_CANCEL_FROM = 10
+#: the step resolves a chirp of local frequency F (cycles per unit u) when
+#: K >= F + K_D / _CHIRP_MARGIN, K_D the K of the pass's digits
+_CHIRP_MARGIN = 3
+#: nodes on either side of u = 0 before the loop gives up
+_MAX_NODES = 2000
+_LN2 = math.log(2)
 
 
-def _top(x):
-    """e with |x| < 2^e for an mpf tuple x; -inf for zero."""
-    return x[2] + x[3] if x[1] else _NO_TOP
+def _nodes_per_unit(digits):
+    """K, the reciprocal of the trapezoidal step h, that puts the pole-line
+    bound 2M / (e^(2 pi K) - 1) below 10^-digits M."""
+    return math.ceil(digits * math.log(10) / (2 * math.pi))
 
 
-class _Fixed:
-    """Complex values v_k as integers at a common scale,
-    v_k ~ (re[k] + i im[k]) 2^exp.
+class _LoopWeights:
+    """The z-free factors of the loop's trapezoidal sum for one (b, m, K,
+    digits): at the nodes u_k = k h, h = 1/K, k >= 0, the moment weights
+    (w_k, -s_k w_k, s_k^2 w_k), w_k = h s'(u_k) P(s_k) with
+    P(s) = prod_{j<m} Gamma(b_j+s) prod_{j>=m} 1/Gamma(1-b_j-s), and the
+    floats log|w_k|, log|s_k| and d/du arg w at u_k (from float digammas;
+    0 for |u_k| < 1).
 
-    ``tops[k]`` is the exponent of node k (|v_k| < 2^(tops[k] + 1/2) and
-    |v_k| >= 2^(tops[k] - 1)), ``top`` the largest.  The integers are made
-    when a dot product first asks for them and made finer only when a later
-    one asks for a finer scale; a coarser request reuses them as they are.
+    b is real, so s(-u) = conj s(u), P(conj s) = conj P(s) and
+    s'(-u) = -conj s'(u): node -k carries minus the conjugates of node k's
+    weights (:attr:`mirror`), the same logs and the same d/du arg w, and
+    gamma is called for k >= 0 only.  Nodes are added outward from u = 0 on
+    demand, at the precision of the loop pass that adds them, whose digits
+    are part of the table's key.
     """
 
-    def __init__(self, values):
-        self._parts = [v._mpc_ for v in values]
-        self.tops = [max(_top(re), _top(im)) for re, im in self._parts]
-        self.top = max(self.tops, default=_NO_TOP)
-        self.exp = None
+    def __init__(self, b, m, K):
+        self.b, self.m, self.K, self.h = b, m, K, mpf(1) / K
+        self.a = max(-b[j] for j in range(m)) + _OFFSET
+        self.weights = ([], [], [])
+        self.mirror = ([], [], [])
+        self.logs = []
 
-    def at(self, e):
-        """(exp, re, im) with exp <= e."""
-        if self.exp is None or self.exp > e:
-            if self.exp is not None:
-                e -= _FIXED_SLACK
-            self.re = [_to_fixed(re, e) for re, _ in self._parts]
-            self.im = [_to_fixed(im, e) for _, im in self._parts]
-            self.exp = e
-        return self.exp, self.re, self.im
-
-
-def _fixed_dot(x, y):
-    """sum_k x_k y_k of two :class:`_Fixed` vectors, and the exponent ``top``
-    of its largest term, 2^(top-2) <= max_k |x_k y_k| < 2^(top+1).
-
-    The scales are set against that largest term, not against
-    max|x| * max|y| (which can be many binary orders larger): with
-    w = prec + _FIXED_GUARD, x is truncated at a scale of at most
-    2^(top - y.top - w) and y at most 2^(top - x.top - w), the integer sums
-    are exact, and the result is
-    rounded once to the working precision, so for N terms
-
-        |result - sum| <= 2^-prec |sum| + 17 N 2^-w max_k |x_k y_k|
-
-    (truncation leaves |dx_k| < 2^(1/2) 2^(top - y.top - w), which against
-    |y_k| < 2^(1/2) 2^y.top costs under 2^(top+1-w) per term and side, and
-    2^top <= 4 max_k |x_k y_k|).
-
-    The sum of a zero vector is 0 with top = -inf.
-    """
-    top = max(map(add, x.tops, y.tops), default=_NO_TOP)
-    if top == _NO_TOP:
-        return mpc(0), top
-    prec = mp.prec
-    w = prec + _FIXED_GUARD
-    ex, xr, xi = x.at(top - y.top - w)
-    ey, yr, yi = y.at(top - x.top - w)
-    e = ex + ey
-    re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
-    im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
-    return mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
-                        from_man_exp(im, e, prec, round_nearest))), top
-
-
-def _exp_symmetric(xs, u):
-    """[exp(x u) for x in xs] for nodes symmetric about 0
-    (xs[-1-k] = -xs[k]): one exp per pair, its partner by a reciprocal."""
-    n = len(xs)
-    out = [None] * n
-    for k in range((n + 1) // 2):
-        e = mp.exp(xs[k] * u)
-        out[k] = e
-        out[n - 1 - k] = 1 / e
-    return out
-
-
-def _integrand_products(nodes, weights, b, m, dps):
-    """w * P(s) at each node, P(s) = prod_{j<m} Gamma(b_j+s)
-    prod_{j>=m} 1/Gamma(1-b_j-s), by direct gamma calls."""
-    out = []
-    for s, w in zip(nodes, weights):
-        for j in range(3):
-            if j < m:
-                w *= gamma(b[j] + s, dps=dps)
-            else:
-                w *= rgamma(1 - b[j] - s, dps=dps)
-        out.append(w)
-    return out
-
-
-def _moment_weights(nodes, g):
-    """(g, -s g, s^2 g): dotted with z^(-s) they give the theta^0..2 moments."""
-    gs = [-s * x for s, x in zip(nodes, g)]
-    return g, gs, [-s * x for s, x in zip(nodes, gs)]
-
-
-class _LoopProducts:
-    """Moment weights of the loop integrand for one (b, m, dps, order), and
-    the abscissa c = max_j(-b_j over numerator factors) + 1 of the vertical
-    segment.
-
-    Holds the weighted products w * P(s) at the nodes as the three lists of
-    :func:`_moment_weights`, as :class:`_Fixed` vectors (:attr:`vertical`,
-    :meth:`panel_fixed`) for the fixed-point sums of :func:`mb_loop`.  The
-    vertical segment Re s = c, Im s in [-eta, eta] (weights include the i
-    from ds) and panel 0, the horizontal legs over t in [c - 2, c] (bottom
-    leg weight +w, top leg -w, i.e. counterclockwise), come from direct
-    gamma calls.  Panel p covers t in [c - 2(p+1), c - 2p]; its node k is
-    node k of panel p-1 shifted by -2 and, the half-width being 1 on every
-    panel, carries the same weight.  With s' = s - 2 both
-    Gamma(b+s') = Gamma(b+s) / ((b+s')(b+s'+1)) and
-    1/Gamma(1-b-s') = (1/Gamma(1-b-s)) / ((b+s')(b+s'+1)), so each later
-    panel follows from the last one built (nodes ``_s``, products ``_g``)
-    by one division per node.  Panels are added on demand.  Everything runs
-    at the precision of the :func:`mb_loop` call that builds or extends the
-    table, whose ``dps`` is part of the table's key.
-    """
-
-    def __init__(self, b, m, dps, order=_GL_ORDER):
-        self.b = b
-        self.c = c = max(-b[j] for j in range(m)) + 1
-        self.xs, ws = legendre_nodes(order, dps=dps)
-        eta = mpf(LOOP_ETA)
-        vs = [mpc(c, eta * x) for x in self.xs]
-        vw = [mpc(0, 1) * eta * w for w in ws]
-        self.vertical = [_Fixed(g) for g in _moment_weights(
-            vs, _integrand_products(vs, vw, b, m, dps))]
-        self._s, pw = [], []
-        for x, w in zip(self.xs, ws):
-            t = c - 1 + x                                  # half-width 1
-            self._s += [mpc(t, -eta), mpc(t, eta)]         # bottom ->, top <-
-            pw += [w, -w]
-        self._g = _integrand_products(self._s, pw, b, m, dps)
-        self._fixed = []
-
-    def panel_fixed(self, pidx):
-        """Panel pidx's moment weights as :class:`_Fixed` vectors."""
-        while len(self._fixed) <= pidx:
-            if self._fixed:
-                s_next, g_next = [], []
-                for s, g in zip(self._s, self._g):
-                    s = s - _PANEL_WIDTH
-                    div = 1
-                    for bj in self.b:
-                        bs = bj + s
-                        div *= bs * (bs + 1)
-                    s_next.append(s)
-                    g_next.append(g / div)
-                self._s, self._g = s_next, g_next
-            self._fixed.append([_Fixed(g) for g in
-                                _moment_weights(self._s, self._g)])
-        return self._fixed[pidx]
+    def grow(self, n):
+        """Make the nodes k < n available."""
+        if n <= len(self.logs):
+            return
+        mu, bf = float(_MU), [float(x) for x in self.b]
+        for k in range(len(self.logs), n):
+            t = mpc(1, k * self.h)                      # 1 + iu
+            s = self.a + _MU * t * t
+            w = self.h * 2 * _MU * mpc(0, 1) * t        # h s'(u)
+            for j, bj in enumerate(self.b):
+                w *= gamma(bj + s) if j < self.m else rgamma(1 - bj - s)
+            ws = -s * w
+            for here, there, v in zip(self.weights, self.mirror,
+                                      (w, ws, -s * ws)):
+                here.append(v)
+                there.append(-mp.conj(v))
+            # d/du log w = i/(1 + iu) + s'(u) (sum of digammas), for
+            # |u| >= 1 only: the zeros of w lie on the real s axis, which
+            # the loop crosses at u = 0, and next to one arg w spins
+            # without any chirp; from |u| = 1 on |Im s| >= 1
+            rate = 0.0
+            if k >= self.K:
+                tc, sc = complex(t), complex(s)
+                psi = sum(fp.digamma(bj + sc) if j < self.m
+                          else fp.digamma(1 - bj - sc)
+                          for j, bj in enumerate(bf))
+                rate = (1j / tc + 2j * mu * tc * psi).imag
+            self.logs.append((float(mp.log(abs(w))), float(mp.log(abs(s))),
+                              rate))
 
 
 @functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
-def _loop_products(bkey, m, dps, order):
-    """The cached :class:`_LoopProducts` of b given by its mpf tuples
-    ``bkey``, keyed by the exact b, m, dps and order."""
-    return _LoopProducts([mp.make_mpf(x) for x in bkey], m, dps, order)
+def _loop_weights(bkey, m, K, digits):
+    """The cached :class:`_LoopWeights` of b given by its mpf tuples
+    ``bkey``, keyed by the exact b, m, K and the digits it is built at."""
+    return _LoopWeights([mp.make_mpf(x) for x in bkey], m, K)
 
 
-def _loop_moments(bkey, m, point, d, wp, order):
-    """The three loop moments (before the 1/(2 pi i)) and the decimal digits
-    lost to cancellation in the worst of them.
+def _walk(table, sign, log_r, theta):
+    """Walk the nodes k = 0, 1, ... on the side ``sign`` of u = 0.  Returns
+    how many the sum takes (None past _MAX_NODES), the largest
+    log-magnitude of each moment's terms, and the largest positive local
+    frequency (1/2 pi) d/du arg of the terms, in cycles per unit u.
 
-    Runs at the caller's precision.  The loss of moment j is
-    log10(max |term| / |moment j|), the terms being the products
-    g_k z_k^(-s) of all panel sums, each bounded through
-    :func:`_fixed_dot`'s ``top``.
+    In floats, term k of moment j has log-magnitude
+    log|w_k| + j log|s_k| - Re(s_k) log r + theta Im(s_k), and its phase
+    moves at d/du arg w + 2 mu (theta u - log r).  Far out log|P(s(u))|
+    falls like -3 mu u^2 log(mu u^2) against the mu u^2 log r of z^(-s),
+    so the terms are log-concave there and their ratios fall.  The walk
+    stops at the first node k where, for every moment, the ratio of term k
+    to term k-1 is at most 1/2 and no larger than the ratio before, and
+    term k is below 2^-prec of the largest term: the terms beyond k then
+    sum to less than term k.
     """
+    a, h, mu = float(table.a), float(table.h), float(_MU)
+    cut = -mp.prec * _LN2
+    tops = [-math.inf] * 3
+    chirp = 0.0
+    prev = last = None
+    for k in range(_MAX_NODES):
+        table.grow(k + 1)
+        lw, ls, rate = table.logs[k]
+        u = sign * k * h
+        lt = lw - (a + mu * (1 - u * u)) * log_r + theta * 2 * mu * u
+        terms = (lt, lt + ls, lt + 2 * ls)
+        tops = list(map(max, tops, terms))
+        chirp = max(chirp, (rate + 2 * mu * (theta * u - log_r)) / (2 * math.pi))
+        if prev is not None:
+            ratios = [t - p for t, p in zip(terms, prev)]
+            if (last is not None and max(ratios) <= -_LN2
+                    and all(map(float.__le__, ratios, last))
+                    and max(map(float.__sub__, terms, tops)) < cut):
+                return k + 1, tops, chirp
+            last = ratios
+        prev = terms
+    return None, tops, chirp
+
+
+def _powers(v, q, r, n):
+    """v q^(k^2) r^k for k = 0..n-1: two products a node, q^(2k+1) r
+    stepping k to k+1."""
+    out = []
+    step, q2 = q * r, q * q
+    for _ in range(n):
+        out.append(v)
+        v *= step
+        step *= q2
+    return out
+
+
+def _loop_sums(table, zeta, right, left):
+    """The three moments sum_k (w_k, -s_k w_k, s_k^2 w_k) z^(-s_k) over the
+    nodes -left < k < right, each one ``mp.fdot`` (exact products, rounded
+    once).  With s_k = a + mu (1 + ikh)^2,
+    z^(-s_k) = z^(-(a+mu)) q^(k^2) r^k for q = e^(mu h^2 zeta) and
+    r = e^(-2 i mu h zeta): three exps a call, none a node."""
+    h = table.h
+    v0 = mp.exp(-(table.a + _MU) * zeta)
+    q = mp.exp(_MU * h * h * zeta)
+    r = mp.exp(mpc(0, -2) * _MU * h * zeta)
+    zs = _powers(v0, q, r, right) + _powers(v0, q, 1 / r, left)[1:]
+    return [mp.fdot(here[:right] + there[1:left], zs)
+            for here, there in zip(table.weights, table.mirror)]
+
+
+def _loop_pass(bkey, m, point):
+    """The three moments of one loop pass at the working precision (before
+    the 1/(2 pi i)) and the decimal digits the worst of them lost to
+    cancellation: log10 of its largest term over its value.
+
+    K starts at the :func:`_nodes_per_unit` of the working digits, K_D, and
+    rises to F + K_D / _CHIRP_MARGIN where the terms chirp at up to F
+    cycles per unit u (:func:`mb_loop`)."""
+    digits = mp.dps
     zeta = point._log()
-    tol = mpf(10) ** (-(d + 5))
-    prods = _loop_products(bkey, m, wp, order)
-    c = prods.c
-    eta = mpf(LOOP_ETA)
-    # vertical segment s = c + i eta x: z^(-s) = exp(-c zeta) exp(-i eta x zeta)
-    zc = mp.exp(-c * zeta)
-    zv = _Fixed([zc * e for e in _exp_symmetric(prods.xs, mpc(0, -eta) * zeta)])
-    # panel 0, s = c - 1 + x -+ i eta: z^(-s) = exp((1-c) zeta) exp(-x zeta)
-    # exp(+-i eta zeta), nodes ordered (lower leg, upper leg) per x
-    z1 = mp.exp((1 - c) * zeta)
-    rot = mp.exp(mpc(0, eta) * zeta)
-    lower, upper = z1 * rot, z1 / rot
-    z0 = _Fixed([v for e in _exp_symmetric(prods.xs, -zeta)
-                 for v in (lower * e, upper * e)])
-    acc, big = [], []
-    for g in prods.vertical:
-        t, tp = _fixed_dot(g, zv)
-        acc.append(t)
-        big.append(tp)
-    # panels must at least clear the pole region before tail checks count
-    p_min = int(max(4.0, (max(float(-x) for x in prods.b) + 6.0) / _PANEL_WIDTH))
-    # z^(-s) on panel p is z^(-s) on panel 0 times (z^2)^p; |z^2| = r^2
-    z2 = mp.exp(_PANEL_WIDTH * zeta)
-    log2_z2 = _PANEL_WIDTH * float(mp.log(mpf(point.modulus), 2))
-    zp = mpc(1)
-    quiet = 0
-    for pidx in range(_MAX_PANELS):
-        if pidx:
-            zp *= z2
-        ts = []
-        for j, g in enumerate(prods.panel_fixed(pidx)):
-            t, tp = _fixed_dot(g, z0)
-            ts.append(zp * t)
-            big[j] = max(big[j], tp + pidx * log2_z2)
-        prev = acc[0]
-        acc = [a + t for a, t in zip(acc, ts)]
-        scale = max(abs(a) for a in acc)
-        psize = max(abs(t) for t in ts)
-        if pidx >= p_min and psize <= tol * (scale or mpf(1)):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise QuadratureConvergenceError(
-            "loop contour tail did not decay within the panel budget",
-            estimates=(prev, acc[0]))
-    loss = max((float(tp - mp.log(abs(a), 2)) * _LOG10_2
-                for a, tp in zip(acc, big) if a), default=0.0)
-    return acc, loss
-
-
-#: decimal digits a Gauss-Legendre panel wins per node, 2 log10(1 + sqrt 2)
-_DIGITS_PER_NODE = 2 * math.log10(1 + math.sqrt(2))
-#: the error of a _GL_ORDER-node panel is about 10^-_GL_DIGITS of the
-#: panel's largest term
-_GL_DIGITS = 44.5
-
-
-def _more_nodes(order, digits):
-    """``order`` plus the nodes, in steps of 16, that win ``digits`` more
-    digits (none if digits <= 0).
-
-    The loop's integrand has poles on the real axis, a distance 1 from
-    legs of half-width 1, so an n-point panel converges like
-    (1 + sqrt 2)^(-2n), _DIGITS_PER_NODE = 0.77 digits per node; at order
-    64 the error is about 10^-44.5 of the largest term.
-    """
-    return order + 16 * math.ceil(max(digits, 0) / _DIGITS_PER_NODE / 16)
-
-
-def _first_order(d):
-    """Gauss-Legendre order of the loop's first pass at d requested digits:
-    64 up to d = 39, and above that the order whose panels reach d + 5
-    digits of the largest term (80 at d = 40 to 51, 96 at d = 52 to 63)."""
-    return _more_nodes(_GL_ORDER, d + 5 - _GL_DIGITS)
-
-
-def _rerun_order(loss, order):
-    """Gauss-Legendre order that wins back ``loss`` digits of panel
-    discretization error on top of a first pass at ``order``, and the extra
-    working digits that go with it: those the added nodes win back, never
-    fewer than ``loss``.  Since they depend on the orders alone, each order
-    has one product table at given d (25 digits at order 96 after 64).
-    """
-    rerun = _more_nodes(order, loss)
-    return rerun, math.ceil((rerun - order) * _DIGITS_PER_NODE)
+    log_r, theta = float(zeta.real), float(zeta.imag)
+    base = K = _nodes_per_unit(digits)
+    while True:
+        table = _loop_weights(bkey, m, K, digits)
+        (right, top_r, chirp_r), (left, top_l, chirp_l) = (
+            _walk(table, sign, log_r, theta) for sign in (1, -1))
+        if right is None or left is None:
+            n = _MAX_NODES
+            raise QuadratureConvergenceError(
+                "loop sum did not meet its tail bound within %d nodes a side"
+                % n, estimates=(_loop_sums(table, zeta, n - 1, n - 1)[0],
+                                _loop_sums(table, zeta, n, n)[0]))
+        need = math.ceil(max(chirp_r, chirp_l) + base / _CHIRP_MARGIN)
+        if need <= K:
+            break
+        K = need
+    sums = _loop_sums(table, zeta, right, left)
+    lost = max(((max(tr, tl) - mp.mag(x) * _LN2) / math.log(10)
+                for x, tr, tl in zip(sums, top_r, top_l) if x), default=digits)
+    return sums, lost
 
 
 def mb_loop(b, point, m=3, dps=None, with_theta=False):
-    """G^{m,0}_{0,3}(z|b) by loop-contour quadrature.
+    """G^{m,0}_{0,3}(z|b) by the trapezoidal rule on one parabola.
 
-    Works on every sheet and for resonant parameters.  The loop consists
-    of horizontal legs at Im s = +-1 from Re s = c down to Re s = -X and
-    the closing vertical segment at Re s = c, with
-    c = max_j(-Re b_j over numerator factors) + 1 so all integrand poles
-    sit inside with margin 1.  X grows panel by panel (width 2,
-    Gauss-Legendre 64 per leg piece up to d = 39) until two consecutive
-    panels contribute below tolerance; the omitted closing piece at
-    Re s = -X is then negligible because 1/Gamma(X)^m crushes |z|^X
-    superexponentially.
+    Works on every sheet and for resonant parameters.  The loop is
+    s(u) = a + mu (1 + iu)^2, u real, mu = 1/2, which runs from
+    -infinity - i infinity through a + mu to -infinity + i infinity,
+    counterclockwise around the numerator poles s_p = -b_j - n (j < m);
+    a = max_{j<m}(-b_j) + 0.3 lies right of all of them.  Each pole maps
+    to u = +-sqrt((a - s_p)/mu) + i, so every pole of the integrand
+    f(u) = P(s(u)) z^(-s(u)) s'(u) sits on the line Im u = 1 and f is
+    analytic in the strip |Im u| < 1.  The trapezoidal rule with step
+    h = 1/K is then off by at most 2M / (e^(2 pi K) - 1), M bounding the
+    integral of |f| along the lines of the strip (Trefethen & Weideman,
+    "The exponentially convergent trapezoidal rule", SIAM Review 2014).
+    M grows with |z| as f does on the pole line, where the Gamma factors
+    and z^(-s) make the terms of an entire series of |z|: about
+    specfun's _cancellation_digits(|z|, 1/3) digits above |G|.
 
-    Gamma is called only on the vertical segment and the first panel.
-    Every panel has the same half-width (1), so a node of panel p is the
-    matching node of panel p-1 shifted by -2 with the same weight; the
-    weighted gamma products follow by a two-step recurrence (see
-    :class:`_LoopProducts`, cached per exact (b, m, dps, order)) and z^(-s)
-    by one multiplication with z^2 = exp(2 zeta) per panel.  On panel 0 and
-    the vertical segment z^(-s) factors into a constant times exp(x u) at
-    the Gauss-Legendre nodes x, which are symmetric about 0, so one exp
-    serves each node pair.
+    A pass at working digits D takes K = ceil(D ln 10 / 2 pi), so the rule
+    is good to about 10^-D of M.  The first pass asks for d + _LOOP_EXTRA
+    = d + 6 digits (it keeps a measured loss up to 8; the calls of the
+    tests and the benchmark at |z| <= 10 lose up to 5.6), plus the
+    cancellation digits of |z| above |z| = 10.  So, the chirp below aside,
+    all calls of one (b, m, d) at |z| <= 10 share one weight table
+    (:class:`_LoopWeights`, cached per exact b, m, K and digits).  The
+    weights are z-free; z^(-s) takes three exps (:func:`_loop_sums`).  The
+    nodes stop on the tail bound of :func:`_walk`, at 2^-prec of the
+    largest term, and past _MAX_NODES a side raises
+    :class:`QuadratureConvergenceError` with the last two estimates.
 
-    Each panel sum is a fixed-point dot product (:func:`_fixed_dot`): the
-    weights and the z^(-s) values become integers at scales set by the
-    panel's largest single term |g_k z_k^(-s)|, the integer sums are exact
-    and are rounded once, so a panel sum is off by at most one rounding
-    plus 17 * 128 * 2^-(prec + 24) times that largest term, prec being the
-    bits of the arithmetic (d + 25 digits; the loop's working digits are
-    d + 15).
+    The bound above holds the aliases that shifting the line of
+    integration toward the poles bounds: those of the terms' negative
+    frequencies.  For the positive ones the line moves away from the
+    poles, f is entire there, and the spectrum ends where the phase of the
+    terms stops turning.  Far out on a high sheet arg z^(-s) turns like
+    theta mu u^2 (a chirp), and the rule resolves it only when K exceeds
+    the largest positive local frequency F of the terms the walk keeps.  K
+    is raised to F plus a third of the K of the digits (a table of its
+    own) where it falls short.  That margin is measured, not proven: at
+    |theta| = 5 pi to 8 pi, m = 1..3, a margin of 3 to 4 left errors of
+    10^-44 to 10^-57 of the largest term, one of 7 to 8 reached 10^-73.
+    On sheets -2..2 only m = 1, 2 near |theta| = 5 pi need it.
 
-    The 64-node panels are accurate to about 10^-44.5 of the largest term
-    whatever the precision, so more digits alone do not help: above
-    d = 39 the first pass takes the order of :func:`_first_order`, which
-    reaches d + 5 digits of the largest term.  The largest terms also
-    measure cancellation: where G is recessive the moments are many orders
-    below the terms that sum to them (20 digits at |z| = 10^3, arg 0).  If
-    a moment loses more than _LOOP_GUARD - 5 = 10 digits, the loop runs
-    once more at the Gauss-Legendre order of :func:`_rerun_order` and with
-    the working digits that order wins back.
+    Rounding: each moment is one exact-product dot sum rounded once, so it
+    is off by at most about 2^-prec (|sum| + sum_k ((k + 4)^2 / 2 + 4)
+    |T_k|), T_k its terms: a few ulps of a term from its rounded weight and
+    k^2/2 + 4k from the k steps of q^(k^2) r^k.  The largest term over the
+    moment measures the loss, and a pass that keeps fewer than d + 8 digits
+    reruns with the loss as its extra digits (specfun's
+    :func:`_measured_passes`, which raises :class:`SeriesConvergenceError`
+    after three passes).  Those 8 digits hold the log10(k^2/2) of the
+    powers: 2.9 where the largest term sits at node 38 (sheet 2 at
+    |z| = 1.25), 4.7 at node 307 (m = 2, |z| = 10^3, theta = -7 pi, K
+    raised to 46).
     """
-    with working(dps, _LOOP_GUARD) as d:
-        wp = d + _LOOP_GUARD
+    extra = _LOOP_EXTRA
+    if float(point.modulus) > _LOOP_CANCEL_FROM:
+        extra += _cancellation_digits(point.modulus, 1.0 / 3.0)
+
+    def run(d):
         bkey = tuple(mpf(x)._mpf_ for x in b)
-        order = _first_order(d)
-        acc, loss = _loop_moments(bkey, m, point, d, wp, order)
-        if loss > _LOOP_GUARD - 5:
-            order, extra = _rerun_order(loss, order)
-            with working(d, _LOOP_GUARD + extra):
-                acc, _ = _loop_moments(bkey, m, point, d, wp + extra, order)
+        sums, lost = _loop_pass(bkey, m, point)
         front = 1 / (2 * mp.pi * mpc(0, 1))
-        out = tuple(+(front * a) for a in acc)
+        return tuple(front * x for x in sums), lost
+
+    out = _measured_passes(dps, extra, run)
     if with_theta:
         return out
     return out[0]

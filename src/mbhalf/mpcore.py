@@ -35,7 +35,7 @@ raise; no other module names :data:`GUARD_DIGITS`.
   cancellation, estimated or measured: an entire series' a priori loss
   (:func:`mbhalf.specfun._cancellation_digits`, and
   :func:`mbhalf.specfun._series_guard` in its term loop), the loop route's
-  guard and rerun digits, or the loss a first pass measured.
+  extra digits, or the loss a first pass measured.
 * It hands its callees the digits their results need: d, or d plus the
   cancellation those results feed, never its own working digits, so
   guard digits do not stack from layer to layer.
@@ -110,8 +110,8 @@ class working:
 
 def _to_fixed(x, e):
     """floor(x / 2^e) for an mpf tuple x: the one mpf-to-integer step of the
-    fixed-point sums (the loop's panel sums, the 0F2 term loop and the
-    kernel's double series)."""
+    fixed-point sums (the 0F2 term loop and the kernel's double series; the
+    Mellin-Barnes loop sums with ``mp.fdot`` instead)."""
     sign, man, exp, _ = x
     if sign:
         man = -man

@@ -59,9 +59,27 @@ def test_usage_errors(capsys):
     for argv in (["kernel", "--alpha", "x", "--x-grid", "1", "--y-grid", "2"],
                  ["kernel", "--alpha", "0", "--x-grid", "abc", "--y-grid", "2"],
                  ["meijer", "--z-grid", "1:abc:3"],
-                 ["converge", "--alpha", "0", "--x", "abc", "--y", "1"]):
+                 ["converge", "--alpha", "0", "--x", "abc", "--y", "1"],
+                 ["rhcheck", "--alpha", "0", "--tol-jump", "abc"]):
         assert main(argv) == 2, argv
         assert "usage error" in capsys.readouterr().err
+    # so are non-finite values: they ended in tracebacks (exit 1), in a
+    # series running out of terms or a failed solve (exit 3), or in a
+    # value (exit 0)
+    for argv in (["kernel", "--alpha", "inf", "--x-grid", "1", "--y-grid", "2"],
+                 ["kernel", "--alpha", "0", "--x-grid", "inf", "--y-grid", "2"],
+                 ["kernel", "--alpha", "0", "--x-grid", "1:inf:3", "--y-grid", "2"],
+                 ["converge", "--alpha", "0", "--x", "inf", "--y", "1"],
+                 ["converge", "--alpha", "inf", "--x", "1", "--y", "2"],
+                 ["meijer", "--z-grid", "inf"],
+                 ["meijer", "--z-grid", "nan"],
+                 ["meijer", "--b", "nan,0,0", "--z-grid", "1"],
+                 ["meijer", "--b", "0,inf,0", "--z-grid", "1", "--route", "loop"],
+                 ["eqsolve", "--box", "inf"],
+                 ["eqsolve", "--v", "0,inf", "--m", "20"],
+                 ["rhcheck", "--alpha", "0.3", "--tol-det", "nan"]):
+        assert main(argv) == 2, argv
+        assert "finite" in capsys.readouterr().err, argv
 
 
 def test_numerical_failure_exit_code(capsys):

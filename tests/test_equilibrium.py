@@ -187,8 +187,8 @@ def _gl_cell_averages(h, m, npts):
 def _uniform_order_kernel(h, m, npts=8):
     """The same cell averages with the npts x npts rule on every pair, in
     the arithmetic `_sqrt_log_kernel` had before its rows took their own
-    orders (row 0, whose order is 8, still has it): the reference for the
-    row orders."""
+    orders (row 0, whose order is 8, still has it), and the first cell's
+    closed form, as there: the reference for the row orders."""
     x, wq = np.polynomial.legendre.leggauss(npts)
     edges = np.sqrt(np.arange(m + 1) * h)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -204,6 +204,7 @@ def _uniform_order_kernel(h, m, npts=8):
         inner = (u_wts[i] @ lg.reshape(npts, -1)).reshape(m - i, npts)
         smat[i, i:] = np.einsum("jb,jb->j", inner, u_wts[i:])
         smat[i:, i] = smat[i, i:]
+    smat[0, 0] = 0.25 + 0.5 * np.log(h)
     return smat
 
 
@@ -211,9 +212,11 @@ def test_energy_operator_matches_two_matrix_form():
     # reference: both cell-pair matrices built in full, row by row, without
     # the symmetric fill, the in-place Toeplitz subtraction or the matrix
     # products; the operator must agree entry-wise to a few ulps
+    # (the first cell takes its closed form in both)
     m, box = 40, 6.0
     h = box / m
     smat = _gl_cell_averages(h, m, 8)
+    smat[0, 0] = 0.25 + 0.5 * np.log(h)
     tab = _cell_log_table(m) + np.log(h)
     idx = np.arange(m)
     lam = tab[np.abs(np.subtract.outer(idx, idx))]
@@ -227,18 +230,25 @@ def test_sqrt_log_kernel_row_orders(m):
     # each row's order comes from an error bound: the entries stay within
     # roundoff of 8 points on every pair, and off the singular first cell
     # within roundoff of 20 points, which checks the bound and not only the
-    # agreement with the old rule; row 0 keeps 8 nodes and its bits
+    # agreement with the old rule; row 0 keeps 8 nodes and its bits, but
+    # for the singular first cell, which takes its closed form 1/4 + log(h)/2:
+    # the 8-point value is 1.55e-7 low and the 20-point one 1.25e-10
     h = 6.0 / m
     S = _sqrt_log_kernel(h, m)
     orders = _sqrt_log_orders(m)
     assert orders[0] == 8 and orders.max() <= 8
     assert np.array_equal(S, S.T)
+    assert S[0, 0] == 0.25 + 0.5 * np.log(h)
+    assert 1.5e-7 < S[0, 0] - _gl_cell_averages(h, 1, 8)[0, 0] < 1.6e-7
+    assert 1.2e-10 < S[0, 0] - _gl_cell_averages(h, 1, 20)[0, 0] < 1.3e-10
     S8 = _uniform_order_kernel(h, m)
     assert np.array_equal(S[0], S8[0]) and np.array_equal(S[:, 0], S8[:, 0])
     assert np.max(np.abs(S - S8)) <= 2e-15
     if m == 40:
         # the reference against the independent broadcast build
-        assert np.max(np.abs(S8 - _gl_cell_averages(h, m, 8))) < 1e-14
+        ref = _gl_cell_averages(h, m, 8)
+        ref[0, 0] = S8[0, 0]
+        assert np.max(np.abs(S8 - ref)) < 1e-14
     del S8
     S20 = _uniform_order_kernel(h, m, 20)
     assert np.max(np.abs(S - S20)[1:, 1:]) <= 2e-15

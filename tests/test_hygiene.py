@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library only."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -405,3 +406,62 @@ def test_rounded_product_sum_detector():
                      "f = mp.fsum(c * v[i] for i, c in enumerate(p))\n"
                      "g = mp.fsum(x[i] * y[i] * z[i] for i in range(3))\n")
     assert _rounded_product_sums(tree) == [1, 2]
+
+
+def _exception_classes(trees):
+    """(module, line, name) of the classes of ``trees`` (a name -> tree
+    mapping) that derive, directly or through one another, from a built-in
+    exception."""
+    classes = {node.name: (mod, node.lineno,
+                           [getattr(b, "id", getattr(b, "attr", None))
+                            for b in node.bases])
+               for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def is_error(name, seen=()):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return (name in classes and name not in seen
+                and any(is_error(b, seen + (name,)) for b in classes[name][2]))
+
+    return sorted(classes[name][:2] + (name,) for name in classes
+                  if is_error(name))
+
+
+def _unmapped_errors(trees):
+    """Exception classes of ``trees`` that cli.py neither lists in
+    ``_NUMERICAL_ERRORS`` (exit 3) nor names ``UsageError`` (exit 2): one
+    raised through ``main`` would end in a traceback, exit 1."""
+    mapped = {"UsageError"}
+    for node in trees["cli.py"].body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_NUMERICAL_ERRORS"
+                        for t in node.targets)):
+            mapped.update(getattr(e, "id", getattr(e, "attr", None))
+                          for e in node.value.elts)
+    return [item for item in _exception_classes(trees) if item[2] not in mapped]
+
+
+def test_every_error_maps_to_an_exit_code():
+    # every typed failure of the package surfaces as exit code 2 or 3
+    unmapped = _unmapped_errors(_parse_all(SRC))
+    assert not unmapped, ", ".join("%s:%d %s" % item for item in unmapped)
+
+
+def test_unmapped_error_detector():
+    trees = {"a.py": ast.parse("class BadInput(ValueError):\n"
+                               "    pass\n"
+                               "class Deeper(BadInput):\n"
+                               "    pass\n"
+                               "class Plain:\n"
+                               "    pass\n"
+                               "class Mapped(RuntimeError):\n"
+                               "    pass\n"
+                               "class Table(dict):\n"
+                               "    pass\n"),
+             "cli.py": ast.parse("class UsageError(ValueError):\n"
+                                 "    pass\n"
+                                 "_NUMERICAL_ERRORS = (a.Mapped, ZeroDivisionError)\n")}
+    assert _unmapped_errors(trees) == [("a.py", 1, "BadInput"),
+                                       ("a.py", 3, "Deeper")]

@@ -6,12 +6,8 @@ from mpmath import mp, mpc, mpf
 
 from mbhalf import meijer
 from mbhalf.meijer import (
-    _GL_ORDER,
     ResonantParameterError,
     SectorPoint,
-    _Fixed,
-    _fixed_dot,
-    _LoopProducts,
     _series_form,
     g303_series,
     mb_loop,
@@ -19,7 +15,7 @@ from mbhalf.meijer import (
     psi3_alternate,
     psi_scalars,
 )
-from mbhalf.mpcore import QuadratureConvergenceError, legendre_nodes
+from mbhalf.mpcore import QuadratureConvergenceError
 
 B_STD = (mpf(0), mpf("-0.3"), mpf("-0.8"))
 
@@ -94,9 +90,9 @@ def _resonant_b(alpha, adjoint):
 def test_log_series_matches_loop_on_every_sheet():
     # the resonant G gate: both parameter triples of the model problem at
     # each resonant alpha, sheets -2..2, with the theta triples; at
-    # |z| = 10^3, where the loop reruns for cancellation (2-3 s a table),
-    # against the loop at alpha = 0 (forward) and against mpmath at every
-    # alpha
+    # |z| = 10^3, where the loop takes the cancellation digits into its step
+    # and its working digits, against the loop at alpha = 0 (forward) and
+    # against mpmath at every alpha
     worst = mpf(0)
     for alpha in ("-0.5", "0", "0.5", "1"):
         for adjoint in (False, True):
@@ -188,9 +184,8 @@ def test_log_series_continuous_in_alpha():
 
 
 def test_loop_accuracy_at_requested_digits():
-    # above 39 digits the loop's first pass takes more Gauss-Legendre
-    # nodes; a fixed 64-node pass stopped at about 44.5 - loss digits
-    # (1.3e-42 at d = 45, |z| = 30).
+    # the loop's step follows its working digits; a step fixed at the one
+    # of d = 30 would stop at about 10^-46 of the largest term
     for d in (45, 60):
         for r, ang in (("0.5", "0.3"), ("5", "0"), ("30", "0")):
             pt = SectorPoint(mpf(r), mpf(ang))
@@ -202,19 +197,20 @@ def test_loop_accuracy_at_requested_digits():
 
 def test_loop_accuracy_at_large_modulus(monkeypatch):
     # near arg 0 at |z| = 10^3 G is recessive and the loop's terms cancel
-    # by about 20 digits, more than its guard digits; the cancellation
-    # rerun must still deliver the requested 30 digits.  The losses differ
-    # (20.5 digits at arg 0, 17.2 at arg 2.5) but call for the same
-    # Gauss-Legendre order, so the reruns must share one product table:
-    # one 96-node table is built per b, counted from an empty cache.
+    # by 9 to 10.5 digits, while its error bound M grows by the 23
+    # cancellation digits of an entire series of |z|; the first pass takes
+    # those into its working digits and its step and must deliver the
+    # requested 30 digits.  The three angles share |z|, so they share the
+    # digits and the step: one table of K = 26 nodes per unit of u is built
+    # per b, counted from an empty cache, and no pass reruns.
     built = []
 
-    def record(b, m, dps, order, _make=meijer._LoopProducts):
-        built.append((tuple(b), order))
-        return _make(b, m, dps, order)
+    def record(b, m, K, _make=meijer._LoopWeights):
+        built.append((tuple(b), K))
+        return _make(b, m, K)
 
-    monkeypatch.setattr(meijer, "_LoopProducts", record)
-    meijer._loop_products.cache_clear()
+    monkeypatch.setattr(meijer, "_LoopWeights", record)
+    meijer._loop_weights.cache_clear()
     d = 30
     b_res = (mpf(0), mpf(0), mpf("-0.5"))
     for ang in ("0", "0.5", "2.5"):
@@ -226,61 +222,32 @@ def test_loop_accuracy_at_large_modulus(monkeypatch):
             got = mb_loop(b, pt, m=3, dps=d)
             with mp.workdps(80):
                 assert abs(got - ref) / abs(ref) <= mpf(10) ** (-d + 2), (b, ang)
-    for b in (B_STD, b_res):
-        assert built.count((b, 96)) == 1, built
+    assert sorted(built) == sorted([(B_STD, 26), (b_res, 26)]), built
 
 
-def test_loop_panel_budget_reports_last_two_estimates(monkeypatch):
-    monkeypatch.setattr(meijer, "_MAX_PANELS", 2)
+def test_loop_node_budget_reports_last_two_estimates(monkeypatch):
+    monkeypatch.setattr(meijer, "_MAX_NODES", 2)
     with pytest.raises(QuadratureConvergenceError) as exc:
         mb_loop(B_STD, SectorPoint(mpf("1.3"), mpf("0.2")), m=3, dps=30)
     prev, last = exc.value.estimates
     assert prev != last
 
 
-def test_fixed_dot_matches_fdot():
-    # entries span 10^40 and are large where their partner is small, so
-    # every product is about 1 while max|a| max|b| is 10^40: a scale set by
-    # max|a| max|b| would lose 133 bits here
-    rng = np.random.default_rng(5)
-    n = 40
-    with mp.workdps(30):
-        prec = mp.prec
-
-        def unit():
-            return mp.expjpi(mpf(float(rng.uniform(-1, 1))))
-
-        a = [mpf(10) ** (40 * k / (n - 1) - 20) * unit() for k in range(n)]
-        b = [mpf(10) ** (20 - 40 * k / (n - 1)) * unit() for k in range(n)]
-        c = [mpf(10) ** (-40 * k / (n - 1)) * unit() for k in range(n)]
-        a[7] = mpc(0)
-        fa = _Fixed(a)
-        # fa serves two partners; the second asks for a finer scale
-        for y in (b, c, [mpc(0)] * n):
-            got, top = _fixed_dot(fa, _Fixed(y))
-            if not any(y):
-                assert got == 0 and top == float("-inf")
-                continue
-            with mp.workdps(50):
-                ref = mp.fdot(a, y)
-                big = max(abs(u * v) for u, v in zip(a, y))
-                assert mpf(2) ** (top - 2) <= big < mpf(2) ** (top + 1)
-                bound = (abs(ref) * mpf(2) ** -prec
-                         + 17 * n * mpf(2) ** -(prec + meijer._FIXED_GUARD) * big)
-                assert abs(got - ref) <= bound
-                assert abs(got - ref) / abs(ref) < mpf(10) ** -29
-
-
 def test_loop_lower_m_matches_mpmath():
     # m < 3 keeps q = 3: the trailing parameters move to the denominator,
-    # G^{m,0}_{0,3}.  mpmath evaluates the same split independently.
+    # G^{m,0}_{0,3}.  mpmath evaluates the same split independently.  With
+    # b_2 = 0.2 (and 0.2 + 1e-8) the loop crosses the real axis at a zero
+    # of 1/Gamma(1 - b_2 - s) (next to one) for m = 1, where arg of the
+    # integrand spins without any chirp
     with mp.workdps(50):
-        for m in (1, 2):
-            for r in (mpf("0.5"), mpf(3)):
-                pt = SectorPoint(r, mpf(0))
-                ours = mb_loop(B_STD, pt, m=m, dps=40)
-                ref = mp.meijerg([[], []], [list(B_STD[:m]), list(B_STD[m:])], r)
-                assert abs(ours - ref) / abs(ref) < mpf("1e-35"), (m, r)
+        for b in (B_STD, (mpf(0), mpf("0.2"), mpf("-0.8")),
+                  (mpf(0), mpf("0.2") + mpf("1e-8"), mpf("-0.8"))):
+            for m in (1, 2):
+                for r in (mpf("0.5"), mpf(3)):
+                    pt = SectorPoint(r, mpf(0))
+                    ours = mb_loop(b, pt, m=m, dps=40)
+                    ref = mp.meijerg([[], []], [list(b[:m]), list(b[m:])], r)
+                    assert abs(ours - ref) / abs(ref) < mpf("1e-35"), (b, m, r)
 
 
 def test_series_and_loop_agree_off_principal_sheet():
@@ -468,25 +435,3 @@ def test_loop_cache_keyed_by_exact_parameters():
     ref = g303_series(b2, pt, dps=45)
     with mp.workdps(55):
         assert abs(got - ref) / abs(ref) < mpf("1e-43")
-
-
-def test_loop_product_recurrence_far_panel():
-    # panels past the first come from the two-step gamma recurrence; check
-    # them at panel 31 against direct products times the node weight
-    d = 40
-    wp = d + 15
-    pidx = 31
-    xs, ws = legendre_nodes(_GL_ORDER, dps=wp)
-    with mp.workdps(wp + 10):
-        bb = [mpf(x) for x in B_STD]
-        for m in (1, 2, 3):
-            prods = _LoopProducts(bb, m, wp)
-            c = prods.c
-            g = [mp.make_mpc(v) for v in prods.panel_fixed(pidx)[0]._parts]
-            for k in (0, 1, 17, 64, 126, 127):
-                w = ws[k // 2] if k % 2 == 0 else -ws[k // 2]
-                s = mpc(c - 1 + xs[k // 2] - 2 * pidx, -1 if k % 2 == 0 else 1)
-                want = w
-                for j in range(3):
-                    want *= mp.gamma(bb[j] + s) if j < m else mp.rgamma(1 - bb[j] - s)
-                assert abs(g[k] - want) / abs(want) < mpf(10) ** (-(d + 5)), (m, k)

@@ -1,7 +1,9 @@
 """The precision policy: working digits that do not stack from layer to
 layer, and the requested digits still delivered."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from mbhalf import kernel, meijer, specfun
@@ -40,10 +42,10 @@ def test_working_digits_do_not_stack(monkeypatch):
 def test_working_digits_of_the_term_loops(monkeypatch):
     # pinned at 30 digits: the Wright-Bessel term loops of kernel_integral
     # at alpha = 0.3, (x, y) = (1, 2) run at d + GUARD_DIGITS + the 7 digits
-    # their two series lose (47), and a first pass of the loop route at
-    # d + _LOOP_GUARD + GUARD_DIGITS (55)
+    # their two series lose (47), and the sums of a first pass of the loop
+    # route at |z| <= 10 at d + _LOOP_EXTRA + GUARD_DIGITS (46)
     seen = []
-    for mod, name in ((kernel, "_wright_terms"), (meijer, "_loop_moments")):
+    for mod, name in ((kernel, "_wright_terms"), (meijer, "_loop_sums")):
         def record(*args, _run=getattr(mod, name), _name=name):
             seen.append((_name, mp.dps))
             return _run(*args)
@@ -52,7 +54,7 @@ def test_working_digits_of_the_term_loops(monkeypatch):
     kernel_integral(mpf("0.3"), 1, 2, dps=30)
     mb_loop((0, mpf("-0.3"), mpf("-0.8")), SectorPoint(mpf(2), mpf("0.3")),
             dps=30)
-    assert seen == [("_wright_terms", 47)] * 2 + [("_loop_moments", 55)]
+    assert seen == [("_wright_terms", 47)] * 2 + [("_loop_sums", 46)]
 
 
 @pytest.mark.parametrize("d", [30, 45, 60])
@@ -74,6 +76,134 @@ def test_series_route_accuracy_over_the_envelope(d):
                     with mp.workdps(d + 50):
                         for x, y in zip(got, ref):
                             assert abs(x - y) <= tol * abs(y), (alpha, b, r, sheet)
+
+
+# the loop's envelope: alpha in (-1, 1.5), the resonant 2 alpha in Z among
+# them, |z| from 10^-2 to 10^3 and sheets -2..2, for both model triples
+_ALPHA = st.one_of(st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
+                   st.floats(-0.99, 1.49))
+_LOOP_POINT = dict(alpha=_ALPHA, adjoint=st.booleans(),
+                   log_r=st.floats(-2.0, 3.0), arg=st.floats(-np.pi, np.pi),
+                   sheet=st.integers(-2, 2))
+
+
+def _model_b(alpha, adjoint, dps):
+    """The model triple (0, -a, -a-1/2), or (0, a, a+1/2) for the adjoint,
+    exact at ``dps`` digits."""
+    with mp.workdps(dps):
+        a = mpf(alpha) if adjoint else -mpf(alpha)
+        return (mpf(0), a, a + mpf("0.5"))
+
+
+def _sector(log_r, arg, sheet, dps):
+    with mp.workdps(dps):
+        return meijer.SectorPoint(mpf(10) ** log_r, mpf(arg) + 2 * mp.pi * sheet)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([30, 45, 60]), **_LOOP_POINT)
+@example(d=30, alpha=0.0, adjoint=False, log_r=3.0, arg=0.0, sheet=0)
+@example(d=30, alpha=0.3, adjoint=False, log_r=3.0, arg=0.5, sheet=0)
+def test_loop_accuracy_over_the_envelope(d, alpha, adjoint, log_r, arg, sheet):
+    # the theta triple of G^{3,0}_{0,3} by the loop at d digits against the
+    # residue series (its logarithmic form at 2 alpha in Z) at d + 40.  At
+    # |z| = 10^3 near arg 0 the rule's bound M exceeds G by about the 23
+    # cancellation digits of an entire series: a step that leaves them out
+    # stops near 10^-21 there.
+    b = _model_b(alpha, adjoint, d + 60)
+    assume(meijer.pick_route(b, 3) == "series")
+    pt = _sector(log_r, arg, sheet, d + 60)
+    ref = g303_series(b, pt, dps=d + 40, with_theta=True)
+    got = mb_loop(b, pt, m=3, dps=d, with_theta=True)
+    with mp.workdps(d + 50):
+        for x, y in zip(got, ref):
+            assert abs(x - y) <= mpf(10) ** (-d + 2) * abs(y)
+
+
+def _meijerg_lower_m(b, m, pt, dps):
+    """G^{m,0}_{0,3}(z|b), m = 1 or 2, on the sheet of ``pt`` from mpmath's
+    meijerg, which takes the principal branch: off it, G is the sum of its
+    residue families z^(b_h) E_h(z) (E_h entire), each turned by
+    e^(2 pi i k b_h).  For m = 2 family h is, with j the other numerator
+    index, pi / sin(pi (b_j - b_h)) e^(-+ i pi b_h) times G^{1,0}_{0,3}(w |
+    b_h; b_j, b_3) at w = z e^(+- i pi), whose 0F2 takes -w = z."""
+    with mp.workdps(dps):
+        arg = mpf(pt.argument)
+        k = int(mp.floor((arg + mp.pi) / (2 * mp.pi)))
+        if arg - 2 * mp.pi * k == -mp.pi:
+            k -= 1
+        z = mpf(pt.modulus) * mp.expj(arg - 2 * mp.pi * k)
+        if m == 1:
+            return (mp.expj(2 * mp.pi * k * b[0])
+                    * mp.meijerg([[], []], [[b[0]], [b[1], b[2]]], z))
+        side = -1 if mp.arg(z) > 0 else 1
+        total = 0
+        for h, j in ((0, 1), (1, 0)):
+            w = z * mp.expj(side * mp.pi)
+            fam = (mp.pi / mp.sin(mp.pi * (b[j] - b[h]))
+                   * mp.expj(-side * mp.pi * b[h])
+                   * mp.meijerg([[], []], [[b[h]], [b[j], b[2]]], w))
+            total += mp.expj(2 * mp.pi * k * b[h]) * fam
+        return total
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=st.sampled_from([1, 2]), **_LOOP_POINT)
+def test_loop_lower_m_over_the_envelope(m, alpha, adjoint, log_r, arg, sheet):
+    # G^{1,0} and G^{2,0} at 30 digits against mpmath's meijerg; on the
+    # principal sheet meijerg is used as it is, so there the resonant
+    # alpha are checked too
+    d = 30
+    b = _model_b(alpha, adjoint, d + 60)
+    with mp.workdps(d + 20):
+        gap = b[0] - b[1]
+        assume(m == 1 or sheet == 0 or abs(gap - mp.nint(gap)) > mpf("1e-3"))
+    pt = _sector(log_r, arg, sheet, d + 60)
+    got = mb_loop(b, pt, m=m, dps=d)
+    if sheet == 0:
+        with mp.workdps(d + 40):
+            ref = mp.meijerg([[], []], [list(b[:m]), list(b[m:])],
+                             pt.to_mpc(dps=d + 40))
+    else:
+        ref = _meijerg_lower_m(b, m, pt, d + 40)
+    with mp.workdps(d + 40):
+        assert abs(got - ref) <= mpf(10) ** (-d + 2) * abs(ref)
+
+
+def test_lower_m_oracle_matches_meijerg_on_the_principal_sheet():
+    # the family split of _meijerg_lower_m against meijerg itself
+    b = _model_b(0.3, False, 60)
+    for m in (1, 2):
+        for arg in ("-2.5", "0.4", "3"):
+            pt = _sector(0.4, float(arg), 0, 60)
+            with mp.workdps(50):
+                ref = mp.meijerg([[], []], [list(b[:m]), list(b[m:])],
+                                 pt.to_mpc(dps=50))
+            got = _meijerg_lower_m(b, m, pt, 50)
+            with mp.workdps(50):
+                assert abs(got - ref) <= mpf("1e-40") * abs(ref), (m, arg)
+
+
+@pytest.mark.parametrize("m, r, turns", [
+    (1, "100", 5), (1, "10", -5), (2, "100", -7), (3, "1", 8),
+    (3, "0.01", -8)])
+def test_loop_resolves_the_chirp_on_far_sheets(m, r, turns):
+    # far out on a high sheet the phase of z^(-s) on the loop's parabola
+    # turns like theta u^2 / 2, theta = arg z + 2 pi k; with the step of the
+    # working digits alone the relative errors were 2e-18 and 1e-23 (m = 1),
+    # 1e23 (m = 2) and 2e-18 (m = 3 at |z| = 0.01), and at theta = 8 pi,
+    # |z| = 1 the passes gave up (SeriesConvergenceError)
+    d = 30
+    b = (mpf("-0.3"), mpf(0), mpf("-0.8"))
+    with mp.workdps(d + 60):
+        pt = meijer.SectorPoint(mpf(r), turns * mp.pi)
+    got = mb_loop(b, pt, m=m, dps=d)
+    if m == 3:
+        ref = g303_series(b, pt, dps=d + 40)
+    else:
+        ref = _meijerg_lower_m(b, m, pt, d + 40)
+    with mp.workdps(d + 40):
+        assert abs(got - ref) <= mpf(10) ** (-d + 2) * abs(ref)
 
 
 def test_frames_carry_the_requested_digits_at_any_ambient_precision():
