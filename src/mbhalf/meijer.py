@@ -314,8 +314,12 @@ _LOOP_EXTRA = 6
 #: of an entire series of |z| (specfun's _cancellation_digits)
 _LOOP_CANCEL_FROM = 10
 #: the step resolves a chirp of local frequency F (cycles per unit u) when
-#: K >= F + K_D / _CHIRP_MARGIN, K_D the K of the pass's digits
+#: K >= F + K_D / _CHIRP_MARGIN, K_D the K of the pass's digits; K rises in
+#: steps of K_D / _CHIRP_MARGIN, so that nearby points share a table
 _CHIRP_MARGIN = 3
+#: a pass reports its loss rounded up to a multiple of this many digits, so
+#: that nearby points rerun at the same digits and share a table
+_LOSS_STEP = 8
 #: nodes on either side of u = 0 before the loop gives up
 _MAX_NODES = 2000
 _LN2 = math.log(2)
@@ -461,12 +465,15 @@ def _loop_pass(bkey, m, point):
     cancellation: log10 of its largest term over its value.
 
     K starts at the :func:`_nodes_per_unit` of the working digits, K_D, and
-    rises to F + K_D / _CHIRP_MARGIN where the terms chirp at up to F
-    cycles per unit u (:func:`mb_loop`)."""
+    where the terms chirp at up to F cycles per unit u rises by whole steps
+    of K_D / _CHIRP_MARGIN (rounded up) to F + K_D / _CHIRP_MARGIN or more
+    (:func:`mb_loop`).  The loss is rounded up to a multiple of
+    _LOSS_STEP."""
     digits = mp.dps
     zeta = point._log()
     log_r, theta = float(zeta.real), float(zeta.imag)
     base = K = _nodes_per_unit(digits)
+    step = math.ceil(base / _CHIRP_MARGIN)
     while True:
         table = _loop_weights(bkey, m, K, digits)
         (right, top_r, chirp_r), (left, top_l, chirp_l) = (
@@ -477,14 +484,14 @@ def _loop_pass(bkey, m, point):
                 "loop sum did not meet its tail bound within %d nodes a side"
                 % n, estimates=(_loop_sums(table, zeta, n - 1, n - 1)[0],
                                 _loop_sums(table, zeta, n, n)[0]))
-        need = math.ceil(max(chirp_r, chirp_l) + base / _CHIRP_MARGIN)
-        if need <= K:
+        short = max(chirp_r, chirp_l) + base / _CHIRP_MARGIN - K
+        if short <= 0:
             break
-        K = need
+        K += step * math.ceil(short / step)
     sums = _loop_sums(table, zeta, right, left)
     lost = max(((max(tr, tl) - mp.mag(x) * _LN2) / math.log(10)
                 for x, tr, tl in zip(sums, top_r, top_l) if x), default=digits)
-    return sums, lost
+    return sums, _LOSS_STEP * math.ceil(lost / _LOSS_STEP)
 
 
 def mb_loop(b, point, m=3, dps=None, with_theta=False):
@@ -509,9 +516,11 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     is good to about 10^-D of M.  The first pass asks for d + _LOOP_EXTRA
     = d + 6 digits (it keeps a measured loss up to 8; the calls of the
     tests and the benchmark at |z| <= 10 lose up to 5.6), plus the
-    cancellation digits of |z| above |z| = 10.  So, the chirp below aside,
-    all calls of one (b, m, d) at |z| <= 10 share one weight table
-    (:class:`_LoopWeights`, cached per exact b, m, K and digits).  The
+    cancellation digits of |z| above |z| = 10.  Those, the losses a pass
+    reports and the rises of K below all come in steps (_LOSS_STEP = 8
+    digits, a third of K), so that nearby points share their tables: the
+    chirp aside, all calls of one (b, m, d) at |z| <= 10 share one weight
+    table (:class:`_LoopWeights`, cached per exact b, m, K and digits).  The
     weights are z-free; z^(-s) takes three exps (:func:`_loop_sums`).  The
     nodes stop on the tail bound of :func:`_walk`, at 2^-prec of the
     largest term, and past _MAX_NODES a side raises
@@ -524,8 +533,8 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     terms stops turning.  Far out on a high sheet arg z^(-s) turns like
     theta mu u^2 (a chirp), and the rule resolves it only when K exceeds
     the largest positive local frequency F of the terms the walk keeps.  K
-    is raised to F plus a third of the K of the digits (a table of its
-    own) where it falls short.  That margin is measured, not proven: at
+    is raised to F plus a third of the K of the digits or more (a table of
+    its own) where it falls short.  That margin is measured, not proven: at
     |theta| = 5 pi to 8 pi, m = 1..3, a margin of 3 to 4 left errors of
     10^-44 to 10^-57 of the largest term, one of 7 to 8 reached 10^-73.
     On sheets -2..2 only m = 1, 2 near |theta| = 5 pi need it.
@@ -544,7 +553,8 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     """
     extra = _LOOP_EXTRA
     if float(point.modulus) > _LOOP_CANCEL_FROM:
-        extra += _cancellation_digits(point.modulus, 1.0 / 3.0)
+        lost = _cancellation_digits(point.modulus, 1.0 / 3.0)
+        extra += _LOSS_STEP * math.ceil(lost / _LOSS_STEP)
 
     def run(d):
         bkey = tuple(mpf(x)._mpf_ for x in b)

@@ -149,10 +149,13 @@ def _meijerg_lower_m(b, m, pt, dps):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(m=st.sampled_from([1, 2]), **_LOOP_POINT)
+@example(m=1, alpha=0.3, adjoint=False, log_r=2.0, arg=3.1, sheet=2)
 def test_loop_lower_m_over_the_envelope(m, alpha, adjoint, log_r, arg, sheet):
     # G^{1,0} and G^{2,0} at 30 digits against mpmath's meijerg; on the
     # principal sheet meijerg is used as it is, so there the resonant
-    # alpha are checked too
+    # alpha are checked too.  The explicit example sits at the envelope's
+    # edge, theta near 5 pi, where the terms chirp (see
+    # test_loop_resolves_the_chirp_on_far_sheets)
     d = 30
     b = _model_b(alpha, adjoint, d + 60)
     with mp.workdps(d + 20):
@@ -190,9 +193,9 @@ def test_lower_m_oracle_matches_meijerg_on_the_principal_sheet():
 def test_loop_resolves_the_chirp_on_far_sheets(m, r, turns):
     # far out on a high sheet the phase of z^(-s) on the loop's parabola
     # turns like theta u^2 / 2, theta = arg z + 2 pi k; with the step of the
-    # working digits alone the relative errors were 2e-18 and 1e-23 (m = 1),
-    # 1e23 (m = 2) and 2e-18 (m = 3 at |z| = 0.01), and at theta = 8 pi,
-    # |z| = 1 the passes gave up (SeriesConvergenceError)
+    # working digits alone the relative errors were 2e-18 (m = 1, |z| = 100),
+    # 3e16 (m = 2) and 2e-24, 4e-24 (m = 3); the m = 1 point at |z| = 10
+    # passed only by the digits of its rerun
     d = 30
     b = (mpf("-0.3"), mpf(0), mpf("-0.8"))
     with mp.workdps(d + 60):
