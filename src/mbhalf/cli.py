@@ -38,6 +38,15 @@ DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
 #: largest kernel size ``converge`` accepts; its closed-form sums cost O(n^2)
 MAX_CONVERGE_N = 256
+#: most cells ``eqsolve --m`` accepts; the minimizer builds m x m float64
+#: matrices, 200 MB each at this size
+MAX_EQ_CELLS = 5000
+#: most points an a:b:k grid or ``density --grid`` accepts; each is an mpf
+#: and a row of output
+MAX_GRID_POINTS = 10000
+
+_GRID_HELP = "value or a:b:k (k from 2 to %d)" % MAX_GRID_POINTS
+
 
 class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
@@ -99,6 +108,9 @@ def parse_grid(text):
         raise UsageError("grid count %r is not an integer" % parts[2])
     if k < 2:
         raise UsageError("grid a:b:k needs k >= 2 (use a single value for one point)")
+    if k > MAX_GRID_POINTS:
+        raise UsageError("grid a:b:k supports up to %d points, got %d"
+                         % (MAX_GRID_POINTS, k))
     step = (b - a) / (k - 1)
     return [a + step * i for i in range(k)]
 
@@ -163,8 +175,9 @@ def cmd_kernel(args, precision):
 def cmd_density(args, precision):
     q = mpf(27) / 8
     n = args.grid
-    if n < 1:
-        raise UsageError("--grid must be a positive point count")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise UsageError("--grid must be a point count from 1 to %d, got %d"
+                         % (MAX_GRID_POINTS, n))
     rows = []
     for i in range(1, n + 1):
         s = q * i / (n + 1)
@@ -202,8 +215,9 @@ def _parse_poly(text):
 
 def cmd_eqsolve(args, precision):
     V = _parse_poly(args.v)
-    if not 0 < args.box < math.inf or args.m < 10:
-        raise UsageError("--box must be positive and finite and --m at least 10")
+    if not 0 < args.box < math.inf or not 10 <= args.m <= MAX_EQ_CELLS:
+        raise UsageError("--box must be positive and finite and --m from 10 "
+                         "to %d" % MAX_EQ_CELLS)
     sol = eq.equilibrium_minimize(V, args.box, args.m, max_iter=args.max_iter)
     rows = [[float(x), float(w)] for x, w in zip(sol.mu.nodes, sol.mu.weights)]
     extra = {"q": repr(sol.q), "ell": repr(sol.ell), "c0": repr(sol.c0),
@@ -348,8 +362,8 @@ def build_parser():
     k = sub.add_parser("kernel", parents=[common],
                        help="limiting hard-edge kernel on a grid")
     k.add_argument("--alpha", required=True)
-    k.add_argument("--x-grid", required=True, help="value or a:b:k")
-    k.add_argument("--y-grid", required=True, help="value or a:b:k")
+    k.add_argument("--x-grid", required=True, help=_GRID_HELP)
+    k.add_argument("--y-grid", required=True, help=_GRID_HELP)
     k.add_argument("--route", choices=("integral", "meijer", "both"),
                    default="both")
 
@@ -360,7 +374,8 @@ def build_parser():
     d.add_argument("--route", choices=("explicit", "cardano", "both"),
                    default="both")
     d.add_argument("--grid", type=int, default=200,
-                   help="number of interior sample points")
+                   help="number of interior sample points, 1 to %d"
+                        % MAX_GRID_POINTS)
 
     e = sub.add_parser("eqsolve", parents=[common],
                        help="discretized equilibrium minimizer (CSV: node,weight;"
@@ -369,7 +384,8 @@ def build_parser():
                    help="ascending polynomial coefficients of the field "
                         "(default 0,1 = linear)")
     e.add_argument("--box", type=float, default=6.0)
-    e.add_argument("--m", type=int, default=500, help="grid cells")
+    e.add_argument("--m", type=int, default=500,
+                   help="grid cells, 10 to %d" % MAX_EQ_CELLS)
     e.add_argument("--max-iter", type=int, default=6000,
                    help="cap on the pivot iterations of each KKT solve (coarse "
                         "start and fine); exceeding it on the fine solve is a "
@@ -389,7 +405,7 @@ def build_parser():
                        help="Mellin-Barnes G-function values on a modulus grid")
     g.add_argument("--b", default="0,-0.3,-0.8",
                    help="three comma-separated parameters")
-    g.add_argument("--z-grid", required=True, help="value or a:b:k (moduli)")
+    g.add_argument("--z-grid", required=True, help=_GRID_HELP + " (moduli)")
     g.add_argument("--sheet", type=int, default=0,
                    help="full 2-pi turns added to the argument")
     g.add_argument("--m", type=int, choices=(1, 2, 3), default=3,

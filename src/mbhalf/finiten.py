@@ -29,7 +29,6 @@ from .mpcore import (
     gamma,
     inv3,
     ldu_decompose,
-    quad_gl,
     quad_ts,
     rgamma,
     unit_lower_inverse,
@@ -78,28 +77,42 @@ class MomentTable:
 
 
 def _tail_box(alpha, n, V, smax):
-    """Right endpoint X with integrand below 10^-mp.dps, the working
-    precision of :func:`moments` that it runs under, at X and at every
-    doubling point 4 * 2^i beyond it up to the cap 4 * 2^59.
+    """Right endpoint X of the moment quadrature, at the working precision
+    of :func:`moments` that it runs under.
 
-    The last doubling point where the test fails brackets the last
-    crossing in [X/2, X]; eight halvings of that bracket on the same test
-    bring X to within 2^-9 X of the crossing, where doubling alone
-    overshoots it by up to 2x.  X = 4 when every point passes; a failing
-    test at the cap raises :class:`DomainExtensionError`.
+    A point passes when the integrand x^(smax+alpha) exp(-n V(x)) is below
+    10^-mp.dps there and falling (a step of 2^-20 x does not raise it).  X
+    lies beyond every doubling point 4 * 2^i, up to the cap 4 * 2^59, that
+    fails: the last failing point p and 2p bracket the last crossing, and
+    eight halvings of that bracket on the same test bring X to within
+    2^-9 X of it, where doubling alone overshoots it by up to 2x.  X = 4
+    when every point passes; a failure at the cap raises
+    :class:`DomainExtensionError`.
+
+    So a well of exp(-n V) beyond 4 is seen when the integrand is above the
+    bound or still rising at some doubling point below its peak, as for any
+    V that only falls and then rises (with smax + alpha >= 0, so that the
+    power does not outweigh the fall of V), however narrow the well.  A
+    well that lies wholly between two doubling points at which the
+    integrand is already small and falling is not seen: that needs V to
+    turn down again between them.
     """
     # the test x^(smax+alpha) exp(-n V(x)) < 10^-mp.dps, in logs
     log_bound = -mp.dps * mp.ln10
     power = mpf(smax) + alpha
 
-    def small(x):
-        return power * mp.log(x) - n * V(x) < log_bound
+    def log_integrand(x):
+        return power * mp.log(x) - n * V(x)
+
+    def passes(x):
+        here = log_integrand(x)
+        return here < log_bound and log_integrand(x + x / 2 ** 20) <= here
 
     points = [mpf(4) * 2 ** i for i in range(60)]
-    large = [x for x in points if not small(x)]
-    if not large:
+    failing = [x for x in points if not passes(x)]
+    if not failing:
         return points[0]
-    lo = large[-1]
+    lo = failing[-1]
     if lo == points[-1]:
         raise DomainExtensionError(
             "moment integrand not below 10^-%d by X=%s; V grows too slowly"
@@ -107,7 +120,7 @@ def _tail_box(alpha, n, V, smax):
     X = 2 * lo
     for _ in range(8):
         mid = (lo + X) / 2
-        if small(mid):
+        if passes(mid):
             X = mid
         else:
             lo = mid
@@ -120,10 +133,12 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     V is the tag "laguerre" (V(x) = x, closed form Gamma(s+alpha+1) /
     n^(s+alpha+1), stepped by m(s+1) = m(s) (s+alpha+1) / n from the two
     gamma values at s = 0 and 1/2) or a callable, in which case all
-    moments are integrated together with tanh-sinh on [0, 1] (absorbs the
-    x^alpha endpoint) plus composite Gauss-Legendre panels out to a
-    tail-checked box.  Each node evaluates w(t) and t^(1/2) once and gives
-    every moment's integrand as w(t) t^(k/2), so V is called once per node.
+    moments are integrated together by one vector tanh-sinh pass over
+    [0, X], whose endpoint clustering absorbs the x^alpha singularity at 0;
+    X is the box of :func:`_tail_box`, whose docstring says which wells of
+    exp(-n V) it can and cannot see.  Each node evaluates w(t) and t^(1/2)
+    once and gives every moment's integrand as w(t) t^(k/2), so V is called
+    once per node.
     """
     alpha = mpf(alpha)
     if alpha <= -1:
@@ -140,9 +155,6 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
                     m = m * (mpf(k2) / 2 + alpha + 1) / n
         else:
             X = _tail_box(alpha, n, V, mpf(k2max) / 2)
-            # panel width tied to the exp(-nV) decay scale
-            width = min(mpf(8) / n, X - 1)
-            panels = int(mp.ceil((X - 1) / width))
 
             def f(t):
                 w, r = t ** alpha * mp.exp(-n * V(t)), mp.sqrt(t)
@@ -151,13 +163,7 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
                     out.append(out[-1] * r)
                 return out
 
-            totals = quad_ts(f, 0, 1, dps=d)
-            a = mpf(1)
-            for _ in range(panels):
-                b = min(a + width, X)
-                totals = [u + v for u, v in
-                          zip(totals, quad_gl(f, a, b, order=64, dps=d))]
-                a = b
+            totals = quad_ts(f, 0, X, dps=d)
             vals = dict(enumerate(totals))
         for k2, v in vals.items():
             if not (mp.isfinite(v) and v > 0):

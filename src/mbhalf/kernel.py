@@ -34,9 +34,8 @@ at th=1/2), while the scaling theorem for V(x)=x uses the scale
                    = 4 B^(a,1/2)(4x, 4y).
 
 The matrix route below produces K directly (verified to 1e-32), so at
-th = 1/2 the integral route defaults to the same normalization; pass
-normalization='plain' for the bare integral (the default for any other
-theta, including the th=1 Bessel reduction).
+th = 1/2 the integral route returns the same normalization; at any other
+theta, including the th=1 Bessel reduction, it returns the bare integral B.
 
 The matrix route is specific to th = 1/2:
 
@@ -99,13 +98,13 @@ def _double_sum(xterms, yterms, shifts):
     return mp.make_mpf(from_man_exp(total, ea + ec, prec, round_nearest))
 
 
-def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
+def kernel_integral(alpha, x, y, theta=None, dps=None):
     """Hard-edge kernel via the Wright-Bessel integral (any theta > 0),
     summed as the double series of the module docstring.
 
-    ``normalization``: 'theorem' rescales by the (c_V n)-convention factor
-    (theta = 1/2 only), 'plain' evaluates the bare integral; None picks
-    'theorem' at theta = 1/2 and 'plain' otherwise.
+    At theta = 1/2 the value carries the scaling theorem's (c_V n)
+    convention, K = 4 B(4x, 4y); at any other theta it is the bare
+    integral B.
 
     The double sum is raised by the cancellation digits of both
     Wright-Bessel series, whose terms it pairs.
@@ -116,18 +115,10 @@ def kernel_integral(alpha, x, y, theta=None, dps=None, normalization=None):
         xx, yy = mpf(x), mpf(y)
         if a <= -1 or xx <= 0 or yy <= 0 or th <= 0:
             raise ValueError("need alpha > -1, theta > 0 and x, y > 0")
-        if normalization is None:
-            normalization = "theorem" if th == mpf("0.5") else "plain"
-        if normalization == "theorem":
-            if th != mpf("0.5"):
-                raise ValueError(
-                    "the 'theorem' normalization is defined for theta = 1/2")
+        front = mpf(1)
+        if th == mpf("0.5"):
             xx, yy = 4 * xx, 4 * yy
             front = mpf(4)
-        elif normalization == "plain":
-            front = mpf(1)
-        else:
-            raise ValueError(f"unknown normalization {normalization!r}")
         yth = yy ** th
     lost = (_cancellation_digits(xx, _wright_growth(1 / th))
             + _cancellation_digits(yth, _wright_growth(th)))

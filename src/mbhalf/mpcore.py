@@ -6,13 +6,11 @@ matrix frames, moment tables) is built on the primitives in this module:
 * ``gamma`` / ``rgamma`` -- ``mp.gamma`` / ``mp.rgamma`` behind a pole
   contract (:class:`GammaPoleError` near a nonpositive integer, an exact 0
   from ``rgamma`` there, ``mpf`` out for real input);
-* ``quad_gl`` -- Gauss-Legendre quadrature with nodes computed by Newton
-  iteration on the Legendre recurrence (cached per order/precision);
 * ``quad_ts`` -- tanh-sinh (double-exponential) quadrature with level
   doubling, for endpoint-singular integrands (nodes cached per level and
-  precision in a bounded LRU);
-* both quadratures take an integrand that returns a sequence and then
-  return one integral per component from one evaluation per node;
+  precision in a bounded LRU), the package's one quadrature rule; it takes
+  an integrand that returns a sequence and then returns one integral per
+  component from one evaluation per node;
 * ``solve_cubic`` -- Cardano with a Newton polish;
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
@@ -40,9 +38,8 @@ raise; no other module names :data:`GUARD_DIGITS`.
   cancellation those results feed, never its own working digits, so
   guard digits do not stack from layer to layer.
 * A private helper that runs only under its caller's raise does not raise
-  again, unless it is cached by its digits (:func:`_legendre_nodes`,
-  :func:`_ts_nodes`): then its own raise makes the cache key fix the
-  precision.
+  again, unless it is cached by its digits (:func:`_ts_nodes`): then its
+  own raise makes the cache key fix the precision.
 * Absolute digits bypass the rule: the LDU schedule of the finite-n
   systems and the ambient precision of the command line.
 """
@@ -155,51 +152,8 @@ def rgamma(z, dps=None):
 
 
 # ----------------------------------------------------------------------
-# Gauss-Legendre quadrature
+# tanh-sinh quadrature
 # ----------------------------------------------------------------------
-
-def legendre_nodes(order, dps=None):
-    """Nodes and weights of ``order``-point Gauss-Legendre on [-1, 1].
-
-    Newton iteration on the three-term Legendre recurrence, seeded with the
-    Chebyshev-angle approximation.  Results are cached per (order, dps).
-    """
-    return _legendre_nodes(order, _resolve_dps(dps))
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre_nodes(order, d):
-    """:func:`legendre_nodes` at the resolved digits d, the exact cache key;
-    the result is an immutable tuple pair, shared by every caller."""
-    half = order // 2
-    with working(d):
-        nodes = []
-        weights = []
-        tol = mpf(10) ** (-(d + 6))
-        for i in range(1, order - half + 1):
-            x = mpf(math.cos(math.pi * (i - 0.25) / (order + 0.5)))
-            for _ in range(120):
-                p0, p1 = mpf(1), x
-                for k in range(2, order + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            p0, p1 = mpf(1), x
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append(x)
-            weights.append(w)
-        if order % 2 == 1:
-            nodes[-1] = mpf(0)             # the middle node is exactly 0
-        # the nodes found are the positive half in descending order
-        return (tuple([-x for x in nodes] + nodes[:half][::-1]),
-                tuple(weights + weights[:half][::-1]))
-
 
 def _components(f):
     """``f`` as an integrand that always returns a list of values.
@@ -228,29 +182,6 @@ def _add_scaled(acc, w, vals):
         return [w * v for v in vals]
     return [a + w * v for a, v in zip(acc, vals)]
 
-
-def quad_gl(f, a, b, order=64, dps=None):
-    """Gauss-Legendre integral of ``f`` over [a, b] at fixed order.
-
-    ``f`` may return a sequence; the result is then a list with one
-    integral per component, all from one evaluation of ``f`` per node.
-    """
-    xs, ws = legendre_nodes(order, dps=dps)
-    g, unwrap = _components(f)
-    with working(dps):
-        a = mpf(a) if not isinstance(a, (mpf, mpc)) else a
-        b = mpf(b) if not isinstance(b, (mpf, mpc)) else b
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        total = None
-        for x, w in zip(xs, ws):
-            total = _add_scaled(total, w, g(mid + half * x))
-        return unwrap([half * t for t in total])
-
-
-# ----------------------------------------------------------------------
-# tanh-sinh quadrature
-# ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
 def _ts_nodes(level, dps):

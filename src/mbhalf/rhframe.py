@@ -83,10 +83,10 @@ def _classify(point, side):
     elif on(abs(th), pi_):
         ray = "neg"
     else:
-        quad = 1 if 0 < th < half_pi else \
+        quadrant = 1 if 0 < th < half_pi else \
             2 if half_pi < th < pi_ else \
             4 if -half_pi < th < 0 else 3
-        return quad, point
+        return quadrant, point
 
     if side not in ("+", "-"):
         raise ValueError(
@@ -112,17 +112,17 @@ def _assemble(scalars, layout, row_order):
 def phi_matrix(alpha, point, dps=None, side=None):
     """Phi_alpha at a sector point; rows (f, theta f, theta^2 f)."""
     with working(dps) as d:
-        quad, ev = _classify(point, side)
+        quadrant, ev = _classify(point, side)
         sc = phi_scalars(alpha, ev, dps=d)
-        return _assemble(sc, _PHI_LAYOUT[quad], (0, 1, 2))
+        return _assemble(sc, _PHI_LAYOUT[quadrant], (0, 1, 2))
 
 
 def psi_matrix(alpha, point, dps=None, side=None):
     """Psi_alpha at a sector point; rows (theta^2 g, theta g, g)."""
     with working(dps) as d:
-        quad, ev = _classify(point, side)
+        quadrant, ev = _classify(point, side)
         sc = psi_scalars(alpha, ev, dps=d)
-        return _assemble(sc, _PSI_LAYOUT[quad], (2, 1, 0))
+        return _assemble(sc, _PSI_LAYOUT[quadrant], (2, 1, 0))
 
 
 # ----------------------------------------------------------------------

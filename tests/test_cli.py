@@ -6,7 +6,8 @@ import pytest
 from mpmath import mpf
 
 from mbhalf import specfun
-from mbhalf.cli import UsageError, main, parse_grid
+from mbhalf.cli import (MAX_EQ_CELLS, MAX_GRID_POINTS, UsageError, main,
+                        parse_grid)
 
 
 def test_parse_grid_forms():
@@ -80,6 +81,18 @@ def test_usage_errors(capsys):
                  ["rhcheck", "--alpha", "0.3", "--tol-det", "nan"]):
         assert main(argv) == 2, argv
         assert "finite" in capsys.readouterr().err, argv
+    # sizes that allocate are refused before anything is built: eqsolve's
+    # m x m float64 matrices, and one mpf per grid point
+    over = "1:2:%d" % (MAX_GRID_POINTS + 1)
+    for argv, cap in (
+            (["eqsolve", "--m", str(MAX_EQ_CELLS + 1)], MAX_EQ_CELLS),
+            (["density", "--grid", str(MAX_GRID_POINTS + 1)], MAX_GRID_POINTS),
+            (["kernel", "--alpha", "0", "--x-grid", over, "--y-grid", "1"],
+             MAX_GRID_POINTS),
+            (["meijer", "--z-grid", over], MAX_GRID_POINTS)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(cap) in err, argv
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -63,17 +63,52 @@ def test_custom_field_route_matches_closed_form():
                 assert abs(a - b) / a < mpf("1e-35"), (alpha, k2)
 
 
-def test_callable_moments_share_one_pass_per_node():
+@pytest.mark.parametrize("n,d", [(1, 60), (1, 80), (2, 60), (2, 80),
+                                 (4, 60), (4, 80)])
+def test_custom_field_moments_meet_the_requested_digits(n, d):
+    # the callable route must carry the digits asked for, not a fixed
+    # panel rule's: 64-node panels stopped at 1.1e-41 (n = 1), 1.7e-56
+    # (n = 2) and 4.5e-76 (n = 4) here
+    alpha, smax = mpf("0.5"), 15
+    mt_cf = moments(alpha, n, "laguerre", smax=smax, dps=d)
+    mt_q = moments(alpha, n, lambda x: x, smax=smax, dps=d)
+    with mp.workdps(d + 10):
+        for k2 in range(2 * smax + 1):
+            a, b = mt_cf.values[k2], mt_q.values[k2]
+            assert abs(a - b) / a < mpf(10) ** -d, k2
+
+
+def test_callable_moments_share_one_pass_per_node(monkeypatch):
     # all 2*smax+1 moments ride on one vector quadrature: V is evaluated
-    # once per node (the tail-box probes are distinct points too)
-    seen = []
+    # once per node and once per tail-box probe, all at distinct points
+    seen, passes, nodes, probes = [], [], [], []
 
     def V(x):
         seen.append(x)
         return x
 
+    def quad(f, *args, **kwargs):
+        passes.append(args)
+
+        def counted(t):
+            nodes.append(t)
+            return f(t)
+
+        return quad_ts(counted, *args, **kwargs)
+
+    def box(alpha, n, field, smax):
+        def counted(x):
+            probes.append(x)
+            return field(x)
+
+        return tail_box(alpha, n, counted, smax)
+
+    quad_ts, tail_box = finiten.quad_ts, finiten._tail_box
+    monkeypatch.setattr(finiten, "quad_ts", quad)
+    monkeypatch.setattr(finiten, "_tail_box", box)
     moments(mpf("0.3"), 2, V, smax=3, dps=40)
-    assert len(seen) > 1000
+    assert len(passes) == 1 and nodes and probes
+    assert len(seen) == len(nodes) + len(probes)
     assert len(seen) == len(set(seen))
 
 
@@ -103,12 +138,16 @@ def test_tail_box_bisects_the_doubling_bracket():
 
 
 def test_tail_box_finds_mass_beyond_the_first_small_point():
-    # exp(-4 (x - 10)^2) is already below the bound at x = 4; the box must
-    # still reach past the bump at 10
-    with mp.workdps(40):
-        got = moments(mpf(0), 4, lambda x: (x - 10) ** 2, smax=1, dps=30)
-        ref = mp.quad(lambda x: mp.exp(-4 * (x - 10) ** 2), [0, 10, mp.inf])
-        assert abs(got.value(mpf(0)) - ref) < mpf("1e-25")
+    # exp(-n (x - 10)^2) is already below the bound at x = 4; the box must
+    # still reach past the bump at 10.  At n = 40 and 100 it is below the
+    # bound at every doubling point too (8 and 16 bracket the bump), and
+    # only its rise at 8 shows the well
+    for n in (4, 40, 100):
+        with mp.workdps(40):
+            got = moments(mpf(0), n, lambda x: (x - 10) ** 2, smax=1, dps=30)
+            ref = mp.quad(lambda x: mp.exp(-n * (x - 10) ** 2),
+                          [0, 10, mp.inf])
+            assert abs(got.value(mpf(0)) - ref) < mpf("1e-25"), n
 
 
 @pytest.fixture(scope="module")

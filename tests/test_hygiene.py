@@ -132,22 +132,22 @@ def test_unread_public_detector():
         ("a.py", 7, "checked")]
 
 
-def _meijerg_references(tree):
-    """Lines that name ``meijerg``: a name, an attribute, an import or a
-    string constant equal to it (as in getattr(mp, "meijerg"))."""
+def _references(tree, names):
+    """Lines that name one of ``names``: a name, an attribute, an import or
+    a string constant equal to it (as in getattr(mp, "meijerg"))."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names = [node.id]
+            found = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            found = [node.attr]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name.split(".")[-1] for alias in node.names]
+            found = [alias.name.split(".")[-1] for alias in node.names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [node.value]
+            found = [node.value]
         else:
             continue
-        if "meijerg" in names:
+        if names.intersection(found):
             lines.add(node.lineno)
     return sorted(lines)
 
@@ -157,7 +157,7 @@ def test_no_meijerg_in_library(path):
     # mpmath's meijerg is the tests' outside oracle; a library route that
     # called it would no longer be checked by it
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = _meijerg_references(tree)
+    found = _references(tree, {"meijerg"})
     assert not found, "%s references meijerg on lines %s" % (path.name, found)
 
 
@@ -167,7 +167,32 @@ def test_meijerg_detector():
                      "y = getattr(mp, 'meijerg')\n"
                      "'Checked against meijerg in the tests.'\n"
                      "z = mp.hyper([], [1], 1)\n")
-    assert _meijerg_references(tree) == [1, 2, 3]
+    assert _references(tree, {"meijerg"}) == [1, 2, 3]
+
+
+#: mpmath's integrators; the package's one quadrature rule is
+#: ``mpcore.quad_ts`` (``mp.gauss_quadrature``, a node generator, is allowed)
+MPMATH_INTEGRATORS = {"quad", "quadts", "quadgl", "quadosc", "quadsubdiv"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_mpmath_integrator_in_library(path):
+    # mp.quad is the tests' oracle for the package's own quadrature
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _references(tree, MPMATH_INTEGRATORS)
+    assert not found, "%s calls an mpmath integrator on lines %s" % (
+        path.name, found)
+
+
+def test_mpmath_integrator_detector():
+    tree = ast.parse("from mpmath import quadgl\n"
+                     "a = mp.quad(f, [0, 1])\n"
+                     "b = mpmath.quadosc(f, [0, mp.inf], omega=1)\n"
+                     "c = getattr(mp, 'quadts')\n"
+                     "d = quad_ts(f, 0, 1)\n"
+                     "X, W = mp.gauss_quadrature(8, 'legendre')\n"
+                     "e = mp.quadsubdiv(f, [0, 1])\n")
+    assert _references(tree, MPMATH_INTEGRATORS) == [1, 2, 3, 4, 7]
 
 
 def test_sources_found():

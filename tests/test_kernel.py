@@ -81,8 +81,7 @@ def test_general_theta_matches_defining_integral():
     with mp.workdps(40):
         a, th = mpf("0.3"), mpf("0.37")
         for x, y in ((mpf("0.8"), mpf("1.7")), (mpf(2), mpf("0.5"))):
-            ours = kernel_integral(a, x, y, theta=th, dps=30,
-                                   normalization="plain")
+            ours = kernel_integral(a, x, y, theta=th, dps=30)
 
             def integrand(u):
                 return (_wright_series_oracle((a + 1) / th, 1 / th, u * x)
@@ -144,12 +143,3 @@ def test_theta_default_matches_half():
                              dps=30)
         assert abs(v1 - v2) < mpf("1e-28")
 
-
-def test_normalization_modes():
-    # 'theorem' differs from 'plain' by the fixed similarity scaling; both
-    # must agree after undoing it: K_thm(x, y) = 4 K_plain(4x, 4y)
-    with mp.workdps(40):
-        a, x, y = mpf("0.3"), mpf("0.8"), mpf("1.7")
-        thm = kernel_integral(a, x, y, dps=30, normalization="theorem")
-        pln = kernel_integral(a, 4 * x, 4 * y, dps=30, normalization="plain")
-        assert abs(thm - 4 * pln) / abs(thm) < mpf("1e-28")

@@ -13,12 +13,10 @@ from mbhalf.mpcore import (
     identity3,
     inv3,
     ldu_decompose,
-    legendre_nodes,
     mat_mul,
     mat_sub,
     mat_transpose,
     norm_max,
-    quad_gl,
     quad_ts,
     rgamma,
     solve_cubic,
@@ -95,24 +93,6 @@ def test_rgamma_zero_at_poles():
         assert abs(rgamma(mpf("0.5"), dps=40) - 1 / mp.sqrt(mp.pi)) < mpf("1e-38")
 
 
-def test_legendre_nodes_basic():
-    x, w = legendre_nodes(12, dps=40)
-    with mp.workdps(40):
-        assert abs(sum(w) - 2) < mpf("1e-38")
-        # symmetry of nodes about 0
-        for xi, xj in zip(x, reversed(x)):
-            assert abs(xi + xj) < mpf("1e-38")
-        # degree-exactness: order-12 rule integrates x^22 on [-1,1] exactly
-        val = sum(wi * xi ** 22 for xi, wi in zip(x, w))
-        assert abs(val - mpf(2) / 23) < mpf("1e-36")
-
-
-def test_quad_gl_smooth():
-    with mp.workdps(45):
-        v = quad_gl(mp.exp, 0, 1, order=48, dps=40)
-        assert abs(v - (mp.e - 1)) < mpf("1e-38")
-
-
 def test_quad_ts_endpoint_singularities():
     with mp.workdps(45):
         v = quad_ts(mp.log, 0, 1, dps=40)
@@ -166,12 +146,6 @@ def test_quad_vector_components_match_scalar_calls():
             assert isinstance(s, (mpf, mpc)) and not isinstance(v, list)
             assert abs(v - s) <= mpf("1e-30") * abs(s)
             assert abs(v - e) < mpf("1e-38")
-        # Gauss-Legendre does the same sums per component: bitwise equal
-        gs = (mp.exp, lambda t: t ** 5, mp.cos)
-        vec = quad_gl(lambda t: tuple(g(t) for g in gs), 0, 1, order=48, dps=40)
-        assert isinstance(vec, list)
-        assert vec == [quad_gl(g, 0, 1, order=48, dps=40) for g in gs]
-        assert isinstance(quad_gl(mp.exp, 0, 1, order=48, dps=40), mpf)
 
 
 def test_quad_ts_vector_each_component_own_tolerance():
@@ -190,9 +164,6 @@ def test_quad_ts_vector_each_component_own_tolerance():
 
 
 def test_quad_vector_zero_component_and_failure():
-    with mp.workdps(45):
-        vec = quad_gl(lambda t: [mpf(0), t], 0, 2, order=8, dps=40)
-        assert vec[0] == 0 and abs(vec[1] - 2) < mpf("1e-38")
     # one non-integrable component sinks the whole call; the error carries
     # its last two (distinct, growing) level estimates, not the converged
     # component's
