@@ -348,8 +348,9 @@ def _sqrt_log_kernel(h, m):
     visibly biases the minimizer near the hard edge.  Row i pairs cell i
     with the cells j >= i under the n x n tensor rule of its order from
     :func:`_sqrt_log_orders`; the kernel is symmetric, so that upper
-    triangle is mirrored.  Row 0 takes 8 nodes; at m = 2000 the rows take
-    13.8 M logs in all, where 8 nodes on every pair would take 128 M.
+    triangle is mirrored once the rows are done (:func:`_mirror_upper`).
+    Row 0 takes 8 nodes; at m = 2000 the rows take 13.8 M logs in all,
+    where 8 nodes on every pair would take 128 M.
 
     The integrand is singular at the corner u = v = 0, where the 8-point
     rule leaves the (0, 0) self-average 1.55e-7 low at every h; that entry
@@ -375,9 +376,28 @@ def _sqrt_log_kernel(h, m):
         np.log(lg, out=lg)
         inner = (u_wts[i] @ lg.reshape(n, -1)).reshape(m - i, n)
         smat[i, i:] = np.einsum("jb,jb->j", inner, u_wts[i:])
-        smat[i:, i] = smat[i, i:]
+    _mirror_upper(smat)
     smat[0, 0] = 0.25 + 0.5 * np.log(h)
     return smat
+
+
+#: columns a step of :func:`_mirror_upper` copies
+_MIRROR_BLOCK = 256
+
+
+def _mirror_upper(a):
+    """Copy the strict upper triangle of the square array ``a`` onto its
+    lower one, in place, a block of _MIRROR_BLOCK columns at a time: below
+    each diagonal block the transposed rows to its right, and inside it
+    only its own strictly lower part.  No temporary is larger than a
+    block of rows."""
+    m = len(a)
+    for lo in range(0, m, _MIRROR_BLOCK):
+        hi = min(lo + _MIRROR_BLOCK, m)
+        a[hi:, lo:hi] = a[lo:hi, hi:].T
+        diag = a[lo:hi, lo:hi]
+        low = np.tril_indices(hi - lo, -1)
+        diag[low] = diag.T[low]
 
 
 def _energy_operator(h, m):

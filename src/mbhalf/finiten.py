@@ -18,6 +18,7 @@ experiment runs on it.  The LDU stays the route of a callable field, of
 the certificates and of the matrix cross-checks.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Union
@@ -77,8 +78,9 @@ class MomentTable:
 
 
 def _tail_box(alpha, n, V, smax):
-    """Right endpoint X of the moment quadrature, at the working precision
-    of :func:`moments` that it runs under.
+    """Right endpoint X of the moment quadrature, and the peaks inside
+    [0, X] at which :func:`moments` splits its tanh-sinh pass, at the
+    working precision of :func:`moments` that it runs under.
 
     A point passes when the integrand x^(smax+alpha) exp(-n V(x)) is below
     10^-mp.dps there and falling (a step of 2^-20 x does not raise it).  X
@@ -96,6 +98,14 @@ def _tail_box(alpha, n, V, smax):
     well that lies wholly between two doubling points at which the
     integrand is already small and falling is not seen: that needs V to
     turn down again between them.
+
+    Where the integrand rises at a doubling point p and does not at 2p,
+    the two bracket a local maximum of its logarithm; :func:`_peak` finds
+    one, and each such maximum below X is a peak.  tanh-sinh clusters its
+    nodes at the ends of each piece, so a well whose peak is split off is
+    resolved however narrow it is, where one pass over [0, X] that puts
+    it deep inside fails to converge.  A V whose doubling points bracket
+    no maximum (V = x with smax + alpha < 4n) has no peaks.
     """
     # the test x^(smax+alpha) exp(-n V(x)) < 10^-mp.dps, in logs
     log_bound = -mp.dps * mp.ln10
@@ -104,14 +114,17 @@ def _tail_box(alpha, n, V, smax):
     def log_integrand(x):
         return power * mp.log(x) - n * V(x)
 
-    def passes(x):
+    def probe(x):
+        """Whether x passes, and whether the integrand rises there."""
         here = log_integrand(x)
-        return here < log_bound and log_integrand(x + x / 2 ** 20) <= here
+        rising = log_integrand(x + x / 2 ** 20) > here
+        return here < log_bound and not rising, rising
 
     points = [mpf(4) * 2 ** i for i in range(60)]
-    failing = [x for x in points if not passes(x)]
+    probes = [probe(x) for x in points]
+    failing = [x for x, (ok, _) in zip(points, probes) if not ok]
     if not failing:
-        return points[0]
+        return points[0], []
     lo = failing[-1]
     if lo == points[-1]:
         raise DomainExtensionError(
@@ -120,11 +133,45 @@ def _tail_box(alpha, n, V, smax):
     X = 2 * lo
     for _ in range(8):
         mid = (lo + X) / 2
-        if passes(mid):
+        if probe(mid)[0]:
             X = mid
         else:
             lo = mid
-    return X
+    peaks = [_peak(log_integrand, p, 2 * p)
+             for p, (_, up), (_, up_next) in zip(points, probes, probes[1:])
+             if p < X and up and not up_next]
+    return X, [x for x in peaks if x < X]
+
+
+#: a peak search stops when its bracket is below this share of its right end
+_PEAK_WIDTH = 2.0 ** -40
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _peak(f, lo, hi):
+    """A local maximum of ``f`` (an mpf function) in [lo, hi], by a
+    golden-section search on its float values, to a bracket narrower than
+    _PEAK_WIDTH hi; about 60 calls of ``f``.  It is a split point of the
+    moment quadrature, which any point of the bracket leaves correct: the
+    search only puts it where the split helps, on the maximum to float
+    accuracy."""
+    a, b = float(lo), float(hi)
+
+    def value(x):
+        return float(f(mpf(x)))
+
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = value(c), value(d)
+    while b - a > _PEAK_WIDTH * b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = value(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = value(d)
+    return mpf((a + b) / 2)
 
 
 def moments(alpha, n, V="laguerre", smax=8, dps=None):
@@ -136,9 +183,11 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     moments are integrated together by one vector tanh-sinh pass over
     [0, X], whose endpoint clustering absorbs the x^alpha singularity at 0;
     X is the box of :func:`_tail_box`, whose docstring says which wells of
-    exp(-n V) it can and cannot see.  Each node evaluates w(t) and t^(1/2)
-    once and gives every moment's integrand as w(t) t^(k/2), so V is called
-    once per node.
+    exp(-n V) it can and cannot see.  The pass is split at the peaks
+    :func:`_tail_box` finds inside the box, one pass a piece, so that a
+    narrow well lies at the end of a piece; without peaks it is one pass.
+    Each node evaluates w(t) and t^(1/2) once and gives every moment's
+    integrand as w(t) t^(k/2), so V is called once per node.
     """
     alpha = mpf(alpha)
     if alpha <= -1:
@@ -154,7 +203,7 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
                     vals[k2] = m
                     m = m * (mpf(k2) / 2 + alpha + 1) / n
         else:
-            X = _tail_box(alpha, n, V, mpf(k2max) / 2)
+            X, peaks = _tail_box(alpha, n, V, mpf(k2max) / 2)
 
             def f(t):
                 w, r = t ** alpha * mp.exp(-n * V(t)), mp.sqrt(t)
@@ -163,8 +212,9 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
                     out.append(out[-1] * r)
                 return out
 
-            totals = quad_ts(f, 0, X, dps=d)
-            vals = dict(enumerate(totals))
+            ends = [mpf(0)] + peaks + [X]
+            pieces = [quad_ts(f, a, b, dps=d) for a, b in zip(ends, ends[1:])]
+            vals = dict(enumerate(mp.fsum(parts) for parts in zip(*pieces)))
         for k2, v in vals.items():
             if not (mp.isfinite(v) and v > 0):
                 raise ValueError("moment 2s=%d came out nonpositive: %s"

@@ -38,7 +38,11 @@ Two independent evaluation routes:
   terms of 0F2(-; 1 - c, N + 1; -z), c = b_r - b_p, and their sums of
   reciprocals (Luke, *The Special Functions and Their Approximations*,
   1969; Johansson, "Computing hypergeometric functions rigorously", ACM
-  TOMS 2019).
+  TOMS 2019).  A sheet k (z e^(2 pi i k)) changes only the factors
+  z^(b_k), by e^(2 pi i k b_k), and the log z of the logarithmic family;
+  the 0F2 sums depend on the complex number z alone.  So a caller that
+  needs G on several sheets of one point gets them from one set of sums
+  (:func:`_g3_triples`).
 
 theta-derivative triples (f, theta f, theta^2 f) come for free on both
 routes: term weights (b_k + n)^m in the series (and their derivatives in
@@ -63,6 +67,10 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
     psi1(z) = Gt(z e^{-pi i}),  psi2(z) = Gt(z e^{pi i}),
     psi3(z) = i e^{2 pi i a} (Gt(z e^{-3 pi i}) - Gt(z e^{-pi i})),
     psi4 = psi2 - psi1.
+
+Each takes its three sheets as the turns (0, 1, -1) of one point (z for
+phi, z e^{-pi i} for psi), so on the series route one scalar set costs
+one 0F2 pass per family.
 """
 
 from __future__ import annotations
@@ -182,16 +190,37 @@ def _plain_coef(bkey, k, dps):
     return gamma(others[0] - bb[k], dps=dps) * gamma(others[1] - bb[k], dps=dps)
 
 
-def _plain_family(bb, bkey, k, point, zc, dps):
-    """Family k of the residue sum (simple poles s = -b_k - n) as the triple
-    z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) (S0, S1, S2) of
-    0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices;
-    its gamma, power and 0F2 factors carry ``dps`` digits."""
-    others = [bb[j] for j in range(3) if j != k]
+def _family_sums(bb, form, zc, dps):
+    """The sheet-free part of the residue series at z = ``zc``: the 0F2
+    sums at -z of each family, in the order :func:`_series_triples` takes
+    them.  For ``form`` "plain", family k's (S0, S1, S2) of
+    0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices,
+    weighted by b_k + n (:func:`hyper0f2_theta`); for a logarithmic pair
+    (p, q, N), first the sums (S, R) of 0F2(-; 1 - c, N + 1; -z),
+    c = b_r - b_p, weighted by b_p + n (:func:`hyper0f2_log_theta`), then
+    family r's sums.  Each carries ``dps`` digits."""
+    if form == "plain":
+        sums, plain = [], range(3)
+    else:
+        p, q, n = form
+        r = 3 - p - q
+        sums = [hyper0f2_log_theta(1 - (bb[r] - bb[p]), n + 1, -zc, c=bb[p],
+                                   dps=dps)]
+        plain = (r,)
+    for k in plain:
+        i, j = (x for x in range(3) if x != k)
+        sums.append(hyper0f2_theta(1 + bb[k] - bb[i], 1 + bb[k] - bb[j], -zc,
+                                   c=bb[k], dps=dps))
+    return sums
+
+
+def _plain_part(bb, bkey, k, sums, point, dps):
+    """Family k of the residue sum (simple poles s = -b_k - n) on the sheet
+    of ``point``: z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) times its
+    sheet-free sums (S0, S1, S2); the gamma and power factors carry
+    ``dps`` digits."""
     pref = _plain_coef(bkey, k, dps) * point.power(bb[k], dps=dps)
-    inner = hyper0f2_theta(1 + bb[k] - others[0], 1 + bb[k] - others[1],
-                           -zc, c=bb[k], dps=dps)
-    return [pref * x for x in inner]
+    return [pref * x for x in sums]
 
 
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
@@ -212,9 +241,10 @@ def _log_coefs(bkey, pair, dps):
     return front, h0, simple
 
 
-def _log_families(bb, bkey, pair, point, zc, dps):
+def _log_part(bb, bkey, pair, sums, point, dps):
     """Families p and q of the residue sum when b_p - b_q = N is an integer
-    >= 0, as one theta triple.
+    >= 0, as one theta triple on the sheet of ``point``, from the
+    sheet-free sums (S0, S1, S2, R0, R1, R2) of :func:`_family_sums`.
 
     Family q's poles s = -b_q - k, k < N, are simple.  From s = -b_p on the
     poles of Gamma(b_p + s) and Gamma(b_q + s) coincide; with c = b_r - b_p,
@@ -227,12 +257,12 @@ def _log_families(bb, bkey, pair, point, zc, dps):
     reciprocals (:func:`hyper0f2_log_theta`), H_0 = psi(1) + psi(N+1)
     + psi(c) (:func:`_log_coefs`).  theta^m of z^u (A - zeta) is
     z^u ((A - zeta) u^m - m u^(m-1)), so the triple is z^(b_p) front
-    (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.
+    (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.  Only zeta and the powers
+    of z depend on the sheet.
     """
     p, q, n = pair
-    bp, bq, br = bb[p], bb[q], bb[3 - p - q]
+    bp, bq = bb[p], bb[q]
     front, h0, simple = _log_coefs(bkey, pair, dps)
-    sums = hyper0f2_log_theta(1 - (br - bp), n + 1, -zc, c=bp, dps=dps)
     s, rs = sums[:3], sums[3:]
     a = h0 - point.clog(dps=dps)
     pref = front * point.power(bp, dps=dps)
@@ -246,27 +276,22 @@ def _log_families(bb, bkey, pair, point, zc, dps):
     return out
 
 
-def g303_series(b, point, dps=None, with_theta=False):
-    """G^{3,0}_{0,3}(z|b) by the residue series.
+def _sheets(point, turns):
+    """``point`` turned by 2 pi k for each k of ``turns`` (the point itself
+    for k = 0), at the working precision of its caller."""
+    return [point.rotated(2 * k * mp.pi) if k else point for k in turns]
 
-    With pairwise differences of the parameters a safe distance
-    (RESONANCE_TOL) from the integers, the sum of the three Frobenius
-    families (module docstring).  When exactly one pair differs by an
-    integer, b_p - b_q = N >= 0 exactly (the exact mpf difference,
-    :func:`_series_form`), families p and q collide and are summed as the
-    logarithmic residue series of :func:`_log_families`, the third family
-    as before.  Any other b within the RESONANCE_TOL window -- resonant to
-    many digits but not exactly, or triply resonant -- raises :class:`ResonantParameterError`;
-    callers should fall back to :func:`mb_loop`.  A logarithmic pair with
-    N beyond specfun's _MAX_TERMS would need N simple-pole coefficients
-    before its first term and raises :class:`SeriesConvergenceError`
-    instead.  The gamma and digamma constants in front of the families
-    depend on b and the digits alone and are cached by their exact values.
 
-    The families cancel where G is recessive, by the digits an entire 0F2
-    series of |z| = r loses (specfun's :func:`_cancellation_digits`, about
-    2.4 r^(1/3)), so the sum is raised by that loss, and the gamma, power
-    and 0F2 factors are asked for d + that loss digits.
+def _series_triples(b, point, turns, dps):
+    """The theta triples of G^{3,0}_{0,3}(.|b) by the residue series on the
+    sheets ``turns`` of ``point`` (:func:`g303_series`, which says what b
+    it takes and what it raises).
+
+    Only the factors z^(b_k) of the families and the log z of a
+    logarithmic pair depend on the sheet; the 0F2 sums depend on the
+    complex number z alone.  They are summed once, at ``point``
+    (:func:`_family_sums`), and every sheet multiplies them by its own
+    powers and logarithm (:func:`_plain_part`, :func:`_log_part`).
     """
     form = _series_form(b)
     if form is None:
@@ -283,17 +308,49 @@ def g303_series(b, point, dps=None, with_theta=False):
         dc = d + lost
         bb = [mpf(x) for x in b]
         bkey = tuple(x._mpf_ for x in bb)
-        zc = point.to_mpc(dps=dc)
-        if form == "plain":
-            parts = [_plain_family(bb, bkey, k, point, zc, dc)
-                     for k in range(3)]
-        else:
-            p, q, _ = form
-            parts = [_log_families(bb, bkey, form, point, zc, dc),
-                     _plain_family(bb, bkey, 3 - p - q, point, zc, dc)]
-        acc = [+sum(part[m] for part in parts) for m in range(3)]
+        sums = _family_sums(bb, form, point.to_mpc(dps=dc), dc)
+        out = []
+        for pt in _sheets(point, turns):
+            if form == "plain":
+                parts = [_plain_part(bb, bkey, k, sums[k], pt, dc)
+                         for k in range(3)]
+            else:
+                p, q, _ = form
+                parts = [_log_part(bb, bkey, form, sums[0], pt, dc),
+                         _plain_part(bb, bkey, 3 - p - q, sums[1], pt, dc)]
+            out.append(tuple(+sum(part[m] for part in parts)
+                             for m in range(3)))
+    return out
+
+
+def g303_series(b, point, dps=None, with_theta=False):
+    """G^{3,0}_{0,3}(z|b) by the residue series.
+
+    With pairwise differences of the parameters a safe distance
+    (RESONANCE_TOL) from the integers, the sum of the three Frobenius
+    families (module docstring).  When exactly one pair differs by an
+    integer, b_p - b_q = N >= 0 exactly (the exact mpf difference,
+    :func:`_series_form`), families p and q collide and are summed as the
+    logarithmic residue series of :func:`_log_part`, the third family
+    as before.  Any other b within the RESONANCE_TOL window -- resonant to
+    many digits but not exactly, or triply resonant -- raises :class:`ResonantParameterError`;
+    callers should fall back to :func:`mb_loop`.  A logarithmic pair with
+    N beyond specfun's _MAX_TERMS would need N simple-pole coefficients
+    before its first term and raises :class:`SeriesConvergenceError`
+    instead.  The gamma and digamma constants in front of the families
+    depend on b and the digits alone and are cached by their exact values.
+
+    The families cancel where G is recessive, by the digits an entire 0F2
+    series of |z| = r loses (specfun's :func:`_cancellation_digits`, about
+    2.4 r^(1/3)), so the sum is raised by that loss, and the gamma, power
+    and 0F2 factors are asked for d + that loss digits.
+
+    This is the one-sheet case of :func:`_series_triples`, which sums the
+    0F2 families once for all the sheets of one z that a caller asks for.
+    """
+    acc = _series_triples(b, point, (0,), dps)[0]
     if with_theta:
-        return tuple(acc)
+        return acc
     return acc[0]
 
 
@@ -593,10 +650,16 @@ def pick_route(b, m):
     return "series"
 
 
-def _g3_triple(b, point, dps):
+def _g3_triples(b, point, turns, dps):
+    """The theta triples of G^{3,0}_{0,3}(.|b) on the sheets ``turns`` of
+    ``point`` (turned by 2 pi k for each k), one per turn, by the route of
+    :func:`pick_route`: the series sums its 0F2 families once for all of
+    them (:func:`_series_triples`), the loop makes one :func:`mb_loop` call
+    a sheet."""
     if pick_route(b, 3) == "series":
-        return g303_series(b, point, dps=dps, with_theta=True)
-    return mb_loop(b, point, m=3, dps=dps, with_theta=True)
+        return _series_triples(b, point, turns, dps)
+    return [mb_loop(b, pt, m=3, dps=dps, with_theta=True)
+            for pt in _sheets(point, turns)]
 
 
 def _txc(triple, const):
@@ -617,11 +680,8 @@ def phi_scalars(alpha, point, dps=None):
     a = mpf(alpha)
     b = (mpf(0), -a, -a - mpf("0.5"))
     with working(dps) as d:
-        twopi = 2 * mp.pi
-        e_plus = mp.exp(mpc(0, 1) * twopi * a)   # e^{2 pi i a}
-        g0 = _g3_triple(b, point, d)
-        gp = _g3_triple(b, point.rotated(+twopi), d)
-        gm = _g3_triple(b, point.rotated(-twopi), d)
+        e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)   # e^{2 pi i a}
+        g0, gp, gm = _g3_triples(b, point, (0, 1, -1), d)
         phi1 = _txc(gp, mpc(0, 1) * e_plus)
         phi2 = _txc(gm, mpc(0, -1) / e_plus)
         phi3 = tuple(+x for x in g0)
@@ -636,9 +696,7 @@ def psi_scalars(alpha, point, dps=None):
     with working(dps) as d:
         pi_ = mp.pi
         e_plus = mp.exp(mpc(0, 1) * 2 * pi_ * a)
-        g_m1 = _g3_triple(b, point.rotated(-pi_), d)
-        g_p1 = _g3_triple(b, point.rotated(+pi_), d)
-        g_m3 = _g3_triple(b, point.rotated(-3 * pi_), d)
+        g_m1, g_p1, g_m3 = _g3_triples(b, point.rotated(-pi_), (0, 1, -1), d)
         psi1 = tuple(+x for x in g_m1)
         psi2 = tuple(+x for x in g_p1)
         psi3 = _txc(_tadd(g_m3, _txc(g_m1, mpc(-1))), mpc(0, 1) * e_plus)
@@ -655,6 +713,5 @@ def psi3_alternate(alpha, point, dps=None):
     with working(dps) as d:
         pi_ = mp.pi
         e_minus = mp.exp(mpc(0, -1) * 2 * pi_ * a)
-        g_p1 = _g3_triple(b, point.rotated(+pi_), d)
-        g_p3 = _g3_triple(b, point.rotated(+3 * pi_), d)
+        g_p1, g_p3 = _g3_triples(b, point.rotated(+pi_), (0, 1), d)
         return _txc(_tadd(g_p1, _txc(g_p3, mpc(-1))), mpc(0, 1) * e_minus)

@@ -103,7 +103,14 @@ def _classify(point, side):
     return 2, (point if th > 0 else point.rotated(2 * mp.pi))
 
 
-def _assemble(scalars, layout, row_order):
+def _assemble(scalars, frame, quadrant):
+    """The ``frame`` ("phi" or "psi") matrix of a quadrant from its scalar
+    triples: the quadrant's column layout, and rows (f, theta f,
+    theta^2 f) for Phi, (theta^2 g, theta g, g) for Psi."""
+    if frame == "phi":
+        layout, row_order = _PHI_LAYOUT[quadrant], (0, 1, 2)
+    else:
+        layout, row_order = _PSI_LAYOUT[quadrant], (2, 1, 0)
     triples = {1: scalars.f1, 2: scalars.f2, 3: scalars.f3, 4: scalars.f4}
     cols = [tuple(sign * x for x in triples[idx]) for idx, sign in layout]
     return [[cols[j][i] for j in range(3)] for i in row_order]
@@ -113,16 +120,14 @@ def phi_matrix(alpha, point, dps=None, side=None):
     """Phi_alpha at a sector point; rows (f, theta f, theta^2 f)."""
     with working(dps) as d:
         quadrant, ev = _classify(point, side)
-        sc = phi_scalars(alpha, ev, dps=d)
-        return _assemble(sc, _PHI_LAYOUT[quadrant], (0, 1, 2))
+        return _assemble(phi_scalars(alpha, ev, dps=d), "phi", quadrant)
 
 
 def psi_matrix(alpha, point, dps=None, side=None):
     """Psi_alpha at a sector point; rows (theta^2 g, theta g, g)."""
     with working(dps) as d:
         quadrant, ev = _classify(point, side)
-        sc = psi_scalars(alpha, ev, dps=d)
-        return _assemble(sc, _PSI_LAYOUT[quadrant], (2, 1, 0))
+        return _assemble(psi_scalars(alpha, ev, dps=d), "psi", quadrant)
 
 
 # ----------------------------------------------------------------------
@@ -159,14 +164,21 @@ _RAY_ANGLE = {"pos": 0.0, "ipos": 0.5, "ineg": -0.5, "neg": 1.0}
 
 
 def jump_residual(alpha, ray, modulus, dps=None, frame="phi"):
-    """Relative residual of F_+ = F_- J on the given ray at |z| = modulus."""
-    build = phi_matrix if frame == "phi" else psi_matrix
+    """Relative residual of F_+ = F_- J on the given ray at |z| = modulus.
+
+    Off the negative axis both sides evaluate the scalars at the same
+    point and differ only in their quadrant's column layout, so the
+    scalars are computed once there."""
+    scalars = phi_scalars if frame == "phi" else psi_scalars
     jump = phi_jump if frame == "phi" else psi_jump
     with working(dps) as d:
         th = mpf(_RAY_ANGLE[ray]) * mp.pi
         pt = SectorPoint(mpf(modulus), th)
-        fp = build(alpha, pt, dps=d, side="+")
-        fm = build(alpha, pt, dps=d, side="-")
+        (qp, ev_p), (qm, ev_m) = (_classify(pt, side) for side in "+-")
+        sc_p = scalars(alpha, ev_p, dps=d)
+        sc_m = sc_p if ev_m == ev_p else scalars(alpha, ev_m, dps=d)
+        fp = _assemble(sc_p, frame, qp)
+        fm = _assemble(sc_m, frame, qm)
         J = jump(ray, alpha, dps=d)
         resid = norm_max([[fp[i][j] - x for j, x in enumerate(row)]
                           for i, row in enumerate(mat_mul(fm, J))])

@@ -31,6 +31,7 @@ from mbhalf.equilibrium import (
     _cell_log_table,
     _energy_operator,
     _kkt_active_set,
+    _mirror_upper,
     _sqrt_log_kernel,
     _sqrt_log_orders,
 )
@@ -252,6 +253,19 @@ def test_sqrt_log_kernel_row_orders(m):
     del S8
     S20 = _uniform_order_kernel(h, m, 20)
     assert np.max(np.abs(S - S20)[1:, 1:]) <= 2e-15
+
+
+@pytest.mark.parametrize("m", [1, 200, 255, 256, 257, 800, 2000])
+def test_mirror_upper_matches_the_row_by_row_fill(m):
+    # the kernel mirrors its upper triangle once, in column blocks, after
+    # its row loop; that must give the bits of copying each row onto its
+    # column as the row is made, across and on the block edges
+    a = np.random.default_rng(m).standard_normal((m, m))
+    ref = a.copy()
+    for i in range(m):
+        ref[i:, i] = ref[i, i:]
+    _mirror_upper(a)
+    assert np.array_equal(a, ref)
 
 
 @pytest.mark.parametrize("V, box, m", [

@@ -132,8 +132,8 @@ def test_tail_box_bisects_the_doubling_bracket():
     # doubling from 4 alone stops at 128, twice the needed box
     alpha, n, smax, d = mpf("0.1"), 2, mpf(3), 40
     with mp.workdps(d + 10):
-        X = _tail_box(alpha, n, lambda x: x, smax)
-        assert X <= 66
+        X, peaks = _tail_box(alpha, n, lambda x: x, smax)
+        assert X <= 66 and peaks == []
         assert X ** (smax + alpha) * mp.exp(-n * X) < mpf(10) ** (-(d + 10))
 
 
@@ -148,6 +148,24 @@ def test_tail_box_finds_mass_beyond_the_first_small_point():
             ref = mp.quad(lambda x: mp.exp(-n * (x - 10) ** 2),
                           [0, 10, mp.inf])
             assert abs(got.value(mpf(0)) - ref) < mpf("1e-25"), n
+
+
+@pytest.mark.parametrize("n", [100, 1000, 3000])
+def test_moments_resolve_a_narrow_well_inside_the_box(n):
+    # the well at 50 (where the integrand is e^-n) takes the box there, and
+    # the well at 6, about 1/sqrt(n) wide, lies deep inside it; the
+    # doubling points 4 and 8 bracket its peak, and the pass is split
+    # there.  One pass over [0, X] raised QuadratureConvergenceError at
+    # n = 3000
+    def V(x):
+        return min((x - 6) ** 2, (x - 50) ** 2 + 1)
+
+    got = moments(mpf(0), n, V, smax=0, dps=30)
+    with mp.workdps(40):
+        X, peaks = _tail_box(mpf(0), n, V, mpf(0))
+        assert [round(float(x)) for x in peaks] == [6] and X >= 50
+        ref = mp.quad(lambda x: mp.exp(-n * V(x)), [0, 6, 50, mp.inf])
+        assert abs(got.value(0) - ref) < mpf("1e-25") * ref, n
 
 
 @pytest.fixture(scope="module")

@@ -344,6 +344,45 @@ def test_route_agreement_random_sweep():
             assert abs(vs - vl) / abs(vl) < mpf("1e-35"), (alpha, r, ang)
 
 
+@pytest.mark.parametrize("d", [30, 60])
+def test_shared_sheets_match_per_sheet_calls(d):
+    # the series sums its 0F2 families once for all the turns of one point;
+    # every sheet must agree with its own g303_series call at the rotated
+    # point to 10^-d.  phi's b is plain at alpha = -0.4 and 0.3, a
+    # logarithmic pair at 0, 1/2 and 1
+    turns = (-2, -1, 0, 1, 2)
+    with mp.workdps(d + 20):
+        for alpha in ("-0.4", "0", "0.3", "0.5", "1"):
+            a = mpf(alpha)
+            b = (mpf(0), -a, -a - mpf("0.5"))
+            assert meijer.pick_route(b, 3) == "series"
+            for modulus in ("0.5", "10", "1000"):
+                pt = SectorPoint(mpf(modulus), mpf("0.4"))
+                shared = meijer._g3_triples(b, pt, turns, d)
+                for k, got in zip(turns, shared):
+                    ref = g303_series(b, pt.rotated(2 * mp.pi * k), dps=d,
+                                      with_theta=True)
+                    for x, y in zip(got, ref):
+                        assert abs(x - y) <= mpf(10) ** -d * abs(y), (
+                            alpha, modulus, k)
+
+
+def test_shared_sheets_near_resonance_take_the_loop():
+    # inside the resonance window without exact resonance every sheet is
+    # its own mb_loop call at the rotated point
+    b = (mpf(0), mpf("-1e-8"), mpf("-0.5"))
+    assert meijer.pick_route(b, 3) == "loop"
+    turns = (-2, -1, 0, 1, 2)
+    with mp.workdps(40):
+        pt = SectorPoint(mpf("0.5"), mpf("0.4"))
+        shared = meijer._g3_triples(b, pt, turns, 30)
+        for k, got in zip(turns, shared):
+            ref = mb_loop(b, pt.rotated(2 * mp.pi * k), m=3, dps=30,
+                          with_theta=True)
+            for x, y in zip(got, ref):
+                assert abs(x - y) <= mpf("1e-30") * abs(y), k
+
+
 def test_phi_scalars_internal_identity():
     # phi4 is assembled as phi1 + phi2 and must also equal the single-series
     # form -4 pi^2 0F2 / (Gamma(1+a) Gamma(3/2+a)); checked in the

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
+from mbhalf import meijer, rhframe
+from mbhalf.cli import main
 from mbhalf.meijer import SectorPoint
 from mbhalf.mpcore import (
     det3,
@@ -218,3 +220,55 @@ def test_jump_residual_seeded_moduli():
             a = mpf(float(rng.uniform(-0.4, 1.2)))
             ray = RAYS[rng.integers(0, 4)]
             assert jump_residual(a, ray, r, dps=30) < mpf("1e-25"), (ray, r, a)
+
+
+@pytest.fixture
+def series_passes(monkeypatch):
+    """The 0F2 passes of the residue series: a list that grows by one name
+    per call of the hyper0f2_theta / hyper0f2_log_theta that meijer binds."""
+    calls = []
+    for name in ("hyper0f2_theta", "hyper0f2_log_theta"):
+        def counted(*args, _name=name, _f=getattr(meijer, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(meijer, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, passes", [("0.3", 3), ("0", 2)])
+def test_phi_matrix_sums_each_family_once(series_passes, alpha, passes):
+    # Phi takes G on three sheets of one point; the 0F2 families depend on
+    # z alone and are summed once: three plain families at alpha = 0.3, a
+    # logarithmic pair and a plain family at alpha = 0 (9 and 6 passes when
+    # every sheet summed its own)
+    phi_matrix(mpf(alpha), SectorPoint(mpf("1.3"), mpf("0.7")), dps=30)
+    assert len(series_passes) == passes
+
+
+@pytest.mark.parametrize("frame", ["phi", "psi"])
+def test_jump_residual_shares_the_scalars_of_both_sides(monkeypatch, frame):
+    # off the negative axis both sides of a ray evaluate the scalars at the
+    # same point: one scalar set there, two on the negative axis
+    name = frame + "_scalars"
+    sets = []
+
+    def counted(*args, _f=getattr(rhframe, name), **kwargs):
+        sets.append(args[1])
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(rhframe, name, counted)
+    for ray, count in (("pos", 1), ("ipos", 1), ("ineg", 1), ("neg", 2)):
+        sets.clear()
+        assert jump_residual(ALPHA, ray, mpf("0.7"), dps=30,
+                             frame=frame) < mpf("1e-25")
+        assert len(sets) == count, ray
+
+
+def test_rhcheck_series_passes(series_passes, capsys):
+    # the 16-row battery at alpha = 0 evaluates 18 scalar sets, each a
+    # logarithmic pair and a plain family summed once for its three sheets
+    # (144 passes when every sheet and both sides of each ray had their own)
+    assert main(["rhcheck", "--alpha", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 16
+    assert len(series_passes) == 36
+    assert series_passes.count("hyper0f2_log_theta") == 18
