@@ -57,13 +57,16 @@ class MomentTable:
     """Half-integer moments of x^alpha exp(-n V(x)) on [0, oo).
 
     values maps the doubled exponent 2s (an int >= 0) to the moment
-    integral x^(s+alpha) exp(-n V(x)) dx; value() takes s itself.
+    integral x^(s+alpha) exp(-n V(x)) dx; value() takes s itself.  dps is
+    the number of digits :func:`moments` was asked for, the digits every
+    system built from the table works at.
     """
 
     alpha: mpf
     n: int
     V: Union[str, Callable]
     values: Dict[int, mpf]
+    dps: int
 
     def value(self, s):
         key = _twice(s)
@@ -220,7 +223,7 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
                 raise ValueError("moment 2s=%d came out nonpositive: %s"
                                  % (k2, mp.nstr(v, 8)))
         vals = {k: +v for k, v in vals.items()}
-    return MomentTable(alpha=alpha, n=n, V=V, values=vals)
+    return MomentTable(alpha=alpha, n=n, V=V, values=vals, dps=d)
 
 
 @dataclass
@@ -230,14 +233,13 @@ class BiorthoSystem:
     p_coeffs[j] are the ascending coefficients of the monic degree-j
     polynomial p_j(x); q_coeffs[k] those of q_k as a polynomial in
     y = x^(1/2).  gram is the moment matrix G[j][k] = m(j + k/2) the pair
-    diagonalizes.
+    diagonalizes.  The system carries its table's digits, table.dps.
     """
 
     nmax: int
     p_coeffs: List[List[mpf]]
     q_coeffs: List[List[mpf]]
     gram: List[List[mpf]]
-    precision_digits: int
     table: MomentTable
 
     def __post_init__(self):
@@ -250,43 +252,42 @@ class BiorthoSystem:
                 raise ValueError("q_%d has coefficients above its degree" % j)
 
 
-def _ldu_digits(nmax):
-    """Digits of a biorthogonal system of size ``nmax``: max(64, 10 nmax).
-    The moment matrix is Hankel-like and exponentially ill-conditioned, and
-    the schedule keeps the failure mode a detectable pivot error rather than
-    silent noise."""
-    return max(64, 10 * nmax)
-
-
 def biortho_build(mt: MomentTable, nmax: int) -> BiorthoSystem:
     """Build p_0..p_{nmax-1}, q_0..q_{nmax-1} by LDU of the moment matrix.
 
-    Works at :func:`_ldu_digits` digits.  p-coefficients come from
-    inverting the L factor (monic rows), q-coefficients from inverting D*U.
+    p-coefficients come from inverting the L factor (monic rows),
+    q-coefficients from inverting D*U.  The build works at the table's
+    digits d = mt.dps, since no working precision restores digits the
+    moments never had.  The moment matrix is exponentially ill-conditioned
+    in nmax, so a table too short for its size is refused with
+    :class:`SingularMatrixError`: by the LDU's pivot test (a pivot below
+    10^-(d/2) of its row), or when the biorthogonality residual exceeds
+    10^-(w/3) at the build's working digits w.
     """
-    prec = _ldu_digits(nmax)
     need = 3 * (nmax - 1)
     if mt.smax2 < need:
         raise ValueError("moment table covers 2s <= %d but the build needs "
                          "2s <= %d" % (mt.smax2, need))
-    with mp.workdps(prec):
+    with working(mt.dps) as d:
         G = [[mt.values[2 * j + k] for k in range(nmax)] for j in range(nmax)]
         try:
-            L, D, U = ldu_decompose(G, dps=prec)
+            L, D, U = ldu_decompose(G, dps=d)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
-                "biorthogonal construction failed at degree %d (increase "
-                "working precision)" % (exc.minor - 1), minor=exc.minor)
+                "biorthogonal construction failed at degree %d: the %d-digit "
+                "moment table is too short for nmax = %d"
+                % (exc.minor - 1, d, nmax), minor=exc.minor)
         P = unit_lower_inverse(L)
         Uinv = unit_upper_inverse(U)
         Q = [[Uinv[l][k] / D[k] for l in range(nmax)] for k in range(nmax)]
         bs = BiorthoSystem(nmax=nmax, p_coeffs=P, q_coeffs=Q, gram=G,
-                           precision_digits=prec, table=mt)
-        resid = biortho_residual(bs)
-        if resid > mpf(10) ** (-(prec // 3)):
+                           table=mt)
+        resid, w = biortho_residual(bs), mp.dps
+        if resid > mpf(10) ** (-(w // 3)):
             raise SingularMatrixError(
-                "biorthogonality residual %s exceeds 10^-%d; precision "
-                "schedule insufficient" % (mp.nstr(resid, 5), prec // 3))
+                "biorthogonality residual %s exceeds 10^-%d: the %d-digit "
+                "moment table is too short for nmax = %d"
+                % (mp.nstr(resid, 5), w // 3, d, nmax), minor=nmax)
     return bs
 
 
@@ -294,7 +295,7 @@ def biortho_residual(bs: BiorthoSystem):
     """max_jk |integral p_j q_k w - delta_jk|, by moment recombination;
     each of the two dot products is one exact-product ``mp.fdot``."""
     n = bs.nmax
-    with mp.workdps(bs.precision_digits):
+    with working(bs.table.dps):
         worst = mpf(0)
         gram_cols = list(zip(*bs.gram))
         for j in range(n):
@@ -309,7 +310,7 @@ def biortho_residual(bs: BiorthoSystem):
 
 def _half_moment(bs, coeffs, k):
     """integral P(x) x^(k/2) w(x) dx for a coefficient list P."""
-    return mp.fdot((c, bs.table.value(mpf(2 * i + k) / 2))
+    return mp.fdot((c, bs.table.values[2 * i + k])
                    for i, c in enumerate(coeffs) if c != 0)
 
 
@@ -322,7 +323,7 @@ def multiple_orthogonality_check(bs: BiorthoSystem):
     residual is pure rounding noise for a correctly built system.
     """
     worst = mpf(0)
-    with mp.workdps(bs.precision_digits):
+    with working(bs.table.dps):
         for d in range(1, bs.nmax):
             row = bs.p_coeffs[d][:d + 1]
             for i in (1, 2):
@@ -351,10 +352,10 @@ def finite_kernel(bs: BiorthoSystem, x, y):
     """K_n(x, y) = w(y) * sum_{j<n} p_j(x) q_j(y^(1/2)),  n = bs.nmax.
 
     Not symmetric in (x, y): the second slot goes through the dual family.
-    Evaluated by Horner at the system's working precision (the coefficients
+    Evaluated by Horner at the system's digits, table.dps (the coefficients
     cancel heavily for x, y inside the bulk).
     """
-    with mp.workdps(bs.precision_digits):
+    with working(bs.table.dps):
         x = mpf(x)
         rt = mp.sqrt(mpf(y))
         total = mp.fsum(

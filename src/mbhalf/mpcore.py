@@ -40,8 +40,8 @@ raise; no other module names :data:`GUARD_DIGITS`.
 * A private helper that runs only under its caller's raise does not raise
   again, unless it is cached by its digits (:func:`_ts_nodes`): then its
   own raise makes the cache key fix the precision.
-* Absolute digits bypass the rule: the LDU schedule of the finite-n
-  systems and the ambient precision of the command line.
+* Absolute digits bypass the rule only in the ambient precision of the
+  command line.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ def test_11_scaling_constant_chain():
 
 
 def test_12_finite_n_certificates():
-    # the nmax = 16 family builds at 160 digits by the precision schedule
+    # the nmax = 16 family builds at its 160-digit table's digits
     mt16 = moments(mpf("0.5"), 16, "laguerre", smax=mpf(45) / 2, dps=160)
     bs16 = biortho_build(mt16, 16)
     r_bi = biortho_residual(bs16)

@@ -24,6 +24,7 @@ from mbhalf import finiten
 from mbhalf.cli import main
 from mbhalf.finiten import _tail_box
 from mbhalf.kernel import _meijer_or_diag
+from mbhalf.mpcore import SingularMatrixError, working
 
 
 def test_laguerre_moments_closed_form():
@@ -178,7 +179,7 @@ def test_biortho_structure(system6):
     bs = system6
     assert bs.nmax == 6
     assert bs.p_coeffs[0][0] == 1
-    with mp.workdps(bs.precision_digits):
+    with working(bs.table.dps):
         # q_0 = 1 / m(0)
         assert abs(bs.q_coeffs[0][0] - 1 / bs.table.value(0)) < mpf("1e-50")
         for j in range(6):
@@ -196,6 +197,53 @@ def test_biortho_residual_at_n32(alpha):
     # (alpha = 0) and 8.1e-283 (alpha = 0.23) here
     mt = moments(mpf(alpha), 32, "laguerre", smax=mpf(93) / 2, dps=320)
     assert biortho_residual(biortho_build(mt, 32)) <= mpf("1e-284")
+
+
+def _hard_edge_error(alpha, n, d):
+    """The LDU system of a d-digit Laguerre table, its certificate, and its
+    kernel's relative error against the closed form at (1, 2)/(n^3/4)."""
+    alpha = mpf(alpha)
+    mt = moments(alpha, n, "laguerre", smax=mpf(3 * (n - 1)) / 2, dps=d)
+    bs = biortho_build(mt, n)
+    s = mpf(n) ** 3 / 4
+    with mp.workdps(d + 40):
+        ref = laguerre_kernel(alpha, n, 1 / s, 2 / s, dps=d + 30)
+        err = abs(finite_kernel(bs, 1 / s, 2 / s) - ref) / abs(ref)
+    return biortho_residual(bs), err
+
+
+@pytest.mark.parametrize("n", [24, 32, 48, 64])
+def test_short_moment_table_is_refused(n):
+    # the build works at its table's digits, so a 30-digit table too short
+    # for its size fails the pivot test; at 10n digits it returned kernels
+    # off by 3e-15 (n = 32), 2e-3 (48) and 0.13 (64) with certificates of
+    # 1e-286 and below
+    with pytest.raises(SingularMatrixError):
+        _hard_edge_error("0.3", n, 30)
+
+
+@pytest.mark.parametrize("alpha, n, d", [("0.3", 16, 30), ("0", 32, 44),
+                                         ("0", 40, 60)])
+def test_certificate_bounds_the_kernel_error(alpha, n, d):
+    # tables that do build: the certificate, taken at the table's digits,
+    # is no smaller than the kernel's error (3.3e-25 against 1.4e-30,
+    # 2.4e-20 against 1.5e-28, 1.3e-26 against 2.5e-37)
+    cert, err = _hard_edge_error(alpha, n, d)
+    assert err <= cert
+
+
+def test_thirty_digit_table_still_serves_n16():
+    # about one digit of a 30-digit table is lost at n = 16 (1.4e-30)
+    assert _hard_edge_error("0.3", 16, 30)[1] <= mpf("1e-29")
+
+
+def test_residual_check_raises_the_typed_error(monkeypatch):
+    # a build whose certificate fails names the whole system as its minor
+    monkeypatch.setattr(finiten, "biortho_residual", lambda bs: mpf(1))
+    mt = moments(mpf(0), 4, "laguerre", smax=mpf(9) / 2, dps=40)
+    with pytest.raises(SingularMatrixError) as exc:
+        biortho_build(mt, 4)
+    assert exc.value.minor == 4
 
 
 def test_multiple_orthogonality(system6):
@@ -301,10 +349,11 @@ def test_hard_edge_convergence_regression():
 
 @pytest.mark.parametrize("alpha", ["0", "0.23", "-0.5"])
 def test_laguerre_kernel_matches_the_ldu_route(alpha):
-    # the closed-form sums at 30 digits against the LDU system at 10n
-    # digits: at hard-edge points x, y ~ 4/n^3 they hardly cancel; at the
-    # bulk point (0.5, 1.5) they lose 5 digits at n = 8 and 10 at n = 16,
-    # so only the measured-loss rerun keeps 35 of the 40 working digits
+    # the closed-form sums at 30 digits against the LDU system built at
+    # its table's max(64, 10n) digits: at hard-edge points x, y ~ 4/n^3
+    # they hardly cancel; at the bulk point (0.5, 1.5) they lose 5 digits
+    # at n = 8 and 10 at n = 16, so only the measured-loss rerun keeps 35
+    # of the 40 working digits
     alpha = mpf(alpha)
     for n in (1, 2, 4, 8, 16, 32):
         mt = moments(alpha, n, "laguerre", smax=mpf(3 * max(n - 1, 1)) / 2,
@@ -317,7 +366,7 @@ def test_laguerre_kernel_matches_the_ldu_route(alpha):
         for x, y in points:
             got = laguerre_kernel(alpha, n, x, y, dps=30)
             ref = finite_kernel(bs, x, y)
-            with mp.workdps(bs.precision_digits):
+            with working(bs.table.dps):
                 assert abs(got - ref) <= mpf("1e-35") * abs(ref), (n, x, y)
 
 

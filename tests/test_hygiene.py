@@ -219,9 +219,9 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(2, "os"), (4, "Sequence"), (7, "gamma")]
 
 
-def _raise_arguments(tree, names=("workdps", "working")):
-    """Every argument, keywords included, of the calls in ``tree`` of
-    ``mp.workdps(...)`` or ``working(...)`` (of those in ``names``)."""
+def _raise_calls(tree, names=("workdps", "working")):
+    """The calls in ``tree`` of ``mp.workdps(...)`` or ``working(...)`` (of
+    those in ``names``)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -229,8 +229,13 @@ def _raise_arguments(tree, names=("workdps", "working")):
         name = (func.attr if isinstance(func, ast.Attribute)
                 else getattr(func, "id", None))
         if name in names:
-            for arg in node.args + [k.value for k in node.keywords]:
-                yield arg
+            yield node
+
+
+def _raise_arguments(tree, names=("workdps", "working")):
+    """Every argument, keywords included, of those calls."""
+    for node in _raise_calls(tree, names):
+        yield from node.args + [k.value for k in node.keywords]
 
 
 def _workdps_literals(tree):
@@ -294,8 +299,8 @@ def _policy_breaches(tree):
                          ids=lambda p: p.name)
 def test_precision_rule_stays_in_mpcore(path):
     # one precision policy: outside mpcore every raise of the working
-    # digits goes through mpcore.working; the only other workdps calls set
-    # absolute digits
+    # digits goes through mpcore.working; the CLI's workdps sets the
+    # absolute digits of --precision
     tree = ast.parse(path.read_text(), filename=str(path))
     found = _policy_breaches(tree)
     assert not found, "%s: raise made outside mpcore.working on lines %s" % (
@@ -315,6 +320,36 @@ def test_policy_breach_detector():
                      "    pass\n"
                      "x = GUARD_DIGITS\n")
     assert _policy_breaches(tree) == [1, 2, 5]
+
+
+def _workdps_calls(tree):
+    """Lines that call ``workdps(...)``, as ``mp.workdps`` or bare: a change
+    of the working precision made outside mpcore.working."""
+    return sorted(node.lineno
+                  for node in _raise_calls(tree, names=("workdps",)))
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_workdps_only_in_the_cli(path):
+    # every raise of the working precision goes through mpcore.working;
+    # only the CLI sets the ambient digits its --precision names
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _workdps_calls(tree)
+    assert not found, "%s: mp.workdps called on lines %s" % (path.name, found)
+
+
+def test_workdps_call_detector():
+    tree = ast.parse("with mp.workdps(prec):\n"
+                     "    pass\n"
+                     "with working(d) as d:\n"
+                     "    pass\n"
+                     "with workdps(dps=d):\n"
+                     "    pass\n"
+                     "mp.workdps()\n"
+                     "# mp.workdps(d)\n"
+                     "x = mp.workdps\n")
+    assert _workdps_calls(tree) == [1, 5, 7]
 
 
 #: calls that make a dict
