@@ -18,8 +18,8 @@ from . import __version__
 from . import equilibrium as eq
 from . import rhframe
 from .finiten import DomainExtensionError, hard_edge_convergence
-from .kernel import (_meijer_or_diag, _near_diagonal, kernel_integral,
-                     kernel_meijer)
+from .kernel import (PrecisionLossError, _meijer_or_diag, _near_diagonal,
+                     kernel_integral, kernel_meijer)
 from .meijer import (ResonantParameterError, SectorPoint, g303_series,
                      mb_loop, pick_route)
 from .mpcore import (
@@ -62,6 +62,7 @@ _NUMERICAL_ERRORS = (
     GammaPoleError,
     ResonantParameterError,
     SeriesConvergenceError,
+    PrecisionLossError,
     DomainExtensionError,
     eq.BranchSelectionError,
     eq.DomainError,

@@ -18,12 +18,12 @@ diagonal and for a in (-1,0).  At th=1 it collapses to the classical
 Bessel hard-edge kernel (a Lommel-integral identity used as an
 independent test oracle).
 
-The double series is summed in integers: A_j, C_k and the shifts
-th k + a + 1 become fixed-point integers once, each inner sum
-sum_k C_k / (j + th k + a + 1) is a run of integer floor divisions, and
-the double sum is rounded to an mpf once (:func:`_double_sum`, which
-states the error bound).  The Wright-Bessel terms themselves still stop
-after STOP_RUN consecutive negligible terms.
+The double series is summed in integers: A_j and C_k come as integers
+from the Wright-Bessel term loop (:func:`mbhalf.specfun._wright_terms`,
+which stops each series on an a priori tail bound), a + 1 and th become
+fixed-point integers once, each inner sum sum_k C_k / (j + th k + a + 1)
+is a run of integer floor divisions, and the double sum is rounded to an
+mpf once (:func:`_double_sum`, which states the error bound).
 
 Two normalizations of the limit kernel are in circulation, differing by
 the choice of microscopic scale: the 'plain' one is B above (scale n^3
@@ -45,11 +45,15 @@ The matrix route is specific to th = 1/2:
 with Phi_+ the boundary value of the first-quadrant branch on the
 positive axis and Phi^{-1} taken from the adjoint-frame identity (no
 numerical inversion).  The value is real; the imaginary residue is a
-consistency diagnostic.
+consistency diagnostic.  Near the origin and the diagonal the frames'
+entries cancel in the bilinear form; the route raises its working digits
+by an a priori bound on that loss (:func:`_meijer_loss`) and refuses a
+point that would need more than MAX_LOSS_RAISE of them.
 """
 
 from __future__ import annotations
 
+import math
 from operator import floordiv
 
 from mpmath import mp, mpf, mpc
@@ -64,6 +68,19 @@ from .rhframe import phi_matrix, phi_inverse
 DIAG_GUARD = 1e-6
 #: bits of the double sum's fixed-point scales beyond the working precision
 _SUM_GUARD = 24
+#: digits of the matrix route's a priori loss (:func:`_meijer_loss`) left to
+#: its guard digits: off the origin and the diagonal its value carries about
+#: d + 10 digits, so a loss up to this still leaves d + 5
+_FREE_LOSS = 5
+#: most digits the matrix route raises its working precision by; a point
+#: that needs more is refused with :class:`PrecisionLossError`
+MAX_LOSS_RAISE = 400
+_LOG10_2 = math.log10(2)
+
+
+class PrecisionLossError(ArithmeticError):
+    """The matrix route would lose more digits near the origin or the
+    diagonal than MAX_LOSS_RAISE extra working digits restore."""
 
 
 def _near_diagonal(x, y):
@@ -72,30 +89,53 @@ def _near_diagonal(x, y):
     return abs(x - y) < DIAG_GUARD * max(x, y)
 
 
-def _double_sum(xterms, yterms, shifts):
-    """sum_j A_j sum_k C_k / (j + s_k) for real A = ``xterms``,
-    C = ``yterms``, s = ``shifts`` (all s_k > 0), rounded once to the
-    working precision.
+def _log10_inv(v):
+    """An upper bound on log10(1/v) for v > 0, and 0 for v >= 1."""
+    return max(0, 1 - mp.mag(v)) * _LOG10_2
 
-    With w = prec + _SUM_GUARD, A_j is an integer at the scale
-    2^(top A - w), C_k at 2^(top C - w) and s_k at 2^-w (top: |entry| <=
-    2^top for every entry).  Each C_k / (j + s_k) is one floor division,
-    off by under one unit, and the integer sums are exact; with the
-    truncations of A_j and s_k, J x K terms are off by at most
-    3 J K 2^(top A + top C - w) / min(1, s_0)^2 before the last rounding.
+
+def _meijer_loss(alpha, x, y):
+    """A priori bound on the digits :func:`kernel_meijer` loses at (x, y):
+
+        max(0, alpha + 1/2) log10(1/x) + log10(1/|x - y|),
+
+    each logarithm counted only below 1.  The kernel stays O(1) as
+    x -> 0 while the scalars of Phi_+(x) grow like x^-(alpha+1/2) (the
+    exponents of G^{3,0}_{0,3}(x | 0, -a, -a-1/2)), and the bilinear form
+    vanishes like x - y.  With the raise it sets,
+    30-digit values at alpha in {-0.9, 0, 0.3, 1, 1.9}, x from 1e-100 to 1
+    and gaps from 1e-99 to 2 carried at least 36 correct digits against
+    kernel_integral at 60; without it, 12 at alpha = 1 and x = 1e-20.
+    """
+    return (max(0.0, float(alpha) + 0.5) * _log10_inv(x)
+            + _log10_inv(abs(x - y)))
+
+
+def _double_sum(xterms, ex, yterms, ey, s0, ds):
+    """sum_j A_j sum_k C_k / (j + s_k) for A_j = ``xterms``[j] 2^ex,
+    C_k = ``yterms``[k] 2^ey (the integer terms of
+    :func:`~mbhalf.specfun._wright_terms`) and s_k = s0 + k ds (s0 > 0,
+    ds >= 0), rounded once to the working precision.
+
+    With w = prec + _SUM_GUARD, s0 and ds are truncated to the scale 2^-w,
+    so s_k is off by under (k+1) 2^-w (exact for an mpf s0 >= 2^-24 and
+    ds = 1/2), and each C_k / (j + s_k) is one floor division at the scale
+    2^ey, off by under one unit; the integer sums are exact.  With
+    |A_j| <= 2^(top A), |C_k| <= 2^(top C) and ey <= top C - prec - 20 (the
+    term loops' scale), J x K terms are off by at most
+    J K (1 + K / 16) 2^(top A + top C - prec - 20) / min(1, s0)^2 beyond
+    the terms' own errors, before the last rounding.
     """
     prec = mp.prec
     w = prec + _SUM_GUARD
-    ea = max(mp.mag(t) for t in xterms) - w
-    ec = max(mp.mag(t) for t in yterms) - w
-    a = [_to_fixed(t._mpf_, ea) for t in xterms]
-    c = [_to_fixed(t._mpf_, ec) << w for t in yterms]
-    s = [_to_fixed(t._mpf_, -w) for t in shifts]
+    c = [ck << w for ck in yterms]
+    s0, ds = _to_fixed(s0._mpf_, -w), _to_fixed(ds._mpf_, -w)
+    s = [s0 + k * ds for k in range(len(c))]
     total = 0
-    for j, aj in enumerate(a):
+    for j, aj in enumerate(xterms):
         jw = j << w
         total += aj * sum(map(floordiv, c, [jw + sk for sk in s]))
-    return mp.make_mpf(from_man_exp(total, ea + ec, prec, round_nearest))
+    return mp.make_mpf(from_man_exp(total, ex + ey, prec, round_nearest))
 
 
 def kernel_integral(alpha, x, y, theta=None, dps=None):
@@ -124,15 +164,20 @@ def kernel_integral(alpha, x, y, theta=None, dps=None):
             + _cancellation_digits(yth, _wright_growth(th)))
     with working(d, lost):
         # int_0^1 u^(j + th k + a) du = 1 / (j + th k + a + 1) <= 1 / (a + 1)
-        xterms = _wright_terms((a + 1) / th, 1 / th, xx, d)
-        yterms = _wright_terms(a + 1, th, yth, d)
-        shifts = [th * k + a + 1 for k in range(len(yterms))]
-        return front * th * yy ** a * _double_sum(xterms, yterms, shifts)
+        xterms, ex = _wright_terms((a + 1) / th, 1 / th, xx)
+        yterms, ey = _wright_terms(a + 1, th, yth)
+        return front * th * yy ** a * _double_sum(xterms, ex, yterms, ey,
+                                                  a + 1, th)
 
 
 def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
     """Hard-edge kernel (theta = 1/2) via the boundary frame on R+; the
-    frame's G-functions come by the route of :func:`meijer.pick_route`."""
+    frame's G-functions come by the route of :func:`meijer.pick_route`.
+
+    Near the origin and the diagonal the frames and the bilinear form work
+    at the digits of :func:`_meijer_loss` beyond the _FREE_LOSS its guard
+    digits hold; a point that needs more than MAX_LOSS_RAISE of them
+    raises :class:`PrecisionLossError`."""
     with working(dps) as d:
         xx, yy = mpf(x), mpf(y)
         if xx <= 0 or yy <= 0:
@@ -141,10 +186,18 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
             raise ValueError(
                 "x and y too close for the 1/(x-y) route; "
                 "use kernel_diag_limit")
+        extra = max(0, math.ceil(_meijer_loss(alpha, xx, yy)) - _FREE_LOSS)
+    if extra > MAX_LOSS_RAISE:
+        raise PrecisionLossError(
+            "the matrix route would lose %d digits at (x, y) = (%s, %s), "
+            "more than its %d extra working digits restore; use "
+            "kernel_integral" % (extra + _FREE_LOSS, mp.nstr(xx, 5),
+                                 mp.nstr(yy, 5), MAX_LOSS_RAISE))
+    with working(d, extra):
         px = SectorPoint(xx, mpf(0))
         py = SectorPoint(yy, mpf(0))
-        xmat = phi_matrix(alpha, px, dps=d, side="+")
-        yinv = phi_inverse(alpha, py, dps=d, side="+")
+        xmat = phi_matrix(alpha, px, dps=d + extra, side="+")
+        yinv = phi_inverse(alpha, py, dps=d + extra, side="+")
         # (-1, 1, 0) yinv xmat (1, 1, 0)^T without forming the product
         left = [yinv[1][k] - yinv[0][k] for k in range(3)]
         right = [xmat[k][0] + xmat[k][1] for k in range(3)]

@@ -17,8 +17,17 @@ geometric tail bound (Johansson, "Computing hypergeometric functions
 rigorously", ACM TOMS 2019): once k > max(-b1, -b2) the term ratio
 |z| / |(b1+k)(b2+k)(k+1)| decreases, so when it, times the growth of the
 weights, is below 1/2, the rest of every theta-sum is below twice the next
-weighted term (see :func:`hyper0f2_theta`).  The Wright-Bessel terms still
-stop after STOP_RUN consecutive negligible terms.
+weighted term (see :func:`hyper0f2_theta`).
+
+The Wright-Bessel terms (real x, b > 0) are integers at one scale as well,
+set by the two seed terms, the only ones that need a reciprocal gamma when
+2b is a positive integer and a > 0: the rest follow by an exact two-step
+recurrence, one floor division each.  They stop on an a priori tail bound
+too: the one-step ratio |x| / (j+1) Gamma(a+bj) / Gamma(a+b(j+1))
+decreases in j once a + bj > 0, so once a two-step ratio is at most 1/2
+the rest of the series is below twice the next two terms (see
+:func:`_wright_terms`; Gautschi's inequality bounds the gamma ratio for
+any other b).
 """
 
 from __future__ import annotations
@@ -30,18 +39,15 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .mpcore import _to_fixed, rgamma, working
 
-#: consecutive sub-threshold Wright-Bessel terms required before the
-#: series is declared done
-STOP_RUN = 30
-
 #: term budget of every series; running out raises SeriesConvergenceError
 _MAX_TERMS = 20000
 #: passes a series with a measured cancellation makes before it gives up
 _MAX_PASSES = 3
 #: digits beyond the requested ones that must survive a pass's measured loss
 _KEEP_DIGITS = 8
-#: bits of the 0F2 fixed-point scale beyond the working precision
-_THETA_GUARD_BITS = 20
+#: bits of the fixed-point scales of the 0F2 and Wright-Bessel term loops
+#: beyond the working precision
+_GUARD_BITS = 20
 _LOG10_2 = math.log10(2)
 
 
@@ -134,7 +140,7 @@ def _theta_out(t, h, c, f, prec):
     return sums
 
 
-def _theta_sums(b1, b2, z, c, log=False, guard=_THETA_GUARD_BITS):
+def _theta_sums(b1, b2, z, c, log=False, guard=_GUARD_BITS):
     """(S0, S1, S2) of :func:`hyper0f2_theta` at the working precision, and
     the decimal digits lost to cancellation in S0; with ``log``, also
     (R0, R1, R2) of :func:`hyper0f2_log_theta` after them, the loss being
@@ -291,59 +297,145 @@ def _wright_growth(b):
     return 1.0 / (1.0 + max(float(b), 0.1))
 
 
-def _wright_terms(a, b, x, d):
-    """Terms (-x)^j / (j! Gamma(a+bj)) of J_{a,b}(x) at the ambient precision;
-    the last STOP_RUN terms are each below 10^-(d+5) of the running sum.
-    Raises :class:`SeriesConvergenceError` past _MAX_TERMS terms.
+def _ratio_bound(xf, af, bf, j):
+    """An upper bound on |T_(j+1) / T_j| = |x| / (j+1) Gamma(y) / Gamma(y+b),
+    y = a + b j > 0, for the Wright-Bessel terms of :func:`_wright_terms`:
+    with b = n + s, n an integer and 0 <= s < 1, Gamma(y+b) =
+    Gamma(y+s) prod_(i<n) (y+s+i), and Gautschi's inequality
+    Gamma(y+1) / Gamma(y+s) < (y+1)^(1-s) bounds Gamma(y) / Gamma(y+s) by
+    (y+1)^(1-s) / y.  The bound decreases in j; it is inf where y rounds
+    to 0 or below in floats."""
+    n = int(bf)
+    s = bf - n
+    y = af + bf * j
+    if y <= 0:
+        return math.inf
+    g = xf / (j + 1) * (y + 1) ** (1 - s) / y
+    for i in range(n):
+        g /= y + s + i
+    return g
 
-    For a > 0 with 2b exactly a positive integer (the cases 1/theta = 2,
-    theta = 1/2 and the classical b = 1) the reciprocal gamma of term j+2
-    follows from that of term j by dividing by (a+bj)(a+bj+1)...(a+bj+2b-1).
-    Any other b, however close to a half-integer, pays one reciprocal
-    gamma per term, with poles contributing 0.
+
+def _wright_terms(a, b, x):
+    """Terms T_j = (-x)^j / (j! Gamma(a+bj)) of J_{a,b}(x), real x, b > 0,
+    as Python integers at one scale 2^e, e = top - prec - _GUARD_BITS: the
+    list and e.  top is the magnitude of the larger seed term: the seeds
+    are T_0 .. T_(j0+1), j0 the first index with a + b j0 > 0 (j0 = 0 for
+    a > 0), computed as mpf with one reciprocal gamma each and floored to
+    the scale.  Raises :class:`SeriesConvergenceError` past _MAX_TERMS
+    terms, with the last two partial sums.
+
+    Fast path, a > 0 and 2b = p a positive integer (1/theta = 2,
+    theta = 1/2 and the classical b = 1): the terms follow the exact
+    two-step recurrence T_(j+2) = T_j r_j,
+
+        r_j = x^2 / ((j+1)(j+2) prod_(i<p) (a+bj+i)),
+
+    whose numerator and denominator are integers built exactly from the
+    mpf mantissas of x and a, so each step is a few integer products and
+    one floor division, off by under one unit.  Any other b, however close
+    to a half-integer, pays one reciprocal gamma per term (poles give 0),
+    floored to the scale; r_j is then g_j g_(j+1), the product of two
+    :func:`_ratio_bound` values, raised by 1e-9 against float rounding.
+
+    Stop: for m >= j >= j0 the one-step ratio |T_(m+1) / T_m| =
+    |x| / (m+1) Gamma(a+bm) / Gamma(a+bm+b) decreases in m, because psi
+    increases on (0, inf), so r_j bounds every two-step ratio
+    |T_(m+2) / T_m| with m >= j.  Once r_j <= 1/2, each parity chain after
+    T_(j+1) sums to under twice its next term, and the whole tail
+
+        sum_(m >= j+2) |T_m| <= 2 r_j (|T_j| + |T_(j+1)|).
+
+    The loop stops after T_(j+1) when that bound, with the stored terms
+    for the exact ones, is below one unit of the scale (an exact integer
+    test on the fast path).  So the exact tail is below one unit plus
+    2 r_j (err_j + err_(j+1)) <= err_j + err_(j+1), with err_j the error
+    of the stored T_j in units.
     """
-    stop_eps = mpf(10) ** (-(d + 5))
+    prec = mp.prec
+    # rounding -a/b to nearest never lowers j0 below the first index with
+    # a + b j0 > 0
+    j0 = 0 if a > 0 else int(mp.floor(-a / b)) + 1
+    if j0 + 2 > _MAX_TERMS:
+        raise SeriesConvergenceError(
+            "Wright-Bessel series starts beyond %d terms" % _MAX_TERMS,
+            partial_sums=())
+    seeds, power = [], mpf(1)
+    for j in range(j0 + 2):
+        seeds.append(power * rgamma(a + b * j))
+        power *= -x / (j + 1)
+    e = max((mp.mag(t) for t in seeds if t), default=0) - prec - _GUARD_BITS
+    terms = [_to_fixed(t._mpf_, e) for t in seeds]
     fast = a > 0 and 2 * b >= 1 and mp.isint(2 * b)
     if fast:
+        # a + b j + i = (A + j B + i one) 2^es and x^2 = mx^2 2^(2 ex), so
+        # r_j = num / ((j+1)(j+2) prod_(i<p) (A + j B + i one) << dsh)
         p = int(2 * b)
-        rg, rg_next = rgamma(a), rgamma(a + b)
-    power, total, terms, run = mpf(1), 0 * x, [], 0
-    for j in range(_MAX_TERMS):
+        _, ma, ea, _ = a._mpf_
+        _, mx, ex, _ = x._mpf_
+        es = min(ea, -1)
+        big_a, big_b, one = ma << (ea - es), p << (-1 - es), 1 << -es
+        sh = 2 * ex - p * es
+        num, dsh = mx * mx << max(sh, 0), max(-sh, 0)
+    else:
+        xf, af, bf = abs(float(x)), float(a), float(b)
+    j = j0
+    u, v = terms[-2], terms[-1]
+    while True:
         if fast:
-            term = power * rg
-            rg, rg_next = rg_next, rg / mp.fprod(a + b * j + i for i in range(p))
+            den = (j + 1) * (j + 2)
+            y = big_a + j * big_b
+            for i in range(p):
+                den *= y + i * one
+            den <<= dsh
+            if 2 * num <= den and 2 * num * (abs(u) + abs(v)) < den:
+                return terms, e
         else:
-            term = power * rgamma(a + b * j)
-        terms.append(term)
-        total += term
-        if abs(term) <= stop_eps * (abs(total) or 1):
-            run += 1
-            if run >= STOP_RUN:
-                return terms
+            r = (_ratio_bound(xf, af, bf, j) * _ratio_bound(xf, af, bf, j + 1)
+                 * (1 + 1e-9))
+            if r <= 0.5 and (not r or abs(u) + abs(v) < 0.5 / r):
+                return terms, e
+        if len(terms) >= _MAX_TERMS:
+            raise SeriesConvergenceError(
+                "Wright-Bessel series did not meet its tail bound within %d "
+                "terms" % _MAX_TERMS, partial_sums=tuple(
+                    mp.make_mpf(from_man_exp(sum(t), e, prec, round_nearest))
+                    for t in (terms[:-1], terms)))
+        if fast:
+            w = u * num // den
         else:
-            run = 0
-        power *= -x / (j + 1)
-    raise SeriesConvergenceError(
-        "Wright-Bessel series did not settle within %d terms" % _MAX_TERMS,
-        partial_sums=(total - terms[-1], total))
+            w = _to_fixed((power * rgamma(a + b * (j + 2)))._mpf_, e)
+            power *= -x / (j + 3)
+        terms.append(w)
+        u, v = v, w
+        j += 1
 
 
 def wright_bessel(a, b, x, dps=None):
-    """Wright's generalized Bessel J_{a,b}(x) = sum_j (-x)^j / (j! Gamma(a+bj)).
+    """Wright's generalized Bessel J_{a,b}(x) = sum_j (-x)^j / (j! Gamma(a+bj))
+    for real a and x and b > 0.
 
-    The sum of :func:`_wright_terms` (whose terms the kernel's integral
-    route pairs one by one) with :func:`_series_guard` digits; ``x`` may
-    be complex.  Its loss is max |term| / |sum|, and it reruns by the rule
-    of :func:`_measured_passes`, as :func:`_guarded_theta_sums` does.
+    The integer terms of :func:`_wright_terms` (which the kernel's integral
+    route pairs one by one) summed exactly and rounded once, with
+    :func:`_series_guard` digits.  Its loss is mag(max |term|) - mag(sum),
+    and it reruns by the rule of :func:`_measured_passes`, as
+    :func:`_guarded_theta_sums` does.  Raises ValueError for b <= 0 or
+    complex x, outside the envelope where the tail bound holds.
     """
+    if isinstance(x, (complex, mpc)):
+        raise ValueError("wright_bessel takes real x")
+    if not mpf(b) > 0:
+        raise ValueError("wright_bessel needs b > 0, where its tail bound "
+                         "holds; got b = %s" % b)
+
     def run(d):
-        xx = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
-        terms = _wright_terms(mpf(a), mpf(b), xx, d)
-        total = mp.fsum(terms)
-        big = max(abs(t) for t in terms)
+        terms, e = _wright_terms(mpf(a), mpf(b), mpf(x))
+        total = sum(terms)
+        big = max(map(abs, terms))
+        value = mp.make_mpf(from_man_exp(total, e, mp.prec, round_nearest))
         if not total:  # every digit lost, unless every term is zero
-            return total, mp.dps if big else 0
-        return total, (mp.mag(big) - mp.mag(total)) * _LOG10_2
+            return value, mp.dps if big else 0
+        return value, (big.bit_length() - abs(total).bit_length()) * _LOG10_2
 
     guard = _series_guard(abs(x), _wright_growth(b))
     return _measured_passes(dps, guard, run)

@@ -117,6 +117,21 @@ def test_numerical_failure_exit_code(capsys):
     assert "eqsolve" in capsys.readouterr().err
 
 
+def test_kernel_near_the_origin(capsys):
+    # the matrix route raises its digits by its loss bound near the origin
+    # (it printed -796203.0 here with exit 0), and refuses with exit 3 a
+    # point whose bound exceeds its cap
+    rc = main(["kernel", "--alpha", "0", "--route", "meijer", "--x-grid",
+               "1e-100", "--y-grid", "2", "--precision", "30"])
+    assert rc == 0
+    v = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    assert v == pytest.approx(0.154364970356107, rel=1e-14)
+    rc = main(["kernel", "--alpha", "0.3", "--route", "meijer", "--x-grid",
+               "1e-300", "--y-grid", "1e-299", "--precision", "30"])
+    assert rc == 3
+    assert "matrix route" in capsys.readouterr().err
+
+
 def test_series_budget_exit_code(capsys, monkeypatch):
     # a series that runs out of terms is a numerical failure, not a value
     monkeypatch.setattr(specfun, "_MAX_TERMS", 5)

@@ -1,10 +1,13 @@
 """Hard-edge kernel: integral route vs. matrix route vs. Bessel reduction."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from mbhalf.kernel import (
     DIAG_GUARD,
+    PrecisionLossError,
+    _near_diagonal,
     kernel_diag_limit,
     kernel_imag_residual,
     kernel_integral,
@@ -33,6 +36,24 @@ def test_routes_agree_spotcheck():
             vi = kernel_integral(a, x, y, dps=35)
             vm = kernel_meijer(a, x, y, dps=35)
             assert abs(vm - vi) / abs(vi) < ROUTE_TOL, (a, x, y)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.one_of(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]),
+                       st.floats(-1.0, 2.0, exclude_min=True,
+                                 exclude_max=True)),
+       x=st.floats(0.05, 20.0), y=st.floats(0.05, 20.0))
+def test_routes_agree_over_the_envelope(alpha, x, y):
+    # alpha in (-1, 2), the resonant 2 alpha in Z among the draws (the
+    # logarithmic series), and x, y in [0.05, 20] off the matrix route's
+    # diagonal band; measured within 6e-40 at d = 30 (about 1 s)
+    d = 30
+    a, xx, yy = mpf(alpha), mpf(x), mpf(y)
+    assume(not _near_diagonal(xx, yy))
+    vi = kernel_integral(a, xx, yy, dps=d)
+    vm = kernel_meijer(a, xx, yy, dps=d)
+    with mp.workdps(d + 10):
+        assert abs(vm - vi) <= mpf(10) ** -(d - 5) * abs(vi)
 
 
 def test_integral_route_accuracy_at_requested_digits():
@@ -121,6 +142,25 @@ def test_diag_limit_continuity():
                 assert gap < prev / 5, eps
             prev = gap
         assert prev < mpf("1e-3")
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.3"])
+def test_matrix_route_near_the_origin(alpha):
+    # Phi_+(x)'s scalars grow like x^-(alpha+1/2) while the kernel stays
+    # O(1), and the bilinear form vanishes like x - y: at 30 digits the
+    # unraised route was 5.2e6 (alpha = 0) and 2.6e37 (alpha = 0.3) off
+    # relative at (1e-100, 2), and 1.0 and about 1e136 off at
+    # (1e-100, 1e-99).  Its loss bound now raises the working digits, and
+    # a point beyond MAX_LOSS_RAISE of them is refused
+    d, a = 30, mpf(alpha)
+    for x, y in (("1e-100", "2"), ("1e-100", "1e-99")):
+        xx, yy = mpf(x), mpf(y)
+        ref = kernel_integral(a, xx, yy, dps=50)
+        got = kernel_meijer(a, xx, yy, dps=d)
+        with mp.workdps(60):
+            assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (x, y)
+    with pytest.raises(PrecisionLossError):
+        kernel_meijer(a, mpf("1e-300"), mpf("1e-299"), dps=d)
 
 
 def test_matrix_route_refuses_near_diagonal():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from mbhalf import specfun
+from mbhalf.mpcore import working
 from mbhalf.specfun import (
     SeriesConvergenceError,
     hyper0f2,
@@ -151,18 +152,22 @@ def test_series_out_of_terms_raise_with_partial_sums(monkeypatch):
         assert abs(last - prev - mpf(9) ** 4 / 576) < mpf("1e-28")
 
 
-def _wright_series_oracle(a, b, x, terms=200):
+def _wright_oracle_terms(a, b, x, terms=200):
     # direct definition with mpmath's own rgamma
-    total = mpf(0)
+    out = []
     sign = 1
     xp = mpf(1)
     fact = mpf(1)
     for j in range(terms):
-        total += sign * xp / fact * mp.rgamma(a + b * j)
+        out.append(sign * xp / fact * mp.rgamma(a + b * j))
         sign = -sign
         xp *= x
         fact *= j + 1
-    return total
+    return out
+
+
+def _wright_series_oracle(a, b, x, terms=200):
+    return mp.fsum(_wright_oracle_terms(a, b, x, terms))
 
 
 def test_hyper0f2_log_theta_matches_direct_sums():
@@ -276,3 +281,66 @@ def test_wright_bessel_reruns_while_the_loss_exceeds_the_guard(monkeypatch):
     with pytest.raises(SeriesConvergenceError) as info:
         wright_bessel(a, b, 600, dps=d)
     assert precs == [40, 80] and len(info.value.partial_sums) == 2
+
+
+def _wright_bound_cases():
+    # the kernel's two series at theta = 1/2, 1 and 0.37 (alpha = 0.3), and
+    # b = 0.5 + 1e-13 on the per-term gamma path
+    a = mpf("1.3")
+    for th in (mpf("0.5"), mpf(1), mpf("0.37")):
+        yield a / th, 1 / th
+        yield a, th
+    yield a, mpf("0.5") + mpf("1e-13")
+
+
+@pytest.mark.parametrize("x", ["3", "200", "600"])
+def test_wright_terms_tail_bound(x):
+    # the terms beyond the stop sum to below one unit of the scale plus the
+    # stored last two terms' rounding errors, as _wright_terms states, and
+    # the value meets 10^-(d+5) against the series summed at d + 40 digits
+    # beyond its loss
+    d, x = 30, mpf(x)
+    for a, b in _wright_bound_cases():
+        if b < mpf("0.4") and x > 200:
+            continue  # b = 0.37 at x = 600 alone takes 2.5 s
+        guard = specfun._series_guard(x, specfun._wright_growth(b))
+        with working(d, guard):
+            terms, e = specfun._wright_terms(a, b, x)
+        n = len(terms)
+        got = wright_bessel(a, b, x, dps=d)
+        with mp.workdps(d + 40 + guard):
+            exact = _wright_oracle_terms(a, b, x, n + 300)
+            unit = mpf(2) ** e
+            tail = mp.fsum(abs(t) for t in exact[n:])
+            slack = sum(abs(terms[i] * unit - exact[i])
+                        for i in (n - 2, n - 1))
+            assert tail < unit + slack, (a, b, x)
+            ref = mp.fsum(exact)
+            assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (a, b, x)
+
+
+def test_wright_bessel_at_nonpositive_a():
+    # a <= 0 seeds the scale with T_0 .. T_(j0+1), j0 the first index with
+    # a + b j0 > 0, whose terms start the tail bound; at a = -3, b = 1 the
+    # first four terms vanish (gamma poles) and x = 1e-30 leaves the value
+    # near x^4 / 24; at a = -1 + 1e-20, a + b rounds to 0 in floats, where
+    # the Gautschi ratio bound must not divide by it
+    with mp.workdps(60):
+        for a, b, x in ((mpf("-1.5"), mpf("0.5"), mpf(3)),
+                        (mpf(-1) + mpf("1e-20"), mpf(1), mpf(2)),
+                        (mpf(-3), mpf(1), mpf(2)),
+                        (mpf(-3), mpf(1), mpf("1e-30")),
+                        (mpf("-0.7"), mpf("0.37"), mpf(10))):
+            got = wright_bessel(a, b, x, dps=40)
+            ref = _wright_series_oracle(a, b, x)
+            assert abs(got - ref) <= mpf("1e-45") * abs(ref), (a, b, x)
+
+
+def test_wright_bessel_refuses_outside_the_tail_bound():
+    # the tail bound needs b > 0 (ratios decreasing), and the term loop
+    # takes real x
+    for b in (0, -0.5, -2):
+        with pytest.raises(ValueError, match="b > 0"):
+            wright_bessel(1, b, 2, dps=30)
+    with pytest.raises(ValueError, match="real x"):
+        wright_bessel(1, 1, mpc(1, 1), dps=30)
