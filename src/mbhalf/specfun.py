@@ -37,7 +37,7 @@ import math
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .mpcore import _to_fixed, rgamma, working
+from .mpcore import _to_fixed, working
 
 #: term budget of every series; running out raises SeriesConvergenceError
 _MAX_TERMS = 20000
@@ -319,11 +319,15 @@ def _ratio_bound(xf, af, bf, j):
 def _wright_terms(a, b, x):
     """Terms T_j = (-x)^j / (j! Gamma(a+bj)) of J_{a,b}(x), real x, b > 0,
     as Python integers at one scale 2^e, e = top - prec - _GUARD_BITS: the
-    list and e.  top is the magnitude of the larger seed term: the seeds
-    are T_0 .. T_(j0+1), j0 the first index with a + b j0 > 0 (j0 = 0 for
-    a > 0), computed as mpf with one reciprocal gamma each and floored to
-    the scale.  Raises :class:`SeriesConvergenceError` past _MAX_TERMS
-    terms, with the last two partial sums.
+    list and e.  The seeds are T_0 .. T_(j0+1), j0 the first index with
+    a + b j0 > 0 (j0 = 0 for a > 0), computed as mpf with one reciprocal
+    gamma each and floored to the scale.  top is the magnitude of the larger
+    seed, or on the fast path of the smaller nonzero one.  1/Gamma is
+    entire, so the terms take mpmath's own rgamma, 0 only at a pole, and
+    not :func:`mbhalf.mpcore.rgamma`, whose 0 within 10^(-d/2) of one
+    would drop T_0 ~ a for small a > 0 and with it the whole even chain.
+    Raises :class:`SeriesConvergenceError` past _MAX_TERMS terms, with the
+    last two partial sums.
 
     Fast path, a > 0 and 2b = p a positive integer (1/theta = 2,
     theta = 1/2 and the classical b = 1): the terms follow the exact
@@ -333,10 +337,19 @@ def _wright_terms(a, b, x):
 
     whose numerator and denominator are integers built exactly from the
     mpf mantissas of x and a, so each step is a few integer products and
-    one floor division, off by under one unit.  Any other b, however close
-    to a half-integer, pays one reciprocal gamma per term (poles give 0),
-    floored to the scale; r_j is then g_j g_(j+1), the product of two
-    :func:`_ratio_bound` values, raised by 1e-9 against float rounding.
+    one floor division, off by under one unit.  Each term then carries the
+    relative error of its parity chain's seed: for small a, T_0 ~ a sits
+    far below T_1 while r_0 ~ x^2 / 2a is huge.  Scaled to the smaller seed, both seeds hold at least
+    prec + _GUARD_BITS - 1 bits; as the r_j decrease, a chain rises to its
+    peak P and then falls, so after n steps a term is off by under
+    (n+1) max(1, |P / seed|) units, below (n+1) 2^(1-prec-_GUARD_BITS)
+    max |T| whenever that exceeds a unit, which the measured loss of
+    :func:`wright_bessel` counts.
+
+    Any other b, however close to a half-integer, pays one reciprocal
+    gamma per term (poles give 0), floored to the scale; r_j is then
+    g_j g_(j+1), the product of two :func:`_ratio_bound` values, raised by
+    1e-9 against float rounding.
 
     Stop: for m >= j >= j0 the one-step ratio |T_(m+1) / T_m| =
     |x| / (m+1) Gamma(a+bm) / Gamma(a+bm+b) decreases in m, because psi
@@ -362,11 +375,12 @@ def _wright_terms(a, b, x):
             partial_sums=())
     seeds, power = [], mpf(1)
     for j in range(j0 + 2):
-        seeds.append(power * rgamma(a + b * j))
+        seeds.append(power * mp.rgamma(a + b * j))
         power *= -x / (j + 1)
-    e = max((mp.mag(t) for t in seeds if t), default=0) - prec - _GUARD_BITS
-    terms = [_to_fixed(t._mpf_, e) for t in seeds]
     fast = a > 0 and 2 * b >= 1 and mp.isint(2 * b)
+    top = (min if fast else max)((mp.mag(t) for t in seeds if t), default=0)
+    e = top - prec - _GUARD_BITS
+    terms = [_to_fixed(t._mpf_, e) for t in seeds]
     if fast:
         # a + b j + i = (A + j B + i one) 2^es and x^2 = mx^2 2^(2 ex), so
         # r_j = num / ((j+1)(j+2) prod_(i<p) (A + j B + i one) << dsh)
@@ -404,7 +418,7 @@ def _wright_terms(a, b, x):
         if fast:
             w = u * num // den
         else:
-            w = _to_fixed((power * rgamma(a + b * (j + 2)))._mpf_, e)
+            w = _to_fixed((power * mp.rgamma(a + b * (j + 2)))._mpf_, e)
             power *= -x / (j + 3)
         terms.append(w)
         u, v = v, w

@@ -144,16 +144,18 @@ def test_diag_limit_continuity():
         assert prev < mpf("1e-3")
 
 
-@pytest.mark.parametrize("alpha", ["0", "0.3"])
+@pytest.mark.parametrize("alpha", ["0", "0.3", "1"])
 def test_matrix_route_near_the_origin(alpha):
     # Phi_+(x)'s scalars grow like x^-(alpha+1/2) while the kernel stays
     # O(1), and the bilinear form vanishes like x - y: at 30 digits the
     # unraised route was 5.2e6 (alpha = 0) and 2.6e37 (alpha = 0.3) off
     # relative at (1e-100, 2), and 1.0 and about 1e136 off at
     # (1e-100, 1e-99).  Its loss bound now raises the working digits, and
-    # a point beyond MAX_LOSS_RAISE of them is refused
+    # a point beyond MAX_LOSS_RAISE of them is refused.  Small y alone, where
+    # the kernel vanishes like y^alpha, needs no raise
     d, a = 30, mpf(alpha)
-    for x, y in (("1e-100", "2"), ("1e-100", "1e-99")):
+    for x, y in (("1e-100", "2"), ("1e-100", "1e-99"),
+                 ("2", "1e-100"), ("1", "1e-60")):
         xx, yy = mpf(x), mpf(y)
         ref = kernel_integral(a, xx, yy, dps=50)
         got = kernel_meijer(a, xx, yy, dps=d)
@@ -161,6 +163,19 @@ def test_matrix_route_near_the_origin(alpha):
             assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (x, y)
     with pytest.raises(PrecisionLossError):
         kernel_meijer(a, mpf("1e-300"), mpf("1e-299"), dps=d)
+
+
+def test_integral_route_as_alpha_approaches_minus_one():
+    # both Wright series start at a = 2(alpha+1) and alpha+1, where
+    # 1/Gamma(a) ~ a is the seed of each even chain; against the matrix route
+    d = 30
+    with mp.workdps(60):
+        a = mpf(-1) + mpf("1e-40")
+    for x, y in ((mpf(1), mpf(2)), (mpf("0.3"), mpf(5))):
+        vi = kernel_integral(a, x, y, dps=d)
+        vm = kernel_meijer(a, x, y, dps=d)
+        with mp.workdps(d + 10):
+            assert abs(vi - vm) <= mpf(10) ** -(d + 5) * abs(vm), (x, y)
 
 
 def test_matrix_route_refuses_near_diagonal():

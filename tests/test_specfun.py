@@ -319,6 +319,21 @@ def test_wright_terms_tail_bound(x):
             assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (a, b, x)
 
 
+def test_wright_bessel_fast_path_at_small_a():
+    # for small a > 0, T_0 = 1/Gamma(a) ~ a sits far below T_1 while the
+    # two-step ratio r_0 ~ x^2 / 2a is huge, so the whole even chain
+    # carries T_0's relative error: scaled to the larger seed, or taken
+    # from a reciprocal gamma that returns 0 near a pole, T_0 floored to 0
+    # and dropped every even term (T_2 = 50 at x = 10)
+    d = 30
+    for a in (mpf("1e-40"), mpf("1e-80")):
+        for b in (mpf("0.5"), mpf(2)):
+            got = wright_bessel(a, b, mpf(10), dps=d)
+            with mp.workdps(d + 40):
+                ref = _wright_series_oracle(a, b, mpf(10))
+                assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (a, b)
+
+
 def test_wright_bessel_at_nonpositive_a():
     # a <= 0 seeds the scale with T_0 .. T_(j0+1), j0 the first index with
     # a + b j0 > 0, whose terms start the tail bound; at a = -3, b = 1 the
