@@ -31,7 +31,6 @@ from .mpcore import (
     inv3,
     ldu_decompose,
     quad_ts,
-    rgamma,
     unit_lower_inverse,
     unit_upper_inverse,
     working,
@@ -189,7 +188,8 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     exp(-n V) it can and cannot see.  The pass is split at the peaks
     :func:`_tail_box` finds inside the box, one pass a piece, so that a
     narrow well lies at the end of a piece; without peaks it is one pass.
-    Each node evaluates w(t) and t^(1/2) once and gives every moment's
+    Each node evaluates w(t) = exp(alpha log t - n V(t)) and t^(1/2) once,
+    one log, one exp and one square root, and gives every moment's
     integrand as w(t) t^(k/2), so V is called once per node.
     """
     alpha = mpf(alpha)
@@ -209,7 +209,7 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
             X, peaks = _tail_box(alpha, n, V, mpf(k2max) / 2)
 
             def f(t):
-                w, r = t ** alpha * mp.exp(-n * V(t)), mp.sqrt(t)
+                w, r = mp.exp(alpha * mp.log(t) - n * V(t)), mp.sqrt(t)
                 out = [w]
                 for _ in range(k2max):
                     out.append(out[-1] * r)
@@ -402,7 +402,7 @@ def laguerre_kernel(alpha, n, x, y, dps=None):
         for r in range(1, n):
             g.append(g[-1] * t / r)
         e = list(accumulate(g))                # e_k(t)
-        rg = [rgamma(alpha + 1), rgamma(alpha + mpf(3) / 2)]
+        rg = [mp.rgamma(alpha + 1), mp.rgamma(alpha + mpf(3) / 2)]
         for r in range(2, n):
             rg.append(rg[r - 2] / (mpf(r) / 2 + alpha))
         su, power, U = mp.sqrt(n * y), mpf(1), []

@@ -7,10 +7,11 @@ matrix frames, moment tables) is built on the primitives in this module:
   contract (:class:`GammaPoleError` near a nonpositive integer, an exact 0
   from ``rgamma`` there, ``mpf`` out for real input);
 * ``quad_ts`` -- tanh-sinh (double-exponential) quadrature with level
-  doubling, for endpoint-singular integrands (nodes cached per level and
-  precision in a bounded LRU), the package's one quadrature rule; it takes
-  an integrand that returns a sequence and then returns one integral per
-  component from one evaluation per node;
+  doubling, for endpoint-singular integrands (nodes from two exps each,
+  cached per level and precision in a bounded LRU), the package's one
+  quadrature rule; it takes an integrand that returns a sequence and then
+  returns one integral per component from one evaluation per node, each
+  level's sum of a component one exact-product ``mp.fdot``, rounded once;
 * ``solve_cubic`` -- Cardano with a Newton polish;
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
@@ -176,20 +177,18 @@ def _components(f):
     return g, unwrap
 
 
-def _add_scaled(acc, w, vals):
-    """acc + w * vals componentwise; ``acc`` None stands for zero."""
-    if acc is None:
-        return [w * v for v in vals]
-    return [a + w * v for a, v in zip(acc, vals)]
-
-
 @functools.lru_cache(maxsize=64)
 def _ts_nodes(level, dps):
     """Abscissas for level ``level`` (odd multiples of h except level 0).
 
-    Each node is returned as (t, near-endpoint distance g in (0,1], weight),
-    with g = 1 - |tanh((pi/2) sinh t)| computed cancellation-free, at the
-    working precision dps + GUARD_DIGITS of :func:`quad_ts`.  The pair
+    Each node is returned as (t, g, w): the near-endpoint distance
+    g = 1 - |tanh u| in (0, 1] and the weight w = (pi/2) cosh t / cosh^2 u,
+    u = (pi/2) sinh t.  Two exps make a node: with E = e^t and F = e^(2u),
+    sinh t and cosh t are (E -+ 1/E)/2, g = 2/(F + 1) has no cancellation,
+    and cosh^2 u = (F + 1)^2/(4F) gives w = 2 pi cosh t F/(F + 1)^2.  The
+    rounding of u reaches g and w amplified by about 2u, so they are formed
+    at the working precision dps + GUARD_DIGITS of :func:`quad_ts` plus the
+    digits of 2u at t_max.  The pair
     (level, dps) fixes the precision and the cutoff t_max, so it is the
     exact cache key; the result is an immutable tuple, shared by every
     caller.
@@ -199,6 +198,9 @@ def _ts_nodes(level, dps):
         # tolerance; the factor 4 keeps the tail negligible even against
         # endpoint blow-ups as strong as (x - a)^(-3/4)
         t_max = mp.asinh(4 * (mpf(dps + 15) * _LN10) / mp.pi) + mpf("0.5")
+        # the digits of 2u at t_max, which the rounding of u costs g and w
+        lost = int(mp.log10(mp.pi * mp.sinh(t_max))) + 1
+    with working(dps, lost):
         h = mpf(1) / (1 << level)
         out = []
         k = 1 if level > 0 else 0
@@ -207,10 +209,12 @@ def _ts_nodes(level, dps):
             t = k * h
             if t > t_max:
                 break
-            u = mp.pi / 2 * mp.sinh(t)
-            # 1 - tanh(u) = 2 / (e^{2u} + 1), exact in this form
-            g = 2 / (mp.exp(2 * u) + 1)
-            w = mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
+            E = mp.exp(t)
+            Ei = 1 / E
+            u = mp.pi / 4 * (E - Ei)
+            F = mp.exp(2 * u)
+            g = 2 / (F + 1)
+            w = mp.pi * (E + Ei) * F / (F + 1) ** 2
             out.append((t, g, w))
             k += step
     return h, tuple(out)
@@ -245,6 +249,10 @@ def quad_ts(f, a, b, dps=None, max_level=12):
     the levels go on until every component has converged by that rule on
     its own.  Raises :class:`QuadratureConvergenceError` otherwise, with
     the last two estimates of the component furthest from convergence.
+
+    A level's new nodes are summed per component as one ``mp.fdot`` of
+    the values against the weights of :func:`_ts_nodes` (two exps a
+    node): the products are exact and the sum is rounded once.
     """
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
@@ -256,7 +264,7 @@ def quad_ts(f, a, b, dps=None, max_level=12):
         total = prev = None
         for level in range(0, max_level + 1):
             h, nodes = _ts_nodes(level, d)
-            contrib = None
+            ws, rows = [], []
             for t, gap, w in nodes:
                 if t == 0:
                     xs = (a + half,)
@@ -270,7 +278,9 @@ def quad_ts(f, a, b, dps=None, max_level=12):
                     xs = [x for x, end in ((a + half * gap, a),
                                            (b - half * gap, b)) if x != end]
                 for x in xs:
-                    contrib = _add_scaled(contrib, w, g(x))
+                    ws.append(w)
+                    rows.append(g(x))
+            contrib = [mp.fdot(ws, col) for col in zip(*rows)]
             # level 0 sum includes t=0 once; rescale previous accumulation
             hh = h * half
             if level > 0:

@@ -79,6 +79,22 @@ def test_custom_field_moments_meet_the_requested_digits(n, d):
             assert abs(a - b) / a < mpf(10) ** -d, k2
 
 
+@pytest.mark.parametrize("alpha", ["-0.5", "0", "0.3"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_callable_moments_of_a_nonlinear_field_meet_mp_quad(alpha, n):
+    # V = x + 0.1 x^2 against mpmath's own integrator at 80 digits; alpha
+    # and 0.1 are made once at the ambient digits, to which moments rounds
+    # its alpha, so that both sides integrate the same weight
+    alpha, c = mpf(alpha), mpf("0.1")
+    mt = moments(alpha, n, lambda x: x + c * x ** 2, smax=3, dps=40)
+    with mp.workdps(80):
+        for k2, v in mt.values.items():
+            e = mpf(k2) / 2 + alpha
+            ref = mp.quad(lambda x: x ** e * mp.exp(-n * (x + c * x ** 2)),
+                          [0, 1, 4, mp.inf])
+            assert abs(v - ref) <= mpf("1e-41") * ref, k2
+
+
 def test_callable_moments_share_one_pass_per_node(monkeypatch):
     # all 2*smax+1 moments ride on one vector quadrature: V is evaluated
     # once per node and once per tail-box probe, all at distinct points
@@ -367,6 +383,23 @@ def test_laguerre_kernel_matches_the_ldu_route(alpha):
             got = laguerre_kernel(alpha, n, x, y, dps=30)
             ref = finite_kernel(bs, x, y)
             with working(bs.table.dps):
+                assert abs(got - ref) <= mpf("1e-35") * abs(ref), (n, x, y)
+
+
+def test_laguerre_kernel_next_to_alpha_minus_one():
+    # 1/Gamma(alpha + 1) ~ 10^-20 seeds the rows: it is small there, not 0
+    with mp.workdps(40):
+        alpha = -1 + mpf(10) ** -20
+        k1 = laguerre_kernel(alpha, 1, 1, 2, dps=30)
+        ref = 2 ** alpha * mp.exp(-2) * mp.rgamma(alpha + 1)
+        assert abs(k1 - ref) <= mpf("1e-28") * ref
+        for n in (2, 4, 8):
+            mt = moments(alpha, n, "laguerre", smax=mpf(3 * (n - 1)) / 2,
+                         dps=80)
+            bs = biortho_build(mt, n)
+            for x, y in ((mpf(1), mpf(2)), (mpf("0.3"), mpf("0.9"))):
+                got = laguerre_kernel(alpha, n, x, y, dps=30)
+                ref = finite_kernel(bs, x, y)
                 assert abs(got - ref) <= mpf("1e-35") * abs(ref), (n, x, y)
 
 

@@ -22,6 +22,7 @@ from mbhalf.mpcore import (
     solve_cubic,
     unit_lower_inverse,
     unit_upper_inverse,
+    working,
 )
 from mbhalf.mpcore import _ts_nodes
 
@@ -124,6 +125,31 @@ def test_quad_ts_node_cache_exact():
         with mp.workdps(80):
             cached = bits(_ts_nodes(level, 30))
         assert cached == bits(_ts_nodes.__wrapped__(level, 30))
+
+
+@pytest.mark.parametrize("d", [20, 40, 80])
+def test_ts_nodes_match_their_definition(d):
+    # g = 1 - tanh u and w = (pi/2) cosh t / cosh^2 u, u = (pi/2) sinh t, at
+    # d + 30 digits; 1 - tanh u is taken as e^-u / cosh u, the same number
+    # without the subtraction that cancels all of it in the far tail.  The
+    # rounding of u reaches both through a factor of about 2u, and each
+    # node must stay within (4u + 16) units of the working precision
+    with working(d):
+        unit = mpf(2) ** -mp.prec
+    for level in range(11):
+        h, nodes = _ts_nodes(level, d)
+        with mp.workdps(d + 30):
+            for t, g, w in nodes:
+                u = mp.pi / 2 * mp.sinh(t)
+                cu = mp.cosh(u)
+                gr = mp.exp(-u) / cu
+                wr = mp.pi / 2 * mp.cosh(t) / cu ** 2
+                bound = (4 * u + 16) * unit
+                assert abs(g - gr) <= bound * gr, (level, t)
+                assert abs(w - wr) <= bound * wr, (level, t)
+    if d == 40:
+        counts = [len(_ts_nodes(level, d)[1]) for level in range(9)]
+        assert counts == [7, 6, 13, 25, 50, 100, 201, 402, 803]
 
 
 def test_quad_ts_nonintegrable_raises():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from mbhalf import meijer, rhframe
@@ -122,6 +123,32 @@ def test_phi_inverse_is_inverse():
         mi = phi_inverse(ALPHA, pt, dps=35)
         r = mat_sub(mat_mul(mi, m), identity3())
         assert norm_max(r) < mpf("1e-28")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(alpha=st.one_of(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]),
+                       st.floats(-1.0, 2.0, exclude_min=True,
+                                 exclude_max=True)),
+       log_modulus=st.floats(math.log(0.05), math.log(1e3)),
+       quadrant=st.sampled_from([-2, -1, 0, 1]),
+       offset=st.floats(0.02, math.pi / 2 - 0.02))
+def test_det_and_inverse_over_the_envelope(alpha, log_modulus, quadrant,
+                                           offset):
+    # alpha in (-1, 2) with the resonant 2 alpha in Z among the draws, |z|
+    # log-uniform in [0.05, 10^3], arg z at least 0.02 off the four rays.
+    # Phi^-1 Phi - I grows with the entries (3e-25 at |z| = 10^3), so it is
+    # taken relative to || |Phi^-1| |Phi| ||
+    a = mpf(alpha)
+    pt = SectorPoint(mp.exp(log_modulus), quadrant * mp.pi / 2 + offset)
+    with mp.workdps(45):
+        m = phi_matrix(a, pt, dps=35)
+        mi = phi_inverse(a, pt, dps=35)
+        pred = det_phi_predicted(a, pt, dps=35)
+        assert abs(det3(m) - pred) <= mpf("1e-33") * abs(pred)
+        scale = norm_max(mat_mul([[abs(v) for v in row] for row in mi],
+                                 [[abs(v) for v in row] for row in m]))
+        resid = norm_max(mat_sub(mat_mul(mi, m), identity3()))
+        assert resid <= mpf("1e-33") * scale
 
 
 def test_phi_psi_product_is_z_independent():
