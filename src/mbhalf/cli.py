@@ -23,7 +23,6 @@ from .kernel import (PrecisionLossError, _meijer_or_diag, _near_diagonal,
 from .meijer import (ResonantParameterError, SectorPoint, g303_series,
                      mb_loop, pick_route)
 from .mpcore import (
-    GammaPoleError,
     QuadratureConvergenceError,
     SingularMatrixError,
     det3,
@@ -59,7 +58,6 @@ class CheckFailure(RuntimeError):
 _NUMERICAL_ERRORS = (
     QuadratureConvergenceError,
     SingularMatrixError,
-    GammaPoleError,
     ResonantParameterError,
     SeriesConvergenceError,
     PrecisionLossError,

@@ -110,20 +110,16 @@ def VX_C1(dps=None):
 # closed-form density for V(x) = x  (two independent routes)
 # ----------------------------------------------------------------------
 
-def _real_cbrt(x):
-    """Real cube root of a real number (mp.cbrt is principal-complex)."""
-    x = mpf(x)
-    if x < 0:
-        return -mp.cbrt(-x)
-    return mp.cbrt(x)
-
-
 def density_vx_explicit(s, dps=None):
     """Equilibrium density for V(x)=x at s in (0, 27/8), closed form.
 
-    The two bracket terms are real for every s in range, but their radicands
-    change sign inside (0, 27/8); both cube roots must therefore be taken as
-    *real* cube roots, not principal complex ones.
+    With a = 1 - 4s/3 + 8s^2/27 and b = sqrt(1 - 8s/27) the density is
+    sqrt(3) / (4 pi s^(2/3)) (cbrt(b + a) + cbrt(b - a)), real cube roots.
+    The radicands change sign inside (0, 27/8), and b + a vanishes at s = 3,
+    where its cube root would amplify the rounding of a and b.  Since
+    (b + a)(b - a) = (64/729) s (3 - s)^3, the bracket is
+    cbrt(B) + (4/9)(3 - s) cbrt(s / B) with B = b + |a| > 0, which has no
+    cancellation.
     """
     with working(dps):
         s = mpf(s)
@@ -132,10 +128,9 @@ def density_vx_explicit(s, dps=None):
         if not 0 < s <= VX_SUPPORT:
             raise DomainError(f"density support is (0, 27/8); got s = {s}")
         a = 1 - 4 * s / 3 + 8 * s * s / 27
-        b = mp.sqrt(1 - 8 * s / 27)
-        bracket = _real_cbrt(a + b) + _real_cbrt(b - a)
-        out = mp.sqrt(3) / (4 * mp.pi * s ** mpf("2/3")) * bracket
-    return +out
+        big = mp.sqrt(1 - 8 * s / 27) + abs(a)
+        bracket = mp.cbrt(big) + 4 * (3 - s) / 9 * mp.cbrt(s / big)
+        return mp.sqrt(3) / (4 * mp.pi * s ** mpf("2/3")) * bracket
 
 
 def density_vx_cardano(s, dps=None):
@@ -157,8 +152,7 @@ def density_vx_cardano(s, dps=None):
             )
         # conjugate pair: exactly one root has positive imaginary part
         root = max(up, key=mp.im)
-        out = mp.im(root) / mp.pi
-    return +out
+        return mp.im(root) / mp.pi
 
 
 def _neville_at_zero(ts, vals):
@@ -194,8 +188,7 @@ def endpoint_fit(density, q, end, dps=None):
                 vals.append(density(q - u) / mp.sqrt(u))
             else:
                 raise ValueError("end must be 'origin' or 'edge'")
-        out = _neville_at_zero(ts, vals)
-    return +out
+        return _neville_at_zero(ts, vals)
 
 
 # ----------------------------------------------------------------------
@@ -684,8 +677,7 @@ def _vx_ell(dps):
         if spread > mpf(10) ** (-(dps - 8)):
             warnings.warn("Euler-Lagrange constant spread %s" % mp.nstr(spread, 5),
                           RuntimeWarning, stacklevel=2)
-        out = sum(vals) / len(vals)
-    return +out
+        return sum(vals) / len(vals)
 
 
 def vx_reference_solution(m=400, dps=30):
@@ -750,10 +742,13 @@ def g_functions(sol, dps=30):
     avoids discretizing an unbounded negative-axis measure entirely.
 
     The evaluators work at the caller's precision; the quadratures against
-    the density ask for ``dps`` digits.
+    the density ask for ``dps`` digits, and the constants they close over
+    (q, the Lagrange constant and the cube root of unity) carry ``dps``
+    digits too.
     """
-    q = mpf(sol.q)
-    ell = mpf(sol.ell)
+    with working(dps):
+        q, ell = mpf(sol.q), mpf(sol.ell)
+        omega = mp.exp(2j * mp.pi / 3)
     fieldV = sol.field if sol.field is not None else (lambda z: z)
 
     if sol.density is not None:
@@ -811,8 +806,6 @@ def g_functions(sol, dps=30):
     def phi2(z):
         return _phis(z)[2]
 
-    omega = mp.exp(2j * mp.pi / 3)
-
     def f1(z):
         z = mpc(z)
         _, p1, p2 = _phis(z)
@@ -856,4 +849,4 @@ def scaling_constants(gf, sol, dps=30):
         hstep = mpf(1) / 1000
         fp = (gf.f(hstep) - gf.f(-hstep)) / (2 * hstep)
         fprime_at_0 = mp.re(fp)
-    return +cv, +f1_at_0, +fprime_at_0
+        return cv, f1_at_0, fprime_at_0

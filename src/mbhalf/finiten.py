@@ -27,7 +27,6 @@ from mpmath import mp, mpf, mpc
 
 from .mpcore import (
     SingularMatrixError,
-    gamma,
     inv3,
     ldu_decompose,
     quad_ts,
@@ -192,16 +191,16 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     one log, one exp and one square root, and gives every moment's
     integrand as w(t) t^(k/2), so V is called once per node.
     """
-    alpha = mpf(alpha)
-    if alpha <= -1:
-        raise ValueError("alpha must exceed -1 for integrable moments")
     k2max = _twice(smax)
     vals = {}
     with working(dps) as d:
+        alpha = mpf(alpha)
+        if alpha <= -1:
+            raise ValueError("alpha must exceed -1 for integrable moments")
         if V == "laguerre":
             for start in range(min(2, k2max + 1)):
                 e = mpf(start) / 2 + alpha + 1
-                m = gamma(e, dps=d) / mpf(n) ** e
+                m = mp.gamma(e) / mpf(n) ** e
                 for k2 in range(start, k2max + 1, 2):
                     vals[k2] = m
                     m = m * (mpf(k2) / 2 + alpha + 1) / n
@@ -335,13 +334,6 @@ def multiple_orthogonality_check(bs: BiorthoSystem):
         return +worst
 
 
-def _poly_eval(coeffs, x):
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _weight(mt: MomentTable, y):
     """w(y) = y^alpha exp(-n V(y))."""
     Vfun = (lambda t: t) if mt.V == "laguerre" else mt.V
@@ -359,8 +351,8 @@ def finite_kernel(bs: BiorthoSystem, x, y):
         x = mpf(x)
         rt = mp.sqrt(mpf(y))
         total = mp.fsum(
-            _poly_eval(bs.p_coeffs[j][:j + 1], x)
-            * _poly_eval(bs.q_coeffs[j][:j + 1], rt)
+            mp.polyval(bs.p_coeffs[j][j::-1], x)
+            * mp.polyval(bs.q_coeffs[j][j::-1], rt)
             for j in range(bs.nmax))
         val = _weight(bs.table, mpf(y)) * total
         return +val
@@ -382,8 +374,10 @@ def laguerre_kernel(alpha, n, x, y, dps=None):
 
     so K_n(x, y) = w(y) n^(alpha+1) sum_{j<n} P_j Z_j / j!.  Each P_j and
     Z_j is one exact-product ``mp.fdot`` over rows built once: t^r / r!
-    and its partial sums e_k, 1/Gamma stepped in r by 2 from two values,
-    the binomial row, and the Pochhammer row, which gains its entry
+    and its partial sums e_k, 1/Gamma stepped in r by 2 from two values
+    (``mp.rgamma`` of alpha + 1 and alpha + 3/2: 1/Gamma is entire, and
+    near alpha = -1 the seed 1/Gamma(alpha + 1) ~ alpha + 1 keeps its
+    digits), the binomial row, and the Pochhammer row, which gains its entry
     (2j + 2alpha + 2)_j by a three-factor step and multiplies the rest by
     one factor per j.
 
@@ -391,12 +385,17 @@ def laguerre_kernel(alpha, n, x, y, dps=None):
     bulk: (x, y) = (0.5, 1.5) loses 22 digits at n = 32.  The loss is the
     largest term of any P_j or Z_j, carried to the outer sum, against that
     sum, and :func:`~mbhalf.specfun._measured_passes` reruns with it.
+    alpha, x and y are read at each pass's working digits, and alpha <= -1
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("the kernel needs n >= 1, got %r" % (n,))
-    alpha, x, y = mpf(alpha), mpf(x), mpf(y)
+    raw = alpha, x, y
 
     def run(d):
+        alpha, x, y = map(mpf, raw)
+        if alpha <= -1:
+            raise ValueError("alpha must exceed -1, got %s" % alpha)
         t, c = n * x, 2 * alpha + 2
         g = [mpf(1)]                           # t^r / r!
         for r in range(1, n):
@@ -546,24 +545,24 @@ def _y_plus(bs_big, n, x, T, delta, dps):
     node.
     """
     rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
-    parts = []                                  # (row, unit, real coefficients)
+    parts = []          # (row, unit, real coefficients, highest degree first)
     for j, row in enumerate(rows1):
         for unit, part in ((1, [mp.re(c) for c in row]),
                            (1j, [mp.im(c) for c in row])):
             if any(part):
-                parts.append((j, unit, part))
+                parts.append((j, unit, part[::-1]))
 
     def funs(t):
         w, rt = _weight(bs_big.table, t), mp.sqrt(t)
         out = []
         for _, _, part in parts:
-            pw = _poly_eval(part, t) * w
+            pw = mp.polyval(part, t) * w
             out += [pw, pw * rt]
         return out
 
     fxs = funs(x)
     cs = _cauchy(funs, fxs, x, [mpc(x, delta), mpc(x, delta / 2)], T, dps)
-    Y = [[_poly_eval(row, x), mpc(0), mpc(0)] for row in rows1]
+    Y = [[mp.polyval(row[::-1], x), mpc(0), mpc(0)] for row in rows1]
     for i, (j, unit, _) in enumerate(parts):
         for col in (1, 2):
             m = 2 * i + col - 1
@@ -626,9 +625,10 @@ def y_growth_residual(bs: BiorthoSystem, z, dps=30):
     with working(dps):
         row2 = _edge_rows(bs_big, n)[0]
         T = _cauchy_box(bs, n, [row2], dps)
+        top = row2[::-1]
 
         def fun(t):
-            return _poly_eval(row2, t) * _weight(bs_big.table, t) / (t - z)
+            return mp.polyval(top, t) * _weight(bs_big.table, t) / (t - z)
 
         y22 = quad_ts(fun, 0, T, dps=dps) / (2j * mp.pi)
         return +abs(y22 * z ** mp.ceil(mpf(n) / 2) - 1)

@@ -57,9 +57,9 @@ import math
 from operator import floordiv
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .mpcore import _to_fixed, working
+from .mpcore import working
 from .specfun import (_LOG10_2, _cancellation_digits, _wright_growth,
                       _wright_terms)
 from .meijer import SectorPoint
@@ -132,7 +132,7 @@ def _double_sum(xterms, ex, yterms, ey, s0, ds):
     prec = mp.prec
     w = prec + _SUM_GUARD
     c = [ck << w for ck in yterms]
-    s0, ds = _to_fixed(s0._mpf_, -w), _to_fixed(ds._mpf_, -w)
+    s0, ds = to_fixed(s0._mpf_, w), to_fixed(ds._mpf_, w)
     s = [s0 + k * ds for k in range(len(c))]
     total = 0
     for j, aj in enumerate(xterms):

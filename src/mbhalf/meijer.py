@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from mpmath import fp, mp, mpf, mpc
 from mpmath.libmp import mpf_sub
 
-from .mpcore import gamma, rgamma, working, QuadratureConvergenceError
+from .mpcore import working, QuadratureConvergenceError
 from .specfun import (_MAX_TERMS, _cancellation_digits, _measured_passes,
                       hyper0f2_log_theta, hyper0f2_theta,
                       SeriesConvergenceError)
@@ -183,11 +183,12 @@ _COEF_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
 def _plain_coef(bkey, k, dps):
     """Gamma(b_i - b_k) Gamma(b_j - b_k), {i, j} the indices other than k,
-    for b given by its mpf tuples ``bkey``; the gamma values carry ``dps``
-    digits."""
-    bb = [mp.make_mpf(x) for x in bkey]
-    others = [bb[j] for j in range(3) if j != k]
-    return gamma(others[0] - bb[k], dps=dps) * gamma(others[1] - bb[k], dps=dps)
+    for b given by its mpf tuples ``bkey``, at ``dps`` digits (the raise of
+    working(dps), so that the cache key fixes the precision)."""
+    with working(dps):
+        bb = [mp.make_mpf(x) for x in bkey]
+        others = [bb[j] for j in range(3) if j != k]
+        return mp.gamma(others[0] - bb[k]) * mp.gamma(others[1] - bb[k])
 
 
 def _family_sums(bb, form, zc, dps):
@@ -229,16 +230,17 @@ def _log_coefs(bkey, pair, dps):
     c = b_r - b_p, and the N residue coefficients
     (-1)^k Gamma(N-k) Gamma(b_r - b_q - k) / k! of family q's simple
     poles, for b given by its mpf tuples ``bkey`` and
-    ``pair`` = (p, q, N) of :func:`_series_form`; the gamma values carry
-    ``dps`` digits."""
+    ``pair`` = (p, q, N) of :func:`_series_form`, at ``dps`` digits (the
+    raise of working(dps), so that the cache key fixes the precision)."""
     p, q, n = pair
-    bp, bq, br = (mp.make_mpf(bkey[i]) for i in (p, q, 3 - p - q))
-    c = br - bp
-    front = (-1) ** n * gamma(c, dps=dps) / mp.factorial(n)
-    h0 = mp.digamma(1) + mp.digamma(n + 1) + mp.digamma(c)
-    simple = [(-1) ** k * mp.factorial(n - k - 1) * gamma(br - bq - k, dps=dps)
-              / mp.factorial(k) for k in range(n)]
-    return front, h0, simple
+    with working(dps):
+        bp, bq, br = (mp.make_mpf(bkey[i]) for i in (p, q, 3 - p - q))
+        c = br - bp
+        front = (-1) ** n * mp.gamma(c) / mp.factorial(n)
+        h0 = mp.digamma(1) + mp.digamma(n + 1) + mp.digamma(c)
+        simple = [(-1) ** k * mp.factorial(n - k - 1) * mp.gamma(br - bq - k)
+                  / mp.factorial(k) for k in range(n)]
+        return front, h0, simple
 
 
 def _log_part(bb, bkey, pair, sums, point, dps):
@@ -421,7 +423,7 @@ class _LoopWeights:
             s = self.a + _MU * t * t
             w = self.h * 2 * _MU * mpc(0, 1) * t        # h s'(u)
             for j, bj in enumerate(self.b):
-                w *= gamma(bj + s) if j < self.m else rgamma(1 - bj - s)
+                w *= mp.gamma(bj + s) if j < self.m else mp.rgamma(1 - bj - s)
             ws = -s * w
             for here, there, v in zip(self.weights, self.mirror,
                                       (w, ws, -s * ws)):

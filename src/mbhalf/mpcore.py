@@ -3,9 +3,6 @@
 Everything downstream (special functions, contour integration, the 3x3
 matrix frames, moment tables) is built on the primitives in this module:
 
-* ``gamma`` / ``rgamma`` -- ``mp.gamma`` / ``mp.rgamma`` behind a pole
-  contract (:class:`GammaPoleError` near a nonpositive integer, an exact 0
-  from ``rgamma`` there, ``mpf`` out for real input);
 * ``quad_ts`` -- tanh-sinh (double-exponential) quadrature with level
   doubling, for endpoint-singular integrands (nodes from two exps each,
   cached per level and precision in a bounded LRU), the package's one
@@ -19,6 +16,11 @@ matrix frames, moment tables) is built on the primitives in this module:
 * unit-triangular inverses; they and the LDU form each entry as one
   exact-product ``mp.fdot``, rounded once;
 * small dense 3x3 helpers (det/inverse).
+
+Gamma, its reciprocal, polynomial values and the mpf-to-integer step of the
+fixed-point sums are mpmath's own (``mp.gamma``, ``mp.rgamma``,
+``mp.polyval``, ``mpmath.libmp.to_fixed``), called at the caller's working
+precision.
 
 Every cache in the package is a ``functools.lru_cache`` on a function whose
 arguments are the exact key (an mpf enters it as its ``_mpf_`` tuple).
@@ -56,10 +58,6 @@ _LN10 = math.log(10.0)
 
 #: decimal digits every function works with beyond those its result needs
 GUARD_DIGITS = 10
-
-
-class GammaPoleError(ValueError):
-    """gamma evaluated at (numerically) a nonpositive integer."""
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -104,52 +102,6 @@ class working:
     def __exit__(self, *exc):
         mp.prec = self._prec
         return False
-
-
-def _to_fixed(x, e):
-    """floor(x / 2^e) for an mpf tuple x: the one mpf-to-integer step of the
-    fixed-point sums (the 0F2 term loop and the kernel's double series; the
-    Mellin-Barnes loop sums with ``mp.fdot`` instead)."""
-    sign, man, exp, _ = x
-    if sign:
-        man = -man
-    sh = exp - e
-    return man << sh if sh >= 0 else man >> -sh
-
-
-# ----------------------------------------------------------------------
-# gamma
-# ----------------------------------------------------------------------
-
-def _near_pole(z, d):
-    """True when ``z`` is within 10^(-d/2) of a nonpositive integer."""
-    if z.real >= 0.5:
-        return False
-    eps = mpf(10) ** (-(d // 2))
-    return abs(z.imag) < eps and abs(z.real - mp.nint(z.real)) < eps
-
-
-def gamma(z, dps=None):
-    """Complex gamma function: ``mp.gamma`` behind the pole contract.
-
-    Raises :class:`GammaPoleError` when ``z`` is a nonpositive integer to
-    within 10^(-dps/2); real input (zero imaginary part) gives an ``mpf``.
-    The value is rounded to dps + GUARD_DIGITS digits.
-    """
-    with working(dps) as d:
-        z = mpc(z)
-        if _near_pole(z, d):
-            raise GammaPoleError(f"gamma pole at z = {mp.nint(z.real)}")
-        return mp.gamma(z.real if z.imag == 0 else z)
-
-
-def rgamma(z, dps=None):
-    """1/gamma, returning exactly 0 at the poles (same threshold as gamma)."""
-    with working(dps) as d:
-        z = mpc(z)
-        if _near_pole(z, d):
-            return mpf(0)
-        return mp.rgamma(z.real if z.imag == 0 else z)
 
 
 # ----------------------------------------------------------------------

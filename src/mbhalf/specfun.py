@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .mpcore import _to_fixed, working
+from .mpcore import working
 
 #: term budget of every series; running out raises SeriesConvergenceError
 _MAX_TERMS = 20000
@@ -123,7 +123,7 @@ def _theta_combine(t0, t1, t2, c, f, prec):
     """(S0, S1, S2) as mpc from T_m = sum_k k^m t_k, given as (re, im)
     integer pairs at the scale 2^-f: S1 = c T0 + T1, S2 = c^2 T0 + 2c T1
     + T2, each rounded once."""
-    cf = _to_fixed(c._mpf_, -f)
+    cf = to_fixed(c._mpf_, f)
     c2 = (cf * cf) >> f
     parts = (t0, [((cf * u) >> f) + v for u, v in zip(t0, t1)],
              [((c2 * u + 2 * cf * v) >> f) + w for u, v, w in zip(t0, t1, t2)])
@@ -171,8 +171,8 @@ def _theta_sums(b1, b2, z, c, log=False, guard=_GUARD_BITS):
     prec = mp.prec
     f = prec + guard
     one = 1 << f
-    zr, zi = _to_fixed(z.real._mpf_, -f), _to_fixed(z.imag._mpf_, -f)
-    p1, p2 = _to_fixed(b1._mpf_, -f), _to_fixed(b2._mpf_, -f)
+    zr, zi = to_fixed(z.real._mpf_, f), to_fixed(z.imag._mpf_, f)
+    p1, p2 = to_fixed(b1._mpf_, f), to_fixed(b2._mpf_, f)
     bsum, bprod = p1 + p2, (p1 * p2) >> f
     zabs, b1f, b2f, cabs = float(abs(z)), float(b1), float(b2), abs(float(c))
     kmin = max(-b1f, -b2f)
@@ -323,9 +323,8 @@ def _wright_terms(a, b, x):
     a + b j0 > 0 (j0 = 0 for a > 0), computed as mpf with one reciprocal
     gamma each and floored to the scale.  top is the magnitude of the larger
     seed, or on the fast path of the smaller nonzero one.  1/Gamma is
-    entire, so the terms take mpmath's own rgamma, 0 only at a pole, and
-    not :func:`mbhalf.mpcore.rgamma`, whose 0 within 10^(-d/2) of one
-    would drop T_0 ~ a for small a > 0 and with it the whole even chain.
+    entire: ``mp.rgamma`` is 0 only at a pole, and for small a > 0 the
+    seed T_0 ~ a keeps its digits, and with it the whole even chain.
     Raises :class:`SeriesConvergenceError` past _MAX_TERMS terms, with the
     last two partial sums.
 
@@ -380,7 +379,7 @@ def _wright_terms(a, b, x):
     fast = a > 0 and 2 * b >= 1 and mp.isint(2 * b)
     top = (min if fast else max)((mp.mag(t) for t in seeds if t), default=0)
     e = top - prec - _GUARD_BITS
-    terms = [_to_fixed(t._mpf_, e) for t in seeds]
+    terms = [to_fixed(t._mpf_, -e) for t in seeds]
     if fast:
         # a + b j + i = (A + j B + i one) 2^es and x^2 = mx^2 2^(2 ex), so
         # r_j = num / ((j+1)(j+2) prod_(i<p) (A + j B + i one) << dsh)
@@ -418,7 +417,7 @@ def _wright_terms(a, b, x):
         if fast:
             w = u * num // den
         else:
-            w = _to_fixed((power * mp.rgamma(a + b * (j + 2)))._mpf_, e)
+            w = to_fixed((power * mp.rgamma(a + b * (j + 2)))._mpf_, -e)
             power *= -x / (j + 3)
         terms.append(w)
         u, v = v, w

@@ -68,6 +68,20 @@ def test_density_routes_agree():
             assert abs(ve - vc) < mpf("1e-28"), s
 
 
+@pytest.mark.parametrize("offset", ["0", "1e-12", "-1e-12"])
+def test_density_keeps_its_digits_next_to_three(offset):
+    # b + a of the closed form vanishes at s = 3; the cube root of that
+    # difference lost about 2/3 of the digits (3.0e-14 relative at 30
+    # digits) before the bracket was written without it
+    with mp.workdps(40):
+        s = 3 + mpf(offset)
+    got = density_vx_explicit(s, dps=30)
+    ref = density_vx_explicit(s, dps=110)
+    with mp.workdps(110):
+        assert abs(got - ref) <= mpf("1e-35") * ref
+        assert abs(ref - density_vx_cardano(s, dps=110)) <= mpf("1e-100") * ref
+
+
 def test_density_integrates_to_one():
     with mp.workdps(40):
         total = quad_ts(lambda t: density_vx_explicit(t, dps=35), 0,

@@ -403,6 +403,32 @@ def test_laguerre_kernel_next_to_alpha_minus_one():
                 assert abs(got - ref) <= mpf("1e-35") * abs(ref), (n, x, y)
 
 
+def test_alpha_is_read_at_the_working_digits():
+    # a 40-digit alpha = -1 + 1e-20 called at ambient 15 digits: the
+    # closed-form kernel and the Laguerre moments read it under their raise,
+    # where it still exceeds -1 (rounded to 15 digits it is -1, and the
+    # kernel's 1/Gamma recurrence divided by zero)
+    with mp.workdps(40):
+        alpha = -1 + mpf(10) ** -20
+    with mp.workdps(60):
+        k1_ref = 2 ** alpha * mp.exp(-2) * mp.rgamma(alpha + 1)
+        m0_ref = mp.gamma(alpha + 1) / 3 ** (alpha + 1)
+    with mp.workdps(15):
+        k1 = laguerre_kernel(alpha, 1, 1, 2, dps=40)
+        m0 = moments(alpha, 3, "laguerre", smax=1, dps=40).value(0)
+    with mp.workdps(60):
+        assert abs(k1 - k1_ref) <= mpf("1e-38") * k1_ref
+        assert abs(m0 - m0_ref) <= mpf("1e-38") * m0_ref
+
+
+@pytest.mark.parametrize("alpha", ["-1.5", "-1"])
+def test_alpha_at_or_below_minus_one_is_refused(alpha):
+    with pytest.raises(ValueError, match="alpha must exceed -1"):
+        laguerre_kernel(alpha, 4, 1, 2, dps=30)
+    with pytest.raises(ValueError, match="alpha must exceed -1"):
+        moments(alpha, 4, "laguerre", dps=30)
+
+
 def test_hard_edge_convergence_builds_no_ldu(monkeypatch, capsys):
     # every n of the table, and of `converge`, comes from the closed form
     def refuse(*args, **kwargs):

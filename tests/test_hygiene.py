@@ -525,3 +525,74 @@ def test_unmapped_error_detector():
                                  "_NUMERICAL_ERRORS = (a.Mapped, ZeroDivisionError)\n")}
     assert _unmapped_errors(trees) == [("a.py", 1, "BadInput"),
                                        ("a.py", 3, "Deeper")]
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body, not descending into the functions,
+    lambdas and classes defined in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_plus(value):
+    """True for ``+x`` or a tuple with a ``+x`` among its items."""
+    items = value.elts if isinstance(value, ast.Tuple) else [value]
+    return any(isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.UAdd)
+               for v in items)
+
+
+def _plus_after_raise(tree):
+    """Lines of a ``return +x`` (or of a tuple with a ``+x``) outside the
+    ``with working(...)`` blocks of a function that has one: the unary plus
+    rounds the result to the caller's ambient digits after the raise has
+    ended, not to the digits the function was asked for."""
+    lines = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        raises = [node for node in _own_nodes(func) if isinstance(node, ast.With)
+                  and any(any(_raise_calls(item.context_expr, ("working",)))
+                          for item in node.items)]
+        inside = {id(leaf) for block in raises for leaf in ast.walk(block)}
+        lines.extend(node.lineno for node in _own_nodes(func)
+                     if raises and isinstance(node, ast.Return)
+                     and node.value is not None and id(node) not in inside
+                     and _is_plus(node.value))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_unary_plus_after_the_raise(path):
+    # a function that raises with working(dps) returns inside the raise, so
+    # its result carries dps + GUARD_DIGITS digits whatever the ambient
+    # precision of its caller
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _plus_after_raise(tree)
+    assert not found, "%s: unary plus returned after the raise on lines %s" % (
+        path.name, found)
+
+
+def test_plus_after_raise_detector():
+    tree = ast.parse("def f(dps):\n"
+                     "    with working(dps):\n"
+                     "        out = g()\n"
+                     "    return +out\n"
+                     "def h(dps):\n"
+                     "    with working(dps):\n"
+                     "        return +g()\n"
+                     "def k(x):\n"
+                     "    return +x\n"
+                     "def t(dps):\n"
+                     "    with mpcore.working(dps) as d, open(p) as fh:\n"
+                     "        a, b = g(d)\n"
+                     "        def inner():\n"
+                     "            return +a\n"
+                     "    if a:\n"
+                     "        return a\n"
+                     "    return +a, b\n")
+    assert _plus_after_raise(tree) == [4, 17]

@@ -387,7 +387,6 @@ def test_phi_scalars_internal_identity():
     # phi4 is assembled as phi1 + phi2 and must also equal the single-series
     # form -4 pi^2 0F2 / (Gamma(1+a) Gamma(3/2+a)); checked in the
     # acceptance suite at tighter tolerance, spot-checked here
-    from mbhalf.mpcore import gamma
     from mbhalf.specfun import hyper0f2
 
     with mp.workdps(50):
@@ -395,7 +394,7 @@ def test_phi_scalars_internal_identity():
         pt = SectorPoint(mpf("1.1"), mpf("0.7"))
         tr = phi_scalars(a, pt, dps=40)
         z = pt.to_mpc(dps=45)
-        rhs = (-4 * mp.pi ** 2 / (gamma(1 + a, dps=45) * gamma(mpf("1.5") + a, dps=45))
+        rhs = (-4 * mp.pi ** 2 / (mp.gamma(1 + a) * mp.gamma(mpf("1.5") + a))
                * hyper0f2(1 + a, mpf("1.5") + a, -z, dps=45))
         assert abs(tr.f4[0] - rhs) / abs(rhs) < mpf("1e-35")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from mbhalf import kernel, meijer, specfun
+from mbhalf import equilibrium, kernel, meijer, specfun
 from mbhalf.kernel import kernel_integral, kernel_meijer
 from mbhalf.meijer import SectorPoint, g303_series, mb_loop
 from mbhalf.rhframe import phi_matrix, psi_matrix
@@ -43,18 +43,33 @@ def test_working_digits_of_the_term_loops(monkeypatch):
     # pinned at 30 digits: the Wright-Bessel term loops of kernel_integral
     # at alpha = 0.3, (x, y) = (1, 2) run at d + GUARD_DIGITS + the 7 digits
     # their two series lose (47), and the sums of a first pass of the loop
-    # route at |z| <= 10 at d + _LOOP_EXTRA + GUARD_DIGITS (46)
+    # route at |z| <= 10 at d + _LOOP_EXTRA + GUARD_DIGITS (46); a cold loop
+    # takes the gamma and reciprocal gamma values of its weight table at the
+    # pass's own 46 digits (56 when they were raised once more)
     seen = []
-    for mod, name in ((kernel, "_wright_terms"), (meijer, "_loop_sums")):
-        def record(*args, _run=getattr(mod, name), _name=name):
-            seen.append((_name, mp.dps))
+
+    def record(mod, name):
+        def recorded(*args, _run=getattr(mod, name)):
+            seen.append((name, mp.dps))
             return _run(*args)
 
-        monkeypatch.setattr(mod, name, record)
+        monkeypatch.setattr(mod, name, recorded)
+
+    for mod, name in ((kernel, "_wright_terms"), (meijer, "_loop_sums")):
+        record(mod, name)
     kernel_integral(mpf("0.3"), 1, 2, dps=30)
-    mb_loop((0, mpf("-0.3"), mpf("-0.8")), SectorPoint(mpf(2), mpf("0.3")),
-            dps=30)
-    assert seen == [("_wright_terms", 47)] * 2 + [("_loop_sums", 46)]
+    for name in ("gamma", "rgamma"):
+        record(mp, name)
+    meijer._loop_weights.cache_clear()
+    for m in (3, 2):
+        mb_loop((0, mpf("-0.3"), mpf("-0.8")),
+                SectorPoint(mpf(2), mpf("0.3")), m=m, dps=30)
+    assert seen[:2] == [("_wright_terms", 47)] * 2
+    loops = [item for item in seen[2:] if item[0] == "_loop_sums"]
+    weights = [item for item in seen[2:] if item[0] != "_loop_sums"]
+    assert loops == [("_loop_sums", 46)] * 2
+    assert {name for name, _ in weights} == {"gamma", "rgamma"}
+    assert {digits for _, digits in weights} == {46}
 
 
 @pytest.mark.parametrize("d", [30, 45, 60])
@@ -226,3 +241,34 @@ def test_frames_carry_the_requested_digits_at_any_ambient_precision():
             for row_g, row_r in zip(got, ref):
                 for x, y in zip(row_g, row_r):
                     assert abs(x - y) <= mpf("1e-38") * abs(y)
+
+
+
+def test_equilibrium_values_carry_the_requested_digits_at_any_ambient_precision():
+    # the closed-form densities, the edge fit, the Lagrange constant and the
+    # scaling chain return inside their raise: at ambient 15 they rounded
+    # to 15 digits after it (density_vx_explicit(1, dps=30) was 1.0e-16 off)
+    # the g-functions of a 40-cell grid measure (discrete sums, no density)
+    # keep the scaling chain cheap; its digits are what is checked
+    sol = equilibrium.EquilibriumSolution(
+        mu=equilibrium.weights_from_density(
+            lambda t: equilibrium.density_vx_explicit(t, dps=20),
+            equilibrium.VX_SUPPORT, 40, dps=20),
+        q=27 / 8, ell=-2.5, c0=0.17, c1=0.09, cV=0.63, field=lambda z: z)
+
+    def values():
+        dens = lambda t: equilibrium.density_vx_explicit(t, dps=40)
+        gf = equilibrium.g_functions(sol, dps=40)
+        return [equilibrium.density_vx_explicit(1, dps=40),
+                equilibrium.density_vx_cardano(1, dps=40),
+                equilibrium.endpoint_fit(dens, equilibrium.VX_SUPPORT,
+                                         "edge", dps=40),
+                equilibrium._vx_ell(40),
+                *equilibrium.scaling_constants(gf, sol, dps=40)]
+
+    with mp.workdps(15):
+        low = values()
+    with mp.workdps(60):
+        high = values()
+        for got, ref in zip(low, high):
+            assert abs(got - ref) <= mpf("1e-38") * abs(ref)
