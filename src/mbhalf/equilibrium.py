@@ -21,7 +21,8 @@ This module provides
   (`equilibrium_minimize`): the discrete energy is a strictly convex
   quadratic on the simplex, solved exactly by pivoting on its KKT system;
   the pivoting starts from the support of the same field solved on a grid
-  8 times coarser,
+  8 times coarser, and the pivots that move cells near the support's
+  border are Schur-complement steps on one factorization,
 * Euler-Lagrange certification (`variational_residual`),
 * the g-functions / phi-functions / conformal map f built on top of a
   solution (`g_functions`), and
@@ -111,26 +112,37 @@ def VX_C1(dps=None):
 # ----------------------------------------------------------------------
 
 def density_vx_explicit(s, dps=None):
-    """Equilibrium density for V(x)=x at s in (0, 27/8), closed form.
+    """Equilibrium density for V(x)=x at s in (0, 27/8], closed form.
 
     With a = 1 - 4s/3 + 8s^2/27 and b = sqrt(1 - 8s/27) the density is
-    sqrt(3) / (4 pi s^(2/3)) (cbrt(b + a) + cbrt(b - a)), real cube roots.
-    The radicands change sign inside (0, 27/8), and b + a vanishes at s = 3,
-    where its cube root would amplify the rounding of a and b.  Since
-    (b + a)(b - a) = (64/729) s (3 - s)^3, the bracket is
-    cbrt(B) + (4/9)(3 - s) cbrt(s / B) with B = b + |a| > 0, which has no
-    cancellation.
+    sqrt(3) / (4 pi s^(2/3)) (x + y) with the real cube roots
+    x = cbrt(b + a) and y = cbrt(b - a).  Summed so, it cancels twice:
+    b + a vanishes at s = 3, and x + y vanishes like b at the soft edge
+    27/8.  The form used here does neither.  One of x, y is c = cbrt(B)
+    with B = b + |a| >= 1/8, and the other is x y / c, where
+    x y = (4/9)(3 - s) s^(1/3) since (b + a)(b - a) = (64/729) s (3 - s)^3;
+    and x + y = 2b / (x^2 - x y + y^2).  With r = 27 - 8s, p = 12 - 4s and
+    u = 9 c^2 / s^(1/3) = cbrt((sqrt(27 r) + 27|a|)^2 / s) that is
+
+        density = 3 sqrt(r) u / (2 pi s (u (u - p) + p^2)),
+
+    one cube root and two square roots.  r and p are exact near their zeros
+    (Sterbenz), 27|a| is added to a nonnegative term, and
+    u^2 - u p + p^2 >= (u^2 + p^2) / 2, so the density keeps its relative
+    digits on all of (0, 27/8] and is exactly 0 at 27/8.
     """
     with working(dps):
         s = mpf(s)
-        # closed right endpoint: the bracket vanishes there, and endpoint-
+        # closed right endpoint: the density vanishes there, and endpoint-
         # singular quadrature rules may round a node onto it
         if not 0 < s <= VX_SUPPORT:
             raise DomainError(f"density support is (0, 27/8); got s = {s}")
-        a = 1 - 4 * s / 3 + 8 * s * s / 27
-        big = mp.sqrt(1 - 8 * s / 27) + abs(a)
-        bracket = mp.cbrt(big) + 4 * (3 - s) / 9 * mp.cbrt(s / big)
-        return mp.sqrt(3) / (4 * mp.pi * s ** mpf("2/3")) * bracket
+        e = 8 * s
+        r = 27 - e
+        # 27 |a| = |8s^2 - 36s + 27|
+        u = mp.cbrt((mp.sqrt(27 * r) + abs((e - 36) * s + 27)) ** 2 / s)
+        p = 12 - 4 * s
+        return 3 * mp.sqrt(r) * u / (2 * mp.pi * s * (u * (u - p) + p * p))
 
 
 def density_vx_cardano(s, dps=None):
@@ -410,60 +422,187 @@ def _energy_operator(h, m):
     return A
 
 
+def _near_border(support, reach):
+    """Mask of the cells at most `reach` cells from a border of the
+    boolean mask `support` (a place where it changes value), on either
+    side: `reach` cells inside and `reach` cells outside each border."""
+    m = support.size
+    border = np.flatnonzero(support[1:] != support[:-1])  # after cell b
+    cover = np.zeros(m + 1, dtype=int)
+    np.add.at(cover, np.maximum(border - reach + 1, 0), 1)
+    np.add.at(cover, np.minimum(border + reach + 1, m), -1)
+    return np.cumsum(cover[:m]) > 0
+
+
+class _Bordered:
+    """One factorization of the bordered KKT system of a support S,
+
+        K [w_S, ell/2] = [-v_S/2, 1],   K = [[A_SS, -1], [1^T, 0]],
+
+    and of its lookahead: the same `np.linalg.solve` also solves K y = e_p
+    for each cell p of S near a border of S (p leaves: its equation gives
+    way to w_p = 0) and K y = [A_Sj, 1] for each cell j off S near a border
+    (j enters: the column of w_j).  A trial support that differs from S
+    only in those cells is then solved exactly by the Schur complement of
+    K in the system bordered with the changed cells (Gill, Murray,
+    Saunders & Wright, SIAM J. Sci. Stat. Comput. 1990), whose size is the
+    number of changed cells.  The lookahead columns depend on S alone, so
+    the direct solution on S has the same bits whichever pivots led to S.
+    """
+
+    def __init__(self, A, v, support):
+        self.A, self.v, self.support = A, v, support.copy()
+        self.idx = idx = np.flatnonzero(support)
+        k = idx.size
+        self.near = near = _near_border(support, COARSE_FACTOR)
+        self.may_leave = np.flatnonzero(near & support)
+        self.may_enter = np.flatnonzero(near & ~support)
+        nl = self.may_leave.size
+        kkt = np.empty((k + 1, k + 1))
+        if k and idx[-1] - idx[0] == k - 1:
+            # one run of cells: a slice copies several times faster than
+            # a gather
+            run = slice(idx[0], idx[-1] + 1)
+            kkt[:k, :k] = A[run, run]
+        else:
+            kkt[:k, :k] = A[np.ix_(idx, idx)]
+        kkt[:k, k] = -1.0
+        kkt[k, :k] = 1.0
+        kkt[k, k] = 0.0
+        rhs = np.zeros((k + 1, 1 + nl + self.may_enter.size))
+        rhs[:k, 0] = -0.5 * v[idx]
+        rhs[k, 0] = 1.0
+        rhs[np.searchsorted(idx, self.may_leave), 1 + np.arange(nl)] = 1.0
+        rhs[:k, 1 + nl:] = A[np.ix_(idx, self.may_enter)]
+        rhs[k, 1 + nl:] = 1.0
+        sol = np.linalg.solve(kkt, rhs)
+        self.x0, self.y_leave, self.y_enter = (sol[:, 0], sol[:, 1:1 + nl],
+                                               sol[:, 1 + nl:])
+
+    def weights(self):
+        """(w, ell) of the direct solution on S."""
+        w = np.zeros(self.v.size)
+        w[self.idx] = self.x0[:-1]
+        return w, 2.0 * float(self.x0[-1])
+
+    def reaches(self, support):
+        """Whether `support` differs from S only in lookahead cells."""
+        return not np.any((support != self.support) & ~self.near)
+
+    def schur(self, support):
+        """(w, ell) on a trial support that this factorization reaches,
+        from one solve of the Schur complement, or None when that small
+        system is singular.
+
+        With x = [w_S, ell/2], the cells that come in with their weights
+        w_c and the cells that go with free multipliers z, the system is
+
+            [[K,   U, E], [x  ]   [r     ]    U = [A_Sc; 1],
+             [B, A_cc, 0], [w_c] = [-v_c/2],   B = [A_cS, -1],
+             [E^T,  0, 0]] [z  ]   [0     ]    E = [e_p for p gone],
+
+        and x = x0 - Y_c w_c - Y_g z, with x0, Y_c and Y_g the solved
+        columns, leaves [[A_cc - B Y_c, -B Y_g], [-Y_c[g], -Y_g[g]]] for
+        (w_c, z).
+        """
+        A, idx = self.A, self.idx
+        k = idx.size
+        gone = np.flatnonzero(self.support & ~support)   # leave S
+        come = np.flatnonzero(support & ~self.support)   # enter S
+        yr = self.y_leave[:, np.searchsorted(self.may_leave, gone)]
+        yc = self.y_enter[:, np.searchsorted(self.may_enter, come)]
+        rows = np.searchsorted(idx, gone)
+        nc, n = come.size, come.size + gone.size
+        # rows of the entering equations: [A_jS, -1]
+        border = np.empty((nc, k + 1))
+        border[:, :k] = A[np.ix_(come, idx)]
+        border[:, k] = -1.0
+        mat = np.empty((n, n))
+        mat[:nc, :nc] = A[np.ix_(come, come)] - border @ yc
+        mat[:nc, nc:] = -(border @ yr)
+        mat[nc:, :nc] = -yc[rows]
+        mat[nc:, nc:] = -yr[rows]
+        rhs = np.concatenate((-0.5 * self.v[come] - border @ self.x0,
+                              -self.x0[rows]))
+        try:
+            z = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        x = self.x0 - yc @ z[:nc] - yr @ z[nc:]
+        w = np.zeros(self.v.size)
+        w[idx] = x[:k]
+        w[gone] = 0.0
+        w[come] = z[:nc]
+        return w, 2.0 * float(x[k])
+
+
 def _kkt_active_set(A, v, w0, max_iter, start=None):
     """Exact minimizer of w.A.w + v.w over the simplex by block principal
     pivoting on the KKT conditions (Kim & Park, SIAM J. Sci. Comput. 2011).
 
     The first trial support is `start` (a boolean mask over the cells) or,
-    when it is None, every cell.  The KKT point is unique, so in exact
-    arithmetic the start changes only how many pivots reach it; in floating
-    point, two starts that stop on the same last trial support return the
-    same bits.  For a trial support S, the bordered system
-    [[A_SS, -1], [1^T, 0]] [w_S, ell/2] = [-v_S/2, 1] gives weights and the
-    multiplier ell with 2(Aw) + v = ell on S.  A is positive definite only
-    on sum-zero vectors, so A_SS alone may be indefinite; the bordered
-    system is nonsingular all the same.  Cells of S with w < 0 leave and
-    cells off S with 2(Aw) + v - ell < 0 enter, until neither set has a
-    member.  When three exchanges in a row fail to lower the count of such
-    cells, only the largest-index one is exchanged (Judice & Pires 1994),
-    which guarantees termination.
+    when it is None, every cell.  For a trial support S, the bordered
+    system [[A_SS, -1], [1^T, 0]] [w_S, ell/2] = [-v_S/2, 1] gives weights
+    and the multiplier ell with 2(Aw) + v = ell on S.  A is positive
+    definite only on sum-zero vectors, so A_SS alone may be indefinite; the
+    bordered system is nonsingular all the same.  Cells of S with w < 0
+    leave and cells off S with 2(Aw) + v - ell < 0 enter, until neither set
+    has a member.  When three exchanges in a row fail to lower the count of
+    such cells, only the largest-index one is exchanged (Judice & Pires
+    1994), which guarantees termination.
+
+    A direct solve factorizes its bordered system once for a lookahead
+    (:class:`_Bordered`): a later trial support that differs from its
+    support only within COARSE_FACTOR cells of a border is solved by a
+    small Schur-complement system instead, and any other support by a new
+    direct solve.  A Schur iterate that passes both tests (with Aw over all
+    cells) is not returned: its support gets one more direct solve, the
+    canonical one, which is returned if it passes the same tests and
+    pivoted on otherwise.  So the result is always the direct solution on
+    its final support, and its bits depend on that support alone, not on
+    the start or the path; the KKT point is unique, so in exact arithmetic
+    the start changes only how many pivots reach it.
 
     Returns (w, ell, Aw, trace); trace holds the objective at w0 and at
-    every feasible iterate that lowers it.  Raises StagnationError when the
-    KKT system is singular or `max_iter` pivot iterations do not suffice.
+    every feasible iterate that lowers it, where a Schur iterate that
+    passes the tests counts only through its canonical solve.  Raises
+    StagnationError when a direct bordered system is singular or
+    `max_iter` iterations, direct and Schur alike, do not suffice.
     """
     m = len(v)
     trace = [float(w0 @ (A @ w0) + v @ w0)]
     support = np.ones(m, dtype=bool) if start is None else start.copy()
     best, budget = m + 1, 3
+    base, direct = None, True
     for _ in range(max_iter):
-        idx = np.flatnonzero(support)
-        k = idx.size
-        kkt = np.empty((k + 1, k + 1))
-        kkt[:k, :k] = A[np.ix_(idx, idx)]
-        kkt[:k, k] = -1.0
-        kkt[k, :k] = 1.0
-        kkt[k, k] = 0.0
-        rhs = np.append(-0.5 * v[idx], 1.0)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StagnationError("singular KKT system on a support of %d "
-                                  "cells" % k, trace[-1]) from exc
-        del kkt  # so the next support's system is not built beside it
-        w = np.zeros(m)
-        w[idx] = sol[:k]
-        ell = 2.0 * float(sol[k])
+        step = None
+        if not direct and base.reaches(support):
+            step = base.schur(support)
+        direct = step is None
+        if direct:
+            try:
+                base = _Bordered(A, v, support)
+            except np.linalg.LinAlgError as exc:
+                raise StagnationError("singular KKT system on a support of %d "
+                                      "cells" % np.count_nonzero(support),
+                                      trace[-1]) from exc
+            step = base.weights()
+        w, ell = step
         aw = A @ w
         leave = support & (w < 0)
         enter = ~support & (2.0 * aw + v - ell < 0)
+        bad = np.flatnonzero(leave | enter)
+        if bad.size == 0 and not direct:
+            # a Schur iterate's KKT point: solve its support directly
+            direct = True
+            continue
         if not leave.any():
             e = float(w @ aw + v @ w)
             if e < trace[-1]:
                 trace.append(e)
-        bad = np.flatnonzero(leave | enter)
         if bad.size == 0:
             return w, ell, aw, trace
+        direct = False
         if bad.size < best:
             best, budget = bad.size, 3
         elif budget > 0:
@@ -526,18 +665,28 @@ SUPPORT_CUT = 1e-8
 COARSE_FACTOR = 8
 
 
-def _coarse_start(V, Q, m, max_iter):
-    """Start support for the pivoting on m cells of [0, Q]: fine cell j
-    starts in it iff the cell of the max(1, m // COARSE_FACTOR) grid that
-    contains its midpoint carries weight at that grid's KKT point.  A
-    one-cell coarse grid gives all cells.  None (start from all cells) when
-    the coarse solve stagnates."""
+def _coarse_start(A, V, Q, max_iter):
+    """Start support for the pivoting on the m cells of [0, Q] whose energy
+    operator is A: fine cell j starts in it iff the cell of the
+    mc = max(1, m // COARSE_FACTOR) grid that contains its midpoint carries
+    weight at that grid's KKT point.  A one-cell coarse grid gives all
+    cells.  None (start from all cells) when the coarse solve stagnates.
+
+    The coarse grid pivots on A's leading mc x mc block, not on an operator
+    of its own.  The cell-pair averages of log|x - y| and log(sqrt x +
+    sqrt y) over cells of width h are those over unit cells plus log h and
+    log(h)/2, so A(h, m) = C - (3/4) log(h) 11^T with C a function of the
+    cell indices alone: the leading block of A is the mc-cell operator plus
+    a multiple of 11^T, which adds a constant to the energy on the simplex
+    and shifts only the multiplier.
+    """
+    m = len(A)
     mc = max(1, m // COARSE_FACTOR)
     s = (np.arange(mc) + 0.5) * (Q / mc)
     v = np.array([float(V(x)) for x in s])
     try:
-        wc = _kkt_active_set(_energy_operator(Q / mc, mc), v,
-                             np.full(mc, 1.0 / mc), max_iter)[0]
+        wc = _kkt_active_set(A[:mc, :mc], v, np.full(mc, 1.0 / mc),
+                             max_iter)[0]
     except StagnationError:
         return None
     # midpoint (j + 1/2) Q/m lies in coarse cell floor((2j + 1) mc / (2m))
@@ -551,18 +700,24 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     Q : box size; the support of the minimizer must end well inside.  A
         RuntimeWarning says so when the last cell carries weight.
     m : number of uniform cells.
-    max_iter : cap on the pivot iterations of each exact KKT solve, the
-        coarse start and the fine one.
+    max_iter : cap on the iterations of each exact KKT solve, the coarse
+        start and the fine one; a direct bordered solve and a
+        Schur-complement step count one each.
 
-    The same field is first solved on max(1, m // COARSE_FACTOR) cells, and
-    the pivoting on m cells starts from that support instead of from all
-    cells; if the coarse solve stagnates, it starts from all cells.  The
-    KKT point is unique, so both starts end on the same support in exact
-    arithmetic.  In floating point the support comes from sign tests, and a
-    cell on its border could stop two pivot paths on different supports
-    whose results differ by roundoff; whenever the last trial support is
-    the same, the result is the same bit for bit, which holds on every
-    field the tests and the benchmark use.
+    The same field is first solved on max(1, m // COARSE_FACTOR) cells, on
+    the leading block of the m-cell operator (see :func:`_coarse_start`),
+    and the pivoting on m cells starts from that support instead of from all
+    cells; if the coarse solve stagnates, it starts from all cells.  Most of
+    the fine pivots then move a few cells at the support's border, and they
+    are taken by Schur-complement steps on the first fine factorization
+    (:func:`_kkt_active_set`): V = x at m = 2000 factorizes two bordered
+    systems of about 1130 cells.  The KKT point is unique, so both starts
+    end on the same support in exact arithmetic.  The result is always the
+    direct solve on its final support, so whenever two starts end on the
+    same support the result is the same bit for bit.  In floating point the
+    support comes from sign tests, and a cell on its border could stop two
+    pivot paths on different supports whose results differ by roundoff; that
+    has not happened on any field the tests and the benchmark use.
 
     Returns an EquilibriumSolution with q (support endpoint estimate), the
     Lagrange constant ell (the KKT multiplier of the mass constraint), the
@@ -591,8 +746,8 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
         warnings.warn("x V'(x) is not increasing; the one-cut assumption may fail",
                       RuntimeWarning, stacklevel=2)
 
-    start = _coarse_start(V, Q, m, max_iter)
     A = _energy_operator(h, m)
+    start = _coarse_start(A, V, Q, max_iter)
     w0 = s ** (-2.0 / 3.0) / np.sum(s ** (-2.0 / 3.0))
     w, ell, aw, trace = _kkt_active_set(A, v, w0, max_iter, start)
 

@@ -588,11 +588,11 @@ def cd_formula_check(bs: BiorthoSystem, x, y, delta=1e-6, dps=30):
     n = bs.nmax
     if not 2 <= n <= 8:
         raise ValueError("matrix cross-check supported for 2 <= n <= 8")
-    x, y = mpf(x), mpf(y)
-    if x <= 0 or y <= 0 or x == y:
-        raise ValueError("need x, y > 0 and x != y")
-    bs_big = biortho_build(bs.table, n + 1)
     with working(dps):
+        x, y = mpf(x), mpf(y)
+        if x <= 0 or y <= 0 or x == y:
+            raise ValueError("need x, y > 0 and x != y")
+        bs_big = biortho_build(bs.table, n + 1)
         rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
         T = _cauchy_box(bs, n, rows1, dps)
         Yx = _y_plus(bs_big, n, x, T, mpf(delta), dps)
@@ -618,11 +618,11 @@ def y_growth_residual(bs: BiorthoSystem, z, dps=30):
     n = bs.nmax
     if n < 2:
         raise ValueError("growth check needs at least two polynomials")
-    z = mpc(z)
-    if mp.im(z) == 0 and mp.re(z) >= 0:
-        raise ValueError("z must avoid [0, oo)")
-    bs_big = biortho_build(bs.table, n + 1)
     with working(dps):
+        z = mpc(z)
+        if mp.im(z) == 0 and mp.re(z) >= 0:
+            raise ValueError("z must avoid [0, oo)")
+        bs_big = biortho_build(bs.table, n + 1)
         row2 = _edge_rows(bs_big, n)[0]
         T = _cauchy_box(bs, n, [row2], dps)
         top = row2[::-1]

@@ -679,9 +679,9 @@ def phi_scalars(alpha, point, dps=None):
     phi4 = -4 pi^2 phi0 / (Gamma(1+a) Gamma(3/2+a)) ties it to the 0F2
     route.
     """
-    a = mpf(alpha)
-    b = (mpf(0), -a, -a - mpf("0.5"))
     with working(dps) as d:
+        a = mpf(alpha)
+        b = (mpf(0), -a, -a - mpf("0.5"))
         e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)   # e^{2 pi i a}
         g0, gp, gm = _g3_triples(b, point, (0, 1, -1), d)
         phi1 = _txc(gp, mpc(0, 1) * e_plus)
@@ -693,9 +693,9 @@ def phi_scalars(alpha, point, dps=None):
 
 def psi_scalars(alpha, point, dps=None):
     """Triples for psi1..psi4 at a sector point."""
-    a = mpf(alpha)
-    b = (mpf(0), a, a + mpf("0.5"))
     with working(dps) as d:
+        a = mpf(alpha)
+        b = (mpf(0), a, a + mpf("0.5"))
         pi_ = mp.pi
         e_plus = mp.exp(mpc(0, 1) * 2 * pi_ * a)
         g_m1, g_p1, g_m3 = _g3_triples(b, point.rotated(-pi_), (0, 1, -1), d)
@@ -710,9 +710,9 @@ def psi3_alternate(alpha, point, dps=None):
     """psi3 via the other analytic-continuation identity (consistency check):
     psi3 = i e^{-2 pi i a} (G(z e^{pi i}) - G(z e^{3 pi i})).
     """
-    a = mpf(alpha)
-    b = (mpf(0), a, a + mpf("0.5"))
     with working(dps) as d:
+        a = mpf(alpha)
+        b = (mpf(0), a, a + mpf("0.5"))
         pi_ = mp.pi
         e_minus = mp.exp(mpc(0, -1) * 2 * pi_ * a)
         g_p1, g_p3 = _g3_triples(b, point.rotated(+pi_), (0, 1), d)

@@ -82,6 +82,27 @@ def test_density_keeps_its_digits_next_to_three(offset):
         assert abs(ref - density_vx_cardano(s, dps=110)) <= mpf("1e-100") * ref
 
 
+@pytest.mark.parametrize("d", [20, 30, 60])
+def test_density_one_cube_root_meets_110_digits(d):
+    # the one-cube-root form against the spectral cubic at 110 digits, the
+    # independent route: on a grid over (0, 27/8), next to s = 3, where
+    # b + a vanishes, and next to the soft edge, where the density vanishes
+    # like a square root and the sum of two cube roots was 1.2e-23
+    # relative off at 27/8 - 1e-9 and d = 20 (30 working digits)
+    with mp.workdps(120):
+        points = [VX_SUPPORT * i / 64 for i in range(1, 64)]
+        points += [mpf(3), 3 + mpf("1e-12"), 3 - mpf("1e-12"),
+                   VX_SUPPORT - mpf("1e-9")]
+    for s in points:
+        with mp.workdps(d):
+            s = +s  # an input that every precision below holds exactly
+        got = density_vx_explicit(s, dps=d)
+        ref = density_vx_cardano(s, dps=110)
+        with mp.workdps(120):
+            assert abs(got - ref) <= mpf(10) ** -(d + 5) * ref, s
+    assert density_vx_explicit(VX_SUPPORT, dps=d) == 0
+
+
 def test_density_integrates_to_one():
     with mp.workdps(40):
         total = quad_ts(lambda t: density_vx_explicit(t, dps=35), 0,
@@ -399,6 +420,65 @@ def test_row_orders_move_the_weights_by_roundoff(V, box, m, monkeypatch):
     assert np.array_equal(w > 0, sol.mu.weights > 0)
     assert np.max(np.abs(w - sol.mu.weights)) <= 1e-14
     assert abs(ell + sol.ell) <= 1e-14
+
+
+def test_schur_step_matches_the_direct_solve():
+    # a trial support that moves only cells within COARSE_FACTOR of a
+    # border of the factorized one is solved by the Schur complement of
+    # that factorization: the same weights and multiplier as a direct
+    # solve on it, to roundoff; a support that moves another cell is not
+    A, v, _ = _all_cells_problem(lambda x: (x - 3) ** 2, 6.0, 400)
+    support = np.zeros(400, dtype=bool)
+    support[80:240] = True
+    base = equilibrium._Bordered(A, v, support)
+    for gone, come in (([80, 81], []), ([], [78, 79, 240]),
+                       ([239, 237, 80], [241, 72])):
+        trial = support.copy()
+        trial[gone], trial[come] = False, True
+        assert base.reaches(trial)
+        w, ell = base.schur(trial)
+        w_ref, ell_ref = equilibrium._Bordered(A, v, trial).weights()
+        assert np.all(w[~trial] == 0)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12
+        assert abs(ell - ell_ref) <= 1e-12
+    for cell in (71, 100, 248):
+        trial = support.copy()
+        trial[cell] = not trial[cell]
+        assert not base.reaches(trial)
+
+
+@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
+@pytest.mark.parametrize("V, box, m", _PIVOT_FIELDS)
+def test_fine_pivots_reuse_one_factorization(V, box, m, monkeypatch):
+    # the fine pivots near the support's border are Schur-complement steps
+    # on the first fine factorization, with systems of a few cells, and the
+    # last support gets one canonical direct solve: at most two bordered
+    # systems of more than m // 8 + 1 cells from the coarse start (three to
+    # five before), and one from the final support; the result is that
+    # canonical solve's, whichever start reached it
+    sizes = []
+    solve, pivot = np.linalg.solve, equilibrium._kkt_active_set
+
+    def counted_solve(a, b):
+        sizes[-1].append(a.shape[0])
+        return solve(a, b)
+
+    def tagged_pivot(A, v, *args):
+        sizes.append([])
+        return pivot(A, v, *args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(equilibrium, "_kkt_active_set", tagged_pivot)
+    sol = equilibrium_minimize(V, box, m)
+    A, v, w0 = _all_cells_problem(V, box, m)
+    final = sol.mu.weights > 0
+    for start in (final, None):
+        w, ell, aw, trace = tagged_pivot(A, v, w0, 6000, start)
+        assert _same_bits(sol, w, ell, aw)
+        assert trace[-1] == float(w @ aw + v @ w)
+    assert sol.objective_trace[-1] == trace[-1]
+    large = [[k for k in run if k > m // 8 + 1] for run in sizes]
+    assert len(large[1]) <= 2 and large[2] == sizes[2] == [final.sum() + 1]
 
 
 def test_coarse_stagnation_starts_from_all_cells(monkeypatch):

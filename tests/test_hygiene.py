@@ -2,6 +2,8 @@
 
 import ast
 import builtins
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -596,3 +598,62 @@ def test_plus_after_raise_detector():
                      "        return a\n"
                      "    return +a, b\n")
     assert _plus_after_raise(tree) == [4, 17]
+
+
+def _pyproject_dependencies():
+    """Distribution names in the ``dependencies`` list of pyproject.toml,
+    read with a pattern: tomllib is not in Python 3.10's standard library."""
+    text = (SRC[0].parents[2] / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M).group(1)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+
+
+def _outside_imports(tree, allowed):
+    """(line, module) of every import of a top-level module that is neither
+    the standard library's, nor in ``allowed``, nor the package's own (a
+    relative import or ``mbhalf``); ``importlib.import_module`` and
+    ``__import__`` with a constant name count as imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__")
+              and node.args and isinstance(node.args[0], ast.Constant)):
+            names = [node.args[0].value]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] not in
+                     sys.stdlib_module_names | allowed | {"mbhalf"})
+    return sorted(found)
+
+
+def test_library_imports_only_its_dependencies():
+    # src/ imports the standard library, mpmath and numpy alone, the
+    # dependencies pyproject declares; an optional import such as
+    # scipy.linalg would also cost 0.3-0.4 s of start-up in a fresh process
+    assert _pyproject_dependencies() == {"mpmath", "numpy"}
+    trees = _parse_all(SRC)
+    found = [(mod, *item) for mod, tree in trees.items()
+             for item in _outside_imports(tree, {"mpmath", "numpy"})]
+    assert not found, ", ".join("%s:%d %s" % item for item in found)
+
+
+def test_outside_import_detector():
+    tree = ast.parse("import math, scipy.linalg\n"
+                     "from numpy import linalg\n"
+                     "from .mpcore import working\n"
+                     "from mbhalf.mpcore import quad_ts\n"
+                     "from scipy.linalg import lu_factor\n"
+                     "import importlib\n"
+                     "sp = importlib.import_module('scipy.special')\n"
+                     "gm = __import__('gmpy2')\n"
+                     "ok = importlib.import_module('mpmath')\n"
+                     "from mpmath.libmp import to_fixed\n")
+    assert _outside_imports(tree, {"mpmath", "numpy"}) == [
+        (1, "scipy.linalg"), (5, "scipy.linalg"), (7, "scipy.special"),
+        (8, "gmpy2")]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from mbhalf import equilibrium, kernel, meijer, specfun
+from mbhalf import equilibrium, finiten, kernel, meijer, specfun
 from mbhalf.kernel import kernel_integral, kernel_meijer
 from mbhalf.meijer import SectorPoint, g303_series, mb_loop
 from mbhalf.rhframe import phi_matrix, psi_matrix
@@ -272,3 +272,32 @@ def test_equilibrium_values_carry_the_requested_digits_at_any_ambient_precision(
         high = values()
         for got, ref in zip(low, high):
             assert abs(got - ref) <= mpf("1e-38") * abs(ref)
+
+
+def test_scalars_and_checks_convert_their_arguments_under_the_raise():
+    # alpha, x, y and z are converted at dps + GUARD_DIGITS, not at the
+    # caller's 15 digits: phi_scalars was 1.6e-16 and psi_scalars 2.4e-17
+    # off their ambient-60 values before
+    with mp.workdps(60):
+        alpha = mpf("0.3")
+        pt = SectorPoint(mpf("1.3"), mpf("0.4"))
+        x, y, z = mpf("0.4"), mpf("0.9"), mp.mpc("-3.3", "2.1")
+    bs = finiten.biortho_build(
+        finiten.moments(alpha, 2, "laguerre", smax=mpf(6), dps=64), 2)
+
+    def values():
+        phi, psi = (f(alpha, pt, dps=40) for f in (meijer.phi_scalars,
+                                                    meijer.psi_scalars))
+        triples = [t for sc in (phi, psi)
+                   for t in (sc.f1, sc.f2, sc.f3, sc.f4)]
+        return [*(v for triple in triples for v in triple),
+                *meijer.psi3_alternate(alpha, pt, dps=40),
+                finiten.cd_formula_check(bs, x, y, dps=40),
+                finiten.y_growth_residual(bs, z, dps=40)]
+
+    with mp.workdps(15):
+        low = values()
+    with mp.workdps(60):
+        high = values()
+        for got, ref in zip(low, high):
+            assert abs(got - ref) <= mpf("1e-45") * abs(ref)
