@@ -84,11 +84,13 @@ def _tail_box(alpha, n, V, smax):
     working precision of :func:`moments` that it runs under.
 
     A point passes when the integrand x^(smax+alpha) exp(-n V(x)) is below
-    10^-mp.dps there and falling (a step of 2^-20 x does not raise it).  X
-    lies beyond every doubling point 4 * 2^i, up to the cap 4 * 2^59, that
-    fails: the last failing point p and 2p bracket the last crossing, and
-    eight halvings of that bracket on the same test bring X to within
-    2^-9 X of it, where doubling alone overshoots it by up to 2x.  X = 4
+    10^-mp.dps of its largest value at the doubling points 4 * 2^i, up to
+    the cap 4 * 2^59, and falling (a step of 2^-20 x does not raise it).
+    The bound is relative, so a small moment keeps the working digits as a
+    large one does.  X lies beyond every doubling point that fails: the
+    last failing point p and 2p bracket the last crossing, and eight
+    halvings of that bracket on the same test bring X to within 2^-9 X of
+    it, where doubling alone overshoots it by up to 2x.  X = 4
     when every point passes; a failure at the cap raises
     :class:`DomainExtensionError`.
 
@@ -108,33 +110,35 @@ def _tail_box(alpha, n, V, smax):
     it deep inside fails to converge.  A V whose doubling points bracket
     no maximum (V = x with smax + alpha < 4n) has no peaks.
     """
-    # the test x^(smax+alpha) exp(-n V(x)) < 10^-mp.dps, in logs
-    log_bound = -mp.dps * mp.ln10
     power = mpf(smax) + alpha
 
     def log_integrand(x):
         return power * mp.log(x) - n * V(x)
 
     def probe(x):
-        """Whether x passes, and whether the integrand rises there."""
+        """The log-integrand at x, and whether it rises there."""
         here = log_integrand(x)
-        rising = log_integrand(x + x / 2 ** 20) > here
-        return here < log_bound and not rising, rising
+        return here, log_integrand(x + x / 2 ** 20) > here
+
+    def passes(here, rising):
+        return here < log_bound and not rising
 
     points = [mpf(4) * 2 ** i for i in range(60)]
     probes = [probe(x) for x in points]
-    failing = [x for x, (ok, _) in zip(points, probes) if not ok]
+    # the test integrand < 10^-mp.dps * its largest probed value, in logs
+    log_bound = max(here for here, _ in probes) - mp.dps * mp.ln10
+    failing = [x for x, pr in zip(points, probes) if not passes(*pr)]
     if not failing:
         return points[0], []
     lo = failing[-1]
     if lo == points[-1]:
         raise DomainExtensionError(
-            "moment integrand not below 10^-%d by X=%s; V grows too slowly"
-            % (mp.dps, mp.nstr(lo, 5)))
+            "moment integrand not below 10^-%d of its largest probed value "
+            "by X=%s; V grows too slowly" % (mp.dps, mp.nstr(lo, 5)))
     X = 2 * lo
     for _ in range(8):
         mid = (lo + X) / 2
-        if probe(mid)[0]:
+        if passes(*probe(mid)):
             X = mid
         else:
             lo = mid
@@ -505,85 +509,58 @@ def _cauchy_box(bs, n, polys, dps):
     raise DomainExtensionError("Cauchy-transform tail does not decay")
 
 
-def _cauchy(funs, fxs, xr, zs, T, dps):
-    """(1/2pi i) integral_0^T f_m(t)/(t-z_k) dt for every function f_m and
-    point z_k, as rows [m][k].
-
-    ``funs(t)`` returns the list of values f_m(t); all m*k integrands ride
-    on one vector quadrature over [0, xr] and one over [xr, T], so each
-    node evaluates ``funs`` and each 1/(t - z_k) once.  The value
-    fxs[m] = f_m(xr) is subtracted so the integrand stays bounded near
-    t = Re z = xr; the subtracted part integrates to a two-log closed form.
-    """
-    def g(t):
-        inv = [1 / (t - z) for z in zs]
-        return [(f - fx) * i for f, fx in zip(funs(t), fxs) for i in inv]
-
-    vals = [u + v for u, v in zip(quad_ts(g, 0, xr, dps=dps),
-                                  quad_ts(g, xr, T, dps=dps))]
-    logs = [mp.log(T - z) - mp.log(-z) for z in zs]
-    K = len(zs)
-    return [[(vals[K * m + k] + fx * lg) / (2j * mp.pi)
-             for k, lg in enumerate(logs)] for m, fx in enumerate(fxs)]
-
-
-def _y_plus(bs_big, n, x, T, delta, dps):
+def _y_plus(table, rows, x, T, dps):
     """Boundary value Y_+(x) of the 3x3 matrix at x > 0.
 
-    Columns 2 and 3 are Cauchy transforms of p(t) w(t) and p(t) t^(1/2)
-    w(t) for the three row polynomials p; the boundary value is the
-    average over +-i delta plus half the jump density, per the upper-side
-    convention.  The average approaches the principal value with a bias
-    linear in delta (-pi delta f'(x) on the raw integral), so a second
-    average at delta/2 and one Richardson step remove it.  For a real f,
-    C(x - i delta) = -conj(C(x + i delta)), so the average is
-    i Im C(x + i delta); each row is therefore split into real polynomials
-    times 1 or i (p_n is real, the edge rows are i times real), and the
-    transforms are needed only at the two upper points x + i delta and
-    x + i delta/2.  They come from one :func:`_cauchy` call, whose
-    integrand computes the weight, t^(1/2) and each polynomial once per
-    node.
+    Column 1 holds the three row polynomials p at x; columns 2 and 3 the
+    boundary values from above of the Cauchy transforms
+    C f(z) = (1/2pi i) integral_0^T f(t)/(t - z) dt of f = p w and
+    f = p t^(1/2) w.  Subtracting f(x) leaves an integrand bounded at
+    t = x, so the limit z -> x + i0 is one smooth integral and a closed
+    form:
+
+        C_+ f(x) = (1/2pi i) [integral_0^T (f(t) - f(x))/(t - x) dt
+                              + f(x) (log((T - x)/x) + i pi)].
+
+    All six integrands, complex rows as they are, ride on one vector
+    tanh-sinh pass over [0, x] and one over [x, T], so that x is never a
+    node; each node evaluates the weight, t^(1/2) and each polynomial once.
     """
-    rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
-    parts = []          # (row, unit, real coefficients, highest degree first)
-    for j, row in enumerate(rows1):
-        for unit, part in ((1, [mp.re(c) for c in row]),
-                           (1j, [mp.im(c) for c in row])):
-            if any(part):
-                parts.append((j, unit, part[::-1]))
+    tops = [row[::-1] for row in rows]
 
     def funs(t):
-        w, rt = _weight(bs_big.table, t), mp.sqrt(t)
+        w, rt = _weight(table, t), mp.sqrt(t)
         out = []
-        for _, _, part in parts:
-            pw = mp.polyval(part, t) * w
+        for top in tops:
+            pw = mp.polyval(top, t) * w
             out += [pw, pw * rt]
         return out
 
     fxs = funs(x)
-    cs = _cauchy(funs, fxs, x, [mpc(x, delta), mpc(x, delta / 2)], T, dps)
-    Y = [[mp.polyval(row[::-1], x), mpc(0), mpc(0)] for row in rows1]
-    for i, (j, unit, _) in enumerate(parts):
-        for col in (1, 2):
-            m = 2 * i + col - 1
-            a1, a2 = (mpc(0, c.imag) for c in cs[m])
-            Y[j][col] += unit * (2 * a2 - a1 + fxs[m] / 2)
-    return Y
+
+    def g(t):
+        inv = 1 / (t - x)
+        return [(f - fx) * inv for f, fx in zip(funs(t), fxs)]
+
+    log_term = mp.log((T - x) / x) + 1j * mp.pi
+    cs = [(u + v + fx * log_term) / (2j * mp.pi) for u, v, fx in
+          zip(quad_ts(g, 0, x, dps=dps), quad_ts(g, x, T, dps=dps), fxs)]
+    return [[mp.polyval(top, x), cs[2 * j], cs[2 * j + 1]]
+            for j, top in enumerate(tops)]
 
 
-def cd_formula_check(bs: BiorthoSystem, x, y, delta=1e-6, dps=30):
+def cd_formula_check(bs: BiorthoSystem, x, y, dps=30):
     """Relative defect of the Christoffel-Darboux matrix form of the kernel.
 
     Assembles Y_+(x), Y_+(y) for the degree-n boundary-value problem
-    (n = bs.nmax) from p_n, p_{n-1}, p_{n-2} and numerical Cauchy
-    transforms, forms
+    (n = bs.nmax) from p_n, p_{n-1}, p_{n-2} and their Cauchy transforms'
+    boundary values at z = x (:func:`_y_plus`), forms
 
         (0, w(y), y^(1/2) w(y)) . Y_+(y)^(-1) . Y_+(x) . e_1 / (2 pi i (x-y))
 
     and returns |that - finite_kernel(bs, x, y)| / |finite_kernel|.  The
-    identity is exact; the residual measures the +-i delta boundary
-    approximation (extrapolated once in delta) and quadrature, so it grows
-    with delta.
+    identity is exact, so the residual is the quadrature's error and
+    roundoff at the working digits dps.
     """
     n = bs.nmax
     if not 2 <= n <= 8:
@@ -595,8 +572,8 @@ def cd_formula_check(bs: BiorthoSystem, x, y, delta=1e-6, dps=30):
         bs_big = biortho_build(bs.table, n + 1)
         rows1 = [bs_big.p_coeffs[n][:n + 1], *_edge_rows(bs_big, n)]
         T = _cauchy_box(bs, n, rows1, dps)
-        Yx = _y_plus(bs_big, n, x, T, mpf(delta), dps)
-        Yy = _y_plus(bs_big, n, y, T, mpf(delta), dps)
+        Yx = _y_plus(bs.table, rows1, x, T, dps)
+        Yy = _y_plus(bs.table, rows1, y, T, dps)
         wy = _weight(bs.table, y)
         left = [mpc(0), wy, mp.sqrt(y) * wy]
         Yy_inv = inv3(Yy)

@@ -145,7 +145,8 @@ def test_tail_box_failure_for_shrinking_field():
 
 
 def test_tail_box_bisects_the_doubling_bracket():
-    # the bound (3 + alpha) log X - 2 X = -50 log 10 crosses at X = 64.01;
+    # the bound (3 + alpha) log X - 2 X = -50 log 10 + (3.1 log 4 - 8),
+    # the largest probed value being the one at 4, crosses at X = 65.9;
     # doubling from 4 alone stops at 128, twice the needed box
     alpha, n, smax, d = mpf("0.1"), 2, mpf(3), 40
     with mp.workdps(d + 10):
@@ -167,20 +168,40 @@ def test_tail_box_finds_mass_beyond_the_first_small_point():
             assert abs(got.value(mpf(0)) - ref) < mpf("1e-25"), n
 
 
+def test_small_moments_keep_the_working_digits():
+    # the top moment of V = x + x^2/10 at n = 32 is 4.3e-16; a box that
+    # ended where the integrand fell below 10^-d absolutely left it 3.9e-57
+    # off, and one relative to the integrand's size keeps d digits
+    alpha, n, d = mpf("0.3"), 32, 60
+
+    def V(x):
+        return x + x ** 2 / 10
+
+    top = 3 * (n - 1)
+    mt = moments(alpha, n, V, smax=mpf(top) / 2, dps=d)
+    with mp.workdps(d + 40):
+        for k2 in (0, top):
+            s = mpf(k2) / 2
+            ref = mp.quad(lambda x: x ** (s + alpha) * mp.exp(-n * V(x)),
+                          [0, 1, 2, 4, 8, mp.inf])
+            assert abs(mt.values[k2] - ref) < mpf(10) ** -d * ref, k2
+
+
 @pytest.mark.parametrize("n", [100, 1000, 3000])
 def test_moments_resolve_a_narrow_well_inside_the_box(n):
-    # the well at 50 (where the integrand is e^-n) takes the box there, and
-    # the well at 6, about 1/sqrt(n) wide, lies deep inside it; the
-    # doubling points 4 and 8 bracket its peak, and the pass is split
-    # there.  One pass over [0, X] raised QuadratureConvergenceError at
-    # n = 3000
+    # the well at 6, about 1/sqrt(n) wide, lies deep inside the box, which
+    # the well at 50 (where the integrand is e^-n) takes past 50: the bound
+    # is relative to e^-4n, the largest probed value (at 4 and 8).  The
+    # doubling points 4 and 8 bracket the peak at 6, 32 and 64 the one at
+    # 50, and the pass is split at both.  One pass over [0, X] raised
+    # QuadratureConvergenceError at n = 3000
     def V(x):
         return min((x - 6) ** 2, (x - 50) ** 2 + 1)
 
     got = moments(mpf(0), n, V, smax=0, dps=30)
     with mp.workdps(40):
         X, peaks = _tail_box(mpf(0), n, V, mpf(0))
-        assert [round(float(x)) for x in peaks] == [6] and X >= 50
+        assert [round(float(x)) for x in peaks] == [6, 50] and X > 50
         ref = mp.quad(lambda x: mp.exp(-n * V(x)), [0, 6, 50, mp.inf])
         assert abs(got.value(0) - ref) < mpf("1e-25") * ref, n
 
@@ -316,20 +337,22 @@ def test_kernel_trace_counts_particles():
 
 
 def test_cd_matrix_form_agrees(system6):
-    resid = cd_formula_check(system6, mpf("0.5"), mpf("1.1"), delta=1e-6,
-                             dps=30)
-    assert resid < mpf("1e-6")
+    resid = cd_formula_check(system6, mpf("0.5"), mpf("1.1"), dps=30)
+    assert resid < mpf("1e-30")
 
 
-def test_cd_residual_grows_with_delta():
-    # the +-i delta averaging leaves an O(delta^2) bias after one
-    # extrapolation step; two decades in delta must show it clearly
-    mt = moments(mpf(0), 4, "laguerre", smax=mpf(6), dps=64)
-    bs = biortho_build(mt, 4)
-    r_small = cd_formula_check(bs, mpf("0.4"), mpf("0.9"), delta=1e-6, dps=30)
-    r_big = cd_formula_check(bs, mpf("0.4"), mpf("0.9"), delta=1e-4, dps=30)
-    assert r_small < mpf("1e-7")
-    assert r_big > 50 * r_small
+@pytest.mark.parametrize("alpha, n, dps", [
+    ("0", 2, 30), ("0", 8, 30), ("0.3", 2, 30), ("0.3", 8, 30),
+    ("0", 2, 60), ("0.3", 2, 60)])
+def test_cd_residual_meets_the_working_digits(alpha, n, dps):
+    # the boundary values are taken at z = x itself, so the identity holds
+    # to the working digits; boundary values from x + i delta and
+    # x + i delta/2 with one Richardson step left 2e-11..4e-9 at 30 digits
+    mt = moments(mpf(alpha), n, "laguerre", smax=mpf(3 * n) / 2,
+                 dps=dps + 34)
+    bs = biortho_build(mt, n)
+    resid = cd_formula_check(bs, mpf("0.4"), mpf("0.9"), dps=dps)
+    assert resid < mpf(10) ** -dps
 
 
 def test_cd_guards():
