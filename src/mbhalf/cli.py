@@ -7,6 +7,7 @@ numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -344,7 +345,11 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once a process: its flags, choices
+    and help are fixed, and each ``parse_args`` call returns a fresh
+    namespace."""
     p = argparse.ArgumentParser(
         prog="mbhalf",
         description="Hard-edge biorthogonal-ensemble computations "

@@ -83,16 +83,20 @@ def _tail_box(alpha, n, V, smax):
     [0, X] at which :func:`moments` splits its tanh-sinh pass, at the
     working precision of :func:`moments` that it runs under.
 
-    A point passes when the integrand x^(smax+alpha) exp(-n V(x)) is below
-    10^-mp.dps of its largest value at the doubling points 4 * 2^i, up to
-    the cap 4 * 2^59, and falling (a step of 2^-20 x does not raise it).
-    The bound is relative, so a small moment keeps the working digits as a
-    large one does.  X lies beyond every doubling point that fails: the
-    last failing point p and 2p bracket the last crossing, and eight
-    halvings of that bracket on the same test bring X to within 2^-9 X of
-    it, where doubling alone overshoots it by up to 2x.  X = 4
-    when every point passes; a failure at the cap raises
-    :class:`DomainExtensionError`.
+    Where the integrand rises at a doubling point p and does not at 2p,
+    the two bracket a local maximum of its logarithm; :func:`_peak` finds
+    one.  A point passes when the integrand x^(smax+alpha) exp(-n V(x)) is
+    below 10^-mp.dps of its largest value at the doubling points 4 * 2^i,
+    up to the cap 4 * 2^59, and at those maxima, and falling (a step of
+    2^-20 x does not raise it) or rising only into a maximum its bracket
+    holds below that bound.  The bound is relative to the integrand's
+    size, so a small moment keeps the working digits as a large one does,
+    and a well whose peak lies below it is left out of the box.  X lies
+    beyond every doubling point that fails: the last failing point p and
+    2p bracket the last crossing, and eight halvings of that bracket on
+    the same test bring X to within 2^-9 X of it, where doubling alone
+    overshoots it by up to 2x.  X = 4 when every point passes; a failure
+    at the cap raises :class:`DomainExtensionError`.
 
     So a well of exp(-n V) beyond 4 is seen when the integrand is above the
     bound or still rising at some doubling point below its peak, as for any
@@ -102,9 +106,7 @@ def _tail_box(alpha, n, V, smax):
     integrand is already small and falling is not seen: that needs V to
     turn down again between them.
 
-    Where the integrand rises at a doubling point p and does not at 2p,
-    the two bracket a local maximum of its logarithm; :func:`_peak` finds
-    one, and each such maximum below X is a peak.  tanh-sinh clusters its
+    Each bracketed maximum below X is a peak.  tanh-sinh clusters its
     nodes at the ends of each piece, so a well whose peak is split off is
     resolved however narrow it is, where one pass over [0, X] that puts
     it deep inside fails to converge.  A V whose doubling points bracket
@@ -120,14 +122,27 @@ def _tail_box(alpha, n, V, smax):
         here = log_integrand(x)
         return here, log_integrand(x + x / 2 ** 20) > here
 
-    def passes(here, rising):
-        return here < log_bound and not rising
-
     points = [mpf(4) * 2 ** i for i in range(60)]
     probes = [probe(x) for x in points]
-    # the test integrand < 10^-mp.dps * its largest probed value, in logs
-    log_bound = max(here for here, _ in probes) - mp.dps * mp.ln10
-    failing = [x for x, pr in zip(points, probes) if not passes(*pr)]
+    # the bracketed maximum, and the log-integrand there, of each point
+    # that rises while the next one does not
+    tops = [None] * len(points)
+    for i, ((_, up), (_, up_next)) in enumerate(zip(probes, probes[1:])):
+        if up and not up_next:
+            x = _peak(log_integrand, points[i], points[i + 1])
+            tops[i] = (x, log_integrand(x))
+    # the test integrand < 10^-mp.dps * its largest value at the doubling
+    # points and the bracketed maxima, in logs
+    log_bound = (max([here for here, _ in probes]
+                     + [v for _, v in filter(None, tops)])
+                 - mp.dps * mp.ln10)
+
+    def passes(here, rising, top=None):
+        return here < log_bound and (
+            not rising or top is not None and top[1] < log_bound)
+
+    failing = [x for x, pr, top in zip(points, probes, tops)
+               if not passes(*pr, top)]
     if not failing:
         return points[0], []
     lo = failing[-1]
@@ -142,10 +157,7 @@ def _tail_box(alpha, n, V, smax):
             X = mid
         else:
             lo = mid
-    peaks = [_peak(log_integrand, p, 2 * p)
-             for p, (_, up), (_, up_next) in zip(points, probes, probes[1:])
-             if p < X and up and not up_next]
-    return X, [x for x in peaks if x < X]
+    return X, [x for x, _ in filter(None, tops) if x < X]
 
 
 #: a peak search stops when its bracket is below this share of its right end
@@ -187,6 +199,9 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     gamma values at s = 0 and 1/2) or a callable, in which case all
     moments are integrated together by one vector tanh-sinh pass over
     [0, X], whose endpoint clustering absorbs the x^alpha singularity at 0;
+    for alpha < -1/2 the piece at 0 is integrated in u = x^(1/p),
+    p = 1/(2 (1 + alpha)), where the singularity is p u^(-1/2) (tanh-sinh's
+    cutoff is sized for blow-ups up to (x - a)^(-3/4));
     X is the box of :func:`_tail_box`, whose docstring says which wells of
     exp(-n V) it can and cannot see.  The pass is split at the peaks
     :func:`_tail_box` finds inside the box, one pass a piece, so that a
@@ -211,15 +226,36 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
         else:
             X, peaks = _tail_box(alpha, n, V, mpf(k2max) / 2)
 
-            def f(t):
-                w, r = mp.exp(alpha * mp.log(t) - n * V(t)), mp.sqrt(t)
+            def powers(w, r):
                 out = [w]
                 for _ in range(k2max):
                     out.append(out[-1] * r)
                 return out
 
-            ends = [mpf(0)] + peaks + [X]
-            pieces = [quad_ts(f, a, b, dps=d) for a, b in zip(ends, ends[1:])]
+            def f(t):
+                return powers(mp.exp(alpha * mp.log(t) - n * V(t)),
+                              mp.sqrt(t))
+
+            # quad_ts's cutoff is sized for endpoint blow-ups up to
+            # (t - a)^(-3/4), and t^alpha is stronger below alpha = -3/4:
+            # for alpha < -1/2 the piece at 0 is taken in u = t^(1/p), where
+            # the integrand is p u^(p (alpha + 1) - 1) = p u^(-1/2) times a
+            # smooth factor
+            p = max(mpf(1), 1 / (2 * (1 + alpha)))
+
+            def f_sub(u):
+                lu = mp.log(u)
+                t = mp.exp(p * lu)
+                return powers(p * mp.exp((p * (alpha + 1) - 1) * lu
+                                         - n * V(t)), mp.sqrt(t))
+
+            ends = peaks + [X]
+            if p == 1:
+                first = quad_ts(f, 0, ends[0], dps=d)
+            else:
+                first = quad_ts(f_sub, 0, ends[0] ** (1 / p), dps=d)
+            pieces = [first] + [quad_ts(f, a, b, dps=d)
+                                for a, b in zip(ends, ends[1:])]
             vals = dict(enumerate(mp.fsum(parts) for parts in zip(*pieces)))
         for k2, v in vals.items():
             if not (mp.isfinite(v) and v > 0):

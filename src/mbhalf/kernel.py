@@ -44,8 +44,19 @@ The matrix route is specific to th = 1/2:
 
 with Phi_+ the boundary value of the first-quadrant branch on the
 positive axis and Phi^{-1} taken from the adjoint-frame identity (no
-numerical inversion).  The value is real; the imaginary residue is a
-consistency diagnostic.  Near the origin and the diagonal the frames'
+numerical inversion).  The form reads one column and one row of these
+frames: Phi_+(x) (1, 1, 0)^T is the triple of phi4 = phi1 + phi2 at x,
+and with Phi^{-1} = -Psi^T C / (4 pi^2) the row (-1, 1, 0) Phi_+^{-1}(y)
+is -(theta^2 psi4, theta psi4, psi4)(y) C / (4 pi^2), psi4 = psi2 - psi1,
+so that
+
+    K^(a,1/2)(x,y) = -(theta^2 psi4, theta psi4, psi4)(y) C
+                      (phi4, theta phi4, theta^2 phi4)(x)^T
+                     / (8 pi^3 i (x - y)),
+
+two sheets of G at x and two of Gt at y (:func:`meijer.phi4_triple`,
+:func:`meijer.psi4_triple`).  The value is real; the imaginary residue is
+a consistency diagnostic.  Near the origin and the diagonal the frames'
 entries cancel in the bilinear form; the route raises its working digits
 by an a priori bound on that loss (:func:`_meijer_loss`) and refuses a
 point that would need more than MAX_LOSS_RAISE of them.
@@ -62,8 +73,8 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 from .mpcore import working
 from .specfun import (_LOG10_2, _cancellation_digits, _wright_growth,
                       _wright_terms)
-from .meijer import SectorPoint
-from .rhframe import phi_matrix, phi_inverse
+from .meijer import SectorPoint, phi4_triple, psi4_triple
+from .rhframe import c_matrix
 
 #: relative diagonal gap below which the matrix route refuses to divide
 DIAG_GUARD = 1e-6
@@ -174,8 +185,10 @@ def kernel_integral(alpha, x, y, theta=None, dps=None):
 
 
 def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
-    """Hard-edge kernel (theta = 1/2) via the boundary frame on R+; the
-    frame's G-functions come by the route of :func:`meijer.pick_route`.
+    """Hard-edge kernel (theta = 1/2) via the boundary frame on R+, from
+    the two frame entries its bilinear form reads: the phi4 triple at x
+    and the psi4 triple at y (module docstring), each from two sheets of
+    its G-function by the route of :func:`meijer.pick_route`.
 
     Near the origin and the diagonal the frames and the bilinear form work
     at the digits of :func:`_meijer_loss` beyond those its guard digits
@@ -198,15 +211,15 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
             "kernel_integral" % (loss, mp.nstr(xx, 5), mp.nstr(yy, 5),
                                  MAX_LOSS_RAISE))
     with working(d, extra):
-        px = SectorPoint(xx, mpf(0))
-        py = SectorPoint(yy, mpf(0))
-        xmat = phi_matrix(alpha, px, dps=d + extra, side="+")
-        yinv = phi_inverse(alpha, py, dps=d + extra, side="+")
-        # (-1, 1, 0) yinv xmat (1, 1, 0)^T without forming the product
-        left = [yinv[1][k] - yinv[0][k] for k in range(3)]
-        right = [xmat[k][0] + xmat[k][1] for k in range(3)]
+        de = d + extra
+        right = phi4_triple(alpha, SectorPoint(xx, mpf(0)), dps=de)
+        psi4 = psi4_triple(alpha, SectorPoint(yy, mpf(0)), dps=de)
+        c = c_matrix(alpha, dps=de)
+        # (theta^2 psi4, theta psi4, psi4) C, C lower triangular
+        row = psi4[::-1]
+        left = [sum(row[i] * c[i][k] for i in range(k, 3)) for k in range(3)]
         bilinear = sum(l * r for l, r in zip(left, right))
-        val = bilinear / (2 * mp.pi * mpc(0, 1) * (xx - yy))
+        val = -bilinear / (8 * mp.pi ** 3 * mpc(0, 1) * (xx - yy))
         if return_complex:
             return val
         return val.real

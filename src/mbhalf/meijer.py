@@ -70,7 +70,9 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
 
 Each takes its three sheets as the turns (0, 1, -1) of one point (z for
 phi, z e^{-pi i} for psi), so on the series route one scalar set costs
-one 0F2 pass per family.
+one 0F2 pass per family.  :func:`phi4_triple` and :func:`psi4_triple`
+give phi4 and psi4 alone, from the two sheets each of them takes: turns
+(1, -1) of z and (0, 1) of z e^{-pi i}.
 """
 
 from __future__ import annotations
@@ -178,6 +180,9 @@ class ResonantParameterError(ValueError):
 #: tuples), family and digits; least recently used ones are dropped beyond
 #: this many, in each of the two caches
 _COEF_CACHE_SIZE = 64
+#: sheet phases e^(2 pi i k c) are cached per exact c, turn k and digits;
+#: least recently used ones are dropped beyond this many
+_PHASE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
@@ -215,12 +220,12 @@ def _family_sums(bb, form, zc, dps):
     return sums
 
 
-def _plain_part(bb, bkey, k, sums, point, dps):
-    """Family k of the residue sum (simple poles s = -b_k - n) on the sheet
-    of ``point``: z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) times its
-    sheet-free sums (S0, S1, S2); the gamma and power factors carry
-    ``dps`` digits."""
-    pref = _plain_coef(bkey, k, dps) * point.power(bb[k], dps=dps)
+def _plain_part(bkey, k, sums, power, dps):
+    """Family k of the residue sum (simple poles s = -b_k - n) on one
+    sheet: z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) times its sheet-free
+    sums (S0, S1, S2), with ``power`` the sheet's z^(b_k); the gamma
+    factors carry ``dps`` digits."""
+    pref = _plain_coef(bkey, k, dps) * power
     return [pref * x for x in sums]
 
 
@@ -243,10 +248,12 @@ def _log_coefs(bkey, pair, dps):
         return front, h0, simple
 
 
-def _log_part(bb, bkey, pair, sums, point, dps):
+def _log_part(bkey, pair, sums, exps, powers, zeta, dps):
     """Families p and q of the residue sum when b_p - b_q = N is an integer
-    >= 0, as one theta triple on the sheet of ``point``, from the
-    sheet-free sums (S0, S1, S2, R0, R1, R2) of :func:`_family_sums`.
+    >= 0, as one theta triple on one sheet, from the sheet-free sums
+    (S0, S1, S2, R0, R1, R2) of :func:`_family_sums`, the sheet's powers
+    z^u for u in ``exps`` = (b_p, b_q, b_q + 1, ..., b_q + N - 1) and its
+    logarithm ``zeta``.
 
     Family q's poles s = -b_q - k, k < N, are simple.  From s = -b_p on the
     poles of Gamma(b_p + s) and Gamma(b_q + s) coincide; with c = b_r - b_p,
@@ -262,20 +269,27 @@ def _log_part(bb, bkey, pair, sums, point, dps):
     (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.  Only zeta and the powers
     of z depend on the sheet.
     """
-    p, q, n = pair
-    bp, bq = bb[p], bb[q]
     front, h0, simple = _log_coefs(bkey, pair, dps)
     s, rs = sums[:3], sums[3:]
-    a = h0 - point.clog(dps=dps)
-    pref = front * point.power(bp, dps=dps)
+    a = h0 - zeta
+    pref = front * powers[0]
     out = [pref * (a * s[0] + rs[0]),
            pref * (a * s[1] + rs[1] - s[0]),
            pref * (a * s[2] + rs[2] - 2 * s[1])]
-    for k in range(n):
-        u = bq + k
-        term = simple[k] * point.power(u, dps=dps)
+    for coef, u, power in zip(simple, exps[1:], powers[1:]):
+        term = coef * power
         out = [out[0] + term, out[1] + u * term, out[2] + u * u * term]
     return out
+
+
+@functools.lru_cache(maxsize=_PHASE_CACHE_SIZE)
+def _turn_phase(ckey, turn, dps):
+    """e^(2 pi i turn c) for c given by its mpf tuple ``ckey``: the factor
+    by which z^c changes when z turns ``turn`` times about the origin, at
+    ``dps`` digits (the raise of working(dps), so that the cache key fixes
+    the precision)."""
+    with working(dps):
+        return mp.expjpi(2 * turn * mp.make_mpf(ckey))
 
 
 def _sheets(point, turns):
@@ -293,7 +307,10 @@ def _series_triples(b, point, turns, dps):
     logarithmic pair depend on the sheet; the 0F2 sums depend on the
     complex number z alone.  They are summed once, at ``point``
     (:func:`_family_sums`), and every sheet multiplies them by its own
-    powers and logarithm (:func:`_plain_part`, :func:`_log_part`).
+    powers and logarithm (:func:`_plain_part`, :func:`_log_part`).  Each
+    power z^c and log z are taken once, at ``point``; turn k multiplies
+    z^c by the cached phase e^(2 pi i k c) (:func:`_turn_phase`) and adds
+    2 pi i k to log z, so turn 0 takes them as they are.
     """
     form = _series_form(b)
     if form is None:
@@ -311,15 +328,29 @@ def _series_triples(b, point, turns, dps):
         bb = [mpf(x) for x in b]
         bkey = tuple(x._mpf_ for x in bb)
         sums = _family_sums(bb, form, point.to_mpc(dps=dc), dc)
+        if form == "plain":
+            exps = bb
+        else:
+            p, q, n = form
+            r = 3 - p - q
+            # family r's power, then those of the logarithmic pair
+            exps = [bb[r], bb[p]] + [bb[q] + k for k in range(n)]
+        zeta = point._log()
+        base = [mp.exp(mpc(c) * zeta) for c in exps]
         out = []
-        for pt in _sheets(point, turns):
+        for k in turns:
+            powers, zk = base, zeta
+            if k:
+                powers = [x * _turn_phase(c._mpf_, k, dc)
+                          for x, c in zip(base, exps)]
+                zk = zeta + mpc(0, 2 * k * mp.pi)
             if form == "plain":
-                parts = [_plain_part(bb, bkey, k, sums[k], pt, dc)
-                         for k in range(3)]
+                parts = [_plain_part(bkey, j, sums[j], powers[j], dc)
+                         for j in range(3)]
             else:
-                p, q, _ = form
-                parts = [_log_part(bb, bkey, form, sums[0], pt, dc),
-                         _plain_part(bb, bkey, 3 - p - q, sums[1], pt, dc)]
+                parts = [_log_part(bkey, form, sums[0], exps[1:], powers[1:],
+                                   zk, dc),
+                         _plain_part(bkey, r, sums[1], powers[0], dc)]
             out.append(tuple(+sum(part[m] for part in parts)
                              for m in range(3)))
     return out
@@ -672,6 +703,28 @@ def _tadd(t1, t2):
     return tuple(x + y for x, y in zip(t1, t2))
 
 
+def _phi_b(a):
+    """b = (0, -a, -a - 1/2) of phi's G."""
+    return (mpf(0), -a, -a - mpf("0.5"))
+
+
+def _psi_b(a):
+    """b = (0, a, a + 1/2) of psi's G."""
+    return (mpf(0), a, a + mpf("0.5"))
+
+
+def _phi12(a, gp, gm):
+    """phi1 and phi2 from the triples of G on sheets +1 and -1."""
+    e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)   # e^{2 pi i a}
+    return _txc(gp, mpc(0, 1) * e_plus), _txc(gm, mpc(0, -1) / e_plus)
+
+
+def _psi4(g_m1, g_p1):
+    """psi4 = psi2 - psi1 from the triples of Gt at z e^(-pi i) and
+    z e^(pi i)."""
+    return _tadd(g_p1, _txc(g_m1, mpc(-1)))
+
+
 def phi_scalars(alpha, point, dps=None):
     """Triples for phi1..phi4 at a sector point (any argument).
 
@@ -681,29 +734,42 @@ def phi_scalars(alpha, point, dps=None):
     """
     with working(dps) as d:
         a = mpf(alpha)
-        b = (mpf(0), -a, -a - mpf("0.5"))
-        e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)   # e^{2 pi i a}
-        g0, gp, gm = _g3_triples(b, point, (0, 1, -1), d)
-        phi1 = _txc(gp, mpc(0, 1) * e_plus)
-        phi2 = _txc(gm, mpc(0, -1) / e_plus)
-        phi3 = tuple(+x for x in g0)
-        phi4 = _tadd(phi1, phi2)
-        return ScalarTriples(phi1, phi2, phi3, phi4)
+        g0, gp, gm = _g3_triples(_phi_b(a), point, (0, 1, -1), d)
+        phi1, phi2 = _phi12(a, gp, gm)
+        return ScalarTriples(phi1, phi2, tuple(+x for x in g0),
+                             _tadd(phi1, phi2))
+
+
+def phi4_triple(alpha, point, dps=None):
+    """The triple of phi4 = phi1 + phi2 alone, from sheets +1 and -1 of
+    ``point``: the one phi scalar the kernel's bilinear form reads, two of
+    the three sheets of :func:`phi_scalars` and the same values."""
+    with working(dps) as d:
+        a = mpf(alpha)
+        return _tadd(*_phi12(a, *_g3_triples(_phi_b(a), point, (1, -1), d)))
 
 
 def psi_scalars(alpha, point, dps=None):
     """Triples for psi1..psi4 at a sector point."""
     with working(dps) as d:
         a = mpf(alpha)
-        b = (mpf(0), a, a + mpf("0.5"))
-        pi_ = mp.pi
-        e_plus = mp.exp(mpc(0, 1) * 2 * pi_ * a)
-        g_m1, g_p1, g_m3 = _g3_triples(b, point.rotated(-pi_), (0, 1, -1), d)
+        e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)
+        g_m1, g_p1, g_m3 = _g3_triples(_psi_b(a), point.rotated(-mp.pi),
+                                       (0, 1, -1), d)
         psi1 = tuple(+x for x in g_m1)
         psi2 = tuple(+x for x in g_p1)
         psi3 = _txc(_tadd(g_m3, _txc(g_m1, mpc(-1))), mpc(0, 1) * e_plus)
-        psi4 = _tadd(psi2, _txc(psi1, mpc(-1)))
-        return ScalarTriples(psi1, psi2, psi3, psi4)
+        return ScalarTriples(psi1, psi2, psi3, _psi4(g_m1, g_p1))
+
+
+def psi4_triple(alpha, point, dps=None):
+    """The triple of psi4 = psi2 - psi1 alone, from sheets 0 and +1 of
+    ``point`` e^(-pi i): the one psi scalar the kernel's bilinear form
+    reads, two of the three sheets of :func:`psi_scalars` and the same
+    values."""
+    with working(dps) as d:
+        return _psi4(*_g3_triples(_psi_b(mpf(alpha)), point.rotated(-mp.pi),
+                                  (0, 1), d))
 
 
 def psi3_alternate(alpha, point, dps=None):
@@ -712,8 +778,6 @@ def psi3_alternate(alpha, point, dps=None):
     """
     with working(dps) as d:
         a = mpf(alpha)
-        b = (mpf(0), a, a + mpf("0.5"))
-        pi_ = mp.pi
-        e_minus = mp.exp(mpc(0, -1) * 2 * pi_ * a)
-        g_p1, g_p3 = _g3_triples(b, point.rotated(+pi_), (0, 1), d)
+        e_minus = mp.exp(mpc(0, -1) * 2 * mp.pi * a)
+        g_p1, g_p3 = _g3_triples(_psi_b(a), point.rotated(mp.pi), (0, 1), d)
         return _txc(_tadd(g_p1, _txc(g_p3, mpc(-1))), mpc(0, 1) * e_minus)

@@ -28,6 +28,15 @@ Global identities wired through here:
   matrix C below, equivalently Phi Psi^T is z-independent;
 * the large-z expansion T Phi = (2 pi/sqrt 3) z^{-2 beta/3}(I + O(1/z)) L D
   and its adjoint counterpart, which :func:`expansion_residual` probes.
+
+The hard-edge kernel's bilinear form (-1, 1, 0) Phi_+^{-1}(y) Phi_+(x)
+(1, 1, 0)^T on R+ (the Q1 layout) reads one column of each frame:
+Phi(x) (1, 1, 0)^T is the phi4 triple at x, and Psi(y)'s columns 2 minus 1
+are the psi4 triple at y, which C turns into the row (-1, 1, 0) Phi^{-1}(y).
+:func:`mbhalf.kernel.kernel_meijer` takes those two triples alone
+(:func:`mbhalf.meijer.phi4_triple`, :func:`mbhalf.meijer.psi4_triple`)
+and C (:func:`c_matrix`); the full matrices here are the frame API of the
+identities above and of the tests that hold the kernel to them.
 """
 
 from __future__ import annotations

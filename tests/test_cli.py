@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mpf
 
-from mbhalf import specfun
+from mbhalf import cli, specfun
 from mbhalf.cli import (MAX_EQ_CELLS, MAX_GRID_POINTS, UsageError, main,
                         parse_grid)
 
@@ -301,6 +301,56 @@ def test_csv_determinism(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+# the x, y, integral and meijer columns of two 50-digit `kernel --route
+# both` grids: the README's and test_csv_determinism's
+_PINNED_GRIDS = {
+    ("0", "0.5:2.5:3", "0.5:2.5:3"): [
+        "0.5,0.5,0.56450418680601861,0.56450418680601861",
+        "0.5,1.5,0.22585901572958156,0.22585901572958156",
+        "0.5,2.5,0.10846989626696439,0.10846989626696439",
+        "1.5,0.5,0.43174649743421205,0.43174649743421205",
+        "1.5,1.5,0.20634226741208991,0.20634226741208991",
+        "1.5,2.5,0.11951989235890688,0.11951989235890688",
+        "2.5,0.5,0.31420075506741146,0.31420075506741146",
+        "2.5,1.5,0.18718850088514679,0.18718850088514679",
+        "2.5,2.5,0.12748533526823664,0.12748533526823664",
+    ],
+    ("0.7", "0.2:3:3", "1"): [
+        "0.2,1.0,0.28573011556097675,0.28573011556097675",
+        "1.6,1.0,0.23157681916742221,0.23157681916742221",
+        "3.0,1.0,0.18321035686805944,0.18321035686805944",
+    ],
+}
+
+
+def test_kernel_grids_keep_their_value_columns(tmp_path):
+    out = tmp_path / "k.csv"
+    for (alpha, xs, ys), rows in _PINNED_GRIDS.items():
+        assert main(["kernel", "--alpha", alpha, "--x-grid", xs,
+                     "--y-grid", ys, "--route", "both",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,y,integral,meijer,rel_diff"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == rows
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["kernel", "--alpha", "0", "--x-grid", "1", "--y-grid", "2",
+                 "--route", "integral"]) == 0
+    assert main(["density", "--grid", "2"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the shared parser still reports usage errors with exit code 2
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--alpha", "0"])
+    assert exc.value.code == 2
+    assert main(["kernel", "--alpha", "-2", "--x-grid", "1",
+                 "--y-grid", "2"]) == 2
+    assert main(["density", "--grid", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_json_meta_schema(capsys):

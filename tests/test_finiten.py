@@ -187,23 +187,55 @@ def test_small_moments_keep_the_working_digits():
             assert abs(mt.values[k2] - ref) < mpf(10) ** -d * ref, k2
 
 
+def _two_wells(x):
+    return min((x - 6) ** 2, (x - 50) ** 2 + 1)
+
+
 @pytest.mark.parametrize("n", [100, 1000, 3000])
 def test_moments_resolve_a_narrow_well_inside_the_box(n):
-    # the well at 6, about 1/sqrt(n) wide, lies deep inside the box, which
-    # the well at 50 (where the integrand is e^-n) takes past 50: the bound
-    # is relative to e^-4n, the largest probed value (at 4 and 8).  The
-    # doubling points 4 and 8 bracket the peak at 6, 32 and 64 the one at
-    # 50, and the pass is split at both.  One pass over [0, X] raised
-    # QuadratureConvergenceError at n = 3000
-    def V(x):
-        return min((x - 6) ** 2, (x - 50) ** 2 + 1)
-
+    # the well at 6, about 1/sqrt(n) wide, peaks at 1; the doubling points
+    # 4 and 8 bracket it, and the pass is split there.  The bound counts
+    # that peak, so the well at 50, whose peak e^-n lies below it, is left
+    # out of the box: X ends where the integrand falls below the bound
+    # past 6 (6.19 at n = 3000).  A bound relative to the doubling points
+    # alone (e^-4n) took the box to 51.75 and split off the peak at 50.
+    # One pass over [0, X] raised QuadratureConvergenceError at n = 3000
+    V = _two_wells
     got = moments(mpf(0), n, V, smax=0, dps=30)
     with mp.workdps(40):
         X, peaks = _tail_box(mpf(0), n, V, mpf(0))
-        assert [round(float(x)) for x in peaks] == [6, 50] and X > 50
+        assert [round(float(x)) for x in peaks] == [6] and 6 < X < 8
         ref = mp.quad(lambda x: mp.exp(-n * V(x)), [0, 6, 50, mp.inf])
         assert abs(got.value(0) - ref) < mpf("1e-25") * ref, n
+
+
+@pytest.mark.parametrize("d", [30, 40, 60])
+def test_callable_moments_near_alpha_minus_one(d, monkeypatch):
+    # x^alpha below alpha = -3/4 blows up faster than tanh-sinh's cutoff
+    # allows for: the callable route was 4.8e-30 off at alpha = -0.9 and
+    # raised QuadratureConvergenceError at -0.95 and -0.99.  Its first
+    # piece is taken in u = x^(1/p), p = 1/(2 (1 + alpha)); from alpha =
+    # -1/2 on it keeps x itself, and ends at the box X
+    ends = []
+
+    def quad(f, a, b, dps=None):
+        ends.append(b)
+        return quad_ts(f, a, b, dps=dps)
+
+    quad_ts = finiten.quad_ts
+    monkeypatch.setattr(finiten, "quad_ts", quad)
+    for alpha in ("-0.5", "-0.9", "-0.95", "-0.99"):
+        a = mpf(alpha)
+        del ends[:]
+        mt = moments(a, 2, lambda x: x, smax=3, dps=d)
+        with mp.workdps(d + 10):
+            X, _ = _tail_box(a, 2, lambda x: x, mpf(3))
+            p = max(1, 1 / (2 * (1 + a)))
+            assert ends == [X ** (1 / p)], alpha
+            for k2, v in mt.values.items():
+                e = mpf(k2) / 2 + a + 1
+                ref = mp.gamma(e) / mpf(2) ** e
+                assert abs(v - ref) <= mpf(10) ** -d * ref, (alpha, k2)
 
 
 @pytest.fixture(scope="module")

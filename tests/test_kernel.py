@@ -1,18 +1,23 @@
 """Hard-edge kernel: integral route vs. matrix route vs. Bessel reduction."""
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from mbhalf.kernel import (
     DIAG_GUARD,
     PrecisionLossError,
+    _meijer_loss,
     _near_diagonal,
     kernel_diag_limit,
     kernel_imag_residual,
     kernel_integral,
     kernel_meijer,
 )
+from mbhalf.meijer import SectorPoint
+from mbhalf.rhframe import phi_inverse, phi_matrix
 
 ROUTE_TOL = mpf("1e-30")
 
@@ -198,3 +203,35 @@ def test_theta_default_matches_half():
                              dps=30)
         assert abs(v1 - v2) < mpf("1e-28")
 
+
+
+def _full_frame_kernel(alpha, x, y, dps):
+    """(-1, 1, 0) Phi_+^{-1}(y) Phi_+(x) (1, 1, 0)^T / (2 pi i (x - y)) from
+    the full 3x3 frames of rhframe."""
+    with mp.workdps(dps):
+        xx, yy = mpf(x), mpf(y)
+        xmat = phi_matrix(alpha, SectorPoint(xx, mpf(0)), dps=dps, side="+")
+        yinv = phi_inverse(alpha, SectorPoint(yy, mpf(0)), dps=dps, side="+")
+        left = [yinv[1][k] - yinv[0][k] for k in range(3)]
+        right = [xmat[k][0] + xmat[k][1] for k in range(3)]
+        return (sum(l * r for l, r in zip(left, right))
+                / (2 * mp.pi * mpc(0, 1) * (xx - yy)))
+
+
+@pytest.mark.parametrize("d", [30, 50])
+@pytest.mark.parametrize("alpha", ["-0.9", "-0.5", "0", "0.3", "0.5", "1.9"])
+def test_two_frame_entries_match_the_full_frames(alpha, d):
+    # the matrix route reads only the phi4 triple at x and the psi4 triple
+    # at y; it must give the bilinear form of the full frames, taken here
+    # at d + 10 digits beyond the a priori loss, to 10^-(d+5).  x = 1e-20
+    # and the gap 1e-12 (relative 1e-5, outside the diagonal band) are
+    # points where _meijer_loss raises the route's digits.  alpha = -0.5,
+    # 0 and 0.5 put phi's or psi's b on the logarithmic series
+    a = mpf(alpha)
+    for x, y in (("0.3", "2.2"), ("4.9", "0.2"), ("1e-20", "1.5"),
+                 ("1e-7", "1.00001e-7")):
+        got = kernel_meijer(a, x, y, dps=d, return_complex=True)
+        loss = math.ceil(_meijer_loss(a, mpf(x), mpf(y)))
+        ref = _full_frame_kernel(a, x, y, d + loss + 10)
+        with mp.workdps(d + loss + 10):
+            assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (x, y)

@@ -367,6 +367,40 @@ def test_shared_sheets_match_per_sheet_calls(d):
                             alpha, modulus, k)
 
 
+# G^{3,0}_{0,3}(z | 0, -a, -a - 1/2) at z = 1.7 e^(i (0.4 + 2 pi k)), 30
+# digits, as the (sign, hex mantissa, exponent) of its real and imaginary
+# parts: each one sheet, whose powers z^(b_k) are exp(b_k log z) at the
+# point itself, as they were before the sheets of one point shared them
+_ONE_SHEET_BITS = {
+    ("0.3", -1): ((0, "0x729aa9bc95ccb5f5a7af89828ce2acdf10d", -137),
+                  (0, "0x11ddaed27d0d480cc7ec385e8a352a19858d", -137)),
+    ("0.3", 1): ((0, "0x19d78ebb6837ab09307e2b119c308183a9b9", -138),
+                 (1, "0x296560c827b138f89e6602474c7549dda4bf", -137)),
+    ("0", -1): ((0, "0x2b7fa97d974703e6008036cff2f5011989f7", -138),
+                (1, "0x4bf1234f778780241a7125a6224e7b1f08af", -143)),
+    ("0", 1): ((0, "0x63322ca603aec122a30f40336c04380b3d2d", -138),
+               (0, "0x68726b2094787c85a13d4109ef7efe9aa96b", -141)),
+    ("0.5", -1): ((1, "0x40ea7f7e47900ae69912a9ec2d7702d1a023", -140),
+                  (0, "0x7d9555fa39e2f5f3c3876fc7d4ab766b949f", -140)),
+    ("0.5", 1): ((1, "0x5f86e26ca119a197c1699bf12d3b58cdd839", -139),
+                 (1, "0x7b2ff8f1011e541688bac56d3287ee595ff3", -139)),
+}
+
+
+def test_one_sheet_series_values_keep_their_bits():
+    # a single-sheet call takes turn 0 of its point, whose powers and log
+    # are the point's own: plain (alpha = 0.3) and logarithmic (0, 1/2)
+    for (alpha, k), bits in _ONE_SHEET_BITS.items():
+        with mp.workdps(40):
+            a = mpf(alpha)
+            b = (mpf(0), -a, -a - mpf("0.5"))
+            pt = SectorPoint(mpf("1.7"), mpf("0.4") + 2 * k * mp.pi)
+        v = g303_series(b, pt, dps=30)
+        got = tuple((x._mpf_[0], hex(x._mpf_[1]), x._mpf_[2])
+                    for x in (v.real, v.imag))
+        assert got == bits, (alpha, k)
+
+
 def test_shared_sheets_near_resonance_take_the_loop():
     # inside the resonance window without exact resonance every sheet is
     # its own mb_loop call at the rotated point
