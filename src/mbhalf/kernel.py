@@ -21,9 +21,12 @@ independent test oracle).
 The double series is summed in integers: A_j and C_k come as integers
 from the Wright-Bessel term loop (:func:`mbhalf.specfun._wright_terms`,
 which stops each series on an a priori tail bound), a + 1 and th become
-fixed-point integers once, each inner sum sum_k C_k / (j + th k + a + 1)
-is a run of integer floor divisions, and the double sum is rounded to an
-mpf once (:func:`_double_sum`, which states the error bound).
+fixed-point integers once, and the double sum is rounded to an mpf once
+(:func:`_double_sum`, which states the error bound).  When 2 th is an
+integer (th = 1/2, and the th = 1 oracle) a denominator depends on
+2j + 2 th k alone, so the exact products A_j C_k are summed along each
+such anti-diagonal and divided once; any other th takes each inner sum
+sum_k C_k / (j + th k + a + 1) as a run of integer floor divisions.
 
 Two normalizations of the limit kernel are in circulation, differing by
 the choice of microscopic scale: the 'plain' one is B above (scale n^3
@@ -65,7 +68,8 @@ point that would need more than MAX_LOSS_RAISE of them.
 from __future__ import annotations
 
 import math
-from operator import floordiv
+from itertools import repeat
+from operator import add, floordiv, mul
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -133,23 +137,54 @@ def _double_sum(xterms, ex, yterms, ey, s0, ds):
 
     With w = prec + _SUM_GUARD, s0 and ds are truncated to the scale 2^-w,
     so s_k is off by under (k+1) 2^-w (exact for an mpf s0 >= 2^-24 and
-    ds = 1/2), and each C_k / (j + s_k) is one floor division at the scale
-    2^ey, off by under one unit; the integer sums are exact.  With
-    |A_j| <= 2^(top A), |C_k| <= 2^(top C) and ey <= top C - prec - 20 (the
-    term loops' scale), J x K terms are off by at most
-    J K (1 + K / 16) 2^(top A + top C - prec - 20) / min(1, s0)^2 beyond
-    the terms' own errors, before the last rounding.
+    ds = 1/2).  When 2 ds = p is an exact integer (theta = 1/2, and the
+    theta = 1 of the Bessel oracle), j + s_k = (2j + p k)/2 + s0 depends on
+    m = 2j + p k alone: the exact integer products A_j C_k are summed into
+    one bucket per m, and each of the 2(J-1) + p(K-1) + 1 buckets is one
+    floor division at the scale 2^(ex+ey), off by under one unit
+    (:func:`_bucket_sum`).  Every other ds takes each C_k / (j + s_k) as one
+    floor division at the scale 2^ey, off by under one unit
+    (:func:`_pair_sum`).  With |A_j| <= 2^(top A), |C_k| <= 2^(top C) and
+    ey <= top C - prec - 20 (the term loops' scale), J x K terms are then
+    off by at most J K (1 + K / 16) 2^(top A + top C - prec - 20)
+    / min(1, s0)^2 beyond the terms' own errors, before the last rounding;
+    the buckets by at most (2J + pK) 2^(ex+ey) plus the s0 truncation's
+    J K 2^(top A + top C - w) / min(1, s0)^2.
     """
-    prec = mp.prec
-    w = prec + _SUM_GUARD
+    w = mp.prec + _SUM_GUARD
+    s0f = to_fixed(s0._mpf_, w)
+    if 2 * ds >= 1 and mp.isint(2 * ds):
+        total = _bucket_sum(xterms, yterms, s0f, int(2 * ds), w)
+    else:
+        total = _pair_sum(xterms, yterms, s0f, to_fixed(ds._mpf_, w), w)
+    return mp.make_mpf(from_man_exp(total, ex + ey, mp.prec, round_nearest))
+
+
+def _pair_sum(xterms, yterms, s0, ds, w):
+    """sum_j a_j sum_k floor(c_k 2^w / (j 2^w + s0 + k ds)), the J x K
+    floor divisions of :func:`_double_sum`, for the integers a_j, c_k and
+    the fixed-point s0 and ds at the scale 2^-w."""
     c = [ck << w for ck in yterms]
-    s0, ds = to_fixed(s0._mpf_, w), to_fixed(ds._mpf_, w)
     s = [s0 + k * ds for k in range(len(c))]
     total = 0
     for j, aj in enumerate(xterms):
         jw = j << w
         total += aj * sum(map(floordiv, c, [jw + sk for sk in s]))
-    return mp.make_mpf(from_man_exp(total, ex + ey, prec, round_nearest))
+    return total
+
+
+def _bucket_sum(xterms, yterms, s0, p, w):
+    """sum_m floor(B_m 2^w / (m 2^(w-1) + s0)), B_m the sum of the exact
+    products a_j c_k with 2j + p k = m: :func:`_double_sum` for
+    ds = p / 2, one floor division a bucket, for the integers a_j, c_k and
+    the fixed-point s0 at the scale 2^-w."""
+    kk = len(yterms)
+    buckets = [0] * (2 * len(xterms) + p * (kk - 1) - 1)
+    for j, aj in enumerate(xterms):
+        row = slice(2 * j, 2 * j + p * kk, p)
+        buckets[row] = map(add, buckets[row], map(mul, yterms, repeat(aj)))
+    return sum(map(floordiv, [b << w for b in buckets],
+                   [(m << (w - 1)) + s0 for m in range(len(buckets))]))
 
 
 def kernel_integral(alpha, x, y, theta=None, dps=None):

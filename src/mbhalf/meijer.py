@@ -38,11 +38,13 @@ Two independent evaluation routes:
   terms of 0F2(-; 1 - c, N + 1; -z), c = b_r - b_p, and their sums of
   reciprocals (Luke, *The Special Functions and Their Approximations*,
   1969; Johansson, "Computing hypergeometric functions rigorously", ACM
-  TOMS 2019).  A sheet k (z e^(2 pi i k)) changes only the factors
-  z^(b_k), by e^(2 pi i k b_k), and the log z of the logarithmic family;
-  the 0F2 sums depend on the complex number z alone.  So a caller that
-  needs G on several sheets of one point gets them from one set of sums
-  (:func:`_g3_triples`).
+  TOMS 2019).  A sheet t (z e^(2 pi i t)) changes only the factors
+  z^(b_k), by e^(2 pi i t b_k), and the log z of the logarithmic family;
+  the 0F2 sums depend on the complex number z alone.  So a weighted sum
+  of sheets of one point, sum_t w_t G(z e^(2 pi i t)), is one set of sums
+  with family k weighed by Lambda_k = sum_t w_t e^(2 pi i t b_k): the
+  sheets combine per family, and every family is still summed
+  (:func:`_g3_rows`).
 
 theta-derivative triples (f, theta f, theta^2 f) come for free on both
 routes: term weights (b_k + n)^m in the series (and their derivatives in
@@ -68,11 +70,11 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
     psi3(z) = i e^{2 pi i a} (Gt(z e^{-3 pi i}) - Gt(z e^{-pi i})),
     psi4 = psi2 - psi1.
 
-Each takes its three sheets as the turns (0, 1, -1) of one point (z for
+Each scalar is one row of (turn, weight) pairs over one point (z for
 phi, z e^{-pi i} for psi), so on the series route one scalar set costs
-one 0F2 pass per family.  :func:`phi4_triple` and :func:`psi4_triple`
-give phi4 and psi4 alone, from the two sheets each of them takes: turns
-(1, -1) of z and (0, 1) of z e^{-pi i}.
+one 0F2 pass per family, and a scalar one product per family.
+:func:`phi4_triple` and :func:`psi4_triple` give the rows of phi4 and
+psi4 alone: turns (1, -1) of z and (1, 0) of z e^{-pi i}.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from mpmath import fp, mp, mpf, mpc
 from mpmath.libmp import mpf_sub
@@ -220,15 +224,6 @@ def _family_sums(bb, form, zc, dps):
     return sums
 
 
-def _plain_part(bkey, k, sums, power, dps):
-    """Family k of the residue sum (simple poles s = -b_k - n) on one
-    sheet: z^(b_k) Gamma(b_i - b_k) Gamma(b_j - b_k) times its sheet-free
-    sums (S0, S1, S2), with ``power`` the sheet's z^(b_k); the gamma
-    factors carry ``dps`` digits."""
-    pref = _plain_coef(bkey, k, dps) * power
-    return [pref * x for x in sums]
-
-
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
 def _log_coefs(bkey, pair, dps):
     """Gamma(c) (-1)^N / N!, H_0 = psi(1) + psi(N+1) + psi(c) with
@@ -292,25 +287,40 @@ def _turn_phase(ckey, turn, dps):
         return mp.expjpi(2 * turn * mp.make_mpf(ckey))
 
 
-def _sheets(point, turns):
-    """``point`` turned by 2 pi k for each k of ``turns`` (the point itself
-    for k = 0), at the working precision of its caller."""
-    return [point.rotated(2 * k * mp.pi) if k else point for k in turns]
+def _sheet_terms(c, row, dps):
+    """w_t e^(2 pi i t c) for each (turn t, weight w_t) pair of ``row``:
+    the weighted factors by which its sheets multiply z^c, whose sum is
+    the row's Lambda.  Turn 0 takes its weight as it is, so the row
+    ((0, 1),) gives exactly 1."""
+    return [w * _turn_phase(c._mpf_, t, dps) if t else w for t, w in row]
 
 
-def _series_triples(b, point, turns, dps):
-    """The theta triples of G^{3,0}_{0,3}(.|b) by the residue series on the
-    sheets ``turns`` of ``point`` (:func:`g303_series`, which says what b
-    it takes and what it raises).
+def _series_rows(b, point, rows, dps):
+    """sum_t w_t G^{3,0}_{0,3}(z e^(2 pi i t)|b) as a theta triple for each
+    row of (turn t, weight w_t) pairs in ``rows``, z = ``point``, by the
+    residue series (:func:`g303_series`, which says what b it takes and
+    what it raises).
 
     Only the factors z^(b_k) of the families and the log z of a
     logarithmic pair depend on the sheet; the 0F2 sums depend on the
     complex number z alone.  They are summed once, at ``point``
-    (:func:`_family_sums`), and every sheet multiplies them by its own
-    powers and logarithm (:func:`_plain_part`, :func:`_log_part`).  Each
-    power z^c and log z are taken once, at ``point``; turn k multiplies
-    z^c by the cached phase e^(2 pi i k c) (:func:`_turn_phase`) and adds
-    2 pi i k to log z, so turn 0 takes them as they are.
+    (:func:`_family_sums`), and z^c and log z are taken once there.  Turn t
+    multiplies z^c by the cached e^(2 pi i t c) (:func:`_turn_phase`), so a
+    row multiplies family k's triple at the point itself by
+    Lambda_k = sum_t w_t e^(2 pi i t b_k) alone (:func:`_sheet_terms`).
+    The powers of a logarithmic pair differ from z^(b_p) by integers, so
+    its triple (:func:`_log_part`) takes Lambda_p too, and since turn t
+    takes 2 pi i t from log z, less 2 pi i Lambda'_p z^(b_p) front S_m,
+    Lambda'_p = sum_t w_t t e^(2 pi i t b_p).  Every family is summed on
+    every row, whatever its Lambda_k, and the row ((0, 1),) takes the
+    point's triples as they are.
+
+    A weight's rounding enters each family before the families cancel.
+    The rows of the model problem do not feel it: their weights are exact
+    (psi4), common to the row (phi1, phi2, psi3), or weigh families that
+    do not cancel (phi4, whose second and third Lambda_k vanish).  With
+    its weights at the caller's d + 10 digits, phi4 at d = 30 and |z| up
+    to 10^3 kept 10^-(d+10) of its value.
     """
     form = _series_form(b)
     if form is None:
@@ -336,21 +346,40 @@ def _series_triples(b, point, turns, dps):
             # family r's power, then those of the logarithmic pair
             exps = [bb[r], bb[p]] + [bb[q] + k for k in range(n)]
         zeta = point._log()
-        base = [mp.exp(mpc(c) * zeta) for c in exps]
+        powers = [mp.exp(mpc(c) * zeta) for c in exps]
+        # each plain family's b_k, the coefficient of its sums on the
+        # point's own sheet, and its sums
+        if form == "plain":
+            fams = [(bb[k], _plain_coef(bkey, k, dc) * powers[k], sums[k])
+                    for k in range(3)]
+            pair = None
+        else:
+            fams = [(bb[r], _plain_coef(bkey, r, dc) * powers[0], sums[1])]
+            pair = _log_part(bkey, form, sums[0], exps[1:], powers[1:], zeta,
+                             dc)
+            lead = None
         out = []
-        for k in turns:
-            powers, zk = base, zeta
-            if k:
-                powers = [x * _turn_phase(c._mpf_, k, dc)
-                          for x, c in zip(base, exps)]
-                zk = zeta + mpc(0, 2 * k * mp.pi)
-            if form == "plain":
-                parts = [_plain_part(bkey, j, sums[j], powers[j], dc)
-                         for j in range(3)]
-            else:
-                parts = [_log_part(bkey, form, sums[0], exps[1:], powers[1:],
-                                   zk, dc),
-                         _plain_part(bkey, r, sums[1], powers[0], dc)]
+        for row in rows:
+            parts = []
+            for c, pref, fam in fams:
+                lam = reduce(add, _sheet_terms(c, row, dc))
+                if lam != 1:
+                    pref = pref * lam
+                parts.append([pref * x for x in fam])
+            if pair is not None:
+                terms = _sheet_terms(bb[p], row, dc)
+                lam = reduce(add, terms)
+                dlam = sum(t * x for (t, _), x in zip(row, terms))
+                part = pair if lam == 1 else [lam * x for x in pair]
+                if dlam:
+                    if lead is None:
+                        # 2 pi i z^(b_p) front S_m, what a turn's 2 pi i
+                        # takes from the pair's triple
+                        front = _log_coefs(bkey, form, dc)[0]
+                        lead = [mpc(0, 2) * mp.pi * front * powers[1] * x
+                                for x in sums[0][:3]]
+                    part = [x - dlam * y for x, y in zip(part, lead)]
+                parts.append(part)
             out.append(tuple(+sum(part[m] for part in parts)
                              for m in range(3)))
     return out
@@ -378,10 +407,11 @@ def g303_series(b, point, dps=None, with_theta=False):
     2.4 r^(1/3)), so the sum is raised by that loss, and the gamma, power
     and 0F2 factors are asked for d + that loss digits.
 
-    This is the one-sheet case of :func:`_series_triples`, which sums the
-    0F2 families once for all the sheets of one z that a caller asks for.
+    This is the row ((0, 1),) of :func:`_series_rows`, which sums the 0F2
+    families once for every weighted sum of sheets of one z that a caller
+    asks for.
     """
-    acc = _series_triples(b, point, (0,), dps)[0]
+    acc = _series_rows(b, point, (((0, 1),),), dps)[0]
     if with_theta:
         return acc
     return acc[0]
@@ -539,12 +569,20 @@ def _loop_sums(table, zeta, right, left):
     nodes -left < k < right, each one ``mp.fdot`` (exact products, rounded
     once).  With s_k = a + mu (1 + ikh)^2,
     z^(-s_k) = z^(-(a+mu)) q^(k^2) r^k for q = e^(mu h^2 zeta) and
-    r = e^(-2 i mu h zeta): three exps a call, none a node."""
+    r = e^(-2 i mu h zeta): three exps a call, none a node.
+
+    The recurrence of :func:`_powers` leaves node k's power off by up to
+    k^2/2 + 4k rounding errors, 2.9 digits at node 38 and 4.7 at node 307.
+    It runs under the guard digits of one more working raise (33 bits, at
+    most (k + 4)^2 / 2 < 2^21 units for k < _MAX_NODES), so every power
+    reaches the sums within one unit of the pass's precision, and the
+    cancellation that :func:`_loop_pass` measures is all the pass loses."""
     h = table.h
-    v0 = mp.exp(-(table.a + _MU) * zeta)
-    q = mp.exp(_MU * h * h * zeta)
-    r = mp.exp(mpc(0, -2) * _MU * h * zeta)
-    zs = _powers(v0, q, r, right) + _powers(v0, q, 1 / r, left)[1:]
+    with working(mp.dps):
+        v0 = mp.exp(-(table.a + _MU) * zeta)
+        q = mp.exp(_MU * h * h * zeta)
+        r = mp.exp(mpc(0, -2) * _MU * h * zeta)
+        zs = _powers(v0, q, r, right) + _powers(v0, q, 1 / r, left)[1:]
     return [mp.fdot(here[:right] + there[1:left], zs)
             for here, there in zip(table.weights, table.mirror)]
 
@@ -630,16 +668,13 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     On sheets -2..2 only m = 1, 2 near |theta| = 5 pi need it.
 
     Rounding: each moment is one exact-product dot sum rounded once, so it
-    is off by at most about 2^-prec (|sum| + sum_k ((k + 4)^2 / 2 + 4)
-    |T_k|), T_k its terms: a few ulps of a term from its rounded weight and
-    k^2/2 + 4k from the k steps of q^(k^2) r^k.  The largest term over the
-    moment measures the loss, and a pass that keeps fewer than d + 8 digits
-    reruns with the loss as its extra digits (specfun's
-    :func:`_measured_passes`, which raises :class:`SeriesConvergenceError`
-    after three passes).  Those 8 digits hold the log10(k^2/2) of the
-    powers: 2.9 where the largest term sits at node 38 (sheet 2 at
-    |z| = 1.25), 4.7 at node 307 (m = 2, |z| = 10^3, theta = -7 pi, K
-    raised to 46).
+    is off by at most about 2^-prec (|sum| + 5 sum_k |T_k|), T_k its terms:
+    a few ulps of a term from its rounded weight and one from its power
+    z^(-s_k), whose recurrence works at 33 more bits (:func:`_loop_sums`).
+    The largest term over the moment measures the loss, and a pass that
+    keeps fewer than d + 8 digits reruns with the loss as its extra digits
+    (specfun's :func:`_measured_passes`, which raises
+    :class:`SeriesConvergenceError` after three passes).
     """
     extra = _LOOP_EXTRA
     if float(point.modulus) > _LOOP_CANCEL_FROM:
@@ -683,24 +718,20 @@ def pick_route(b, m):
     return "series"
 
 
-def _g3_triples(b, point, turns, dps):
-    """The theta triples of G^{3,0}_{0,3}(.|b) on the sheets ``turns`` of
-    ``point`` (turned by 2 pi k for each k), one per turn, by the route of
-    :func:`pick_route`: the series sums its 0F2 families once for all of
-    them (:func:`_series_triples`), the loop makes one :func:`mb_loop` call
-    a sheet."""
+def _g3_rows(b, point, rows, dps):
+    """sum_t w_t G^{3,0}_{0,3}(z e^(2 pi i t)|b) as a theta triple for each
+    row of (turn t, weight w_t) pairs in ``rows``, z = ``point``, by the
+    route of :func:`pick_route`: the series sums its 0F2 families once for
+    all of them and weighs each family by its row (:func:`_series_rows`);
+    the loop makes one :func:`mb_loop` call a distinct turn and adds the
+    weighted triples at the caller's working precision."""
     if pick_route(b, 3) == "series":
-        return _series_triples(b, point, turns, dps)
-    return [mb_loop(b, pt, m=3, dps=dps, with_theta=True)
-            for pt in _sheets(point, turns)]
-
-
-def _txc(triple, const):
-    return tuple(const * x for x in triple)
-
-
-def _tadd(t1, t2):
-    return tuple(x + y for x, y in zip(t1, t2))
+        return _series_rows(b, point, rows, dps)
+    turns = {t for row in rows for t, _ in row}
+    g = {t: mb_loop(b, point.rotated(2 * t * mp.pi) if t else point, m=3,
+                    dps=dps, with_theta=True) for t in sorted(turns)}
+    return [tuple(sum(w * g[t][m] for t, w in row) for m in range(3))
+            for row in rows]
 
 
 def _phi_b(a):
@@ -713,16 +744,21 @@ def _psi_b(a):
     return (mpf(0), a, a + mpf("0.5"))
 
 
-def _phi12(a, gp, gm):
-    """phi1 and phi2 from the triples of G on sheets +1 and -1."""
-    e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)   # e^{2 pi i a}
-    return _txc(gp, mpc(0, 1) * e_plus), _txc(gm, mpc(0, -1) / e_plus)
+def _a_weights(a, d):
+    """i e^(2 pi i a) and i e^(-2 pi i a), the factors of the sheet
+    identities of the model problem, from the cached phases of a at d
+    digits (the caller's raise)."""
+    i = mpc(0, 1)
+    return i * _turn_phase(a._mpf_, 1, d), i * _turn_phase(a._mpf_, -1, d)
 
 
-def _psi4(g_m1, g_p1):
-    """psi4 = psi2 - psi1 from the triples of Gt at z e^(-pi i) and
-    z e^(pi i)."""
-    return _tadd(g_p1, _txc(g_m1, mpc(-1)))
+def _phi_rows(a, d):
+    """The rows of phi1, phi2, phi3 and phi4 = phi1 + phi2 over the turns
+    of z: phi1 = i e^(2 pi i a) G(z e^(2 pi i)), phi2 = -i e^(-2 pi i a)
+    G(z e^(-2 pi i)) and phi3 = G(z)."""
+    ip, im = _a_weights(a, d)
+    phi1, phi2 = (1, ip), (-1, -im)
+    return (phi1,), (phi2,), ((0, 1),), (phi1, phi2)
 
 
 def phi_scalars(alpha, point, dps=None):
@@ -734,42 +770,40 @@ def phi_scalars(alpha, point, dps=None):
     """
     with working(dps) as d:
         a = mpf(alpha)
-        g0, gp, gm = _g3_triples(_phi_b(a), point, (0, 1, -1), d)
-        phi1, phi2 = _phi12(a, gp, gm)
-        return ScalarTriples(phi1, phi2, tuple(+x for x in g0),
-                             _tadd(phi1, phi2))
+        return ScalarTriples(*_g3_rows(_phi_b(a), point, _phi_rows(a, d), d))
 
 
 def phi4_triple(alpha, point, dps=None):
     """The triple of phi4 = phi1 + phi2 alone, from sheets +1 and -1 of
-    ``point``: the one phi scalar the kernel's bilinear form reads, two of
-    the three sheets of :func:`phi_scalars` and the same values."""
+    ``point``: the one phi scalar the kernel's bilinear form reads, one of
+    the rows of :func:`phi_scalars` and the same values."""
     with working(dps) as d:
         a = mpf(alpha)
-        return _tadd(*_phi12(a, *_g3_triples(_phi_b(a), point, (1, -1), d)))
+        return _g3_rows(_phi_b(a), point, _phi_rows(a, d)[3:], d)[0]
+
+
+#: psi4 = psi2 - psi1 = Gt(z e^(pi i)) - Gt(z e^(-pi i)), as turns of
+#: z e^(-pi i)
+_PSI4_ROW = ((1, 1), (0, -1))
 
 
 def psi_scalars(alpha, point, dps=None):
     """Triples for psi1..psi4 at a sector point."""
     with working(dps) as d:
         a = mpf(alpha)
-        e_plus = mp.exp(mpc(0, 1) * 2 * mp.pi * a)
-        g_m1, g_p1, g_m3 = _g3_triples(_psi_b(a), point.rotated(-mp.pi),
-                                       (0, 1, -1), d)
-        psi1 = tuple(+x for x in g_m1)
-        psi2 = tuple(+x for x in g_p1)
-        psi3 = _txc(_tadd(g_m3, _txc(g_m1, mpc(-1))), mpc(0, 1) * e_plus)
-        return ScalarTriples(psi1, psi2, psi3, _psi4(g_m1, g_p1))
+        ip = _a_weights(a, d)[0]
+        rows = (((0, 1),), ((1, 1),), ((-1, ip), (0, -ip)), _PSI4_ROW)
+        return ScalarTriples(*_g3_rows(_psi_b(a), point.rotated(-mp.pi),
+                                       rows, d))
 
 
 def psi4_triple(alpha, point, dps=None):
     """The triple of psi4 = psi2 - psi1 alone, from sheets 0 and +1 of
     ``point`` e^(-pi i): the one psi scalar the kernel's bilinear form
-    reads, two of the three sheets of :func:`psi_scalars` and the same
-    values."""
+    reads, one of the rows of :func:`psi_scalars` and the same values."""
     with working(dps) as d:
-        return _psi4(*_g3_triples(_psi_b(mpf(alpha)), point.rotated(-mp.pi),
-                                  (0, 1), d))
+        return _g3_rows(_psi_b(mpf(alpha)), point.rotated(-mp.pi),
+                        (_PSI4_ROW,), d)[0]
 
 
 def psi3_alternate(alpha, point, dps=None):
@@ -778,6 +812,6 @@ def psi3_alternate(alpha, point, dps=None):
     """
     with working(dps) as d:
         a = mpf(alpha)
-        e_minus = mp.exp(mpc(0, -1) * 2 * mp.pi * a)
-        g_p1, g_p3 = _g3_triples(_psi_b(a), point.rotated(mp.pi), (0, 1), d)
-        return _txc(_tadd(g_p1, _txc(g_p3, mpc(-1))), mpc(0, 1) * e_minus)
+        im = _a_weights(a, d)[1]
+        return _g3_rows(_psi_b(a), point.rotated(mp.pi),
+                        (((0, im), (1, -im)),), d)[0]

@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
+from mbhalf import kernel
 from mbhalf.kernel import (
     DIAG_GUARD,
     PrecisionLossError,
@@ -235,3 +237,62 @@ def test_two_frame_entries_match_the_full_frames(alpha, d):
         ref = _full_frame_kernel(a, x, y, d + loss + 10)
         with mp.workdps(d + loss + 10):
             assert abs(got - ref) <= mpf(10) ** -(d + 5) * abs(ref), (x, y)
+
+
+def _double_sum_arguments(monkeypatch, alpha, x, y, theta):
+    """The arguments kernel_integral hands _double_sum at (x, y), and the
+    working precision it hands them at."""
+    seen = []
+    run = kernel._double_sum
+
+    def record(*args):
+        seen.append((args, mp.prec))
+        return run(*args)
+
+    monkeypatch.setattr(kernel, "_double_sum", record)
+    kernel_integral(mpf(alpha), x, y, theta=theta, dps=30)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("theta", ["0.5", "1"])
+@pytest.mark.parametrize("x, y", [("0.2", "0.3"), ("1", "2"), ("4.9", "0.21"),
+                                  ("998", "1003"), ("1000", "0.5")])
+def test_bucket_sum_meets_the_pair_sum(monkeypatch, theta, x, y):
+    # when 2 theta = p is an integer the double sum divides once per
+    # anti-diagonal m = 2j + p k; it must meet the J x K floor divisions
+    # within the two bounds of _double_sum's docstring, in units of
+    # 2^(ex+ey): under one a bucket, and under |A_j| (1 + K/16) / min(1,
+    # s0)^2 a pair, the s_k truncation included
+    (xt, ex, yt, ey, s0, ds), prec = _double_sum_arguments(
+        monkeypatch, "0.3", x, y, mpf(theta))
+    with mp.workprec(prec):
+        w = prec + kernel._SUM_GUARD
+        s0f, dsf = to_fixed(s0._mpf_, w), to_fixed(ds._mpf_, w)
+        p = int(2 * ds)
+        buckets = kernel._bucket_sum(xt, yt, s0f, p, w)
+        pairs = kernel._pair_sum(xt, yt, s0f, dsf, w)
+    jj, kk = len(xt), len(yt)
+    bound = (2 * jj + p * kk
+             + jj * kk * (1 + kk / 16) * max(map(abs, xt)) / min(1, s0) ** 2)
+    assert abs(buckets - pairs) <= bound
+
+
+# kernel_integral(0.3, x, y, theta=0.37) at 30 digits as (sign, hex
+# mantissa, exponent): 2 theta is not an integer, so each pair keeps its
+# floor division
+_THETA_037_BITS = {
+    ("1", "2"): (0, "0x29c662e6da67d837df821d2ae9255a61b3cb", -146),
+    ("4.9", "0.3"): (0, "0x2686c500a90c9b9348b1f785fbee2d5df127", -146),
+}
+
+
+def test_other_theta_keeps_the_pair_sum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bucket sum at 2 theta not an integer")
+
+    monkeypatch.setattr(kernel, "_bucket_sum", refuse)
+    for (x, y), bits in _THETA_037_BITS.items():
+        v = kernel_integral(mpf("0.3"), mpf(x), mpf(y), theta=mpf("0.37"),
+                            dps=30)
+        assert (v._mpf_[0], hex(v._mpf_[1]), v._mpf_[2]) == bits, (x, y)

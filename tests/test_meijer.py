@@ -1,5 +1,7 @@
 """Mellin-Barnes G: residue series vs. loop contour vs. external oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
@@ -233,6 +235,35 @@ def test_loop_node_budget_reports_last_two_estimates(monkeypatch):
     assert prev != last
 
 
+@pytest.mark.parametrize("b, m, modulus, arg", [
+    # the benchmark's sheet 2, whose largest term sits at node 38
+    (("0.028403", "-0.363757", "-0.696444"), 3, "1.25", 0.5 + 4 * math.pi),
+    # m = 2 at |z| = 10^3 and theta = -7 pi: largest terms near node 300
+    (("0", "-0.3", "-0.8"), 2, "1000", -7 * math.pi),
+])
+def test_loop_powers_cost_no_digits(b, m, modulus, arg):
+    # q^(k^2) r^k takes k^2/2 + 4k rounded products at node k; the loop
+    # sums must still be within a few units of 2^-prec of the largest term
+    # of the same sums taken at three times the precision from the same
+    # weights (a recurrence at the pass's own precision is off by 10^3.7
+    # units at |z| = 10^3)
+    with mp.workdps(46):
+        bb = [mpf(x) for x in b]
+        table = meijer._loop_weights(tuple(x._mpf_ for x in bb), m,
+                                     meijer._nodes_per_unit(mp.dps), mp.dps)
+        zeta = SectorPoint(mpf(modulus), mpf(arg))._log()
+        walks = [meijer._walk(table, sign, float(zeta.real),
+                              float(zeta.imag)) for sign in (1, -1)]
+        (right, tops_r, _), (left, tops_l, _) = walks
+        got = meijer._loop_sums(table, zeta, right, left)
+        prec = mp.prec
+        with mp.workprec(3 * prec):
+            ref = meijer._loop_sums(table, zeta, right, left)
+            for x, y, tr, tl in zip(got, ref, tops_r, tops_l):
+                units = abs(x - y) / mp.exp(max(tr, tl)) * mpf(2) ** prec
+                assert units < 8, (m, modulus, units)
+
+
 def test_loop_lower_m_matches_mpmath():
     # m < 3 keeps q = 3: the trailing parameters move to the denominator,
     # G^{m,0}_{0,3}.  mpmath evaluates the same split independently.  With
@@ -358,7 +389,7 @@ def test_shared_sheets_match_per_sheet_calls(d):
             assert meijer.pick_route(b, 3) == "series"
             for modulus in ("0.5", "10", "1000"):
                 pt = SectorPoint(mpf(modulus), mpf("0.4"))
-                shared = meijer._g3_triples(b, pt, turns, d)
+                shared = meijer._g3_rows(b, pt, [((t, 1),) for t in turns], d)
                 for k, got in zip(turns, shared):
                     ref = g303_series(b, pt.rotated(2 * mp.pi * k), dps=d,
                                       with_theta=True)
@@ -409,12 +440,99 @@ def test_shared_sheets_near_resonance_take_the_loop():
     turns = (-2, -1, 0, 1, 2)
     with mp.workdps(40):
         pt = SectorPoint(mpf("0.5"), mpf("0.4"))
-        shared = meijer._g3_triples(b, pt, turns, 30)
+        shared = meijer._g3_rows(b, pt, [((t, 1),) for t in turns], 30)
         for k, got in zip(turns, shared):
             ref = mb_loop(b, pt.rotated(2 * mp.pi * k), m=3, dps=30,
                           with_theta=True)
             for x, y in zip(got, ref):
                 assert abs(x - y) <= mpf("1e-30") * abs(y), k
+
+
+_ROW_ALPHAS = ("-0.9", "-0.5", "0", "0.3", "0.5", "1.9")
+_ROW_MODULI = ("0.3", "1.7", "10", "1000")
+
+
+def _weighted_sheets(b, point, row, d):
+    """sum_t w_t G(point turned t) from one g303_series call a sheet."""
+    return [sum(w * g303_series(b, point.rotated(2 * t * mp.pi), dps=d,
+                                with_theta=True)[m] for t, w in row)
+            for m in range(3)]
+
+
+def _assert_triples_close(got, ref, d, where):
+    for x, y in zip(got, ref):
+        assert abs(x - y) <= mpf(10) ** -(d + 5) * abs(y), where
+
+
+@pytest.mark.parametrize("d", [30, 50])
+def test_rows_match_weighted_single_sheets(d):
+    # every row of (turn, weight) pairs equals the weighted sum of its
+    # sheets' single-sheet g303_series values to 10^-(d+5): a row over the
+    # turns -2..2 with weights that are not units, and the rows of phi1..4,
+    # psi1..4 and psi3_alternate, whose weights i e^(+-2 pi i a) are taken
+    # here at 20 more digits.  phi's and psi's b are plain at alpha = -0.9,
+    # 0.3 and 1.9 and a logarithmic pair at -0.5, 0 and 1/2
+    spread = tuple((t, mpc(t + 3, -t) / 7) for t in range(-2, 3))
+    for alpha in _ROW_ALPHAS:
+        for modulus in _ROW_MODULI:
+            with mp.workdps(d + 20):
+                a = mpf(alpha)
+                ip = mpc(0, 1) * mp.expjpi(2 * a)
+                im = mpc(0, 1) * mp.expjpi(-2 * a)
+                pt = SectorPoint(mpf(modulus), mpf("0.4"))
+                b_phi = (mpf(0), -a, -a - mpf("0.5"))
+                b_psi = (mpf(0), a, a + mpf("0.5"))
+                down, up = pt.rotated(-mp.pi), pt.rotated(mp.pi)
+            where = (alpha, modulus)
+            got = meijer._g3_rows(b_phi, pt, (spread,), d)[0]
+            with mp.workdps(d + 20):
+                _assert_triples_close(
+                    got, _weighted_sheets(b_phi, pt, spread, d), d, where)
+            phi = phi_scalars(a, pt, dps=d)
+            psi = psi_scalars(a, pt, dps=d)
+            alt = psi3_alternate(a, pt, dps=d)
+            with mp.workdps(d + 20):
+                for got, (b, point, row) in (
+                        (phi.f1, (b_phi, pt, ((1, ip),))),
+                        (phi.f2, (b_phi, pt, ((-1, -im),))),
+                        (phi.f3, (b_phi, pt, ((0, 1),))),
+                        (phi.f4, (b_phi, pt, ((1, ip), (-1, -im)))),
+                        (psi.f1, (b_psi, down, ((0, 1),))),
+                        (psi.f2, (b_psi, down, ((1, 1),))),
+                        (psi.f3, (b_psi, down, ((-1, ip), (0, -ip)))),
+                        (psi.f4, (b_psi, down, ((1, 1), (0, -1)))),
+                        (alt, (b_psi, up, ((0, im), (1, -im))))):
+                    _assert_triples_close(
+                        got, _weighted_sheets(b, point, row, d), d, where)
+
+
+@pytest.mark.parametrize("d", [30, 50])
+def test_two_sheet_triples_match_the_scalars(d):
+    # phi4_triple and psi4_triple are the phi4 and psi4 rows alone
+    for alpha in _ROW_ALPHAS:
+        for modulus in _ROW_MODULI:
+            with mp.workdps(d + 20):
+                a = mpf(alpha)
+                pt = SectorPoint(mpf(modulus), mpf("0.4"))
+            where = (alpha, modulus)
+            _assert_triples_close(meijer.phi4_triple(a, pt, dps=d),
+                                  phi_scalars(a, pt, dps=d).f4, d, where)
+            _assert_triples_close(meijer.psi4_triple(a, pt, dps=d),
+                                  psi_scalars(a, pt, dps=d).f4, d, where)
+
+
+def test_rows_near_resonance_take_the_loop():
+    # inside the resonance window every turn is one mb_loop call, and a
+    # row is the weighted sum of those calls
+    b = (mpf(0), mpf("-1e-8"), mpf("-0.5"))
+    row = tuple((t, mpc(t + 3, -t) / 7) for t in range(-2, 3))
+    with mp.workdps(40):
+        pt = SectorPoint(mpf("1.7"), mpf("0.4"))
+        got = meijer._g3_rows(b, pt, (row,), 30)[0]
+        ref = [sum(w * mb_loop(b, pt.rotated(2 * mp.pi * t), m=3, dps=30,
+                               with_theta=True)[m] for t, w in row)
+               for m in range(3)]
+        _assert_triples_close(got, ref, 30, "loop")
 
 
 def test_phi_scalars_internal_identity():
