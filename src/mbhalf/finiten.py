@@ -197,8 +197,8 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     V is the tag "laguerre" (V(x) = x, closed form Gamma(s+alpha+1) /
     n^(s+alpha+1), stepped by m(s+1) = m(s) (s+alpha+1) / n from the two
     gamma values at s = 0 and 1/2) or a callable, in which case all
-    moments are integrated together by one vector tanh-sinh pass over
-    [0, X], whose endpoint clustering absorbs the x^alpha singularity at 0;
+    moments are integrated together by one tanh-sinh pass over [0, X],
+    whose endpoint clustering absorbs the x^alpha singularity at 0;
     for alpha < -1/2 the piece at 0 is integrated in u = x^(1/p),
     p = 1/(2 (1 + alpha)), where the singularity is p u^(-1/2) (tanh-sinh's
     cutoff is sized for blow-ups up to (x - a)^(-3/4));
@@ -206,9 +206,11 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     exp(-n V) it can and cannot see.  The pass is split at the peaks
     :func:`_tail_box` finds inside the box, one pass a piece, so that a
     narrow well lies at the end of a piece; without peaks it is one pass.
-    Each node evaluates w(t) = exp(alpha log t - n V(t)) and t^(1/2) once,
-    one log, one exp and one square root, and gives every moment's
-    integrand as w(t) t^(k/2), so V is called once per node.
+    Each node evaluates the pair (w(t), t^(1/2)), w(t) = exp(alpha log t
+    - n V(t)) (in u, p times the power of u times exp(-n V(t))), one log,
+    one exp, one square root and one call of V however many moments the
+    table holds, and :func:`~mbhalf.mpcore.quad_ts` with ``powers`` sums
+    every moment's w(t) t^(k/2) over a level from integer mantissas.
     """
     k2max = _twice(smax)
     vals = {}
@@ -226,15 +228,8 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
         else:
             X, peaks = _tail_box(alpha, n, V, mpf(k2max) / 2)
 
-            def powers(w, r):
-                out = [w]
-                for _ in range(k2max):
-                    out.append(out[-1] * r)
-                return out
-
             def f(t):
-                return powers(mp.exp(alpha * mp.log(t) - n * V(t)),
-                              mp.sqrt(t))
+                return mp.exp(alpha * mp.log(t) - n * V(t)), mp.sqrt(t)
 
             # quad_ts's cutoff is sized for endpoint blow-ups up to
             # (t - a)^(-3/4), and t^alpha is stronger below alpha = -3/4:
@@ -246,15 +241,17 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
             def f_sub(u):
                 lu = mp.log(u)
                 t = mp.exp(p * lu)
-                return powers(p * mp.exp((p * (alpha + 1) - 1) * lu
-                                         - n * V(t)), mp.sqrt(t))
+                return (p * mp.exp((p * (alpha + 1) - 1) * lu - n * V(t)),
+                        mp.sqrt(t))
 
             ends = peaks + [X]
+            count = k2max + 1
             if p == 1:
-                first = quad_ts(f, 0, ends[0], dps=d)
+                first = quad_ts(f, 0, ends[0], dps=d, powers=count)
             else:
-                first = quad_ts(f_sub, 0, ends[0] ** (1 / p), dps=d)
-            pieces = [first] + [quad_ts(f, a, b, dps=d)
+                first = quad_ts(f_sub, 0, ends[0] ** (1 / p), dps=d,
+                                powers=count)
+            pieces = [first] + [quad_ts(f, a, b, dps=d, powers=count)
                                 for a, b in zip(ends, ends[1:])]
             vals = dict(enumerate(mp.fsum(parts) for parts in zip(*pieces)))
         for k2, v in vals.items():

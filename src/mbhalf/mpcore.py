@@ -9,6 +9,12 @@ matrix frames, moment tables) is built on the primitives in this module:
   quadrature rule; it takes an integrand that returns a sequence and then
   returns one integral per component from one evaluation per node, each
   level's sum of a component one exact-product ``mp.fdot``, rounded once;
+  with ``powers=K`` it takes an integrand that returns a pair (v, r),
+  v >= 0 and r > 0, and integrates the power family v r^k, k < K: each
+  level forms its K sums from integer mantissas at B = prec + 40 bits
+  with no rounded product, and rounds each once; every term is positive,
+  so a sum before that rounding is at most (K + N) 2^-(B-2) relative
+  low, N the level's nodes;
 * ``solve_cubic`` -- Cardano with a Newton polish;
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
@@ -53,6 +59,7 @@ import functools
 import math
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, round_nearest
 
 _LN10 = math.log(10.0)
 
@@ -190,7 +197,67 @@ def _worst_component(total, prev, tol):
     return worst
 
 
-def quad_ts(f, a, b, dps=None, max_level=12):
+#: bits a power-family mantissa carries beyond the working precision
+_POWER_BITS = 40
+
+
+def _normalised(man, exp, bits):
+    """man 2^exp as m 2^e with 2^(bits-1) <= m < 2^bits, truncated."""
+    shift = man.bit_length() - bits
+    return (man >> shift if shift > 0 else man << -shift), exp + shift
+
+
+def _power_sums(ws, pairs, count):
+    """The ``count`` level sums sum_i w_i v_i r_i^k, k < count, of the
+    nodes' weights w_i and integrand pairs (v_i, r_i), from integer
+    mantissas at B = prec + _POWER_BITS bits.
+
+    w_i v_i (an exact product) and r_i are truncated to B bits, m 2^e with
+    2^(B-1) <= m < 2^B.  A power step takes m to (m r_m) >> (B - 1), which
+    keeps m >= 2^(B-1): a mantissa only grows, by at most a bit a step,
+    and a step drops less than 2^-(B-1) of its product.  Sum k aligns its
+    terms to their largest exponent, dropping less than one unit there of
+    each, where the term of that exponent is at least 2^(B-1) units, and
+    is rounded once to prec bits.  Every term is positive, so these
+    relative errors add: before its rounding sum k is at most
+    (1 + 2k + N) 2^-(B-1) <= (count + N) 2^-(B-2) low, N the number of
+    nodes.  A v < 0, an r <= 0 or a value that is not finite raises
+    ValueError; a node with v = 0 adds nothing.
+    """
+    bits = mp.prec + _POWER_BITS
+    step = bits - 1
+    ms, es, rs, cs = [], [], [], []
+    for w, (v, r) in zip(ws, pairs):
+        vsign, vman, vexp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
+        rsign, rman, rexp, _ = (r if isinstance(r, mpf) else mpf(r))._mpf_
+        # an mpf with a zero mantissa is 0 when its exponent is 0, else
+        # an infinity or nan
+        if vsign or (not vman and vexp) or rsign or not rman:
+            raise ValueError("powers= needs an integrand pair (v, r) with "
+                             "finite v >= 0 and r > 0; got (%s, %s)"
+                             % (mp.nstr(v, 8), mp.nstr(r, 8)))
+        if not vman:
+            continue
+        _, wman, wexp, _ = w._mpf_
+        m, e = _normalised(wman * vman, wexp + vexp, bits)
+        rm, re = _normalised(rman, rexp, bits)
+        ms.append(m)
+        es.append(e)
+        rs.append(rm)
+        cs.append(re + step)
+    out = []
+    for k in range(count):
+        if k:
+            ms = [(m * rm) >> step for m, rm in zip(ms, rs)]
+            es = [e + c for e, c in zip(es, cs)]
+        top = max(es, default=0)
+        total = sum(m >> (top - e) for m, e in zip(ms, es))
+        out.append(mp.make_mpf(from_man_exp(total, top, mp.prec,
+                                            round_nearest)))
+    return out
+
+
+def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
     """Tanh-sinh integral of ``f`` over [a, b] with level doubling.
 
     Handles integrable endpoint singularities (algebraic or logarithmic).
@@ -205,10 +272,21 @@ def quad_ts(f, a, b, dps=None, max_level=12):
     A level's new nodes are summed per component as one ``mp.fdot`` of
     the values against the weights of :func:`_ts_nodes` (two exps a
     node): the products are exact and the sum is rounded once.
+
+    With ``powers=K``, ``f`` returns a pair (v, r), v >= 0 and r > 0, and
+    the result is the list of the K integrals of v r^k, k = 0, ..., K-1,
+    under the same levels and convergence rule.  A level's K sums are then
+    formed from integer mantissas by :func:`_power_sums`, with no rounded
+    product of mpfs: every term is positive, so each sum before its one
+    rounding is at most (K + N) 2^-(B-2) relative low, N the level's
+    nodes and B the working precision plus 40 bits.
     """
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
-    g, unwrap = _components(f)
+    if powers is None:
+        g, unwrap = _components(f)
+    else:
+        g, unwrap = f, list
     with working(d):
         a = mpf(a)
         b = mpf(b)
@@ -232,7 +310,10 @@ def quad_ts(f, a, b, dps=None, max_level=12):
                 for x in xs:
                     ws.append(w)
                     rows.append(g(x))
-            contrib = [mp.fdot(ws, col) for col in zip(*rows)]
+            if powers is None:
+                contrib = [mp.fdot(ws, col) for col in zip(*rows)]
+            else:
+                contrib = _power_sums(ws, rows, powers)
             # level 0 sum includes t=0 once; rescale previous accumulation
             hh = h * half
             if level > 0:

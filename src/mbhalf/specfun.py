@@ -80,6 +80,12 @@ def _cancellation_digits(radius, growth_power):
     return int(2.4 * r ** growth_power) if r > 1 else 0
 
 
+def _float_modulus(z):
+    """|z| as a float, from the float parts of z: the series' float
+    estimates need no modulus at the working precision."""
+    return math.hypot(float(z.real), float(z.imag))
+
+
 def _series_guard(radius, growth_power):
     """The ``extra`` digits of the :class:`~mbhalf.mpcore.working` raise an
     entire series is summed at: its :func:`_cancellation_digits` and 2 more,
@@ -174,7 +180,8 @@ def _theta_sums(b1, b2, z, c, log=False, guard=_GUARD_BITS):
     zr, zi = to_fixed(z.real._mpf_, f), to_fixed(z.imag._mpf_, f)
     p1, p2 = to_fixed(b1._mpf_, f), to_fixed(b2._mpf_, f)
     bsum, bprod = p1 + p2, (p1 * p2) >> f
-    zabs, b1f, b2f, cabs = float(abs(z)), float(b1), float(b2), abs(float(c))
+    zabs = _float_modulus(z)
+    b1f, b2f, cabs = float(b1), float(b2), abs(float(c))
     kmin = max(-b1f, -b2f)
     tiny = 1 << guard
     tr, ti = one, 0
@@ -246,7 +253,7 @@ def _theta_sums(b1, b2, z, c, log=False, guard=_GUARD_BITS):
 def _guarded_theta_sums(b1, b2, z, c, dps, log):
     """:func:`_theta_sums` at dps digits plus the cancellation guard,
     rerun by the rule of :func:`_measured_passes`."""
-    guard = _series_guard(abs(z), 1.0 / 3.0)
+    guard = _series_guard(_float_modulus(z), 1.0 / 3.0)
     _check_lower_param(b1)
     _check_lower_param(b2)
     return _measured_passes(dps, guard, lambda d: _theta_sums(

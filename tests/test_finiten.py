@@ -218,9 +218,9 @@ def test_callable_moments_near_alpha_minus_one(d, monkeypatch):
     # -1/2 on it keeps x itself, and ends at the box X
     ends = []
 
-    def quad(f, a, b, dps=None):
+    def quad(f, a, b, dps=None, **kwargs):
         ends.append(b)
-        return quad_ts(f, a, b, dps=dps)
+        return quad_ts(f, a, b, dps=dps, **kwargs)
 
     quad_ts = finiten.quad_ts
     monkeypatch.setattr(finiten, "quad_ts", quad)
@@ -236,6 +236,55 @@ def test_callable_moments_near_alpha_minus_one(d, monkeypatch):
                 e = mpf(k2) / 2 + a + 1
                 ref = mp.gamma(e) / mpf(2) ** e
                 assert abs(v - ref) <= mpf(10) ** -d * ref, (alpha, k2)
+
+
+@pytest.mark.parametrize("alpha", ["-0.9", "0.3"])
+@pytest.mark.parametrize("n,d", [(2, 40), (32, 60)])
+def test_power_sums_meet_the_explicit_vector_integrand(n, d, alpha):
+    # moments' integrand pair (w(t), t^(1/2)) for V = x + 0.1 x^2 over the
+    # piece at 0, in u = t^(1/p) at alpha = -0.9 (p = 5): quad_ts's
+    # integer power sums against the vector integrand [w r^k] of rounded
+    # products, summed by mp.fdot, to 8 units of the working precision
+    count = 3 * (n - 1) + 1
+    V = lambda x: x + x ** 2 / 10
+    with working(d):
+        a = mpf(alpha)
+        X, _ = _tail_box(a, n, V, mpf(count - 1) / 2)
+        p = max(mpf(1), 1 / (2 * (1 + a)))
+        unit = mpf(2) ** -mp.prec
+
+        def pair(u):
+            lu = mp.log(u)
+            t = mp.exp(p * lu)
+            return (p * mp.exp((p * (a + 1) - 1) * lu - n * V(t)),
+                    mp.sqrt(t))
+
+        def vector(u):
+            v, r = pair(u)
+            out = [v]
+            for _ in range(count - 1):
+                out.append(out[-1] * r)
+            return out
+
+        end = X ** (1 / p)
+    got = finiten.quad_ts(pair, 0, end, dps=d, powers=count)
+    ref = finiten.quad_ts(vector, 0, end, dps=d)
+    assert len(got) == count
+    with working(d):
+        for k, (g, r) in enumerate(zip(got, ref)):
+            assert abs(g - r) <= 8 * unit * r, k
+
+
+def test_callable_table_of_190_moments_meets_the_closed_form():
+    # the table an n = 64 system reads, 2s = 0..189, of V = x given as a
+    # callable, against the Laguerre recurrence at 90 digits
+    alpha, smax = mpf("0.3"), mpf(189) / 2
+    mt_cf = moments(alpha, 64, "laguerre", smax=smax, dps=90)
+    mt_q = moments(alpha, 64, lambda x: x, smax=smax, dps=90)
+    assert len(mt_q.values) == 190
+    with mp.workdps(100):
+        for k2, a in mt_cf.values.items():
+            assert abs(mt_q.values[k2] - a) <= mpf(10) ** -90 * a, k2
 
 
 @pytest.fixture(scope="module")

@@ -470,6 +470,35 @@ def test_rounded_product_sum_detector():
     assert _rounded_product_sums(tree) == [1, 2]
 
 
+def _float_of_abs(tree):
+    """Lines of a ``float(abs(...))`` call: a modulus taken at the working
+    precision (an mpmath hypot for an mpc) only to be read as a float,
+    where the float parts give it for a float's cost."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "float"
+                  and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Call)
+                  and getattr(node.args[0].func, "id", None) == "abs")
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_float_of_a_full_precision_modulus(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _float_of_abs(tree)
+    assert not found, "%s: float(abs(...)) on lines %s" % (path.name, found)
+
+
+def test_float_of_abs_detector():
+    tree = ast.parse("a = float(abs(z))\n"
+                     "b = abs(float(c))\n"
+                     "c = math.hypot(float(z.real), float(z.imag))\n"
+                     "d = [float(abs(x - y)) for x, y in pairs]\n"
+                     "e = float(mp.fabs(x))\n"
+                     "f = float(x) + abs(y)\n")
+    assert _float_of_abs(tree) == [1, 4]
+
+
 def _exception_classes(trees):
     """(module, line, name) of the classes of ``trees`` (a name -> tree
     mapping) that derive, directly or through one another, from a built-in

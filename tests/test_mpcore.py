@@ -87,6 +87,47 @@ def test_quad_ts_nonintegrable_raises():
         quad_ts(lambda t: 1 / t, 0, 1, dps=30, max_level=8)
 
 
+#: (sign, hex mantissa, exponent) of the values of
+#: test_quad_ts_without_powers_keeps_its_bits, as the vector mp.fdot level
+#: sums give them
+_PLAIN_BITS = [
+    (0, "0x6fd0715e418050bcc6f35c9e54a6619b8b", -134),
+    (1, "0x1", 0),
+    (0, "0x43a54e4e988641ca8a4270fadf560de44acff4aa95", -168),
+    (0, "0xd76aa47848677020c6e9e909c50f3c3289e511132f", -168),
+    (0, "0xeb5d7f04af9746dc7b7324d12f1c85acbb918aed61", -169),
+]
+
+
+def test_quad_ts_without_powers_keeps_its_bits():
+    # a scalar integrand, and a vector one with a complex component
+    s = quad_ts(lambda t: mp.exp(-t) / mp.sqrt(t), 0, 3, dps=30)
+    v = quad_ts(lambda t: [mp.log(t), t * mp.exp(-t), mp.expj(t)], 0, 1,
+                dps=40)
+    got = [(x._mpf_[0], hex(x._mpf_[1]), x._mpf_[2])
+           for x in (s, v[0], v[1], v[2].real, v[2].imag)]
+    assert got == _PLAIN_BITS
+
+
+def test_quad_ts_powers_closed_form():
+    # integral_0^1 t^(k/2) dt = 1 / (k/2 + 1), from the pair (1, t^(1/2));
+    # a plain number is taken as an mpf, and a zero v adds nothing
+    got = quad_ts(lambda t: (1, mp.sqrt(t)), 0, 1, dps=40, powers=6)
+    with working(40):
+        for k, v in enumerate(got):
+            assert abs(v - 1 / (mpf(k) / 2 + 1)) < mpf("1e-38"), k
+    assert quad_ts(lambda t: (mpf(0), t), 0, 1, dps=30, powers=2) == [0, 0]
+
+
+@pytest.mark.parametrize("pair", [
+    lambda t: (-t, t), lambda t: (t, -t), lambda t: (t, 0 * t),
+    lambda t: (mp.inf, t), lambda t: (mp.nan, t), lambda t: (t, mp.inf)],
+    ids=["v<0", "r<0", "r=0", "v=inf", "v=nan", "r=inf"])
+def test_quad_ts_powers_refuse_a_negative_value_or_ratio(pair):
+    with pytest.raises(ValueError):
+        quad_ts(pair, 0, 1, dps=30, powers=3)
+
+
 def test_quad_vector_components_match_scalar_calls():
     # a sequence integrand gives a list with one integral per component;
     # each agrees with its own scalar call (which stays an mpf) to the
