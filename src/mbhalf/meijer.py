@@ -22,9 +22,10 @@ Two independent evaluation routes:
   |Im u| < 1 (Trefethen & Weideman, SIAM Review 2014); K follows the
   working digits, and a faster chirp of z^(-s) on a high sheet raises it.
   The z-free weights are cached per exact b; z^(-s) costs three exps a
-  call.  Each moment is one exact-product dot sum, rounded once, whose
-  largest term measures the digits lost to cancellation; a pass that keeps
-  too few reruns with more (specfun's measured passes).
+  call and an integer recurrence.  Each moment is one exact integer sum,
+  rounded once, whose largest term measures the digits lost to
+  cancellation; a pass that keeps too few reruns with more (specfun's
+  measured passes).
 * :func:`g303_series` -- residue series.  With pairwise non-integer
   parameter differences, three Frobenius families
 
@@ -83,10 +84,11 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import chain
+from operator import add, mul, sub
 
 from mpmath import fp, mp, mpf, mpc
-from mpmath.libmp import mpf_sub
+from mpmath.libmp import from_man_exp, mpf_sub, round_nearest, to_fixed
 
 from .mpcore import working, QuadratureConvergenceError
 from .specfun import (_MAX_TERMS, _cancellation_digits, _measured_passes,
@@ -128,7 +130,7 @@ class SectorPoint:
     def to_mpc(self, dps=None):
         with working(dps):
             r, t = mpf(self.modulus), mpf(self.argument)
-            return r * mpc(mp.cos(t), mp.sin(t))
+            return r * mpc(*mp.cos_sin(t))
 
 
 #: a parameter difference b_i - b_j within this (float) distance of an
@@ -443,6 +445,9 @@ _LOSS_STEP = 8
 #: nodes on either side of u = 0 before the loop gives up
 _MAX_NODES = 2000
 _LN2 = math.log(2)
+#: bits by which a table's integer weights are made finer than the
+#: scale of the loop sum that asks for a finer one (_LoopWeights.fixed)
+_WEIGHT_SLACK = 32
 
 
 def _nodes_per_unit(digits):
@@ -455,24 +460,25 @@ class _LoopWeights:
     """The z-free factors of the loop's trapezoidal sum for one (b, m, K,
     digits): at the nodes u_k = k h, h = 1/K, k >= 0, the moment weights
     (w_k, -s_k w_k, s_k^2 w_k), w_k = h s'(u_k) P(s_k) with
-    P(s) = prod_{j<m} Gamma(b_j+s) prod_{j>=m} 1/Gamma(1-b_j-s), and the
-    floats log|w_k|, log|s_k| and d/du arg w at u_k (from float digammas;
-    0 for |u_k| < 1).
+    P(s) = prod_{j<m} Gamma(b_j+s) prod_{j>=m} 1/Gamma(1-b_j-s), as raw mpc
+    tuples, and the floats log|w_k|, log|s_k| and d/du arg w at u_k (from
+    float digammas; 0 for |u_k| < 1).
 
     b is real, so s(-u) = conj s(u), P(conj s) = conj P(s) and
     s'(-u) = -conj s'(u): node -k carries minus the conjugates of node k's
-    weights (:attr:`mirror`), the same logs and the same d/du arg w, and
-    gamma is called for k >= 0 only.  Nodes are added outward from u = 0 on
-    demand, at the precision of the loop pass that adds them, whose digits
-    are part of the table's key.
+    weights, the same logs and the same d/du arg w, and gamma is called for
+    k >= 0 only.  Nodes are added outward from u = 0 on demand, at the
+    precision of the loop pass that adds them, whose digits are part of the
+    table's key.  Each moment's weights are also held as integer mantissas
+    at one scale (:meth:`fixed`).
     """
 
     def __init__(self, b, m, K):
         self.b, self.m, self.K, self.h = b, m, K, mpf(1) / K
         self.a = max(-b[j] for j in range(m)) + _OFFSET
         self.weights = ([], [], [])
-        self.mirror = ([], [], [])
         self.logs = []
+        self._fixed = [(None, None, None)] * 3
 
     def grow(self, n):
         """Make the nodes k < n available."""
@@ -486,10 +492,8 @@ class _LoopWeights:
             for j, bj in enumerate(self.b):
                 w *= mp.gamma(bj + s) if j < self.m else mp.rgamma(1 - bj - s)
             ws = -s * w
-            for here, there, v in zip(self.weights, self.mirror,
-                                      (w, ws, -s * ws)):
-                here.append(v)
-                there.append(-mp.conj(v))
+            for here, v in zip(self.weights, (w, ws, -s * ws)):
+                here.append(v._mpc_)
             # d/du log w = i/(1 + iu) + s'(u) (sum of digammas), for
             # |u| >= 1 only: the zeros of w lie on the real s axis, which
             # the loop crosses at u = 0, and next to one arg w spins
@@ -501,8 +505,39 @@ class _LoopWeights:
                           else fp.digamma(1 - bj - sc)
                           for j, bj in enumerate(bf))
                 rate = (1j / tc + 2j * mu * tc * psi).imag
-            self.logs.append((float(mp.log(abs(w))), float(mp.log(abs(s))),
-                              rate))
+            self.logs.append((_log_abs(w._mpc_), _log_abs(s._mpc_), rate))
+
+    def fixed(self, j, n, e):
+        """The real and imaginary parts of moment j's weights at the nodes
+        k < n as integers at the scale 2^e, each truncated (rounded down)
+        once.  They are kept at one scale per moment, extended to more nodes
+        on demand and rebuilt _WEIGHT_SLACK bits finer than a request that
+        asks for a finer scale than they have; a coarser request shifts them
+        down, which truncates them exactly as a direct conversion would."""
+        exp, re, im = self._fixed[j]
+        if exp is None or exp > e:
+            exp, re, im = self._fixed[j] = e - _WEIGHT_SLACK, [], []
+        for x, y in self.weights[j][len(re):n]:
+            re.append(to_fixed(x, -exp))
+            im.append(to_fixed(y, -exp))
+        shift = e - exp
+        return ([v >> shift for v in re[:n]], [v >> shift for v in im[:n]])
+
+
+def _log_abs(v):
+    """log|v| in floats of a raw mpc ``v``, from its parts' mantissas and
+    exponents, to a few ulps; -inf for v = 0.  |v|^2 = n 2^(2e) with n an
+    integer, and with t = floor(log2 |v|^2 / 2) the ratio |v|^2 / 4^t lies
+    in [1/2, 2): log|v| = t log 2 + log1p(|v|^2 / 4^t - 1) / 2, the
+    argument of log1p exact before its one rounding."""
+    parts = [(man, exp) for _, man, exp, _ in v if man]
+    if not parts:
+        return -math.inf
+    e = min(exp for _, exp in parts)
+    n = sum((man << (exp - e)) ** 2 for man, exp in parts)
+    t = (n.bit_length() + 2 * e) // 2
+    one = 1 << 2 * (t - e)
+    return t * _LN2 + math.log1p((n - one) / one) / 2
 
 
 @functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
@@ -552,39 +587,103 @@ def _walk(table, sign, log_r, theta):
     return None, tops, chirp
 
 
-def _powers(v, q, r, n):
-    """v q^(k^2) r^k for k = 0..n-1: two products a node, q^(2k+1) r
-    stepping k to k+1."""
-    out = []
-    step, q2 = q * r, q * q
-    for _ in range(n):
-        out.append(v)
-        v *= step
-        step *= q2
-    return out
+def _power_ints(v, step, q2, logs, f, e):
+    """The powers v q^(k^2) r^k, k = 0..len(logs)-2, as lists of their
+    integer real and imaginary parts at the scale 2^e, rounded down.
+    ``step`` is q r, ``q2`` is q^2 and ``logs[k]`` is log|v q^(k^2) r^k|
+    in floats, one node more than the powers returned.
+
+    The recurrence v *= step, step *= q2 holds each value as an integer
+    pair times 2^(floor(log2 |value|) - f), the exponent taken from the
+    floats, so that every mantissa keeps about f bits and each product
+    truncates one unit of them, as floating point at f bits would."""
+    def at(x, ex):
+        re, im = x._mpc_
+        return to_fixed(re, -ex), to_fixed(im, -ex)
+
+    ev = [math.floor(x / _LN2) - f for x in logs]
+    es = [math.floor((y - x) / _LN2) - f for x, y in zip(logs, logs[1:])]
+    eq = math.floor(_log_abs(q2._mpc_) / _LN2) - f
+    (vr, vi), (sr, si), (qr, qi) = at(v, ev[0]), at(step, es[0]), at(q2, eq)
+    res, ims = [], []
+    for k in range(len(es)):
+        shift = ev[k] - e
+        if shift >= 0:
+            res.append(vr << shift)
+            ims.append(vi << shift)
+        else:
+            res.append(vr >> -shift)
+            ims.append(vi >> -shift)
+        if k + 1 < len(es):
+            shift = ev[k + 1] - ev[k] - es[k]
+            vr, vi = (vr * sr - vi * si) >> shift, (vr * si + vi * sr) >> shift
+            shift = es[k + 1] - es[k] - eq
+            sr, si = (sr * qr - si * qi) >> shift, (sr * qi + si * qr) >> shift
+    return res, ims
 
 
 def _loop_sums(table, zeta, right, left):
     """The three moments sum_k (w_k, -s_k w_k, s_k^2 w_k) z^(-s_k) over the
-    nodes -left < k < right, each one ``mp.fdot`` (exact products, rounded
-    once).  With s_k = a + mu (1 + ikh)^2,
+    nodes -left < k < right, each summed exactly in integers and rounded
+    once.  With s_k = a + mu (1 + ikh)^2,
     z^(-s_k) = z^(-(a+mu)) q^(k^2) r^k for q = e^(mu h^2 zeta) and
-    r = e^(-2 i mu h zeta): three exps a call, none a node.
+    r = e^(-2 i mu h zeta): three exps a call, none a node
+    (:func:`_power_ints`), and node -k's weights are minus the conjugates
+    of node k's, so both sides take the same integer weights.
 
-    The recurrence of :func:`_powers` leaves node k's power off by up to
-    k^2/2 + 4k rounding errors, 2.9 digits at node 38 and 4.7 at node 307.
-    It runs under the guard digits of one more working raise (33 bits, at
-    most (k + 4)^2 / 2 < 2^21 units for k < _MAX_NODES), so every power
-    reaches the sums within one unit of the pass's precision, and the
-    cancellation that :func:`_loop_pass` measures is all the pass loses."""
-    h = table.h
+    The scales come from floats: with T the largest term's log2-magnitude
+    of a moment (from ``table.logs`` and log|z^(-s_k)| as :func:`_walk`
+    takes them) and F = prec + 33 bits (one working raise), the weights
+    are truncated at 2^(T - log2 max|z^(-s_k)| - F) and the powers at
+    2^(T - log2 max|w| - F), so each truncation costs under 2^(T - F + 1)
+    a term.  The power recurrence works at F bits and leaves node k's power
+    off by up to about (k + 4)^2 / 2 units of 2^-F of itself, less than
+    2^(21 - F) for k < _MAX_NODES.  Over fewer than 2^12 terms a moment is
+    off by at most 2^-prec of its value plus a few units of 2^(T - prec),
+    and the cancellation that :func:`_loop_pass` measures against the
+    largest term is all the pass loses."""
+    prec, n = mp.prec, max(right, left)
+    table.grow(n)
+    a, h, mu = float(table.a), float(table.h), float(_MU)
+    log_r, theta = float(zeta.real), float(zeta.imag)
+    # log|z^(-s_k)| at u = +-k h, one node past each side's last
+    zr, zl = ([-(a + mu * (1 - u * u)) * log_r + theta * 2 * mu * u
+               for u in (sign * k * h for k in range(count + 1))]
+              for sign, count in ((1, right), (-1, left)))
+    lw = [x for x, _, _ in table.logs[:n]]
+    ls = [x for _, x, _ in table.logs[:n]]
+    # log-magnitudes of the moments' weights w, -s w, s^2 w
+    logs = (lw, list(map(add, lw, ls)), [x + 2 * y for x, y in zip(lw, ls)])
+    tops = [max(chain(map(add, w, zr[:right]), map(add, w[1:], zl[1:left])))
+            for w in logs]
+    top_z = max(zr[:right] + zl[1:left])
     with working(mp.dps):
+        f = mp.prec
         v0 = mp.exp(-(table.a + _MU) * zeta)
-        q = mp.exp(_MU * h * h * zeta)
-        r = mp.exp(mpc(0, -2) * _MU * h * zeta)
-        zs = _powers(v0, q, r, right) + _powers(v0, q, 1 / r, left)[1:]
-    return [mp.fdot(here[:right] + there[1:left], zs)
-            for here, there in zip(table.weights, table.mirror)]
+        q = mp.exp(_MU * table.h ** 2 * zeta)
+        r = mp.exp(mpc(0, -2) * _MU * table.h * zeta)
+        q2, step_r, step_l = q * q, q * r, q / r
+    ez = min(math.floor((t - max(w)) / _LN2) for t, w in zip(tops, logs)) - f
+    cr, dr = _power_ints(v0, step_r, q2, zr, f, ez)
+    cl, dl = _power_ints(v0, step_l, q2, zl, f, ez)
+    # node 0 is on the right side only; pad both sides to n nodes
+    pad_r, pad_l = [0] * (n - right), [0] * (n - left)
+    cr, dr = cr + pad_r, dr + pad_r
+    cl, dl = [0] + cl[1:] + pad_l, [0] + dl[1:] + pad_l
+    # node k's weight (A + iB) z^(-s_k) plus node -k's (-A + iB) z^(-s_-k)
+    cd, cs = list(map(sub, cr, cl)), list(map(add, cr, cl))
+    dd, ds = list(map(sub, dr, dl)), list(map(add, dr, dl))
+    out = []
+    for j, t in enumerate(tops):
+        ew = math.floor((t - top_z) / _LN2) - f
+        re, im = table.fixed(j, n, ew)
+        e = ew + ez
+        out.append(mp.make_mpc((
+            from_man_exp(sum(map(mul, re, cd)) - sum(map(mul, im, ds)),
+                         e, prec, round_nearest),
+            from_man_exp(sum(map(mul, re, dd)) + sum(map(mul, im, cs)),
+                         e, prec, round_nearest))))
+    return out
 
 
 def _loop_pass(bkey, m, point):
@@ -667,10 +766,13 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     10^-44 to 10^-57 of the largest term, one of 7 to 8 reached 10^-73.
     On sheets -2..2 only m = 1, 2 near |theta| = 5 pi need it.
 
-    Rounding: each moment is one exact-product dot sum rounded once, so it
-    is off by at most about 2^-prec (|sum| + 5 sum_k |T_k|), T_k its terms:
-    a few ulps of a term from its rounded weight and one from its power
-    z^(-s_k), whose recurrence works at 33 more bits (:func:`_loop_sums`).
+    Rounding: each term T_k is off by a few ulps from its rounded weight.
+    Each moment is summed exactly in integers, from the weights truncated
+    at 2^(T - log2 max_k |z^(-s_k)| - F) and the powers at
+    2^(T - log2 max_k |w_k| - F), T the largest term's log2-magnitude and
+    F = prec + 33 bits, the powers from a recurrence at F bits, and rounded
+    once: beyond those ulps it is off by at most 2^-prec |sum| plus a few
+    units of 2^(T - prec) (:func:`_loop_sums`).
     The largest term over the moment measures the loss, and a pass that
     keeps fewer than d + 8 digits reruns with the loss as its extra digits
     (specfun's :func:`_measured_passes`, which raises

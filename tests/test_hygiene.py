@@ -471,22 +471,34 @@ def test_rounded_product_sum_detector():
 
 
 def _float_of_abs(tree):
-    """Lines of a ``float(abs(...))`` call: a modulus taken at the working
-    precision (an mpmath hypot for an mpc) only to be read as a float,
-    where the float parts give it for a float's cost."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", None) == "float"
-                  and len(node.args) == 1
-                  and isinstance(node.args[0], ast.Call)
-                  and getattr(node.args[0].func, "id", None) == "abs")
+    """Lines of a ``float(abs(...))`` or ``float(log(abs(...)))`` call (the
+    log bare or an attribute such as ``mp.log``): a modulus, and a log of
+    it, taken at the working precision (an mpmath hypot for an mpc) only to
+    be read as a float, where the float parts or the mantissas and
+    exponents give it for a float's cost."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "float"
+                and len(node.args) == 1):
+            continue
+        arg = node.args[0]
+        if (isinstance(arg, ast.Call) and arg.args
+                and "log" in (getattr(arg.func, "id", None),
+                              getattr(arg.func, "attr", None))):
+            arg = arg.args[0]
+        if isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "abs":
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_float_of_a_full_precision_modulus(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = _float_of_abs(tree)
-    assert not found, "%s: float(abs(...)) on lines %s" % (path.name, found)
+    assert not found, (
+        "%s: float(abs(...)) or float(log(abs(...))) on lines %s"
+        % (path.name, found))
 
 
 def test_float_of_abs_detector():
@@ -495,8 +507,14 @@ def test_float_of_abs_detector():
                      "c = math.hypot(float(z.real), float(z.imag))\n"
                      "d = [float(abs(x - y)) for x, y in pairs]\n"
                      "e = float(mp.fabs(x))\n"
-                     "f = float(x) + abs(y)\n")
-    assert _float_of_abs(tree) == [1, 4]
+                     "f = float(x) + abs(y)\n"
+                     "g = float(mp.log(abs(w)))\n"
+                     "h = float(log(abs(s - 1)))\n"
+                     "i = float(mp.log(w))\n"
+                     "j = math.log(abs(float(w)))\n"
+                     "m = mp.log(float(abs(w)))\n"
+                     "n = float(mp.exp(abs(w)))\n")
+    assert _float_of_abs(tree) == [1, 4, 7, 8, 11]
 
 
 def _exception_classes(trees):

@@ -17,7 +17,7 @@ from mbhalf.meijer import (
     psi3_alternate,
     psi_scalars,
 )
-from mbhalf.mpcore import QuadratureConvergenceError
+from mbhalf.mpcore import QuadratureConvergenceError, working
 
 B_STD = (mpf(0), mpf("-0.3"), mpf("-0.8"))
 
@@ -35,6 +35,21 @@ def test_sector_point_bookkeeping():
         q = p1.rotated(-2 * mp.pi)
         assert abs(q.power(mpf("0.5"), dps=30) - mp.sqrt(2)) < mpf("1e-28")
         assert abs(q.clog(dps=30) - mp.log(2)) < mpf("1e-28")
+
+
+def test_to_mpc_keeps_the_bits_of_cos_and_sin():
+    # one mp.cos_sin call gives the bits of mp.cos and mp.sin, also for an
+    # argument on a far sheet, not reduced mod 2 pi
+    for d in (30, 45, 60):
+        with mp.workdps(d):
+            r = mpf("1.7")
+            args = [mpf("0.5") + 4 * mp.pi, mpf("0.4") - 4 * mp.pi,
+                    -7 * mp.pi, mpf("0.3"), mpf(-3), mpf(0)]
+            for t in args:
+                with working(d):
+                    ref = r * mpc(mp.cos(t), mp.sin(t))
+                got = SectorPoint(r, t).to_mpc(dps=d)
+                assert got._mpc_ == ref._mpc_, (d, t)
 
 
 def test_pairwise_resonance_predicate():
@@ -262,6 +277,125 @@ def test_loop_powers_cost_no_digits(b, m, modulus, arg):
             for x, y, tr, tl in zip(got, ref, tops_r, tops_l):
                 units = abs(x - y) / mp.exp(max(tr, tl)) * mpf(2) ** prec
                 assert units < 8, (m, modulus, units)
+
+
+def _table_and_walk(b, m, modulus, arg):
+    """The loop table of (b, m) at the working digits, zeta = log z and
+    the two sides' node counts of the walk at z."""
+    bb = [mpf(x) for x in b]
+    table = meijer._loop_weights(tuple(x._mpf_ for x in bb), m,
+                                 meijer._nodes_per_unit(mp.dps), mp.dps)
+    zeta = SectorPoint(mpf(modulus), mpf(arg))._log()
+    right, left = (meijer._walk(table, sign, float(zeta.real),
+                                float(zeta.imag))[0] for sign in (1, -1))
+    return table, zeta, right, left
+
+
+def _fdot_loop_sums(table, zeta, right, left):
+    """The three loop sums over the nodes -left < k < right by mp.fdot at
+    three times the working precision, from the table's weights (node -k
+    takes minus their conjugates) and exp(-s_k zeta) at each node; and the
+    modulus of each sum's largest term."""
+    with mp.workprec(3 * mp.prec):
+        ks = range(1 - left, right)
+        powers = [mp.exp(-(table.a + meijer._MU * mpc(1, k * table.h) ** 2)
+                         * zeta) for k in ks]
+        out = []
+        for ws in table.weights:
+            ws = [mp.make_mpc(ws[abs(k)]) for k in ks]
+            ws = [-mp.conj(w) if k < 0 else w for k, w in zip(ks, ws)]
+            out.append((mp.fdot(ws, powers),
+                        max(abs(w * p) for w, p in zip(ws, powers))))
+        return out
+
+
+def _assert_within_a_unit(got, ref, prec, where):
+    # one unit of 2^-prec of the largest term beyond the rounding of the
+    # sum, the difference taken at three times the precision
+    with mp.workprec(3 * prec):
+        for x, (y, top) in zip(got, ref):
+            assert abs(x - y) <= mpf(2) ** -prec * (abs(y) + top), where
+
+
+# the benchmark's five sheets of |z| = 1.25 (sheet 2's largest term sits
+# at node 38 of 114); m = 2 at |z| = 10^3 and theta = -7 pi (the largest
+# term at node -114 of 196, the power integers up to 1026 bits); m = 1; the
+# resonant b of alpha = 0
+_SUM_CASES = ([(("0.028403", "-0.363757", "-0.696444"), 3, "1.25",
+                0.5 + 2 * k * math.pi) for k in range(-2, 3)]
+              + [(("0", "-0.3", "-0.8"), 2, "1000", -7 * math.pi),
+                 (("0", "0.2", "-0.8"), 1, "3", 0.3),
+                 (("0", "0", "-0.5"), 3, "2.5", 2.2 + 2 * math.pi)])
+
+
+@pytest.mark.parametrize("b, m, modulus, arg", _SUM_CASES)
+def test_integer_loop_sums_match_fdot(b, m, modulus, arg):
+    with mp.workdps(46):
+        table, zeta, right, left = _table_and_walk(b, m, modulus, arg)
+        got = meijer._loop_sums(table, zeta, right, left)
+        ref = _fdot_loop_sums(table, zeta, right, left)
+        _assert_within_a_unit(got, ref, mp.prec, (b, m, modulus, arg))
+
+
+def test_integer_loop_weights_made_finer_on_demand():
+    # sheet 2 of |z| = 1.25 asks for weights about 100 bits finer than
+    # sheet 0, so a table that served sheet 0 first is rebuilt finer; a
+    # table that holds finer weights shifts them down, to the same sums (to
+    # the bit) as it gave before it held them
+    b = ("0.028403", "-0.363757", "-0.696444")
+    coarse, fine = 0.5, 0.5 + 4 * math.pi
+    with mp.workdps(46):
+        meijer._loop_weights.cache_clear()
+        table, zeta, right, left = _table_and_walk(b, 3, "1.25", coarse)
+        first = meijer._loop_sums(table, zeta, right, left)
+        scales = [exp for exp, _, _ in table._fixed]
+        table_f, zeta_f, right_f, left_f = _table_and_walk(b, 3, "1.25", fine)
+        assert table_f is table
+        got = meijer._loop_sums(table, zeta_f, right_f, left_f)
+        assert all(map(int.__lt__, [e for e, _, _ in table._fixed], scales))
+        _assert_within_a_unit(got, _fdot_loop_sums(table, zeta_f, right_f,
+                                                   left_f), mp.prec, "fine")
+        again = meijer._loop_sums(table, zeta, right, left)
+        assert [x._mpc_ for x in again] == [x._mpc_ for x in first]
+
+
+def test_integer_loop_sums_on_the_node_budget_path(monkeypatch):
+    # past _MAX_NODES a side the error carries the sums over the first
+    # _MAX_NODES - 1 and _MAX_NODES nodes, the terms beyond the tail bound
+    # included
+    b = [mpf(x) for x in ("0.028403", "-0.363757", "-0.696444")]
+    n = 30
+    monkeypatch.setattr(meijer, "_MAX_NODES", n)
+    meijer._loop_weights.cache_clear()
+    pt = SectorPoint(mpf("1.25"), mpf(0.5 + 4 * math.pi))
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        mb_loop(b, pt, m=3, dps=30)
+    with mp.workdps(46):
+        table = meijer._loop_weights(tuple(x._mpf_ for x in b), 3,
+                                     meijer._nodes_per_unit(mp.dps), mp.dps)
+        zeta = pt._log()
+        for got, count in zip(exc.value.estimates, (n - 1, n)):
+            ref = _fdot_loop_sums(table, zeta, count, count)[:1]
+            _assert_within_a_unit([got], ref, mp.prec, count)
+
+
+def test_loop_table_float_logs():
+    # log|w_k| and log|s_k| from the mantissas and exponents, against the
+    # mpmath modulus and log at the table's digits; m = 1 with b_2 = 0.2
+    # puts |s_k| near 1 at some nodes
+    for b, m in ((("0.028403", "-0.363757", "-0.696444"), 3),
+                 (("0", "0.2", "-0.8"), 1), (("0", "-0.3", "-0.8"), 2)):
+        with mp.workdps(46):
+            bb = [mpf(x) for x in b]
+            table = meijer._LoopWeights(bb, m, 17)
+            table.grow(120)
+            for k, (lw, ls, _) in enumerate(table.logs):
+                s = table.a + meijer._MU * mpc(1, k * table.h) ** 2
+                w = mp.make_mpc(table.weights[0][k])
+                for got, v in ((lw, w), (ls, s)):
+                    ref = float(mp.log(abs(v)))
+                    assert abs(got - ref) <= 1e-15 * abs(ref), (b, m, k)
+    assert meijer._log_abs(mpc(0)._mpc_) == -math.inf
 
 
 def test_loop_lower_m_matches_mpmath():
