@@ -34,12 +34,15 @@ and safe to call concurrently; the minimizer mutates only its own arrays.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
 
 from .mpcore import quad_ts, solve_cubic, working
 
@@ -74,7 +77,9 @@ class BranchSelectionError(ArithmeticError):
 
     Raised by :func:`density_vx_cardano` when all three roots of the spectral
     cubic are real, which happens exactly when s lies outside the support
-    (0, 27/8).
+    (0, 27/8), and when s lies so close to 27/8 (within a few units of
+    2^-prec, prec the working precision) that the pair of complex roots
+    cannot be told from a real double root.
     """
 
 
@@ -111,6 +116,34 @@ def VX_C1(dps=None):
 # closed-form density for V(x) = x  (two independent routes)
 # ----------------------------------------------------------------------
 
+#: bits beyond the working precision that every root and quotient of
+#: :func:`density_vx_explicit` carries
+_DENSITY_GUARD = 24
+
+
+def _shift(n, k):
+    """n 2^k, floored, for an integer n and an integer k of either sign."""
+    return n << k if k >= 0 else n >> -k
+
+
+def _icbrt(n):
+    """floor(n^(1/3)) of an integer n >= 1.
+
+    Newton's step x -> floor((2x + floor(n / x^2)) / 3) from a float start
+    above the root: by the AM-GM inequality no step falls below
+    floor(n^(1/3)), every step from above it decreases, and the first step
+    that does not decrease starts from floor(n^(1/3)).
+    """
+    k = max(0, (n.bit_length() - 120) // 3)
+    # the float root of the top bits is within 0.01 of the true one
+    x = (int(float(n >> 3 * k) ** (1 / 3)) + 2) << k
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def density_vx_explicit(s, dps=None):
     """Equilibrium density for V(x)=x at s in (0, 27/8], closed form.
 
@@ -126,38 +159,81 @@ def density_vx_explicit(s, dps=None):
 
         density = 3 sqrt(r) u / (2 pi s (u (u - p) + p^2)),
 
-    one cube root and two square roots.  r and p are exact near their zeros
-    (Sterbenz), 27|a| is added to a nonnegative term, and
-    u^2 - u p + p^2 >= (u^2 + p^2) / 2, so the density keeps its relative
-    digits on all of (0, 27/8] and is exactly 0 at 27/8.
+    one cube root and two square roots, taken here in one pass over Python
+    integers.  s, rounded to the working precision, is S 2^-t with integers
+    S and t >= 0, so R = 27 2^t - 8S, P = 12 2^t - 4S and
+    27|a| 4^t = |8S^2 - 36 S 2^t + 27 4^t| are exact: r and p keep their
+    digits next to their zeros.  With w = prec + _DENSITY_GUARD bits:
+
+    * sqrt(r) is isqrt(R 2^e) 2^-(t+e)/2, with e chosen so that the root
+      has at least w bits;
+    * sqrt(27 r) + 27|a| = 27 B is a sum of two nonnegative terms at the
+      scale 2^-w, each truncated once, and B >= 1/8 makes it at least 27/8,
+      so its truncations cost under 2^-w of it;
+    * u = cbrt((27 B)^2 / s) >= 3/2 is the integer cube root of that
+      quotient at a scale 2^-H that gives it at least w bits, and p is
+      truncated to the same scale;
+    * u^2 - u p + p^2 >= (u^2 + p^2) / 2 is formed exactly from those two,
+      so their truncations cost it a few units of 2^-w of itself;
+    * pi is floor(pi 2^w) (mpmath's cached ``pi_fixed``), and the density
+      is one integer quotient of at least w bits, rounded once to the
+      working precision.
+
+    Each truncation costs under one unit at its scale, so before that
+    rounding the density is off by under 2^(4-w) of itself on all of
+    (0, 27/8], whatever the exponent of s, and it is exactly 0 at 27/8,
+    where R = 0.
     """
     with working(dps):
         s = mpf(s)
+        sign, man, exp, _ = s._mpf_
+        t = max(0, -exp)
+        S = man << (exp + t)
+        R = (27 << t) - 8 * S
         # closed right endpoint: the density vanishes there, and endpoint-
         # singular quadrature rules may round a node onto it
-        if not 0 < s <= VX_SUPPORT:
+        if sign or not man or R < 0:
             raise DomainError(f"density support is (0, 27/8); got s = {s}")
-        e = 8 * s
-        r = 27 - e
-        # 27 |a| = |8s^2 - 36s + 27|
-        u = mp.cbrt((mp.sqrt(27 * r) + abs((e - 36) * s + 27)) ** 2 / s)
-        p = 12 - 4 * s
-        return 3 * mp.sqrt(r) * u / (2 * mp.pi * s * (u * (u - p) + p * p))
+        w = mp.prec + _DENSITY_GUARD
+        # sqrt(r) 2^g, at least 2^w
+        e = 2 * w + 1 - R.bit_length()
+        e += (t + e) & 1
+        g = (t + e) // 2
+        root_r = math.isqrt(_shift(R, e))
+        # (sqrt(27 r) + 27|a|) 2^w, at least (27/8) 2^w - 2
+        a27 = abs((8 * S - (36 << t)) * S + (27 << 2 * t))
+        X = math.isqrt(_shift(27 * R, 2 * w - t)) + _shift(a27, w - 2 * t)
+        # u 2^H = icbrt(X^2 2^(3H - 2w + t) / S), at least 2^w
+        H = w + 2 - (2 * (X.bit_length() - w) - S.bit_length() + t) // 3
+        U = _icbrt(_shift(X * X, 3 * H - 2 * w + t) // S)
+        Ph = _shift((12 << t) - 4 * S, H - t)
+        D = U * (U - Ph) + Ph * Ph
+        num = 3 * root_r * U
+        den = pi_fixed(w) * S * D
+        k = w + den.bit_length() - num.bit_length() + 1
+        return mp.make_mpf(from_man_exp(_shift(num, k) // den,
+                                        H - g + t + w - k - 1,
+                                        mp.prec, round_nearest))
 
 
 def density_vx_cardano(s, dps=None):
     """Same density through the spectral cubic and Stieltjes inversion.
 
     Solves s^2 z^3 - s^2 z^2 + s z - 1/4 = 0, picks the unique root with
-    positive imaginary part (above 1e-20) and returns Im(root)/pi.  Shares
-    no code with :func:`density_vx_explicit` beyond the cubic solver.
+    positive imaginary part and returns Im(root)/pi.  Next to the soft
+    edge two roots meet in a double root, where their imaginary parts
+    resolve to only about half the working digits, so a root counts as
+    real unless its imaginary part exceeds 2^(-prec/2) of its modulus.
+    Shares no code with :func:`density_vx_explicit` beyond the cubic
+    solver.
     """
     with working(dps) as d:
         s = mpf(s)
         if s <= 0:
             raise DomainError(f"need s > 0; got s = {s}")
         roots = solve_cubic(s * s, -s * s, s, mpf(-1) / 4, dps=d)
-        up = [r for r in roots if mp.im(r) > 1e-20]
+        up = [r for r in roots
+              if mp.im(r) > mp.ldexp(abs(r), -(mp.prec // 2))]
         if not up:
             raise BranchSelectionError(
                 "all roots real to tolerance; s = %s lies outside (0, 27/8)" % s
@@ -410,15 +486,15 @@ def _energy_operator(h, m):
     log|x-y| and of log(sqrt x + sqrt y); the discretized energy is
     E(w) = w.A.w + v.w.
 
-    Built in place: Lambda is Toeplitz, so each row is subtracted straight
-    from its table and no other m x m array is formed.
+    Built in place: Lambda is Toeplitz, Lambda_ij = tab[|i - j|], so its
+    rows are the reversed windows of [tab[m-1], ..., tab[1], tab[0], ...,
+    tab[m-1]], read as one strided view, and no other m x m array is formed.
     """
     A = _sqrt_log_kernel(h, m)
     A *= 0.5
     tab = _cell_log_table(m) + np.log(h)
-    for i in range(m):
-        A[i, i:] -= tab[:m - i]
-        A[i, :i] -= tab[i:0:-1]
+    ext = np.concatenate([tab[:0:-1], tab])
+    A -= sliding_window_view(ext, m)[::-1]
     return A
 
 

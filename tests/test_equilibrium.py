@@ -2,6 +2,7 @@
 log-potentials, scaling constants."""
 
 import dataclasses
+import random
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mbhalf.equilibrium import (
     VX_C1,
     VX_SUPPORT,
     BranchSelectionError,
+    DomainError,
     GridMeasure,
     StagnationError,
     density_vx_cardano,
@@ -30,12 +32,13 @@ from mbhalf.equilibrium import (
     COARSE_FACTOR,
     _cell_log_table,
     _energy_operator,
+    _icbrt,
     _kkt_active_set,
     _mirror_upper,
     _sqrt_log_kernel,
     _sqrt_log_orders,
 )
-from mbhalf.mpcore import quad_ts
+from mbhalf.mpcore import quad_ts, working
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +104,147 @@ def test_density_one_cube_root_meets_110_digits(d):
         with mp.workdps(120):
             assert abs(got - ref) <= mpf(10) ** -(d + 5) * ref, s
     assert density_vx_explicit(VX_SUPPORT, dps=d) == 0
+
+
+def _mpf_density(s, dps):
+    """The one-cube-root form in mpf arithmetic, as the integer pass's
+    reference at many more digits than it works with."""
+    with mp.workdps(dps):
+        s = mpf(s)
+        r = 27 - 8 * s
+        u = mp.cbrt((mp.sqrt(27 * r) + abs((8 * s - 36) * s + 27)) ** 2 / s)
+        p = 12 - 4 * s
+        return 3 * mp.sqrt(r) * u / (2 * mp.pi * s * (u * (u - p) + p * p))
+
+
+def _working_bits(d):
+    """The working precision of density_vx_explicit at d digits, in bits."""
+    with working(d):
+        return mp.prec
+
+
+def _meets(got, ref, d):
+    with mp.workdps(200):
+        return abs(got - ref) <= mpf(10) ** -(d + 5) * ref
+
+
+def test_integer_density_meets_cardano_at_110_digits():
+    # the grid of test_density_one_cube_root_meets_110_digits at d = 110;
+    # 27/8 - 1e-9 is left out, since cardano at 110 digits keeps only
+    # 1.3e-112 relative there, short of the 10^-115 asked of the density
+    d = 110
+    with mp.workdps(120):
+        points = [VX_SUPPORT * i / 64 for i in range(1, 64)]
+        points += [mpf(3), 3 + mpf("1e-12"), 3 - mpf("1e-12")]
+    for s in points:
+        assert _meets(density_vx_explicit(s, dps=d),
+                      density_vx_cardano(s, dps=110), d), s
+
+
+@pytest.mark.parametrize("d", [20, 60])
+def test_integer_density_at_small_s(d):
+    # s^(2/3) rho(s) = c0 (1 + O(s^(1/3))), the first correction measured
+    # at 0.84 s^(1/3); at these s, t in s = S 2^-t far exceeds the working
+    # bits, so the radicands and 27|a| 4^t are shifted down, not up
+    c0 = VX_C0(dps=150)
+    for s in (mpf("1e-40"), mpf("1e-300")):
+        got = density_vx_explicit(s, dps=d)
+        assert _meets(got, _mpf_density(s, 150), d), s
+        with mp.workdps(150):
+            lead = got * s ** (mpf(2) / 3) / c0
+            assert abs(lead - 1) < mp.cbrt(s) + mpf(10) ** -(d + 5)
+
+
+@pytest.mark.parametrize("s", [1, "2", 3.0])
+def test_integer_density_takes_plain_numbers(s):
+    # an mpf exponent >= 0 (1, 2, 3) gives t = 0 in s = S 2^-t
+    for d in (20, 60):
+        assert _meets(density_vx_explicit(s, dps=d), _mpf_density(s, 150), d)
+
+
+@pytest.mark.parametrize("d", [20, 60, 110])
+def test_integer_density_next_to_the_soft_edge(d):
+    # 27/8 - 2^-(prec-4) lies four units of the working precision below the
+    # edge, where r = 27 - 8s is a few units of 2^-prec but exact
+    for k in (60, _working_bits(d) - 4):
+        with mp.workdps(200):
+            s = VX_SUPPORT - mpf(2) ** -k
+        got = density_vx_explicit(s, dps=d)
+        assert got > 0
+        assert _meets(got, _mpf_density(s, 200), d), k
+
+
+@pytest.mark.parametrize("d", [20, 60])
+def test_integer_density_where_a_vanishes(d):
+    # 27|a| = |8s^2 - 36s + 27| vanishes at s = (9 - 3 sqrt 3)/4 ~ 0.950962,
+    # where the cube root's argument is sqrt(27 r) alone
+    with working(d):
+        s = (9 - 3 * mp.sqrt(3)) / 4
+    assert abs(float(s) - 0.950962) < 1e-6
+    for t in (s, s + mpf(2) ** -(_working_bits(d) - 2)):
+        assert _meets(density_vx_explicit(t, dps=d), _mpf_density(t, 200), d)
+
+
+def test_integer_density_next_to_three():
+    for off in ("1e-30", "-1e-30"):
+        with mp.workdps(60):
+            s = 3 + mpf(off)
+        for d in (20, 30, 60):
+            assert _meets(density_vx_explicit(s, dps=d),
+                          _mpf_density(s, 150), d), (off, d)
+
+
+def test_integer_density_domain_and_bits():
+    for d in (20, 60):
+        edge = density_vx_explicit(VX_SUPPORT, dps=d)
+        assert isinstance(edge, mpf) and edge == 0
+        with working(d):
+            beyond = VX_SUPPORT + mpf(2) ** -(_working_bits(d) - 4)
+        assert beyond > VX_SUPPORT
+        for bad in (0, -1, "-1e-30", beyond, 4, mp.inf, mp.nan):
+            with pytest.raises(DomainError):
+                density_vx_explicit(bad, dps=d)
+    # a repeat call returns the same bits, whatever ran in between
+    with mp.workdps(30):
+        s = VX_SUPPORT * 17 / 64
+    first = density_vx_explicit(s, dps=20)._mpf_
+    density_vx_explicit(s, dps=60)
+    density_vx_explicit(mpf("1e-300"), dps=20)
+    assert density_vx_explicit(s, dps=20)._mpf_ == first
+
+
+def test_icbrt_is_the_floor_of_the_cube_root():
+    rng = random.Random(3)
+    cases = [1, 2, 7, 8, 9, 26, 27, 28, 2 ** 120, 2 ** 121 - 1, 3 ** 200]
+    for bits in (10, 119, 120, 121, 150, 400, 1500):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        cases += [n, n + 1]
+        c = 1 << (bits // 3)
+        cases += [c ** 3 - 1, c ** 3, c ** 3 + 1, (c + 1) ** 3 - 1]
+    for n in cases:
+        x = _icbrt(n)
+        assert x ** 3 <= n < (x + 1) ** 3, n
+
+
+def test_cardano_resolves_the_soft_edge():
+    # the root's imaginary part resolves to about half the working digits
+    # next to the double root at 27/8; an absolute cut of 1e-20 refused
+    # these points, where the density is 8.9e-22, 2.8e-24 and 8.9e-27
+    for off in ("1e-40", "1e-45", "1e-50"):
+        with mp.workdps(80):
+            s = VX_SUPPORT - mpf(off)
+        got = density_vx_cardano(s, dps=60)
+        ref = density_vx_explicit(s, dps=60)
+        with mp.workdps(80):
+            assert ref > 0
+            if off == "1e-40":
+                assert abs(got - ref) <= mpf("1e-25") * ref
+            else:
+                assert abs(got - ref) <= mpf("1e-15") * ref
+    with mp.workdps(80):
+        s = VX_SUPPORT + mpf("1e-40")
+    with pytest.raises(BranchSelectionError):
+        density_vx_cardano(s, dps=60)
 
 
 def test_density_integrates_to_one():
@@ -259,6 +403,20 @@ def test_energy_operator_matches_two_matrix_form():
     A = _energy_operator(h, m)
     assert np.array_equal(A, A.T)
     assert np.max(np.abs(A - (0.5 * smat - lam))) < 1e-14
+
+
+@pytest.mark.parametrize("m", [60, 800])
+def test_energy_operator_toeplitz_view_keeps_the_row_loop_bits(m):
+    # Lambda is subtracted as one strided view of its table; that must give
+    # the bits of subtracting it row by row from the same table
+    h = 6.0 / m
+    ref = _sqrt_log_kernel(h, m)
+    ref *= 0.5
+    tab = _cell_log_table(m) + np.log(h)
+    for i in range(m):
+        ref[i, i:] -= tab[:m - i]
+        ref[i, :i] -= tab[i:0:-1]
+    assert np.array_equal(_energy_operator(h, m), ref)
 
 
 @pytest.mark.parametrize("m", [40, 250, 2000])

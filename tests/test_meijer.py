@@ -253,7 +253,8 @@ def test_loop_node_budget_reports_last_two_estimates(monkeypatch):
 @pytest.mark.parametrize("b, m, modulus, arg", [
     # the benchmark's sheet 2, whose largest term sits at node 38
     (("0.028403", "-0.363757", "-0.696444"), 3, "1.25", 0.5 + 4 * math.pi),
-    # m = 2 at |z| = 10^3 and theta = -7 pi: largest terms near node 300
+    # m = 2 at |z| = 10^3 and theta = -7 pi: the walk takes 91 and 196
+    # nodes, and the largest term sits at node -114
     (("0", "-0.3", "-0.8"), 2, "1000", -7 * math.pi),
 ])
 def test_loop_powers_cost_no_digits(b, m, modulus, arg):
