@@ -224,14 +224,21 @@ def density_vx_cardano(s, dps=None):
     edge two roots meet in a double root, where their imaginary parts
     resolve to only about half the working digits, so a root counts as
     real unless its imaginary part exceeds 2^(-prec/2) of its modulus.
+    Cardano's roots err there by about eps / (27/8 - s) of the density, so
+    for 27/8 - s < 1 the working digits and the digits asked of
+    :func:`solve_cubic` are raised by ceil(log10(1 / (27/8 - s))), the gap
+    taken exactly from s as given, before s is rounded to them.
     Shares no code with :func:`density_vx_explicit` beyond the cubic
     solver.
     """
     with working(dps) as d:
+        gap = mp.fsub(VX_SUPPORT, s, exact=True)
+        extra = int(mp.ceil(-mp.log10(gap))) if 0 < gap < 1 else 0
+    with working(d, extra):
         s = mpf(s)
         if s <= 0:
             raise DomainError(f"need s > 0; got s = {s}")
-        roots = solve_cubic(s * s, -s * s, s, mpf(-1) / 4, dps=d)
+        roots = solve_cubic(s * s, -s * s, s, mpf(-1) / 4, dps=d + extra)
         up = [r for r in roots
               if mp.im(r) > mp.ldexp(abs(r), -(mp.prec // 2))]
         if not up:
@@ -806,14 +813,15 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     s = (np.arange(m) + 0.5) * h
     v = np.array([float(V(x)) for x in s])
 
-    # growth sanity: V should beat log at large x, else the measure escapes
+    # growth sanity: V should beat log at large x, else the measure escapes;
+    # a V that overflows or leaves its domain out there is not probed
     try:
         ratios = [float(V(x)) / np.log(x) for x in (2.0 * Q, 4.0 * Q, 8.0 * Q)]
-        if not (ratios[0] < ratios[1] < ratios[2]):
-            warnings.warn("V(x)/log(x) not increasing on the sample points",
-                          RuntimeWarning, stacklevel=2)
-    except Exception:
-        pass
+    except (ArithmeticError, ValueError):
+        ratios = None
+    if ratios is not None and not (ratios[0] < ratios[1] < ratios[2]):
+        warnings.warn("V(x)/log(x) not increasing on the sample points",
+                      RuntimeWarning, stacklevel=2)
     # one-cut heuristic: x V'(x) increasing (checked by central differences)
     xs = np.linspace(0.1 * Q, 0.9 * Q, 9)
     dV = [(float(V(x + 1e-5)) - float(V(x - 1e-5))) / 2e-5 for x in xs]
@@ -940,7 +948,7 @@ class GFunctions:
     The g1 evaluator refuses arguments on its branch cut (-oo, q].  Every
     other evaluator accepts real arguments on a cut and resolves them as
     limits from the upper half-plane (+i0): principal-branch log and sqrt
-    give exactly those limits, so phi1, phi2, f1, f2, f at real x are the
+    give exactly those limits, so phi1, phi2, f1 and f at real x are the
     "+"-boundary functions.
     """
 
@@ -948,11 +956,9 @@ class GFunctions:
     m_half: mpf
     g1: Callable
     g2: Callable
-    phi: Callable
     phi1: Callable
     phi2: Callable
     f1: Callable
-    f2: Callable
     f: Callable
 
 
@@ -961,7 +967,7 @@ def _upper(z):
 
 
 def g_functions(sol, dps=30):
-    """Build g1, g2, phi, phi1, phi2, f1, f2 and the conformal map f.
+    """Build g1, g2, phi1, phi2, f1 and the conformal map f.
 
     When `sol.density` is available the integrals are done by tanh-sinh
     quadrature against the continuous density (needed for the tight
@@ -1020,38 +1026,29 @@ def g_functions(sol, dps=30):
         return mu_int(lambda t: mp.log(rt + mp.sqrt(t)))
 
     def _phis(z):
-        """(phi, phi1, phi2) at z from one evaluation of g1 and one of g2."""
+        """(phi1, phi2) at z from one evaluation of g1 and one of g2."""
         z = mpc(z)
         a, b = _g1(z), g2(z)
         p = -a + b / 2 + (fieldV(z) + ell) / 2
         p1 = p + (mp.pi * 1j if _upper(z) else -mp.pi * 1j)
         p2 = -b + a / 2 + (-mp.pi * 1j / 2 if _upper(z) else mp.pi * 1j / 2)
-        return p, p1, p2
-
-    def phi(z):
-        return _phis(z)[0]
+        return p1, p2
 
     def phi1(z):
-        return _phis(z)[1]
+        return _phis(z)[0]
 
     def phi2(z):
-        return _phis(z)[2]
+        return _phis(z)[1]
 
     def f1(z):
         z = mpc(z)
-        _, p1, p2 = _phis(z)
+        p1, p2 = _phis(z)
         comb = -omega ** 2 * p1 + p2 if _upper(z) else -omega * p1 + p2
         return -mp.power(z, -mpf(1) / 3) * comb
 
-    def f2(z):
-        z = mpc(z)
-        _, p1, p2 = _phis(z)
-        comb = -omega * p1 + p2 if _upper(z) else -omega ** 2 * p1 + p2
-        return -mp.power(z, -mpf(2) / 3) * comb
-
     def f(z):
         z = mpc(z)
-        _, p1, p2 = _phis(z)
+        p1, p2 = _phis(z)
         comb = omega ** 2 * p1 - p2 if _upper(z) else omega * p1 - p2
         return mpf(8) / 729 * comb ** 3
 
@@ -1059,8 +1056,8 @@ def g_functions(sol, dps=30):
         m1 = +mu_int(lambda s: s)
         m_half = +mu_int(lambda s: mp.sqrt(s))
 
-    return GFunctions(m1=m1, m_half=m_half, g1=g1, g2=g2, phi=phi,
-                      phi1=phi1, phi2=phi2, f1=f1, f2=f2, f=f)
+    return GFunctions(m1=m1, m_half=m_half, g1=g1, g2=g2, phi1=phi1,
+                      phi2=phi2, f1=f1, f=f)
 
 
 def scaling_constants(gf, sol, dps=30):

@@ -445,9 +445,6 @@ _LOSS_STEP = 8
 #: nodes on either side of u = 0 before the loop gives up
 _MAX_NODES = 2000
 _LN2 = math.log(2)
-#: bits by which a table's integer weights are made finer than the
-#: scale of the loop sum that asks for a finer one (_LoopWeights.fixed)
-_WEIGHT_SLACK = 32
 
 
 def _nodes_per_unit(digits):
@@ -461,31 +458,29 @@ class _LoopWeights:
     digits): at the nodes u_k = k h, h = 1/K, k >= 0, the moment weights
     (w_k, -s_k w_k, s_k^2 w_k), w_k = h s'(u_k) P(s_k) with
     P(s) = prod_{j<m} Gamma(b_j+s) prod_{j>=m} 1/Gamma(1-b_j-s), as raw mpc
-    tuples, and the floats log|w_k|, log|s_k| and d/du arg w at u_k (from
-    float digammas; 0 for |u_k| < 1).
+    tuples, and the float columns ``lw``, ``ls`` and ``rate``: log|w_k|,
+    log|s_k| and d/du arg w at u_k (from float digammas; 0 for |u_k| < 1).
 
     b is real, so s(-u) = conj s(u), P(conj s) = conj P(s) and
     s'(-u) = -conj s'(u): node -k carries minus the conjugates of node k's
     weights, the same logs and the same d/du arg w, and gamma is called for
     k >= 0 only.  Nodes are added outward from u = 0 on demand, at the
     precision of the loop pass that adds them, whose digits are part of the
-    table's key.  Each moment's weights are also held as integer mantissas
-    at one scale (:meth:`fixed`).
+    table's key.
     """
 
     def __init__(self, b, m, K):
         self.b, self.m, self.K, self.h = b, m, K, mpf(1) / K
         self.a = max(-b[j] for j in range(m)) + _OFFSET
         self.weights = ([], [], [])
-        self.logs = []
-        self._fixed = [(None, None, None)] * 3
+        self.lw, self.ls, self.rate = [], [], []
 
     def grow(self, n):
         """Make the nodes k < n available."""
-        if n <= len(self.logs):
+        if n <= len(self.lw):
             return
         mu, bf = float(_MU), [float(x) for x in self.b]
-        for k in range(len(self.logs), n):
+        for k in range(len(self.lw), n):
             t = mpc(1, k * self.h)                      # 1 + iu
             s = self.a + _MU * t * t
             w = self.h * 2 * _MU * mpc(0, 1) * t        # h s'(u)
@@ -505,23 +500,9 @@ class _LoopWeights:
                           else fp.digamma(1 - bj - sc)
                           for j, bj in enumerate(bf))
                 rate = (1j / tc + 2j * mu * tc * psi).imag
-            self.logs.append((_log_abs(w._mpc_), _log_abs(s._mpc_), rate))
-
-    def fixed(self, j, n, e):
-        """The real and imaginary parts of moment j's weights at the nodes
-        k < n as integers at the scale 2^e, each truncated (rounded down)
-        once.  They are kept at one scale per moment, extended to more nodes
-        on demand and rebuilt _WEIGHT_SLACK bits finer than a request that
-        asks for a finer scale than they have; a coarser request shifts them
-        down, which truncates them exactly as a direct conversion would."""
-        exp, re, im = self._fixed[j]
-        if exp is None or exp > e:
-            exp, re, im = self._fixed[j] = e - _WEIGHT_SLACK, [], []
-        for x, y in self.weights[j][len(re):n]:
-            re.append(to_fixed(x, -exp))
-            im.append(to_fixed(y, -exp))
-        shift = e - exp
-        return ([v >> shift for v in re[:n]], [v >> shift for v in im[:n]])
+            self.lw.append(_log_abs(w._mpc_))
+            self.ls.append(_log_abs(s._mpc_))
+            self.rate.append(rate)
 
 
 def _log_abs(v):
@@ -565,26 +546,28 @@ def _walk(table, sign, log_r, theta):
     """
     a, h, mu = float(table.a), float(table.h), float(_MU)
     cut = -mp.prec * _LN2
-    tops = [-math.inf] * 3
+    lws, lss, rates = table.lw, table.ls, table.rate
+    top0 = top1 = top2 = -math.inf
     chirp = 0.0
-    prev = last = None
     for k in range(_MAX_NODES):
-        table.grow(k + 1)
-        lw, ls, rate = table.logs[k]
+        if k == len(lws):
+            table.grow(k + 1)
+        ls = lss[k]
         u = sign * k * h
-        lt = lw - (a + mu * (1 - u * u)) * log_r + theta * 2 * mu * u
-        terms = (lt, lt + ls, lt + 2 * ls)
-        tops = list(map(max, tops, terms))
-        chirp = max(chirp, (rate + 2 * mu * (theta * u - log_r)) / (2 * math.pi))
-        if prev is not None:
-            ratios = [t - p for t, p in zip(terms, prev)]
-            if (last is not None and max(ratios) <= -_LN2
-                    and all(map(float.__le__, ratios, last))
-                    and max(map(float.__sub__, terms, tops)) < cut):
-                return k + 1, tops, chirp
-            last = ratios
-        prev = terms
-    return None, tops, chirp
+        t0 = lws[k] - (a + mu * (1 - u * u)) * log_r + theta * 2 * mu * u
+        t1, t2 = t0 + ls, t0 + 2 * ls
+        top0, top1, top2 = max(top0, t0), max(top1, t1), max(top2, t2)
+        chirp = max(chirp,
+                    (rates[k] + 2 * mu * (theta * u - log_r)) / (2 * math.pi))
+        if k:
+            r0, r1, r2 = t0 - p0, t1 - p1, t2 - p2
+            if (k > 1 and max(r0, r1, r2) <= -_LN2
+                    and r0 <= q0 and r1 <= q1 and r2 <= q2
+                    and max(t0 - top0, t1 - top1, t2 - top2) < cut):
+                return k + 1, [top0, top1, top2], chirp
+            q0, q1, q2 = r0, r1, r2
+        p0, p1, p2 = t0, t1, t2
+    return None, [top0, top1, top2], chirp
 
 
 def _power_ints(v, step, q2, logs, f, e):
@@ -632,9 +615,10 @@ def _loop_sums(table, zeta, right, left):
     of node k's, so both sides take the same integer weights.
 
     The scales come from floats: with T the largest term's log2-magnitude
-    of a moment (from ``table.logs`` and log|z^(-s_k)| as :func:`_walk`
-    takes them) and F = prec + 33 bits (one working raise), the weights
-    are truncated at 2^(T - log2 max|z^(-s_k)| - F) and the powers at
+    of a moment (from the table's ``lw`` and ``ls`` and log|z^(-s_k)| as
+    :func:`_walk` takes them) and F = prec + 33 bits (one working raise),
+    the weights are truncated at 2^(T - log2 max|z^(-s_k)| - F), straight
+    from the table's mpc tuples on every call, and the powers at
     2^(T - log2 max|w| - F), so each truncation costs under 2^(T - F + 1)
     a term.  The power recurrence works at F bits and leaves node k's power
     off by up to about (k + 4)^2 / 2 units of 2^-F of itself, less than
@@ -650,8 +634,7 @@ def _loop_sums(table, zeta, right, left):
     zr, zl = ([-(a + mu * (1 - u * u)) * log_r + theta * 2 * mu * u
                for u in (sign * k * h for k in range(count + 1))]
               for sign, count in ((1, right), (-1, left)))
-    lw = [x for x, _, _ in table.logs[:n]]
-    ls = [x for _, x, _ in table.logs[:n]]
+    lw, ls = table.lw[:n], table.ls[:n]
     # log-magnitudes of the moments' weights w, -s w, s^2 w
     logs = (lw, list(map(add, lw, ls)), [x + 2 * y for x, y in zip(lw, ls)])
     tops = [max(chain(map(add, w, zr[:right]), map(add, w[1:], zl[1:left])))
@@ -676,7 +659,8 @@ def _loop_sums(table, zeta, right, left):
     out = []
     for j, t in enumerate(tops):
         ew = math.floor((t - top_z) / _LN2) - f
-        re, im = table.fixed(j, n, ew)
+        re = [to_fixed(x, -ew) for x, _ in table.weights[j][:n]]
+        im = [to_fixed(y, -ew) for _, y in table.weights[j][:n]]
         e = ew + ez
         out.append(mp.make_mpc((
             from_man_exp(sum(map(mul, re, cd)) - sum(map(mul, im, ds)),

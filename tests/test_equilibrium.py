@@ -2,6 +2,7 @@
 log-potentials, scaling constants."""
 
 import dataclasses
+import math
 import random
 import warnings
 
@@ -247,6 +248,26 @@ def test_cardano_resolves_the_soft_edge():
         density_vx_cardano(s, dps=60)
 
 
+def test_cardano_keeps_its_digits_up_to_the_soft_edge():
+    # at 27/8 - 10^-k Cardano's roots err by about 10^k units of the
+    # working precision, which the gap must raise, and the points at
+    # k > d + 10 must not round to the edge.  The explicit route is asked
+    # for d + k digits, so that it keeps s to 10^-d of the gap
+    for d in (30, 60):
+        for k in (10, 30, 45, 80):
+            with mp.workdps(d + k + 20):
+                s = VX_SUPPORT - mpf(10) ** -k
+            got = density_vx_cardano(s, dps=d)
+            ref = density_vx_explicit(s, dps=d + k)
+            with mp.workdps(d + k + 20):
+                assert abs(got - ref) <= mpf(10) ** -d * ref, (d, k)
+    with mp.workdps(80):
+        s = VX_SUPPORT + mpf("1e-40")
+    for d in (30, 60):
+        with pytest.raises(BranchSelectionError):
+            density_vx_cardano(s, dps=d)
+
+
 def test_density_integrates_to_one():
     with mp.workdps(40):
         total = quad_ts(lambda t: density_vx_explicit(t, dps=35), 0,
@@ -321,6 +342,26 @@ def test_minimizer_warns_when_the_support_reaches_the_box_edge():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = equilibrium_minimize(lambda x: x, 6.0, 200)
+    assert sol.mu.weights[-1] == 0
+
+
+def test_minimizer_growth_warning_survives_the_error_filter():
+    # 3 log(1 + x) grows slower than log x beyond the box: the warning must
+    # raise under the error filter, not be swallowed with the probes' errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="not increasing"):
+            equilibrium_minimize(lambda x: 3 * np.log1p(x), 6.0, 60)
+
+
+def test_minimizer_skips_the_growth_probes_of_an_overflowing_field():
+    # V = x in the box and e^(1000 x) beyond it: the probes at 2Q, 4Q and
+    # 8Q overflow, and the field solves with no warning
+    V = lambda x: x if x <= 6 else math.exp(1e3 * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = equilibrium_minimize(V, 6.0, 60)
+    assert abs(sol.mu.mass - 1.0) < 1e-12
     assert sol.mu.weights[-1] == 0
 
 

@@ -338,22 +338,19 @@ def test_integer_loop_sums_match_fdot(b, m, modulus, arg):
         _assert_within_a_unit(got, ref, mp.prec, (b, m, modulus, arg))
 
 
-def test_integer_loop_weights_made_finer_on_demand():
+def test_integer_loop_sums_do_not_depend_on_the_tables_history():
     # sheet 2 of |z| = 1.25 asks for weights about 100 bits finer than
-    # sheet 0, so a table that served sheet 0 first is rebuilt finer; a
-    # table that holds finer weights shifts them down, to the same sums (to
-    # the bit) as it gave before it held them
+    # sheet 0; a table that served sheet 0 first gives the fine sheet to
+    # within a unit, and the coarse sheet again to the bit
     b = ("0.028403", "-0.363757", "-0.696444")
     coarse, fine = 0.5, 0.5 + 4 * math.pi
     with mp.workdps(46):
         meijer._loop_weights.cache_clear()
         table, zeta, right, left = _table_and_walk(b, 3, "1.25", coarse)
         first = meijer._loop_sums(table, zeta, right, left)
-        scales = [exp for exp, _, _ in table._fixed]
         table_f, zeta_f, right_f, left_f = _table_and_walk(b, 3, "1.25", fine)
         assert table_f is table
         got = meijer._loop_sums(table, zeta_f, right_f, left_f)
-        assert all(map(int.__lt__, [e for e, _, _ in table._fixed], scales))
         _assert_within_a_unit(got, _fdot_loop_sums(table, zeta_f, right_f,
                                                    left_f), mp.prec, "fine")
         again = meijer._loop_sums(table, zeta, right, left)
@@ -390,7 +387,7 @@ def test_loop_table_float_logs():
             bb = [mpf(x) for x in b]
             table = meijer._LoopWeights(bb, m, 17)
             table.grow(120)
-            for k, (lw, ls, _) in enumerate(table.logs):
+            for k, (lw, ls) in enumerate(zip(table.lw, table.ls)):
                 s = table.a + meijer._MU * mpc(1, k * table.h) ** 2
                 w = mp.make_mpc(table.weights[0][k])
                 for got, v in ((lw, w), (ls, s)):
@@ -565,6 +562,49 @@ def test_one_sheet_series_values_keep_their_bits():
         got = tuple((x._mpf_[0], hex(x._mpf_[1]), x._mpf_[2])
                     for x in (v.real, v.imag))
         assert got == bits, (alpha, k)
+
+
+# mb_loop at 30 digits as the (sign, hex mantissa, exponent) of its real and
+# imaginary parts: the benchmark's G request, b = B_SWEEP, m = 3, at
+# z = 1.25 e^(i (0.5 + 2 pi k)) for k = -2..2, and m = 2 at
+# z = 10^3 e^(-7 pi i), whose walk takes 91 and 196 nodes
+B_SWEEP = ("0.028403", "-0.363757", "-0.696444")
+_LOOP_BITS = {
+    (B_SWEEP, 3, "1.25", -2): (
+        (0, "0xaea4212b3260fbad7706c8d6af38f4e94992f51", -151),
+        (1, "0x21bc0063bec5d7820b04f7e7e62b49d2fb1ddfb", -149)),
+    (B_SWEEP, 3, "1.25", -1): (
+        (0, "0xef311b385948e35c0b8498ffd06b1ddc31d459", -149),
+        (0, "0xc1ce62fc0ba94d3760931727a2038c93dbf5c05", -153)),
+    (B_SWEEP, 3, "1.25", 0): (
+        (0, "0x2ad82a5af0ad619a8fb55604d66e8345aac287d", -157),
+        (1, "0x6706631009594ef4ce784022b490936aac59355", -158)),
+    (B_SWEEP, 3, "1.25", 1): (
+        (0, "0x83bd5935180e9066b33e328be1d21facf4dc61b", -151),
+        (1, "0x23686aac561e9c7d70a8ada59cb9afd9013c247", -149)),
+    (B_SWEEP, 3, "1.25", 2): (
+        (0, "0x783a1e732ed1c26aa881201faec4f6bcd2a7b5", -147),
+        (0, "0xa881aac37395ef24513d203ab08f6074d07440f", -152)),
+    (("0", "-0.3", "-0.8"), 2, "1000", None): (
+        (0, "0xbc5226acd18c92ee17c7f70bc742d820a1c5eb748a5dde485366b72d49"
+            "04c9b7a3ebd2ceb", -278),
+        (0, "0x29073526eb1b9b5a35a190374594a698582af8f677053e0f773958f70b"
+            "270e5d17edf57ced", -281)),
+}
+
+
+def test_loop_values_keep_their_bits():
+    # the loop's table bookkeeping (node columns, integer weights, walk)
+    # must not move a bit of its values
+    for (b, m, modulus, k), bits in _LOOP_BITS.items():
+        with mp.workdps(40):
+            arg = -7 * mp.pi if k is None else mpf("0.5") + 2 * k * mp.pi
+            bb = [mpf(x) for x in b]
+            pt = SectorPoint(mpf(modulus), arg)
+        v = mb_loop(bb, pt, m=m, dps=30)
+        got = tuple((x._mpf_[0], hex(x._mpf_[1]), x._mpf_[2])
+                    for x in (v.real, v.imag))
+        assert got == bits, (m, modulus, k)
 
 
 def test_shared_sheets_near_resonance_take_the_loop():
