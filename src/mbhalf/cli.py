@@ -44,6 +44,9 @@ MAX_EQ_CELLS = 5000
 #: most points an a:b:k grid or ``density --grid`` accepts; each is an mpf
 #: and a row of output
 MAX_GRID_POINTS = 10000
+#: the tolerance of each ``rhcheck`` residual, by check, as printed
+RH_TOLERANCES = {"det": "1e-18", "jump_phi": "1e-18", "jump_psi": "1e-18",
+                 "inverse": "1e-16", "frame": "1e-25"}
 
 _GRID_HELP = "value or a:b:k (k from 2 to %d)" % MAX_GRID_POINTS
 
@@ -218,7 +221,7 @@ def cmd_eqsolve(args, precision):
     if not 0 < args.box < math.inf or not 10 <= args.m <= MAX_EQ_CELLS:
         raise UsageError("--box must be positive and finite and --m from 10 "
                          "to %d" % MAX_EQ_CELLS)
-    sol = eq.equilibrium_minimize(V, args.box, args.m, max_iter=args.max_iter)
+    sol = eq.equilibrium_minimize(V, args.box, args.m)
     rows = [[float(x), float(w)] for x, w in zip(sol.mu.nodes, sol.mu.weights)]
     extra = {"q": repr(sol.q), "ell": repr(sol.ell), "c0": repr(sol.c0),
              "c1": repr(sol.c1), "cV": repr(sol.cV), "mass": repr(sol.mu.mass)}
@@ -275,8 +278,6 @@ def cmd_meijer(args, precision):
 
 def cmd_rhcheck(args, precision):
     alpha = _parse_alpha(args.alpha)
-    for flag in ("tol_det", "tol_jump", "tol_inverse", "tol_frame"):
-        _parse_real(getattr(args, flag), "--" + flag.replace("_", "-"))
     rows = []
 
     for name, ang in (("Q1", "0.25"), ("Q2", "0.75"), ("Q3", "-0.75"),
@@ -286,13 +287,13 @@ def cmd_rhcheck(args, precision):
             m = rhframe.phi_matrix(alpha, pt, dps=precision)
             pred = rhframe.det_phi_predicted(alpha, pt, dps=precision)
             resid = abs(det3(m) - pred) / abs(pred)
-        rows.append(["det", name, +resid, args.tol_det])
+        rows.append(["det", name, +resid])
 
     for frame in ("phi", "psi"):
         for ray in rhframe.RAYS:
             resid = rhframe.jump_residual(alpha, ray, 1, dps=precision,
                                           frame=frame)
-            rows.append(["jump_" + frame, ray, resid, args.tol_jump])
+            rows.append(["jump_" + frame, ray, resid])
 
     for tag, r, ang in (("r=0.7", "0.7", "0.3"), ("r=2.0", "2.0", "-0.6")):
         with working(precision):
@@ -304,7 +305,7 @@ def cmd_rhcheck(args, precision):
             four_pi2 = 4 * mp.pi ** 2
             resid = norm_max([[m[i][j] + (four_pi2 if i == j else 0)
                                for j in range(3)] for i in range(3)]) / four_pi2
-        rows.append(["inverse", tag, +resid, args.tol_inverse])
+        rows.append(["inverse", tag, +resid])
 
     with working(precision):
         pt = SectorPoint(mpf("1.1"), mpf("0.35") * mp.pi)
@@ -313,23 +314,24 @@ def cmd_rhcheck(args, precision):
         m = mat_mul(L, mat_transpose(Lt))
         resid = norm_max([[m[i][j] - (3 if i == j else 0) for j in range(3)]
                           for i in range(3)]) / 3
-        rows.append(["frame", "L.Lt^T=3I", +resid, args.tol_frame])
+        rows.append(["frame", "L.Lt^T=3I", +resid])
         t = rhframe.t_matrix(alpha, dps=precision)
         tt = rhframe.t_tilde_matrix(alpha, dps=precision)
         c = rhframe.c_matrix(alpha, dps=precision)
         m = mat_mul(mat_transpose(tt), t)
         resid = norm_max([[m[i][j] - c[i][j] for j in range(3)]
                           for i in range(3)]) / norm_max(c)
-        rows.append(["frame", "Tt^T.T=C", +resid, args.tol_frame])
+        rows.append(["frame", "Tt^T.T=C", +resid])
 
     failed = []
     for row in rows:
-        status = "PASS" if row[2] <= mpf(row[3]) else "FAIL"
+        tol = RH_TOLERANCES[row[0]]
+        status = "PASS" if row[2] <= mpf(tol) else "FAIL"
         if status == "FAIL":
             failed.append("%s/%s" % (row[0], row[1]))
         print("%s  %-9s %-10s residual %s  (tol %s)"
-              % (status, row[0], row[1], mp.nstr(row[2], 3), row[3]))
-        row.append(status)
+              % (status, row[0], row[1], mp.nstr(row[2], 3), tol))
+        row += [tol, status]
     if failed:
         raise CheckFailure("residual over tolerance: " + ", ".join(failed))
     return ["check", "where", "residual", "tolerance", "status"], rows, {}
@@ -373,8 +375,6 @@ def build_parser():
 
     d = sub.add_parser("density", parents=[common],
                        help="equilibrium density for the linear field")
-    d.add_argument("--v", choices=("laguerre",), default="laguerre",
-                   help="external field tag (linear field)")
     d.add_argument("--route", choices=("explicit", "cardano", "both"),
                    default="both")
     d.add_argument("--grid", type=int, default=200,
@@ -390,11 +390,6 @@ def build_parser():
     e.add_argument("--box", type=float, default=6.0)
     e.add_argument("--m", type=int, default=500,
                    help="grid cells, 10 to %d" % MAX_EQ_CELLS)
-    e.add_argument("--max-iter", type=int, default=6000,
-                   help="cap on the pivot iterations of each KKT solve (coarse "
-                        "start and fine); exceeding it on the fine solve is a "
-                        "numerical failure (exit 3), on the coarse one the "
-                        "fine solve starts from all cells")
 
     c = sub.add_parser("converge", parents=[common],
                        help="scaled finite-n kernel vs. the limit")
@@ -420,10 +415,6 @@ def build_parser():
                        help="matrix-frame invariant suite (report on stdout; "
                             "artifact only with --out)")
     r.add_argument("--alpha", required=True)
-    r.add_argument("--tol-det", default="1e-18")
-    r.add_argument("--tol-jump", default="1e-18")
-    r.add_argument("--tol-inverse", default="1e-16")
-    r.add_argument("--tol-frame", default="1e-25")
 
     return p
 

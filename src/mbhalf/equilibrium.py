@@ -160,8 +160,9 @@ def density_vx_explicit(s, dps=None):
         density = 3 sqrt(r) u / (2 pi s (u (u - p) + p^2)),
 
     one cube root and two square roots, taken here in one pass over Python
-    integers.  s, rounded to the working precision, is S 2^-t with integers
-    S and t >= 0, so R = 27 2^t - 8S, P = 12 2^t - 4S and
+    integers.  s, an mpf as given (any other input rounded to the working
+    precision), is S 2^-t with integers S and t >= 0, so R = 27 2^t - 8S,
+    P = 12 2^t - 4S and
     27|a| 4^t = |8S^2 - 36 S 2^t + 27 4^t| are exact: r and p keep their
     digits next to their zeros.  With w = prec + _DENSITY_GUARD bits:
 
@@ -185,15 +186,20 @@ def density_vx_explicit(s, dps=None):
     where R = 0.
     """
     with working(dps):
-        s = mpf(s)
-        sign, man, exp, _ = s._mpf_
+        if not isinstance(s, mpf):
+            s = mpf(s)
+        sign, man, exp, bc = s._mpf_
         t = max(0, -exp)
         S = man << (exp + t)
         R = (27 << t) - 8 * S
         # closed right endpoint: the density vanishes there, and endpoint-
         # singular quadrature rules may round a node onto it
         if sign or not man or R < 0:
-            raise DomainError(f"density support is (0, 27/8); got s = {s}")
+            # an s finer than the working digits is shown in full, since
+            # rounded it may read as 27/8
+            shown = mp.dps if bc <= mp.prec else bc // 3
+            raise DomainError("density support is (0, 27/8); got s = %s"
+                              % mp.nstr(s, shown))
         w = mp.prec + _DENSITY_GUARD
         # sqrt(r) 2^g, at least 2^w
         e = 2 * w + 1 - R.bit_length()

@@ -245,67 +245,68 @@ def phi_psi_product(alpha, point, dps=None, side=None):
 # ----------------------------------------------------------------------
 
 def _gamma_exponents(alpha):
+    """(g, m1, m2) of Phi's expansion and (gt, mt1, mt2) of Psi's; the two
+    m1 are one polynomial."""
     a = mpf(alpha)
     g = 2 * a / 3 + mpf(1) / 2
     m1 = a ** 2 / 3 + a / 6 - mpf(1) / 36
     m2 = (a ** 4 / 18 + a ** 3 / 54 - 17 * a ** 2 / 216 - a / 54
           + mpf(25) / 2592)
     gt = -2 * a / 3 + mpf(1) / 6
-    mt1 = a ** 2 / 3 + a / 6 - mpf(1) / 36
     mt2 = (a ** 4 / 18 + 5 * a ** 3 / 54 - 5 * a ** 2 / 216 - 5 * a / 108
            + mpf(1) / 2592)
-    return g, m1, m2, gt, mt1, mt2
+    return g, m1, m2, gt, m1, mt2
+
+
+def _t_entries(g, m1, m2):
+    """The off-diagonal entries of T (the first negated) or of Tt, from
+    the exponents of their frame."""
+    return (g + m1, g * (g - mpf(1) / 3) + m1 * (m1 + g - mpf(2) / 3) - m2,
+            2 * g - mpf(1) / 3 + m1)
 
 
 def t_matrix(alpha, dps=None):
     """Constant left factor normalizing Phi at infinity."""
     with working(dps):
-        g, m1, m2, _, _, _ = _gamma_exponents(alpha)
-        t1 = -g - m1
-        t2 = g * (g - mpf(1) / 3) + m1 * (m1 + g - mpf(2) / 3) - m2
-        t3 = 2 * g - mpf(1) / 3 + m1
+        t1, t2, t3 = _t_entries(*_gamma_exponents(alpha)[:3])
         return [[mpf(1), mpf(0), mpf(0)],
-                [t1, mpf(-1), mpf(0)],
+                [-t1, mpf(-1), mpf(0)],
                 [t2, t3, mpf(1)]]
 
 
 def t_tilde_matrix(alpha, dps=None):
     """Constant left factor normalizing Psi at infinity."""
     with working(dps):
-        _, _, _, gt, mt1, mt2 = _gamma_exponents(alpha)
-        tt1 = gt + mt1
-        tt2 = gt * (gt - mpf(1) / 3) + mt1 * (mt1 + gt - mpf(2) / 3) - mt2
-        tt3 = 2 * gt - mpf(1) / 3 + mt1
+        tt1, tt2, tt3 = _t_entries(*_gamma_exponents(alpha)[3:])
         return [[mpf(1), tt3, tt2],
                 [mpf(0), mpf(1), tt1],
                 [mpf(0), mpf(0), mpf(1)]]
 
 
 def l_matrix(alpha, point, dps=None, frame="phi"):
-    """Spectral frame L (or the adjoint Lt) at a sector point off R-."""
+    """Spectral frame L (or the adjoint Lt) at a sector point off R-.
+
+    Phi's frame above the axis is diag(z^(-1/3), 1, z^(1/3)) V P with
+    V = [[w^2, w, 1], [1, 1, 1], [w, w^2, 1]], w = e^(2 pi i/3), and
+    P = diag(e^(2 pi i beta/3), e^(-2 pi i beta/3), 1).  Psi's frame, and
+    either frame below the axis, swap w with w^2 and P's phase with its
+    reciprocal (so Psi's below swaps twice); below the axis V's column 2
+    is negated, and Psi's diagonal powers are Phi's reciprocals.
+    """
     with working(dps) as d:
         beta = mpf(alpha) + mpf("0.25")
         w = mp.exp(mpc(0, 2) * mp.pi / 3)
-        w2 = w * w
         upper = float(point.argument) >= 0
         zr3 = point.power(mpf(1) / 3, dps=d)
         ph = mp.exp(mpc(0, 2) * mp.pi * beta / 3)
-        if frame == "phi":
-            if upper:
-                V = [[w2, w, 1], [1, 1, 1], [w, w2, 1]]
-                P = (ph, 1 / ph, mpc(1))
-            else:
-                V = [[w, -w2, 1], [1, -1, 1], [w2, -w, 1]]
-                P = (1 / ph, ph, mpc(1))
-            dg = (1 / zr3, mpc(1), zr3)
-        else:
-            if upper:
-                V = [[w, w2, 1], [1, 1, 1], [w2, w, 1]]
-                P = (1 / ph, ph, mpc(1))
-            else:
-                V = [[w2, -w, 1], [1, -1, 1], [w, -w2, 1]]
-                P = (ph, 1 / ph, mpc(1))
-            dg = (zr3, mpc(1), 1 / zr3)
+        a, b, P = w * w, w, (ph, 1 / ph, mpc(1))
+        if (frame == "psi") == upper:
+            a, b, P = b, a, (P[1], P[0], P[2])
+        sgn = 1 if upper else -1
+        V = [[a, sgn * b, 1], [1, sgn, 1], [b, sgn * a, 1]]
+        dg = (1 / zr3, mpc(1), zr3)
+        if frame == "psi":
+            dg = dg[::-1]
         return [[dg[i] * V[i][j] * P[j] for j in range(3)] for i in range(3)]
 
 

@@ -60,8 +60,7 @@ def test_usage_errors(capsys):
     for argv in (["kernel", "--alpha", "x", "--x-grid", "1", "--y-grid", "2"],
                  ["kernel", "--alpha", "0", "--x-grid", "abc", "--y-grid", "2"],
                  ["meijer", "--z-grid", "1:abc:3"],
-                 ["converge", "--alpha", "0", "--x", "abc", "--y", "1"],
-                 ["rhcheck", "--alpha", "0", "--tol-jump", "abc"]):
+                 ["converge", "--alpha", "0", "--x", "abc", "--y", "1"]):
         assert main(argv) == 2, argv
         assert "usage error" in capsys.readouterr().err
     # so are non-finite values: they ended in tracebacks (exit 1), in a
@@ -77,8 +76,7 @@ def test_usage_errors(capsys):
                  ["meijer", "--b", "nan,0,0", "--z-grid", "1"],
                  ["meijer", "--b", "0,inf,0", "--z-grid", "1", "--route", "loop"],
                  ["eqsolve", "--box", "inf"],
-                 ["eqsolve", "--v", "0,inf", "--m", "20"],
-                 ["rhcheck", "--alpha", "0.3", "--tol-det", "nan"]):
+                 ["eqsolve", "--v", "0,inf", "--m", "20"]):
         assert main(argv) == 2, argv
         assert "finite" in capsys.readouterr().err, argv
     # sizes that allocate are refused before anything is built: eqsolve's
@@ -95,7 +93,19 @@ def test_usage_errors(capsys):
         assert "usage error" in err and str(cap) in err, argv
 
 
-def test_numerical_failure_exit_code(capsys):
+def test_removed_options_are_usage_errors(capsys):
+    # rhcheck's tolerances, eqsolve's pivot cap and density's field tag are
+    # fixed; setting one is refused by the parser
+    for argv in (["rhcheck", "--alpha", "0", "--tol-det", "1"],
+                 ["eqsolve", "--max-iter", "5"],
+                 ["density", "--v", "laguerre"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_numerical_failure_exit_code(capsys, monkeypatch):
     # parameters resonant to 8 digits but not exactly break the series
     # route; the loop is not tried when the route is forced
     rc = main(["meijer", "--b", "0,1e-8,0.5", "--z-grid", "1",
@@ -112,7 +122,10 @@ def test_numerical_failure_exit_code(capsys):
         values[route] = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
     assert values["series"] == pytest.approx(values["loop"], rel=1e-15)
     # too few pivot iterations for the minimizer's KKT solve
-    rc = main(["eqsolve", "--m", "60", "--max-iter", "1"])
+    minimize = cli.eq.equilibrium_minimize
+    monkeypatch.setattr(cli.eq, "equilibrium_minimize",
+                        lambda V, Q, m: minimize(V, Q, m, max_iter=1))
+    rc = main(["eqsolve", "--m", "60"])
     assert rc == 3
     assert "eqsolve" in capsys.readouterr().err
 
@@ -385,18 +398,40 @@ def test_precision_resolution(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_rhcheck_report(capsys):
-    rc = main(["rhcheck", "--alpha", "0.3"])
-    out = capsys.readouterr().out
+def test_rhcheck_report(tmp_path, capsys):
+    out = tmp_path / "rh.csv"
+    rc = main(["rhcheck", "--alpha", "0.3", "--out", str(out)])
+    report = capsys.readouterr().out
     assert rc == 0
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    lines = [l for l in report.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 16
     assert all(l.startswith("PASS") for l in lines)
+    # the artifact pins the 16 checks, where each is taken and its fixed
+    # tolerance
+    lines = out.read_text().splitlines()
+    assert lines[0] == "check,where,residual,tolerance,status"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1], r[3], r[4]) for r in rows] == [
+        ("det", "Q1", "1e-18", "PASS"), ("det", "Q2", "1e-18", "PASS"),
+        ("det", "Q3", "1e-18", "PASS"), ("det", "Q4", "1e-18", "PASS"),
+        ("jump_phi", "pos", "1e-18", "PASS"),
+        ("jump_phi", "ipos", "1e-18", "PASS"),
+        ("jump_phi", "ineg", "1e-18", "PASS"),
+        ("jump_phi", "neg", "1e-18", "PASS"),
+        ("jump_psi", "pos", "1e-18", "PASS"),
+        ("jump_psi", "ipos", "1e-18", "PASS"),
+        ("jump_psi", "ineg", "1e-18", "PASS"),
+        ("jump_psi", "neg", "1e-18", "PASS"),
+        ("inverse", "r=0.7", "1e-16", "PASS"),
+        ("inverse", "r=2.0", "1e-16", "PASS"),
+        ("frame", "L.Lt^T=3I", "1e-25", "PASS"),
+        ("frame", "Tt^T.T=C", "1e-25", "PASS")]
 
 
-def test_rhcheck_failure_exit(capsys):
-    # impossible tolerance forces a FAIL report and exit code 3
-    rc = main(["rhcheck", "--alpha", "0.3", "--tol-det", "1e-80"])
+def test_rhcheck_failure_exit(capsys, monkeypatch):
+    # an impossible tolerance forces a FAIL report and exit code 3
+    monkeypatch.setitem(cli.RH_TOLERANCES, "det", "1e-80")
+    rc = main(["rhcheck", "--alpha", "0.3"])
     cap = capsys.readouterr()
     assert rc == 3
     assert any(l.startswith("FAIL") for l in cap.out.splitlines())

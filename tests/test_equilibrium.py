@@ -214,6 +214,25 @@ def test_integer_density_domain_and_bits():
     assert density_vx_explicit(s, dps=20)._mpf_ == first
 
 
+def test_integer_density_takes_s_as_given():
+    # an mpf s finer than the working digits is not rounded to them first:
+    # at d = 30 the density of 27/8 - 10^-k given at 120 digits was that of
+    # the rounded s, 1.4e-12 relative off at k = 30 and 0 at k = 45 and 60
+    d = 30
+    for k in (20, 30, 45, 60):
+        with mp.workdps(120):
+            s = VX_SUPPORT - mpf(10) ** -k
+        got = density_vx_explicit(s, dps=d)
+        assert got > 0, k
+        assert _meets(got, density_vx_explicit(s, dps=110), d), k
+    # and one just beyond the edge is refused, not rounded onto it, with s
+    # shown to the digits that tell it from 27/8
+    with mp.workdps(120):
+        s = VX_SUPPORT + mpf(10) ** -45
+    with pytest.raises(DomainError, match=r"3\.375" + "0" * 41 + "1"):
+        density_vx_explicit(s, dps=d)
+
+
 def test_icbrt_is_the_floor_of_the_cube_root():
     rng = random.Random(3)
     cases = [1, 2, 7, 8, 9, 26, 27, 28, 2 ** 120, 2 ** 121 - 1, 3 ** 200]

@@ -704,3 +704,89 @@ def test_outside_import_detector():
     assert _outside_imports(tree, {"mpmath", "numpy"}) == [
         (1, "scipy.linalg"), (5, "scipy.linalg"), (7, "scipy.special"),
         (8, "gmpy2")]
+
+
+#: the functions of cli.py that serve the options every subcommand shares
+_SHARED_READERS = ("_resolve_precision", "_emit", "main")
+
+
+def _unread_options(tree):
+    """(line, subcommand, dest) of every option that ``build_parser`` adds
+    and that the code serving it never reads as ``args.<dest>``: a
+    subcommand's own option in its handler (found through ``_HANDLERS``),
+    an option of a shared parent parser (subcommand None) in one of
+    ``_SHARED_READERS``."""
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    handlers = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_HANDLERS"
+                        for t in node.targets)):
+            handlers = {k.value: v.id for k, v in zip(node.value.keys,
+                                                      node.value.values)}
+
+    def reads(names):
+        return {node.attr for name in names if name in funcs
+                for node in ast.walk(funcs[name])
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+
+    commands = {}  # parser variable -> subcommand, for sub.add_parser(...)
+    options = []
+    for node in ast.walk(funcs["build_parser"]):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "add_parser"):
+            commands[node.targets[0].id] = node.value.args[0].value
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "add_argument"):
+            dest = next((kw.value.value for kw in node.keywords
+                         if kw.arg == "dest"), None)
+            if dest is None:
+                flag = next((a.value for a in node.args
+                             if a.value.startswith("--")), node.args[0].value)
+                dest = flag.lstrip("-").replace("-", "_")
+            options.append((node.lineno, node.func.value.id, dest))
+    found = []
+    for line, parser, dest in options:
+        command = commands.get(parser)
+        readers = ([handlers.get(command)] if command is not None
+                   else _SHARED_READERS)
+        if dest not in reads(readers):
+            found.append((line, command, dest))
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_every_cli_option_is_read():
+    # an option its handler never reads is accepted and ignored, so a
+    # caller who sets it is told nothing
+    path = SRC[0].parent / "cli.py"
+    found = _unread_options(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join("line %d: %s --%s" % item for item in found)
+
+
+def test_unread_option_detector():
+    tree = ast.parse("def build_parser():\n"
+                     "    common = argparse.ArgumentParser(add_help=False)\n"
+                     "    common.add_argument('--precision', type=int)\n"
+                     "    common.add_argument('--verbose')\n"
+                     "    sub = p.add_subparsers(dest='command')\n"
+                     "    k = sub.add_parser('kernel', parents=[common])\n"
+                     "    k.add_argument('--x-grid')\n"
+                     "    k.add_argument('-t', '--tag')\n"
+                     "    k.add_argument('--y', dest='why')\n"
+                     "    r = sub.add_parser('rhcheck', parents=[common])\n"
+                     "    r.add_argument('--tol')\n"
+                     "    return p\n"
+                     "def cmd_kernel(args, precision):\n"
+                     "    return args.x_grid, args.why, getattr(args, 'tag')\n"
+                     "def cmd_rhcheck(args, precision):\n"
+                     "    return args.x_grid\n"
+                     "def main(argv=None):\n"
+                     "    tol = args.tol\n"
+                     "    return args.precision\n"
+                     "_HANDLERS = {'kernel': cmd_kernel,\n"
+                     "             'rhcheck': cmd_rhcheck}\n")
+    assert _unread_options(tree) == [
+        (4, None, "verbose"), (8, "kernel", "tag"), (11, "rhcheck", "tol")]
