@@ -16,8 +16,9 @@ import sys
 from mpmath import mp, mpf
 
 from . import __version__
-from . import equilibrium as eq
 from . import rhframe
+from .equilibrium_errors import (BranchSelectionError, DomainError,
+                                 StagnationError)
 from .finiten import DomainExtensionError, hard_edge_convergence
 from .kernel import (PrecisionLossError, _meijer_or_diag, _near_diagonal,
                      kernel_integral, kernel_meijer)
@@ -51,6 +52,16 @@ RH_TOLERANCES = {"det": "1e-18", "jump_phi": "1e-18", "jump_psi": "1e-18",
 _GRID_HELP = "value or a:b:k (k from 2 to %d)" % MAX_GRID_POINTS
 
 
+def __getattr__(name):
+    """``cli.eq``, the equilibrium module, imported on first use: it
+    imports numpy, which only ``density`` and ``eqsolve`` need, and which
+    would otherwise be most of this module's import time."""
+    if name == "eq":
+        from . import equilibrium
+        return equilibrium
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
 
@@ -66,9 +77,9 @@ _NUMERICAL_ERRORS = (
     SeriesConvergenceError,
     PrecisionLossError,
     DomainExtensionError,
-    eq.BranchSelectionError,
-    eq.DomainError,
-    eq.StagnationError,
+    BranchSelectionError,
+    DomainError,
+    StagnationError,
     ZeroDivisionError,
     CheckFailure,
 )
@@ -176,6 +187,7 @@ def cmd_kernel(args, precision):
 
 
 def cmd_density(args, precision):
+    from . import equilibrium as eq
     q = mpf(27) / 8
     n = args.grid
     if not 1 <= n <= MAX_GRID_POINTS:
@@ -217,6 +229,7 @@ def _parse_poly(text):
 
 
 def cmd_eqsolve(args, precision):
+    from . import equilibrium as eq
     V = _parse_poly(args.v)
     if not 0 < args.box < math.inf or not 10 <= args.m <= MAX_EQ_CELLS:
         raise UsageError("--box must be positive and finite and --m from 10 "

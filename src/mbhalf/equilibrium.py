@@ -44,6 +44,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
 
+from .equilibrium_errors import (BranchSelectionError, DomainError,
+                                 StagnationError)
 from .mpcore import quad_ts, solve_cubic, working
 
 __all__ = [
@@ -66,36 +68,6 @@ __all__ = [
     "g_functions",
     "scaling_constants",
 ]
-
-
-class DomainError(ValueError):
-    """Argument outside the domain of a closed-form density."""
-
-
-class BranchSelectionError(ArithmeticError):
-    """No cubic root with positive imaginary part.
-
-    Raised by :func:`density_vx_cardano` when all three roots of the spectral
-    cubic are real, which happens exactly when s lies outside the support
-    (0, 27/8), and when s lies so close to 27/8 (within a few units of
-    2^-prec, prec the working precision) that the pair of complex roots
-    cannot be told from a real double root.
-    """
-
-
-class StagnationError(RuntimeError):
-    """The minimizer's KKT solve did not reach a KKT point: the pivot
-    iterations hit their cap, or the bordered KKT system was singular.
-
-    Attributes
-    ----------
-    objective : float
-        Lowest objective value recorded before the failure.
-    """
-
-    def __init__(self, message, objective):
-        super().__init__(message)
-        self.objective = objective
 
 
 # support endpoint and edge constants of the linear-field minimizer

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Union
 from mpmath import mp, mpf, mpc
 
 from .mpcore import (
+    _LN2,
     SingularMatrixError,
     inv3,
     ldu_decompose,
@@ -160,6 +161,44 @@ def _tail_box(alpha, n, V, smax):
     return X, [x for x, _ in filter(None, tops) if x < X]
 
 
+#: a float envelope whose terms reach this size in all is not trusted to
+#: a bit (:func:`_envelope`)
+_ENVELOPE_RANGE = 2.0 ** 40
+
+
+def _float_log(x):
+    """ln x of a positive mpf x as a float, from its mantissa and exponent,
+    so that an x below the float range (a node next to 0) has one too; it
+    is off by at most 2^-51 (|ln x| + prec) nats."""
+    _, man, exp, _ = x._mpf_
+    return math.log(man) + exp * _LN2
+
+
+def _envelope(log_power, n, Vt, log_r, count, pair):
+    """The envelope (log v, log r, pair) that ``quad_ts(..., powers=count,
+    envelope=True)`` skips nodes by, for log v = log_power - n V(t), Vt the
+    value V(t) (any real number); ``pair()`` evaluates the node.
+
+    Each float step (a conversion, a log, a product, a sum) is off by at
+    most 2^-52 of the size it handles, and a term takes a few of them, so
+    log v + k log r, k < count, is off by at most 2^-48 (S + count prec)
+    nats, S = |log_power| + |nv| + count |log r| (prec from the log of a
+    mantissa, :func:`_float_log`): under 2^-7 nats, far inside quad_ts's
+    one bit, while S < _ENVELOPE_RANGE = 2^40 (count prec is below 2^30
+    for any table short of a million moments at a thousand digits).
+    Beyond it, or where a term is not finite (a V that overflows a float,
+    or returns an infinity or a nan), the envelope is nan, and the node is
+    always evaluated.
+    """
+    try:
+        nv = n * float(Vt)
+    except OverflowError:  # an integer V(t) beyond the float range
+        nv = math.inf
+    if abs(log_power) + abs(nv) + count * abs(log_r) < _ENVELOPE_RANGE:
+        return log_power - nv, log_r, pair
+    return math.nan, math.nan, pair
+
+
 #: a peak search stops when its bracket is below this share of its right end
 _PEAK_WIDTH = 2.0 ** -40
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -211,6 +250,17 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
     one exp, one square root and one call of V however many moments the
     table holds, and :func:`~mbhalf.mpcore.quad_ts` with ``powers`` sums
     every moment's w(t) t^(k/2) over a level from integer mantissas.
+
+    A node first returns its envelope: V(t) and the float logs
+    log w(t) = alpha log t - n V(t) and log t^(1/2), log t read off t's
+    mantissa and exponent (:func:`_envelope`, which also proves them good
+    to far better than the bit quad_ts allows).  quad_ts then finishes
+    the pair only at the nodes whose term can reach one of a level's sums
+    within B + k + 4 bits of its largest (B = prec + 40), from the same
+    mpf V(t), so V is called once a node; a skipped node would have added
+    exactly 0, so the table has the bits of the pass that evaluates every
+    node.  In u the envelope takes the log and exp that give t, and the
+    pair reuses them.
     """
     k2max = _twice(smax)
     vals = {}
@@ -228,8 +278,14 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
         else:
             X, peaks = _tail_box(alpha, n, V, mpf(k2max) / 2)
 
+            af, count = float(alpha), k2max + 1
+
             def f(t):
-                return mp.exp(alpha * mp.log(t) - n * V(t)), mp.sqrt(t)
+                Vt = V(t)
+                lt = _float_log(t)
+                return _envelope(af * lt, n, Vt, lt / 2, count,
+                                 lambda: (mp.exp(alpha * mp.log(t) - n * Vt),
+                                          mp.sqrt(t)))
 
             # quad_ts's cutoff is sized for endpoint blow-ups up to
             # (t - a)^(-3/4), and t^alpha is stronger below alpha = -3/4:
@@ -237,21 +293,28 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
             # the integrand is p u^(p (alpha + 1) - 1) = p u^(-1/2) times a
             # smooth factor
             p = max(mpf(1), 1 / (2 * (1 + alpha)))
+            pf, cf = float(p), float(p * (alpha + 1) - 1)
+            lpf = math.log(pf)
 
             def f_sub(u):
                 lu = mp.log(u)
                 t = mp.exp(p * lu)
-                return (p * mp.exp((p * (alpha + 1) - 1) * lu - n * V(t)),
-                        mp.sqrt(t))
+                Vt = V(t)
+                lf = float(lu)
+                return _envelope(
+                    lpf + cf * lf, n, Vt, pf * lf / 2, count,
+                    lambda: (p * mp.exp((p * (alpha + 1) - 1) * lu - n * Vt),
+                             mp.sqrt(t)))
 
             ends = peaks + [X]
-            count = k2max + 1
             if p == 1:
-                first = quad_ts(f, 0, ends[0], dps=d, powers=count)
+                first = quad_ts(f, 0, ends[0], dps=d, powers=count,
+                                envelope=True)
             else:
                 first = quad_ts(f_sub, 0, ends[0] ** (1 / p), dps=d,
-                                powers=count)
-            pieces = [first] + [quad_ts(f, a, b, dps=d, powers=count)
+                                powers=count, envelope=True)
+            pieces = [first] + [quad_ts(f, a, b, dps=d, powers=count,
+                                        envelope=True)
                                 for a, b in zip(ends, ends[1:])]
             vals = dict(enumerate(mp.fsum(parts) for parts in zip(*pieces)))
         for k2, v in vals.items():

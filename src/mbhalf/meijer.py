@@ -750,6 +750,16 @@ def mb_loop(b, point, m=3, dps=None, with_theta=False):
     10^-44 to 10^-57 of the largest term, one of 7 to 8 reached 10^-73.
     On sheets -2..2 only m = 1, 2 near |theta| = 5 pi need it.
 
+    The sheets it serves: -2..2 is the stated envelope.  For m = 1 the
+    terms grow like e^(theta u) along the parabola (theta = arg z), so they
+    exceed G by more digits the higher the sheet, and the passes and
+    nodes grow with them.  At |z| = 2, b = (0.1, -0.3, -0.8) and 30
+    digits, sheet 4 answers after two passes and sheet 8 after three (10
+    to 20 s); from sheet 12 on the walk runs past _MAX_NODES a side and
+    raises :class:`QuadratureConvergenceError` (exit code 3), never a
+    wrong value.  For m = 1 a sheet k only turns G by e^(2 pi i k b_1)
+    (one residue family), which serves a caller beyond the envelope.
+
     Rounding: each term T_k is off by a few ulps from its rounded weight.
     Each moment is summed exactly in integers, from the weights truncated
     at 2^(T - log2 max_k |z^(-s_k)| - F) and the powers at

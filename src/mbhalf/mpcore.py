@@ -14,7 +14,10 @@ matrix frames, moment tables) is built on the primitives in this module:
   level forms its K sums from integer mantissas at B = prec + 40 bits
   with no rounded product, and rounds each once; every term is positive,
   so a sum before that rounding is at most (K + N) 2^-(B-2) relative
-  low, N the level's nodes;
+  low, N the level's nodes; given a float envelope of each node's
+  (log v, log r), it evaluates only the nodes whose terms can reach a
+  sum, and a node leaves the power steps after its last contributing
+  power, both exactly: the sums keep every bit;
 * ``solve_cubic`` -- Cardano with a Newton polish;
 * ``ldu_decompose`` -- Doolittle LDU without pivoting (the moment Gram
   matrices downstream are totally nonsingular, pivoting would destroy the
@@ -55,6 +58,7 @@ raise; no other module names :data:`GUARD_DIGITS`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -62,6 +66,7 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest
 
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 #: decimal digits every function works with beyond those its result needs
 GUARD_DIGITS = 10
@@ -200,11 +205,104 @@ def _worst_component(total, prev, tol):
 #: bits a power-family mantissa carries beyond the working precision
 _POWER_BITS = 40
 
+#: bits an envelope skip keeps beyond B + k (:func:`_reachable`): two for
+#: an envelope off by up to a bit at either node, one for the truncated
+#: mantissa of the top node, one for the float arithmetic of the test
+_ENVELOPE_MARGIN = 4
+
+
+def _without_envelope(f):
+    """A pair integrand ``f`` as one that returns an envelope: not finite,
+    so that every node is evaluated, by ``f`` itself."""
+    def g(x):
+        return math.nan, math.nan, functools.partial(f, x)
+    return g
+
 
 def _normalised(man, exp, bits):
     """man 2^exp as m 2^e with 2^(bits-1) <= m < 2^bits, truncated."""
     shift = man.bit_length() - bits
     return (man >> shift if shift > 0 else man << -shift), exp + shift
+
+
+def _upper_envelope(lines, count):
+    """max over the lines (a, s) of a + k s at k = 0, ..., count - 1.
+
+    The lines that reach the maximum form the upper hull: sorted by slope,
+    a line leaves it when its two neighbours meet no later than it meets
+    the left one.  A walk along the hull then reads each k.  Each value
+    read is one line's value at k, and float rounding can only leave out
+    a line within a rounding of the hull, so a value is at most a rounding
+    below the exact maximum.
+    """
+    hull = []
+    for a, s in sorted(lines, key=lambda line: (line[1], line[0])):
+        while hull and hull[-1][1] == s:
+            hull.pop()
+        while len(hull) >= 2:
+            (a1, s1), (a2, s2) = hull[-2], hull[-1]
+            if (a - a1) * (s2 - s1) < (a2 - a1) * (s - s1):
+                break
+            hull.pop()
+        hull.append((a, s))
+    tops, i = [], 0
+    for k in range(count):
+        while (i + 1 < len(hull)
+               and hull[i + 1][0] + k * hull[i + 1][1]
+               >= hull[i][0] + k * hull[i][1]):
+            i += 1
+        tops.append(hull[i][0] + k * hull[i][1])
+    return tops
+
+
+def _reachable(ws, envs, count):
+    """Which nodes of a level can change one of its ``count`` power sums.
+
+    Node i's envelope (log v_i, log r_i, _) gives the line
+    L_i(k) = log2 w_i + (log v_i + k log r_i) / ln 2, the log2-size of its
+    term w_i v_i r_i^k.  Let T(k) be the largest L_j(k) over the nodes
+    with a finite envelope (:func:`_upper_envelope`).  Node i is skipped
+    when T(k) - L_i(k) > B + k + _ENVELOPE_MARGIN for every k < count,
+    B = prec + _POWER_BITS.  T(k) - L_i(k) - k is convex in k, so its
+    least value sits where the rise of T passes the slope of L_i plus 1,
+    and the test reads it there.
+
+    A skipped node would have added exactly 0 to every sum of
+    :func:`_power_sums`, and never held its largest exponent.  With each
+    envelope off by at most a bit and the test's float arithmetic by less
+    than one more, the node j on top at k has a term w v r^k at least
+    2^(B+k+1) times node i's.  Node j is kept (its own gap is -k).  After
+    k steps its m_j 2^(e_j) is at least half its term and m_j < 2^(B+k),
+    so 2^(e_j) exceeds node i's whole term, which is at least
+    m_i 2^(e_i): with the sum's top exponent e >= e_j, node i's aligned
+    term m_i >> (e - e_i) is 0, and e_i < e.  A node whose envelope is not
+    finite is always kept.
+    """
+    bits = mp.prec + _POWER_BITS + _ENVELOPE_MARGIN
+    lines = []
+    for w, (lv, lr, _) in zip(ws, envs):
+        if math.isfinite(lv) and math.isfinite(lr):
+            _, man, exp, _ = w._mpf_
+            lines.append((math.log2(man) + exp + lv / _LN2, lr / _LN2))
+        else:
+            lines.append(None)
+    finite = [line for line in lines if line]
+    if not finite:
+        return [True] * len(lines)
+    tops = _upper_envelope(finite, count)
+    rises = [b - a for a, b in zip(tops, tops[1:])]
+    keep = []
+    for line in lines:
+        if line is None:
+            keep.append(True)
+        else:
+            # the least gap sits where the rise of T reaches s + 1 (up to
+            # the rounding of the rises, a local least value)
+            a, s = line
+            s += 1
+            k = bisect.bisect_left(rises, s)
+            keep.append(tops[k] - a - k * s <= bits)
+    return keep
 
 
 def _power_sums(ws, pairs, count):
@@ -223,6 +321,15 @@ def _power_sums(ws, pairs, count):
     (1 + 2k + N) 2^-(B-1) <= (count + N) 2^-(B-2) low, N the number of
     nodes.  A v < 0, an r <= 0 or a value that is not finite raises
     ValueError; a node with v = 0 adds nothing.
+
+    A node leaves the steps once its term is 0 and stays 0.  Node i's
+    exponent at power k is e_i + k c_i, and the top exponent t_k is their
+    largest, a maximum of lines in k, so its rise t_k - t_(k-1) never
+    falls.  When node i's aligned term m >> (t_k - e_i - k c_i) is 0 at k
+    and the top rose by at least c_i + 1 into k, its gap to the top grows
+    by at least a bit a step and its mantissa by at most one: the term is
+    0 at every later power too.  Dropping it leaves every sum and every
+    top as they were.
     """
     bits = mp.prec + _POWER_BITS
     step = bits - 1
@@ -245,7 +352,7 @@ def _power_sums(ws, pairs, count):
         es.append(e)
         rs.append(rm)
         cs.append(re + step)
-    out = []
+    out, last = [], None
     for k in range(count):
         if k:
             ms = [(m * rm) >> step for m, rm in zip(ms, rs)]
@@ -254,10 +361,18 @@ def _power_sums(ws, pairs, count):
         total = sum(m >> (top - e) for m, e in zip(ms, es))
         out.append(mp.make_mpf(from_man_exp(total, top, mp.prec,
                                             round_nearest)))
+        if last is not None and k + 1 < count:
+            rise = top - last
+            keep = [i for i, (m, e, c) in enumerate(zip(ms, es, cs))
+                    if rise <= c or m.bit_length() > top - e]
+            if len(keep) < len(ms):
+                ms, es, rs, cs = ([col[i] for i in keep]
+                                  for col in (ms, es, rs, cs))
+        last = top
     return out
 
 
-def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
+def quad_ts(f, a, b, dps=None, max_level=12, powers=None, envelope=False):
     """Tanh-sinh integral of ``f`` over [a, b] with level doubling.
 
     Handles integrable endpoint singularities (algebraic or logarithmic).
@@ -280,13 +395,25 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
     product of mpfs: every term is positive, so each sum before its one
     rounding is at most (K + N) 2^-(B-2) relative low, N the level's
     nodes and B the working precision plus 40 bits.
+
+    With ``powers`` and ``envelope=True``, ``f`` takes a cheap first look
+    at a node: ``f(x)`` returns (log v, log r, pair), floats that are the
+    natural logs of the node's pair and a callable ``pair()`` that returns
+    the pair (v, r) itself, so that work the two share is done once.  The
+    logs may be off by at most one bit:
+    |(Delta log v + k Delta log r) / ln 2| <= 1 for every k < K.  A node
+    whose term stays more than B + k + 4 bits below a level's largest one
+    at every power k is never finished (:func:`_reachable`): it would have
+    added exactly 0 to every sum, so the result keeps its bits.  A node
+    whose logs are not finite is always finished; without an envelope
+    every node is evaluated.
     """
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
     if powers is None:
         g, unwrap = _components(f)
     else:
-        g, unwrap = f, list
+        g, unwrap = (f if envelope else _without_envelope(f)), list
     with working(d):
         a = mpf(a)
         b = mpf(b)
@@ -294,26 +421,34 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
         total = prev = None
         for level in range(0, max_level + 1):
             h, nodes = _ts_nodes(level, d)
-            ws, rows = [], []
+            ws, xs = [], []
             for t, gap, w in nodes:
                 if t == 0:
-                    xs = (a + half,)
-                else:
-                    # deep in the tail the offset half*gap underflows the
-                    # working precision and the abscissa rounds onto the
-                    # endpoint; skip such nodes so that endpoint-singular
-                    # integrands are never evaluated at the endpoint itself
-                    # (their true contribution is below tolerance for any
-                    # integrable singularity weaker than (x-a)^(-3/4))
-                    xs = [x for x, end in ((a + half * gap, a),
-                                           (b - half * gap, b)) if x != end]
-                for x in xs:
                     ws.append(w)
-                    rows.append(g(x))
+                    xs.append(a + half)
+                    continue
+                # deep in the tail the offset half*gap underflows the
+                # working precision and the abscissa rounds onto the
+                # endpoint; skip such nodes so that endpoint-singular
+                # integrands are never evaluated at the endpoint itself
+                # (their true contribution is below tolerance for any
+                # integrable singularity weaker than (x-a)^(-3/4)); a + off
+                # is off itself, bit for bit, when a = 0, and two mpfs are
+                # equal exactly when their normalised tuples are
+                off = half * gap
+                for x, end in ((a + off if a else off, a), (b - off, b)):
+                    if x._mpf_ != end._mpf_:
+                        ws.append(w)
+                        xs.append(x)
             if powers is None:
+                rows = [g(x) for x in xs]
                 contrib = [mp.fdot(ws, col) for col in zip(*rows)]
             else:
-                contrib = _power_sums(ws, rows, powers)
+                envs = [g(x) for x in xs]
+                keep = _reachable(ws, envs, powers)
+                contrib = _power_sums(
+                    [w for w, k in zip(ws, keep) if k],
+                    [env[2]() for env, k in zip(envs, keep) if k], powers)
             # level 0 sum includes t=0 once; rescale previous accumulation
             hh = h * half
             if level > 0:

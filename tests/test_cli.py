@@ -1,6 +1,10 @@
 """Command-line surface: grids, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
@@ -436,3 +440,41 @@ def test_rhcheck_failure_exit(capsys, monkeypatch):
     assert rc == 3
     assert any(l.startswith("FAIL") for l in cap.out.splitlines())
     assert "rhcheck" in cap.err
+
+
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_kernel_run_leaves_numpy_unloaded():
+    # only density and eqsolve import the equilibrium module, and with it
+    # numpy: importing the command line and running a kernel grid do not
+    out = _fresh_python(
+        "import sys\n"
+        "import mbhalf.cli\n"
+        "rc = mbhalf.cli.main(['kernel', '--alpha', '0.3', '--x-grid', '1', "
+        "'--y-grid', '2', '--route', 'both', '--precision', '30'])\n"
+        "print(rc, 'numpy' in sys.modules)\n")
+    assert out.stdout.splitlines()[-1] == "0 False", out.stderr
+
+
+def test_loop_refuses_sheet_12_for_one_gamma():
+    # for m = 1 the loop's terms grow like e^(theta u) along the parabola:
+    # at |z| = 2 sheet 8 still answers, after three passes, and from sheet
+    # 12 on the walk runs past its node budget, a typed failure (exit 3)
+    # rather than a wrong value.  A fresh process keeps what it builds out
+    # of this session's caches
+    out = _fresh_python(
+        "import sys\n"
+        "from mbhalf.cli import main\n"
+        "sys.exit(main(['meijer', '--b', '0.1,-0.3,-0.8', '--z-grid', '2', "
+        "'--sheet', '12', '--m', '1', '--route', 'loop', '--precision', "
+        "'30']))\n")
+    assert out.returncode == 3, out.stderr
+    assert "2000 nodes a side" in out.stderr

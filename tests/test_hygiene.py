@@ -790,3 +790,48 @@ def test_unread_option_detector():
                      "             'rhcheck': cmd_rhcheck}\n")
     assert _unread_options(tree) == [
         (4, None, "verbose"), (8, "kernel", "tag"), (11, "rhcheck", "tol")]
+
+
+def _numpy_loaders(tree):
+    """Lines that load numpy when the module is imported: an import of
+    numpy anywhere in it, or a top-level import of the equilibrium module,
+    which imports numpy (a function that imports it loads numpy only when
+    it runs)."""
+    found = set(line for line, _ in _outside_imports(tree, {"mpmath"}))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                (node.module or "") + "." + alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "equilibrium" for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_equilibrium_loads_numpy():
+    # numpy is most of a fresh `import mbhalf.cli`, and only the minimizer
+    # and its callers need it: the command line imports equilibrium inside
+    # `density` and `eqsolve`, and no other module imports numpy or, at
+    # its top level, equilibrium
+    trees = _parse_all(SRC)
+    found = [(mod, line) for mod, tree in trees.items()
+             if mod != "equilibrium.py" for line in _numpy_loaders(tree)]
+    assert not found, ", ".join("%s:%d" % item for item in found)
+
+
+def test_numpy_loader_detector():
+    tree = ast.parse("import math\n"
+                     "import numpy as np\n"
+                     "from numpy.linalg import solve\n"
+                     "from . import equilibrium as eq\n"
+                     "from .equilibrium import scaling_constants\n"
+                     "from .equilibrium_errors import DomainError\n"
+                     "import mbhalf.equilibrium\n"
+                     "from mpmath import mp\n"
+                     "def cmd():\n"
+                     "    from . import equilibrium\n"
+                     "    import numpy\n")
+    assert _numpy_loaders(tree) == [2, 3, 4, 5, 7, 11]
