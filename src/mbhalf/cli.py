@@ -52,16 +52,6 @@ RH_TOLERANCES = {"det": "1e-18", "jump_phi": "1e-18", "jump_psi": "1e-18",
 _GRID_HELP = "value or a:b:k (k from 2 to %d)" % MAX_GRID_POINTS
 
 
-def __getattr__(name):
-    """``cli.eq``, the equilibrium module, imported on first use: it
-    imports numpy, which only ``density`` and ``eqsolve`` need, and which
-    would otherwise be most of this module's import time."""
-    if name == "eq":
-        from . import equilibrium
-        return equilibrium
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
 

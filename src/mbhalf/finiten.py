@@ -175,9 +175,9 @@ def _float_log(x):
 
 
 def _envelope(log_power, n, Vt, log_r, count, pair):
-    """The envelope (log v, log r, pair) that ``quad_ts(..., powers=count,
-    envelope=True)`` skips nodes by, for log v = log_power - n V(t), Vt the
-    value V(t) (any real number); ``pair()`` evaluates the node.
+    """The envelope (log v, log r, pair) that ``quad_ts(..., powers=count)``
+    skips nodes by, for log v = log_power - n V(t), Vt the value V(t) (any
+    real number); ``pair()`` evaluates the node.
 
     Each float step (a conversion, a log, a product, a sum) is off by at
     most 2^-52 of the size it handles, and a term takes a few of them, so
@@ -308,13 +308,11 @@ def moments(alpha, n, V="laguerre", smax=8, dps=None):
 
             ends = peaks + [X]
             if p == 1:
-                first = quad_ts(f, 0, ends[0], dps=d, powers=count,
-                                envelope=True)
+                first = quad_ts(f, 0, ends[0], dps=d, powers=count)
             else:
                 first = quad_ts(f_sub, 0, ends[0] ** (1 / p), dps=d,
-                                powers=count, envelope=True)
-            pieces = [first] + [quad_ts(f, a, b, dps=d, powers=count,
-                                        envelope=True)
+                                powers=count)
+            pieces = [first] + [quad_ts(f, a, b, dps=d, powers=count)
                                 for a, b in zip(ends, ends[1:])]
             vals = dict(enumerate(mp.fsum(parts) for parts in zip(*pieces)))
         for k2, v in vals.items():

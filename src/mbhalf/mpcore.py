@@ -211,12 +211,13 @@ _POWER_BITS = 40
 _ENVELOPE_MARGIN = 4
 
 
-def _without_envelope(f):
-    """A pair integrand ``f`` as one that returns an envelope: not finite,
-    so that every node is evaluated, by ``f`` itself."""
-    def g(x):
-        return math.nan, math.nan, functools.partial(f, x)
-    return g
+def _enveloped(row):
+    """A powers-mode integrand's value as (log v, log r, pair): a 3-tuple
+    is an envelope already; a plain pair (v, r) is already finished and
+    has logs of nan, so that its node is always kept."""
+    if len(row) == 3:
+        return row
+    return math.nan, math.nan, lambda: row
 
 
 def _normalised(man, exp, bits):
@@ -372,7 +373,7 @@ def _power_sums(ws, pairs, count):
     return out
 
 
-def quad_ts(f, a, b, dps=None, max_level=12, powers=None, envelope=False):
+def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
     """Tanh-sinh integral of ``f`` over [a, b] with level doubling.
 
     Handles integrable endpoint singularities (algebraic or logarithmic).
@@ -396,8 +397,8 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None, envelope=False):
     rounding is at most (K + N) 2^-(B-2) relative low, N the level's
     nodes and B the working precision plus 40 bits.
 
-    With ``powers`` and ``envelope=True``, ``f`` takes a cheap first look
-    at a node: ``f(x)`` returns (log v, log r, pair), floats that are the
+    With ``powers``, ``f`` may instead take a cheap first look at a node:
+    ``f(x)`` returns an envelope (log v, log r, pair), floats that are the
     natural logs of the node's pair and a callable ``pair()`` that returns
     the pair (v, r) itself, so that work the two share is done once.  The
     logs may be off by at most one bit:
@@ -405,15 +406,15 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None, envelope=False):
     whose term stays more than B + k + 4 bits below a level's largest one
     at every power k is never finished (:func:`_reachable`): it would have
     added exactly 0 to every sum, so the result keeps its bits.  A node
-    whose logs are not finite is always finished; without an envelope
-    every node is evaluated.
+    whose logs are not finite is always finished, and a plain pair counts
+    as an envelope with logs of nan, so every such node is kept.
     """
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
     if powers is None:
         g, unwrap = _components(f)
     else:
-        g, unwrap = (f if envelope else _without_envelope(f)), list
+        g, unwrap = f, list
     with working(d):
         a = mpf(a)
         b = mpf(b)
@@ -421,30 +422,26 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None, envelope=False):
         total = prev = None
         for level in range(0, max_level + 1):
             h, nodes = _ts_nodes(level, d)
-            ws, xs = [], []
+            ws, rows = [], []
             for t, gap, w in nodes:
                 if t == 0:
+                    xs = (a + half,)
+                else:
+                    # deep in the tail the offset half*gap underflows the
+                    # working precision and the abscissa rounds onto the
+                    # endpoint; skip such nodes so that endpoint-singular
+                    # integrands are never evaluated at the endpoint itself
+                    # (their true contribution is below tolerance for any
+                    # integrable singularity weaker than (x-a)^(-3/4))
+                    xs = [x for x, end in ((a + half * gap, a),
+                                           (b - half * gap, b)) if x != end]
+                for x in xs:
                     ws.append(w)
-                    xs.append(a + half)
-                    continue
-                # deep in the tail the offset half*gap underflows the
-                # working precision and the abscissa rounds onto the
-                # endpoint; skip such nodes so that endpoint-singular
-                # integrands are never evaluated at the endpoint itself
-                # (their true contribution is below tolerance for any
-                # integrable singularity weaker than (x-a)^(-3/4)); a + off
-                # is off itself, bit for bit, when a = 0, and two mpfs are
-                # equal exactly when their normalised tuples are
-                off = half * gap
-                for x, end in ((a + off if a else off, a), (b - off, b)):
-                    if x._mpf_ != end._mpf_:
-                        ws.append(w)
-                        xs.append(x)
+                    rows.append(g(x))
             if powers is None:
-                rows = [g(x) for x in xs]
                 contrib = [mp.fdot(ws, col) for col in zip(*rows)]
             else:
-                envs = [g(x) for x in xs]
+                envs = [_enveloped(row) for row in rows]
                 keep = _reachable(ws, envs, powers)
                 contrib = _power_sums(
                     [w for w, k in zip(ws, keep) if k],

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mpf
 
-from mbhalf import cli, specfun
+from mbhalf import cli, equilibrium, specfun
 from mbhalf.cli import (MAX_EQ_CELLS, MAX_GRID_POINTS, UsageError, main,
                         parse_grid)
 
@@ -126,8 +126,8 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
         values[route] = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
     assert values["series"] == pytest.approx(values["loop"], rel=1e-15)
     # too few pivot iterations for the minimizer's KKT solve
-    minimize = cli.eq.equilibrium_minimize
-    monkeypatch.setattr(cli.eq, "equilibrium_minimize",
+    minimize = equilibrium.equilibrium_minimize
+    monkeypatch.setattr(equilibrium, "equilibrium_minimize",
                         lambda V, Q, m: minimize(V, Q, m, max_iter=1))
     rc = main(["eqsolve", "--m", "60"])
     assert rc == 3

@@ -61,8 +61,7 @@ def _every_node_moments(monkeypatch, *args, **kwargs):
     a node, and summed by the every-node loop."""
     quad = finiten.quad_ts
 
-    def every_node(f, a, b, dps=None, powers=None, envelope=False):
-        assert envelope
+    def every_node(f, a, b, dps=None, powers=None):
         return quad(lambda x: f(x)[2](), a, b, dps=dps, powers=powers)
 
     with monkeypatch.context() as m:
@@ -109,12 +108,12 @@ def test_moment_tables_keep_the_every_node_bits(name, monkeypatch):
         counts["V"] += 1
         return V(x)
 
-    def counting_quad(f, a, b, dps=None, powers=None, envelope=False):
+    def counting_quad(f, a, b, dps=None, powers=None):
         def g(x):
             counts["nodes"] += 1
             return f(x)
         before = counts["V"]
-        out = quad(g, a, b, dps=dps, powers=powers, envelope=envelope)
+        out = quad(g, a, b, dps=dps, powers=powers)
         counts["quad V"] += counts["V"] - before
         return out
 
@@ -133,7 +132,7 @@ def test_benchmark_table_evaluates_fewer_integrands_than_nodes(monkeypatch):
     counts = {"pairs": 0, "nodes": 0}
     quad = finiten.quad_ts
 
-    def counting_quad(f, a, b, dps=None, powers=None, envelope=False):
+    def counting_quad(f, a, b, dps=None, powers=None):
         def g(x):
             counts["nodes"] += 1
             log_v, log_r, pair = f(x)
@@ -142,7 +141,7 @@ def test_benchmark_table_evaluates_fewer_integrands_than_nodes(monkeypatch):
                 counts["pairs"] += 1
                 return pair()
             return log_v, log_r, counted
-        return quad(g, a, b, dps=dps, powers=powers, envelope=envelope)
+        return quad(g, a, b, dps=dps, powers=powers)
 
     monkeypatch.setattr(finiten, "quad_ts", counting_quad)
     moments(mpf("0.3"), 2, lambda x: x, smax=3, dps=40)
@@ -217,7 +216,7 @@ def test_quad_ts_envelope_keeps_the_sums(noise, monkeypatch):
     ref = quad_ts(_pair, 0, 60, dps=40, powers=12)
     ref_totals = totals[:]
     del totals[:]
-    got = quad_ts(f, 0, 60, dps=40, powers=12, envelope=True)
+    got = quad_ts(f, 0, 60, dps=40, powers=12)
     assert totals == ref_totals
     assert [x._mpf_ for x in got] == [x._mpf_ for x in ref]
     assert 0 < calls["pairs"] < calls["nodes"]
@@ -239,9 +238,9 @@ def test_quad_ts_evaluates_every_node_without_a_finite_envelope():
 
     ref = quad_ts(counted("plain"), 0, 60, dps=30, powers=4)
     nan = quad_ts(with_logs(math.nan, 0.0, counted("nan")), 0, 60, dps=30,
-                  powers=4, envelope=True)
+                  powers=4)
     inf = quad_ts(with_logs(0.0, math.inf, counted("inf")), 0, 60, dps=30,
-                  powers=4, envelope=True)
+                  powers=4)
     assert seen["plain"] == seen["nan"] == seen["inf"]
     assert ([x._mpf_ for x in ref] == [x._mpf_ for x in nan]
             == [x._mpf_ for x in inf])
@@ -263,7 +262,7 @@ def test_a_zero_value_node_adds_nothing():
 
     ref = quad_ts(_pair, 0, 60, dps=30, powers=5)
     for got in (quad_ts(cut, 0, 60, dps=30, powers=5),
-                quad_ts(f, 0, 60, dps=30, powers=5, envelope=True)):
+                quad_ts(f, 0, 60, dps=30, powers=5)):
         assert [x._mpf_ for x in got] == [x._mpf_ for x in ref]
 
 
