@@ -495,6 +495,42 @@ def _near_border(support, reach):
     return np.cumsum(cover[:m]) > 0
 
 
+def _coarse_cells(m):
+    """Cell of the max(1, m // COARSE_FACTOR) cells on the same box that
+    holds the midpoint of each of m cells: (j + 1/2) / m lies in cell
+    floor((2j + 1) mc / (2m))."""
+    mc = max(1, m // COARSE_FACTOR)
+    return (2 * np.arange(m) + 1) * mc // (2 * m)
+
+
+def _canonical_base(support):
+    """B(S), the support whose factorization solves the trial support S.
+
+    Each border of S moves inward to an end of the coarse cell
+    (:func:`_coarse_cells`) that holds the fine cell just below it, but by at
+    most COARSE_FACTOR cells: the upper end of a run falls to that coarse
+    cell's lower end, and the lower end of a run rises to its upper end, so
+    a coarse start keeps its lower ends.  Then B(S) lies within S, S
+    differs from it only in lookahead cells of B(S) (:func:`_near_border`),
+    and borders above one coarse cell of at most COARSE_FACTOR + 1 cells
+    share B.  A run that would vanish keeps its cells.
+    """
+    m, r = support.size, COARSE_FACTOR
+    cell = _coarse_cells(m)
+    lo, hi = np.searchsorted(cell, cell), np.searchsorted(cell, cell, "right")
+    edge = np.flatnonzero(np.diff(support, prepend=False, append=False))
+    a, e = edge[0::2], edge[1::2]      # runs a <= j < e
+    na = np.where(a > 0, np.minimum(hi[a - 1], a + r), a)
+    ne = np.where(e < m, np.maximum(lo[e - 1], np.minimum(e, hi[e - 1] - r)),
+                  e)
+    short = na >= ne
+    na[short], ne[short] = a[short], e[short]
+    base = np.zeros(m, dtype=bool)
+    for j, k in zip(na, ne):
+        base[j:k] = True
+    return base
+
+
 class _Bordered:
     """One factorization of the bordered KKT system of a support S,
 
@@ -507,8 +543,10 @@ class _Bordered:
     only in those cells is then solved exactly by the Schur complement of
     K in the system bordered with the changed cells (Gill, Murray,
     Saunders & Wright, SIAM J. Sci. Stat. Comput. 1990), whose size is the
-    number of changed cells.  The lookahead columns depend on S alone, so
-    the direct solution on S has the same bits whichever pivots led to S.
+    number of changed cells.  The pivoting factorizes only canonical bases
+    (:func:`_canonical_base`), whose lookahead reaches every support they
+    serve; the columns depend on S alone, so each solve has the same bits
+    whichever pivots led to it.
     """
 
     def __init__(self, A, v, support):
@@ -552,8 +590,8 @@ class _Bordered:
 
     def schur(self, support):
         """(w, ell) on a trial support that this factorization reaches,
-        from one solve of the Schur complement, or None when that small
-        system is singular.
+        from one solve of the Schur complement (none on S itself), or None
+        when that small system is singular.
 
         With x = [w_S, ell/2], the cells that come in with their weights
         w_c and the cells that go with free multipliers z, the system is
@@ -574,6 +612,8 @@ class _Bordered:
         yc = self.y_enter[:, np.searchsorted(self.may_enter, come)]
         rows = np.searchsorted(idx, gone)
         nc, n = come.size, come.size + gone.size
+        if not n:
+            return self.weights()
         # rows of the entering equations: [A_jS, -1]
         border = np.empty((nc, k + 1))
         border[:, :k] = A[np.ix_(come, idx)]
@@ -612,58 +652,50 @@ def _kkt_active_set(A, v, w0, max_iter, start=None):
     such cells, only the largest-index one is exchanged (Judice & Pires
     1994), which guarantees termination.
 
-    A direct solve factorizes its bordered system once for a lookahead
-    (:class:`_Bordered`): a later trial support that differs from its
-    support only within COARSE_FACTOR cells of a border is solved by a
-    small Schur-complement system instead, and any other support by a new
-    direct solve.  A Schur iterate that passes both tests (with Aw over all
-    cells) is not returned: its support gets one more direct solve, the
-    canonical one, which is returned if it passes the same tests and
-    pivoted on otherwise.  So the result is always the direct solution on
-    its final support, and its bits depend on that support alone, not on
-    the start or the path; the KKT point is unique, so in exact arithmetic
-    the start changes only how many pivots reach it.
+    Every iterate is solved from the factorization of its canonical base
+    B(S) (:func:`_canonical_base`, :class:`_Bordered`): by the Schur
+    complement of the cells where S and B(S) differ, or directly when S is
+    B(S) or that small system is singular.  One factorization serves for
+    as long as B(S) stays the same.  B(S) depends on S alone, so the result
+    has bits that depend on its final support alone, not on the start or
+    the path; the KKT point is unique, so in exact arithmetic the start
+    changes only how many pivots reach it.
 
     Returns (w, ell, Aw, trace); trace holds the objective at w0 and at
-    every feasible iterate that lowers it, where a Schur iterate that
-    passes the tests counts only through its canonical solve.  Raises
-    StagnationError when a direct bordered system is singular or
-    `max_iter` iterations, direct and Schur alike, do not suffice.
+    every feasible iterate that lowers it.  Raises StagnationError when a
+    bordered system to factorize is singular or `max_iter` iterates do not
+    suffice.
     """
     m = len(v)
     trace = [float(w0 @ (A @ w0) + v @ w0)]
     support = np.ones(m, dtype=bool) if start is None else start.copy()
     best, budget = m + 1, 3
-    base, direct = None, True
+    base = None
+
+    def factorize(cells):
+        try:
+            return _Bordered(A, v, cells)
+        except np.linalg.LinAlgError as exc:
+            raise StagnationError("singular KKT system on a support of %d "
+                                  "cells" % np.count_nonzero(cells),
+                                  trace[-1]) from exc
+
     for _ in range(max_iter):
-        step = None
-        if not direct and base.reaches(support):
-            step = base.schur(support)
-        direct = step is None
-        if direct:
-            try:
-                base = _Bordered(A, v, support)
-            except np.linalg.LinAlgError as exc:
-                raise StagnationError("singular KKT system on a support of %d "
-                                      "cells" % np.count_nonzero(support),
-                                      trace[-1]) from exc
-            step = base.weights()
-        w, ell = step
+        core = _canonical_base(support)
+        if base is None or not np.array_equal(core, base.support):
+            base = factorize(core)
+        step = base.schur(support)
+        w, ell = step if step is not None else factorize(support).weights()
         aw = A @ w
         leave = support & (w < 0)
         enter = ~support & (2.0 * aw + v - ell < 0)
         bad = np.flatnonzero(leave | enter)
-        if bad.size == 0 and not direct:
-            # a Schur iterate's KKT point: solve its support directly
-            direct = True
-            continue
         if not leave.any():
             e = float(w @ aw + v @ w)
             if e < trace[-1]:
                 trace.append(e)
         if bad.size == 0:
             return w, ell, aw, trace
-        direct = False
         if bad.size < best:
             best, budget = bad.size, 3
         elif budget > 0:
@@ -750,8 +782,7 @@ def _coarse_start(A, V, Q, max_iter):
                              max_iter)[0]
     except StagnationError:
         return None
-    # midpoint (j + 1/2) Q/m lies in coarse cell floor((2j + 1) mc / (2m))
-    return wc[(2 * np.arange(m) + 1) * mc // (2 * m)] > 0
+    return wc[_coarse_cells(m)] > 0
 
 
 def equilibrium_minimize(V, Q, m, max_iter=6000):
@@ -761,20 +792,19 @@ def equilibrium_minimize(V, Q, m, max_iter=6000):
     Q : box size; the support of the minimizer must end well inside.  A
         RuntimeWarning says so when the last cell carries weight.
     m : number of uniform cells.
-    max_iter : cap on the iterations of each exact KKT solve, the coarse
-        start and the fine one; a direct bordered solve and a
-        Schur-complement step count one each.
+    max_iter : cap on the iterates of each exact KKT solve, the coarse
+        start and the fine one.
 
     The same field is first solved on max(1, m // COARSE_FACTOR) cells, on
     the leading block of the m-cell operator (see :func:`_coarse_start`),
     and the pivoting on m cells starts from that support instead of from all
     cells; if the coarse solve stagnates, it starts from all cells.  Most of
-    the fine pivots then move a few cells at the support's border, and they
-    are taken by Schur-complement steps on the first fine factorization
-    (:func:`_kkt_active_set`): V = x at m = 2000 factorizes two bordered
-    systems of about 1130 cells.  The KKT point is unique, so both starts
-    end on the same support in exact arithmetic.  The result is always the
-    direct solve on its final support, so whenever two starts end on the
+    the fine pivots then move a few cells at the support's border, and each
+    iterate is a Schur-complement step on the factorization of its support's
+    canonical base (:func:`_kkt_active_set`): V = x at m = 2000 factorizes
+    one bordered system of 1120 cells.  The KKT point is unique, so both
+    starts end on the same support in exact arithmetic, and the result
+    depends on its final support alone, so whenever two starts end on the
     same support the result is the same bit for bit.  In floating point the
     support comes from sign tests, and a cell on its border could stop two
     pivot paths on different supports whose results differ by roundoff; that

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from mbhalf import equilibrium
@@ -31,11 +32,13 @@ from mbhalf.equilibrium import (
 )
 from mbhalf.equilibrium import (
     COARSE_FACTOR,
+    _canonical_base,
     _cell_log_table,
     _energy_operator,
     _icbrt,
     _kkt_active_set,
     _mirror_upper,
+    _near_border,
     _sqrt_log_kernel,
     _sqrt_log_orders,
 )
@@ -586,10 +589,16 @@ _PIVOT_FIELDS = [
     (lambda x: x + 0.1 * x * x, 6.0, 803),
     (lambda x: 0.5 * x * x, 4.0, 400),
     (lambda x: x ** 4 / 4 - 1.5 * x * x + 0.3 * x, 4.0, 800),
-    (lambda x: (x - 3) ** 2, 6.0, 800),
     # support on cells 204-583, away from the origin
+    (lambda x: (x - 3) ** 2, 6.0, 800),
+    # support on cells 254-726
     (lambda x: (x - 3) ** 2, 6.0, 997),
 ]
+
+# fine factorizations from the coarse start, in _PIVOT_FIELDS order: two
+# where the final support's lower end lies above another coarse cell than
+# the start's
+_COARSE_START_FACTORIZATIONS = [1, 1, 1, 1, 1, 2, 1]
 
 
 # the quartic and (x - 3)^2 fields are not one-cut by the x V'(x) test
@@ -665,15 +674,9 @@ def test_schur_step_matches_the_direct_solve():
         assert not base.reaches(trial)
 
 
-@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
-@pytest.mark.parametrize("V, box, m", _PIVOT_FIELDS)
-def test_fine_pivots_reuse_one_factorization(V, box, m, monkeypatch):
-    # the fine pivots near the support's border are Schur-complement steps
-    # on the first fine factorization, with systems of a few cells, and the
-    # last support gets one canonical direct solve: at most two bordered
-    # systems of more than m // 8 + 1 cells from the coarse start (three to
-    # five before), and one from the final support; the result is that
-    # canonical solve's, whichever start reached it
+def _record_solves(monkeypatch):
+    """Sizes of the systems np.linalg.solve is given, one list for each run
+    of _kkt_active_set."""
     sizes = []
     solve, pivot = np.linalg.solve, equilibrium._kkt_active_set
 
@@ -687,16 +690,89 @@ def test_fine_pivots_reuse_one_factorization(V, box, m, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(equilibrium, "_kkt_active_set", tagged_pivot)
+    return sizes
+
+
+@pytest.mark.filterwarnings("ignore:x V'\\(x\\) is not increasing")
+@pytest.mark.parametrize("V, box, m", _PIVOT_FIELDS)
+def test_fine_pivots_reuse_one_factorization(V, box, m, monkeypatch):
+    # every iterate is the Schur solve of its support S from the
+    # factorization of the canonical base B(S), kept while B(S) stays: from
+    # the final support the pivoting factorizes B(final) alone, and from the
+    # coarse start one or two bordered systems of more than m // 8 + 1
+    # cells; the result has the same bits whichever start reached it
+    sizes = _record_solves(monkeypatch)
     sol = equilibrium_minimize(V, box, m)
     A, v, w0 = _all_cells_problem(V, box, m)
     final = sol.mu.weights > 0
     for start in (final, None):
-        w, ell, aw, trace = tagged_pivot(A, v, w0, 6000, start)
+        w, ell, aw, trace = equilibrium._kkt_active_set(A, v, w0, 6000, start)
         assert _same_bits(sol, w, ell, aw)
         assert trace[-1] == float(w @ aw + v @ w)
     assert sol.objective_trace[-1] == trace[-1]
-    large = [[k for k in run if k > m // 8 + 1] for run in sizes]
-    assert len(large[1]) <= 2 and large[2] == sizes[2] == [final.sum() + 1]
+    large = [k for k in sizes[1] if k > m // 8 + 1]
+    assert len(large) == _COARSE_START_FACTORIZATIONS[
+        _PIVOT_FIELDS.index((V, box, m))]
+    base = _canonical_base(final)
+    added = np.count_nonzero(final & ~base)
+    assert sizes[2] == [base.sum() + 1] + ([added] if added else [])
+
+
+@pytest.mark.parametrize("V, m", [(lambda x: x, 2000),
+                                  (lambda x: x + 0.1 * x * x, 800)])
+def test_benchmark_fields_factorize_once(V, m, monkeypatch):
+    # the benchmark's two minimizer fields: one bordered system of more
+    # than m // 8 + 1 cells on the fine grid, and weights and multiplier
+    # within roundoff of the direct solve on the final support
+    sizes = _record_solves(monkeypatch)
+    sol = equilibrium_minimize(V, 6.0, m)
+    monkeypatch.undo()
+    assert len([k for k in sizes[1] if k > m // 8 + 1]) == 1
+    A, v, _ = _all_cells_problem(V, 6.0, m)
+    w, ell = equilibrium._Bordered(A, v, sol.mu.weights > 0).weights()
+    assert np.max(np.abs(w - sol.mu.weights)) <= 1e-14
+    assert abs(ell + sol.ell) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_canonical_base_properties(data):
+    # S has one to three runs [cuts[0], cuts[1]), [cuts[2], cuts[3]), ...
+    m = data.draw(st.integers(10, 2000), label="m")
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), min_size=2,
+                                     max_size=6, unique=True), label="cuts"))
+    cuts = cuts[:len(cuts) // 2 * 2]
+
+    def runs(cuts):
+        mask = np.zeros(m, dtype=bool)
+        for a, e in zip(cuts[::2], cuts[1::2]):
+            mask[a:e] = True
+        return mask
+
+    support = runs(cuts)
+    base = _canonical_base(support)
+    assert not np.any(base & ~support)
+    assert not np.any(support & ~base & ~_near_border(base, COARSE_FACTOR))
+    cell = equilibrium._coarse_cells(m)
+    for a, e in zip(cuts[::2], cuts[1::2]):
+        assert base[a:e].any()
+        # a run between two borders inside one coarse cell, above its
+        # lower end, is too short to shrink
+        if 0 < a and e < m and cell[a - 1] == cell[e - 1]:
+            assert base[a:e].all()
+    # the coarse cell just below each border, -1 below cell 0 and one past
+    # the last cell at m; moving every border within its coarse cell keeps
+    # B when those cells are at most COARSE_FACTOR + 1 wide and two apart
+    below = [-1 if p == 0 else cell[p - 1] + (p == m) for p in cuts]
+    lo = np.searchsorted(cell, below)
+    hi = np.searchsorted(cell, below, side="right")
+    if (np.all(np.diff(below) >= 2)
+            and all(h - l <= COARSE_FACTOR + 1 for p, l, h in zip(cuts, lo, hi)
+                    if 0 < p < m)):
+        moved = [p if p in (0, m)
+                 else data.draw(st.integers(l + 1, min(h, m - 1)))
+                 for p, l, h in zip(cuts, lo, hi)]
+        assert np.array_equal(_canonical_base(runs(moved)), base)
 
 
 def test_coarse_stagnation_starts_from_all_cells(monkeypatch):
