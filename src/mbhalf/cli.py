@@ -2,8 +2,9 @@
 
 Subcommands emit CSV (default) or JSON artifacts.  All numbers are printed
 through a fixed 17-significant-digit rule, so identical flags and precision
-give byte-identical output.  Exit codes: 0 success, 2 usage error, 3
-numerical failure.
+give byte-identical output.  Exit codes: 0 success, 2 usage error
+(:class:`UsageError`), 3 numerical failure (any
+:class:`mbhalf.mpcore.NumericalError`, or a ``ZeroDivisionError``).
 """
 
 import argparse
@@ -17,23 +18,12 @@ from mpmath import mp, mpf
 
 from . import __version__
 from . import rhframe
-from .equilibrium_errors import (BranchSelectionError, DomainError,
-                                 StagnationError)
-from .finiten import DomainExtensionError, hard_edge_convergence
-from .kernel import (PrecisionLossError, _meijer_or_diag, _near_diagonal,
-                     kernel_integral, kernel_meijer)
-from .meijer import (ResonantParameterError, SectorPoint, g303_series,
-                     mb_loop, pick_route)
-from .mpcore import (
-    QuadratureConvergenceError,
-    SingularMatrixError,
-    det3,
-    mat_mul,
-    mat_transpose,
-    norm_max,
-    working,
-)
-from .specfun import SeriesConvergenceError
+from .finiten import hard_edge_convergence
+from .kernel import (_meijer_or_diag, _near_diagonal, kernel_integral,
+                     kernel_meijer)
+from .meijer import SectorPoint, g303_series, mb_loop, pick_route
+from .mpcore import (NumericalError, det3, mat_mul, mat_transpose, norm_max,
+                     working)
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
@@ -56,30 +46,13 @@ class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-class CheckFailure(RuntimeError):
+class CheckFailure(NumericalError, RuntimeError):
     """An invariant-suite residual exceeded its tolerance; exit code 3."""
-
-
-_NUMERICAL_ERRORS = (
-    QuadratureConvergenceError,
-    SingularMatrixError,
-    ResonantParameterError,
-    SeriesConvergenceError,
-    PrecisionLossError,
-    DomainExtensionError,
-    BranchSelectionError,
-    DomainError,
-    StagnationError,
-    ZeroDivisionError,
-    CheckFailure,
-)
 
 
 def _fmt(v):
     if isinstance(v, str):
         return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
@@ -455,7 +428,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, ZeroDivisionError) as exc:
         print("numerical failure in %r: %s" % (args.command, exc),
               file=sys.stderr)
         return 3

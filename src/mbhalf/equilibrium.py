@@ -44,9 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
 
-from .equilibrium_errors import (BranchSelectionError, DomainError,
-                                 StagnationError)
-from .mpcore import quad_ts, solve_cubic, working
+from .mpcore import NumericalError, quad_ts, solve_cubic, working
 
 __all__ = [
     "DomainError",
@@ -68,6 +66,36 @@ __all__ = [
     "g_functions",
     "scaling_constants",
 ]
+
+
+class DomainError(NumericalError, ValueError):
+    """Argument outside the domain of a closed-form density."""
+
+
+class BranchSelectionError(NumericalError, ArithmeticError):
+    """No cubic root with positive imaginary part.
+
+    Raised by :func:`density_vx_cardano` when all three roots of the
+    spectral cubic are real, which happens exactly when s lies outside the
+    support (0, 27/8), and when s lies so close to 27/8 (within a few units
+    of 2^-prec, prec the working precision) that the pair of complex roots
+    cannot be told from a real double root.
+    """
+
+
+class StagnationError(NumericalError, RuntimeError):
+    """The minimizer's KKT solve did not reach a KKT point: the pivot
+    iterations hit their cap, or the bordered KKT system was singular.
+
+    Attributes
+    ----------
+    objective : float
+        Lowest objective value recorded before the failure.
+    """
+
+    def __init__(self, message, objective):
+        super().__init__(message)
+        self.objective = objective
 
 
 # support endpoint and edge constants of the linear-field minimizer
@@ -731,16 +759,15 @@ def _fit_c0_cells(w, h, q_est):
     return coef[0]
 
 
-def _fit_c1_cells(w, h, j_edge, first=3, last=30):
+def _fit_c1_cells(w, h, j_edge):
     """c1 = lim rho(s)/sqrt(q-s) by least squares against c1 + g1*r + g2*r^2
-    in r = sqrt(q-s), over cells first..last counted inward from the support
-    edge (cell weights normalized by the exact integral of sqrt(q-s) per
-    cell; the outermost cells are skipped for the same edge-artifact reason
-    as at the origin)."""
+    in r = sqrt(q-s), over cells 3..30 counted inward from the support edge
+    (all cells of a support narrower than 4), each cell weight normalized by
+    the exact integral of sqrt(q-s) over the cell; the outermost cells are
+    skipped for the same edge-artifact reason as at the origin."""
     q = (j_edge + 1) * h
-    last = min(last, j_edge)
-    offs = np.arange(first, last + 1) if last >= first else np.arange(
-        0, j_edge + 1)
+    last = min(30, j_edge)
+    offs = np.arange(3, last + 1) if last >= 3 else np.arange(0, j_edge + 1)
     j = j_edge - offs
     a, b = j * h, (j + 1) * h
     norm = (2.0 / 3.0) * ((q - a) ** 1.5 - (q - b) ** 1.5)

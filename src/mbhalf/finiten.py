@@ -27,8 +27,8 @@ from mpmath import mp, mpf, mpc
 
 from .mpcore import (
     _LN2,
+    NumericalError,
     SingularMatrixError,
-    inv3,
     ldu_decompose,
     quad_ts,
     unit_lower_inverse,
@@ -39,7 +39,7 @@ from .kernel import _meijer_or_diag
 from .specfun import _LOG10_2, _measured_passes
 
 
-class DomainExtensionError(ValueError):
+class DomainExtensionError(NumericalError, ValueError):
     """No finite quadrature box captured the moment tail."""
 
 
@@ -670,7 +670,7 @@ def cd_formula_check(bs: BiorthoSystem, x, y, dps=30):
         Yy = _y_plus(bs.table, rows1, y, T, dps)
         wy = _weight(bs.table, y)
         left = [mpc(0), wy, mp.sqrt(y) * wy]
-        Yy_inv = inv3(Yy)
+        Yy_inv = mp.inverse(Yy).tolist()
         right = [Yx[i][0] for i in range(3)]
         mid = [mp.fdot(row, right) for row in Yy_inv]
         val = mp.fdot(left, mid)

@@ -74,7 +74,7 @@ from operator import add, floordiv, mul
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .mpcore import working
+from .mpcore import NumericalError, working
 from .specfun import (_LOG10_2, _cancellation_digits, _wright_growth,
                       _wright_terms)
 from .meijer import SectorPoint, phi4_triple, psi4_triple
@@ -93,7 +93,7 @@ _MARGIN_DIGITS = 5
 MAX_LOSS_RAISE = 400
 
 
-class PrecisionLossError(ArithmeticError):
+class PrecisionLossError(NumericalError, ArithmeticError):
     """The matrix route would lose more digits near the origin or the
     diagonal than MAX_LOSS_RAISE extra working digits restore."""
 
@@ -258,12 +258,6 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
         if return_complex:
             return val
         return val.real
-
-
-def kernel_imag_residual(alpha, x, y, dps=None):
-    """|Im K| / |K| from the matrix route (should sit at roundoff)."""
-    v = kernel_meijer(alpha, x, y, dps=dps, return_complex=True)
-    return abs(v.imag) / (abs(v) or mpf(1))
 
 
 def kernel_diag_limit(alpha, x, dps=None):

@@ -90,7 +90,7 @@ from operator import add, mul, sub
 from mpmath import fp, mp, mpf, mpc
 from mpmath.libmp import from_man_exp, mpf_sub, round_nearest, to_fixed
 
-from .mpcore import working, QuadratureConvergenceError
+from .mpcore import NumericalError, QuadratureConvergenceError, working
 from .specfun import (_MAX_TERMS, _cancellation_digits, _measured_passes,
                       hyper0f2_log_theta, hyper0f2_theta,
                       SeriesConvergenceError)
@@ -117,11 +117,6 @@ class SectorPoint:
 
     def _log(self):
         return mpc(mp.log(mpf(self.modulus)), mpf(self.argument))
-
-    def clog(self, dps=None):
-        """log z = log r + i theta with the total angle."""
-        with working(dps):
-            return self._log()
 
     def power(self, c, dps=None):
         with working(dps):
@@ -172,7 +167,7 @@ def _series_form(b):
     return (i, j, n) if n >= 0 else (j, i, -n)
 
 
-class ResonantParameterError(ValueError):
+class ResonantParameterError(NumericalError, ValueError):
     """A parameter difference of G is within RESONANCE_TOL of an integer,
     but b is not exactly resonant in one pair alone: the residue series
     has no form there, and only the loop route evaluates G."""

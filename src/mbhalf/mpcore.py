@@ -24,7 +24,7 @@ matrix frames, moment tables) is built on the primitives in this module:
   triangular biorthogonality structure);
 * unit-triangular inverses; they and the LDU form each entry as one
   exact-product ``mp.fdot``, rounded once;
-* small dense 3x3 helpers (det/inverse).
+* small dense 3x3 helpers (product, transpose, determinant, max norm).
 
 Gamma, its reciprocal, polynomial values and the mpf-to-integer step of the
 fixed-point sums are mpmath's own (``mp.gamma``, ``mp.rgamma``,
@@ -72,7 +72,13 @@ _LN2 = math.log(2.0)
 GUARD_DIGITS = 10
 
 
-class QuadratureConvergenceError(RuntimeError):
+class NumericalError(Exception):
+    """Base of every typed numerical failure of the package; the command
+    line maps it to exit code 3.  Each subclass also derives from the
+    built-in exception it refines, so ``except ValueError`` still holds."""
+
+
+class QuadratureConvergenceError(NumericalError, RuntimeError):
     """Level-doubling quadrature failed to meet tolerance.
 
     Carries the last two level estimates so the caller can inspect how far
@@ -84,7 +90,7 @@ class QuadratureConvergenceError(RuntimeError):
         self.estimates = estimates
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(NumericalError, ValueError):
     """LDU hit a vanishing pivot; ``minor`` names the failing leading minor."""
 
     def __init__(self, message, minor):
@@ -490,15 +496,11 @@ def solve_cubic(c3, c2, c1, c0, dps=None):
             alt = -q / 2 - sq
             if abs(alt) > abs(u3):
                 u3 = alt
-            if u3 == 0:
-                t0 = (-q) ** (mpf(1) / 3)
-                roots = [shift + t0, shift + t0 * omega, shift + t0 * omega ** 2]
-            else:
-                u = u3 ** (mpf(1) / 3)
-                roots = []
-                for k in range(3):
-                    uk = u * omega ** k
-                    roots.append(shift + uk - p / (3 * uk))
+            u = u3 ** (mpf(1) / 3)
+            roots = []
+            for k in range(3):
+                uk = u * omega ** k
+                roots.append(shift + uk - p / (3 * uk))
         polished = []
         for r in roots:
             fr = ((c3 * r + c2) * r + c1) * r + c0
@@ -583,10 +585,6 @@ def mat_mul(A, B):
             for i in range(n)]
 
 
-def mat_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
-
-
 def mat_transpose(A):
     return [[A[j][i] for j in range(len(A))] for i in range(len(A[0]))]
 
@@ -597,28 +595,7 @@ def det3(A):
             + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
 
 
-def inv3(A):
-    det = det3(A)
-    if det == 0:
-        raise SingularMatrixError("3x3 matrix is singular", minor=3)
-    cof = [
-        [A[1][1] * A[2][2] - A[1][2] * A[2][1],
-         A[0][2] * A[2][1] - A[0][1] * A[2][2],
-         A[0][1] * A[1][2] - A[0][2] * A[1][1]],
-        [A[1][2] * A[2][0] - A[1][0] * A[2][2],
-         A[0][0] * A[2][2] - A[0][2] * A[2][0],
-         A[0][2] * A[1][0] - A[0][0] * A[1][2]],
-        [A[1][0] * A[2][1] - A[1][1] * A[2][0],
-         A[0][1] * A[2][0] - A[0][0] * A[2][1],
-         A[0][0] * A[1][1] - A[0][1] * A[1][0]],
-    ]
-    return [[cof[i][j] / det for j in range(3)] for i in range(3)]
-
-
 def norm_max(A):
     """Entrywise max-abs norm of a matrix (list-of-lists)."""
     return max(abs(x) for row in A for x in row)
 
-
-def identity3():
-    return [[mpc(1) if i == j else mpc(0) for j in range(3)] for i in range(3)]

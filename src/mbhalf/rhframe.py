@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, mpc
 
-from .mpcore import inv3, mat_mul, mat_transpose, norm_max, working
+from .mpcore import mat_mul, mat_transpose, norm_max, working
 from .meijer import SectorPoint, phi_scalars, psi_scalars
 from .specfun import _cancellation_digits
 
@@ -232,11 +232,11 @@ def phi_inverse(alpha, point, dps=None, side=None):
         return [[s * x for x in row] for row in prod]
 
 
-def phi_psi_product(alpha, point, dps=None, side=None):
+def phi_psi_product(alpha, point, dps=None):
     """Phi Psi^T; z-independent, equal to -4 pi^2 C^{-1}."""
     with working(dps) as d:
-        phi = phi_matrix(alpha, point, dps=d, side=side)
-        psi = psi_matrix(alpha, point, dps=d, side=side)
+        phi = phi_matrix(alpha, point, dps=d)
+        psi = psi_matrix(alpha, point, dps=d)
         return mat_mul(phi, mat_transpose(psi))
 
 
@@ -352,7 +352,7 @@ def expansion_residual(alpha, x, dps=None, frame="phi"):
         D = exp_diag(pt, dps=dc, frame=frame)
         tm = mat_mul(T, M)
         tm = [[tm[i][j] / D[j] for j in range(3)] for i in range(3)]
-        R = mat_mul(tm, inv3(L))
+        R = mat_mul(tm, mp.inverse(L).tolist())
         R = [[R[i][j] / scale - (1 if i == j else 0) for j in range(3)]
              for i in range(3)]
         return norm_max(R)

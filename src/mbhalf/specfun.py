@@ -37,7 +37,7 @@ import math
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .mpcore import working
+from .mpcore import NumericalError, working
 
 #: term budget of every series; running out raises SeriesConvergenceError
 _MAX_TERMS = 20000
@@ -51,7 +51,7 @@ _GUARD_BITS = 20
 _LOG10_2 = math.log10(2)
 
 
-class SeriesConvergenceError(RuntimeError):
+class SeriesConvergenceError(NumericalError, RuntimeError):
     """A series used up its _MAX_TERMS terms before its stopping rule held,
     or still lost too many digits to cancellation after _MAX_PASSES passes.
 

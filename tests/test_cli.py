@@ -83,6 +83,17 @@ def test_usage_errors(capsys):
                  ["eqsolve", "--v", "0,inf", "--m", "20"]):
         assert main(argv) == 2, argv
         assert "finite" in capsys.readouterr().err, argv
+    # malformed or out-of-range values of each subcommand's own flags
+    for argv in (["eqsolve", "--v", "a,b"],
+                 ["eqsolve", "--v", "5"],
+                 ["converge", "--alpha", "0", "--x", "1", "--y", "2",
+                  "--ns", "4,x"],
+                 ["converge", "--alpha", "0", "--x", "0", "--y", "1"],
+                 ["meijer", "--b", "1,2", "--z-grid", "1"],
+                 ["meijer", "--z-grid", "0"],
+                 ["meijer", "--z-grid", "1", "--route", "series", "--m", "2"]):
+        assert main(argv) == 2, argv
+        assert "usage error" in capsys.readouterr().err, argv
     # sizes that allocate are refused before anything is built: eqsolve's
     # m x m float64 matrices, and one mpf per grid point
     over = "1:2:%d" % (MAX_GRID_POINTS + 1)

@@ -290,6 +290,12 @@ def test_cardano_keeps_its_digits_up_to_the_soft_edge():
             density_vx_cardano(s, dps=d)
 
 
+def test_cardano_refuses_the_hard_edge_and_below():
+    for s in (0, -1):
+        with pytest.raises(DomainError):
+            density_vx_cardano(s, dps=30)
+
+
 def test_density_integrates_to_one():
     with mp.workdps(40):
         total = quad_ts(lambda t: density_vx_explicit(t, dps=35), 0,
@@ -353,6 +359,12 @@ def test_minimizer_linear_field():
     dev, ineq_ok = variational_residual(sol, lambda x: x)
     assert dev < 1e-3
     assert ineq_ok
+    # a multiplier 0.5 too low lifts U - V - ell by 0.5 everywhere: the
+    # equality defect reads 0.5 and the strict inequality fails beyond q
+    low = dataclasses.replace(sol, ell=sol.ell - 0.5)
+    dev, ineq_ok = variational_residual(low, lambda x: x)
+    assert dev == pytest.approx(0.5, abs=1e-3)
+    assert not ineq_ok
 
 
 def test_minimizer_warns_when_the_support_reaches_the_box_edge():

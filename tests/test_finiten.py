@@ -424,7 +424,7 @@ def test_cd_matrix_form_agrees(system6):
 
 @pytest.mark.parametrize("alpha, n, dps", [
     ("0", 2, 30), ("0", 8, 30), ("0.3", 2, 30), ("0.3", 8, 30),
-    ("0", 2, 60), ("0.3", 2, 60)])
+    ("0", 2, 60), ("0.3", 2, 60), ("0.3", 3, 30), ("0", 5, 30)])
 def test_cd_residual_meets_the_working_digits(alpha, n, dps):
     # the boundary values are taken at z = x itself, so the identity holds
     # to the working digits; boundary values from x + i delta and
@@ -450,10 +450,12 @@ def test_cd_guards():
 
 
 def test_y_growth_normalization(system6):
-    mt = moments(mpf(0), 4, "laguerre", smax=mpf(9), dps=64)
-    bs = biortho_build(mt, 4)
-    resid = y_growth_residual(bs, mpc(0, 500), dps=30)
-    assert resid < mpf("0.05")
+    # an odd n takes the other pair of edge rows
+    for n in (3, 4):
+        mt = moments(mpf(0), n, "laguerre", smax=mpf(9), dps=64)
+        bs = biortho_build(mt, n)
+        resid = y_growth_residual(bs, mpc(0, 500), dps=30)
+        assert resid < mpf("0.05"), n
     with pytest.raises(ValueError):
         y_growth_residual(bs, mpf(3), dps=30)
 

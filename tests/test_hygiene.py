@@ -517,39 +517,39 @@ def test_float_of_abs_detector():
     assert _float_of_abs(tree) == [1, 4, 7, 8, 11]
 
 
-def _exception_classes(trees):
-    """(module, line, name) of the classes of ``trees`` (a name -> tree
-    mapping) that derive, directly or through one another, from a built-in
-    exception."""
-    classes = {node.name: (mod, node.lineno,
-                           [getattr(b, "id", getattr(b, "attr", None))
-                            for b in node.bases])
-               for mod, tree in trees.items() for node in tree.body
-               if isinstance(node, ast.ClassDef)}
+def _derives(bases, name, test, seen=()):
+    """True when ``test(name)`` holds, or holds for a class that ``name``
+    reaches through ``bases`` (a class name -> base names mapping)."""
+    if test(name):
+        return True
+    return (name in bases and name not in seen
+            and any(_derives(bases, b, test, seen + (name,))
+                    for b in bases[name]))
 
-    def is_error(name, seen=()):
-        builtin = getattr(builtins, name, None)
-        if isinstance(builtin, type) and issubclass(builtin, BaseException):
-            return True
-        return (name in classes and name not in seen
-                and any(is_error(b, seen + (name,)) for b in classes[name][2]))
 
-    return sorted(classes[name][:2] + (name,) for name in classes
-                  if is_error(name))
+def _is_builtin_exception(name):
+    builtin = getattr(builtins, name, None)
+    return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+
+#: the bases ``cli.main`` maps to an exit code: 3 and 2
+MAPPED_BASES = ("NumericalError", "UsageError")
 
 
 def _unmapped_errors(trees):
-    """Exception classes of ``trees`` that cli.py neither lists in
-    ``_NUMERICAL_ERRORS`` (exit 3) nor names ``UsageError`` (exit 2): one
-    raised through ``main`` would end in a traceback, exit 1."""
-    mapped = {"UsageError"}
-    for node in trees["cli.py"].body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "_NUMERICAL_ERRORS"
-                        for t in node.targets)):
-            mapped.update(getattr(e, "id", getattr(e, "attr", None))
-                          for e in node.value.elts)
-    return [item for item in _exception_classes(trees) if item[2] not in mapped]
+    """(module, line, name) of the exception classes of ``trees`` (a name ->
+    tree mapping) that derive, directly or through one another, from
+    neither of MAPPED_BASES: one raised through ``main`` would end in a
+    traceback, exit 1."""
+    defs = {node.name: (mod, node.lineno) for mod, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {node.name: [getattr(b, "id", getattr(b, "attr", None))
+                         for b in node.bases]
+             for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+    return sorted(defs[name] + (name,) for name in defs
+                  if _derives(bases, name, _is_builtin_exception)
+                  and not _derives(bases, name, MAPPED_BASES.__contains__))
 
 
 def test_every_error_maps_to_an_exit_code():
@@ -559,21 +559,30 @@ def test_every_error_maps_to_an_exit_code():
 
 
 def test_unmapped_error_detector():
-    trees = {"a.py": ast.parse("class BadInput(ValueError):\n"
+    trees = {"a.py": ast.parse("from .core import NumericalError\n"
+                               "class BadInput(ValueError):\n"
                                "    pass\n"
                                "class Deeper(BadInput):\n"
                                "    pass\n"
                                "class Plain:\n"
                                "    pass\n"
-                               "class Mapped(RuntimeError):\n"
+                               "class Mapped(NumericalError, RuntimeError):\n"
+                               "    pass\n"
+                               "class Through(Mapped):\n"
                                "    pass\n"
                                "class Table(dict):\n"
                                "    pass\n"),
-             "cli.py": ast.parse("class UsageError(ValueError):\n"
+             "core.py": ast.parse("class NumericalError(Exception):\n"
+                                  "    pass\n"),
+             "cli.py": ast.parse("import core\n"
+                                 "class UsageError(ValueError):\n"
                                  "    pass\n"
-                                 "_NUMERICAL_ERRORS = (a.Mapped, ZeroDivisionError)\n")}
-    assert _unmapped_errors(trees) == [("a.py", 1, "BadInput"),
-                                       ("a.py", 3, "Deeper")]
+                                 "class Refused(UsageError):\n"
+                                 "    pass\n"
+                                 "class Failed(core.NumericalError):\n"
+                                 "    pass\n")}
+    assert _unmapped_errors(trees) == [("a.py", 2, "BadInput"),
+                                       ("a.py", 4, "Deeper")]
 
 
 def _own_nodes(func):
