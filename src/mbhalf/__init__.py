@@ -1,6 +1,6 @@
 """High-precision tools for a biorthogonal hard-edge universality model.
 
-Subpackages by layer: mpcore (arbitrary-precision substrate), specfun
+Modules by layer: mpcore (arbitrary-precision substrate), specfun
 (hypergeometric series and Wright-Bessel functions), meijer (Meijer
 G-functions on arbitrary sheets), rhframe (3x3 matrix frames, jumps and
 large-z expansions), kernel (hard-edge correlation kernels), equilibrium

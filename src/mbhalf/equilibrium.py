@@ -581,7 +581,7 @@ class _Bordered:
         self.A, self.v, self.support = A, v, support.copy()
         self.idx = idx = np.flatnonzero(support)
         k = idx.size
-        self.near = near = _near_border(support, COARSE_FACTOR)
+        near = _near_border(support, COARSE_FACTOR)
         self.may_leave = np.flatnonzero(near & support)
         self.may_enter = np.flatnonzero(near & ~support)
         nl = self.may_leave.size
@@ -611,10 +611,6 @@ class _Bordered:
         w = np.zeros(self.v.size)
         w[self.idx] = self.x0[:-1]
         return w, 2.0 * float(self.x0[-1])
-
-    def reaches(self, support):
-        """Whether `support` differs from S only in lookahead cells."""
-        return not np.any((support != self.support) & ~self.near)
 
     def schur(self, support):
         """(w, ell) on a trial support that this factorization reaches,

@@ -231,8 +231,8 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
     MAX_LOSS_RAISE of them raises :class:`PrecisionLossError`."""
     with working(dps) as d:
         xx, yy = mpf(x), mpf(y)
-        if xx <= 0 or yy <= 0:
-            raise ValueError("matrix route needs x, y > 0")
+        if mpf(alpha) <= -1 or xx <= 0 or yy <= 0:
+            raise ValueError("need alpha > -1 and x, y > 0")
         if _near_diagonal(xx, yy):
             raise ValueError(
                 "x and y too close for the 1/(x-y) route; "

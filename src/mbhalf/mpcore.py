@@ -126,27 +126,6 @@ class working:
 # tanh-sinh quadrature
 # ----------------------------------------------------------------------
 
-def _components(f):
-    """``f`` as an integrand that always returns a list of values.
-
-    A sequence-valued ``f`` passes through as a list; a scalar ``f`` becomes
-    the length-1 case.  ``unwrap`` turns the list of integrals back into
-    what ``f`` returned: a list, or the one scalar.
-    """
-    shape = []
-
-    def g(x):
-        v = f(x)
-        if not shape:
-            shape.append(isinstance(v, (list, tuple)))
-        return list(v) if shape[0] else [v]
-
-    def unwrap(vals):
-        return vals if shape[0] else vals[0]
-
-    return g, unwrap
-
-
 @functools.lru_cache(maxsize=64)
 def _ts_nodes(level, dps):
     """Abscissas for level ``level`` (odd multiples of h except level 0).
@@ -417,15 +396,12 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
     """
     d = _resolve_dps(dps)
     tol = mpf(10) ** (-(d - 10)) if d > 20 else mpf(10) ** (-d)
-    if powers is None:
-        g, unwrap = _components(f)
-    else:
-        g, unwrap = f, list
     with working(d):
         a = mpf(a)
         b = mpf(b)
         half = (b - a) / 2
         total = prev = None
+        scalar = False
         for level in range(0, max_level + 1):
             h, nodes = _ts_nodes(level, d)
             ws, rows = [], []
@@ -443,9 +419,11 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
                                            (b - half * gap, b)) if x != end]
                 for x in xs:
                     ws.append(w)
-                    rows.append(g(x))
+                    rows.append(f(x))
             if powers is None:
-                contrib = [mp.fdot(ws, col) for col in zip(*rows)]
+                scalar = not isinstance(rows[0], (list, tuple))
+                contrib = [mp.fdot(ws, col)
+                           for col in ((rows,) if scalar else zip(*rows))]
             else:
                 envs = [_enveloped(row) for row in rows]
                 keep = _reachable(ws, envs, powers)
@@ -460,7 +438,7 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
             else:
                 total = [hh * c for c in contrib]
             if prev is not None and _worst_component(total, prev, tol) is None:
-                return unwrap([+v for v in total])
+                return +total[0] if scalar else [+v for v in total]
         i = 0 if prev is None else _worst_component(total, prev, tol)
         raise QuadratureConvergenceError(
             f"tanh-sinh did not converge by level {max_level} (h={h})",

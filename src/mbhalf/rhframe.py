@@ -20,6 +20,9 @@ continuations of the scalars:
 On a ray the caller must say which side is meant (``side='+'`` or
 ``'-'``); the + side of each ray is the one reached counterclockwise
 (above R+, left of iR+, right of iR-, below R- at total angle -pi).
+An argument within ``_RAY_EPS`` (1e-9) of a ray lies on it; the layouts
+hold on -pi <= arg z <= pi only, so an argument with
+|arg z| > pi + ``_RAY_EPS`` raises ``ValueError``.
 
 Global identities wired through here:
 
@@ -41,13 +44,19 @@ identities above and of the tests that hold the kernel to them.
 
 from __future__ import annotations
 
+import math
+
 from mpmath import mp, mpf, mpc
 
 from .mpcore import mat_mul, mat_transpose, norm_max, working
 from .meijer import SectorPoint, phi_scalars, psi_scalars
 from .specfun import _cancellation_digits
 
-RAYS = ("pos", "ipos", "ineg", "neg")
+#: ray -> (angle in units of pi, quadrant on its + side, quadrant on its
+#: - side); the order is the order of rhcheck's rows
+_RAYS = {"pos": (0.0, 1, 4), "ipos": (0.5, 2, 1), "ineg": (-0.5, 4, 3),
+         "neg": (1.0, 3, 2)}
+RAYS = tuple(_RAYS)
 
 _RAY_EPS = 1e-9
 
@@ -66,50 +75,36 @@ _PSI_LAYOUT = {
 }
 
 
+def _ray_at(k):
+    """The ray at angle k pi/2 (mod 2 pi)."""
+    return next(ray for ray, (angle, _, _) in _RAYS.items()
+                if (2 * angle - k) % 4 == 0)
+
+
 def _classify(point, side):
     """Map a sector point to (quadrant, evaluation point).
 
     Arguments within _RAY_EPS of a ray need an explicit side; the
     negative axis accepts total angle +pi or -pi and re-centers it so the
-    + side evaluates at -pi and the - side at +pi.
+    + side evaluates at -pi and the - side at +pi.  An open quadrant is
+    the + side of the ray it starts from.
     """
     th = float(point.argument)
-    if not -3.15 < th < 3.15:
+    if not abs(th) <= math.pi + _RAY_EPS:
         raise ValueError(
             f"frame matrices live on -pi <= arg z <= pi, got {th}")
-    half_pi = 1.5707963267948966
-    pi_ = 3.141592653589793
-
-    def on(x, target):
-        return abs(x - target) < _RAY_EPS
-
-    if on(th, 0.0):
-        ray = "pos"
-    elif on(th, half_pi):
-        ray = "ipos"
-    elif on(th, -half_pi):
-        ray = "ineg"
-    elif on(abs(th), pi_):
-        ray = "neg"
-    else:
-        quadrant = 1 if 0 < th < half_pi else \
-            2 if half_pi < th < pi_ else \
-            4 if -half_pi < th < 0 else 3
-        return quadrant, point
-
+    quarters = 2 * th / math.pi
+    k = round(quarters)
+    if abs(th - k * math.pi / 2) >= _RAY_EPS:
+        return _RAYS[_ray_at(math.floor(quarters))][1], point
+    ray = _ray_at(k)
     if side not in ("+", "-"):
         raise ValueError(
             f"argument {th} lies on ray {ray!r}: pass side='+' or side='-'")
-    if ray == "pos":
-        return (1 if side == "+" else 4), point
-    if ray == "ipos":
-        return (2 if side == "+" else 1), point
-    if ray == "ineg":
-        return (4 if side == "+" else 3), point
     # negative axis: + side at total angle -pi, - side at +pi
-    if side == "+":
-        return 3, (point if th < 0 else point.rotated(-2 * mp.pi))
-    return 2, (point if th > 0 else point.rotated(2 * mp.pi))
+    if ray == "neg" and (th > 0) == (side == "+"):
+        point = point.rotated(-2 * mp.pi if side == "+" else 2 * mp.pi)
+    return _RAYS[ray][1 if side == "+" else 2], point
 
 
 def _assemble(scalars, frame, quadrant):
@@ -169,9 +164,6 @@ def psi_jump(ray, alpha, dps=None):
     raise ValueError(f"unknown ray {ray!r}")
 
 
-_RAY_ANGLE = {"pos": 0.0, "ipos": 0.5, "ineg": -0.5, "neg": 1.0}
-
-
 def jump_residual(alpha, ray, modulus, dps=None, frame="phi"):
     """Relative residual of F_+ = F_- J on the given ray at |z| = modulus.
 
@@ -181,7 +173,7 @@ def jump_residual(alpha, ray, modulus, dps=None, frame="phi"):
     scalars = phi_scalars if frame == "phi" else psi_scalars
     jump = phi_jump if frame == "phi" else psi_jump
     with working(dps) as d:
-        th = mpf(_RAY_ANGLE[ray]) * mp.pi
+        th = mpf(_RAYS[ray][0]) * mp.pi
         pt = SectorPoint(mpf(modulus), th)
         (qp, ev_p), (qm, ev_m) = (_classify(pt, side) for side in "+-")
         sc_p = scalars(alpha, ev_p, dps=d)

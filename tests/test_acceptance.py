@@ -12,7 +12,6 @@ the printed line reports the actual achieved numbers either way.
 
 import time
 
-import numpy as np
 from mpmath import mp, mpf
 
 from mbhalf.equilibrium import (

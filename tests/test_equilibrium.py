@@ -670,11 +670,12 @@ def test_schur_step_matches_the_direct_solve():
     support = np.zeros(400, dtype=bool)
     support[80:240] = True
     base = equilibrium._Bordered(A, v, support)
+    near = _near_border(support, COARSE_FACTOR)
     for gone, come in (([80, 81], []), ([], [78, 79, 240]),
                        ([239, 237, 80], [241, 72])):
         trial = support.copy()
         trial[gone], trial[come] = False, True
-        assert base.reaches(trial)
+        assert not np.any((trial != support) & ~near)
         w, ell = base.schur(trial)
         w_ref, ell_ref = equilibrium._Bordered(A, v, trial).weights()
         assert np.all(w[~trial] == 0)
@@ -683,7 +684,7 @@ def test_schur_step_matches_the_direct_solve():
     for cell in (71, 100, 248):
         trial = support.copy()
         trial[cell] = not trial[cell]
-        assert not base.reaches(trial)
+        assert np.any((trial != support) & ~near)
 
 
 def _record_solves(monkeypatch):

@@ -7,9 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from mbhalf.finiten import (
-    BiorthoSystem,
     DomainExtensionError,
-    MomentTable,
     biortho_build,
     biortho_residual,
     cd_formula_check,

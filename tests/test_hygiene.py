@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "mbhalf").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -201,7 +202,7 @@ def test_sources_found():
     assert len(SRC) >= 8
 
 
-@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SRC + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _unused_imports(tree)

@@ -185,6 +185,15 @@ def test_integral_route_as_alpha_approaches_minus_one():
             assert abs(vi - vm) <= mpf(10) ** -(d + 5) * abs(vm), (x, y)
 
 
+@pytest.mark.parametrize("alpha", ["-1", "-1.5"])
+def test_routes_refuse_alpha_at_or_below_minus_one(alpha):
+    # the kernel is defined for alpha > -1 only; the matrix route's frames
+    # still return numbers below it (0.1131 at alpha = -1, (x, y) = (1, 2))
+    for route in (kernel_integral, kernel_meijer, kernel._meijer_or_diag):
+        with pytest.raises(ValueError, match="alpha > -1"):
+            route(mpf(alpha), mpf(1), mpf(2), dps=30)
+
+
 def test_matrix_route_refuses_near_diagonal():
     with pytest.raises(ValueError):
         kernel_meijer(mpf(0), mpf(1), mpf(1) + mpf(DIAG_GUARD) / 10, dps=30)

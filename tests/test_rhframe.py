@@ -54,8 +54,34 @@ def test_ray_points_require_a_side():
 
 
 def test_argument_range_guard():
-    with pytest.raises(ValueError):
-        phi_matrix(ALPHA, SectorPoint(mpf(1), mpf(5)), dps=30)
+    # the quadrant layouts hold on -pi <= arg z <= pi; just past +-pi an
+    # argument is neither the negative axis nor a quadrant of that range
+    # (3.145 would be laid out as Q3 but evaluated on the sheet above)
+    beyond = (mpf(5), mpf("3.145"), mpf("-3.145"),
+              mp.pi + mpf("2e-9"), -mp.pi - mpf("2e-9"))
+    for th in beyond:
+        pt = SectorPoint(mpf("1.3"), th)
+        for frame in (phi_matrix, psi_matrix, phi_inverse, phi_psi_product):
+            with pytest.raises(ValueError, match="-pi <= arg z <= pi"):
+                frame(ALPHA, pt, dps=30)
+
+
+@pytest.mark.parametrize("angle, plus, minus", [
+    (0, 1, 4), (0.5, 2, 1), (-0.5, 4, 3), (1, 3, 2), (-1, 3, 2)])
+def test_each_side_of_each_ray_takes_its_quadrant(angle, plus, minus):
+    # the + side of a ray is the quadrant reached counterclockwise; the
+    # negative axis, at +pi or -pi, evaluates its + side at -pi and its
+    # - side at +pi; 2 _RAY_EPS off a ray is inside the quadrant beside it
+    th = mpf(angle) * mp.pi
+    for side, quadrant, neg_at in (("+", plus, -mp.pi), ("-", minus, mp.pi)):
+        q, ev = rhframe._classify(SectorPoint(mpf(1), th), side)
+        assert q == quadrant
+        assert ev.argument == (neg_at if abs(angle) == 1 else th)
+    off = 2 * rhframe._RAY_EPS
+    if angle != 1:
+        assert rhframe._classify(SectorPoint(mpf(1), th + off), None)[0] == plus
+    if angle != -1:
+        assert rhframe._classify(SectorPoint(mpf(1), th - off), None)[0] == minus
 
 
 def test_jump_residuals_all_rays_both_frames():
