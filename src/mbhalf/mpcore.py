@@ -63,7 +63,14 @@ import functools
 import math
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -400,13 +407,14 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
         a = mpf(a)
         b = mpf(b)
         half = (b - a) / 2
+        prec, ra, rb, rhalf = mp.prec, a._mpf_, b._mpf_, half._mpf_
         total = prev = None
         scalar = False
         for level in range(0, max_level + 1):
             h, nodes = _ts_nodes(level, d)
             ws, rows = [], []
             for t, gap, w in nodes:
-                if t == 0:
+                if t._mpf_ == fzero:
                     xs = (a + half,)
                 else:
                     # deep in the tail the offset half*gap underflows the
@@ -414,9 +422,15 @@ def quad_ts(f, a, b, dps=None, max_level=12, powers=None):
                     # endpoint; skip such nodes so that endpoint-singular
                     # integrands are never evaluated at the endpoint itself
                     # (their true contribution is below tolerance for any
-                    # integrable singularity weaker than (x-a)^(-3/4))
-                    xs = [x for x, end in ((a + half * gap, a),
-                                           (b - half * gap, b)) if x != end]
+                    # integrable singularity weaker than (x-a)^(-3/4)).
+                    # The offset is formed once, and a + offset and
+                    # b - offset by the libmp calls mpmath's operators make;
+                    # finite mpfs are equal exactly when their tuples are
+                    offset = mpf_mul(rhalf, gap._mpf_, prec, round_nearest)
+                    xs = [mp.make_mpf(x) for x, end in (
+                        (mpf_add(ra, offset, prec, round_nearest), ra),
+                        (mpf_sub(rb, offset, prec, round_nearest), rb))
+                          if x != end]
                 for x in xs:
                     ws.append(w)
                     rows.append(f(x))

@@ -1,4 +1,5 @@
-"""Source hygiene of the package, checked with the standard library only."""
+"""Source hygiene of the package, checked with the standard library only
+(and mpmath.libmp's signatures, for the rounding rule)."""
 
 import ast
 import builtins
@@ -655,6 +656,95 @@ def test_plus_after_raise_detector():
                      "        return a\n"
                      "    return +a, b\n")
     assert _plus_after_raise(tree) == [4, 17]
+
+
+def _libmp_functions(tree):
+    """Local name -> mpmath.libmp function name of the functions a module
+    imports from libmp, and the local names bound to libmp itself."""
+    functions, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mpmath.libmp":
+            functions.update((alias.asname or alias.name, alias.name)
+                             for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "libmp")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name == "mpmath.libmp" and alias.asname)
+    return functions, modules
+
+
+def _unrounded_libmp_calls(tree):
+    """Lines of a call of an ``mpmath.libmp`` function that takes a
+    precision ``prec`` and a rounding ``rnd``, passing the precision and
+    not the rounding: libmp then rounds down (``round_fast``, 'd'), where
+    mpmath's own operators and functions round to nearest.  A call that
+    passes neither (an exact ``mpf_sub``) is exact; one that unpacks its
+    arguments is not read."""
+    import inspect
+
+    from mpmath import libmp
+
+    functions, modules = _libmp_functions(tree)
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in functions:
+            name = functions[func.id]
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            name = func.attr
+        else:
+            continue
+        try:
+            params = list(inspect.signature(getattr(libmp, name)).parameters)
+        except (TypeError, ValueError):  # a constant or a C function
+            continue
+        if ("prec" not in params or "rnd" not in params
+                or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            continue
+        passed = set(params[:len(node.args)]) | {k.arg for k in node.keywords}
+        if "prec" in passed and "rnd" not in passed:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_libmp_calls_name_their_rounding(path):
+    # the libmp calls that stand in for mpmath's operators must round as
+    # they do, to nearest; libmp's own default rounds down
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _unrounded_libmp_calls(tree)
+    assert not found, "%s: libmp call with a precision and no rounding on " \
+        "lines %s" % (path.name, found)
+
+
+def test_unrounded_libmp_call_detector():
+    tree = ast.parse("from mpmath.libmp import from_man_exp, mpf_sub, to_fixed\n"
+                     "from mpmath.libmp import mpf_mul as mul, round_nearest\n"
+                     "from mpmath import libmp, mp\n"
+                     "a = from_man_exp(m, e, prec)\n"
+                     "b = from_man_exp(m, e, prec, round_nearest)\n"
+                     "c = mpf_sub(x, y)\n"
+                     "d = mul(x, y, prec=p)\n"
+                     "e = mul(x, y, prec=p, rnd='n')\n"
+                     "f = to_fixed(x, prec)\n"
+                     "g = libmp.mpf_exp(x, prec)\n"
+                     "h = libmp.mpf_exp(x, prec, rnd=round_nearest)\n"
+                     "i = from_man_exp(m, e)\n"
+                     "j = mp.exp(x, prec=p)\n"
+                     "k = mpf_sub(*args)\n"
+                     "m = libmp.round_nearest\n")
+    assert _unrounded_libmp_calls(tree) == [4, 7, 10]
+    tree = ast.parse("import mpmath.libmp as lm\n"
+                     "a = lm.mpf_log(x, prec)\n"
+                     "b = lm.mpf_log(x, prec, 'n')\n")
+    assert _unrounded_libmp_calls(tree) == [2]
 
 
 def _pyproject_dependencies():
