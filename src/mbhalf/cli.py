@@ -19,8 +19,8 @@ from mpmath import mp, mpf
 from . import __version__
 from . import rhframe
 from .finiten import hard_edge_convergence
-from .kernel import (_meijer_or_diag, _near_diagonal, kernel_integral,
-                     kernel_meijer)
+from .kernel import (kernel_diag_limit, kernel_integral_grid,
+                     kernel_meijer_grid)
 from .meijer import SectorPoint, g303_series, mb_loop, pick_route
 from .mpcore import (NumericalError, det3, mat_mul, mat_transpose, norm_max,
                      working)
@@ -127,23 +127,30 @@ def cmd_kernel(args, precision):
     if any(v <= 0 for v in xs + ys):
         raise UsageError("kernel arguments must be positive")
 
+    # each route takes its node set once: the integral route one term loop
+    # a node, the matrix route one frame triple a node
+    vi = (None if args.route == "meijer"
+          else kernel_integral_grid(alpha, xs, ys, dps=precision))
+    vm = (None if args.route == "integral"
+          else kernel_meijer_grid(alpha, xs, ys, dps=precision))
     rows = []
-    for x in xs:
-        for y in ys:
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
             if args.route == "integral":
-                rows.append([x, y, kernel_integral(alpha, x, y, dps=precision)])
+                rows.append([x, y, vi[i][j]])
             elif args.route == "meijer":
-                rows.append([x, y, _meijer_or_diag(alpha, x, y, precision)])
-            elif _near_diagonal(x, y):
+                # the matrix route refuses the diagonal band
+                v = vm[i][j]
+                if v is None:
+                    v = kernel_diag_limit(alpha, (x + y) / 2, dps=precision)
+                rows.append([x, y, v])
+            elif vm[i][j] is None:
                 # the diagonal limit reuses the integral route, so there is
                 # no independent value to difference against
-                vi = kernel_integral(alpha, x, y, dps=precision)
-                rows.append([x, y, vi, vi, ""])
+                rows.append([x, y, vi[i][j], vi[i][j], ""])
             else:
-                vi = kernel_integral(alpha, x, y, dps=precision)
-                vm = kernel_meijer(alpha, x, y, dps=precision)
-                rel = abs(vm - vi) / abs(vi)
-                rows.append([x, y, vi, vm, rel])
+                rel = abs(vm[i][j] - vi[i][j]) / abs(vi[i][j])
+                rows.append([x, y, vi[i][j], vm[i][j], rel])
     header = (["x", "y", "integral", "meijer", "rel_diff"]
               if args.route == "both" else ["x", "y", "value"])
     return header, rows, {}

@@ -63,10 +63,19 @@ a consistency diagnostic.  Near the origin and the diagonal the frames'
 entries cancel in the bilinear form; the route raises its working digits
 by an a priori bound on that loss (:func:`_meijer_loss`) and refuses a
 point that would need more than MAX_LOSS_RAISE of them.
+
+Both routes take node sets xs x ys (:func:`kernel_integral_grid`,
+:func:`kernel_meijer_grid`), and a single value is the 1 x 1 node set.
+A node's work is done once: its Wright-Bessel terms, at the most digits
+any pair of the set works at, or its phi4 or psi4 triple, at the most
+digits any of its own pairs needs.  Each pair then makes only its double
+sum or its bilinear form, at its own digits.  The two routes share no
+node work and stay independent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 from operator import add, floordiv, mul
@@ -196,27 +205,135 @@ def kernel_integral(alpha, x, y, theta=None, dps=None):
     integral B.
 
     The double sum is raised by the cancellation digits of both
-    Wright-Bessel series, whose terms it pairs.
+    Wright-Bessel series, whose terms it pairs.  This is the 1 x 1 node
+    set of :func:`kernel_integral_grid`.
+    """
+    return kernel_integral_grid(alpha, (x,), (y,), theta=theta, dps=dps)[0][0]
+
+
+def kernel_integral_grid(alpha, xs, ys, theta=None, dps=None):
+    """:func:`kernel_integral` at every (x, y) of the node set xs x ys, as
+    one row of values per x.
+
+    A pair (x, y) works at the digits d + l(x) + l(y), l the cancellation
+    digits of its point's Wright-Bessel series.  Each distinct node's terms
+    are taken once (:func:`~mbhalf.specfun._wright_terms`), all at the
+    most digits any pair works at, d + max l(x) + max l(y): one precision
+    a node set, so that mpmath builds its gamma coefficients once.  A pair
+    then makes its double sum alone, at its own digits, from terms at
+    least as fine as its own would be (:func:`_double_sum`).
     """
     with working(dps) as d:
         a = mpf(alpha)
-        th = mpf("0.5") if theta is None else mpf(theta)
-        xx, yy = mpf(x), mpf(y)
-        if a <= -1 or xx <= 0 or yy <= 0 or th <= 0:
+        th = mpf(0.5) if theta is None else mpf(theta)
+        xx, yy = [mpf(x) for x in xs], [mpf(y) for y in ys]
+        if a <= -1 or th <= 0 or not all(v > 0 for v in xx + yy):
             raise ValueError("need alpha > -1, theta > 0 and x, y > 0")
         front = mpf(1)
-        if th == mpf("0.5"):
-            xx, yy = 4 * xx, 4 * yy
+        if th == mpf(0.5):
+            xx, yy = [4 * v for v in xx], [4 * v for v in yy]
             front = mpf(4)
-        yth = yy ** th
-    lost = (_cancellation_digits(xx, _wright_growth(1 / th))
-            + _cancellation_digits(yth, _wright_growth(th)))
-    with working(d, lost):
+        yth = [v ** th for v in yy]
+    lx = [_cancellation_digits(v, _wright_growth(1 / th)) for v in xx]
+    ly = [_cancellation_digits(v, _wright_growth(th)) for v in yth]
+    with working(d, max(lx) + max(ly)):
         # int_0^1 u^(j + th k + a) du = 1 / (j + th k + a + 1) <= 1 / (a + 1)
-        xterms, ex = _wright_terms((a + 1) / th, 1 / th, xx)
-        yterms, ey = _wright_terms(a + 1, th, yth)
-        return front * th * yy ** a * _double_sum(xterms, ex, yterms, ey,
-                                                  a + 1, th)
+        xterms = _node_values(xx, lambda v: _wright_terms((a + 1) / th,
+                                                          1 / th, v))
+        yterms = _node_values(yth, lambda v: _wright_terms(a + 1, th, v))
+    out = []
+    for (xt, ex), li in zip(xterms, lx):
+        row = []
+        for v, (yt, ey), lj in zip(yy, yterms, ly):
+            with working(d, li + lj):
+                row.append(front * th * v ** a
+                           * _double_sum(xt, ex, yt, ey, a + 1, th))
+        out.append(row)
+    return out
+
+
+def _node_values(nodes, value):
+    """``value(v)`` once for each distinct node v of ``nodes``, in their
+    order; None for a node that is None."""
+    done = {None: None}
+    keys = [None if v is None else v._mpf_ for v in nodes]
+    for v, key in zip(nodes, keys):
+        if key not in done:
+            done[key] = value(v)
+    return [done[key] for key in keys]
+
+
+#: the matrix route's constants are cached per exact alpha and digits;
+#: least recently used ones are dropped beyond this many
+_PLAN_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _meijer_plan(akey, dps):
+    """C (:func:`rhframe.c_matrix`) and 8 pi^3 i, the constants of the
+    matrix route's bilinear form, for alpha given by its mpf tuple
+    ``akey``, at ``dps`` digits (the raise of working(dps), so that the
+    cache key fixes the precision)."""
+    with working(dps) as d:
+        c = tuple(map(tuple, c_matrix(mp.make_mpf(akey), dps=d)))
+        return c, 8 * mp.pi ** 3 * mpc(0, 1)
+
+
+def _meijer_extra(alpha, xx, yy, d):
+    """The digits :func:`kernel_meijer` raises its working digits by at
+    (x, y), from :func:`_meijer_loss` less the guard digits that hold it
+    with _MARGIN_DIGITS left; more than MAX_LOSS_RAISE raises
+    :class:`PrecisionLossError`."""
+    with working(d):
+        loss = math.ceil(_meijer_loss(alpha, xx, yy))
+        extra = max(0, loss - (mp.dps - d - _MARGIN_DIGITS))
+    if extra > MAX_LOSS_RAISE:
+        raise PrecisionLossError(
+            "the matrix route would lose %d digits at (x, y) = (%s, %s), "
+            "more than its %d extra working digits restore; use "
+            "kernel_integral" % (loss, mp.nstr(xx, 5), mp.nstr(yy, 5),
+                                 MAX_LOSS_RAISE))
+    return extra
+
+
+def _matrix_route(alpha, xx, yy, d, return_complex):
+    """The matrix route on the node set xx x yy (positive mpfs) at d
+    digits: one row of values per x, None in the band of
+    :func:`_near_diagonal`.  Each pair's digits are d + its
+    :func:`_meijer_extra`; each distinct x takes its phi4 triple and each
+    distinct y its psi4 triple once, at the most digits any of its pairs
+    needs, and a pair forms the bilinear form alone, at its own digits."""
+    extras = [[None if _near_diagonal(x, y) else _meijer_extra(alpha, x, y, d)
+               for y in yy] for x in xx]
+
+    def triples(triple, nodes, node_extras):
+        digits = {v._mpf_: d + max(e for e in col if e is not None)
+                  for v, col in zip(nodes, node_extras)
+                  if any(e is not None for e in col)}
+        return _node_values(
+            [v if v._mpf_ in digits else None for v in nodes],
+            lambda v: triple(alpha, SectorPoint(v, mpf(0)),
+                             dps=digits[v._mpf_]))
+
+    phis = triples(phi4_triple, xx, extras)
+    psis = triples(psi4_triple, yy, list(zip(*extras)))
+    out = []
+    for x, right, row_extras in zip(xx, phis, extras):
+        row = []
+        for y, psi4, extra in zip(yy, psis, row_extras):
+            if extra is None:
+                row.append(None)
+                continue
+            with working(d, extra):
+                c, eight_pi3_i = _meijer_plan(mpf(alpha)._mpf_, d + extra)
+                # (theta^2 psi4, theta psi4, psi4) C, C lower triangular
+                left = [sum(psi4[2 - i] * c[i][k] for i in range(k, 3))
+                        for k in range(3)]
+                bilinear = sum(l * r for l, r in zip(left, right))
+                val = -bilinear / (eight_pi3_i * (x - y))
+                row.append(val if return_complex else val.real)
+        out.append(row)
+    return out
 
 
 def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
@@ -228,7 +345,8 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
     Near the origin and the diagonal the frames and the bilinear form work
     at the digits of :func:`_meijer_loss` beyond those its guard digits
     hold with _MARGIN_DIGITS left; a point that needs more than
-    MAX_LOSS_RAISE of them raises :class:`PrecisionLossError`."""
+    MAX_LOSS_RAISE of them raises :class:`PrecisionLossError`.  This is
+    the 1 x 1 node set of :func:`kernel_meijer_grid`."""
     with working(dps) as d:
         xx, yy = mpf(x), mpf(y)
         if mpf(alpha) <= -1 or xx <= 0 or yy <= 0:
@@ -237,33 +355,31 @@ def kernel_meijer(alpha, x, y, dps=None, return_complex=False):
             raise ValueError(
                 "x and y too close for the 1/(x-y) route; "
                 "use kernel_diag_limit")
-        loss = math.ceil(_meijer_loss(alpha, xx, yy))
-        extra = max(0, loss - (mp.dps - d - _MARGIN_DIGITS))
-    if extra > MAX_LOSS_RAISE:
-        raise PrecisionLossError(
-            "the matrix route would lose %d digits at (x, y) = (%s, %s), "
-            "more than its %d extra working digits restore; use "
-            "kernel_integral" % (loss, mp.nstr(xx, 5), mp.nstr(yy, 5),
-                                 MAX_LOSS_RAISE))
-    with working(d, extra):
-        de = d + extra
-        right = phi4_triple(alpha, SectorPoint(xx, mpf(0)), dps=de)
-        psi4 = psi4_triple(alpha, SectorPoint(yy, mpf(0)), dps=de)
-        c = c_matrix(alpha, dps=de)
-        # (theta^2 psi4, theta psi4, psi4) C, C lower triangular
-        row = psi4[::-1]
-        left = [sum(row[i] * c[i][k] for i in range(k, 3)) for k in range(3)]
-        bilinear = sum(l * r for l, r in zip(left, right))
-        val = -bilinear / (8 * mp.pi ** 3 * mpc(0, 1) * (xx - yy))
-        if return_complex:
-            return val
-        return val.real
+    return _matrix_route(alpha, [xx], [yy], d, return_complex)[0][0]
+
+
+def kernel_meijer_grid(alpha, xs, ys, dps=None):
+    """:func:`kernel_meijer` at every (x, y) of the node set xs x ys, as
+    one row of values per x, and None for a pair in the band of
+    :func:`_near_diagonal`, which the route refuses.
+
+    A pair's digits are those :func:`kernel_meijer` takes for it.  Each
+    distinct x takes its phi4 triple and each distinct y its psi4 triple
+    once, at the most digits any of its pairs needs; a pair forms only
+    its bilinear form, at its own digits.  A pair that would need more
+    than MAX_LOSS_RAISE extra digits raises :class:`PrecisionLossError`
+    before any triple is taken."""
+    with working(dps) as d:
+        xx, yy = [mpf(x) for x in xs], [mpf(y) for y in ys]
+        if mpf(alpha) <= -1 or not all(v > 0 for v in xx + yy):
+            raise ValueError("need alpha > -1 and x, y > 0")
+    return _matrix_route(alpha, xx, yy, d, False)
 
 
 def kernel_diag_limit(alpha, x, dps=None):
     """K^(a,1/2)(x,x), evaluated directly by the integral route's double
     series, whose denominators j + k/2 + a + 1 do not vanish at x = y."""
-    return kernel_integral(alpha, x, x, theta=mpf("0.5"), dps=dps)
+    return kernel_integral(alpha, x, x, theta=mpf(0.5), dps=dps)
 
 
 def _meijer_or_diag(alpha, x, y, dps):

@@ -44,8 +44,10 @@ Two independent evaluation routes:
   the 0F2 sums depend on the complex number z alone.  So a weighted sum
   of sheets of one point, sum_t w_t G(z e^(2 pi i t)), is one set of sums
   with family k weighed by Lambda_k = sum_t w_t e^(2 pi i t b_k): the
-  sheets combine per family, and every family is still summed
-  (:func:`_g3_rows`).
+  sheets combine per family (:func:`_g3_rows`).  Those weights depend on
+  b, the sheets and the digits alone and are cached as one plan
+  (:func:`_series_plan`); a family that every row weighs by exactly 0 is
+  not summed.
 
 theta-derivative triples (f, theta f, theta^2 f) come for free on both
 routes: term weights (b_k + n)^m in the series (and their derivatives in
@@ -72,10 +74,14 @@ and with Bt = (0, a, a+1/2), Gt = G^{3,0}_{0,3}(. | Bt),
     psi4 = psi2 - psi1.
 
 Each scalar is one row of (turn, weight) pairs over one point (z for
-phi, z e^{-pi i} for psi), so on the series route one scalar set costs
-one 0F2 pass per family, and a scalar one product per family.
+phi, z e^{-pi i} for psi), so on the series route one scalar set costs at
+most one 0F2 pass per family, and a scalar one product per family.
 :func:`phi4_triple` and :func:`psi4_triple` give the rows of phi4 and
-psi4 alone: turns (1, -1) of z and (1, 0) of z e^{-pi i}.
+psi4 alone: turns (1, -1) of z and (1, 0) of z e^{-pi i}.  psi4 weighs
+Gt's b = 0 family by e^0 - 1 = 0 at every alpha, and at alpha = 0 phi4
+weighs all but its logarithmic pair's log term by 0, so those rows make
+two passes and one.  b, its series form and the rows are cached per
+exact alpha and digits (:func:`_frame_rows`).
 """
 
 from __future__ import annotations
@@ -184,6 +190,9 @@ _COEF_CACHE_SIZE = 64
 #: sheet phases e^(2 pi i k c) are cached per exact c, turn k and digits;
 #: least recently used ones are dropped beyond this many
 _PHASE_CACHE_SIZE = 256
+#: series plans are cached per exact b, rows and digits; least recently
+#: used ones are dropped beyond this many
+_PLAN_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
@@ -195,30 +204,6 @@ def _plain_coef(bkey, k, dps):
         bb = [mp.make_mpf(x) for x in bkey]
         others = [bb[j] for j in range(3) if j != k]
         return mp.gamma(others[0] - bb[k]) * mp.gamma(others[1] - bb[k])
-
-
-def _family_sums(bb, form, zc, dps):
-    """The sheet-free part of the residue series at z = ``zc``: the 0F2
-    sums at -z of each family, in the order :func:`_series_triples` takes
-    them.  For ``form`` "plain", family k's (S0, S1, S2) of
-    0F2(-; 1 + b_k - b_i, 1 + b_k - b_j; -z), {i, j} the other indices,
-    weighted by b_k + n (:func:`hyper0f2_theta`); for a logarithmic pair
-    (p, q, N), first the sums (S, R) of 0F2(-; 1 - c, N + 1; -z),
-    c = b_r - b_p, weighted by b_p + n (:func:`hyper0f2_log_theta`), then
-    family r's sums.  Each carries ``dps`` digits."""
-    if form == "plain":
-        sums, plain = [], range(3)
-    else:
-        p, q, n = form
-        r = 3 - p - q
-        sums = [hyper0f2_log_theta(1 - (bb[r] - bb[p]), n + 1, -zc, c=bb[p],
-                                   dps=dps)]
-        plain = (r,)
-    for k in plain:
-        i, j = (x for x in range(3) if x != k)
-        sums.append(hyper0f2_theta(1 + bb[k] - bb[i], 1 + bb[k] - bb[j], -zc,
-                                   c=bb[k], dps=dps))
-    return sums
 
 
 @functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
@@ -240,40 +225,6 @@ def _log_coefs(bkey, pair, dps):
         return front, h0, simple
 
 
-def _log_part(bkey, pair, sums, exps, powers, zeta, dps):
-    """Families p and q of the residue sum when b_p - b_q = N is an integer
-    >= 0, as one theta triple on one sheet, from the sheet-free sums
-    (S0, S1, S2, R0, R1, R2) of :func:`_family_sums`, the sheet's powers
-    z^u for u in ``exps`` = (b_p, b_q, b_q + 1, ..., b_q + N - 1) and its
-    logarithm ``zeta``.
-
-    Family q's poles s = -b_q - k, k < N, are simple.  From s = -b_p on the
-    poles of Gamma(b_p + s) and Gamma(b_q + s) coincide; with c = b_r - b_p,
-    u = b_p + k and zeta = log z on the point's sheet, the double pole at
-    s = -b_p - k has residue
-
-        z^u Gamma(c) (-1)^N / N! t_k (H_0 + h_k - zeta),
-
-    t_k the terms of 0F2(-; 1-c, N+1; -z) and h_k their sums of
-    reciprocals (:func:`hyper0f2_log_theta`), H_0 = psi(1) + psi(N+1)
-    + psi(c) (:func:`_log_coefs`).  theta^m of z^u (A - zeta) is
-    z^u ((A - zeta) u^m - m u^(m-1)), so the triple is z^(b_p) front
-    (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.  Only zeta and the powers
-    of z depend on the sheet.
-    """
-    front, h0, simple = _log_coefs(bkey, pair, dps)
-    s, rs = sums[:3], sums[3:]
-    a = h0 - zeta
-    pref = front * powers[0]
-    out = [pref * (a * s[0] + rs[0]),
-           pref * (a * s[1] + rs[1] - s[0]),
-           pref * (a * s[2] + rs[2] - 2 * s[1])]
-    for coef, u, power in zip(simple, exps[1:], powers[1:]):
-        term = coef * power
-        out = [out[0] + term, out[1] + u * term, out[2] + u * u * term]
-    return out
-
-
 @functools.lru_cache(maxsize=_PHASE_CACHE_SIZE)
 def _turn_phase(ckey, turn, dps):
     """e^(2 pi i turn c) for c given by its mpf tuple ``ckey``: the factor
@@ -292,25 +243,131 @@ def _sheet_terms(c, row, dps):
     return [w * _turn_phase(c._mpf_, t, dps) if t else w for t, w in row]
 
 
-def _series_rows(b, point, rows, dps):
+def _weight_key(w):
+    """A row weight as an exact cache key: an int as it is, an mpf as its
+    mpf tuple, any other number as its mpc's pair of them."""
+    if isinstance(w, int):
+        return w
+    return w._mpf_ if isinstance(w, mpf) else mpc(w)._mpc_
+
+
+def _weight(key):
+    """The row weight of a :func:`_weight_key`."""
+    if isinstance(key, int):
+        return key
+    return mp.make_mpc(key) if len(key) == 2 else mp.make_mpf(key)
+
+
+def _weighed(coef, lam):
+    """coef Lambda for a row's Lambda: coef itself where Lambda is exactly
+    1, None where it is exactly 0."""
+    if lam == 0:
+        return None
+    return coef if lam == 1 else coef * lam
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _series_plan(bkey, form, rows, dps):
+    """The point-free part of :func:`_series_rows` for b given by its mpf
+    tuples ``bkey``, its :func:`_series_form` ``form`` (taken at the
+    caller's precision) and ``rows`` of (turn t, :func:`_weight_key` of
+    w_t) pairs, at ``dps`` digits (the raise of working(dps), so that the
+    cache key fixes the precision).
+
+    Each row weighs a family's triple at the point by one constant: a
+    plain family k by Gamma(b_i - b_k) Gamma(b_j - b_k) Lambda_k
+    (:func:`_plain_coef`, :func:`_sheet_terms`); a logarithmic pair by
+    front Lambda_p, its simple poles by their coefficients times
+    Lambda_p, and its turns' log term by 2 pi i front Lambda'_p
+    (:func:`_log_coefs`).  A constant that is exactly 0 is None, and a
+    family that every row weighs by 0 is left out.
+
+    Returns (plain, pair).  ``plain`` holds (b_k, b1, b2, consts) per plain
+    family summed, 0F2(-; b1, b2; -z) its sums and ``consts`` one constant
+    a row.  ``pair`` is None unless b has a logarithmic pair that some row
+    weighs, and else (b_p, b1, b2, H_0, exps, logs, consts): 0F2(-; b1, b2;
+    -z) with b1 = 1 - c, c = b_r - b_p, and b2 = N + 1, ``exps`` the
+    exponents b_q + k, k < N, of family q's simple poles, ``logs`` whether
+    some row has Lambda_p != 0 and so reads the sums R_m and the simple
+    poles, and ``consts`` one (front Lambda_p, [simple-pole coefficient
+    Lambda_p], 2 pi i front Lambda'_p) a row.
+    """
+    with working(dps) as d:
+        bb = [mp.make_mpf(x) for x in bkey]
+        rows = [[(t, _weight(w)) for t, w in row] for row in rows]
+        if form == "plain":
+            fams = range(3)
+        else:
+            p, q, n = form
+            fams = (3 - p - q,)
+        plain = []
+        for k in fams:
+            coef = _plain_coef(bkey, k, d)
+            lams = (reduce(add, _sheet_terms(bb[k], row, d)) for row in rows)
+            consts = tuple(_weighed(coef, lam) for lam in lams)
+            if any(x is not None for x in consts):
+                i, j = (x for x in range(3) if x != k)
+                plain.append((bb[k], 1 + bb[k] - bb[i], 1 + bb[k] - bb[j],
+                              consts))
+        if form == "plain":
+            return tuple(plain), None
+        front, h0, simple = _log_coefs(bkey, form, d)
+        consts = []
+        for row in rows:
+            terms = _sheet_terms(bb[p], row, d)
+            lam = reduce(add, terms)
+            dlam = sum(t * x for (t, _), x in zip(row, terms))
+            lead = mpc(0, 2) * mp.pi * front * dlam if dlam else None
+            consts.append((_weighed(front, lam),
+                           tuple(_weighed(coef, lam) for coef in simple), lead))
+        logs = any(x[0] is not None for x in consts)
+        if not logs and all(x[2] is None for x in consts):
+            return tuple(plain), None
+        c = bb[3 - p - q] - bb[p]
+        return tuple(plain), (bb[p], 1 - c, n + 1, h0,
+                              tuple(bb[q] + k for k in range(n)), logs,
+                              tuple(consts))
+
+
+def _series_rows(b, point, rows, dps, form=None):
     """sum_t w_t G^{3,0}_{0,3}(z e^(2 pi i t)|b) as a theta triple for each
     row of (turn t, weight w_t) pairs in ``rows``, z = ``point``, by the
     residue series (:func:`g303_series`, which says what b it takes and
-    what it raises).
+    what it raises); ``form`` is b's :func:`_series_form` when the caller
+    has it.
 
     Only the factors z^(b_k) of the families and the log z of a
     logarithmic pair depend on the sheet; the 0F2 sums depend on the
-    complex number z alone.  They are summed once, at ``point``
-    (:func:`_family_sums`), and z^c and log z are taken once there.  Turn t
-    multiplies z^c by the cached e^(2 pi i t c) (:func:`_turn_phase`), so a
-    row multiplies family k's triple at the point itself by
-    Lambda_k = sum_t w_t e^(2 pi i t b_k) alone (:func:`_sheet_terms`).
-    The powers of a logarithmic pair differ from z^(b_p) by integers, so
-    its triple (:func:`_log_part`) takes Lambda_p too, and since turn t
-    takes 2 pi i t from log z, less 2 pi i Lambda'_p z^(b_p) front S_m,
-    Lambda'_p = sum_t w_t t e^(2 pi i t b_p).  Every family is summed on
-    every row, whatever its Lambda_k, and the row ((0, 1),) takes the
-    point's triples as they are.
+    complex number z alone.  Turn t multiplies z^c by the cached
+    e^(2 pi i t c) (:func:`_turn_phase`), so a row multiplies family k's
+    triple at the point itself by Lambda_k = sum_t w_t e^(2 pi i t b_k)
+    alone (:func:`_sheet_terms`).  The powers of a logarithmic pair differ
+    from z^(b_p) by integers, so its triple takes Lambda_p too, and since
+    turn t takes 2 pi i t from log z, less 2 pi i Lambda'_p z^(b_p) front
+    S_m, Lambda'_p = sum_t w_t t e^(2 pi i t b_p).  Those constants
+    depend on b, the rows and the digits alone and are cached
+    (:func:`_series_plan`).  A point sums only the families that some row
+    weighs by a constant that is not exactly 0.  A logarithmic pair whose
+    Lambda_p is 0 on every row reads only its sums S_m, which are those of
+    0F2(-; 1-c, N+1; -z) weighted by b_p + n, and takes them from one plain
+    pass (:func:`hyper0f2_theta`, whose tail bound need not cover the
+    sums R_m).  A point takes z^c and log z once, and each row one
+    multiply-add per family.  The row ((0, 1),) takes the point's triples
+    as they are.
+
+    Families p and q of a logarithmic pair, b_p - b_q = N an integer >= 0:
+    family q's poles s = -b_q - k, k < N, are simple.  From s = -b_p on the
+    poles of Gamma(b_p + s) and Gamma(b_q + s) coincide; with c = b_r - b_p,
+    u = b_p + k and zeta = log z on the point's sheet, the double pole at
+    s = -b_p - k has residue
+
+        z^u Gamma(c) (-1)^N / N! t_k (H_0 + h_k - zeta),
+
+    t_k the terms of 0F2(-; 1-c, N+1; -z) and h_k their sums of
+    reciprocals (:func:`hyper0f2_log_theta`), H_0 = psi(1) + psi(N+1)
+    + psi(c) (:func:`_log_coefs`).  theta^m of z^u (A - zeta) is
+    z^u ((A - zeta) u^m - m u^(m-1)), so the triple is z^(b_p) front
+    (a S_m + R_m - m S_(m-1)), a = H_0 - zeta.
 
     A weight's rounding enters each family before the families cancel.
     The rows of the model problem do not feel it: their weights are exact
@@ -319,7 +376,8 @@ def _series_rows(b, point, rows, dps):
     its weights at the caller's d + 10 digits, phi4 at d = 30 and |z| up
     to 10^3 kept 10^-(d+10) of its value.
     """
-    form = _series_form(b)
+    if form is None:
+        form = _series_form(b)
     if form is None:
         raise ResonantParameterError(
             f"parameter differences of {tuple(float(x) for x in b)} are "
@@ -332,54 +390,47 @@ def _series_rows(b, point, rows, dps):
     lost = _cancellation_digits(point.modulus, 1.0 / 3.0)
     with working(dps, lost) as d:
         dc = d + lost
-        bb = [mpf(x) for x in b]
-        bkey = tuple(x._mpf_ for x in bb)
-        sums = _family_sums(bb, form, point.to_mpc(dps=dc), dc)
-        if form == "plain":
-            exps = bb
-        else:
-            p, q, n = form
-            r = 3 - p - q
-            # family r's power, then those of the logarithmic pair
-            exps = [bb[r], bb[p]] + [bb[q] + k for k in range(n)]
+        plain, pair = _series_plan(
+            tuple(mpf(x)._mpf_ for x in b), form,
+            tuple(tuple((t, _weight_key(w)) for t, w in row) for row in rows),
+            dc)
+        mz = -point.to_mpc(dps=dc)
         zeta = point._log()
-        powers = [mp.exp(mpc(c) * zeta) for c in exps]
-        # each plain family's b_k, the coefficient of its sums on the
-        # point's own sheet, and its sums
-        if form == "plain":
-            fams = [(bb[k], _plain_coef(bkey, k, dc) * powers[k], sums[k])
-                    for k in range(3)]
-            pair = None
-        else:
-            fams = [(bb[r], _plain_coef(bkey, r, dc) * powers[0], sums[1])]
-            pair = _log_part(bkey, form, sums[0], exps[1:], powers[1:], zeta,
-                             dc)
-            lead = None
-        out = []
-        for row in rows:
-            parts = []
-            for c, pref, fam in fams:
-                lam = reduce(add, _sheet_terms(c, row, dc))
-                if lam != 1:
-                    pref = pref * lam
-                parts.append([pref * x for x in fam])
-            if pair is not None:
-                terms = _sheet_terms(bb[p], row, dc)
-                lam = reduce(add, terms)
-                dlam = sum(t * x for (t, _), x in zip(row, terms))
-                part = pair if lam == 1 else [lam * x for x in pair]
-                if dlam:
-                    if lead is None:
-                        # 2 pi i z^(b_p) front S_m, what a turn's 2 pi i
-                        # takes from the pair's triple
-                        front = _log_coefs(bkey, form, dc)[0]
-                        lead = [mpc(0, 2) * mp.pi * front * powers[1] * x
-                                for x in sums[0][:3]]
-                    part = [x - dlam * y for x, y in zip(part, lead)]
+        out = [[] for _ in rows]
+        for c, b1, b2, consts in plain:
+            sums = hyper0f2_theta(b1, b2, mz, c=c, dps=dc)
+            power = mp.exp(mpc(c) * zeta)
+            for parts, const in zip(out, consts):
+                if const is not None:
+                    pref = const * power
+                    parts.append([pref * x for x in sums])
+        if pair is not None:
+            c, b1, b2, h0, exps, logs, consts = pair
+            power = mp.exp(mpc(c) * zeta)
+            if logs:
+                s = hyper0f2_log_theta(b1, b2, mz, c=c, dps=dc)
+                s, rs = s[:3], s[3:]
+                a = h0 - zeta
+                bracket = [a * s[0] + rs[0], a * s[1] + rs[1] - s[0],
+                           a * s[2] + rs[2] - 2 * s[1]]
+                powers = [mp.exp(mpc(u) * zeta) for u in exps]
+            else:
+                s = hyper0f2_theta(b1, b2, mz, c=c, dps=dc)
+            for parts, (front, simple, lead) in zip(out, consts):
+                part = [0, 0, 0]
+                if front is not None:
+                    pref = front * power
+                    part = [pref * x for x in bracket]
+                    for coef, u, pw in zip(simple, exps, powers):
+                        term = coef * pw
+                        part = [part[0] + term, part[1] + u * term,
+                                part[2] + u * u * term]
+                if lead is not None:
+                    pref = lead * power
+                    part = [x - pref * y for x, y in zip(part, s)]
                 parts.append(part)
-            out.append(tuple(+sum(part[m] for part in parts)
-                             for m in range(3)))
-    return out
+        return [tuple(+sum((part[m] for part in parts), mpc(0))
+                      for m in range(3)) for parts in out]
 
 
 def g303_series(b, point, dps=None, with_theta=False):
@@ -390,7 +441,7 @@ def g303_series(b, point, dps=None, with_theta=False):
     families (module docstring).  When exactly one pair differs by an
     integer, b_p - b_q = N >= 0 exactly (the exact mpf difference,
     :func:`_series_form`), families p and q collide and are summed as the
-    logarithmic residue series of :func:`_log_part`, the third family
+    logarithmic residue series of :func:`_series_rows`, the third family
     as before.  Any other b within the RESONANCE_TOL window -- resonant to
     many digits but not exactly, or triply resonant -- raises :class:`ResonantParameterError`;
     callers should fall back to :func:`mb_loop`.  A logarithmic pair with
@@ -809,15 +860,18 @@ def pick_route(b, m):
     return "series"
 
 
-def _g3_rows(b, point, rows, dps):
+def _g3_rows(b, point, rows, dps, form=None):
     """sum_t w_t G^{3,0}_{0,3}(z e^(2 pi i t)|b) as a theta triple for each
     row of (turn t, weight w_t) pairs in ``rows``, z = ``point``, by the
     route of :func:`pick_route`: the series sums its 0F2 families once for
     all of them and weighs each family by its row (:func:`_series_rows`);
     the loop makes one :func:`mb_loop` call a distinct turn and adds the
-    weighted triples at the caller's working precision."""
-    if pick_route(b, 3) == "series":
-        return _series_rows(b, point, rows, dps)
+    weighted triples at the caller's working precision.  ``form`` is b's
+    :func:`_series_form` when the caller has it."""
+    if form is None:
+        form = _series_form(b)
+    if form is not None:
+        return _series_rows(b, point, rows, dps, form)
     turns = {t for row in rows for t, _ in row}
     g = {t: mb_loop(b, point.rotated(2 * t * mp.pi) if t else point, m=3,
                     dps=dps, with_theta=True) for t in sorted(turns)}
@@ -827,12 +881,12 @@ def _g3_rows(b, point, rows, dps):
 
 def _phi_b(a):
     """b = (0, -a, -a - 1/2) of phi's G."""
-    return (mpf(0), -a, -a - mpf("0.5"))
+    return (mpf(0), -a, -a - mpf(0.5))
 
 
 def _psi_b(a):
     """b = (0, a, a + 1/2) of psi's G."""
-    return (mpf(0), a, a + mpf("0.5"))
+    return (mpf(0), a, a + mpf(0.5))
 
 
 def _a_weights(a, d):
@@ -843,13 +897,42 @@ def _a_weights(a, d):
     return i * _turn_phase(a._mpf_, 1, d), i * _turn_phase(a._mpf_, -1, d)
 
 
-def _phi_rows(a, d):
-    """The rows of phi1, phi2, phi3 and phi4 = phi1 + phi2 over the turns
-    of z: phi1 = i e^(2 pi i a) G(z e^(2 pi i)), phi2 = -i e^(-2 pi i a)
-    G(z e^(-2 pi i)) and phi3 = G(z)."""
-    ip, im = _a_weights(a, d)
-    phi1, phi2 = (1, ip), (-1, -im)
-    return (phi1,), (phi2,), ((0, 1),), (phi1, phi2)
+#: psi4 = psi2 - psi1 = Gt(z e^(pi i)) - Gt(z e^(-pi i)), as turns of
+#: z e^(-pi i)
+_PSI4_ROW = ((1, 1), (0, -1))
+
+
+@functools.lru_cache(maxsize=_COEF_CACHE_SIZE)
+def _frame_rows(akey, frame, dps):
+    """b of the G of ``frame`` ("phi" or "psi") for alpha given by its mpf
+    tuple ``akey``, the :func:`_series_form` of b and the rows of the
+    frame's scalars 1..4, at ``dps`` digits (the raise of working(dps), so
+    that the cache key fixes the precision).
+
+    phi's rows are over the turns of z: phi1 = i e^(2 pi i a)
+    G(z e^(2 pi i)), phi2 = -i e^(-2 pi i a) G(z e^(-2 pi i)), phi3 = G(z)
+    and phi4 = phi1 + phi2.  psi's are over the turns of z e^(-pi i):
+    psi1 = Gt(z e^(-pi i)), psi2 = Gt(z e^(pi i)), psi3 = i e^(2 pi i a)
+    (Gt(z e^(-3 pi i)) - Gt(z e^(-pi i))) and psi4 = psi2 - psi1."""
+    with working(dps) as d:
+        a = mp.make_mpf(akey)
+        ip, im = _a_weights(a, d)
+        if frame == "phi":
+            b = _phi_b(a)
+            phi1, phi2 = (1, ip), (-1, -im)
+            rows = (phi1,), (phi2,), ((0, 1),), (phi1, phi2)
+        else:
+            b = _psi_b(a)
+            rows = ((0, 1),), ((1, 1),), ((-1, ip), (0, -ip)), _PSI4_ROW
+        return b, _series_form(b), rows
+
+
+def _frame_g3_rows(alpha, frame, point, pick, dps):
+    """The rows ``pick`` (a slice) of :func:`_frame_rows` at ``point`` by
+    :func:`_g3_rows`, alpha taken at the working digits of ``dps``."""
+    with working(dps) as d:
+        b, form, rows = _frame_rows(mpf(alpha)._mpf_, frame, d)
+        return _g3_rows(b, point, rows[pick], d, form)
 
 
 def phi_scalars(alpha, point, dps=None):
@@ -859,33 +942,21 @@ def phi_scalars(alpha, point, dps=None):
     phi4 = -4 pi^2 phi0 / (Gamma(1+a) Gamma(3/2+a)) ties it to the 0F2
     route.
     """
-    with working(dps) as d:
-        a = mpf(alpha)
-        return ScalarTriples(*_g3_rows(_phi_b(a), point, _phi_rows(a, d), d))
+    return ScalarTriples(*_frame_g3_rows(alpha, "phi", point, slice(4), dps))
 
 
 def phi4_triple(alpha, point, dps=None):
     """The triple of phi4 = phi1 + phi2 alone, from sheets +1 and -1 of
     ``point``: the one phi scalar the kernel's bilinear form reads, one of
     the rows of :func:`phi_scalars` and the same values."""
-    with working(dps) as d:
-        a = mpf(alpha)
-        return _g3_rows(_phi_b(a), point, _phi_rows(a, d)[3:], d)[0]
-
-
-#: psi4 = psi2 - psi1 = Gt(z e^(pi i)) - Gt(z e^(-pi i)), as turns of
-#: z e^(-pi i)
-_PSI4_ROW = ((1, 1), (0, -1))
+    return _frame_g3_rows(alpha, "phi", point, slice(3, 4), dps)[0]
 
 
 def psi_scalars(alpha, point, dps=None):
     """Triples for psi1..psi4 at a sector point."""
     with working(dps) as d:
-        a = mpf(alpha)
-        ip = _a_weights(a, d)[0]
-        rows = (((0, 1),), ((1, 1),), ((-1, ip), (0, -ip)), _PSI4_ROW)
-        return ScalarTriples(*_g3_rows(_psi_b(a), point.rotated(-mp.pi),
-                                       rows, d))
+        return ScalarTriples(*_frame_g3_rows(
+            alpha, "psi", point.rotated(-mp.pi), slice(4), d))
 
 
 def psi4_triple(alpha, point, dps=None):
@@ -893,8 +964,8 @@ def psi4_triple(alpha, point, dps=None):
     ``point`` e^(-pi i): the one psi scalar the kernel's bilinear form
     reads, one of the rows of :func:`psi_scalars` and the same values."""
     with working(dps) as d:
-        return _g3_rows(_psi_b(mpf(alpha)), point.rotated(-mp.pi),
-                        (_PSI4_ROW,), d)[0]
+        return _frame_g3_rows(alpha, "psi", point.rotated(-mp.pi),
+                              slice(3, 4), d)[0]
 
 
 def psi3_alternate(alpha, point, dps=None):
@@ -903,6 +974,7 @@ def psi3_alternate(alpha, point, dps=None):
     """
     with working(dps) as d:
         a = mpf(alpha)
+        b, form, _ = _frame_rows(a._mpf_, "psi", d)
         im = _a_weights(a, d)[1]
-        return _g3_rows(_psi_b(a), point.rotated(mp.pi),
-                        (((0, im), (1, -im)),), d)[0]
+        return _g3_rows(b, point.rotated(mp.pi), (((0, im), (1, -im)),), d,
+                        form)[0]

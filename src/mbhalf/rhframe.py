@@ -203,7 +203,7 @@ def det_phi_predicted(alpha, point, dps=None):
     branch jump of z^{-2 beta} there.)
     """
     with working(dps) as d:
-        beta = mpf(alpha) + mpf("0.25")
+        beta = mpf(alpha) + mpf(0.25)
         return 8 * mp.pi ** 3 * mpc(0, 1) * point.power(-2 * beta, dps=d)
 
 
@@ -211,8 +211,8 @@ def c_matrix(alpha, dps=None):
     with working(dps):
         a = mpf(alpha)
         return [[mpf(1), mpf(0), mpf(0)],
-                [-2 * a - mpf("0.5"), mpf(-1), mpf(0)],
-                [a * (a + mpf("0.5")), 2 * a + mpf("0.5"), mpf(1)]]
+                [-2 * a - mpf(0.5), mpf(-1), mpf(0)],
+                [a * (a + mpf(0.5)), 2 * a + mpf(0.5), mpf(1)]]
 
 
 def phi_inverse(alpha, point, dps=None, side=None):
@@ -286,7 +286,7 @@ def l_matrix(alpha, point, dps=None, frame="phi"):
     is negated, and Psi's diagonal powers are Phi's reciprocals.
     """
     with working(dps) as d:
-        beta = mpf(alpha) + mpf("0.25")
+        beta = mpf(alpha) + mpf(0.25)
         w = mp.exp(mpc(0, 2) * mp.pi / 3)
         upper = float(point.argument) >= 0
         zr3 = point.power(mpf(1) / 3, dps=d)
@@ -331,7 +331,7 @@ def expansion_residual(alpha, x, dps=None, frame="phi"):
     with working(dps, lost) as d:
         dc = d + lost
         pt = SectorPoint(mpf(x), mpf(0))
-        beta = mpf(alpha) + mpf("0.25")
+        beta = mpf(alpha) + mpf(0.25)
         if frame == "phi":
             M = phi_matrix(alpha, pt, dps=d, side="+")
             T = t_matrix(alpha, dps=dc)

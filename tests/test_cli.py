@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from mbhalf import cli, equilibrium, specfun
+from mbhalf import cli, equilibrium, kernel, specfun
 from mbhalf.cli import (MAX_EQ_CELLS, MAX_GRID_POINTS, UsageError, main,
                         parse_grid)
 
@@ -362,6 +362,108 @@ def test_kernel_grids_keep_their_value_columns(tmp_path):
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,integral,meijer,rel_diff"
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == rows
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap ``module``'s functions ``names`` to count their calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _run=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _record_grids(monkeypatch):
+    """Wrap the CLI's two node-set functions to keep what they return."""
+    grids = {}
+    for name in ("kernel_integral_grid", "kernel_meijer_grid"):
+        def recorded(*args, _run=getattr(cli, name), _name=name, **kwargs):
+            grids[_name] = _run(*args, **kwargs)
+            return grids[_name]
+
+        monkeypatch.setattr(cli, name, recorded)
+    return grids
+
+
+def test_kernel_grid_takes_each_node_once(monkeypatch, tmp_path):
+    # a 10 x 10 grid took 90 phi4 and 90 psi4 triples (its off-diagonal
+    # pairs) and 200 Wright-Bessel term loops; a node set takes one triple
+    # and one term loop a node, and each value still matches its
+    # single-pair function to 10^-(d+5)
+    d = 30
+    counts = _count_calls(monkeypatch, kernel,
+                          ("phi4_triple", "psi4_triple", "_wright_terms"))
+    grids = _record_grids(monkeypatch)
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--alpha", "0.3", "--x-grid", "0.5:5:10",
+                 "--y-grid", "0.5:5:10", "--route", "both",
+                 "--precision", str(d), "--out", str(out)]) == 0
+    assert counts == {"phi4_triple": 10, "psi4_triple": 10,
+                      "_wright_terms": 20}
+    monkeypatch.undo()
+    lines = out.read_text().splitlines()[1:]
+    with mp.workdps(d):
+        # alpha and the nodes as the command line parses them
+        alpha, nodes = mpf("0.3"), parse_grid("0.5:5:10")
+    with mp.workdps(d + 10):
+        tol = mpf(10) ** -(d + 5)
+        for i, x in enumerate(nodes):
+            for j, y in enumerate(nodes):
+                line = lines[10 * i + j].split(",")
+                vi = grids["kernel_integral_grid"][i][j]
+                vm = grids["kernel_meijer_grid"][i][j]
+                ref = kernel.kernel_integral(alpha, x, y, dps=d)
+                assert abs(vi - ref) <= tol * abs(ref), (x, y)
+                assert line[2] == mp.nstr(vi, 17)
+                if i == j:
+                    assert vm is None and line[3] == line[2]
+                    continue
+                ref = kernel.kernel_meijer(alpha, x, y, dps=d)
+                assert abs(vm - ref) <= tol * abs(ref), (x, y)
+                assert line[3] == mp.nstr(vm, 17)
+
+
+def test_kernel_grid_nodes_take_their_pairs_largest_digits(monkeypatch):
+    # near the origin and the diagonal a pair raises its digits; a node
+    # takes its triple at the most digits any of its pairs needs, and a
+    # 1 x 1 node set is the single-pair call, bit for bit
+    d = 30
+    with mp.workdps(50):
+        xs = [mpf("1e-30"), mpf("0.5"), mpf(2)]
+        ys = [mpf("0.5") + mpf("6e-7"), mpf(3)]
+    seen = {}
+    for name in ("phi4_triple", "psi4_triple"):
+        def recorded(alpha, point, dps, _run=getattr(kernel, name),
+                     _name=name):
+            seen[(_name, float(point.modulus))] = dps
+            return _run(alpha, point, dps=dps)
+
+        monkeypatch.setattr(kernel, name, recorded)
+    grid = kernel.kernel_meijer_grid(mpf("0.3"), xs, ys, dps=d)
+    monkeypatch.undo()
+    with mp.workdps(d + 10):
+        extras = [[kernel._meijer_extra(mpf("0.3"), x, y, d) for y in ys]
+                  for x in xs]
+    # the pairs at the origin and next to the diagonal raise their digits,
+    # by different amounts, and the pairs away from both do not
+    assert extras[0][0] > extras[1][0] > 0 and extras[2] == [0, 0]
+    for i, x in enumerate(xs):
+        assert seen[("phi4_triple", float(x))] == d + max(extras[i])
+    for j, y in enumerate(ys):
+        assert seen[("psi4_triple", float(y))] == d + max(r[j] for r in extras)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            ref = kernel.kernel_meijer(mpf("0.3"), x, y, dps=d)
+            with mp.workdps(d + 10):
+                assert abs(grid[i][j] - ref) <= mpf(10) ** -(d + 5) * abs(ref)
+            one = kernel.kernel_meijer_grid(mpf("0.3"), [x], [y], dps=d)
+            assert one[0][0]._mpf_ == ref._mpf_
+            one = kernel.kernel_integral_grid(mpf("0.3"), [x], [y], dps=d)
+            ref = kernel.kernel_integral(mpf("0.3"), x, y, dps=d)
+            assert one[0][0]._mpf_ == ref._mpf_
 
 
 def test_parser_is_built_once_per_process(capsys):

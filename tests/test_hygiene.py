@@ -425,6 +425,109 @@ def test_hand_rolled_cache_detector():
     assert _hand_rolled_caches(tree) == [1, 3, 4, 5]
 
 
+#: caches that may grow without bound, as (module, function): the parser is
+#: built once a process and takes no arguments
+_UNBOUNDED_CACHES = {("cli.py", "build_parser")}
+
+
+def _int_names(tree):
+    """Module-level names bound to an int literal."""
+    return {t.id for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
+def _unbounded_caches(tree):
+    """(line, decorated function or None) of each ``functools.lru_cache``
+    that does not pass a finite positive integer ``maxsize`` (an int
+    literal, or a module-level name bound to one), and of each
+    ``functools.cache``, whose size has no bound."""
+    ints = _int_names(tree)
+    # names bound by ``from functools import ...``, to the function named
+    local = {alias.asname or alias.name: alias.name
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names}
+
+    def which(node):
+        if isinstance(node, ast.Name):
+            return local.get(node.id)
+        if (isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "functools"):
+            return node.attr
+        return None
+
+    def bounded(call):
+        size = ([k.value for k in call.keywords if k.arg == "maxsize"]
+                or call.args[:1])
+        if not size:
+            return False
+        if isinstance(size[0], ast.Name):
+            return size[0].id in ints
+        return (isinstance(size[0], ast.Constant)
+                and type(size[0].value) is int and size[0].value > 0)
+
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in func.decorator_list:
+                owner[id(getattr(dec, "func", dec))] = func.name
+    called = {id(node.func): node for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        name = which(node)
+        if name == "cache" or (name == "lru_cache" and not (
+                id(node) in called and bounded(called[id(node)]))):
+            # a bare lru_cache takes the default maxsize, named nowhere
+            found.append((node.lineno, owner.get(id(node))))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # each cache keeps at most a fixed number of entries, so a long run of
+    # fresh parameters cannot grow the process without bound
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [(line, name) for line, name in _unbounded_caches(tree)
+             if (path.name, name) not in _UNBOUNDED_CACHES]
+    assert not found, "%s: unbounded caches at %s" % (path.name, found)
+
+
+def test_unbounded_cache_detector():
+    tree = ast.parse("import functools\n"
+                     "from functools import lru_cache, cache\n"
+                     "_SIZE = 16\n"
+                     "_NONE = None\n"
+                     "@functools.lru_cache(maxsize=_SIZE)\n"
+                     "def a(x):\n"
+                     "    return x\n"
+                     "@functools.lru_cache(maxsize=None)\n"
+                     "def b(x):\n"
+                     "    return x\n"
+                     "@lru_cache\n"
+                     "def c(x):\n"
+                     "    return x\n"
+                     "@lru_cache(32)\n"
+                     "def d(x):\n"
+                     "    return x\n"
+                     "@functools.cache\n"
+                     "def e(x):\n"
+                     "    return x\n"
+                     "f = functools.lru_cache(maxsize=_NONE)(len)\n"
+                     "@lru_cache(maxsize=0)\n"
+                     "def g(x):\n"
+                     "    return x\n"
+                     "@functools.lru_cache()\n"
+                     "def h(x):\n"
+                     "    return x\n")
+    assert _unbounded_caches(tree) == [(8, "b"), (11, "c"), (17, "e"),
+                                       (20, None), (21, "g"), (24, "h")]
+    # the allow-list names only the one cache that is allowed to grow
+    assert _UNBOUNDED_CACHES == {("cli.py", "build_parser")}
+
+
 #: modules whose certificate and factorization sums must stay on mp.fdot
 _DOT_MODULES = ("finiten.py", "mpcore.py")
 

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from mbhalf import meijer
+from mbhalf.kernel import kernel_meijer
 from mbhalf.meijer import (
     ResonantParameterError,
     SectorPoint,
@@ -694,6 +695,100 @@ def test_two_sheet_triples_match_the_scalars(d):
                                   phi_scalars(a, pt, dps=d).f4, d, where)
             _assert_triples_close(meijer.psi4_triple(a, pt, dps=d),
                                   psi_scalars(a, pt, dps=d).f4, d, where)
+
+
+def _record_passes(monkeypatch):
+    """Wrap the series' two 0F2 passes to keep (kind, c) of each call, c
+    the exponent that weighs its terms."""
+    seen = []
+    for name, kind in (("hyper0f2_theta", "plain"),
+                       ("hyper0f2_log_theta", "log")):
+        def recorded(b1, b2, z, c=0, dps=None, _run=getattr(meijer, name),
+                     _kind=kind):
+            seen.append((_kind, c))
+            return _run(b1, b2, z, c=c, dps=dps)
+
+        monkeypatch.setattr(meijer, name, recorded)
+    return seen
+
+
+def test_rows_skip_families_weighed_by_exact_zeros(monkeypatch):
+    # psi4 = Gt(z e^(pi i)) - Gt(z e^(-pi i)) weighs Gt's b = 0 family by
+    # Lambda_0 = e^0 - 1 = 0 exactly: a plain b (alpha = -0.9, 0.3, 1.9)
+    # makes two passes, none for that family.  Where b = 0 is in a
+    # logarithmic pair (alpha = -0.5, 0, 1/2) the pair's Lambda_p is 0 as
+    # well, and only its turn's 2 pi i log term is left: one plain pass
+    # takes its sums S_m, and no pass takes the sums R_m.  phi4 at
+    # alpha = 0 weighs its plain family and the pair by 0 too
+    seen = _record_passes(monkeypatch)
+    pt = SectorPoint(mpf("1.7"), mpf("0.4"))
+    for alpha in _ROW_ALPHAS:
+        del seen[:]
+        meijer.psi4_triple(mpf(alpha), pt, dps=30)
+        form = _series_form(meijer._psi_b(mpf(alpha)))
+        if form == "plain":
+            assert len(seen) == 2 and all(c != 0 for _, c in seen), alpha
+        else:
+            assert [kind for kind, _ in seen] == ["plain"] * 2, alpha
+    del seen[:]
+    meijer.phi4_triple(mpf(0), pt, dps=30)
+    assert seen == [("plain", 0)]
+
+
+def test_rows_sum_a_family_weighed_by_a_tiny_constant(monkeypatch):
+    # a weight of 10^-60 is not zero: psi4's row with one more turn of
+    # that weight weighs the b = 0 family by Lambda_0 = 10^-60, and that
+    # family is summed
+    seen = _record_passes(monkeypatch)
+    with mp.workdps(50):
+        b = meijer._psi_b(mpf("0.3"))
+        pt = SectorPoint(mpf("1.7"), mpf("0.4"))
+        row = ((1, 1), (0, -1), (2, mpf(10) ** -60))
+    got = meijer._g3_rows(b, pt, (row,), 30)[0]
+    assert [c for _, c in seen].count(0) == 1
+    monkeypatch.undo()
+    with mp.workdps(50):
+        _assert_triples_close(got, _weighted_sheets(b, pt, row, 30), 30,
+                              "tiny")
+
+
+def test_rows_inside_the_resonance_window_still_take_the_loop(monkeypatch):
+    # alpha = 1e-8 puts b inside the series' resonance window without an
+    # exact pair: the kernel's triples take the loop, one call a turn
+    calls = []
+    loop = meijer.mb_loop
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(meijer, "mb_loop", recorded)
+    seen = _record_passes(monkeypatch)
+    with mp.workdps(40):
+        a = mpf("1e-8")
+    assert meijer.pick_route(meijer._phi_b(a), 3) == "loop"
+    assert meijer.pick_route(meijer._psi_b(a), 3) == "loop"
+    kernel_meijer(a, mpf("0.7"), mpf("1.6"), dps=30)
+    assert len(calls) == 4 and not seen
+
+
+def test_series_plan_is_cached_per_b_rows_and_digits():
+    # one plan per (b, rows, digits): moduli up to 1 lose no digits and
+    # share one; |z| = 8 works at 4 more digits and takes another; phi4's
+    # row, psi4's row and phi's four rows are three row sets
+    meijer._series_plan.cache_clear()
+    a = mpf("0.3")
+    for modulus in ("0.2", "0.5", "1"):
+        meijer.phi4_triple(a, SectorPoint(mpf(modulus), mpf(0)), dps=30)
+    info = meijer._series_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    meijer.phi4_triple(a, SectorPoint(mpf(8), mpf(0)), dps=30)
+    meijer.psi4_triple(a, SectorPoint(mpf("0.5"), mpf(0)), dps=30)
+    meijer.phi_scalars(a, SectorPoint(mpf("0.5"), mpf(0)), dps=30)
+    meijer.phi4_triple(a, SectorPoint(mpf("0.7"), mpf(0)), dps=30)
+    meijer.phi4_triple(a, SectorPoint(mpf("0.7"), mpf(0)), dps=40)
+    info = meijer._series_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 3, 5)
 
 
 def test_rows_near_resonance_take_the_loop():

@@ -32,7 +32,9 @@ def test_working_digits_do_not_stack(monkeypatch):
 
     monkeypatch.setattr(specfun, "_theta_sums", record_theta)
     monkeypatch.setattr(mp, "gamma", record_gamma)
+    # the plans keep the gammas they were built with
     meijer._plain_coef.cache_clear()
+    meijer._series_plan.cache_clear()
     kernel_meijer(mpf("0.3"), 1, 2, dps=30)
     assert seen["theta"] and seen["gamma"]
     assert max(seen["theta"]) <= 50, seen["theta"]
